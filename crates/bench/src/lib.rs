@@ -555,7 +555,7 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
 
 /// [`render_figure`] with the engine's event-scheduler backend forced to
 /// `scheduler` (`None` keeps each curve's configured backend — the
-/// calendar default). Both backends dispatch identically, so the figure's
+/// heap default). Both backends dispatch identically, so the figure's
 /// numbers cannot depend on this choice; the `perf --json` trajectory
 /// harness uses the override to time heap vs calendar on the same trials.
 pub fn render_figure_with_scheduler(

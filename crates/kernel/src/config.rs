@@ -310,9 +310,9 @@ pub struct KernelConfig {
     /// contrast `chaos --priority` demonstrates.
     pub classes: Option<ClassifyConfig>,
     /// Event-scheduler backend for the machine engine. Both backends
-    /// dispatch in bit-identical order; [`SchedulerKind::Calendar`] (the
-    /// default) is the fast one, [`SchedulerKind::Heap`] the reference
-    /// oracle.
+    /// dispatch in bit-identical order; [`SchedulerKind::Heap`] (the
+    /// default) is the faster one on the dozen events a trial keeps
+    /// pending, [`SchedulerKind::Calendar`] on thousands.
     pub scheduler: SchedulerKind,
     /// The cycle cost model.
     pub cost: CostModel,
@@ -639,9 +639,8 @@ impl KernelConfigBuilder {
     }
 
     /// Selects the event-scheduler backend (default:
-    /// [`SchedulerKind::Calendar`]). [`SchedulerKind::Heap`] pins the
-    /// reference backend, e.g. for equivalence checks against the
-    /// calendar queue.
+    /// [`SchedulerKind::Heap`]), e.g. to check the two backends against
+    /// each other.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.cfg.scheduler = kind;
         self

@@ -19,13 +19,13 @@ use std::rc::Rc;
 use livelock_core::analysis::SweepPoint;
 use livelock_machine::chrome_trace_json_with_markers;
 use livelock_machine::cluster::{Cluster, DEFAULT_SLICE};
-use livelock_machine::cpu::{CpuId, Engine};
+use livelock_machine::cpu::{ArrivalSource, CpuId, Engine};
 use livelock_machine::fold::CycleFold;
 use livelock_machine::ledger::CpuClass;
 use livelock_machine::nic::rss_queue;
 use livelock_machine::trace::TraceRecord;
 use livelock_machine::wire::Wire;
-use livelock_net::gen::{PacketFactory, TrafficGen};
+use livelock_net::gen::{PacketFactory, TraceReplay, TrafficGen};
 use livelock_net::ipv4::proto;
 use livelock_net::packet::MIN_FRAME_LEN;
 use livelock_net::pool::{FramePool, PoolStats};
@@ -35,10 +35,10 @@ use livelock_net::classify::{Classifier, TrafficClass};
 use livelock_net::FlowKey;
 use livelock_sim::Freq;
 
-use crate::config::KernelConfig;
+use crate::config::{KernelConfig, Mode};
 use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
-use crate::router::smp::{SmpCtx, SmpShared};
+use crate::router::smp::{SmpCtx, SmpShared, STEAL_BUF_CAP};
 use crate::router::{Event, RouterKernel};
 use crate::stats::{ClassStats, DropStats, FaultStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
@@ -208,8 +208,10 @@ pub struct TrialResult {
     /// enabled the periodic sampler (`None` otherwise).
     pub timeline: Option<Timeline>,
     /// Frame-pool counters at trial end: every packet buffer in the trial
-    /// came from one [`FramePool`], so `pool.misses` is the number of
-    /// per-packet heap allocations (0 in steady state).
+    /// came from one [`FramePool`] preallocated to what the configured
+    /// rings and queues can hold at once — whatever the trial's length —
+    /// so `pool.misses` is the number of per-packet heap allocations (0
+    /// on every fault-free trial).
     pub pool: PoolStats,
     /// Fault-injection and recovery counters (all zero when the config
     /// carries no fault plan).
@@ -355,6 +357,53 @@ pub fn run_trial_traced(spec: &TrialSpec, trace_capacity: usize) -> (TrialResult
     (result, json.unwrap_or_default())
 }
 
+/// Builds a single-CPU trial's machine — kernel, engine, frame pool, and
+/// the paced arrival schedule as the engine's arrival source — and
+/// returns it with the measurement window `(start, end)`: after warm-up,
+/// until the last arrival.
+fn build_trial_engine(spec: &TrialSpec) -> (Engine<RouterKernel>, Cycles, Cycles) {
+    assert!(spec.n_packets > 0, "trial needs packets");
+    assert!(spec.rate_pps > 0.0, "trial needs a positive rate");
+    assert!(
+        spec.flows.as_ref().map_or(true, |f| !f.is_empty()),
+        "trial needs at least one flow"
+    );
+
+    let cfg = spec.config.clone();
+    let freq = cfg.cost.freq;
+    let ctx_switch = cfg.cost.ctx_switch;
+    // One frame pool serves the whole trial, sized to what the kernel can
+    // hold in flight: packets are built as they arrive, so buffers recycle
+    // and the run performs zero per-packet heap allocations.
+    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
+    let (st, kernel) = RouterKernel::build_with_pool(cfg, pool.clone());
+    let mut engine = Engine::new(st, kernel, ctx_switch);
+
+    // Generate and pace the arrival schedule; the engine streams it.
+    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
+    let mut times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
+    Wire::ethernet_10m(freq).pace(&mut times, MIN_FRAME_LEN);
+    let factory = PacketFactory::paper_testbed().with_pool(pool);
+    let flows = match &spec.flows {
+        Some(ports) => ports.iter().map(|&p| (p, 0)).collect(),
+        None => vec![(factory.src_port, 0)],
+    };
+
+    // The schedule is nonempty (`n_packets > 0` was asserted above), so
+    // the fallbacks never fire.
+    let first = times.first().copied().unwrap_or(Cycles::ZERO);
+    let last = times.last().copied().unwrap_or(Cycles::ZERO);
+    let span = last - first;
+    let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
+    let window_end = last;
+    engine
+        .workload_mut()
+        .stats_mut()
+        .set_window(window_start, window_end);
+    inject(&mut engine, WireArrivals::new(times, factory, flows, 0));
+    (engine, window_start, window_end)
+}
+
 /// The trial engine behind [`run_trial`] and [`run_chaos_trial`]:
 /// optionally traces, and optionally keeps simulating for `drain` cycles
 /// past the measurement window (measured numbers are unaffected — the
@@ -366,52 +415,11 @@ fn run_trial_engine(
     trace_capacity: Option<usize>,
     drain: Cycles,
 ) -> (TrialResult, Option<String>, Engine<RouterKernel>) {
-    assert!(spec.n_packets > 0, "trial needs packets");
-    assert!(spec.rate_pps > 0.0, "trial needs a positive rate");
-    assert!(
-        spec.flows.as_ref().map_or(true, |f| !f.is_empty()),
-        "trial needs at least one flow"
-    );
-
-    let cfg = spec.config.clone();
-    let freq = cfg.cost.freq;
-    let ctx_switch = cfg.cost.ctx_switch;
-    // One frame pool serves the whole trial: the full arrival schedule is
-    // materialized up front, so preallocating one buffer per packet (plus
-    // headroom for kernel-originated replies) guarantees zero per-packet
-    // heap allocations for the rest of the run.
-    let pool = FramePool::new(POOL_BUF_CAPACITY, spec.n_packets + POOL_HEADROOM);
-    let (st, kernel) = RouterKernel::build_with_pool(cfg, pool.clone());
-    let mut engine = Engine::new(st, kernel, ctx_switch);
+    let freq = spec.config.cost.freq;
+    let (mut engine, window_start, window_end) = build_trial_engine(spec);
     if let Some(cap) = trace_capacity {
         engine.enable_trace(cap);
     }
-
-    // Generate, pace and inject the arrival schedule.
-    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
-    let mut times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    Wire::ethernet_10m(freq).pace(&mut times, MIN_FRAME_LEN);
-    let mut factory = PacketFactory::paper_testbed().with_pool(pool.clone());
-    for (i, &t) in times.iter().enumerate() {
-        if let Some(fl) = &spec.flows {
-            factory.src_port = fl[i % fl.len()];
-        }
-        let pkt = factory.next_packet();
-        engine.state_schedule(t, Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
-    }
-
-    // Measurement window: after warm-up, until the last arrival. The
-    // schedule is nonempty (`n_packets > 0` was asserted above), so the
-    // fallbacks never fire.
-    let first = times.first().copied().unwrap_or(Cycles::ZERO);
-    let last = times.last().copied().unwrap_or(Cycles::ZERO);
-    let span = last - first;
-    let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
-    let window_end = last;
-    engine
-        .workload_mut()
-        .stats_mut()
-        .set_window(window_start, window_end);
 
     // User CPU share — and the per-class cycle-ledger decomposition — are
     // measured over the same window.
@@ -546,10 +554,7 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
     let ncpus = cfg.topology.ncpus;
     let freq = cfg.cost.freq;
     let ctx_switch = cfg.cost.ctx_switch;
-    let pool = FramePool::new(
-        POOL_BUF_CAPACITY,
-        spec.n_packets + POOL_HEADROOM * ncpus,
-    );
+    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
     let shared = SmpShared::new(ncpus, cfg.ipintrq_cap);
 
     // One aggregate arrival schedule at the nominal rate, split across RX
@@ -558,7 +563,7 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
     // single wire's 14,880 pkts/s ceiling.
     let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
     let times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    let mut factory = PacketFactory::paper_testbed().with_pool(pool.clone());
+    let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
     let (src, dst) = (u32::from(factory.src_ip), u32::from(factory.dst_ip));
     // Class-aware steering: when classification is configured, frames
     // are steered by traffic class (`class.index() % ncpus`) instead of
@@ -571,25 +576,28 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
         .classes
         .as_ref()
         .map(|c| Classifier::new(c.rules.clone(), c.default_class));
+    let steered: Vec<(u16, usize)> = flows
+        .iter()
+        .map(|&port| {
+            let q = match &steer_classifier {
+                Some(cl) => {
+                    let key = FlowKey {
+                        src_ip: src,
+                        dst_ip: dst,
+                        proto: proto::UDP,
+                        src_port: port,
+                        dst_port: factory.dst_port,
+                    };
+                    cl.classify(&key).index() % ncpus
+                }
+                None => rss_queue(src, dst, proto::UDP, port, factory.dst_port, ncpus),
+            };
+            (port, q)
+        })
+        .collect();
     let mut queue_times: Vec<Vec<Cycles>> = vec![Vec::new(); ncpus];
-    let mut queue_ports: Vec<Vec<u16>> = vec![Vec::new(); ncpus];
     for (i, &t) in times.iter().enumerate() {
-        let port = flows[i % flows.len()];
-        let q = match &steer_classifier {
-            Some(cl) => {
-                let key = FlowKey {
-                    src_ip: src,
-                    dst_ip: dst,
-                    proto: proto::UDP,
-                    src_port: port,
-                    dst_port: factory.dst_port,
-                };
-                cl.classify(&key).index() % ncpus
-            }
-            None => rss_queue(src, dst, proto::UDP, port, factory.dst_port, ncpus),
-        };
-        queue_times[q].push(t);
-        queue_ports[q].push(port);
+        queue_times[steered[i % steered.len()].1].push(t);
     }
     for q in &mut queue_times {
         Wire::ethernet_10m(freq).pace(q, MIN_FRAME_LEN);
@@ -612,8 +620,11 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
     let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
     let window_end = last;
 
+    // Packet ids are one space across queues: queue `k`'s start where
+    // queue `k - 1`'s end.
+    let mut first_id = 0;
     let mut engines = Vec::with_capacity(ncpus);
-    for k in 0..ncpus {
+    for (k, times) in queue_times.into_iter().enumerate() {
         let mut c = cfg.clone();
         // A fault plan targets one CPU; siblings run clean.
         if let Some(plan) = &c.faults {
@@ -638,11 +649,12 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
         kernel.set_observe_cpu(CpuId(k));
         kernel.stats_mut().set_window(window_start, window_end);
         let mut engine = Engine::new(st, kernel, ctx_switch);
-        for (j, &t) in queue_times[k].iter().enumerate() {
-            factory.src_port = queue_ports[k][j];
-            let pkt = factory.next_packet();
-            engine.state_schedule(t, Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
-        }
+        let queue_factory = factory.clone().starting_at(first_id);
+        first_id += times.len() as u64;
+        inject(
+            &mut engine,
+            WireArrivals::new(times, queue_factory, steered.clone(), k),
+        );
         engines.push(engine);
     }
 
@@ -876,9 +888,95 @@ pub fn run_chaos_trial(spec: &TrialSpec) -> ChaosReport {
 /// also fit well under this, so pooled buffers never grow.
 const POOL_BUF_CAPACITY: usize = 128;
 
-/// Extra pool buffers beyond one-per-packet, covering kernel-originated
-/// replies (ARP, ICMP, application echoes) in flight at once.
+/// Extra pool buffers per CPU beyond the rings and queues: frames in a
+/// handler's hands and kernel-originated replies (ARP, ICMP, application
+/// echoes) in flight at once.
 const POOL_HEADROOM: usize = 64;
+
+/// Buffers a trial's frame pool preallocates: every place the configured
+/// kernel can hold a frame, full, on every interface and CPU, plus
+/// [`POOL_HEADROOM`]. A function of the configuration alone — a trial's
+/// length never enters it.
+fn pool_prealloc(cfg: &KernelConfig) -> usize {
+    let class_rings = match (&cfg.classes, &cfg.mode) {
+        (Some(_), Mode::Polled(_)) => TrafficClass::COUNT,
+        _ => 0,
+    };
+    // Receive rings, transmit ring, output queue, the frame on the wire.
+    let per_iface = cfg.nic.rx_ring * (1 + class_rings) + cfg.nic.tx_ring + cfg.ifq_cap + 1;
+    let screend = cfg.screend.as_ref().map_or(0, |s| s.queue_cap);
+    let socket = cfg.local.as_ref().map_or(0, |l| l.socket_cap);
+    let steal = if cfg.topology.steal { STEAL_BUF_CAP } else { 0 };
+    let per_cpu =
+        per_iface * cfg.num_ifaces + cfg.ipintrq_cap + screend + socket + steal + POOL_HEADROOM;
+    per_cpu * cfg.topology.ncpus
+}
+
+/// A trial's traffic as the engine's [`ArrivalSource`]: packet *i* — its
+/// pool buffer, its box, its event — is built when virtual time reaches
+/// its arrival, never before. One per receive queue; the packets of
+/// queue `q` are those whose flow steers there.
+struct WireArrivals {
+    /// This queue's paced arrival times.
+    schedule: TraceReplay,
+    factory: PacketFactory,
+    /// `(source port, receive queue)` per flow; packet *i* of the whole
+    /// trial carries flow `i % len`.
+    flows: Vec<(u16, usize)>,
+    queue: usize,
+    /// Trial-wide index of the next packet to consider.
+    next_index: usize,
+}
+
+impl WireArrivals {
+    fn new(
+        times: Vec<Cycles>,
+        factory: PacketFactory,
+        flows: Vec<(u16, usize)>,
+        queue: usize,
+    ) -> Self {
+        WireArrivals {
+            schedule: TraceReplay::new(times),
+            factory,
+            flows,
+            queue,
+            next_index: 0,
+        }
+    }
+}
+
+impl ArrivalSource<Event> for WireArrivals {
+    fn next_time(&self) -> Option<Cycles> {
+        self.schedule.peek()
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.schedule.next_arrival()?;
+        // A scheduled arrival means a packet of this queue remains, so
+        // the skip over other queues' packets terminates.
+        let port = loop {
+            let (port, queue) = self.flows[self.next_index % self.flows.len()];
+            self.next_index += 1;
+            if queue == self.queue {
+                break port;
+            }
+        };
+        self.factory.src_port = port;
+        Some(Event::RxArrive {
+            iface: 0,
+            pkt: Box::new(self.factory.next_packet()),
+        })
+    }
+}
+
+/// Hands a queue's traffic to its engine.
+fn inject(engine: &mut Engine<RouterKernel>, arrivals: WireArrivals) {
+    #[cfg(test)]
+    if oracle::preloading() {
+        return oracle::preload(engine, arrivals);
+    }
+    engine.set_arrival_source(Box::new(arrivals));
+}
 
 /// A labelled rate sweep: the series one figure curve plots.
 #[derive(Clone, Debug)]
@@ -921,6 +1019,47 @@ pub fn paper_rates() -> Vec<f64> {
     vec![
         500.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0,
     ]
+}
+
+/// The pre-streaming behaviour, kept only as the oracle the streamed
+/// trials are proved bit-identical to: every arrival built and scheduled
+/// through [`Engine::state_schedule`] before the engine runs.
+#[cfg(test)]
+mod oracle {
+    use std::cell::Cell;
+
+    use super::*;
+
+    thread_local! {
+        static PRELOAD: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn preloading() -> bool {
+        PRELOAD.with(Cell::get)
+    }
+
+    /// Runs `f` with every trial on this thread preloading its arrivals.
+    pub(super) fn with_preloaded_arrivals<R>(f: impl FnOnce() -> R) -> R {
+        PRELOAD.with(|p| p.set(true));
+        let out = f();
+        PRELOAD.with(|p| p.set(false));
+        out
+    }
+
+    pub(super) fn preload(engine: &mut Engine<RouterKernel>, mut arrivals: WireArrivals) {
+        // Holding the whole schedule takes a buffer per packet; they come
+        // from a pool of the oracle's own so the trial's stays
+        // configuration-sized and its counters comparable.
+        arrivals.factory = arrivals.factory.with_pool(FramePool::new(
+            POOL_BUF_CAPACITY,
+            arrivals.schedule.remaining(),
+        ));
+        while let Some(t) = arrivals.next_time() {
+            if let Some(ev) = arrivals.pop() {
+                engine.state_schedule(t, ev);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1318,6 +1457,147 @@ mod tests {
         // may still be in flight; everything else has been recycled.
         assert!(r.pool.outstanding <= 8, "only the tail holds buffers");
         assert_eq!(r.pool.recycled + r.pool.outstanding as u64, r.pool.acquired);
+    }
+
+    /// Asserts the streamed trial is bit-identical to the oracle that
+    /// preloads every arrival through `state_schedule`.
+    fn assert_matches_preloading_oracle(spec: &TrialSpec, what: &str) {
+        let streamed = run_trial(spec);
+        let mut preloaded = oracle::with_preloaded_arrivals(|| run_trial(spec));
+        assert_eq!(
+            streamed.pool.misses, preloaded.pool.misses,
+            "{what}: pool misses"
+        );
+        // The oracle's arrivals draw on a pool of its own; every other
+        // pool counter differs by construction.
+        preloaded.pool = streamed.pool;
+        let floats = |r: &TrialResult| {
+            let mut bits = vec![
+                r.offered_pps.to_bits(),
+                r.delivered_pps.to_bits(),
+                r.app_delivered_pps.to_bits(),
+            ];
+            for c in r.per_cpu() {
+                bits.extend(c.cpu_share.iter().map(|s| s.to_bits()));
+                bits.push(c.user_cpu_frac.to_bits());
+            }
+            bits
+        };
+        assert_eq!(floats(&streamed), floats(&preloaded), "{what}: float bits");
+        let (s, p) = (streamed.aggregate(), preloaded.aggregate());
+        assert_eq!(s.events_dispatched, p.events_dispatched, "{what}: events");
+        assert_eq!(s.interrupts_taken, p.interrupts_taken, "{what}: interrupts");
+        assert_eq!(streamed, preloaded, "{what}: every other field");
+        assert!(
+            s.events_dispatched > spec.n_packets as u64 / 2,
+            "{what}: ran"
+        );
+    }
+
+    #[test]
+    fn streamed_arrivals_match_the_preloading_oracle() {
+        use livelock_machine::cpu::SchedulerKind;
+        use livelock_machine::fault::FaultPlan;
+        let freq = unmodified().cost.freq;
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            for ncpus in [1, 4] {
+                for storm in [false, true] {
+                    // Overloaded, so rings overflow, feedback gates, and
+                    // (on 4 CPUs) the steal path and its IPIs all run.
+                    let mut b = KernelConfig::builder()
+                        .polled(Quota::Limited(10))
+                        .screend(Default::default())
+                        .feedback(Default::default())
+                        .scheduler(kind);
+                    if ncpus > 1 {
+                        b = b.ncpus(ncpus).steal(true);
+                    }
+                    if storm {
+                        b = b.faults(FaultPlan::storm(
+                            7,
+                            1.0,
+                            Cycles::ZERO,
+                            freq.cycles_from_millis(150),
+                        ));
+                    }
+                    let spec = TrialSpec {
+                        rate_pps: 11_000.0 * ncpus as f64,
+                        n_packets: 1_500 * ncpus,
+                        ..TrialSpec::new(b.build())
+                    };
+                    let what = format!("{kind:?} ncpus={ncpus} storm={storm}");
+                    assert_matches_preloading_oracle(&spec, &what);
+                }
+            }
+        }
+        // The unmodified path (shared ipintrq on SMP) and explicit flows.
+        for ncpus in [1, 2] {
+            let spec = TrialSpec {
+                rate_pps: 9_000.0,
+                n_packets: 1_200,
+                flows: Some(vec![7_001, 7_002, 7_003]),
+                ..TrialSpec::new(KernelConfig::builder().ncpus(ncpus).build())
+            };
+            assert_matches_preloading_oracle(&spec, &format!("unmodified ncpus={ncpus}"));
+        }
+    }
+
+    #[test]
+    fn chaos_drain_matches_the_preloading_oracle() {
+        // The drained harness is the one path where the arrival that
+        // lands exactly on the window's end is dispatched after all.
+        let spec = TrialSpec {
+            rate_pps: 9_000.0,
+            n_packets: 1_000,
+            ..TrialSpec::new(unmodified())
+        };
+        let streamed = run_chaos_trial(&spec);
+        let mut preloaded = oracle::with_preloaded_arrivals(|| run_chaos_trial(&spec));
+        preloaded.result.pool = streamed.result.pool;
+        assert_eq!(streamed.result, preloaded.result);
+        assert_eq!(streamed.in_flight, preloaded.in_flight);
+        assert_eq!(streamed.screend_q_len, preloaded.screend_q_len);
+    }
+
+    #[test]
+    fn trial_state_is_independent_of_trial_length() {
+        let cfg = polled(Quota::Limited(10));
+        let bound = pool_prealloc(&cfg);
+        let mut allocated = Vec::new();
+        for n in [10_000, 200_000] {
+            let spec = TrialSpec {
+                rate_pps: 12_000.0,
+                n_packets: n,
+                ..TrialSpec::new(cfg.clone())
+            };
+            let r = run_trial(&spec);
+            assert_eq!(r.pool.misses, 0, "{n} packets: no per-packet allocation");
+            assert!(
+                r.pool.high_water <= bound,
+                "{n} packets: {} buffers live at once, the config holds {bound}",
+                r.pool.high_water
+            );
+            assert!(r.pool.acquired >= n as u64, "{n} packets: all pooled");
+            allocated.push(r.pool.allocated);
+
+            // Pending scheduler entries, sampled at 16 evenly spaced
+            // stops: a clock pulse, a wire completion or two — never the
+            // arrival schedule.
+            let (mut engine, _, end) = build_trial_engine(&spec);
+            let mut max_pending = 0;
+            for stop in 1..=16 {
+                engine.run_until(Cycles::new(end.raw() / 16 * stop));
+                max_pending = max_pending.max(engine.state().pending_events());
+            }
+            assert!(
+                (1..=8).contains(&max_pending),
+                "{n} packets: {max_pending} events pending"
+            );
+        }
+        assert_eq!(
+            allocated, [bound as u64; 2],
+            "prealloc is the config's alone"
+        );
     }
 
     #[test]

@@ -83,10 +83,11 @@ pub enum Event {
         /// Receiving interface index.
         iface: usize,
         /// The frame. Boxed so the event payload stays pointer-sized:
-        /// every pending event (including the packet-less kinds) is
-        /// stored, copied and resized at `size_of::<Event>` inside the
-        /// scheduler, and an inline `Packet` would multiply that traffic
-        /// by ~6x for the entire queue.
+        /// every pending event is stored and moved at
+        /// `size_of::<Event>`, which an inline `Packet` would multiply
+        /// ~6x — and the events the scheduler actually holds are the
+        /// packet-less kinds (clock pulses, wire completions); arrivals
+        /// stream from the engine's arrival source.
         pkt: Box<Packet>,
     },
     /// The output wire finished serializing the interface's in-flight

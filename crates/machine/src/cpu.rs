@@ -140,19 +140,44 @@ pub trait Workload {
     }
 }
 
+/// A lazy, time-ordered stream of external events the [`Engine`] merges
+/// ahead of its event queue — how a trial injects traffic without holding
+/// the whole schedule as pending events.
+///
+/// The engine asks for [`next_time`](Self::next_time) to know when to
+/// stop, and calls [`pop`](Self::pop) only once virtual time has reached
+/// it, so an implementation manufactures each event (packet, buffer) at
+/// its arrival time and per-trial state stays O(in-flight).
+///
+/// **Tie order.** At equal timestamps a source event dispatches before
+/// every queued event, and source events dispatch in the order the source
+/// yields them — exactly the order they would have had if scheduled ahead
+/// of everything else at time zero.
+pub trait ArrivalSource<E> {
+    /// Time of the next event; `None` once the source is exhausted. Must
+    /// never decrease from one event to the next.
+    fn next_time(&self) -> Option<Cycles>;
+
+    /// Produces the event [`next_time`](Self::next_time) announced.
+    fn pop(&mut self) -> Option<E>;
+}
+
 /// Which event-scheduler backend an [`EnvState`] runs on.
 ///
 /// Both backends dispatch in bit-identical order (ascending time, FIFO at
-/// equal times); they differ only in speed. [`Calendar`](Self::Calendar)
-/// is the default: amortized O(1) under the steady event densities the
-/// router trials produce. [`Heap`](Self::Heap) is the reference binary
-/// heap — O(log n), kept as the equivalence oracle and fallback.
+/// equal times); they differ only in speed. [`Heap`](Self::Heap) is the
+/// default: with arrivals streamed from an [`ArrivalSource`] a trial keeps
+/// about a dozen events pending, where the binary heap's O(log n) is a
+/// couple of compares and beats the calendar's bucket bookkeeping on
+/// every benchmark workload (DESIGN §11 has the numbers).
+/// [`Calendar`](Self::Calendar) is amortized O(1) and wins only on
+/// populations of thousands of pending events.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The reference binary-heap [`EventQueue`].
-    Heap,
-    /// The [`CalendarQueue`], the engine default.
+    /// The binary-heap [`EventQueue`], the engine default.
     #[default]
+    Heap,
+    /// The [`CalendarQueue`].
     Calendar,
 }
 
@@ -201,10 +226,10 @@ impl<E> EvBackend<E> {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    fn len(&self) -> usize {
         match self {
-            EvBackend::Heap(q) => q.is_empty(),
-            EvBackend::Calendar(q) => q.is_empty(),
+            EvBackend::Heap(q) => q.len(),
+            EvBackend::Calendar(q) => q.len(),
         }
     }
 }
@@ -308,7 +333,7 @@ impl Usage {
 
 impl<E> EnvState<E> {
     /// Creates machine state with the given scheduler quantum, on the
-    /// default (calendar) event-queue backend.
+    /// default (heap) event-queue backend.
     pub fn new(quantum: Cycles) -> Self {
         Self::with_scheduler(quantum, SchedulerKind::default())
     }
@@ -364,6 +389,12 @@ impl<E> EnvState<E> {
     /// unit of dispatch throughput (`events/sec` in the perf artifact).
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
+    }
+
+    /// Events pending in the scheduler. Events an [`ArrivalSource`] has
+    /// not yet produced are not pending: they do not exist yet.
+    pub fn pending_events(&self) -> usize {
+        self.evq.len()
     }
 
     /// Schedules an event at absolute time `at` (clamped to now).
@@ -513,8 +544,9 @@ impl<'a, E> Env<'a, E> {
 pub enum Exit {
     /// Virtual time reached the requested limit.
     HitLimit,
-    /// No events remain and the machine is idle: nothing can ever happen
-    /// again.
+    /// No events remain — queued or still to come from the
+    /// [`ArrivalSource`] — and the machine is idle: nothing can ever
+    /// happen again.
     Quiescent,
 }
 
@@ -606,6 +638,15 @@ pub struct Engine<W: Workload> {
     trace: Option<Trace>,
     /// Reused buffer for the batched due-event drain in `run_until`.
     due_batch: Vec<(Cycles, W::Event)>,
+    source: Option<Box<dyn ArrivalSource<W::Event>>>,
+    /// Cached `source.next_time()`, so the merged peek on the hot path is
+    /// one compare instead of a virtual call.
+    source_next: Option<Cycles>,
+    /// Source events whose time a run limit landed on exactly: they have
+    /// arrived, so they exist, but dispatch waits for the next run — where
+    /// they go first (nothing queued can be earlier, and the source wins
+    /// ties).
+    arrived: Vec<W::Event>,
 }
 
 /// Iterations without time progress before the engine declares the
@@ -627,7 +668,20 @@ impl<W: Workload> Engine<W> {
             idle_notified: false,
             trace: None,
             due_batch: Vec::new(),
+            source: None,
+            source_next: None,
+            arrived: Vec::new(),
         }
+    }
+
+    /// Installs the engine's [`ArrivalSource`], replacing any previous
+    /// one. Its events are merged ahead of the event queue (see the
+    /// trait's tie-order contract), counted in
+    /// [`EnvState::events_dispatched`] and traced as
+    /// [`TraceEvent::External`] like any queued event.
+    pub fn set_arrival_source(&mut self, source: Box<dyn ArrivalSource<W::Event>>) {
+        self.source_next = source.next_time();
+        self.source = Some(source);
     }
 
     /// Enables scheduling-event tracing into a ring of `capacity` records.
@@ -700,8 +754,9 @@ impl<W: Workload> Engine<W> {
         (self.st, self.workload)
     }
 
-    /// Schedules an external event from outside the workload (experiment
-    /// drivers injecting packet arrivals, test harnesses).
+    /// Schedules an external event from outside the workload (test
+    /// harnesses, the SMP slice hook's IPIs). Trials inject their traffic
+    /// through [`set_arrival_source`](Self::set_arrival_source) instead.
     pub fn state_schedule(&mut self, at: Cycles, event: W::Event) {
         self.st.schedule_at(at, event);
     }
@@ -713,6 +768,12 @@ impl<W: Workload> Engine<W> {
 
     /// Runs until virtual time `limit` or quiescence, whichever first.
     pub fn run_until(&mut self, limit: Cycles) -> Exit {
+        if self.st.now < limit && !self.arrived.is_empty() {
+            for ev in std::mem::take(&mut self.arrived) {
+                self.dispatch(ev);
+            }
+            self.idle_notified = false;
+        }
         let mut spins: u64 = 0;
         let mut last_now = self.st.now;
         loop {
@@ -729,33 +790,39 @@ impl<W: Workload> Engine<W> {
             }
 
             if self.st.now >= limit {
+                while let Some(ev) = self.pop_source_through(self.st.now) {
+                    self.arrived.push(ev);
+                }
                 return Exit::HitLimit;
             }
 
-            // 1. Deliver due events — the whole same-cycle burst in one
-            // batched drain. Dispatch order is identical to popping one
-            // event per loop iteration: handlers cannot advance time, so
-            // nothing else runs between two due events either way, and
-            // anything a handler schedules for `now` carries a later
-            // sequence number than every event already drained, so it
-            // pops (in order) on the next pass.
-            // The cached peek is O(1) for both backends; the overwhelmingly
-            // common loop iteration has nothing due and skips the drain
-            // machinery entirely.
-            if matches!(self.st.evq.peek_time(), Some(t) if t <= self.st.now) {
+            // 1. Deliver due events — the whole same-cycle burst, queued
+            // and source, in one batched drain. Dispatch order is identical
+            // to popping one event per loop iteration: handlers cannot
+            // advance time, so nothing else runs between two due events
+            // either way, and anything a handler schedules for `now`
+            // carries a later sequence number than every event already
+            // drained, so it pops (in order) on the next pass. Source
+            // events go first at equal times (the `ArrivalSource` tie
+            // order).
+            // Both peeks are O(1) (a cached field, a cached queue head);
+            // the overwhelmingly common loop iteration has nothing due and
+            // skips the drain machinery entirely.
+            let now = self.st.now;
+            let queue_due = matches!(self.st.evq.peek_time(), Some(t) if t <= now);
+            if queue_due || self.source_due(now) {
                 let mut batch = std::mem::take(&mut self.due_batch);
-                if self.st.evq.pop_due_batch(self.st.now, &mut batch) > 0 {
-                    self.st.events_dispatched += batch.len() as u64;
-                    for (_, ev) in batch.drain(..) {
-                        self.record(TraceEvent::External);
-                        let workload = &mut self.workload;
-                        Self::env_call(&mut self.st, |env| workload.on_event(env, ev));
-                    }
-                    self.idle_notified = false;
-                    self.due_batch = batch;
-                    continue;
+                if queue_due {
+                    self.st.evq.pop_due_batch(now, &mut batch);
                 }
+                for (t, ev) in batch.drain(..) {
+                    self.dispatch_source_through(t);
+                    self.dispatch(ev);
+                }
+                self.dispatch_source_through(now);
+                self.idle_notified = false;
                 self.due_batch = batch;
+                continue;
             }
 
             // 2. Take a preempting interrupt.
@@ -854,15 +921,15 @@ impl<W: Workload> Engine<W> {
                 Self::env_call(&mut self.st, |env| workload.on_idle(env));
                 continue;
             }
-            match self.st.evq.peek_time() {
+            match self.next_event_time() {
                 Some(t) if t <= limit => {
                     self.st.usage.charge_idle(t - self.st.now);
                     self.st.now = t;
                 }
-                Some(_) | None => {
+                next => {
                     self.st.usage.charge_idle(limit - self.st.now);
                     self.st.now = limit;
-                    return if self.st.evq.is_empty() {
+                    return if next.is_none() {
                         Exit::Quiescent
                     } else {
                         Exit::HitLimit
@@ -877,13 +944,53 @@ impl<W: Workload> Engine<W> {
         self.run_until(Cycles::MAX)
     }
 
+    /// Time of the earliest event still to dispatch, queued or source.
+    /// (`&mut` only because the calendar backend's peek maintains its min
+    /// cache.)
+    fn next_event_time(&mut self) -> Option<Cycles> {
+        match (self.source_next, self.st.evq.peek_time()) {
+            (Some(s), Some(q)) => Some(s.min(q)),
+            (s, q) => s.or(q),
+        }
+    }
+
+    fn source_due(&self, now: Cycles) -> bool {
+        matches!(self.source_next, Some(t) if t <= now)
+    }
+
+    fn dispatch(&mut self, ev: W::Event) {
+        self.st.events_dispatched += 1;
+        self.record(TraceEvent::External);
+        let workload = &mut self.workload;
+        Self::env_call(&mut self.st, |env| workload.on_event(env, ev));
+    }
+
+    /// Produces the next source event if it is due at or before `t`.
+    fn pop_source_through(&mut self, t: Cycles) -> Option<W::Event> {
+        if !self.source_due(t) {
+            return None;
+        }
+        let source = self.source.as_mut()?;
+        let ev = source.pop();
+        // A source that yields nothing is exhausted, whatever it
+        // announced.
+        self.source_next = ev.as_ref().and(source.next_time());
+        ev
+    }
+
+    /// Produces and dispatches every source event due at or before `t`.
+    fn dispatch_source_through(&mut self, t: Cycles) {
+        while let Some(ev) = self.pop_source_through(t) {
+            self.dispatch(ev);
+        }
+    }
+
     /// The stop time for a chunk step: the earliest of chunk completion,
-    /// the next event, and the run limit. (`&mut` only because the
-    /// calendar backend's peek maintains its min cache.)
+    /// the next event, and the run limit.
     fn step_stop(&mut self, remaining: Cycles, limit: Cycles) -> (Cycles, bool) {
         let chunk_end = self.st.now + remaining;
         let mut stop = chunk_end.min(limit);
-        if let Some(t) = self.st.evq.peek_time() {
+        if let Some(t) = self.next_event_time() {
             stop = stop.min(t.max(self.st.now));
         }
         (stop, stop == chunk_end)
@@ -987,6 +1094,10 @@ impl<W: Workload> Engine<W> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
     use super::*;
     use crate::thread::Priority;
 
@@ -1007,6 +1118,37 @@ mod tests {
     enum Ev {
         Post(IntrSrc),
         Wake(ThreadId),
+        /// Logs its name when dispatched.
+        Note(&'static str),
+    }
+
+    /// An [`ArrivalSource`] over a fixed list, counting what it has built.
+    struct ListSource {
+        events: VecDeque<(Cycles, Ev)>,
+        built: Rc<Cell<usize>>,
+    }
+
+    impl ListSource {
+        fn boxed(events: Vec<(u64, Ev)>) -> (Box<dyn ArrivalSource<Ev>>, Rc<Cell<usize>>) {
+            let built = Rc::new(Cell::new(0));
+            let source = ListSource {
+                events: events.into_iter().map(|(t, e)| (cy(t), e)).collect(),
+                built: built.clone(),
+            };
+            (Box::new(source), built)
+        }
+    }
+
+    impl ArrivalSource<Ev> for ListSource {
+        fn next_time(&self) -> Option<Cycles> {
+            self.events.front().map(|&(t, _)| t)
+        }
+
+        fn pop(&mut self) -> Option<Ev> {
+            let (_, ev) = self.events.pop_front()?;
+            self.built.set(self.built.get() + 1);
+            Some(ev)
+        }
     }
 
     impl Script {
@@ -1061,6 +1203,10 @@ mod tests {
                 Ev::Post(src) => env.post_intr(src),
                 Ev::Wake(tid) => {
                     env.wake(tid);
+                }
+                Ev::Note(name) => {
+                    let now = env.now();
+                    self.log(now, name);
                 }
             }
         }
@@ -1364,6 +1510,93 @@ mod tests {
         let mut e = Engine::new(st, Script::default(), cy(0));
         assert_eq!(e.run_until(cy(5_000)), Exit::Quiescent);
         assert_eq!(e.now(), cy(5_000), "idles up to the limit");
+    }
+
+    #[test]
+    fn source_event_dispatches_before_queued_event_at_equal_time() {
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            let mut st = EnvState::with_scheduler(cy(1_000_000), kind);
+            // Queued first, so it carries the lowest sequence number the
+            // queue will ever hand out — and still loses the tie.
+            st.schedule_at(cy(100), Ev::Note("queued"));
+            st.schedule_at(cy(50), Ev::Note("queued-early"));
+            let mut e = Engine::new(st, Script::default(), cy(0));
+            e.enable_trace(64);
+            let (source, built) = ListSource::boxed(vec![
+                (100, Ev::Note("source-a")),
+                (100, Ev::Note("source-b")),
+                (200, Ev::Note("source-late")),
+            ]);
+            e.set_arrival_source(source);
+            assert_eq!(e.run_until(cy(150)), Exit::HitLimit);
+            assert_eq!(built.get(), 2, "the late event is not built early");
+            assert_eq!(e.run_to_quiescence(), Exit::Quiescent);
+            let order: Vec<_> = e
+                .workload()
+                .log
+                .iter()
+                .map(|(t, s)| (*t, s.as_str()))
+                .collect();
+            assert_eq!(
+                order,
+                [
+                    (50, "queued-early"),
+                    (100, "source-a"),
+                    (100, "source-b"),
+                    (100, "queued"),
+                    (200, "source-late"),
+                ],
+                "{kind:?}"
+            );
+            assert_eq!(e.st.events_dispatched, 5, "source events count");
+            let externals = e
+                .trace()
+                .expect("tracing on")
+                .records()
+                .filter(|r| r.event == TraceEvent::External)
+                .count();
+            assert_eq!(externals, 5, "source events are traced");
+        }
+    }
+
+    #[test]
+    fn quiescence_waits_for_the_source() {
+        let st: EnvState<Ev> = EnvState::new(cy(1_000));
+        let mut e = Engine::new(st, Script::default(), cy(0));
+        let (source, built) = ListSource::boxed(vec![(5_000, Ev::Note("only"))]);
+        e.set_arrival_source(source);
+        assert_eq!(e.state().pending_events(), 0);
+        assert_eq!(
+            e.run_until(cy(1_000)),
+            Exit::HitLimit,
+            "an empty queue is not quiescence while the source holds an event"
+        );
+        assert_eq!(built.get(), 0);
+        assert_eq!(e.run_until(cy(9_000)), Exit::Quiescent, "source drained");
+        assert_eq!(e.workload().log, [(5_000, "only".to_string())]);
+        assert_eq!(e.run_to_quiescence(), Exit::Quiescent);
+    }
+
+    #[test]
+    fn arrival_on_the_run_limit_exists_then_dispatches_first() {
+        let st: EnvState<Ev> = EnvState::new(cy(1_000));
+        let mut e = Engine::new(st, Script::default(), cy(0));
+        let (source, built) = ListSource::boxed(vec![(400, Ev::Note("arrival"))]);
+        e.set_arrival_source(source);
+        assert_eq!(e.run_until(cy(400)), Exit::HitLimit);
+        assert_eq!(built.get(), 1, "time reached the arrival: it exists");
+        assert!(e.workload().log.is_empty(), "but the limit holds dispatch");
+        assert_eq!(e.run_until(cy(400)), Exit::HitLimit);
+        assert!(
+            e.workload().log.is_empty(),
+            "a zero-length run dispatches nothing"
+        );
+        // Anything injected between runs still goes after it.
+        e.state_schedule(cy(400), Ev::Note("injected"));
+        assert_eq!(e.run_to_quiescence(), Exit::Quiescent);
+        let order: Vec<_> = e.workload().log.iter().map(|(_, s)| s.as_str()).collect();
+        assert_eq!(order, ["arrival", "injected"]);
+        assert_eq!(e.st.events_dispatched, 2);
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub use cluster::Cluster;
 pub use cost::CostModel;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fold::CycleFold;
-pub use cpu::{Chunk, CpuId, CtxKind, Engine, Env, SchedulerKind, UsageReport, Workload};
+pub use cpu::{
+    ArrivalSource, Chunk, CpuId, CtxKind, Engine, Env, SchedulerKind, UsageReport, Workload,
+};
 pub use intr::{IntrController, IntrSrc};
 pub use ipl::Ipl;
 pub use ledger::{CpuClass, CycleLedger};

@@ -8,11 +8,16 @@
 //!   elapsed virtual time, always.
 //! - **Liveness**: with all sources enabled, quiescence implies no latched
 //!   interrupt remains.
+//! - **Source equivalence**: streaming arrivals from an `ArrivalSource`
+//!   dispatches exactly what scheduling them all up front did, on both
+//!   scheduler backends, wherever the run limits fall.
 
 // Property tests are opt-in: `cargo test -p livelock-machine --features proptest`.
 #![cfg(feature = "proptest")]
 
-use livelock_machine::cpu::{Chunk, CtxKind, Engine, Env, EnvState, Workload};
+use livelock_machine::cpu::{
+    ArrivalSource, Chunk, CtxKind, Engine, Env, EnvState, SchedulerKind, Workload,
+};
 use livelock_machine::intr::IntrSrc;
 use livelock_machine::ipl::Ipl;
 use livelock_machine::thread::Priority;
@@ -104,8 +109,200 @@ fn check_stack_discipline(
     }
 }
 
+/// A workload whose events breed: each arrival or timer logs itself, costs
+/// the CPU a handler chunk (so time advances through chunk steps as well
+/// as idle jumps), and schedules follow-up timers at scripted delays —
+/// zero included, for same-cycle ties against later arrivals.
+struct Breeder {
+    src: IntrSrc,
+    in_handler: bool,
+    handler_cost: u64,
+    delays: Vec<u64>,
+    log: Vec<(u64, u32)>,
+}
+
+#[derive(Debug)]
+struct Tick {
+    id: u32,
+    /// Follow-up timers this event still spawns.
+    breed: u8,
+}
+
+impl Workload for Breeder {
+    type Event = Tick;
+
+    fn next_chunk(&mut self, env: &mut Env<'_, Tick>, _ctx: CtxKind) -> Option<Chunk> {
+        if self.in_handler {
+            self.in_handler = false;
+            env.intr_ack(self.src);
+            return None;
+        }
+        self.in_handler = true;
+        Some(Chunk::new(Cycles::new(self.handler_cost), 1))
+    }
+
+    fn chunk_done(&mut self, _env: &mut Env<'_, Tick>, _ctx: CtxKind, _tag: u64) {}
+
+    fn on_event(&mut self, env: &mut Env<'_, Tick>, ev: Tick) {
+        self.log.push((env.now().raw(), ev.id));
+        env.post_intr(self.src);
+        if ev.breed > 0 {
+            let delay = self.delays[ev.id as usize % self.delays.len()];
+            env.schedule_in(
+                Cycles::new(delay),
+                Tick {
+                    id: ev.id + 1_000,
+                    breed: ev.breed - 1,
+                },
+            );
+        }
+    }
+}
+
+/// Arrival `i` fires at `times[i]` as `Tick { id: i, breed }`.
+struct TickSource {
+    times: Vec<u64>,
+    breed: u8,
+    pos: usize,
+}
+
+impl ArrivalSource<Tick> for TickSource {
+    fn next_time(&self) -> Option<Cycles> {
+        self.times.get(self.pos).map(|&t| Cycles::new(t))
+    }
+
+    fn pop(&mut self) -> Option<Tick> {
+        self.times.get(self.pos)?;
+        self.pos += 1;
+        Some(Tick {
+            id: self.pos as u32 - 1,
+            breed: self.breed,
+        })
+    }
+}
+
+/// What one run observed: dispatch log, dispatch count, external trace
+/// records, final time.
+type Observed = (Vec<(u64, u32)>, u64, usize, Cycles);
+
+fn run_breeder(
+    kind: SchedulerKind,
+    streamed: bool,
+    arrivals: &[u64],
+    timers: &[u64],
+    delays: &[u64],
+    handler_cost: u64,
+    stops: &[u64],
+) -> Observed {
+    let mut st = EnvState::with_scheduler(Cycles::new(1_000_000), kind);
+    let src = st.intr.register("tick", Ipl::IMP);
+    let wl = Breeder {
+        src,
+        in_handler: false,
+        handler_cost,
+        delays: delays.to_vec(),
+        log: Vec::new(),
+    };
+    let mut e = Engine::new(st, wl, Cycles::ZERO);
+    e.enable_trace(100_000);
+    let mut source = TickSource {
+        times: arrivals.to_vec(),
+        breed: 2,
+        pos: 0,
+    };
+    if streamed {
+        e.set_arrival_source(Box::new(source));
+    } else {
+        // The oracle: every arrival scheduled up front, ahead of
+        // everything else, so arrivals hold the lowest sequence numbers.
+        while let Some(t) = source.next_time() {
+            let ev = source.pop().expect("announced");
+            e.state_schedule(t, ev);
+        }
+    }
+    for (i, &t) in timers.iter().enumerate() {
+        e.state_schedule(
+            Cycles::new(t),
+            Tick {
+                id: 500 + i as u32,
+                breed: 1,
+            },
+        );
+    }
+    for &stop in stops {
+        e.run_until(Cycles::new(stop));
+    }
+    e.run_to_quiescence();
+    let externals = e
+        .trace()
+        .expect("tracing enabled")
+        .records()
+        .filter(|r| r.event == TraceEvent::External)
+        .count();
+    // simlint: allow(deprecated-config): EnvState's counter, not TrialResult's shim
+    let dispatched = e.state().events_dispatched();
+    let now = e.now();
+    (e.into_parts().1.log, dispatched, externals, now)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Streaming arrivals from a source is indistinguishable from having
+    /// scheduled them all before the run: same events at the same times
+    /// in the same order, same counts, on both backends — including
+    /// same-cycle ties between arrivals, queued timers and zero-delay
+    /// follow-ups, and run limits that land exactly on an arrival.
+    #[test]
+    fn source_is_equivalent_to_preloading(
+        gaps in proptest::collection::vec(0u64..400, 1..80),
+        timers in proptest::collection::vec(0u64..12_000, 0..12),
+        delays in proptest::collection::vec(0u64..900, 1..6),
+        handler_cost in 0u64..300,
+        stop_picks in proptest::collection::vec((0usize..80, 0u64..2), 0..6),
+    ) {
+        // Arrival times on a coarse grid (multiples of 100 dominate), so
+        // timers, follow-ups and arrivals really do collide.
+        let mut t = 0;
+        let arrivals: Vec<u64> = gaps
+            .iter()
+            .map(|g| {
+                t += (g / 100) * 100 + if g % 7 == 0 { g % 100 } else { 0 };
+                t
+            })
+            .collect();
+        let timers: Vec<u64> = timers.iter().map(|t| (t / 100) * 100).collect();
+        // A third of the follow-up delays are zero, a third one grid step.
+        let delays: Vec<u64> = delays
+            .iter()
+            .map(|&d| match d % 3 {
+                0 => 0,
+                1 => 100,
+                _ => d,
+            })
+            .collect();
+        // Run limits: exactly on an arrival, or just past one.
+        let mut stops: Vec<u64> = stop_picks
+            .iter()
+            .map(|&(i, off)| arrivals[i % arrivals.len()] + off)
+            .collect();
+        stops.sort_unstable();
+        let run = |kind, streamed| {
+            run_breeder(kind, streamed, &arrivals, &timers, &delays, handler_cost, &stops)
+        };
+        let oracle = run(SchedulerKind::Heap, false);
+        prop_assert_eq!(
+            oracle.1 as usize, oracle.0.len(), "every dispatch is logged");
+        prop_assert_eq!(oracle.2, oracle.0.len(), "every dispatch is traced");
+        for (kind, streamed) in [
+            (SchedulerKind::Heap, true),
+            (SchedulerKind::Calendar, true),
+            (SchedulerKind::Calendar, false),
+        ] {
+            let got = run(kind, streamed);
+            prop_assert_eq!(&got, &oracle, "{:?} streamed={}", kind, streamed);
+        }
+    }
 
     #[test]
     fn storm_obeys_the_architecture(

@@ -85,6 +85,14 @@ impl PacketFactory {
         self
     }
 
+    /// Numbers subsequent packets from `id` instead of zero, so several
+    /// factories (one per receive queue) can share one id space
+    /// ([`built`](Self::built) then reports the next id).
+    pub fn starting_at(mut self, id: u64) -> Self {
+        self.next_id = id;
+        self
+    }
+
     /// The pool this factory allocates from, if any.
     pub fn pool(&self) -> Option<&FramePool> {
         self.pool.as_ref()
@@ -238,7 +246,9 @@ impl TrafficGen {
     }
 }
 
-/// Replays a fixed schedule of absolute arrival times.
+/// Replays a fixed schedule of absolute arrival times: the cursor a
+/// trial's arrival source walks, building each packet only when the
+/// simulation reaches its time.
 #[derive(Clone, Debug)]
 pub struct TraceReplay {
     times: Vec<Cycles>,
@@ -259,9 +269,14 @@ impl TraceReplay {
         TraceReplay { times, pos: 0 }
     }
 
+    /// The next arrival time without consuming it.
+    pub fn peek(&self) -> Option<Cycles> {
+        self.times.get(self.pos).copied()
+    }
+
     /// Returns the next arrival time, if any.
     pub fn next_arrival(&mut self) -> Option<Cycles> {
-        let t = self.times.get(self.pos).copied();
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -291,6 +306,8 @@ mod tests {
         assert_eq!(b.id, PacketId(1));
         assert_eq!(a.len(), crate::packet::MIN_FRAME_LEN);
         assert_eq!(f.built(), 2);
+        let c = PacketFactory::paper_testbed().starting_at(40).next_packet();
+        assert_eq!(c.id, PacketId(40));
         let ip = a.ipv4().unwrap();
         assert_eq!(ip.dst, Ipv4Addr::new(10, 1, 0, 99));
     }
@@ -357,10 +374,13 @@ mod tests {
     fn trace_replay() {
         let mut tr = TraceReplay::new(vec![Cycles::new(1), Cycles::new(5), Cycles::new(5)]);
         assert_eq!(tr.remaining(), 3);
+        assert_eq!(tr.peek(), Some(Cycles::new(1)));
+        assert_eq!(tr.remaining(), 3, "peek consumes nothing");
         assert_eq!(tr.next_arrival(), Some(Cycles::new(1)));
         assert_eq!(tr.next_arrival(), Some(Cycles::new(5)));
         assert_eq!(tr.next_arrival(), Some(Cycles::new(5)));
         assert_eq!(tr.next_arrival(), None);
+        assert_eq!(tr.peek(), None);
         assert_eq!(tr.remaining(), 0);
     }
 

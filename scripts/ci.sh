@@ -3,8 +3,9 @@
 #
 # Exit status mirrors the strictest failure seen:
 #   0  everything passed
-#   1  build/test failure, figures could not write its CSVs, the figure
-#      output was not byte-identical across job counts, or bad arguments
+#   1  build/test failure (tier 1 or the `--features proptest` property
+#      suites), figures could not write its CSVs, the figure output was
+#      not byte-identical across job counts, or bad arguments
 #   2  a rendered figure violates the paper's qualitative throughput shape
 #   3  the latency gate failed: the polled kernel's p99 forwarding latency
 #      is not well below the unmodified kernel's at overload (figure L-1)
@@ -102,6 +103,15 @@ cargo build --release || exit 1
 
 echo "== tier 1: cargo test -q =="
 cargo test -q || exit 1
+
+echo "== property tests: --features proptest =="
+# The property suites are opt-in per crate, so tier 1 compiles them out.
+# They hold the scheduler-equivalence properties (heap == calendar, and
+# streamed arrivals == arrivals scheduled up front) that the default-heap
+# decision rests on; run them here so a gate actually executes them.
+cargo test -q --offline --features proptest \
+    -p livelock-sim -p livelock-net -p livelock-machine \
+    -p livelock-core -p livelock-kernel || exit 1
 
 repo=$(pwd)
 scratch=$(mktemp -d)
@@ -288,8 +298,9 @@ else
 fi
 
 echo "== committed results: full-fidelity figures byte-identical =="
-# The committed results/*.csv are the paper artifact; the calendar-backed
-# batched engine must reproduce every byte. Regenerate the full-fidelity
+# The committed results/*.csv are the paper artifact; the engine (default
+# heap scheduler, arrivals streamed from the arrival source) must
+# reproduce every byte. Regenerate the full-fidelity
 # set in scratch and compare file by file.
 mkdir -p "$scratch/full"
 (cd "$scratch/full" && "$repo/target/release/figures") || exit 1
