@@ -31,7 +31,7 @@ fn burst_first_latency(cfg: &KernelConfig, n: usize) -> (Nanos, Nanos) {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }

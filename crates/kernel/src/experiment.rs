@@ -372,17 +372,21 @@ fn build_trial_engine(spec: &TrialSpec) -> (Engine<RouterKernel>, Cycles, Cycles
     let cfg = spec.config.clone();
     let freq = cfg.cost.freq;
     let ctx_switch = cfg.cost.ctx_switch;
+    // Generate and pace the arrival schedule; the engine streams it.
+    // Built before the pool and the kernel: the schedule is the trial's
+    // one allocation that grows with its length, and freed after the
+    // many small ones it would otherwise leave a hole among them that
+    // the next trial's schedule may not fit.
+    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
+    let mut times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
+    Wire::ethernet_10m(freq).pace(&mut times, MIN_FRAME_LEN);
+
     // One frame pool serves the whole trial, sized to what the kernel can
-    // hold in flight: packets are built as they arrive, so buffers recycle
+    // hold in flight: packets are built as they arrive, so slots recycle
     // and the run performs zero per-packet heap allocations.
     let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
     let (st, kernel) = RouterKernel::build_with_pool(cfg, pool.clone());
     let mut engine = Engine::new(st, kernel, ctx_switch);
-
-    // Generate and pace the arrival schedule; the engine streams it.
-    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
-    let mut times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    Wire::ethernet_10m(freq).pace(&mut times, MIN_FRAME_LEN);
     let factory = PacketFactory::paper_testbed().with_pool(pool);
     let flows = match &spec.flows {
         Some(ports) => ports.iter().map(|&p| (p, 0)).collect(),
@@ -554,16 +558,14 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
     let ncpus = cfg.topology.ncpus;
     let freq = cfg.cost.freq;
     let ctx_switch = cfg.cost.ctx_switch;
-    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
-    let shared = SmpShared::new(ncpus, cfg.ipintrq_cap);
-
     // One aggregate arrival schedule at the nominal rate, split across RX
     // queues by each packet's RSS hash, then paced per queue: every queue
     // is fed by its own wire, so aggregate offered load can exceed a
-    // single wire's 14,880 pkts/s ceiling.
+    // single wire's 14,880 pkts/s ceiling. (The schedules are built
+    // before the pool and the kernels, as in `build_trial_engine`.)
     let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
     let times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
+    let factory = PacketFactory::paper_testbed();
     let (src, dst) = (u32::from(factory.src_ip), u32::from(factory.dst_ip));
     // Class-aware steering: when classification is configured, frames
     // are steered by traffic class (`class.index() % ncpus`) instead of
@@ -619,6 +621,10 @@ fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
     let span = last - first;
     let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
     let window_end = last;
+
+    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
+    let shared = SmpShared::new(ncpus, cfg.ipintrq_cap);
+    let factory = factory.with_pool(pool.clone());
 
     // Packet ids are one space across queues: queue `k`'s start where
     // queue `k - 1`'s end.
@@ -913,8 +919,8 @@ fn pool_prealloc(cfg: &KernelConfig) -> usize {
 }
 
 /// A trial's traffic as the engine's [`ArrivalSource`]: packet *i* — its
-/// pool buffer, its box, its event — is built when virtual time reaches
-/// its arrival, never before. One per receive queue; the packets of
+/// pool slot and its event — is built when virtual time reaches its
+/// arrival, never before. One per receive queue; the packets of
 /// queue `q` are those whose flow steers there.
 struct WireArrivals {
     /// This queue's paced arrival times.
@@ -964,7 +970,7 @@ impl ArrivalSource<Event> for WireArrivals {
         self.factory.src_port = port;
         Some(Event::RxArrive {
             iface: 0,
-            pkt: Box::new(self.factory.next_packet()),
+            pkt: self.factory.next_packet(),
         })
     }
 }

@@ -82,13 +82,12 @@ pub enum Event {
     RxArrive {
         /// Receiving interface index.
         iface: usize,
-        /// The frame. Boxed so the event payload stays pointer-sized:
-        /// every pending event is stored and moved at
-        /// `size_of::<Event>`, which an inline `Packet` would multiply
-        /// ~6x — and the events the scheduler actually holds are the
-        /// packet-less kinds (clock pulses, wire completions); arrivals
-        /// stream from the engine's arrival source.
-        pkt: Box<Packet>,
+        /// The frame: a two-word handle to its slot, carried inline, so
+        /// an arrival costs no allocation of its own. (The events the
+        /// scheduler actually holds are the packet-less kinds — clock
+        /// pulses, wire completions; arrivals stream from the engine's
+        /// arrival source.)
+        pkt: Packet,
     },
     /// The output wire finished serializing the interface's in-flight
     /// frame.
@@ -112,6 +111,9 @@ pub enum Event {
     /// flag is set. Never scheduled on a uniprocessor.
     Ipi,
 }
+
+// Every pending event is stored and moved at `size_of::<Event>`.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
 /// Chunk tags.
 mod tag {
@@ -804,11 +806,9 @@ impl RouterKernel {
         // Work stealing: a frame that would overflow this CPU's ring is
         // published for an idle sibling instead — unless feedback closed
         // the gate, in which case the drop is the point.
-        if !inhibited {
-            pkt = match self.steal_publish(pkt, i) {
-                Some(p) => p,
-                None => return,
-            };
+        if !inhibited && self.steal_wanted(i) {
+            self.steal_publish(pkt);
+            return;
         }
         let flow = pkt.flow;
         let class = pkt.class;
@@ -831,23 +831,26 @@ impl RouterKernel {
         }
     }
 
-    /// If stealing is on and the ring is full, parks the frame in this
-    /// CPU's steal buffer (or drops it when that is full too) and
-    /// signals idle siblings. Returns the frame when it did neither and
-    /// normal DMA should proceed.
-    fn steal_publish(&mut self, pkt: Packet, i: usize) -> Option<Packet> {
+    /// Whether a frame arriving on interface `i` now goes to the steal
+    /// buffer instead of the ring: stealing is on and the ring is full.
+    fn steal_wanted(&self, i: usize) -> bool {
+        self.smp
+            .as_ref()
+            .is_some_and(|ctx| ctx.steal && self.ifaces[i].nic.rx_ring_is_full())
+    }
+
+    /// Parks the frame in this CPU's steal buffer (or drops it when that
+    /// is full too) and signals idle siblings.
+    fn steal_publish(&mut self, pkt: Packet) {
         let Some(ctx) = &self.smp else {
-            return Some(pkt);
+            return;
         };
-        if !ctx.steal || !self.ifaces[i].nic.rx_ring_is_full() {
-            return Some(pkt);
-        }
         let me = ctx.cpu.0;
         let mut sh = ctx.shared.borrow_mut();
         if sh.steal_bufs[me].len() >= STEAL_BUF_CAP {
             drop(sh);
             self.stats.record_drop_for(DropReason::RxRingFull, pkt.flow);
-            return None;
+            return;
         }
         sh.steal_bufs[me].push_back(pkt);
         sh.steals_published[me] += 1;
@@ -859,7 +862,6 @@ impl RouterKernel {
                 sh.ipi_pending[j] = true;
             }
         }
-        None
     }
 
     /// The unmodified SMP wakeup-and-drain: runs on CPU 0 when a
@@ -1103,7 +1105,7 @@ impl Workload for RouterKernel {
 
     fn on_event(&mut self, env: &mut Env<'_, Event>, event: Event) {
         match event {
-            Event::RxArrive { iface: i, pkt } => self.rx_arrive(env, i, *pkt),
+            Event::RxArrive { iface: i, pkt } => self.rx_arrive(env, i, pkt),
             Event::TxWireDone { iface: i } => {
                 let now = env.now();
                 let (latency_src, post_tx) = {
@@ -1216,7 +1218,7 @@ mod tests {
     fn engine_schedule(engine: &mut Engine<RouterKernel>, t: Cycles, pkt: Packet) {
         // EnvState::schedule_at is public on the state; reach it via a
         // 1-cycle run? Simpler: expose through a helper on the engine.
-        engine.state_schedule(t, Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
+        engine.state_schedule(t, Event::RxArrive { iface: 0, pkt });
     }
 
     #[test]
@@ -1303,7 +1305,7 @@ mod tests {
         let mut factory = PacketFactory::paper_testbed();
         factory.ttl = 1;
         let pkt = factory.next_packet();
-        e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
+        e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt });
         e.run_until(Cycles::new(10_000_000));
         let s = e.workload().stats();
         assert_eq!(s.fwd_errors(), 1);
@@ -1316,7 +1318,7 @@ mod tests {
         let mut factory = PacketFactory::paper_testbed();
         factory.dst_ip = Ipv4Addr::new(192, 168, 55, 1);
         let pkt = factory.next_packet();
-        e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
+        e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt });
         e.run_until(Cycles::new(10_000_000));
         assert_eq!(e.workload().stats().fwd_errors(), 1);
     }

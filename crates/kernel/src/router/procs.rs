@@ -33,12 +33,7 @@ impl RouterKernel {
         let depth = self.screend_q.len();
         self.feedback_depth(env, depth);
         let verdict = match pkt.ip_datagram() {
-            Ok(dgram) => {
-                // Borrow dance: evaluate needs &mut filter while dgram
-                // borrows pkt, so copy the verdict out.
-                let d = dgram.to_vec();
-                self.filter.evaluate(&d)
-            }
+            Ok(dgram) => self.filter.evaluate(dgram),
             Err(_) => Action::Deny,
         };
         match verdict {

@@ -670,7 +670,9 @@ impl<W: Workload> Engine<W> {
             due_batch: Vec::new(),
             source: None,
             source_next: None,
-            arrived: Vec::new(),
+            // Room for the usual one parked arrival from the start, so
+            // whether a limit ever lands on one changes no allocation count.
+            arrived: Vec::with_capacity(4),
         }
     }
 
@@ -769,9 +771,13 @@ impl<W: Workload> Engine<W> {
     /// Runs until virtual time `limit` or quiescence, whichever first.
     pub fn run_until(&mut self, limit: Cycles) -> Exit {
         if self.st.now < limit && !self.arrived.is_empty() {
-            for ev in std::mem::take(&mut self.arrived) {
+            // Taken and put back, not consumed: the buffer keeps its
+            // allocation across the runs that park an arrival.
+            let mut arrived = std::mem::take(&mut self.arrived);
+            for ev in arrived.drain(..) {
                 self.dispatch(ev);
             }
+            self.arrived = arrived;
             self.idle_notified = false;
         }
         let mut spins: u64 = 0;

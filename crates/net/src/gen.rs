@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use livelock_sim::{Cycles, Freq, Rng};
 
 use crate::ethernet::MacAddr;
-use crate::packet::{Packet, PacketId};
+use crate::packet::{udp_frame, Packet, PacketId};
 use crate::pool::FramePool;
 
 /// Builds the paper's UDP test datagrams with sequential ids.
@@ -35,15 +35,28 @@ pub struct PacketFactory {
     pub payload_len: usize,
     next_id: u64,
     pool: Option<FramePool>,
+    /// All-zero payload the templates are encoded over, `payload_len` long.
     zeros: Vec<u8>,
-    /// Cached encoded frame: every packet this factory builds has
-    /// byte-identical headers and payload (ids live outside the frame), so
-    /// steady-state generation is one memcpy instead of re-encoding two
-    /// checksums per packet. Rebuilt whenever the addressing fields change
-    /// (they are public, and tests mutate them mid-stream).
-    template: Vec<u8>,
-    template_key: Option<TemplateKey>,
+    /// Cached encoded frames, one per addressing key seen: every packet
+    /// built under one key has byte-identical headers and payload (ids
+    /// live outside the frame), so steady-state generation is one memcpy
+    /// instead of re-encoding two checksums per packet. The addressing
+    /// fields are public and callers change them mid-stream — a
+    /// multi-flow trial cycles `src_port` on every packet — so the cache
+    /// is keyed, not single-entry. At most [`TEMPLATE_CAP`] entries; a
+    /// new key arriving at a full cache empties it and starts over.
+    templates: Vec<(TemplateKey, Vec<u8>)>,
+    /// Index of the template the previous packet used.
+    last: usize,
 }
+
+/// Most frame templates a [`PacketFactory`] keeps. A flow pattern cycling
+/// through more keys than this never grows the cache, but pays for it on
+/// every packet: a scan of the cached keys, a re-encode and one heap
+/// allocation for the new template (the single-entry cache this replaced
+/// paid the re-encode and two allocations, without the scan). No trial
+/// shape in the workspace uses more than 64 flows.
+const TEMPLATE_CAP: usize = 128;
 
 /// The addressing fields a cached frame template depends on.
 type TemplateKey = (
@@ -74,8 +87,8 @@ impl PacketFactory {
             next_id: 0,
             pool: None,
             zeros: Vec::new(),
-            template: Vec::new(),
-            template_key: None,
+            templates: Vec::new(),
+            last: 0,
         }
     }
 
@@ -102,6 +115,21 @@ impl PacketFactory {
     pub fn next_packet(&mut self) -> Packet {
         let id = PacketId(self.next_id);
         self.next_id += 1;
+        let at = self.template_index();
+        let template = &self.templates[at].1;
+        match &self.pool {
+            Some(pool) => {
+                let mut buf = pool.take(template.len());
+                buf.copy_from_slice(template);
+                Packet::from_frame(id, buf)
+            }
+            None => Packet::from_frame(id, template.clone()),
+        }
+    }
+
+    /// Index in `templates` of the encoded frame for the current
+    /// addressing fields, encoding it first if this key is new.
+    fn template_index(&mut self) -> usize {
         let key = (
             self.src_mac,
             self.dst_mac,
@@ -112,35 +140,43 @@ impl PacketFactory {
             self.ttl,
             self.payload_len,
         );
-        if self.template_key != Some(key) {
-            // Encode once through the full header/checksum path; the id is
-            // carried beside the frame, never inside it, so every later
-            // packet reuses these exact bytes.
-            if self.zeros.len() != self.payload_len {
+        // Probe the last hit's successor first: a round-robin flow
+        // pattern (and a single-key stream, whose successor is itself)
+        // hits there, and only a key out of turn scans.
+        let next = if self.last + 1 < self.templates.len() {
+            self.last + 1
+        } else {
+            0
+        };
+        let hit = match self.templates.get(next) {
+            Some((k, _)) if *k == key => Some(next),
+            _ => self.templates.iter().position(|(k, _)| *k == key),
+        };
+        self.last = match hit {
+            Some(i) => i,
+            None => {
+                // Encode once through the full header/checksum path; the
+                // id is carried beside the frame, never inside it, so
+                // every later packet with this key reuses these bytes.
                 self.zeros.resize(self.payload_len, 0);
+                let frame = udp_frame(
+                    self.src_mac,
+                    self.dst_mac,
+                    self.src_ip,
+                    self.dst_ip,
+                    self.src_port,
+                    self.dst_port,
+                    self.ttl,
+                    &self.zeros,
+                );
+                if self.templates.len() == TEMPLATE_CAP {
+                    self.templates.clear();
+                }
+                self.templates.push((key, frame));
+                self.templates.len() - 1
             }
-            let built = Packet::udp_ipv4(
-                id,
-                self.src_mac,
-                self.dst_mac,
-                self.src_ip,
-                self.dst_ip,
-                self.src_port,
-                self.dst_port,
-                self.ttl,
-                &self.zeros,
-            );
-            self.template = built.frame.to_vec();
-            self.template_key = Some(key);
-        }
-        match &self.pool {
-            Some(pool) => {
-                let mut buf = pool.take(self.template.len());
-                buf.copy_from_slice(&self.template);
-                Packet::from_frame(id, buf)
-            }
-            None => Packet::from_frame(id, self.template.clone()),
-        }
+        };
+        self.last
     }
 
     /// Returns how many packets have been built.
@@ -310,6 +346,99 @@ mod tests {
         assert_eq!(c.id, PacketId(40));
         let ip = a.ipv4().unwrap();
         assert_eq!(ip.dst, Ipv4Addr::new(10, 1, 0, 99));
+    }
+
+    /// What the factory's current fields encode to, bypassing the cache.
+    fn fresh_encode(f: &PacketFactory) -> Vec<u8> {
+        Packet::udp_ipv4(
+            PacketId(0),
+            f.src_mac,
+            f.dst_mac,
+            f.src_ip,
+            f.dst_ip,
+            f.src_port,
+            f.dst_port,
+            f.ttl,
+            &vec![0u8; f.payload_len],
+        )
+        .frame
+        .clone()
+    }
+
+    #[test]
+    fn cached_frames_equal_fresh_encodes_for_every_source_port() {
+        // Pooled and unpooled take the same template path; alternate so
+        // both are covered. Two laps, so every port is served from the
+        // cache (or its replacement) at least once.
+        let mut pooled = PacketFactory::paper_testbed().with_pool(FramePool::new(128, 4));
+        let mut plain = PacketFactory::paper_testbed();
+        for _lap in 0..2 {
+            for port in 0..=u16::MAX {
+                let f = if port % 2 == 0 {
+                    &mut pooled
+                } else {
+                    &mut plain
+                };
+                f.src_port = port;
+                let want = fresh_encode(f);
+                assert_eq!(f.next_packet().frame, want, "src_port {port}");
+                assert!(f.templates.len() <= TEMPLATE_CAP);
+            }
+        }
+        assert_eq!(pooled.pool().unwrap().stats().misses, 0);
+    }
+
+    #[test]
+    fn every_addressing_field_keys_the_cache() {
+        let mut f = PacketFactory::paper_testbed();
+        let mut seen = vec![f.next_packet().frame.clone()];
+        let edits: [fn(&mut PacketFactory); 7] = [
+            |f| f.dst_port = 53,
+            |f| f.ttl = 1,
+            |f| f.payload_len = 100,
+            |f| f.src_mac = MacAddr::local(7),
+            |f| f.dst_mac = MacAddr::local(8),
+            |f| f.src_ip = Ipv4Addr::new(10, 0, 3, 4),
+            |f| f.dst_ip = Ipv4Addr::new(10, 1, 5, 6),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            edit(&mut f);
+            let want = fresh_encode(&f);
+            // Mid-stream: the packet right after the edit already differs,
+            // and the next one (now cached) is the same bytes again.
+            assert_eq!(f.next_packet().frame, want, "edit {i}");
+            assert_eq!(f.next_packet().frame, want, "edit {i}, cached");
+            assert!(!seen.contains(&want), "edit {i} changed the frame");
+            seen.push(want);
+        }
+        assert_eq!(f.templates.len(), 1 + edits.len());
+        // Back to an earlier key (undo the last edit): served from its
+        // cached entry.
+        f.dst_ip = PacketFactory::paper_testbed().dst_ip;
+        assert_eq!(f.next_packet().frame, fresh_encode(&f));
+        assert_eq!(f.templates.len(), 1 + edits.len());
+    }
+
+    #[test]
+    fn template_cache_is_bounded() {
+        let mut f = PacketFactory::paper_testbed();
+        // A flow set that fits: one template each, none rebuilt.
+        for lap in 0..3 {
+            for port in 0..TEMPLATE_CAP as u16 {
+                f.src_port = port;
+                f.next_packet();
+            }
+            assert_eq!(f.templates.len(), TEMPLATE_CAP, "lap {lap}");
+        }
+        // An adversarial sequence — every port, then strides that defeat
+        // the round-robin probe — never grows it.
+        let capacity = f.templates.capacity();
+        for port in (0..=u16::MAX).chain((0..=u16::MAX).map(|p| p.wrapping_mul(7919))) {
+            f.src_port = port;
+            f.next_packet();
+            assert!(f.templates.len() <= TEMPLATE_CAP);
+        }
+        assert_eq!(f.templates.capacity(), capacity, "not reallocated once full");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! - [`ethernet`], [`arp`], [`ipv4`], [`udp`], [`icmp`] — header
 //!   encode/decode with real byte layouts and checksums ([`checksum`]).
-//! - [`packet`] — the packet buffer carried through the simulated kernel,
-//!   with provenance timestamps for latency measurement.
-//! - [`pool`] — a freelist slab of recycled frame buffers, so steady-state
+//! - [`packet`] — the packet carried through the simulated kernel: a
+//!   two-word handle to a slot holding the frame bytes and provenance
+//!   timestamps for latency measurement (the mbuf-pointer analogue).
+//! - [`pool`] — a freelist of recycled packet slots, so steady-state
 //!   forwarding allocates no heap memory per packet (the mbuf-cluster
 //!   analogue).
 //! - [`queue`] — bounded drop-tail queues (`ipintrq`, interface output

@@ -1,11 +1,14 @@
 //! The packet buffer carried through the simulated kernel.
 //!
-//! A [`Packet`] owns a full Ethernet frame as wire bytes plus simulation
-//! metadata: a unique id and provenance timestamps used for latency
-//! accounting. Helper constructors build complete, checksummed
+//! A [`Packet`] is a two-word owning handle to a slot ([`PacketBody`])
+//! holding a full Ethernet frame as wire bytes plus simulation metadata:
+//! a unique id and provenance timestamps used for latency accounting.
+//! Helper constructors build complete, checksummed
 //! UDP-in-IPv4-in-Ethernet frames like the paper's load generator.
 
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
 
 use livelock_sim::Cycles;
 
@@ -29,8 +32,8 @@ pub struct PacketId(pub u64);
 /// same order) the multiqueue NIC's RSS hash consumes, so one key
 /// serves both queue steering and per-flow accounting.
 ///
-/// Plain `Copy` data: carrying it inline in a [`Packet`] costs nothing
-/// on the zero-allocation forwarding path.
+/// Plain `Copy` data: carrying it in a packet's slot costs nothing on
+/// the zero-allocation forwarding path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// IPv4 source address, native-endian `u32` (as `Ipv4Addr::to_bits`).
@@ -46,8 +49,8 @@ pub struct FlowKey {
 }
 
 /// Per-packet lifecycle timestamps, one per stage boundary of the receive
-/// path. Stamps live inline in the [`Packet`] (plain `Copy` data, no heap),
-/// so recording them costs nothing on the zero-allocation forwarding path.
+/// path. Stamps live in the packet's slot (plain `Copy` data), so
+/// recording them costs nothing on the zero-allocation forwarding path.
 ///
 /// Every field starts at `Cycles::MAX` ("never") and is written at most
 /// once as the packet crosses that boundary. Consecutive boundaries
@@ -100,15 +103,20 @@ impl Default for StageStamps {
     }
 }
 
-/// A packet travelling through the simulation.
+/// A packet's slot: everything a packet is — simulation metadata and
+/// the full Ethernet frame as wire bytes — in one heap object that a
+/// [`FramePool`] recycles whole. Code reaches it through the [`Packet`]
+/// handle, which dereferences here; a field added to a packet belongs in
+/// this struct, where it costs nothing per hop.
 #[derive(Clone, Debug)]
-pub struct Packet {
+pub struct PacketBody {
     /// Unique id, assigned by the creator.
     pub id: PacketId,
-    /// Full Ethernet frame bytes (headers + payload, no FCS). Either a
-    /// plain heap buffer or one on loan from a [`FramePool`], recycled
-    /// automatically when the packet dies.
-    pub frame: FrameBuf,
+    /// Full Ethernet frame bytes (headers + payload, no FCS). Write
+    /// through it, never replace it: a pooled slot's `Vec` is the pool's
+    /// preallocated buffer ([`FramePool::take`] debug-asserts it comes
+    /// back).
+    pub frame: Vec<u8>,
     /// Time the frame finished arriving on the input wire (set by the wire
     /// model; `Cycles::MAX` until then).
     pub arrived_at: Cycles,
@@ -128,6 +136,87 @@ pub struct Packet {
     pub class: Option<crate::classify::TrafficClass>,
 }
 
+impl PacketBody {
+    /// A slot holding `frame` with pristine metadata. The one place that
+    /// names every field, so a new field cannot miss its reset value.
+    pub(crate) fn new(frame: Vec<u8>) -> Self {
+        PacketBody {
+            id: PacketId(0),
+            frame,
+            arrived_at: Cycles::MAX,
+            dequeued_at: Cycles::MAX,
+            stamps: StageStamps::UNSET,
+            flow: None,
+            class: None,
+        }
+    }
+
+    /// An empty slot whose frame reserves `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        PacketBody::new(Vec::with_capacity(capacity))
+    }
+
+    /// Returns a recycled slot to the state of a new one holding `len`
+    /// zero bytes, keeping the frame's allocation.
+    pub(crate) fn reset(&mut self, len: usize) {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.resize(len, 0);
+        *self = PacketBody::new(frame);
+    }
+
+    /// Makes this slot a copy of `src`, metadata and bytes, keeping the
+    /// frame's allocation.
+    pub(crate) fn copy_from(&mut self, src: &PacketBody) {
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        frame.extend_from_slice(&src.frame);
+        *self = PacketBody { frame, ..*src };
+    }
+}
+
+/// A packet travelling through the simulation: an owning, two-word
+/// handle to its [`PacketBody`] slot — what the paper's kernel passes
+/// from ring to `ipintrq` to `screend` to the output queue is an mbuf
+/// pointer, and so is this. Moving a packet between rings, queues and
+/// events moves the handle; the metadata and bytes stay where they are
+/// and are read and written through `Deref` (`pkt.stamps.ring_deq = ..`,
+/// `pkt.flow`, `pkt.frame[..]`).
+///
+/// The slot is either a plain heap object or on loan from a
+/// [`FramePool`], recycled automatically when the packet dies. A clone
+/// is a full copy (metadata and bytes) in a slot of its own, drawn from
+/// the same pool when the original is pooled.
+#[derive(Clone)]
+pub struct Packet(FrameBuf);
+
+// A packet is moved at every hop: keep it a handle, and keep what is
+// queued beside it (`screend_q`'s interface index) in one more word.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 16);
+const _: () = assert!(std::mem::size_of::<(usize, Packet)>() <= 24);
+
+impl Deref for Packet {
+    type Target = PacketBody;
+    fn deref(&self) -> &PacketBody {
+        self.0.body()
+    }
+}
+
+impl DerefMut for Packet {
+    fn deref_mut(&mut self) -> &mut PacketBody {
+        self.0.body_mut()
+    }
+}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("body", &**self)
+            .field("pooled", &self.0.is_pooled())
+            .finish()
+    }
+}
+
 impl Packet {
     /// Wraps frame bytes (a plain `Vec<u8>` or a pooled [`FrameBuf`]),
     /// padding to the Ethernet minimum.
@@ -136,15 +225,9 @@ impl Packet {
         if frame.len() < MIN_FRAME_LEN {
             frame.resize(MIN_FRAME_LEN, 0);
         }
-        Packet {
-            id,
-            frame,
-            arrived_at: Cycles::MAX,
-            dequeued_at: Cycles::MAX,
-            stamps: StageStamps::UNSET,
-            flow: None,
-            class: None,
-        }
+        let mut pkt = Packet(frame);
+        pkt.id = id;
+        pkt
     }
 
     /// Assigns the packet's priority class. Only the kernel's
@@ -208,13 +291,9 @@ impl Packet {
         ttl: u8,
         payload: &[u8],
     ) -> Self {
-        let udp_len = UDP_HEADER_LEN + payload.len();
-        let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + udp_len;
-        let mut frame = vec![0u8; total.max(MIN_FRAME_LEN)];
-        let encoded = encode_udp_frame(
-            &mut frame, src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, ttl, payload,
+        let frame = udp_frame(
+            src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, ttl, payload,
         );
-        debug_assert!(encoded.is_ok(), "buffer sized for all headers");
         Packet::from_frame(id, frame)
     }
 
@@ -370,6 +449,30 @@ impl Packet {
         }
         .encode(&mut self.frame)
     }
+}
+
+/// The wire bytes [`Packet::udp_ipv4`] wraps, padded to the Ethernet
+/// minimum: one allocation and no packet slot, for callers that keep the
+/// bytes (the generator's frame templates).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn udp_frame(
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+    src_ip: Ipv4Addr,
+    dst_ip: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    ttl: u8,
+    payload: &[u8],
+) -> Vec<u8> {
+    let udp_len = UDP_HEADER_LEN + payload.len();
+    let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + udp_len;
+    let mut frame = vec![0u8; total.max(MIN_FRAME_LEN)];
+    let encoded = encode_udp_frame(
+        &mut frame, src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port, ttl, payload,
+    );
+    debug_assert!(encoded.is_ok(), "buffer sized for all headers");
+    frame
 }
 
 /// Encodes a UDP/IPv4/Ethernet frame into `frame`. The constructors

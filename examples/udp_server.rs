@@ -86,7 +86,7 @@ fn run_with_local_dst(spec: &TrialSpec) -> f64 {
     factory.dst_ip = Ipv4Addr::new(10, 0, 0, 1); // The host itself.
     for &t in &times {
         let pkt = factory.next_packet();
-        engine.state_schedule(t, Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
+        engine.state_schedule(t, Event::RxArrive { iface: 0, pkt });
     }
 
     let first = times[0];

@@ -3,9 +3,10 @@
 #
 # Exit status mirrors the strictest failure seen:
 #   0  everything passed
-#   1  build/test failure (tier 1 or the `--features proptest` property
-#      suites), figures could not write its CSVs, the figure output was
-#      not byte-identical across job counts, or bad arguments
+#   1  build/test failure (tier 1, the `--features proptest` property
+#      suites, or the standalone benchmark crate), figures could not
+#      write its CSVs, the figure output was not byte-identical across
+#      job counts, or bad arguments
 #   2  a rendered figure violates the paper's qualitative throughput shape
 #   3  the latency gate failed: the polled kernel's p99 forwarding latency
 #      is not well below the unmodified kernel's at overload (figure L-1)
@@ -112,6 +113,14 @@ echo "== property tests: --features proptest =="
 cargo test -q --offline --features proptest \
     -p livelock-sim -p livelock-net -p livelock-machine \
     -p livelock-core -p livelock-kernel || exit 1
+
+echo "== benchmark crate: build + test =="
+# benchmark/ is a package of its own (outside the workspace, so tier 1
+# never sees it) that links the simulator's public types — Packet,
+# FramePool, Nic, StageStamps, PacketFactory. Build and test it here so
+# a change to those cannot break the repo's one benchmark unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml || exit 1
 
 repo=$(pwd)
 scratch=$(mktemp -d)

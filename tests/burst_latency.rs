@@ -35,7 +35,7 @@ fn run_burst(cfg: KernelConfig, n: usize) -> KernelStats {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }

@@ -44,14 +44,14 @@ fn three_interface_routing() {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(f1.next_packet()),
+                pkt: f1.next_packet(),
             },
         );
         e.state_schedule(
             t + Cycles::new(50),
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(f2.next_packet()),
+                pkt: f2.next_packet(),
             },
         );
     }
@@ -89,7 +89,7 @@ fn polling_is_fair_across_input_interfaces() {
                 t,
                 Event::RxArrive {
                     iface,
-                    pkt: Box::new(factory.next_packet()),
+                    pkt: factory.next_packet(),
                 },
             );
         }
@@ -162,7 +162,7 @@ fn gateway_routes_resolve_gateway_mac() {
         Cycles::new(1_000),
         Event::RxArrive {
             iface: 0,
-            pkt: Box::new(factory.next_packet()),
+            pkt: factory.next_packet(),
         },
     );
     e.run_until(Cycles::new(100_000_000));
@@ -179,7 +179,7 @@ fn corrupt_checksum_is_dropped() {
     let mut factory = PacketFactory::paper_testbed();
     let mut pkt = factory.next_packet();
     pkt.frame[20] ^= 0xff; // Corrupt a byte inside the IP header.
-    e.state_schedule(Cycles::new(1_000), Event::RxArrive { iface: 0, pkt: Box::new(pkt) });
+    e.state_schedule(Cycles::new(1_000), Event::RxArrive { iface: 0, pkt });
     e.run_until(Cycles::new(100_000_000));
     let s = e.workload().stats();
     assert_eq!(s.fwd_errors(), 1);
@@ -201,7 +201,7 @@ fn cycle_accounting_is_conservative() {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
@@ -231,7 +231,7 @@ fn ttl_expiry_generates_icmp_time_exceeded() {
             Cycles::new(1_000 + k * 100_000),
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
@@ -259,7 +259,7 @@ fn icmp_errors_are_paced() {
             Cycles::new(1_000 + k * 10_000), // 10k pkts/s of expired TTLs.
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
@@ -281,7 +281,7 @@ fn icmp_disabled_by_default() {
         Cycles::new(1_000),
         Event::RxArrive {
             iface: 0,
-            pkt: Box::new(factory.next_packet()),
+            pkt: factory.next_packet(),
         },
     );
     e.run_until(Cycles::new(100_000_000));
@@ -307,7 +307,7 @@ fn trace_reveals_the_interleaving() {
                 t,
                 Event::RxArrive {
                     iface: 0,
-                    pkt: Box::new(factory.next_packet()),
+                    pkt: factory.next_packet(),
                 },
             );
         }
@@ -372,7 +372,7 @@ fn latency_layer_agrees_with_trace_and_counters() {
                 t,
                 Event::RxArrive {
                     iface: 0,
-                    pkt: Box::new(factory.next_packet()),
+                    pkt: factory.next_packet(),
                 },
             );
         }
@@ -468,7 +468,7 @@ fn arp_requests_are_answered() {
             Cycles::new(1_000),
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(Packet::from_frame(PacketId(1), frame)),
+                pkt: Packet::from_frame(PacketId(1), frame),
             },
         );
         e.run_until(Cycles::new(100_000_000));
@@ -509,7 +509,7 @@ fn foreign_arp_requests_are_ignored() {
         Cycles::new(1_000),
         Event::RxArrive {
             iface: 0,
-            pkt: Box::new(Packet::from_frame(PacketId(1), frame)),
+            pkt: Packet::from_frame(PacketId(1), frame),
         },
     );
     e.run_until(Cycles::new(100_000_000));
@@ -533,7 +533,7 @@ fn rate_limited_interrupts_defer_without_loss() {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
@@ -788,7 +788,7 @@ fn cycle_ledger_is_conserved_at_overload() {
                 t,
                 Event::RxArrive {
                     iface: 0,
-                    pkt: Box::new(factory.next_packet()),
+                    pkt: factory.next_packet(),
                 },
             );
         }

@@ -32,7 +32,7 @@ fn serve(cfg: KernelConfig, rate: f64, n: usize) -> (KernelStats, f64) {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
@@ -161,7 +161,7 @@ fn bystander_flood_starves_the_unprotected_application() {
                 t,
                 Event::RxArrive {
                     iface: 0,
-                    pkt: Box::new(legit_factory.next_packet()),
+                    pkt: legit_factory.next_packet(),
                 },
             );
         }
@@ -175,7 +175,7 @@ fn bystander_flood_starves_the_unprotected_application() {
                 t,
                 Event::RxArrive {
                     iface: 0,
-                    pkt: Box::new(storm_factory.next_packet()),
+                    pkt: storm_factory.next_packet(),
                 },
             );
         }

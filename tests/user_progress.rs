@@ -142,7 +142,7 @@ fn user_processes_share_fairly() {
             t,
             Event::RxArrive {
                 iface: 0,
-                pkt: Box::new(factory.next_packet()),
+                pkt: factory.next_packet(),
             },
         );
     }
