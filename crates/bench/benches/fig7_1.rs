@@ -23,6 +23,7 @@ fn bench(c: &mut Criterion) {
                     n_packets: 1_000,
                     ..TrialSpec::new(cfg.clone())
                 })
+                .aggregate()
                 .user_cpu_frac
             })
         });

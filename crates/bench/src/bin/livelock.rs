@@ -154,17 +154,75 @@ struct Args {
     flags: Vec<(String, String)>,
 }
 
+/// A subcommand's body: its exit status, or a usage error.
+type Handler = fn(&Args) -> Result<i32, String>;
+
+/// Each subcommand's known flags and body (`None`: no such subcommand).
+fn subcommand(cmd: &str) -> Option<(&'static [&'static str], Handler)> {
+    Some(match cmd {
+        "configs" => (&[], |_| {
+            cmd_configs();
+            Ok(0)
+        }),
+        "trial" => (
+            &[
+                "config",
+                "rate",
+                "packets",
+                "seed",
+                "latency",
+                "ncpus",
+                "steal",
+                "timeline",
+                "chrome-trace",
+                "events",
+                "flamegraph",
+            ],
+            |args| cmd_trial(args).map(|()| 0),
+        ),
+        "sweep" => (
+            &[
+                "config", "rates", "packets", "jobs", "latency", "ncpus", "steal",
+            ],
+            |args| cmd_sweep(args).map(|()| 0),
+        ),
+        "mlfrr" => (&["config", "loss-free", "packets", "jobs"], |args| {
+            cmd_mlfrr(args).map(|()| 0)
+        }),
+        "chaos" => (
+            &["seed", "rate", "packets", "intensity", "priority"],
+            cmd_chaos,
+        ),
+        "observe" => (&["rate", "packets", "seed"], cmd_observe),
+        _ => return None,
+    })
+}
+
 impl Args {
     /// Flags that take no value.
     const BOOL_FLAGS: &'static [&'static str] = &["latency", "steal", "priority"];
 
-    fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parses `--name value` pairs (and bare [`BOOL_FLAGS`](Self::BOOL_FLAGS)),
+    /// rejecting any flag not in `known`: a mistyped flag is an error, not
+    /// a silently ignored default.
+    fn parse(raw: &[String], known: &[&str]) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
+            if !known.contains(&name) {
+                let known: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{name} (this subcommand takes: {})",
+                    if known.is_empty() {
+                        "no flags".to_string()
+                    } else {
+                        known.join(" ")
+                    }
+                ));
+            }
             if Self::BOOL_FLAGS.contains(&name) {
                 flags.push((name.to_string(), String::new()));
                 continue;
@@ -880,29 +938,54 @@ fn main() {
             std::process::exit(codes::LIVELOCK_USAGE);
         }
     };
-    let result = match (cmd, Args::parse(rest)) {
-        ("configs", _) => {
-            cmd_configs();
-            Ok(())
-        }
-        (_, Err(e)) => Err(e),
-        ("trial", Ok(args)) => cmd_trial(&args),
-        ("sweep", Ok(args)) => cmd_sweep(&args),
-        ("mlfrr", Ok(args)) => cmd_mlfrr(&args),
-        ("chaos", Ok(args)) => match cmd_chaos(&args) {
-            Ok(0) => Ok(()),
-            Ok(code) => std::process::exit(code),
-            Err(e) => Err(e),
-        },
-        ("observe", Ok(args)) => match cmd_observe(&args) {
-            Ok(0) => Ok(()),
-            Ok(code) => std::process::exit(code),
-            Err(e) => Err(e),
-        },
-        (other, Ok(_)) => Err(format!("unknown command {other:?}")),
+    let result = match subcommand(cmd) {
+        None => Err(format!("unknown command {cmd:?}")),
+        Some((known, run)) => Args::parse(rest, known).and_then(|args| run(&args)),
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(codes::LIVELOCK_USAGE);
+    match result {
+        Ok(0) => {}
+        Ok(code) => std::process::exit(code),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(codes::LIVELOCK_USAGE);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, raw: &[&str]) -> Result<Args, String> {
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        Args::parse(&raw, subcommand(cmd).expect("a subcommand").0)
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_an_error_naming_it() {
+        let err = parse("trial", &["--cpus", "4"])
+            .err()
+            .expect("--cpus is no flag");
+        assert!(err.contains("--cpus"), "{err}");
+        assert!(
+            err.contains("--ncpus"),
+            "the message lists what is accepted: {err}"
+        );
+        let args = parse("trial", &["--ncpus", "4", "--steal"]).expect("--ncpus is");
+        assert_eq!(args.get("ncpus"), Some("4"));
+        assert!(args.has("steal"));
+    }
+
+    #[test]
+    fn flags_are_per_subcommand() {
+        assert!(parse("sweep", &["--jobs", "2"]).is_ok());
+        assert!(
+            parse("trial", &["--jobs", "2"]).is_err(),
+            "trial has no --jobs"
+        );
+        assert!(parse("chaos", &["--priority"]).is_ok());
+        assert!(parse("observe", &["--priority"]).is_err());
+        assert!(parse("configs", &["--config", "polled"]).is_err());
+        assert!(subcommand("figures").is_none());
     }
 }

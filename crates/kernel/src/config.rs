@@ -79,19 +79,20 @@ impl Default for FeedbackConfig {
     }
 }
 
-/// The SMP machine shape: how many CPUs the kernel runs on and whether
-/// idle CPUs steal receive work from overloaded siblings.
+/// The machine shape: how many CPUs the kernel runs on and whether idle
+/// CPUs steal receive work from overloaded siblings.
 ///
-/// `ncpus == 1` (the default) is the paper's uniprocessor and runs the
-/// exact single-engine code path — byte-identical to every result
-/// produced before this knob existed. `ncpus > 1` builds one complete
-/// per-CPU kernel per CPU (own NIC receive queue, poller, scheduler and
-/// conserved cycle ledger) advanced by the deterministic round-robin
-/// interleaver in `livelock_machine::cluster`. The unmodified
-/// interrupt-driven path then contends on one *shared* `ipintrq` (every
-/// CPU's receive handler feeds it, only CPU 0 drains it), while the
-/// polled path keeps fully per-CPU queues and quotas — the contrast
-/// figure S-1 plots.
+/// Every trial builds one complete kernel per CPU (own NIC receive
+/// queue, poller, scheduler and conserved cycle ledger) and advances them
+/// with the deterministic round-robin interleaver in
+/// `livelock_machine::cluster`. `ncpus == 1` (the default) is the paper's
+/// uniprocessor as a cluster of one — same pipeline, nobody to share
+/// with, so its kernel carries no cross-CPU state and the interleaver
+/// never slices it — byte-identical to every result produced before this
+/// knob existed. With `ncpus > 1` the unmodified interrupt-driven path
+/// contends on one *shared* `ipintrq` (every CPU's receive handler feeds
+/// it, only CPU 0 drains it), while the polled path keeps fully per-CPU
+/// queues and quotas — the contrast figure S-1 plots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Number of CPUs (≥ 1).
@@ -276,8 +277,8 @@ pub struct KernelConfig {
     pub ip_forwarding: bool,
     /// Number of network interfaces (the paper's router had two).
     pub num_ifaces: usize,
-    /// The SMP machine shape (1 CPU by default, which is the exact
-    /// legacy single-engine code path).
+    /// The machine shape (1 CPU by default: the paper's uniprocessor, a
+    /// cluster of one).
     pub topology: Topology,
     /// Record per-packet latency distributions (total sojourn and
     /// per-stage residencies)? Costs a handful of histogram increments per
@@ -346,8 +347,7 @@ impl KernelConfig {
 
     /// Starts a fluent builder, beginning from the unmodified
     /// interrupt-driven kernel with the paper's defaults. This is the one
-    /// way to compose configurations; the named constructors below are
-    /// deprecated shims over it.
+    /// way to compose configurations.
     ///
     /// ```
     /// use livelock_core::poller::Quota;
@@ -370,120 +370,6 @@ impl KernelConfig {
         }
     }
 
-    /// The unmodified 4.2BSD-style kernel (Figure 6-1 filled circles).
-    #[deprecated(since = "0.2.0", note = "use KernelConfig::builder()")]
-    pub fn unmodified() -> Self {
-        KernelConfig::builder().build()
-    }
-
-    /// The unmodified kernel forwarding through screend (Figure 6-1 open
-    /// squares).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().screend(ScreendConfig::default())"
-    )]
-    pub fn unmodified_with_screend() -> Self {
-        KernelConfig::builder()
-            .screend(ScreendConfig::default())
-            .build()
-    }
-
-    /// The modified kernel "configured to act as if it were an unmodified
-    /// system" (Figure 6-3 open circles).
-    #[deprecated(since = "0.2.0", note = "use KernelConfig::builder().no_polling()")]
-    pub fn no_polling() -> Self {
-        KernelConfig::builder().no_polling().build()
-    }
-
-    /// The modified polling kernel with the given receive quota
-    /// (Figure 6-3/6-5 curves).
-    #[deprecated(since = "0.2.0", note = "use KernelConfig::builder().polled(quota)")]
-    pub fn polled(rx_quota: Quota) -> Self {
-        KernelConfig::builder().polled(rx_quota).build()
-    }
-
-    /// The modified kernel with screend, without queue-state feedback
-    /// (Figure 6-4 squares).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().polled(quota).screend(ScreendConfig::default())"
-    )]
-    pub fn polled_screend_no_feedback(rx_quota: Quota) -> Self {
-        KernelConfig::builder()
-            .polled(rx_quota)
-            .screend(ScreendConfig::default())
-            .build()
-    }
-
-    /// The modified kernel with screend and queue-state feedback
-    /// (Figure 6-4 gray squares; quota 10 as in the paper's experiments).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().polled(quota).screend(..).feedback(..)"
-    )]
-    pub fn polled_screend_feedback(rx_quota: Quota) -> Self {
-        KernelConfig::builder()
-            .polled(rx_quota)
-            .screend(ScreendConfig::default())
-            .feedback(FeedbackConfig::default())
-            .build()
-    }
-
-    /// The Figure 7-1 configuration: modified kernel, cycle limiter at
-    /// `threshold_frac`, with a compute-bound user process.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().polled(..).cycle_limit(frac).user_process(true)"
-    )]
-    pub fn polled_cycle_limit(threshold_frac: f64) -> Self {
-        KernelConfig::builder()
-            .polled(Quota::Limited(5))
-            .cycle_limit(threshold_frac)
-            .user_process(true)
-            .build()
-    }
-
-    /// The unmodified kernel with §5.1 interrupt rate limiting — the
-    /// mitigation the paper says "prevents system saturation but might not
-    /// guarantee progress".
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().intr_rate_limit(max_rate_hz, 4)"
-    )]
-    pub fn unmodified_rate_limited(max_rate_hz: f64) -> Self {
-        KernelConfig::builder().intr_rate_limit(max_rate_hz, 4).build()
-    }
-
-    /// An end-system (UDP/RPC server) on the unmodified kernel: packets
-    /// for the host are delivered to an application through a socket
-    /// buffer.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().local_delivery(..).ip_forwarding(false)"
-    )]
-    pub fn end_system_unmodified() -> Self {
-        KernelConfig::builder()
-            .local_delivery(LocalDeliveryConfig::default())
-            .ip_forwarding(false)
-            .build()
-    }
-
-    /// An end-system on the modified kernel, with socket-queue feedback.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use KernelConfig::builder().polled(..).local_delivery(..).ip_forwarding(false)"
-    )]
-    pub fn end_system_polled(rx_quota: Quota) -> Self {
-        KernelConfig::builder()
-            .polled(rx_quota)
-            .local_delivery(LocalDeliveryConfig {
-                feedback: Some(FeedbackConfig::default()),
-                ..LocalDeliveryConfig::default()
-            })
-            .ip_forwarding(false)
-            .build()
-    }
-
     /// Returns the polled configuration, if this is a polled kernel.
     pub fn polled_config(&self) -> Option<&PolledConfig> {
         match &self.mode {
@@ -492,7 +378,6 @@ impl KernelConfig {
         }
     }
 }
-
 
 /// Fluent builder for [`KernelConfig`], started by
 /// [`KernelConfig::builder`].
@@ -670,7 +555,7 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// Number of CPUs (1 = the legacy uniprocessor path).
+    /// Number of CPUs (1 = the paper's uniprocessor, a cluster of one).
     ///
     /// # Panics
     ///
@@ -774,80 +659,6 @@ mod tests {
         assert_eq!(pa.rx_quota, pb.rx_quota);
         assert_eq!(pa.cycle_limit_frac, pb.cycle_limit_frac);
         assert_eq!(pa.feedback.is_some(), pb.feedback.is_some());
-    }
-
-    /// The deprecated constructors are thin shims over the builder: every
-    /// recipe must produce the same configuration it used to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_equal_builder_recipes() {
-        let pairs: Vec<(KernelConfig, KernelConfig)> = vec![
-            (KernelConfig::unmodified(), KernelConfig::builder().build()),
-            (
-                KernelConfig::unmodified_with_screend(),
-                KernelConfig::builder().screend(Default::default()).build(),
-            ),
-            (
-                KernelConfig::no_polling(),
-                KernelConfig::builder().no_polling().build(),
-            ),
-            (
-                KernelConfig::polled(Quota::Limited(7)),
-                KernelConfig::builder().polled(Quota::Limited(7)).build(),
-            ),
-            (
-                KernelConfig::polled_screend_no_feedback(Quota::Limited(10)),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .screend(Default::default())
-                    .build(),
-            ),
-            (
-                KernelConfig::polled_screend_feedback(Quota::Limited(10)),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .screend(Default::default())
-                    .feedback(Default::default())
-                    .build(),
-            ),
-            (
-                KernelConfig::polled_cycle_limit(0.25),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(5))
-                    .cycle_limit(0.25)
-                    .user_process(true)
-                    .build(),
-            ),
-            (
-                KernelConfig::unmodified_rate_limited(2_000.0),
-                KernelConfig::builder().intr_rate_limit(2_000.0, 4).build(),
-            ),
-            (
-                KernelConfig::end_system_unmodified(),
-                KernelConfig::builder()
-                    .local_delivery(Default::default())
-                    .ip_forwarding(false)
-                    .build(),
-            ),
-            (
-                KernelConfig::end_system_polled(Quota::Limited(10)),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .local_delivery(LocalDeliveryConfig {
-                        feedback: Some(FeedbackConfig::default()),
-                        ..Default::default()
-                    })
-                    .ip_forwarding(false)
-                    .build(),
-            ),
-        ];
-        for (i, (shim, built)) in pairs.iter().enumerate() {
-            assert_eq!(
-                format!("{shim:?}"),
-                format!("{built:?}"),
-                "recipe {i} diverged"
-            );
-        }
     }
 
     #[test]

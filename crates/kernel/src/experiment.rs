@@ -13,15 +13,23 @@
 //! averaged over the steady-state measurement window. [`sweep`] runs a
 //! trial per input rate, producing the `(input rate, output rate)` series
 //! every figure in the paper plots.
+//!
+//! There is one trial pipeline — *plan* the traffic, *build* one engine
+//! per CPU, *run* them as a [`Cluster`], *collect* the books — and
+//! [`run_trial`], [`run_trial_traced`] and [`run_chaos_trial`] are thin
+//! callers of it that differ only in whether engines trace and how long
+//! the machine drains past the window. The paper's uniprocessor is a
+//! cluster of one, so every capability works at every CPU count.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use livelock_core::analysis::SweepPoint;
-use livelock_machine::chrome_trace_json_with_markers;
+use livelock_machine::chrome_trace_json;
 use livelock_machine::cluster::{Cluster, DEFAULT_SLICE};
 use livelock_machine::cpu::{ArrivalSource, CpuId, Engine};
 use livelock_machine::fold::CycleFold;
-use livelock_machine::ledger::CpuClass;
+use livelock_machine::ledger::{CpuClass, CycleLedger};
 use livelock_machine::nic::rss_queue;
 use livelock_machine::trace::TraceRecord;
 use livelock_machine::wire::Wire;
@@ -40,7 +48,7 @@ use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
 use crate::router::smp::{SmpCtx, SmpShared, STEAL_BUF_CAP};
 use crate::router::{Event, RouterKernel};
-use crate::stats::{ClassStats, DropStats, FaultStats, LatencyStats};
+use crate::stats::{ClassStats, DropStats, FaultStats, KernelStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
 
 /// One trial's parameters.
@@ -55,11 +63,13 @@ pub struct TrialSpec {
     /// Fraction of the trial treated as warm-up and excluded from the
     /// measurement window.
     pub warmup_frac: f64,
-    /// UDP source ports to cycle packets through, making each port one
-    /// flow for per-flow accounting and RSS steering. `None` keeps the
-    /// historical default: the factory's single fixed port on one CPU, a
-    /// deterministic 64-flow balanced set on SMP — so existing specs are
-    /// bit-identical.
+    /// UDP source ports to cycle packets through (packet *i* carries
+    /// port `i % len`), making each port one flow for per-flow
+    /// accounting and for steering to a CPU's receive queue — at any CPU
+    /// count, so a deliberately imbalanced set (every flow hashing to
+    /// CPU 0) is just a spec. `None` picks the default for the topology:
+    /// the factory's single fixed port on one CPU, a deterministic
+    /// 64-flow set that fills 2 or 4 queues evenly on more.
     pub flows: Option<Vec<u16>>,
     /// The kernel under test.
     pub config: KernelConfig,
@@ -291,226 +301,437 @@ impl TrialResult {
         }
         agg
     }
-
-    /// Mean user-process CPU fraction across CPUs.
-    #[deprecated(note = "use per_cpu() / aggregate().user_cpu_frac")]
-    pub fn user_cpu_frac(&self) -> f64 {
-        self.aggregate().user_cpu_frac
-    }
-
-    /// Mean per-class CPU shares across CPUs.
-    #[deprecated(note = "use per_cpu() / aggregate().cpu_share")]
-    pub fn cpu_share(&self) -> [f64; CpuClass::COUNT] {
-        self.aggregate().cpu_share
-    }
-
-    /// Total hardware interrupts taken across CPUs.
-    #[deprecated(note = "use per_cpu() / aggregate().interrupts_taken")]
-    pub fn interrupts_taken(&self) -> u64 {
-        self.aggregate().interrupts_taken
-    }
-
-    /// Total engine events dispatched across CPUs.
-    #[deprecated(note = "use per_cpu() / aggregate().events_dispatched")]
-    pub fn events_dispatched(&self) -> u64 {
-        self.aggregate().events_dispatched
-    }
 }
 
-/// Runs one trial.
-///
-/// With `config.topology.ncpus == 1` (the default) this is the original
-/// single-CPU engine, bit-identical to every release before SMP existed.
-/// With more CPUs it builds one kernel per CPU, steers the generated
-/// flows across per-CPU NIC queues by RSS hash, and advances the kernels
-/// under the deterministic cluster interleaver.
+/// Runs one trial on `config.topology.ncpus` CPUs (one by default — the
+/// paper's uniprocessor is a cluster of one): one kernel per CPU behind
+/// its own NIC receive queue and wire, flows steered to queues by RSS
+/// hash (by traffic class when the config classifies), all advanced by
+/// the deterministic cluster interleaver.
 ///
 /// # Panics
 ///
-/// Panics if the spec is degenerate (zero packets or non-positive rate),
-/// or — on an SMP fault-free trial — if NIC-boundary packet conservation
-/// fails.
+/// Panics if the spec is degenerate (zero packets, non-positive rate, or
+/// an explicitly empty flow set), or — on a fault-free trial of more than
+/// one CPU — if NIC-boundary packet conservation fails.
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
-    if spec.config.topology.ncpus > 1 {
-        let flows = match &spec.flows {
-            Some(f) => f.clone(),
-            None => balanced_flows(),
-        };
-        return run_smp_trial(spec, &flows);
-    }
-    run_trial_engine(spec, None, Cycles::ZERO).0
+    run_pipeline(spec, None, Cycles::ZERO).result
 }
 
-/// Runs one trial with machine-level scheduling-event tracing enabled
-/// (ring of `trace_capacity` records), returning the result plus the
-/// trace rendered as Chrome-trace / Perfetto JSON (load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Tracing perturbs
-/// nothing: the measured numbers are identical to [`run_trial`]'s.
+/// Runs one trial with machine-level scheduling-event tracing enabled on
+/// every CPU (a ring of `trace_capacity` records each), returning the
+/// result plus the traces rendered as one Chrome-trace / Perfetto JSON
+/// document with a process group per CPU (load it at `chrome://tracing`
+/// or <https://ui.perfetto.dev>). Tracing perturbs nothing: the measured
+/// numbers are identical to [`run_trial`]'s.
 ///
 /// # Panics
 ///
-/// Panics if the spec is degenerate (zero packets or non-positive rate).
+/// Panics exactly when [`run_trial`] does.
 pub fn run_trial_traced(spec: &TrialSpec, trace_capacity: usize) -> (TrialResult, String) {
-    let (result, json, _) = run_trial_engine(spec, Some(trace_capacity), Cycles::ZERO);
-    // Tracing was requested above, so `json` is always `Some`; an empty
-    // string (never produced in practice) would only mean an empty trace.
-    (result, json.unwrap_or_default())
+    let done = run_pipeline(spec, Some(trace_capacity), Cycles::ZERO);
+    // Tracing was requested above, so `chrome_json` is always `Some`; an
+    // empty string (never produced in practice) would only mean no trace.
+    (done.result, done.chrome_json.unwrap_or_default())
 }
 
-/// Builds a single-CPU trial's machine — kernel, engine, frame pool, and
-/// the paced arrival schedule as the engine's arrival source — and
-/// returns it with the measurement window `(start, end)`: after warm-up,
-/// until the last arrival.
-fn build_trial_engine(spec: &TrialSpec) -> (Engine<RouterKernel>, Cycles, Cycles) {
+/// The *plan* stage's output: who sends what, where, and when.
+struct Plan {
+    /// `(source port, receive queue)` per flow; packet *i* of the whole
+    /// trial carries flow `i % len`.
+    flows: Vec<(u16, usize)>,
+    /// Each receive queue's paced arrival times (queue `k` feeds CPU `k`).
+    queue_times: Vec<Vec<Cycles>>,
+    /// The measurement window: after warm-up, until the last arrival.
+    window: (Cycles, Cycles),
+}
+
+/// Stage 1, *plan*: one aggregate arrival schedule at the nominal rate,
+/// each flow steered to a receive queue, each queue paced by its own wire
+/// (so aggregate offered load can exceed a single wire's 14,880 pkts/s),
+/// and the measurement window over the paced schedules.
+///
+/// Runs before the pool and the kernels exist: the schedule is the
+/// trial's one allocation that grows with its length, and freed after the
+/// many small ones it would otherwise leave a hole among them that the
+/// next trial's schedule may not fit.
+fn plan(spec: &TrialSpec) -> Plan {
     assert!(spec.n_packets > 0, "trial needs packets");
     assert!(spec.rate_pps > 0.0, "trial needs a positive rate");
-    assert!(
-        spec.flows.as_ref().map_or(true, |f| !f.is_empty()),
-        "trial needs at least one flow"
-    );
-
-    let cfg = spec.config.clone();
+    let cfg = &spec.config;
+    let ncpus = cfg.topology.ncpus;
     let freq = cfg.cost.freq;
-    let ctx_switch = cfg.cost.ctx_switch;
-    // Generate and pace the arrival schedule; the engine streams it.
-    // Built before the pool and the kernel: the schedule is the trial's
-    // one allocation that grows with its length, and freed after the
-    // many small ones it would otherwise leave a hole among them that
-    // the next trial's schedule may not fit.
-    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
-    let mut times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    Wire::ethernet_10m(freq).pace(&mut times, MIN_FRAME_LEN);
-
-    // One frame pool serves the whole trial, sized to what the kernel can
-    // hold in flight: packets are built as they arrive, so slots recycle
-    // and the run performs zero per-packet heap allocations.
-    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
-    let (st, kernel) = RouterKernel::build_with_pool(cfg, pool.clone());
-    let mut engine = Engine::new(st, kernel, ctx_switch);
-    let factory = PacketFactory::paper_testbed().with_pool(pool);
-    let flows = match &spec.flows {
-        Some(ports) => ports.iter().map(|&p| (p, 0)).collect(),
-        None => vec![(factory.src_port, 0)],
+    let factory = PacketFactory::paper_testbed();
+    // The first of the two data differences between one CPU and many: a
+    // lone CPU defaults to the paper's single flow, a cluster to a flow
+    // set that loads its queues evenly.
+    let ports = match &spec.flows {
+        Some(ports) => ports.clone(),
+        None if ncpus == 1 => vec![factory.src_port],
+        None => balanced_flows(),
     };
+    assert!(!ports.is_empty(), "trial needs at least one flow");
+
+    // Class-aware steering: when classification is configured, frames
+    // are steered by traffic class (`class.index() % ncpus`) instead of
+    // RSS hash, so each priority lands on a dedicated CPU's queue and
+    // strict-priority service survives the multiqueue split. The
+    // classifier here is the same deterministic rule engine every kernel
+    // runs at admission, so steering and per-class accounting always
+    // agree.
+    let classifier = cfg
+        .classes
+        .as_ref()
+        .map(|c| Classifier::new(c.rules.clone(), c.default_class));
+    let (src_ip, dst_ip) = (u32::from(factory.src_ip), u32::from(factory.dst_ip));
+    let flows: Vec<(u16, usize)> = ports
+        .into_iter()
+        .map(|src_port| {
+            let key = FlowKey {
+                src_ip,
+                dst_ip,
+                proto: proto::UDP,
+                src_port,
+                dst_port: factory.dst_port,
+            };
+            let queue = match &classifier {
+                Some(cl) => cl.classify(&key).index() % ncpus,
+                None => rss_queue(
+                    src_ip,
+                    dst_ip,
+                    proto::UDP,
+                    src_port,
+                    factory.dst_port,
+                    ncpus,
+                ),
+            };
+            (src_port, queue)
+        })
+        .collect();
+
+    // Split the aggregate schedule by each packet's queue. Queue 0 keeps
+    // the aggregate's own buffer, so a one-queue trial never copies it.
+    let mut times = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed)
+        .arrival_times(Cycles::ZERO, spec.n_packets);
+    let mut queue_times: Vec<Vec<Cycles>> = vec![Vec::new(); ncpus];
+    let mut index = 0;
+    times.retain(|&t| {
+        let queue = flows[index % flows.len()].1;
+        index += 1;
+        if queue != 0 {
+            queue_times[queue].push(t);
+        }
+        queue == 0
+    });
+    queue_times[0] = times;
+    for q in &mut queue_times {
+        Wire::ethernet_10m(freq).pace(q, MIN_FRAME_LEN);
+    }
 
     // The schedule is nonempty (`n_packets > 0` was asserted above), so
     // the fallbacks never fire.
-    let first = times.first().copied().unwrap_or(Cycles::ZERO);
-    let last = times.last().copied().unwrap_or(Cycles::ZERO);
+    let first = queue_times.iter().filter_map(|q| q.first()).min();
+    let first = first.copied().unwrap_or(Cycles::ZERO);
+    let last = queue_times.iter().filter_map(|q| q.last()).max();
+    let last = last.copied().unwrap_or(Cycles::ZERO);
     let span = last - first;
     let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
-    let window_end = last;
-    engine
-        .workload_mut()
-        .stats_mut()
-        .set_window(window_start, window_end);
-    inject(&mut engine, WireArrivals::new(times, factory, flows, 0));
-    (engine, window_start, window_end)
+    Plan {
+        flows,
+        queue_times,
+        window: (window_start, last),
+    }
 }
 
-/// The trial engine behind [`run_trial`] and [`run_chaos_trial`]:
-/// optionally traces, and optionally keeps simulating for `drain` cycles
-/// past the measurement window (measured numbers are unaffected — the
-/// window is closed first — but queues get a chance to empty, which the
-/// chaos invariants assert on). Returns the finished engine for
-/// end-state inspection.
-fn run_trial_engine(
+/// The state the kernels of one trial share — `None` on a lone CPU, which
+/// has no sibling to share with and stays a plain uniprocessor kernel.
+type Shared = Option<Rc<RefCell<SmpShared>>>;
+
+/// Stage 2, *build*: one frame pool for the whole trial, sized to what
+/// the configured kernels can hold in flight (packets are built as they
+/// arrive, so slots recycle and the run performs zero per-packet heap
+/// allocations), and per CPU one kernel, one engine, and that CPU's queue
+/// of the plan as the engine's arrival source. Returns the machine, ready
+/// to run, and what its kernels share.
+fn build(
     spec: &TrialSpec,
+    plan: Plan,
     trace_capacity: Option<usize>,
-    drain: Cycles,
-) -> (TrialResult, Option<String>, Engine<RouterKernel>) {
-    let freq = spec.config.cost.freq;
-    let (mut engine, window_start, window_end) = build_trial_engine(spec);
-    if let Some(cap) = trace_capacity {
-        engine.enable_trace(cap);
+) -> (Cluster<RouterKernel>, Shared) {
+    let cfg = &spec.config;
+    let ncpus = cfg.topology.ncpus;
+    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(cfg));
+    let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
+    let shared = (ncpus > 1).then(|| SmpShared::new(ncpus, cfg.ipintrq_cap));
+
+    // Packet ids are one space across queues: queue `k`'s start where
+    // queue `k - 1`'s end.
+    let mut first_id = 0;
+    let mut engines = Vec::with_capacity(ncpus);
+    for (k, times) in plan.queue_times.into_iter().enumerate() {
+        let cpu = CpuId(k);
+        let mut c = cfg.clone();
+        // A fault plan targets one CPU; siblings run clean.
+        if c.faults.as_ref().is_some_and(|plan| plan.target() != cpu) {
+            c.faults = None;
+        }
+        let (mut st, mut kernel) = RouterKernel::build_with_pool(c, pool.clone());
+        st.set_cpu(cpu);
+        if let Some(shared) = &shared {
+            kernel.attach_smp(
+                &mut st,
+                SmpCtx {
+                    cpu,
+                    ncpus,
+                    steal: cfg.topology.steal,
+                    shared: Rc::clone(shared),
+                },
+            );
+        }
+        if let Some(tl) = &mut kernel.stats_mut().timeline {
+            tl.set_cpu(cpu);
+        }
+        kernel.set_observe_cpu(cpu);
+        kernel.stats_mut().set_window(plan.window.0, plan.window.1);
+        let mut engine = Engine::new(st, kernel, cfg.cost.ctx_switch);
+        if let Some(capacity) = trace_capacity {
+            engine.enable_trace(capacity);
+        }
+        let queue_factory = factory.clone().starting_at(first_id);
+        first_id += times.len() as u64;
+        inject(
+            &mut engine,
+            WireArrivals::new(times, queue_factory, plan.flows.clone(), k),
+        );
+        engines.push(engine);
     }
+    (Cluster::new(engines, DEFAULT_SLICE), shared)
+}
 
-    // User CPU share — and the per-class cycle-ledger decomposition — are
-    // measured over the same window.
-    let user_tid = engine.workload().user_tid();
-    engine.run_until(window_start);
-    let user_before = user_tid.map(|t| engine.state().thread_cycles(t));
-    let ledger_before = engine.state().ledger();
-    engine.run_until(window_end);
-    let user_after = user_tid.map(|t| engine.state().thread_cycles(t));
-    let ledger_after = engine.state().ledger();
-    if !drain.is_zero() {
-        engine.run_until(Cycles::new(window_end.raw().saturating_add(drain.raw())));
-    }
+/// One CPU's cumulative user-process cycles and cycle ledger, for
+/// differencing across the measurement window.
+fn snapshot(e: &Engine<RouterKernel>) -> (Option<Cycles>, CycleLedger) {
+    let user = e.workload().user_tid().map(|t| e.state().thread_cycles(t));
+    (user, e.state().ledger())
+}
 
-    let window = window_end - window_start;
-    let user_cpu_frac = match (user_before, user_after) {
-        (Some(b), Some(a)) if !window.is_zero() => (a - b).fraction_of(window),
-        _ => 0.0,
-    };
-    let cpu_share = ledger_after.since(&ledger_before).shares();
-
-    let interrupts_taken = engine.state().intr.total_taken();
-    engine.workload_mut().sync_pool_stats();
-    // Observability export: drain the detector's event stream (it also
-    // feeds the chrome-trace markers), give a too-short timeline its
-    // drain-time sample, and snapshot the cycle fold.
-    let end_now = engine.state().now();
-    let end_ledger = engine.state().ledger();
-    engine
-        .workload_mut()
-        .finalize_timeline(end_now, end_ledger, interrupts_taken);
-    let obs_events = engine.workload_mut().take_obs_events();
-    let fold = engine.state().fold().cloned();
-    let mut markers = engine.workload_mut().take_fault_markers();
-    markers.extend(
-        obs_events
-            .iter()
-            .map(|ev| (ev.at, format!("{} (cpu{})", ev.kind.label(), ev.cpu.0))),
+/// NIC-boundary packet conservation: every generated packet was DMA'd
+/// into some CPU's ring (`Ipkts`), dropped at some CPU's ring, shed at
+/// admission (before the ring, so never an `Ipkt`), or is still parked in
+/// a steal buffer.
+///
+/// Only meaningful once the machine has run *past* its window on a
+/// fault-free plan, which is when the pipeline calls it: a trial that
+/// stops at the window's end still holds its last arrival (scheduled at
+/// exactly that cycle) parked in the engine, outside every kernel's
+/// books; and fault plans change the population — link flaps lose frames
+/// on the wire, storms synthesize extras.
+fn audit_nic_boundary(engines: &[Engine<RouterKernel>], steal_residual: u64, n_packets: usize) {
+    let accounted: u64 = engines
+        .iter()
+        .map(|e| {
+            let s = e.workload().stats();
+            e.workload().ipkts(0) + s.rx_ring_drops() + s.class_shed_drops()
+        })
+        .sum();
+    assert_eq!(
+        accounted + steal_residual,
+        n_packets as u64,
+        "NIC-boundary packet conservation violated"
     );
-    markers.sort_by_key(|&(at, _)| at.raw());
-    let chrome_json = engine.trace().map(|t| {
-        let records: Vec<TraceRecord> = t.records().copied().collect();
-        let st = engine.state();
-        chrome_trace_json_with_markers(
-            &records,
+}
+
+/// What the pipeline hands its three callers.
+struct Finished {
+    result: TrialResult,
+    /// The Chrome trace, when tracing was requested.
+    chrome_json: Option<String>,
+    /// The finished engines in [`CpuId`] order, for end-state inspection.
+    engines: Vec<Engine<RouterKernel>>,
+}
+
+/// The one trial pipeline behind [`run_trial`], [`run_trial_traced`] and
+/// [`run_chaos_trial`] — [`plan`], [`build`], then *run* (warm-up →
+/// window → post-window) and *collect* below. The callers differ only in
+/// `trace_capacity` (trace every engine into a ring that size) and
+/// `drain` (keep simulating that long past the window: measured numbers
+/// are unaffected — the window is closed first — but queues get a chance
+/// to empty, which the chaos invariants assert on).
+fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) -> Finished {
+    let freq = spec.config.cost.freq;
+    let ncpus = spec.config.topology.ncpus;
+    let plan = plan(spec);
+    let (window_start, window_end) = plan.window;
+    let (mut cluster, shared) = build(spec, plan, trace_capacity);
+
+    // Stage 3, *run*. The interleaver's slice hook is the sole cross-CPU
+    // signal path: drain a CPU's coalesced IPI flag into one Event::Ipi
+    // per slice.
+    let mut deliver_ipi = |cpu: CpuId, engine: &mut Engine<RouterKernel>| {
+        let Some(shared) = &shared else {
+            return;
+        };
+        if std::mem::take(&mut shared.borrow_mut().ipi_pending[cpu.0]) {
+            engine.state_schedule(engine.now(), Event::Ipi);
+        }
+    };
+    // User CPU share — and the per-class cycle-ledger decomposition — are
+    // measured over the same window as the packet rates.
+    cluster.run_until(window_start, &mut deliver_ipi);
+    let before: Vec<_> = cluster.engines().iter().map(snapshot).collect();
+    cluster.run_until(window_end, &mut deliver_ipi);
+    let after: Vec<_> = cluster.engines().iter().map(snapshot).collect();
+    // The second data difference: a cluster settles for one more slice,
+    // so the final arrivals (scheduled at exactly `window_end`) and any
+    // trailing IPIs are processed before the audit; a lone CPU stops at
+    // the window's end as it always has (`events_dispatched` is part of
+    // its results).
+    let settle = if ncpus > 1 {
+        DEFAULT_SLICE
+    } else {
+        Cycles::ZERO
+    };
+    let post_window = drain.max(settle);
+    cluster.run_until(window_end + post_window, &mut deliver_ipi);
+    let mut engines = cluster.into_engines();
+
+    // Stage 4, *collect*.
+    let shared = shared.as_ref().map(|sh| sh.borrow());
+    if !post_window.is_zero() && spec.config.faults.is_none() {
+        let steal_residual = shared.as_ref().map_or(0, |sh| sh.steal_residual());
+        audit_nic_boundary(&engines, steal_residual as u64, spec.n_packets);
+    }
+    engines[0].workload_mut().sync_pool_stats();
+
+    // One pass over the CPUs: per-CPU books out, everything else folded.
+    // Rates are summed per CPU (not recomputed from summed counts), and
+    // every merge is order-independent, so the result is the same no
+    // matter which CPU finished first.
+    let window = window_end - window_start;
+    let mut per_cpu = Vec::with_capacity(ncpus);
+    let mut events: Vec<ObsEvent> = Vec::new();
+    let mut tracks = Vec::new();
+    let mut fold: Option<CycleFold> = None;
+    let mut flows: Option<FlowRegistry> = None;
+    let mut classes: Option<ClassStats> = None;
+    let mut latency = LatencyStats::new();
+    let mut drops = DropStats::new();
+    let mut fault = FaultStats::default();
+    let (mut offered_pps, mut delivered_pps, mut app_delivered_pps) = (0.0, 0.0, 0.0);
+    let (mut transmitted, mut app_delivered) = (0, 0);
+    let (mut rx_ring_drops, mut ipintrq_drops, mut ifq_drops) = (0, 0, 0);
+    let (mut screend_q_drops, mut screend_denied, mut socket_q_drops) = (0, 0, 0);
+    for (k, e) in engines.iter_mut().enumerate() {
+        // Observability export: give a too-short timeline its drain-time
+        // sample, then drain the detector's event stream — it also feeds
+        // the chrome-trace markers, next to the fault layer's.
+        let interrupts_taken = e.state().intr.total_taken();
+        let (now, ledger) = (e.state().now(), e.state().ledger());
+        e.workload_mut()
+            .finalize_timeline(now, ledger, interrupts_taken);
+        let cpu_events = e.workload_mut().take_obs_events();
+        if let Some(trace) = e.trace() {
+            let records: Vec<TraceRecord> = trace.records().copied().collect();
+            let mut markers = e.workload_mut().take_fault_markers();
+            markers.extend(
+                cpu_events
+                    .iter()
+                    .map(|ev| (ev.at, format!("{} (cpu{})", ev.kind.label(), ev.cpu.0))),
+            );
+            markers.sort_by_key(|&(at, _)| at.raw());
+            tracks.push((records, markers));
+        }
+        events.extend(cpu_events);
+
+        let ((user_before, ledger_before), (user_after, ledger_after)) = (&before[k], &after[k]);
+        per_cpu.push(CpuStats {
+            cpu: CpuId(k),
+            cpu_share: ledger_after.since(ledger_before).shares(),
+            user_cpu_frac: match (user_before, user_after) {
+                (Some(b), Some(a)) if !window.is_zero() => (*a - *b).fraction_of(window),
+                _ => 0.0,
+            },
+            interrupts_taken,
+            events_dispatched: e.state().events_dispatched(),
+            steals_published: shared.as_ref().map_or(0, |sh| sh.steals_published[k]),
+            steals_taken: shared.as_ref().map_or(0, |sh| sh.steals_taken[k]),
+        });
+
+        merge_into(&mut fold, e.state().fold(), CycleFold::merge);
+        let s = e.workload().stats();
+        merge_into(&mut flows, s.flows.as_ref(), FlowRegistry::merge);
+        merge_into(&mut classes, s.class.as_ref(), ClassStats::merge);
+        latency.merge(&s.latency);
+        drops.merge(&s.drops);
+        fault.merge(&s.fault);
+        offered_pps += s.offered_pps(freq);
+        delivered_pps += s.delivered_pps(freq);
+        app_delivered_pps += s.app_delivered_pps(freq);
+        transmitted += s.transmitted;
+        app_delivered += s.app_delivered;
+        rx_ring_drops += s.rx_ring_drops();
+        ipintrq_drops += s.ipintrq_drops();
+        ifq_drops += s.ifq_drops();
+        screend_q_drops += s.screend_q_drops();
+        screend_denied += s.screend_denied();
+        socket_q_drops += s.socket_q_drops();
+    }
+    events.sort_by_key(|ev| (ev.at.raw(), ev.cpu.0));
+
+    let chrome_json = trace_capacity.map(|_| {
+        let cpus: Vec<_> = tracks.iter().map(|(r, m)| (&r[..], &m[..])).collect();
+        chrome_trace_json(
+            &cpus,
             freq,
-            |src| format!("{} #{}", st.intr.name_of(src), src.0),
-            |tid| st.sched.name(tid).to_string(),
-            &markers,
+            |cpu, src| {
+                let intr = &engines[cpu.0].state().intr;
+                format!("{} #{}", intr.name_of(src), src.0)
+            },
+            |cpu, tid| engines[cpu.0].state().sched.name(tid).to_string(),
         )
     });
-    let stats = engine.workload().stats();
+    let stats0 = engines[0].workload().stats();
     let result = TrialResult {
-        offered_pps: stats.offered_pps(freq),
-        delivered_pps: stats.delivered_pps(freq),
-        transmitted: stats.transmitted,
-        rx_ring_drops: stats.rx_ring_drops(),
-        ipintrq_drops: stats.ipintrq_drops(),
-        screend_q_drops: stats.screend_q_drops(),
-        screend_denied: stats.screend_denied(),
-        socket_q_drops: stats.socket_q_drops(),
-        app_delivered: stats.app_delivered,
-        app_delivered_pps: stats.app_delivered_pps(freq),
-        ifq_drops: stats.ifq_drops(),
-        latency_mean: stats.latency.mean(),
-        latency_p99: stats.latency.quantile(0.99),
-        latency_jitter: stats.latency.jitter(),
-        latency: stats.latency.clone(),
-        drops: stats.drops.clone(),
-        per_cpu: vec![CpuStats {
-            cpu: CpuId(0),
-            cpu_share,
-            user_cpu_frac,
-            interrupts_taken,
-            events_dispatched: engine.state().events_dispatched(),
-            steals_published: 0,
-            steals_taken: 0,
-        }],
-        timeline: stats.timeline.clone(),
-        pool: stats.pool.unwrap_or_default(),
-        fault: stats.fault,
-        flows: stats.flows.clone(),
-        events: obs_events,
+        offered_pps,
+        delivered_pps,
+        transmitted,
+        rx_ring_drops,
+        ipintrq_drops,
+        screend_q_drops,
+        screend_denied,
+        socket_q_drops,
+        app_delivered,
+        app_delivered_pps,
+        ifq_drops,
+        latency_mean: latency.mean(),
+        latency_p99: latency.quantile(0.99),
+        latency_jitter: latency.jitter(),
+        latency,
+        drops,
+        per_cpu,
+        timeline: stats0.timeline.clone(),
+        pool: stats0.pool.unwrap_or_default(),
+        fault,
+        flows,
+        events,
         fold,
-        classes: class_summaries(stats.class.as_ref(), freq),
+        classes: class_summaries(classes.as_ref(), freq),
     };
-    (result, chrome_json, engine)
+    Finished {
+        result,
+        chrome_json,
+        engines,
+    }
+}
+
+/// Folds one CPU's optional book into the cluster's: the first CPU that
+/// has one seeds the accumulator, the rest merge into it.
+fn merge_into<T: Clone>(acc: &mut Option<T>, one: Option<&T>, merge: impl FnOnce(&mut T, &T)) {
+    match (acc.as_mut(), one) {
+        (Some(acc), Some(one)) => merge(acc, one),
+        (None, Some(one)) => *acc = Some(one.clone()),
+        (_, None) => {}
+    }
 }
 
 /// 64 UDP flows (source ports) whose RSS hashes fill the 4 possible RX
@@ -541,351 +762,56 @@ fn balanced_flows() -> Vec<u16> {
     out
 }
 
-/// The SMP trial harness behind [`run_trial`]: one complete kernel per
-/// CPU, a multiqueue NIC model (packet `i` carries flow `flows[i % len]`,
-/// RSS-hashed to an RX queue, each queue paced by its own wire and
-/// interrupting its own CPU), all engines advanced by the deterministic
-/// cluster interleaver with coalesced IPIs delivered at slice boundaries.
-///
-/// `flows` is a parameter so tests can steer deliberately *imbalanced*
-/// traffic (e.g. every flow to CPU 0) at a stealing-enabled cluster.
-fn run_smp_trial(spec: &TrialSpec, flows: &[u16]) -> TrialResult {
-    assert!(spec.n_packets > 0, "trial needs packets");
-    assert!(spec.rate_pps > 0.0, "trial needs a positive rate");
-    assert!(!flows.is_empty(), "trial needs at least one flow");
-
-    let cfg = spec.config.clone();
-    let ncpus = cfg.topology.ncpus;
-    let freq = cfg.cost.freq;
-    let ctx_switch = cfg.cost.ctx_switch;
-    // One aggregate arrival schedule at the nominal rate, split across RX
-    // queues by each packet's RSS hash, then paced per queue: every queue
-    // is fed by its own wire, so aggregate offered load can exceed a
-    // single wire's 14,880 pkts/s ceiling. (The schedules are built
-    // before the pool and the kernels, as in `build_trial_engine`.)
-    let mut gen = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
-    let times = gen.arrival_times(Cycles::ZERO, spec.n_packets);
-    let factory = PacketFactory::paper_testbed();
-    let (src, dst) = (u32::from(factory.src_ip), u32::from(factory.dst_ip));
-    // Class-aware steering: when classification is configured, frames
-    // are steered by traffic class (`class.index() % ncpus`) instead of
-    // RSS hash, so each priority lands on a dedicated CPU's queue and
-    // strict-priority service survives the multiqueue split. The
-    // classifier here is the same deterministic rule engine every
-    // kernel runs at admission, so steering and per-class accounting
-    // always agree.
-    let steer_classifier = cfg
-        .classes
-        .as_ref()
-        .map(|c| Classifier::new(c.rules.clone(), c.default_class));
-    let steered: Vec<(u16, usize)> = flows
-        .iter()
-        .map(|&port| {
-            let q = match &steer_classifier {
-                Some(cl) => {
-                    let key = FlowKey {
-                        src_ip: src,
-                        dst_ip: dst,
-                        proto: proto::UDP,
-                        src_port: port,
-                        dst_port: factory.dst_port,
-                    };
-                    cl.classify(&key).index() % ncpus
-                }
-                None => rss_queue(src, dst, proto::UDP, port, factory.dst_port, ncpus),
-            };
-            (port, q)
-        })
-        .collect();
-    let mut queue_times: Vec<Vec<Cycles>> = vec![Vec::new(); ncpus];
-    for (i, &t) in times.iter().enumerate() {
-        queue_times[steered[i % steered.len()].1].push(t);
-    }
-    for q in &mut queue_times {
-        Wire::ethernet_10m(freq).pace(q, MIN_FRAME_LEN);
-    }
-
-    // Measurement window over the aggregate (post-pacing) schedule.
-    let first = queue_times
-        .iter()
-        .filter_map(|v| v.first())
-        .copied()
-        .min()
-        .unwrap_or(Cycles::ZERO);
-    let last = queue_times
-        .iter()
-        .filter_map(|v| v.last())
-        .copied()
-        .max()
-        .unwrap_or(Cycles::ZERO);
-    let span = last - first;
-    let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
-    let window_end = last;
-
-    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(&cfg));
-    let shared = SmpShared::new(ncpus, cfg.ipintrq_cap);
-    let factory = factory.with_pool(pool.clone());
-
-    // Packet ids are one space across queues: queue `k`'s start where
-    // queue `k - 1`'s end.
-    let mut first_id = 0;
-    let mut engines = Vec::with_capacity(ncpus);
-    for (k, times) in queue_times.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        // A fault plan targets one CPU; siblings run clean.
-        if let Some(plan) = &c.faults {
-            if plan.target() != CpuId(k) {
-                c.faults = None;
-            }
-        }
-        let (mut st, mut kernel) = RouterKernel::build_with_pool(c, pool.clone());
-        st.set_cpu(CpuId(k));
-        kernel.attach_smp(
-            &mut st,
-            SmpCtx {
-                cpu: CpuId(k),
-                ncpus,
-                steal: cfg.topology.steal,
-                shared: Rc::clone(&shared),
-            },
-        );
-        if let Some(tl) = &mut kernel.stats_mut().timeline {
-            tl.set_cpu(CpuId(k));
-        }
-        kernel.set_observe_cpu(CpuId(k));
-        kernel.stats_mut().set_window(window_start, window_end);
-        let mut engine = Engine::new(st, kernel, ctx_switch);
-        let queue_factory = factory.clone().starting_at(first_id);
-        first_id += times.len() as u64;
-        inject(
-            &mut engine,
-            WireArrivals::new(times, queue_factory, steered.clone(), k),
-        );
-        engines.push(engine);
-    }
-
-    // The interleaver's slice hook is the sole cross-CPU signal path:
-    // drain a CPU's coalesced IPI flag into one Event::Ipi per slice.
-    let mut cluster = Cluster::new(engines, DEFAULT_SLICE);
-    let hook_shared = Rc::clone(&shared);
-    let mut hook = move |cpu: CpuId, engine: &mut Engine<RouterKernel>| {
-        let mut sh = hook_shared.borrow_mut();
-        if sh.ipi_pending[cpu.0] {
-            sh.ipi_pending[cpu.0] = false;
-            drop(sh);
-            engine.state_schedule(engine.now(), Event::Ipi);
-        }
-    };
-
-    cluster.run_until(window_start, &mut hook);
-    let user_tids: Vec<_> = cluster
-        .engines()
-        .iter()
-        .map(|e| e.workload().user_tid())
-        .collect();
-    let user_before: Vec<_> = cluster
-        .engines()
-        .iter()
-        .zip(&user_tids)
-        .map(|(e, t)| t.map(|t| e.state().thread_cycles(t)))
-        .collect();
-    let ledgers_before: Vec<_> = cluster.engines().iter().map(|e| e.state().ledger()).collect();
-    cluster.run_until(window_end, &mut hook);
-    let user_after: Vec<_> = cluster
-        .engines()
-        .iter()
-        .zip(&user_tids)
-        .map(|(e, t)| t.map(|t| e.state().thread_cycles(t)))
-        .collect();
-    let ledgers_after: Vec<_> = cluster.engines().iter().map(|e| e.state().ledger()).collect();
-    // One extra slice past the window so the final arrivals (scheduled at
-    // exactly `window_end`) and any trailing IPIs are processed before
-    // the conservation audit; the measurement windows are already closed.
-    cluster.run_until(window_end + DEFAULT_SLICE, &mut hook);
-
-    let mut engines = cluster.into_engines();
-    engines[0].workload_mut().sync_pool_stats();
-
-    // Observability roll-up: per-CPU event streams interleaved by
-    // (cycle, cpu), per-CPU registries and folds merged — both merges are
-    // order-independent, so the result is the same no matter which CPU
-    // finished first.
-    let mut obs_events: Vec<ObsEvent> = Vec::new();
-    let mut fold: Option<CycleFold> = None;
-    let mut flow_reg: Option<FlowRegistry> = None;
-    for e in engines.iter_mut() {
-        let now = e.state().now();
-        let ledger = e.state().ledger();
-        let taken = e.state().intr.total_taken();
-        e.workload_mut().finalize_timeline(now, ledger, taken);
-        obs_events.extend(e.workload_mut().take_obs_events());
-        if let Some(f) = e.state().fold() {
-            match &mut fold {
-                Some(acc) => acc.merge(f),
-                None => fold = Some(f.clone()),
-            }
-        }
-        if let Some(r) = &e.workload().stats().flows {
-            match &mut flow_reg {
-                Some(acc) => acc.merge(r),
-                None => flow_reg = Some(r.clone()),
-            }
-        }
-    }
-    obs_events.sort_by_key(|ev| (ev.at.raw(), ev.cpu.0));
-
-    let window = window_end - window_start;
-    let sh = shared.borrow();
-    let mut per_cpu = Vec::with_capacity(ncpus);
-    for (k, e) in engines.iter().enumerate() {
-        let user_cpu_frac = match (user_before[k], user_after[k]) {
-            (Some(b), Some(a)) if !window.is_zero() => (a - b).fraction_of(window),
-            _ => 0.0,
-        };
-        per_cpu.push(CpuStats {
-            cpu: CpuId(k),
-            cpu_share: ledgers_after[k].since(&ledgers_before[k]).shares(),
-            user_cpu_frac,
-            interrupts_taken: e.state().intr.total_taken(),
-            events_dispatched: e.state().events_dispatched(),
-            steals_published: sh.steals_published[k],
-            steals_taken: sh.steals_taken[k],
-        });
-    }
-
-    // NIC-boundary conservation: every generated packet was DMA'd into
-    // some CPU's ring (`Ipkts`), dropped at some CPU's ring, or is still
-    // parked in a steal buffer. Fault plans (link flaps lose frames on
-    // the wire, storms synthesize extras) change the population, so the
-    // audit only runs clean.
-    if spec.config.faults.is_none() {
-        // Class-shed frames are dropped at admission, before the ring —
-        // they never become Ipkts, so they count separately.
-        let accounted: u64 = engines
-            .iter()
-            .map(|e| {
-                let s = e.workload().stats();
-                e.workload().ipkts(0) + s.rx_ring_drops() + s.class_shed_drops()
-            })
-            .sum::<u64>()
-            + sh.steal_residual() as u64;
-        assert_eq!(
-            accounted, spec.n_packets as u64,
-            "SMP NIC-boundary packet conservation violated"
-        );
-    }
-
-    let mut offered_pps = 0.0;
-    let mut delivered_pps = 0.0;
-    let mut app_delivered_pps = 0.0;
-    let mut transmitted = 0;
-    let mut rx_ring_drops = 0;
-    let mut ipintrq_drops = 0;
-    let mut screend_q_drops = 0;
-    let mut screend_denied = 0;
-    let mut socket_q_drops = 0;
-    let mut app_delivered = 0;
-    let mut ifq_drops = 0;
-    let mut latency = LatencyStats::new();
-    let mut drops = DropStats::new();
-    let mut fault = FaultStats::default();
-    let mut class_stats: Option<ClassStats> = None;
-    for e in &engines {
-        let s = e.workload().stats();
-        if let Some(cs) = &s.class {
-            match &mut class_stats {
-                Some(acc) => acc.merge(cs),
-                None => class_stats = Some(cs.clone()),
-            }
-        }
-        offered_pps += s.offered_pps(freq);
-        delivered_pps += s.delivered_pps(freq);
-        app_delivered_pps += s.app_delivered_pps(freq);
-        transmitted += s.transmitted;
-        rx_ring_drops += s.rx_ring_drops();
-        ipintrq_drops += s.ipintrq_drops();
-        screend_q_drops += s.screend_q_drops();
-        screend_denied += s.screend_denied();
-        socket_q_drops += s.socket_q_drops();
-        app_delivered += s.app_delivered;
-        ifq_drops += s.ifq_drops();
-        latency.merge(&s.latency);
-        drops.merge(&s.drops);
-        fault.merge(&s.fault);
-    }
-    let stats0 = engines[0].workload().stats();
-    TrialResult {
-        offered_pps,
-        delivered_pps,
-        transmitted,
-        rx_ring_drops,
-        ipintrq_drops,
-        screend_q_drops,
-        screend_denied,
-        socket_q_drops,
-        app_delivered,
-        app_delivered_pps,
-        ifq_drops,
-        latency_mean: latency.mean(),
-        latency_p99: latency.quantile(0.99),
-        latency_jitter: latency.jitter(),
-        latency,
-        drops,
-        per_cpu,
-        timeline: stats0.timeline.clone(),
-        pool: stats0.pool.unwrap_or_default(),
-        fault,
-        flows: flow_reg,
-        events: obs_events,
-        fold,
-        classes: class_summaries(class_stats.as_ref(), freq),
-    }
-}
-
 /// End-state invariants measured by [`run_chaos_trial`] after the fault
-/// storm and the post-window drain.
+/// storm and the post-window drain, over every CPU of the trial.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
     /// The trial's measured numbers (fault counters included).
     pub result: TrialResult,
-    /// Whether the interrupt gate ended the run open — a permanently
-    /// inhibited gate is the wedge the recovery machinery must prevent.
+    /// Whether every CPU's interrupt gate ended the run open — a
+    /// permanently inhibited gate is the wedge the recovery machinery
+    /// must prevent.
     pub gate_open_at_end: bool,
-    /// The gate's final inhibit bitmask (zero iff open).
+    /// The gates' final inhibit bitmasks, OR-ed across CPUs (zero iff
+    /// all are open).
     pub gate_bits: u8,
-    /// Depth of the screend queue after the drain: it must empty after
-    /// every injected crash and restart.
+    /// Depth of the screend queues after the drain, summed across CPUs:
+    /// they must empty after every injected crash and restart.
     pub screend_q_len: usize,
-    /// Packets still inside the kernel after the drain (computed from
-    /// the conserved arrival/delivery/drop ledger, which panics if the
-    /// ledger itself does not balance).
+    /// Packets still inside the machine after the drain (computed from
+    /// the conserved arrival/delivery/drop ledger summed across CPUs —
+    /// packets cross CPUs, so only the sum balances — which panics if it
+    /// does not; frames still parked in a steal buffer count).
     pub in_flight: u64,
-    /// Times the watermark feedback's timeout safety net fired.
+    /// Times the watermark feedback's timeout safety net fired, summed
+    /// across CPUs.
     pub timeout_resumes: u64,
 }
 
-/// Runs one trial like [`run_trial`], then keeps the simulation alive
-/// for a 200 ms (simulated) drain with no new arrivals and reports the
-/// end-state invariants a gracefully degrading kernel must satisfy.
-/// Intended for specs whose config carries a
-/// [`FaultPlan`](livelock_machine::fault::FaultPlan), but works (and
-/// should be trivially green) without one.
+/// Runs one trial like [`run_trial`] — at any CPU count, with the same
+/// steering — then keeps the simulation alive for a 200 ms (simulated)
+/// drain with no new arrivals and reports the end-state invariants a
+/// gracefully degrading kernel must satisfy. Intended for specs whose
+/// config carries a [`FaultPlan`](livelock_machine::fault::FaultPlan)
+/// (injected into the CPU it targets), but works (and should be
+/// trivially green) without one.
 ///
 /// # Panics
 ///
-/// Panics if the spec is degenerate, or if the kernel's drop ledger
-/// fails to conserve packets.
+/// Panics if the spec is degenerate (as [`run_trial`]), if the kernels'
+/// summed drop ledger fails to conserve packets, or — on a fault-free
+/// spec — if NIC-boundary packet conservation fails.
 pub fn run_chaos_trial(spec: &TrialSpec) -> ChaosReport {
     let drain = spec.config.cost.freq.cycles_from_millis(200);
-    let (result, _, engine) = run_trial_engine(spec, None, drain);
-    let kernel = engine.workload();
+    let done = run_pipeline(spec, None, drain);
+    let kernels = || done.engines.iter().map(Engine::workload);
     ChaosReport {
-        gate_open_at_end: kernel.gate_is_open(),
-        gate_bits: kernel.gate_bits(),
-        screend_q_len: kernel.screend_q_len(),
-        in_flight: kernel.stats().in_flight(),
-        timeout_resumes: kernel.feedback_timeout_resumes(),
-        result,
+        gate_open_at_end: kernels().all(RouterKernel::gate_is_open),
+        gate_bits: kernels().fold(0, |bits, k| bits | k.gate_bits()),
+        screend_q_len: kernels().map(RouterKernel::screend_q_len).sum(),
+        in_flight: KernelStats::in_flight_of(kernels().map(RouterKernel::stats)),
+        timeout_resumes: kernels().map(RouterKernel::feedback_timeout_resumes).sum(),
+        result: done.result,
     }
 }
 
@@ -1131,21 +1057,34 @@ mod tests {
     #[test]
     fn smp_trials_are_backend_and_rerun_identical() {
         use livelock_machine::cpu::SchedulerKind;
-        // The tentpole determinism claim: an SMP trial is a pure function
-        // of (config, seed) — same numbers on every scheduler backend and
-        // every rerun, at every CPU count.
+        // The determinism claim: a trial is a pure function of (config,
+        // seed) — same numbers on every scheduler backend and every
+        // rerun, at every CPU count, from every entry point.
         for ncpus in [1, 2, 4] {
-            let run = |kind| {
-                let mut c = KernelConfig::builder().ncpus(ncpus).build();
-                c.scheduler = kind;
-                quick(c, 9_000.0, 1_200)
+            let spec = |kind| TrialSpec {
+                rate_pps: 9_000.0,
+                n_packets: 1_200,
+                ..TrialSpec::new(KernelConfig::builder().ncpus(ncpus).scheduler(kind).build())
             };
-            let h = run(SchedulerKind::Heap);
-            let c = run(SchedulerKind::Calendar);
-            let h2 = run(SchedulerKind::Heap);
+            let h = run_trial(&spec(SchedulerKind::Heap));
+            let c = run_trial(&spec(SchedulerKind::Calendar));
+            let h2 = run_trial(&spec(SchedulerKind::Heap));
             assert_eq!(h, c, "ncpus={ncpus}: backends disagree");
             assert_eq!(h, h2, "ncpus={ncpus}: rerun disagrees");
             assert_eq!(h.per_cpu().len(), ncpus);
+
+            let chaos = |kind| run_chaos_trial(&spec(kind));
+            let (dh, dc) = (chaos(SchedulerKind::Heap), chaos(SchedulerKind::Calendar));
+            assert_eq!(
+                dh.result, dc.result,
+                "ncpus={ncpus}: drained backends disagree"
+            );
+            assert_eq!(dh.result.per_cpu().len(), ncpus);
+            assert_eq!(
+                dh.in_flight, 0,
+                "ncpus={ncpus}: the drain empties the machine"
+            );
+            assert!(dh.gate_open_at_end && dh.screend_q_len == 0);
         }
     }
 
@@ -1156,11 +1095,7 @@ mod tests {
         // buys (almost) nothing; the polled path is per-CPU end to end,
         // so it roughly doubles.
         let n1_unmod = quick(unmodified(), 9_000.0, 2_000);
-        let n2_unmod = quick(
-            KernelConfig::builder().ncpus(2).build(),
-            18_000.0,
-            4_000,
-        );
+        let n2_unmod = quick(KernelConfig::builder().ncpus(2).build(), 18_000.0, 4_000);
         assert!(
             n2_unmod.delivered_pps < 1.4 * n1_unmod.delivered_pps,
             "shared-queue SMP should not scale: {} vs {}",
@@ -1212,17 +1147,6 @@ mod tests {
         // Steer every flow at CPU 0's queue on a 2-CPU stealing cluster:
         // CPU 0's ring overflows, CPU 1 is idle, and the steal path (not
         // the drop path) absorbs the imbalance.
-        let spec = TrialSpec {
-            rate_pps: 13_000.0,
-            n_packets: 3_000,
-            ..TrialSpec::new(
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .ncpus(2)
-                    .steal(true)
-                    .build(),
-            )
-        };
         // Flows all hashing to queue 0 of 2 (deterministic search).
         let f = PacketFactory::paper_testbed();
         let (src, dst) = (u32::from(f.src_ip), u32::from(f.dst_ip));
@@ -1234,12 +1158,21 @@ mod tests {
             }
             port = port.wrapping_add(1);
         }
-        let r = run_smp_trial(&spec, &flows);
+        let spec = TrialSpec {
+            rate_pps: 13_000.0,
+            n_packets: 3_000,
+            flows: Some(flows),
+            ..TrialSpec::new(
+                KernelConfig::builder()
+                    .polled(Quota::Limited(10))
+                    .ncpus(2)
+                    .steal(true)
+                    .build(),
+            )
+        };
+        let r = run_trial(&spec);
         let agg = r.aggregate();
-        assert!(
-            agg.steals_taken > 0,
-            "idle sibling should have stolen work"
-        );
+        assert!(agg.steals_taken > 0, "idle sibling should have stolen work");
         assert_eq!(
             r.per_cpu()[0].steals_published,
             agg.steals_published,
@@ -1252,7 +1185,7 @@ mod tests {
         // The same imbalance without stealing drops more at the ring.
         let mut no_steal = spec.clone();
         no_steal.config.topology.steal = false;
-        let ns = run_smp_trial(&no_steal, &flows);
+        let ns = run_trial(&no_steal);
         assert!(
             ns.rx_ring_drops > r.rx_ring_drops,
             "stealing should convert ring drops into deliveries: {} !> {}",
@@ -1285,25 +1218,13 @@ mod tests {
         }
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_shims_mirror_the_aggregate() {
-        let r = quick(unmodified(), 2_000.0, 500);
-        let agg = r.aggregate();
-        assert_eq!(agg.cpu, CpuStats::AGGREGATE);
-        assert_eq!(r.user_cpu_frac(), agg.user_cpu_frac);
-        assert_eq!(r.cpu_share(), agg.cpu_share);
-        assert_eq!(r.interrupts_taken(), agg.interrupts_taken);
-        assert_eq!(r.events_dispatched(), agg.events_dispatched);
-    }
-
     #[cfg(feature = "proptest")]
     proptest::proptest! {
         /// RSS steering never loses or invents packets: at any CPU count,
         /// rate and packet count, delivered + every attributed drop +
         /// steal residue accounts for exactly the generated population.
-        /// (The NIC-boundary assert inside `run_smp_trial` enforces the
-        /// ring-level half; this checks the harness end to end.)
+        /// (The pipeline's `audit_nic_boundary` enforces the ring-level
+        /// half; this checks the harness end to end.)
         #[test]
         fn rss_conserves_packets(
             ncpus_pow in 1u32..3,
@@ -1323,7 +1244,7 @@ mod tests {
                         .build(),
                 )
             };
-            // run_smp_trial's internal assert is the conservation oracle.
+            // The pipeline's NIC-boundary audit is the conservation oracle.
             let r = run_trial(&spec);
             proptest::prop_assert_eq!(r.per_cpu().len(), ncpus);
         }
@@ -1368,6 +1289,7 @@ mod tests {
                 )
             };
             let r = run_chaos_trial(&spec).result;
+            proptest::prop_assert_eq!(r.per_cpu().len(), ncpus);
             let per = r.per_class();
             proptest::prop_assert_eq!(per.len(), TrafficClass::COUNT);
             let arrived: u64 = per.iter().map(|c| c.arrived).sum();
@@ -1551,18 +1473,25 @@ mod tests {
     #[test]
     fn chaos_drain_matches_the_preloading_oracle() {
         // The drained harness is the one path where the arrival that
-        // lands exactly on the window's end is dispatched after all.
-        let spec = TrialSpec {
-            rate_pps: 9_000.0,
-            n_packets: 1_000,
-            ..TrialSpec::new(unmodified())
-        };
-        let streamed = run_chaos_trial(&spec);
-        let mut preloaded = oracle::with_preloaded_arrivals(|| run_chaos_trial(&spec));
-        preloaded.result.pool = streamed.result.pool;
-        assert_eq!(streamed.result, preloaded.result);
-        assert_eq!(streamed.in_flight, preloaded.in_flight);
-        assert_eq!(streamed.screend_q_len, preloaded.screend_q_len);
+        // lands exactly on the window's end is dispatched after all — on
+        // one CPU and on a cluster alike.
+        for ncpus in [1, 2, 4] {
+            let spec = TrialSpec {
+                rate_pps: 9_000.0,
+                n_packets: 1_000,
+                ..TrialSpec::new(KernelConfig::builder().ncpus(ncpus).build())
+            };
+            let streamed = run_chaos_trial(&spec);
+            let mut preloaded = oracle::with_preloaded_arrivals(|| run_chaos_trial(&spec));
+            preloaded.result.pool = streamed.result.pool;
+            assert_eq!(streamed.result, preloaded.result, "ncpus={ncpus}");
+            assert_eq!(streamed.result.per_cpu().len(), ncpus);
+            assert_eq!(streamed.in_flight, preloaded.in_flight, "ncpus={ncpus}");
+            assert_eq!(
+                streamed.screend_q_len, preloaded.screend_q_len,
+                "ncpus={ncpus}"
+            );
+        }
     }
 
     #[test]
@@ -1589,10 +1518,13 @@ mod tests {
             // Pending scheduler entries, sampled at 16 evenly spaced
             // stops: a clock pulse, a wire completion or two — never the
             // arrival schedule.
-            let (mut engine, _, end) = build_trial_engine(&spec);
+            let plan = plan(&spec);
+            let end = plan.window.1;
+            let (mut cluster, _) = build(&spec, plan, None);
             let mut max_pending = 0;
             for stop in 1..=16 {
-                engine.run_until(Cycles::new(end.raw() / 16 * stop));
+                cluster.run_until(Cycles::new(end.raw() / 16 * stop), |_, _| {});
+                let engine = cluster.engine(CpuId(0));
                 max_pending = max_pending.max(engine.state().pending_events());
             }
             assert!(
@@ -1700,17 +1632,38 @@ mod tests {
 
     #[test]
     fn traced_trial_measures_the_same_numbers() {
-        let spec = TrialSpec {
-            rate_pps: 3_000.0,
-            n_packets: 500,
-            ..TrialSpec::new(polled(Quota::Limited(10)))
-        };
-        let plain = run_trial(&spec);
-        let (traced, json) = run_trial_traced(&spec, 1 << 16);
-        assert_eq!(plain, traced, "tracing must not perturb the trial");
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("nic-rx #"), "interrupt track names");
-        assert!(json.contains("netpoll"), "thread track names");
+        for ncpus in [1, 2, 4] {
+            let spec = TrialSpec {
+                rate_pps: 3_000.0 * ncpus as f64,
+                n_packets: 500 * ncpus,
+                ..TrialSpec::new(
+                    KernelConfig::builder()
+                        .polled(Quota::Limited(10))
+                        .ncpus(ncpus)
+                        .build(),
+                )
+            };
+            let plain = run_trial(&spec);
+            let (traced, json) = run_trial_traced(&spec, 1 << 16);
+            assert_eq!(
+                plain, traced,
+                "ncpus={ncpus}: tracing must not perturb the trial"
+            );
+            assert_eq!(traced.per_cpu().len(), ncpus);
+            assert!(json.starts_with("{\"traceEvents\":["));
+            assert!(json.contains("nic-rx #"), "interrupt track names");
+            assert!(json.contains("netpoll"), "thread track names");
+            // One process group per CPU, each with interrupt frames of
+            // its own, and no more.
+            for pid in 1..=ncpus {
+                assert!(
+                    json.contains(&format!("\"pid\":{pid},\"tid\":1}}")),
+                    "ncpus={ncpus}: cpu{} took no traced interrupt",
+                    pid - 1
+                );
+            }
+            assert!(!json.contains(&format!("\"pid\":{},", ncpus + 1)));
+        }
     }
 
     #[test]

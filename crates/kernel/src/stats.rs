@@ -913,15 +913,34 @@ impl KernelStats {
     ///
     /// Panics if more packets left the system than entered it.
     pub fn in_flight(&self) -> u64 {
-        let gone = self.rx_ring_drops
-            + self.class_shed_drops
-            + self.wasted_drops()
-            + self.screend_denied
-            + self.app_delivered
-            + self.arp_handled
-            + self.bystander_drops
-            + self.transmitted;
-        (self.arrived + self.replies_created + self.icmp_errors_sent + self.arp_replies)
+        KernelStats::in_flight_of(std::iter::once(self))
+    }
+
+    /// [`in_flight`](Self::in_flight) over the kernels of one cluster:
+    /// the check runs on the *sum* of their counters, because packets
+    /// cross CPUs (a sibling receives what CPU 0 transmits off the shared
+    /// `ipintrq`; a thief delivers what its victim counted arriving), so
+    /// one kernel's own books legitimately show more exits than entries.
+    /// Frames parked in a steal buffer entered on their home CPU and have
+    /// left nowhere: they count as in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more packets left the cluster than entered it.
+    pub(crate) fn in_flight_of<'a>(kernels: impl Iterator<Item = &'a KernelStats>) -> u64 {
+        let (mut entered, mut gone) = (0u64, 0u64);
+        for s in kernels {
+            entered += s.arrived + s.replies_created + s.icmp_errors_sent + s.arp_replies;
+            gone += s.rx_ring_drops
+                + s.class_shed_drops
+                + s.wasted_drops()
+                + s.screend_denied
+                + s.app_delivered
+                + s.arp_handled
+                + s.bystander_drops
+                + s.transmitted;
+        }
+        entered
             .checked_sub(gone)
             // simlint: allow(panic-freedom): conservation is the delivered-throughput honesty gate; violating it must abort loudly
             .expect("packet conservation violated")

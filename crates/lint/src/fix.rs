@@ -1,38 +1,28 @@
 //! Autofix: mechanical rewrites for the findings that have exactly one
 //! right answer.
 //!
-//! `simlint --fix` applies two fixers:
+//! `simlint --fix` applies one fixer, **suppression normalization**:
+//! well-formed but oddly-spaced `simlint:` directives are rewritten to
+//! the canonical `// simlint: allow(rule): reason`. Malformed directives
+//! (missing reason, unknown rule) are *not* touched: inventing a
+//! justification is exactly what the bad-suppression rule exists to
+//! prevent.
 //!
-//! * **deprecated-config constructors** — each shim's body is a fixed
-//!   builder chain (see `crates/kernel/src/config.rs`), so the call site
-//!   rewrite is a pure template substitution:
-//!   `KernelConfig::polled(q)` becomes
-//!   `KernelConfig::builder().polled(q).build()`. The argument text is
-//!   carried over verbatim; names the template introduces
-//!   (`ScreendConfig`, `Quota`, …) may need an import the fixer does not
-//!   add — the compiler will say so, which beats a silently-wrong edit.
-//! * **suppression normalization** — well-formed but oddly-spaced
-//!   `simlint:` directives are rewritten to the canonical
-//!   `// simlint: allow(rule): reason`. Malformed directives (missing
-//!   reason, unknown rule) are *not* touched: inventing a justification
-//!   is exactly what the bad-suppression rule exists to prevent.
-//!
-//! Fixes are computed as character-span edits against the token stream,
-//! so strings, comments and doc links can never be rewritten by
-//! accident. Running the fixer twice is a no-op by construction: a
-//! rewritten call site no longer matches, and a canonical directive
-//! round-trips to itself. `--fix --dry-run` prints the would-be diff
-//! and exits with [`crate::registry::codes::SIMLINT_FIXABLE`] if any
-//! edit is pending — CI uses that as the "the tree is fully fixed"
-//! gate.
+//! Fixes are computed as character-span edits against the lexer's
+//! comment spans, so directive text inside a string can never be
+//! rewritten by accident. Running the fixer twice is a no-op by
+//! construction: a canonical directive round-trips to itself.
+//! `--fix --dry-run` prints the would-be diff and exits with
+//! [`crate::registry::codes::SIMLINT_FIXABLE`] if any edit is pending —
+//! CI uses that as the "the tree is fully fixed" gate.
 
 use std::io;
 use std::path::Path;
 
-use crate::files::{self, FileInfo};
+use crate::files;
 use crate::rules;
 use crate::suppress;
-use crate::tokenizer::{self, Tok};
+use crate::tokenizer;
 
 /// One span rewrite, in character offsets into the source.
 #[derive(Clone, Debug)]
@@ -47,105 +37,13 @@ pub struct Edit {
     pub note: String,
 }
 
-/// The deprecated constructors and their builder-chain templates.
-/// `{0}` is the call's argument text, carried over verbatim; `None`
-/// templates take no argument. Mirrors the shim bodies in
-/// `crates/kernel/src/config.rs` — if a shim changes, change this table
-/// (the equivalence tests below pin the mapping).
-const CTOR_TEMPLATES: &[(&str, bool, &str)] = &[
-    ("unmodified", false, "KernelConfig::builder().build()"),
-    (
-        "unmodified_with_screend",
-        false,
-        "KernelConfig::builder().screend(ScreendConfig::default()).build()",
-    ),
-    ("no_polling", false, "KernelConfig::builder().no_polling().build()"),
-    ("polled", true, "KernelConfig::builder().polled({0}).build()"),
-    (
-        "polled_screend_no_feedback",
-        true,
-        "KernelConfig::builder().polled({0}).screend(ScreendConfig::default()).build()",
-    ),
-    (
-        "polled_screend_feedback",
-        true,
-        "KernelConfig::builder().polled({0}).screend(ScreendConfig::default()).feedback(FeedbackConfig::default()).build()",
-    ),
-    (
-        "polled_cycle_limit",
-        true,
-        "KernelConfig::builder().polled(Quota::Limited(5)).cycle_limit({0}).user_process(true).build()",
-    ),
-    (
-        "unmodified_rate_limited",
-        true,
-        "KernelConfig::builder().intr_rate_limit({0}, 4).build()",
-    ),
-    (
-        "end_system_unmodified",
-        false,
-        "KernelConfig::builder().local_delivery(LocalDeliveryConfig::default()).ip_forwarding(false).build()",
-    ),
-    (
-        "end_system_polled",
-        true,
-        "KernelConfig::builder().polled({0}).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..LocalDeliveryConfig::default() }).ip_forwarding(false).build()",
-    ),
-];
-
-/// The shim definition file — its own bodies and equivalence tests are
-/// the sanctioned callers and must not be rewritten.
-const CTOR_DEFINITION_FILE: &str = "crates/kernel/src/config.rs";
-
 /// Computes every fix for one file. Edits are returned sorted and
-/// non-overlapping.
-pub fn fixes_for(info: &FileInfo, src: &str) -> Vec<Edit> {
+/// non-overlapping (one per directive comment, in source order).
+pub fn fixes_for(src: &str) -> Vec<Edit> {
     let lexed = tokenizer::tokenize(src);
     let mut edits = Vec::new();
-    if info.rel_path != CTOR_DEFINITION_FILE {
-        ctor_fixes(src, &lexed.toks, &mut edits);
-    }
-    suppression_fixes(src, &lexed.lint_comments, &mut edits);
-    edits.sort_by_key(|e| e.start);
-    edits.dedup_by_key(|e| e.start);
-    edits
-}
-
-fn ctor_fixes(src: &str, toks: &[Tok], edits: &mut Vec<Edit>) {
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("KernelConfig") {
-            continue;
-        }
-        for &(ctor, takes_arg, template) in CTOR_TEMPLATES {
-            let Some(after) = rules::path_match(toks, i, &["KernelConfig", ctor]) else {
-                continue;
-            };
-            if !toks.get(after).is_some_and(|t| t.is_punct('(')) {
-                continue;
-            }
-            let Some(close) = matching_paren(toks, after) else {
-                continue;
-            };
-            let arg = slice_chars(src, toks[after].span.1, toks[close].span.0);
-            let arg = arg.trim();
-            if takes_arg == arg.is_empty() {
-                // Arity mismatch with the shim — leave it for the
-                // compiler rather than guess.
-                continue;
-            }
-            edits.push(Edit {
-                start: toks[i].span.0,
-                end: toks[close].span.1,
-                replacement: template.replace("{0}", arg),
-                note: format!("rewrite deprecated `KernelConfig::{ctor}(..)` to the builder chain"),
-            });
-        }
-    }
-}
-
-fn suppression_fixes(src: &str, comments: &[tokenizer::LintComment], edits: &mut Vec<Edit>) {
     let ids = rules::rule_ids();
-    for c in comments {
+    for c in &lexed.lint_comments {
         if !c.line_comment {
             continue;
         }
@@ -171,22 +69,7 @@ fn suppression_fixes(src: &str, comments: &[tokenizer::LintComment], edits: &mut
             });
         }
     }
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn matching_paren(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
+    edits
 }
 
 /// The source text between two character offsets.
@@ -230,7 +113,7 @@ pub fn fix_workspace(root: &Path, dry_run: bool) -> io::Result<FixOutcome> {
     let sources = files::scan_workspace(root)?;
     let mut out = FixOutcome::default();
     for (info, src) in &sources {
-        let edits = fixes_for(info, src);
+        let edits = fixes_for(src);
         if edits.is_empty() {
             continue;
         }
@@ -271,55 +154,20 @@ fn line_diff(file: &str, old: &str, new: &str) -> String {
 mod tests {
     use super::*;
 
-    fn info(path: &str) -> FileInfo {
-        FileInfo::classify(path).expect("classifiable")
-    }
-
-    fn fix(path: &str, src: &str) -> String {
-        apply(src, &fixes_for(&info(path), src))
+    fn fix(src: &str) -> String {
+        apply(src, &fixes_for(src))
     }
 
     #[test]
-    fn zero_arg_ctor_rewrites_to_builder() {
-        let got = fix(
-            "crates/bench/src/lib.rs",
-            "let c = KernelConfig::unmodified();",
-        );
-        assert_eq!(got, "let c = KernelConfig::builder().build();");
-    }
-
-    #[test]
-    fn arg_carries_over_verbatim() {
-        let got = fix(
-            "crates/bench/src/lib.rs",
-            "let c = KernelConfig::polled(Quota::Limited(10));",
-        );
-        assert_eq!(
-            got,
-            "let c = KernelConfig::builder().polled(Quota::Limited(10)).build();"
-        );
-        let got = fix(
-            "crates/bench/src/lib.rs",
-            "let c = KernelConfig::unmodified_rate_limited(rate_hz);",
-        );
-        assert_eq!(
-            got,
-            "let c = KernelConfig::builder().intr_rate_limit(rate_hz, 4).build();"
-        );
-    }
-
-    #[test]
-    fn definition_file_and_strings_are_untouched() {
-        let src = "let c = KernelConfig::unmodified();";
-        assert_eq!(fix("crates/kernel/src/config.rs", src), src);
-        let src = "let s = \"KernelConfig::unmodified()\";";
-        assert_eq!(fix("crates/bench/src/lib.rs", src), src);
+    fn directive_text_in_strings_is_untouched() {
+        let src = "let s = \"//simlint:allow(panic-freedom):ok\";";
+        assert_eq!(fix(src), src);
     }
 
     #[test]
     fn suppressions_normalize_to_canonical_spacing() {
         let src = "//simlint:   allow( panic-freedom )  :  caller checked\nx.unwrap();";
-        let got = fix("crates/net/src/frag.rs", src);
+        let got = fix(src);
         assert_eq!(
             got,
             "// simlint: allow(panic-freedom): caller checked\nx.unwrap();"
@@ -329,18 +177,18 @@ mod tests {
     #[test]
     fn malformed_and_prose_directives_are_left_alone() {
         let src = "// simlint: allow(panic-freedom)\nfn f() {}";
-        assert_eq!(fix("crates/net/src/frag.rs", src), src, "no invented reason");
+        assert_eq!(fix(src), src, "no invented reason");
         let src = "// docs may mention simlint: allow(panic-freedom): like this\nfn f() {}";
-        assert_eq!(fix("crates/net/src/frag.rs", src), src, "prose prefix");
+        assert_eq!(fix(src), src, "prose prefix");
     }
 
     #[test]
     fn fixing_is_idempotent() {
-        let src = "let c = KernelConfig::polled(q);\n//simlint: allow(panic-freedom):ok\nx.unwrap();";
-        let once = fix("crates/bench/src/lib.rs", &src);
-        let twice = fix("crates/bench/src/lib.rs", &once);
-        assert_eq!(once, twice);
-        assert!(fixes_for(&info("crates/bench/src/lib.rs"), &once).is_empty());
+        let src = "let c = q;\n//simlint: allow(panic-freedom):ok\nx.unwrap();";
+        let once = fix(src);
+        assert_ne!(once, src);
+        assert_eq!(fix(&once), once);
+        assert!(fixes_for(&once).is_empty());
     }
 
     #[test]

@@ -19,8 +19,8 @@ USAGE:
 OPTIONS:
     --json              emit the machine-readable JSON report
     --format <FMT>      report format: human (default), json, or sarif
-    --fix               apply mechanical fixes (deprecated-config
-                        builder rewrite, suppression normalization)
+    --fix               apply mechanical fixes (suppression
+                        normalization)
     --dry-run           with --fix: print the would-be diff, write
                         nothing; exit 4 if any fix is pending
     --write-baseline    rewrite the baseline file to absorb all current

@@ -1,6 +1,6 @@
 //! Detection of `#[cfg(test)]` / `#[test]` regions in a token stream.
 //!
-//! Several rules (panic-freedom, ledger-discipline, deprecated-config)
+//! Several rules (panic-freedom, unit-discipline, exit-code-registry)
 //! exempt test code: a test may construct fixtures in ways production
 //! code must not. A "test region" is the token span of any item carrying
 //! a `#[cfg(test)]`-style or `#[test]` attribute — usually a whole

@@ -137,7 +137,7 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     e("ci.sh", "chaos-smoke", 6, "the chaos smoke run failed (see `livelock chaos` codes)", None),
     e("ci.sh", "simlint-gate", 7, "simlint found a non-baselined finding (run `cargo run -p lint` for the per-rule code)", None),
     e("ci.sh", "perf-smoke", 8, "the perf smoke failed (schema mismatch or throughput collapse vs the committed trajectory)", None),
-    e("ci.sh", "smp-gate", 9, "figure S-1 SMP gate failed (MLFRR scaling or per-CPU ledger conservation)", None),
+    e("ci.sh", "smp-gate", 9, "figure S-1 SMP gate failed (MLFRR scaling or per-CPU ledger conservation), or the 4-CPU chrome-trace smoke did", None),
     e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims or byte-identity)", None),
     e("ci.sh", "observe-smoke", 11, "the observe smoke failed (see `livelock observe` codes, or observability overhead over budget)", None),
     e("ci.sh", "priority-gate", 12, "figure P-1 priority-isolation gate failed (Control SLO, shedding order, or byte-identity)", None),

@@ -15,7 +15,6 @@
 //! | 12   | interrupt-discipline |
 //! | 13   | ledger-discipline |
 //! | 14   | panic-freedom |
-//! | 15   | deprecated-config |
 //! | 16   | bad-suppression |
 //! | 17   | smp-isolation |
 //! | 18   | flow-discipline |

@@ -11,7 +11,6 @@ use crate::model::FileModel;
 use crate::tokenizer::Tok;
 
 mod class;
-mod deprecated;
 mod determinism;
 mod drops;
 mod exitcodes;
@@ -79,7 +78,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(interrupt::InterruptDiscipline),
         Box::new(ledger::LedgerDiscipline),
         Box::new(panics::PanicFreedom),
-        Box::new(deprecated::DeprecatedConfig),
         Box::new(smp::SmpIsolation),
         Box::new(flows::FlowDiscipline),
         Box::new(class::ClassDiscipline),

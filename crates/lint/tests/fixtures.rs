@@ -30,8 +30,6 @@ const LEDGER_BAD: &str = include_str!("../fixtures/ledger_bad.rs");
 const LEDGER_GOOD: &str = include_str!("../fixtures/ledger_good.rs");
 const PANICS_BAD: &str = include_str!("../fixtures/panics_bad.rs");
 const PANICS_GOOD: &str = include_str!("../fixtures/panics_good.rs");
-const DEPRECATED_BAD: &str = include_str!("../fixtures/deprecated_bad.rs");
-const DEPRECATED_GOOD: &str = include_str!("../fixtures/deprecated_good.rs");
 const SUPPRESSIONS: &str = include_str!("../fixtures/suppressions.rs");
 const STRINGS_AND_COMMENTS: &str = include_str!("../fixtures/strings_and_comments.rs");
 
@@ -141,19 +139,6 @@ fn panic_freedom_bad_is_flagged_good_is_clean() {
     assert!(
         good.active.is_empty(),
         "error returns + test-module unwrap: {:?}",
-        good.active
-    );
-}
-
-#[test]
-fn deprecated_config_bad_is_flagged_good_is_clean() {
-    let bad = lint_at("crates/bench/src/lib.rs", DEPRECATED_BAD);
-    assert_eq!(rules_hit(&bad), vec!["deprecated-config"]);
-    assert_eq!(bad.active.len(), 2, "{:?}", bad.active);
-    let good = lint_at("crates/bench/src/lib.rs", DEPRECATED_GOOD);
-    assert!(
-        good.active.is_empty(),
-        "builder methods share names with the old constructors: {:?}",
         good.active
     );
 }

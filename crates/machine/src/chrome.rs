@@ -1,6 +1,6 @@
 //! Chrome-trace / Perfetto JSON export for machine traces.
 //!
-//! Serializes a [`Trace`](crate::trace::Trace)'s records into the Trace
+//! Serializes per-CPU [`Trace`](crate::trace::Trace) records into the Trace
 //! Event Format (the `{"traceEvents": [...]}` JSON consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)), so a
 //! livelock interleaving can be *looked at*: interrupt frames render as a
@@ -54,8 +54,8 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// The Chrome-trace `pid` a CPU's tracks render under: CPU *k* is process
-/// `k + 1`, so the single-CPU trace keeps its historical `pid` 1 and an
-/// SMP trace shows one process group per CPU.
+/// `k + 1`, so a one-CPU trace keeps its historical `pid` 1 and a
+/// cluster's trace shows one process group per CPU.
 fn pid_of(cpu: CpuId) -> u32 {
     cpu.0 as u32 + 1
 }
@@ -75,51 +75,67 @@ fn push_event(out: &mut Vec<String>, name: &str, ph: char, ts: f64, pid: u32, ti
     ));
 }
 
-/// Renders trace records as a Chrome-trace JSON document.
+/// One CPU's `(records, markers)`, as [`chrome_trace_json`] takes them.
+type CpuTrack<'a> = (&'a [TraceRecord], &'a [(Cycles, String)]);
+
+/// Renders per-CPU trace records as one Chrome-trace JSON document.
+///
+/// `cpus[k]` is CPU *k*'s `(records, markers)`: its scheduling trace, and
+/// extra named instants merged onto its *markers* track — the
+/// fault-injection and observability layers use these to make every
+/// injected fault, recovery action and detector event visible next to
+/// the interleaving it perturbed. Each CPU renders under its own process
+/// group (`pid = k + 1`), its markers in slice order after its
+/// record-derived events, so a one-CPU document is the historical
+/// single-CPU output byte for byte and output stays deterministic.
 ///
 /// `intr_name` and `thread_name` supply human-readable labels (typically
 /// [`IntrController::name_of`](crate::intr::IntrController::name_of) and
-/// [`Scheduler::name`](crate::thread::Scheduler::name)); `freq` converts
-/// cycle timestamps to microseconds.
+/// [`Scheduler::name`](crate::thread::Scheduler::name) of that CPU's
+/// engine); `freq` converts cycle timestamps to microseconds.
 pub fn chrome_trace_json(
-    records: &[TraceRecord],
+    cpus: &[CpuTrack<'_>],
     freq: Freq,
-    intr_name: impl FnMut(IntrSrc) -> String,
-    thread_name: impl FnMut(ThreadId) -> String,
+    mut intr_name: impl FnMut(CpuId, IntrSrc) -> String,
+    mut thread_name: impl FnMut(CpuId, ThreadId) -> String,
 ) -> String {
-    chrome_trace_json_with_markers(records, freq, intr_name, thread_name, &[])
+    let mut events: Vec<String> = Vec::new();
+    for (k, &(records, markers)) in cpus.iter().enumerate() {
+        cpu_events(
+            &mut events,
+            CpuId(k),
+            records,
+            markers,
+            freq,
+            &mut intr_name,
+            &mut thread_name,
+        );
+    }
+    let mut out = String::from("{\"traceEvents\":[\n");
+    for (i, e) in events.iter().enumerate() {
+        out.push_str(e);
+        if i + 1 < events.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
+    out
 }
 
-/// Like [`chrome_trace_json`], with extra named instant markers merged
-/// onto the *markers* track — the fault-injection layer uses this to make
-/// every injected fault and recovery action visible next to the
-/// interleaving it perturbed. Markers are emitted in slice order after
-/// the record-derived events; output stays deterministic.
-pub fn chrome_trace_json_with_markers(
-    records: &[TraceRecord],
-    freq: Freq,
-    intr_name: impl FnMut(IntrSrc) -> String,
-    thread_name: impl FnMut(ThreadId) -> String,
-    markers: &[(Cycles, String)],
-) -> String {
-    chrome_trace_json_for_cpu(CpuId(0), records, freq, intr_name, thread_name, markers)
-}
-
-/// Like [`chrome_trace_json_with_markers`], with the emitting CPU's
-/// [`CpuId`] selecting the Chrome-trace process group (`pid = cpu + 1`):
-/// merged per-CPU traces from an SMP cluster render side by side without
-/// track collisions. `CpuId(0)` reproduces the single-CPU output byte for
-/// byte.
-pub fn chrome_trace_json_for_cpu(
+/// Appends one CPU's tracks — metadata, record-derived events, markers —
+/// to `events` under that CPU's process group.
+fn cpu_events(
+    events: &mut Vec<String>,
     cpu: CpuId,
     records: &[TraceRecord],
-    freq: Freq,
-    mut intr_name: impl FnMut(IntrSrc) -> String,
-    mut thread_name: impl FnMut(ThreadId) -> String,
     markers: &[(Cycles, String)],
-) -> String {
+    freq: Freq,
+    intr_name: &mut impl FnMut(CpuId, IntrSrc) -> String,
+    thread_name: &mut impl FnMut(CpuId, ThreadId) -> String,
+) {
     let pid = pid_of(cpu);
-    let mut events: Vec<String> = Vec::with_capacity(records.len() + 8);
+    events.reserve(records.len() + 8);
     for (tid, label) in [
         (TID_INTR, "interrupts"),
         (TID_THREAD, "threads"),
@@ -139,14 +155,14 @@ pub fn chrome_trace_json_for_cpu(
         match rec.event {
             TraceEvent::IntrEnter(src) => {
                 open.push(src);
-                push_event(&mut events, &intr_name(src), 'B', ts, pid, TID_INTR, "");
+                push_event(events, &intr_name(cpu, src), 'B', ts, pid, TID_INTR, "");
             }
             TraceEvent::IntrExit(src) => {
                 // A ring-truncated head can exit a frame whose enter was
                 // evicted; emitting the E would unbalance the track.
                 if open.last() == Some(&src) {
                     open.pop();
-                    push_event(&mut events, &intr_name(src), 'E', ts, pid, TID_INTR, "");
+                    push_event(events, &intr_name(cpu, src), 'E', ts, pid, TID_INTR, "");
                 }
             }
             TraceEvent::ThreadRun(t) => {
@@ -160,8 +176,8 @@ pub fn chrome_trace_json_for_cpu(
                     .map_or(last_ts, |r| ts_micros(freq, r.at));
                 let dur = (end - ts).max(0.0);
                 push_event(
-                    &mut events,
-                    &thread_name(t),
+                    events,
+                    &thread_name(cpu, t),
                     'X',
                     ts,
                     pid,
@@ -170,32 +186,21 @@ pub fn chrome_trace_json_for_cpu(
                 );
             }
             TraceEvent::Idle => {
-                push_event(&mut events, "idle", 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
+                push_event(events, "idle", 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
             }
             TraceEvent::External => {
-                push_event(&mut events, "external", 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
+                push_event(events, "external", 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
             }
         }
     }
     // Close frames still open at the end of the trace window.
     while let Some(src) = open.pop() {
-        push_event(&mut events, &intr_name(src), 'E', last_ts, pid, TID_INTR, "");
+        push_event(events, &intr_name(cpu, src), 'E', last_ts, pid, TID_INTR, "");
     }
     for (at, name) in markers {
         let ts = ts_micros(freq, *at);
-        push_event(&mut events, name, 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
+        push_event(events, name, 'i', ts, pid, TID_MARKER, ",\"s\":\"t\"");
     }
-
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-    out
 }
 
 #[cfg(test)]
@@ -209,13 +214,13 @@ mod tests {
         }
     }
 
-    fn names() -> (
-        impl FnMut(IntrSrc) -> String,
-        impl FnMut(ThreadId) -> String,
-    ) {
-        (
-            |s: IntrSrc| format!("src{}", s.0),
-            |t: ThreadId| format!("thread{}", t.0),
+    /// Renders a one-CPU document with `src{n}` / `thread{n}` labels.
+    fn render(records: &[TraceRecord], markers: &[(Cycles, String)]) -> String {
+        chrome_trace_json(
+            &[(records, markers)],
+            Freq::mhz(1), // 1 cycle == 1 us
+            |_, s| format!("src{}", s.0),
+            |_, t| format!("thread{}", t.0),
         )
     }
 
@@ -230,46 +235,42 @@ mod tests {
 
     #[test]
     fn begin_end_pairs_balance() {
-        let freq = Freq::mhz(100);
         let records = vec![
             rec(0, TraceEvent::IntrEnter(IntrSrc(0))),
             rec(100, TraceEvent::IntrEnter(IntrSrc(1))),
             rec(200, TraceEvent::IntrExit(IntrSrc(1))),
             rec(300, TraceEvent::IntrExit(IntrSrc(0))),
         ];
-        let json = chrome_trace_json(&records, freq, names().0, names().1);
+        let json = render(&records, &[]);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
     }
 
     #[test]
     fn unclosed_frames_are_closed_at_the_end() {
-        let freq = Freq::mhz(100);
         let records = vec![
             rec(0, TraceEvent::IntrEnter(IntrSrc(0))),
             rec(500, TraceEvent::External),
         ];
-        let json = chrome_trace_json(&records, freq, names().0, names().1);
+        let json = render(&records, &[]);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);
     }
 
     #[test]
     fn truncated_head_exit_is_skipped() {
-        let freq = Freq::mhz(100);
         // The ring evicted the matching IntrEnter.
         let records = vec![
             rec(0, TraceEvent::IntrExit(IntrSrc(7))),
             rec(100, TraceEvent::Idle),
         ];
-        let json = chrome_trace_json(&records, freq, names().0, names().1);
+        let json = render(&records, &[]);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 0);
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
     }
 
     #[test]
     fn fault_markers_land_on_the_marker_track() {
-        let freq = Freq::mhz(1);
         let records = vec![
             rec(0, TraceEvent::IntrEnter(IntrSrc(0))),
             rec(100, TraceEvent::IntrExit(IntrSrc(0))),
@@ -278,27 +279,45 @@ mod tests {
             (Cycles::new(50), "fault: lost-rx-intr".to_string()),
             (Cycles::new(90), "recover: screend-restart".to_string()),
         ];
-        let json =
-            chrome_trace_json_with_markers(&records, freq, names().0, names().1, &markers);
+        let json = render(&records, &markers);
         assert_eq!(json.matches("\"ph\":\"i\"").count(), 2);
         assert!(json.contains("\"name\":\"fault: lost-rx-intr\""));
         assert!(json.contains("\"name\":\"recover: screend-restart\""));
-        // Without markers the output is byte-identical to the plain form.
-        let plain = chrome_trace_json(&records, freq, names().0, names().1);
-        let empty =
-            chrome_trace_json_with_markers(&records, freq, names().0, names().1, &[]);
-        assert_eq!(plain, empty);
+    }
+
+    #[test]
+    fn each_cpu_renders_under_its_own_process_group() {
+        let records = vec![
+            rec(0, TraceEvent::IntrEnter(IntrSrc(0))),
+            rec(100, TraceEvent::IntrExit(IntrSrc(0))),
+        ];
+        let marker = vec![(Cycles::new(50), "fault: lost-rx-intr".to_string())];
+        let solo = render(&records, &marker);
+        let duo = chrome_trace_json(
+            &[(&records, &marker), (&records, &[])],
+            Freq::mhz(1),
+            |cpu, s| format!("src{}@{}", s.0, cpu.0),
+            |_, t| format!("thread{}", t.0),
+        );
+        // Per CPU: three track-name records, one B/E pair, its markers.
+        assert_eq!(solo.matches("\"pid\":1,").count(), 6);
+        assert_eq!(duo.matches("\"pid\":1,").count(), 6);
+        assert_eq!(duo.matches("\"pid\":2,").count(), 5);
+        assert!(
+            duo.contains("\"name\":\"src0@1\""),
+            "labels come from the CPU's own engine"
+        );
+        assert!(!solo.contains("\"pid\":2,"));
     }
 
     #[test]
     fn thread_slice_duration_spans_to_next_switch() {
-        let freq = Freq::mhz(1); // 1 cycle == 1 us
         let records = vec![
             rec(0, TraceEvent::ThreadRun(ThreadId(0))),
             rec(250, TraceEvent::ThreadRun(ThreadId(1))),
             rec(400, TraceEvent::Idle),
         ];
-        let json = chrome_trace_json(&records, freq, names().0, names().1);
+        let json = render(&records, &[]);
         assert!(json.contains("\"name\":\"thread0\""));
         assert!(json.contains("\"dur\":250"));
         assert!(json.contains("\"dur\":150"));

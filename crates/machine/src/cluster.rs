@@ -93,6 +93,12 @@ impl<W: Workload> Cluster<W> {
     /// engine's turn — the hook where pending cross-CPU signals (IPI
     /// flags, steal buffers) become engine events.
     ///
+    /// A one-CPU cluster advances in a single step (one `before_slice`
+    /// call, one [`Engine::run_until`]): slices exist to deliver
+    /// cross-CPU signals, and a lone CPU has nobody to signal — slicing it
+    /// printed the same results for 20–25 % more wall-clock on a light
+    /// trial (DESIGN.md §12).
+    ///
     /// Like [`Engine::run_until`], this always lands `now` exactly on
     /// `limit` (idle engines coast), so ledger windows snapshotted at two
     /// `run_until` boundaries conserve exactly on every CPU.
@@ -101,8 +107,13 @@ impl<W: Workload> Cluster<W> {
         limit: Cycles,
         mut before_slice: impl FnMut(CpuId, &mut Engine<W>),
     ) {
+        let lone = self.engines.len() == 1;
         while self.now < limit {
-            let boundary = (self.now + self.slice).min(limit);
+            let boundary = if lone {
+                limit
+            } else {
+                (self.now + self.slice).min(limit)
+            };
             for (k, engine) in self.engines.iter_mut().enumerate() {
                 before_slice(CpuId(k), engine);
                 engine.run_until(boundary);
@@ -174,10 +185,25 @@ mod tests {
     #[test]
     fn cluster_of_one_matches_a_bare_engine() {
         let mut solo = ticker_engine(CpuId(0), 700, 90, 20);
+        solo.run_until(Cycles::new(30_000));
         solo.run_until(Cycles::new(50_000));
 
+        // A lone CPU is not sliced: the hook runs once per `run_until`
+        // (five slices' worth of time here), seeing the engine where the
+        // previous call left it.
         let mut c = Cluster::new(vec![ticker_engine(CpuId(0), 700, 90, 20)], DEFAULT_SLICE);
-        c.run_until(Cycles::new(50_000), |_, _| {});
+        let mut visits = Vec::new();
+        for limit in [30_000, 50_000, 50_000] {
+            c.run_until(Cycles::new(limit), |cpu, e| {
+                visits.push((cpu.0, e.now().raw()))
+            });
+        }
+        assert_eq!(
+            visits,
+            vec![(0, 0), (0, 30_000)],
+            "already at the limit: no call"
+        );
+        assert_eq!(c.now(), Cycles::new(50_000));
 
         let e = c.engine(CpuId(0));
         assert_eq!(e.workload().done_at, solo.workload().done_at);

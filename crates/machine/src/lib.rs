@@ -58,9 +58,7 @@ pub mod thread;
 pub mod trace;
 pub mod wire;
 
-pub use chrome::{
-    chrome_trace_json, chrome_trace_json_for_cpu, chrome_trace_json_with_markers, json_escape,
-};
+pub use chrome::{chrome_trace_json, json_escape};
 pub use cluster::Cluster;
 pub use cost::CostModel;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -239,7 +239,6 @@ fn run_breeder(
         .records()
         .filter(|r| r.event == TraceEvent::External)
         .count();
-    // simlint: allow(deprecated-config): EnvState's counter, not TrialResult's shim
     let dispatched = e.state().events_dispatched();
     let now = e.now();
     (e.into_parts().1.log, dispatched, externals, now)

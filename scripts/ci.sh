@@ -4,9 +4,9 @@
 # Exit status mirrors the strictest failure seen:
 #   0  everything passed
 #   1  build/test failure (tier 1, the `--features proptest` property
-#      suites, or the standalone benchmark crate), figures could not
-#      write its CSVs, the figure output was not byte-identical across
-#      job counts, or bad arguments
+#      suites, the criterion bench targets, or the standalone benchmark
+#      crate), figures could not write its CSVs, the figure output was
+#      not byte-identical across job counts, or bad arguments
 #   2  a rendered figure violates the paper's qualitative throughput shape
 #   3  the latency gate failed: the polled kernel's p99 forwarding latency
 #      is not well below the unmodified kernel's at overload (figure L-1)
@@ -22,9 +22,8 @@
 #      graceful-degradation invariant (see `livelock chaos` exit codes)
 #   7  simlint found a non-baselined finding: a determinism,
 #      drop-accounting, interrupt-discipline, ledger-discipline,
-#      panic-freedom, deprecated-config, smp-isolation, flow-discipline,
-#      class-discipline, unit-discipline, exit-code-registry, or
-#      stale-baseline violation, or `--fix --dry-run` found pending
+#      panic-freedom, smp-isolation, flow-discipline, class-discipline,
+#      unit-discipline, exit-code-registry, or stale-baseline violation, or `--fix --dry-run` found pending
 #      mechanical fixes (run `cargo run -p lint` for the per-rule exit
 #      code; `simlint --exit-codes` prints the full registry; on
 #      failure a SARIF report lands in target/simlint.sarif)
@@ -36,8 +35,11 @@
 #   9  the SMP gate failed: figure S-1 violates the scaling claim (the
 #      polled path's MLFRR must scale >= 1.7x at 2 CPUs and >= 2.5x at 4,
 #      the shared-queue path must stay <= 1.2x / <= 1.3x, and every
-#      per-CPU cycle ledger must conserve), or figS_1.csv was not
-#      byte-identical across job counts
+#      per-CPU cycle ledger must conserve), figS_1.csv was not
+#      byte-identical across job counts, or the SMP trace smoke failed
+#      (`livelock trial --ncpus 4` must print the same table with and
+#      without --chrome-trace, and the trace must parse, carry four
+#      process groups and be byte-identical across runs)
 #  10  the online-detection gate failed: figure O-1 violates the
 #      detection claim (the unmodified kernel must report livelock onset
 #      and starved flows above the MLFRR while the polled kernel with
@@ -114,6 +116,12 @@ cargo test -q --offline --features proptest \
     -p livelock-sim -p livelock-net -p livelock-machine \
     -p livelock-core -p livelock-kernel || exit 1
 
+echo "== bench targets: cargo build --benches =="
+# Tier 1 never compiles crates/bench/benches/*.rs, so a bench target can
+# rot unnoticed (fig7_1 did: it read a method as a field for several
+# PRs). Build them all; nothing is run.
+cargo build --release --offline --benches || exit 1
+
 echo "== benchmark crate: build + test =="
 # benchmark/ is a package of its own (outside the workspace, so tier 1
 # never sees it) that links the simulator's public types — Packet,
@@ -131,14 +139,12 @@ echo "== simlint: determinism / drop-accounting / interrupt-discipline =="
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
 # maps in deterministic crates, record_drop as the only drop-counter
 # mutation path, interrupt handlers that only initiate polling, ledger
-# charges only at executor commit points, panic-free library code, no
-# new callers of the deprecated KernelConfig constructors or TrialResult
-# scalar accessors, cross-CPU state confined to the IPI/steal channel
-# files, per-flow metrics mutated only through the KernelStats
-# attribution hooks, traffic classes stamped/shed only by the
-# admission gate, no mixed time bases in unit-suffixed arithmetic, and
-# every process exit code registered in crates/lint/src/registry.rs.
-# Inline
+# charges only at executor commit points, panic-free library code,
+# cross-CPU state confined to the IPI/steal channel files, per-flow
+# metrics mutated only through the KernelStats attribution hooks,
+# traffic classes stamped/shed only by the admission gate, no mixed time
+# bases in unit-suffixed arithmetic, and every process exit code
+# registered in crates/lint/src/registry.rs. Inline
 # `// simlint: allow(rule): reason` and crates/lint/baseline.txt cover the
 # sanctioned exceptions; anything fresh gates hard here.
 if "$repo/target/release/simlint" --root "$repo"; then
@@ -155,8 +161,8 @@ else
 fi
 
 echo "== simlint --fix --dry-run: no pending mechanical fixes =="
-# The autofixer (deprecated-config builder rewrite, suppression
-# normalization) must be a no-op on a clean tree: fixable debt is
+# The autofixer (suppression normalization) must be a no-op on a clean
+# tree: fixable debt is
 # applied, not accumulated. A pending fix prints its diff and gates.
 if "$repo/target/release/simlint" --root "$repo" --fix --dry-run; then
     echo "ci: no pending autofixes"
@@ -248,6 +254,40 @@ if cmp -s "$scratch/j1/results/figS_1.csv" "$scratch/jN/results/figS_1.csv"; the
     echo "ci: figS_1.csv byte-identical at --jobs 1 and --jobs 4"
 else
     echo "ci: FAIL — figS_1.csv differs between --jobs 1 and --jobs 4" >&2
+    exit 9
+fi
+
+echo "== SMP trace smoke: --chrome-trace honours --ncpus, deterministically =="
+# One trial pipeline serves every entry point, so tracing a 4-CPU trial
+# must measure the same 4-CPU trial (it used to silently run one CPU),
+# export one Chrome-trace process group per CPU, and — like every other
+# artifact — come out byte-identical from two fresh processes.
+smp_trial=("$repo/target/release/livelock" trial --config polled --rate 30000
+    --packets 5000 --ncpus 4)
+mkdir -p "$scratch/smp"
+"${smp_trial[@]}" > "$scratch/smp/plain.txt" &&
+    "${smp_trial[@]}" --chrome-trace "$scratch/smp/a.json" > "$scratch/smp/traced.txt" 2> /dev/null &&
+    "${smp_trial[@]}" --chrome-trace "$scratch/smp/b.json" > /dev/null 2>&1 || {
+    echo "ci: FAIL — livelock trial --ncpus 4 [--chrome-trace] exited nonzero" >&2
+    exit 9
+}
+if cmp -s "$scratch/smp/plain.txt" "$scratch/smp/traced.txt"; then
+    echo "ci: 4-CPU trial prints the same table with and without --chrome-trace"
+else
+    echo "ci: FAIL — --chrome-trace changed what a 4-CPU trial measured" >&2
+    diff "$scratch/smp/plain.txt" "$scratch/smp/traced.txt" >&2
+    exit 9
+fi
+if cmp -s "$scratch/smp/a.json" "$scratch/smp/b.json" && python3 - "$scratch/smp/a.json" <<'PYEOF'
+import json, sys
+pids = {e["pid"] for e in json.load(open(sys.argv[1]))["traceEvents"]}
+if pids != {1, 2, 3, 4}:
+    sys.exit(f"4-CPU trace carries process groups {sorted(pids)}, want [1, 2, 3, 4]")
+PYEOF
+then
+    echo "ci: 4-CPU chrome trace parses, has four process groups, byte-identical across runs"
+else
+    echo "ci: FAIL — 4-CPU chrome trace differs between runs, does not parse, or lacks a CPU" >&2
     exit 9
 fi
 

@@ -953,10 +953,10 @@ fn chrome_trace_escapes_hostile_names() {
         },
     ];
     let json_doc = chrome_trace_json(
-        &records,
+        &[(&records, &[])],
         Freq::mhz(100),
-        |_| hostile.to_string(),
-        |_| String::new(),
+        |_, _| hostile.to_string(),
+        |_, _| String::new(),
     );
     let doc = json::parse(&json_doc).expect("hostile names must still parse");
     let events = doc.get("traceEvents").and_then(json::Value::as_arr).unwrap();

@@ -89,6 +89,27 @@ fn polled_kernel_degrades_gracefully_under_a_fault_storm() {
 }
 
 #[test]
+fn a_storm_aimed_at_a_sibling_cpu_fires_there_and_leaves_no_wedge() {
+    use livelock_machine::cpu::CpuId;
+    // Two CPUs, the plan retargeted at CPU 1: the drained harness builds
+    // the same cluster `run_trial` does, injects the plan into that CPU's
+    // kernel alone, and reports the end state of both.
+    let mut cfg = polled_screend(None);
+    cfg.topology.ncpus = 2;
+    let plan = storm(&cfg, 2.0).on_cpu(CpuId(1));
+    let n_faults = plan.len() as u64;
+    cfg.faults = Some(plan);
+    let r = run_chaos_trial(&spec(8_000.0, 4_000, cfg));
+
+    assert_eq!(r.result.per_cpu().len(), 2);
+    assert_eq!(r.result.fault.injected, n_faults, "every fault fired");
+    assert!(r.result.delivered_pps > 0.0, "{:?}", r.result.fault);
+    assert!(r.gate_open_at_end, "a gate stuck: bits {:#04x}", r.gate_bits);
+    assert_eq!(r.screend_q_len, 0, "both screend queues drained");
+    assert_eq!(r.in_flight, 0, "no packet stranded on either CPU");
+}
+
+#[test]
 fn unmodified_kernel_still_livelocks_under_the_same_storm() {
     let cfg = unmodified_screend(None);
     let plan = storm(&cfg, 1.0);
