@@ -11,208 +11,163 @@
 //! available parallelism); every trial is independently seeded, so the
 //! output is byte-identical for every job count.
 //!
-//! Exit status: 0 on success, 1 when any CSV could not be written (or the
-//! arguments are bad), 2 when a rendered figure violates the paper's
-//! qualitative throughput shape, 3 when the latency figure violates the
-//! paper's latency argument (polled overload p99 must sit well below the
-//! unmodified kernel's), 4 when figure C-1 violates the paper's CPU
-//! accounting (unmodified rx-intr share must reach ≥ 90% with delivery
-//! collapsed at wire-saturating load, while the cycle-limited polled
-//! kernel preserves user+idle share), 5 when figure R-1 violates the
-//! graceful-degradation claim (the polled kernel must keep delivering
-//! at every fault intensity and end the sweep no worse than the
-//! unmodified kernel), 6 when figure S-1 violates the SMP-scaling claim
-//! (polled MLFRR must scale ≥ 1.7× at 2 CPUs and ≥ 2.5× at 4, while the
-//! shared-queue path stays ≤ 1.2× / ≤ 1.3×, with every per-CPU ledger
-//! conserved), 7 when figure O-1 violates the online-detection claim
-//! (the unmodified kernel must report a livelock-onset cycle above the
-//! MLFRR and starve tracked flows at deep overload, while the polled
-//! kernel with feedback reports neither at any swept rate), 8 when
-//! figure P-1 violates the priority-isolation claim (the classified
-//! polled kernel must keep Control's windowed p99 within its SLO and
-//! its delivery near the offered share at loads where the single-class
-//! unmodified kernel has collapsed, shed Bulk before Realtime and
-//! Control never, and conserve every per-class ledger).
+//! The binary is one loop over `livelock_bench::figure_table()`: render,
+//! print, write the CSV, run the row's gate. Exit status: 0 on success;
+//! when gates failed, the smallest failing row's `gate_exit` (2 throughput
+//! shape, 3 latency L-1, 4 CPU share C-1, 5 faults R-1, 6 SMP S-1, 7
+//! online detection O-1, 8 priority P-1 — `simlint --exit-codes` prints
+//! each meaning, and each gate function documents its claim); otherwise 1
+//! when the arguments are bad (an unknown flag or figure id renders
+//! nothing) or a CSV could not be written.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 use lint::registry::codes;
-
-use livelock_bench::{
-    all_figures, cpu_share_violations, fault_shape_violations, latency_shape_violations,
-    observe_shape_violations, priority_shape_violations, render_fig_o1, render_fig_p1,
-    render_fig_r1, render_figure, shape_violations, smp_shape_violations, PAPER_TRIAL_PACKETS,
-};
+use livelock_bench::{figure_table, render_figure, PAPER_TRIAL_PACKETS};
 use livelock_kernel::par::{default_jobs, Parallelism};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    quick: bool,
+    only: Option<String>,
+    jobs: Option<usize>,
+}
+
+/// Parses `figures`' arguments against the table's ids. Free of process
+/// concerns (exit, stderr) so the rejection paths are unit-testable.
+fn parse_args(argv: &[String], ids: &[&str]) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--quick" => args.quick = true,
+            "--fig" => {
+                let given = it.next().map_or("", String::as_str);
+                if !ids.contains(&given) {
+                    let ids = ids.join(", ");
+                    return Err(format!("--fig: unknown figure {given:?} (valid: {ids})"));
+                }
+                args.only = Some(given.to_string());
+            }
+            "--jobs" => {
+                let given = it.next().map_or("", String::as_str);
+                match given.parse() {
+                    Ok(n) if n >= 1 => args.jobs = Some(n),
+                    _ => return Err(format!("--jobs: bad thread count {given:?}")),
+                }
+            }
+            other => {
+                return Err(format!(
+                    "unknown flag {other:?} (valid: --quick, --fig <id>, --jobs <n>)"
+                ))
+            }
+        }
+    }
+    Ok(args)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let only: Option<String> = flag_value(&args, "--fig");
-    let jobs = match flag_value(&args, "--jobs") {
-        None => default_jobs(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs: bad thread count {v:?}");
-                std::process::exit(codes::FIGURES_IO);
-            }
-        },
-    };
-    let n_packets = if quick { 2_000 } else { PAPER_TRIAL_PACKETS };
+    let table = figure_table();
+    let ids: Vec<&str> = table.iter().map(|f| f.id).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv, &ids).unwrap_or_else(|e| {
+        eprintln!("figures: {e}");
+        std::process::exit(codes::FIGURES_IO);
+    });
+    let jobs = args.jobs.unwrap_or_else(default_jobs);
+    let n_packets = if args.quick { 2_000 } else { PAPER_TRIAL_PACKETS };
 
+    // I/O failures are collected, not fatal: a read-only results/ dir
+    // should not abort the remaining figures' rendering and shape checks.
+    let mut io_errors = Vec::new();
     let out_dir = Path::new("results");
     if let Err(e) = fs::create_dir_all(out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        std::process::exit(codes::FIGURES_IO);
+        io_errors.push(format!("cannot create {}: {e}", out_dir.display()));
     }
-
-    // Write failures are collected, not fatal: a read-only results/ dir
-    // should not abort the remaining figures' rendering and shape checks.
-    let mut write_errors = Vec::new();
-    let mut all_violations = Vec::new();
-    let mut latency_violations = Vec::new();
-    let mut cpu_violations = Vec::new();
-    let mut fault_violations = Vec::new();
-    let mut smp_violations = Vec::new();
-    let mut observe_violations = Vec::new();
-    let mut priority_violations = Vec::new();
-    let write_csv = |rendered: &livelock_bench::RenderedFigure,
-                         write_errors: &mut Vec<String>| {
-        let path = out_dir.join(format!("fig{}.csv", rendered.id.replace('-', "_")));
-        match fs::write(&path, rendered.to_csv()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => write_errors.push(format!("{}: {e}", path.display())),
-        }
-    };
-    for fig in all_figures() {
-        if let Some(id) = &only {
-            if fig.id != id {
-                continue;
-            }
-        }
+    // Gate violations by exit code: the smallest failing code wins.
+    let mut violations: BTreeMap<i32, Vec<String>> = BTreeMap::new();
+    for fig in table.iter().filter(|f| args.only.as_deref().map_or(true, |id| id == f.id)) {
         eprintln!(
-            "rendering figure {} ({} packets/trial, {jobs} jobs)...",
-            fig.id, n_packets
+            "rendering figure {} ({n_packets} packets/trial, {jobs} jobs)...",
+            fig.id
         );
-        let rendered = render_figure(&fig, n_packets, Parallelism::Jobs(jobs));
+        let rendered = render_figure(fig, n_packets, Parallelism::Jobs(jobs));
         print!("{}", rendered.to_table());
         print!("{}", rendered.shape_summary());
         println!();
-        write_csv(&rendered, &mut write_errors);
-        all_violations.extend(shape_violations(&rendered));
-        latency_violations.extend(latency_shape_violations(&rendered));
-        cpu_violations.extend(cpu_share_violations(&rendered));
-        smp_violations.extend(smp_shape_violations(&rendered));
+        let path = out_dir.join(format!("fig{}.csv", fig.id.replace('-', "_")));
+        match fs::write(&path, rendered.to_csv()) {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => io_errors.push(format!("{}: {e}", path.display())),
+        }
+        let found = (fig.gate)(&rendered);
+        if !found.is_empty() {
+            violations.entry(fig.gate_exit).or_default().extend(found);
+        }
     }
 
-    // Figure R-1 sweeps fault intensity at a fixed rate, so it renders
-    // outside the rate-sweep inventory above.
-    if only.is_none() || only.as_deref() == Some("R-1") {
-        eprintln!("rendering figure R-1 ({n_packets} packets/trial, {jobs} jobs)...");
-        let rendered = render_fig_r1(n_packets, Parallelism::Jobs(jobs));
-        print!("{}", rendered.to_table());
-        println!();
-        write_csv(&rendered, &mut write_errors);
-        fault_violations.extend(fault_shape_violations(&rendered));
-    }
-
-    // Figure O-1 plots the online detector's outputs (onset time and
-    // starved-flow count), so it too renders outside the inventory.
-    if only.is_none() || only.as_deref() == Some("O-1") {
-        eprintln!("rendering figure O-1 ({n_packets} packets/trial, {jobs} jobs)...");
-        let rendered = render_fig_o1(n_packets, Parallelism::Jobs(jobs));
-        print!("{}", rendered.to_table());
-        println!();
-        write_csv(&rendered, &mut write_errors);
-        observe_violations.extend(observe_shape_violations(&rendered));
-    }
-
-    // Figure P-1 plots per-class delivery and latency under the flow
-    // classifier, so it too renders outside the inventory.
-    if only.is_none() || only.as_deref() == Some("P-1") {
-        eprintln!("rendering figure P-1 ({n_packets} packets/trial, {jobs} jobs)...");
-        let rendered = render_fig_p1(n_packets, Parallelism::Jobs(jobs));
-        print!("{}", rendered.to_table());
-        println!();
-        write_csv(&rendered, &mut write_errors);
-        priority_violations.extend(priority_shape_violations(&rendered));
-    }
-
-    if !write_errors.is_empty() {
+    if !io_errors.is_empty() {
         eprintln!("CSV WRITE FAILURES:");
-        for w in &write_errors {
+        for w in &io_errors {
             eprintln!("  {w}");
         }
     }
-    if all_violations.is_empty()
-        && latency_violations.is_empty()
-        && cpu_violations.is_empty()
-        && fault_violations.is_empty()
-        && smp_violations.is_empty()
-        && observe_violations.is_empty()
-        && priority_violations.is_empty()
-    {
+    if violations.is_empty() {
         eprintln!("all rendered figures match the paper's qualitative shapes");
     }
-    if !all_violations.is_empty() {
-        eprintln!("SHAPE VIOLATIONS:");
-        for v in &all_violations {
+    for (code, found) in &violations {
+        eprintln!("GATE VIOLATIONS (exit {code}):");
+        for v in found {
             eprintln!("  {v}");
         }
-        std::process::exit(codes::FIGURES_SHAPE);
     }
-    if !latency_violations.is_empty() {
-        eprintln!("LATENCY SHAPE VIOLATIONS:");
-        for v in &latency_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_LATENCY);
+    if let Some(&code) = violations.keys().next() {
+        std::process::exit(code);
     }
-    if !cpu_violations.is_empty() {
-        eprintln!("CPU-SHARE VIOLATIONS:");
-        for v in &cpu_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_CPU);
-    }
-    if !fault_violations.is_empty() {
-        eprintln!("FAULT-DEGRADATION VIOLATIONS:");
-        for v in &fault_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_FAULT);
-    }
-    if !smp_violations.is_empty() {
-        eprintln!("SMP-SCALING VIOLATIONS:");
-        for v in &smp_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_SMP);
-    }
-    if !observe_violations.is_empty() {
-        eprintln!("ONLINE-DETECTION VIOLATIONS:");
-        for v in &observe_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_OBSERVE);
-    }
-    if !priority_violations.is_empty() {
-        eprintln!("PRIORITY-ISOLATION VIOLATIONS:");
-        for v in &priority_violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(codes::FIGURES_PRIORITY);
-    }
-    if !write_errors.is_empty() {
+    if !io_errors.is_empty() {
         std::process::exit(codes::FIGURES_IO);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let ids: Vec<&str> = figure_table().iter().map(|f| f.id).collect();
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        parse_args(&argv, &ids)
+    }
+
+    #[test]
+    fn an_unknown_figure_id_is_an_error_listing_the_table() {
+        let err = parse(&["--fig", "9-9"]).unwrap_err();
+        for fig in figure_table() {
+            assert!(err.contains(fig.id), "{err} should list {}", fig.id);
+        }
+        assert!(parse(&["--fig"]).is_err(), "--fig needs a value");
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_an_error_naming_it() {
+        let err = parse(&["--figg", "6-1"]).unwrap_err();
+        assert!(err.contains("--figg") && err.contains("--fig <id>"), "{err}");
+        assert!(parse(&["--jobs", "0"]).is_err());
+        assert!(parse(&["--jobs", "four"]).is_err());
+    }
+
+    #[test]
+    fn every_table_id_and_flag_parses() {
+        let args = parse(&["--quick", "--fig", "P-1", "--jobs", "4"]).unwrap();
+        let want = Args {
+            quick: true,
+            only: Some("P-1".into()),
+            jobs: Some(4),
+        };
+        assert_eq!(args, want);
+        assert_eq!(parse(&[]).unwrap(), Args::default());
     }
 }

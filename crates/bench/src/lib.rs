@@ -1,22 +1,29 @@
-//! Figure definitions and rendering for the receive-livelock reproduction.
+//! The figure table of the receive-livelock reproduction.
 //!
-//! Each figure in the paper's evaluation is described once here — its
-//! curves (label + kernel configuration) and its sweep axis — and consumed
-//! twice: by the `figures` binary, which regenerates and prints every data
-//! series, and by the Criterion benches (`benches/fig*.rs`), which measure
-//! the simulator's own performance on each figure's workload.
+//! Every committed figure is one [`Figure`] row of [`figure_table`]: its
+//! curves (label, kernel configuration, y-axis), its x values, how an x
+//! becomes a trial ([`Sweep`]), the flow set its trials carry, and the
+//! gate that checks the rendered shape with the exit code a failure maps
+//! to. Everything else is derived from the rows: [`render_figure`] is the
+//! one renderer, the `figures` binary is one loop over the table, and
+//! `scripts/ci.sh` compares whole result directories. Adding a figure is
+//! one row, one gate function, one registry row and its committed CSV.
+//!
+//! This crate describes; `benchmark/` measures. Nothing here reads a
+//! wall clock.
 
+use lint::registry::codes;
 use livelock_core::analysis::{classify, mlfrr, overload_stability, LivelockVerdict};
 use livelock_core::poller::Quota;
-use livelock_kernel::config::{ClassifyConfig, KernelConfig};
-use livelock_kernel::experiment::{run_trial, sweep, SweepResult, TrialSpec};
-use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig};
+use livelock_kernel::config::{ClassifyConfig, KernelConfig, KernelConfigBuilder};
+use livelock_kernel::experiment::{run_trial, SweepResult, TrialSpec};
 use livelock_kernel::par::{par_map, Parallelism};
+use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig};
 use livelock_machine::fault::FaultPlan;
 use livelock_machine::{CpuClass, SchedulerKind};
 use livelock_net::classify::{MatchRule, TrafficClass};
 
-/// What a figure's value column (y-axis) plots.
+/// What a curve's value column (y-axis) plots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Axis {
     /// Delivered packet rate in pkts/s (the throughput figures).
@@ -53,208 +60,249 @@ pub enum Axis {
     ClassLatencyP99Micros(TrafficClass),
 }
 
-/// One figure: an id, a caption, curves, the swept input rates, and the
-/// y-axis the value column plots.
-pub struct Figure {
-    /// Paper figure number, e.g. "6-1".
-    pub id: &'static str,
-    /// The paper's caption.
-    pub caption: &'static str,
-    /// (curve label, kernel configuration) pairs.
-    pub curves: Vec<(String, KernelConfig)>,
-    /// Input packet rates to sweep.
-    pub rates: Vec<f64>,
+/// One curve of a figure: what it is called, the kernel it runs and the
+/// quantity it plots. Two curves may share a kernel and differ only in
+/// axis (C-1 plots two ledger classes per kernel on one grid).
+#[derive(Clone)]
+pub struct Curve {
+    /// Column header.
+    pub label: String,
+    /// The kernel under test.
+    pub config: KernelConfig,
     /// What the value column plots.
     pub axis: Axis,
-    /// Per-curve axis overrides, parallel to `curves`. Empty (the usual
-    /// case) means every curve plots `axis`; figure C-1 uses this to plot
-    /// two ledger classes per kernel on one grid.
-    pub curve_axes: Vec<Axis>,
+}
+
+fn curve(label: impl Into<String>, config: KernelConfig, axis: Axis) -> Curve {
+    Curve {
+        label: label.into(),
+        config,
+        axis,
+    }
+}
+
+/// How a row turns one x value into a trial.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Sweep {
+    /// x is the offered rate in pkts/s.
+    Rate,
+    /// x is the intensity of the seeded fault storm injected into a trial
+    /// at this fixed offered rate (0 = no plan at all).
+    Storm {
+        /// The offered rate of every trial of the row.
+        rate_pps: f64,
+    },
+}
+
+impl Sweep {
+    /// Header of the x column in tables and CSVs.
+    pub fn x_label(self) -> &'static str {
+        match self {
+            Sweep::Rate => "input_pps",
+            Sweep::Storm { .. } => "fault_intensity",
+        }
+    }
+}
+
+/// One row of the figure table.
+#[derive(Clone)]
+pub struct Figure {
+    /// Figure number, e.g. "6-1"; `results/fig6_1.csv` is its CSV.
+    pub id: &'static str,
+    /// The caption (the paper's, for the paper's figures).
+    pub caption: &'static str,
+    /// The curves, in column order.
+    pub curves: Vec<Curve>,
+    /// The x values every curve is sampled at.
+    pub xs: Vec<f64>,
+    /// What an x value means.
+    pub sweep: Sweep,
+    /// UDP source ports every trial cycles its packets through
+    /// ([`TrialSpec::flows`]); `None` is the topology's default set.
+    pub flows: Option<Vec<u16>>,
+    /// Checks the rendered figure against the claim it illustrates,
+    /// returning human-readable violations (empty = the claim holds).
+    pub gate: fn(&RenderedFigure) -> Vec<String>,
+    /// The `figures` exit code a gate violation maps to (a
+    /// `codes::FIGURES_*` constant, registered under owner `figures`).
+    pub gate_exit: i32,
 }
 
 /// The rates every throughput figure sweeps (as in the paper: 0 to 12,000
 /// packets/second, denser around the MLFRR).
-pub fn throughput_rates() -> Vec<f64> {
+fn throughput_rates() -> Vec<f64> {
     vec![
         500.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0, 4_500.0, 5_000.0, 6_000.0, 7_000.0, 8_000.0,
         10_000.0, 12_000.0,
     ]
 }
 
-/// Figure 6-1: forwarding performance of the unmodified kernel.
-pub fn fig6_1() -> Figure {
+/// A paper throughput figure: delivered rate over [`throughput_rates`],
+/// gated on the curve shapes the paper drew.
+fn throughput_figure(
+    id: &'static str,
+    caption: &'static str,
+    curves: Vec<(&str, KernelConfig)>,
+) -> Figure {
     Figure {
-        id: "6-1",
-        caption: "Forwarding performance of unmodified kernel",
-        curves: vec![
-            ("Without screend".into(), KernelConfig::builder().build()),
-            (
-                "With screend".into(),
-                KernelConfig::builder().screend(Default::default()).build(),
-            ),
-        ],
-        rates: throughput_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![],
+        id,
+        caption,
+        curves: curves
+            .into_iter()
+            .map(|(label, config)| curve(label, config, Axis::DeliveredPps))
+            .collect(),
+        xs: throughput_rates(),
+        sweep: Sweep::Rate,
+        flows: None,
+        gate: shape_violations,
+        gate_exit: codes::FIGURES_SHAPE,
     }
+}
+
+/// The unmodified kernel routing through screend: the livelocking
+/// baseline of figures 6-1, 6-4, C-1, R-1, O-1 and P-1.
+fn unmodified_screend() -> KernelConfigBuilder {
+    KernelConfig::builder().screend(Default::default())
+}
+
+/// Polling through screend with queue-state feedback — the paper's full
+/// mechanism: the other side of 6-4, 6-6, R-1 and O-1.
+fn polled_feedback(quota: Quota) -> KernelConfigBuilder {
+    KernelConfig::builder()
+        .polled(quota)
+        .screend(Default::default())
+        .feedback(Default::default())
+}
+
+/// Figure 6-1: forwarding performance of the unmodified kernel.
+fn fig6_1() -> Figure {
+    throughput_figure(
+        "6-1",
+        "Forwarding performance of unmodified kernel",
+        vec![
+            ("Without screend", KernelConfig::builder().build()),
+            ("With screend", unmodified_screend().build()),
+        ],
+    )
 }
 
 /// Figure 6-3: forwarding performance of the modified kernel, no screend.
-pub fn fig6_3() -> Figure {
-    Figure {
-        id: "6-3",
-        caption: "Forwarding performance of modified kernel, without using screend",
-        curves: vec![
-            ("Unmodified".into(), KernelConfig::builder().build()),
-            ("No polling".into(), KernelConfig::builder().no_polling().build()),
-            (
-                "Polling (quota = 5)".into(),
-                KernelConfig::builder().polled(Quota::Limited(5)).build(),
-            ),
-            (
-                "Polling (no quota)".into(),
-                KernelConfig::builder().polled(Quota::Unlimited).build(),
-            ),
+fn fig6_3() -> Figure {
+    let polled = |q| KernelConfig::builder().polled(q).build();
+    throughput_figure(
+        "6-3",
+        "Forwarding performance of modified kernel, without using screend",
+        vec![
+            ("Unmodified", KernelConfig::builder().build()),
+            ("No polling", KernelConfig::builder().no_polling().build()),
+            ("Polling (quota = 5)", polled(Quota::Limited(5))),
+            ("Polling (no quota)", polled(Quota::Unlimited)),
         ],
-        rates: throughput_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![],
-    }
+    )
 }
 
 /// Figure 6-4: forwarding performance of the modified kernel with screend.
-pub fn fig6_4() -> Figure {
-    Figure {
-        id: "6-4",
-        caption: "Forwarding performance of modified kernel, with screend",
-        curves: vec![
-            (
-                "Unmodified".into(),
-                KernelConfig::builder().screend(Default::default()).build(),
-            ),
-            (
-                "Polling, no feedback".into(),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .screend(Default::default())
-                    .build(),
-            ),
-            (
-                "Polling w/feedback".into(),
-                KernelConfig::builder()
-                    .polled(Quota::Limited(10))
-                    .screend(Default::default())
-                    .feedback(Default::default())
-                    .build(),
-            ),
+fn fig6_4() -> Figure {
+    let no_feedback = KernelConfig::builder()
+        .polled(Quota::Limited(10))
+        .screend(Default::default())
+        .build();
+    throughput_figure(
+        "6-4",
+        "Forwarding performance of modified kernel, with screend",
+        vec![
+            ("Unmodified", unmodified_screend().build()),
+            ("Polling, no feedback", no_feedback),
+            ("Polling w/feedback", polled_feedback(Quota::Limited(10)).build()),
         ],
-        rates: throughput_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![],
-    }
+    )
 }
 
-/// The quota values Figures 6-5 and 6-6 compare.
-pub fn quota_values() -> Vec<(String, Quota)> {
-    vec![
-        ("quota = 5 packets".into(), Quota::Limited(5)),
-        ("quota = 10 packets".into(), Quota::Limited(10)),
-        ("quota = 20 packets".into(), Quota::Limited(20)),
-        ("quota = 100 packets".into(), Quota::Limited(100)),
-        ("quota = infinity".into(), Quota::Unlimited),
+/// One curve per quota value Figures 6-5 and 6-6 compare, on the kernel
+/// `config` builds for that quota.
+fn quota_curves(config: impl Fn(Quota) -> KernelConfig) -> Vec<(&'static str, KernelConfig)> {
+    [
+        ("quota = 5 packets", Quota::Limited(5)),
+        ("quota = 10 packets", Quota::Limited(10)),
+        ("quota = 20 packets", Quota::Limited(20)),
+        ("quota = 100 packets", Quota::Limited(100)),
+        ("quota = infinity", Quota::Unlimited),
     ]
+    .into_iter()
+    .map(|(label, quota)| (label, config(quota)))
+    .collect()
 }
 
 /// Figure 6-5: effect of the packet-count quota, no screend.
-pub fn fig6_5() -> Figure {
-    Figure {
-        id: "6-5",
-        caption: "Effect of packet-count quota on performance, no screend",
-        curves: quota_values()
-            .into_iter()
-            .map(|(label, q)| (label, KernelConfig::builder().polled(q).build()))
-            .collect(),
-        rates: throughput_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![],
-    }
+fn fig6_5() -> Figure {
+    throughput_figure(
+        "6-5",
+        "Effect of packet-count quota on performance, no screend",
+        quota_curves(|q| KernelConfig::builder().polled(q).build()),
+    )
 }
 
 /// Figure 6-6: effect of the packet-count quota, with screend (feedback on).
-pub fn fig6_6() -> Figure {
-    Figure {
-        id: "6-6",
-        caption: "Effect of packet-count quota on performance, with screend",
-        curves: quota_values()
-            .into_iter()
-            .map(|(label, q)| {
-                (
-                    label,
-                    KernelConfig::builder()
-                        .polled(q)
-                        .screend(Default::default())
-                        .feedback(Default::default())
-                        .build(),
-                )
-            })
-            .collect(),
-        rates: throughput_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![],
-    }
-}
-
-/// The cycle-limit thresholds Figure 7-1 compares.
-pub fn cycle_thresholds() -> Vec<f64> {
-    vec![0.25, 0.50, 0.75, 1.00]
+fn fig6_6() -> Figure {
+    throughput_figure(
+        "6-6",
+        "Effect of packet-count quota on performance, with screend",
+        quota_curves(|q| polled_feedback(q).build()),
+    )
 }
 
 /// Figure 7-1: available user-mode CPU time under the cycle-limit
-/// mechanism. (The y-axis is user CPU %, not packet rate.)
-pub fn fig7_1() -> Figure {
+/// mechanism, one curve per threshold. (The y-axis is user CPU %, not
+/// packet rate; [`shape_violations`] registers no expectation for it —
+/// `tests/user_progress.rs` asserts the claim.)
+fn fig7_1() -> Figure {
     Figure {
         id: "7-1",
         caption: "User-mode CPU time available using cycle-limit mechanism",
-        curves: cycle_thresholds()
+        curves: [0.25, 0.50, 0.75, 1.00]
             .into_iter()
             .map(|t| {
-                (
+                let config = KernelConfig::builder()
+                    .polled(Quota::Limited(5))
+                    .cycle_limit(t)
+                    .user_process(true)
+                    .build();
+                curve(
                     format!("threshold {:.0} %", t * 100.0),
-                    KernelConfig::builder()
-                        .polled(Quota::Limited(5))
-                        .cycle_limit(t)
-                        .user_process(true)
-                        .build(),
+                    config,
+                    Axis::UserCpuPercent,
                 )
             })
             .collect(),
-        rates: vec![
+        xs: vec![
             500.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0, 8_000.0, 10_000.0,
         ],
-        axis: Axis::UserCpuPercent,
-        curve_axes: vec![],
+        sweep: Sweep::Rate,
+        flows: None,
+        gate: shape_violations,
+        gate_exit: codes::FIGURES_SHAPE,
     }
 }
 
-/// The latency figure: 99th-percentile forwarding latency versus input
-/// rate, unmodified vs polled. The paper's §3/§4.3 argue the modified
-/// kernel keeps latency (and jitter) low because polling processes each
-/// packet to completion instead of letting it age in `ipintrq`; this
-/// figure plots the distribution tail that argument implies.
-pub fn fig_latency() -> Figure {
+/// Figure L-1: 99th-percentile forwarding latency versus input rate,
+/// unmodified vs polled. The paper's §3/§4.3 argue the modified kernel
+/// keeps latency (and jitter) low because polling processes each packet
+/// to completion instead of letting it age in `ipintrq`; this figure
+/// plots the distribution tail that argument implies.
+fn fig_latency() -> Figure {
+    let polled = KernelConfig::builder().polled(Quota::Limited(5)).build();
     Figure {
         id: "L-1",
         caption: "99th-percentile forwarding latency vs input rate",
         curves: vec![
-            ("Unmodified".into(), KernelConfig::builder().build()),
-            (
-                "Polling (quota = 5)".into(),
-                KernelConfig::builder().polled(Quota::Limited(5)).build(),
-            ),
+            curve("Unmodified", KernelConfig::builder().build(), Axis::LatencyP99Micros),
+            curve("Polling (quota = 5)", polled, Axis::LatencyP99Micros),
         ],
-        rates: throughput_rates(),
-        axis: Axis::LatencyP99Micros,
-        curve_axes: vec![],
+        xs: throughput_rates(),
+        sweep: Sweep::Rate,
+        flows: None,
+        gate: latency_shape_violations,
+        gate_exit: codes::FIGURES_LATENCY,
     }
 }
 
@@ -269,44 +317,30 @@ pub fn fig_latency() -> Figure {
 /// Ethernet ceiling is ~14,880 pkts/s): interrupt batching amortizes
 /// dispatch overhead, so the rx share keeps climbing with offered load
 /// and passes 90% only above ~13,000 pkts/s.
-pub fn fig_c1() -> Figure {
-    let unmodified = KernelConfig::builder().screend(Default::default()).build();
+fn fig_c1() -> Figure {
+    let unmodified = unmodified_screend().build();
     let polled = KernelConfig::builder()
         .polled(Quota::Limited(5))
         .cycle_limit(0.50)
         .user_process(true)
         .build();
-    let mut rates = throughput_rates();
-    rates.extend([13_000.0, 14_000.0]);
+    let mut xs = throughput_rates();
+    xs.extend([13_000.0, 14_000.0]);
     Figure {
         id: "C-1",
         caption: "CPU-class share vs offered load (conserved cycle ledger)",
         curves: vec![
-            ("Unmodified rx-intr".into(), unmodified.clone()),
-            ("Unmodified user+idle".into(), unmodified),
-            ("Polled rx-intr".into(), polled.clone()),
-            ("Polled user+idle".into(), polled),
+            curve("Unmodified rx-intr", unmodified.clone(), Axis::RxIntrCpuPercent),
+            curve("Unmodified user+idle", unmodified, Axis::UserIdleCpuPercent),
+            curve("Polled rx-intr", polled.clone(), Axis::RxIntrCpuPercent),
+            curve("Polled user+idle", polled, Axis::UserIdleCpuPercent),
         ],
-        rates,
-        axis: Axis::RxIntrCpuPercent,
-        curve_axes: vec![
-            Axis::RxIntrCpuPercent,
-            Axis::UserIdleCpuPercent,
-            Axis::RxIntrCpuPercent,
-            Axis::UserIdleCpuPercent,
-        ],
+        xs,
+        sweep: Sweep::Rate,
+        flows: None,
+        gate: cpu_share_violations,
+        gate_exit: codes::FIGURES_CPU,
     }
-}
-
-/// The rates figure S-1 sweeps: past a single wire's ~14,880 pkts/s
-/// ceiling, because a multiqueue NIC is fed by one wire per RX queue and
-/// the point of the figure is aggregate load beyond what one CPU (or one
-/// wire) can carry.
-pub fn smp_rates() -> Vec<f64> {
-    vec![
-        2_000.0, 4_000.0, 5_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0, 16_000.0, 20_000.0,
-        28_000.0,
-    ]
 }
 
 /// Figure S-1: SMP scaling of aggregate delivered throughput, plus where
@@ -319,8 +353,11 @@ pub fn smp_rates() -> Vec<f64> {
 /// MLFRR scales toward N×. The per-CPU busy curves make the mechanism
 /// visible: at overload the unmodified cluster's CPU 0 saturates while
 /// its siblings idle between ring drains, where the polled cluster's
-/// CPUs stay evenly busy.
-pub fn fig_s1() -> Figure {
+/// CPUs stay evenly busy. The rates run past a single wire's ~14,880
+/// pkts/s ceiling, because a multiqueue NIC is fed by one wire per RX
+/// queue and the point is aggregate load beyond what one CPU (or one
+/// wire) can carry.
+fn fig_s1() -> Figure {
     let unmod = |n: usize| KernelConfig::builder().ncpus(n).build();
     let polled = |n: usize| {
         KernelConfig::builder()
@@ -332,38 +369,186 @@ pub fn fig_s1() -> Figure {
         id: "S-1",
         caption: "SMP scaling: shared-queue vs per-CPU polling, with per-CPU busy shares",
         curves: vec![
-            ("Unmodified 1 CPU".into(), unmod(1)),
-            ("Unmodified 2 CPUs".into(), unmod(2)),
-            ("Unmodified 4 CPUs".into(), unmod(4)),
-            ("Polling 1 CPU".into(), polled(1)),
-            ("Polling 2 CPUs".into(), polled(2)),
-            ("Polling 4 CPUs".into(), polled(4)),
-            ("Unmodified 4-CPU cpu0 busy".into(), unmod(4)),
-            ("Unmodified 4-CPU cpu1 busy".into(), unmod(4)),
-            ("Polling 4-CPU cpu0 busy".into(), polled(4)),
-            ("Polling 4-CPU cpu1 busy".into(), polled(4)),
+            curve("Unmodified 1 CPU", unmod(1), Axis::DeliveredPps),
+            curve("Unmodified 2 CPUs", unmod(2), Axis::DeliveredPps),
+            curve("Unmodified 4 CPUs", unmod(4), Axis::DeliveredPps),
+            curve("Polling 1 CPU", polled(1), Axis::DeliveredPps),
+            curve("Polling 2 CPUs", polled(2), Axis::DeliveredPps),
+            curve("Polling 4 CPUs", polled(4), Axis::DeliveredPps),
+            curve("Unmodified 4-CPU cpu0 busy", unmod(4), Axis::PerCpuBusyPercent(0)),
+            curve("Unmodified 4-CPU cpu1 busy", unmod(4), Axis::PerCpuBusyPercent(1)),
+            curve("Polling 4-CPU cpu0 busy", polled(4), Axis::PerCpuBusyPercent(0)),
+            curve("Polling 4-CPU cpu1 busy", polled(4), Axis::PerCpuBusyPercent(1)),
         ],
-        rates: smp_rates(),
-        axis: Axis::DeliveredPps,
-        curve_axes: vec![
-            Axis::DeliveredPps,
-            Axis::DeliveredPps,
-            Axis::DeliveredPps,
-            Axis::DeliveredPps,
-            Axis::DeliveredPps,
-            Axis::DeliveredPps,
-            Axis::PerCpuBusyPercent(0),
-            Axis::PerCpuBusyPercent(1),
-            Axis::PerCpuBusyPercent(0),
-            Axis::PerCpuBusyPercent(1),
+        xs: vec![
+            2_000.0, 4_000.0, 5_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0, 16_000.0, 20_000.0,
+            28_000.0,
         ],
+        sweep: Sweep::Rate,
+        flows: None,
+        gate: smp_shape_violations,
+        gate_exit: codes::FIGURES_SMP,
     }
 }
 
-/// All figures in paper order, then the non-paper figures: latency
-/// (L-1), the cycle-ledger CPU decomposition (C-1), and SMP scaling
-/// (S-1).
-pub fn all_figures() -> Vec<Figure> {
+/// R-1's fixed offered load: past the screend path's MLFRR (≈ 2000
+/// pkts/s), where the unmodified kernel is already sliding down its
+/// overload curve while the polled kernel holds its plateau — fault
+/// damage separates the two instead of vanishing into headroom.
+const R1_RATE_PPS: f64 = 3_000.0;
+
+/// The seed every figure storm derives from: a [`Sweep::Storm`] row is a
+/// deterministic function of (seed, intensity, rate, trial length) only.
+const STORM_SEED: u64 = 0xFA17;
+
+/// The seeded storm a [`Sweep::Storm`] row injects at one intensity into
+/// a trial of `n_packets` at `rate_pps`: the storm window covers the
+/// middle 80% of the trial, clear of warm-up and tail.
+fn storm(config: &KernelConfig, intensity: f64, rate_pps: f64, n_packets: usize) -> FaultPlan {
+    let freq = config.cost.freq;
+    let total_ms = (n_packets as f64 / rate_pps * 1_000.0) as u64;
+    FaultPlan::storm(
+        STORM_SEED,
+        intensity,
+        freq.cycles_from_millis(total_ms / 10),
+        freq.cycles_from_millis(total_ms * 9 / 10),
+    )
+}
+
+/// Figure R-1: graceful degradation under a seeded fault storm.
+/// Delivered throughput and p99 latency versus fault intensity (0 = the
+/// fault-free baseline; the storm's event count scales linearly with
+/// intensity) at a fixed offered load, unmodified vs
+/// polled-with-feedback, both routing through screend.
+fn fig_r1() -> Figure {
+    let unmod = unmodified_screend().build();
+    let polled = polled_feedback(Quota::Limited(10)).build();
+    Figure {
+        id: "R-1",
+        caption: "Graceful degradation under seeded fault storm (3000 pkts/s offered)",
+        curves: vec![
+            curve("Unmodified delivered", unmod.clone(), Axis::DeliveredPps),
+            curve("Polling w/feedback delivered", polled.clone(), Axis::DeliveredPps),
+            curve("Unmodified p99", unmod, Axis::LatencyP99Micros),
+            curve("Polling w/feedback p99", polled, Axis::LatencyP99Micros),
+        ],
+        xs: vec![0.0, 0.5, 1.0, 2.0, 4.0],
+        sweep: Sweep::Storm {
+            rate_pps: R1_RATE_PPS,
+        },
+        flows: None,
+        gate: fault_shape_violations,
+        gate_exit: codes::FIGURES_FAULT,
+    }
+}
+
+/// The fixed eight-flow port set every O-1 trial cycles its packets
+/// through: enough distinct flows that the starved-flow count carries
+/// signal, few enough that each flow still sees a loaded detector
+/// window at every swept rate.
+pub fn o1_flows() -> Vec<u16> {
+    (0..8).map(|i| 6_000 + i * 17).collect()
+}
+
+/// Figure O-1: online livelock detection. Time-to-livelock-onset (in
+/// simulated milliseconds; 0 = never) and starved-flow count versus
+/// offered load, unmodified vs polled-with-feedback, both routing
+/// through screend with the observability layer enabled. The rates run
+/// from well under the screend path's MLFRR (≈ 2000 pkts/s) to deep
+/// overload, so the onset curve shows livelock arriving earlier as load
+/// climbs past the knee.
+fn fig_o1() -> Figure {
+    let observed = |b: KernelConfigBuilder| b.observe(ObserveConfig::default()).build();
+    let unmod = observed(unmodified_screend());
+    let polled = observed(polled_feedback(Quota::Limited(10)));
+    Figure {
+        id: "O-1",
+        caption: "Online livelock detection: onset time and starved flows vs offered load",
+        curves: vec![
+            curve("Unmodified onset", unmod.clone(), Axis::LivelockOnsetMillis),
+            curve("Polling w/feedback onset", polled.clone(), Axis::LivelockOnsetMillis),
+            curve("Unmodified starved flows", unmod, Axis::StarvedFlows),
+            curve("Polling w/feedback starved flows", polled, Axis::StarvedFlows),
+        ],
+        xs: vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0],
+        sweep: Sweep::Rate,
+        flows: Some(o1_flows()),
+        gate: observe_shape_violations,
+        gate_exit: codes::FIGURES_OBSERVE,
+    }
+}
+
+/// The fixed eight-flow port set every P-1 trial cycles its packets
+/// through: one `Control` flow, one `Realtime` flow and six `Bulk`
+/// flows, so offered load splits 1/8 : 1/8 : 6/8 across the classes.
+pub fn p1_flows() -> Vec<u16> {
+    vec![7_000, 7_100, 7_200, 7_201, 7_202, 7_203, 7_204, 7_205]
+}
+
+/// The classification policy figure P-1 (and `chaos --priority`) runs:
+/// source port 7000 is `Control`, 7100 is `Realtime`, everything else
+/// falls to the default `Bulk` class.
+///
+/// The shed hysteresis is tighter than the config default because the
+/// screend queue — the bottleneck the controller watches — is FIFO:
+/// every packet already admitted ahead of a `Control` packet adds a
+/// full service time (~hundreds of microseconds) to its sojourn, so
+/// meeting a single-digit-millisecond SLO means shedding early enough
+/// that the queue stays shallow, not just short of overflow.
+pub fn p1_classify_config() -> ClassifyConfig {
+    ClassifyConfig {
+        rules: vec![
+            MatchRule::src_port(7_000, TrafficClass::Control),
+            MatchRule::src_port(7_100, TrafficClass::Realtime),
+        ],
+        shed: livelock_kernel::config::ShedConfig {
+            shed_hi_frac: 0.125,
+            restore_lo_frac: 0.0,
+            min_hold_ticks: 2,
+        },
+        slo_p99_us: 5_000.0,
+        ..ClassifyConfig::default()
+    }
+}
+
+/// Figure P-1: priority-aware overload. Per-class delivered throughput
+/// and `Control` p99 latency versus offered load for the polled kernel
+/// with classification (strict-priority drain + SLO-guarded shedding),
+/// against the single-class unmodified kernel — both routing through
+/// screend, both fed the same eight-flow mix ([`p1_flows`]).
+fn fig_p1() -> Figure {
+    use TrafficClass::{Bulk, Control, Realtime};
+    let classified = KernelConfig::builder()
+        .polled(Quota::Limited(10))
+        .screend(Default::default())
+        .classes(p1_classify_config())
+        .build();
+    let unmod = unmodified_screend().build();
+    let delivered = Axis::ClassDeliveredPps;
+    Figure {
+        id: "P-1",
+        caption: "Priority-aware overload: per-class delivery and Control p99 vs offered load",
+        curves: vec![
+            curve("Classified control delivered", classified.clone(), delivered(Control)),
+            curve("Classified realtime delivered", classified.clone(), delivered(Realtime)),
+            curve("Classified bulk delivered", classified.clone(), delivered(Bulk)),
+            curve("Unmodified delivered", unmod.clone(), Axis::DeliveredPps),
+            curve("Classified control p99", classified, Axis::ClassLatencyP99Micros(Control)),
+            curve("Unmodified p99", unmod, Axis::LatencyP99Micros),
+        ],
+        xs: throughput_rates(),
+        sweep: Sweep::Rate,
+        flows: Some(p1_flows()),
+        gate: priority_shape_violations,
+        gate_exit: codes::FIGURES_PRIORITY,
+    }
+}
+
+/// The figure table: the paper's six figures in paper order, then the
+/// extension figures — latency (L-1), the cycle-ledger CPU decomposition
+/// (C-1), SMP scaling (S-1), fault storms (R-1), online detection (O-1)
+/// and priority classes (P-1). The order is the order `figures` prints.
+pub fn figure_table() -> Vec<Figure> {
     vec![
         fig6_1(),
         fig6_3(),
@@ -374,47 +559,40 @@ pub fn all_figures() -> Vec<Figure> {
         fig_latency(),
         fig_c1(),
         fig_s1(),
+        fig_r1(),
+        fig_o1(),
+        fig_p1(),
     ]
 }
 
-/// Packets per trial. The paper used 10,000; the full-fidelity value is
-/// used by the `figures` binary, while Criterion benches use fewer to keep
-/// iteration times sane.
-pub const PAPER_TRIAL_PACKETS: usize = 10_000;
-
-/// Runs one figure curve: a sweep of trials over the figure's rates.
-pub fn run_curve(
-    label: &str,
-    config: &KernelConfig,
-    rates: &[f64],
-    n_packets: usize,
-    par: Parallelism,
-) -> SweepResult {
-    let base = TrialSpec {
-        n_packets,
-        ..TrialSpec::new(config.clone())
-    };
-    sweep(label, &base, rates, par)
+/// The first nine rows of [`figure_table`] — everything before R-1.
+/// Kept for the frozen `benchmark/`, which links this name and appends
+/// R-1, O-1 and P-1 itself through the `render_fig_*` entry points below;
+/// everything else iterates [`figure_table`].
+pub fn all_figures() -> Vec<Figure> {
+    let mut table = figure_table();
+    table.truncate(9);
+    table
 }
 
-/// A rendered figure: one row per rate, one column per curve.
+/// Packets per trial at full fidelity (the paper used 10,000); `figures
+/// --quick` runs 2,000.
+pub const PAPER_TRIAL_PACKETS: usize = 10_000;
+
+/// A rendered figure: one row per x value, one column per curve.
 pub struct RenderedFigure {
     /// Which figure.
     pub id: &'static str,
     /// Caption.
     pub caption: &'static str,
-    /// The swept x-axis values (input rates for the paper figures,
-    /// fault intensities for R-1).
-    pub rates: Vec<f64>,
+    /// The swept x values ([`Figure::xs`]).
+    pub xs: Vec<f64>,
     /// Per-curve results.
     pub curves: Vec<SweepResult>,
-    /// What the value column plots.
-    pub axis: Axis,
-    /// Per-curve axis overrides (see [`Figure::curve_axes`]).
-    pub curve_axes: Vec<Axis>,
-    /// Header label for the x column (`input_pps` for rate sweeps,
-    /// `fault_intensity` for R-1).
-    pub x_label: &'static str,
+    /// What each curve's value column plots, parallel to `curves`.
+    pub axes: Vec<Axis>,
+    /// What an x value means; names the x column ([`Sweep::x_label`]).
+    pub sweep: Sweep,
 }
 
 /// Formats an x-axis value: integral rates print bare (as every
@@ -429,16 +607,10 @@ fn fmt_x(x: f64) -> String {
 }
 
 impl RenderedFigure {
-    /// The axis a specific curve plots: its override when the figure has
-    /// per-curve axes, the figure-wide [`RenderedFigure::axis`] otherwise.
-    pub fn curve_axis(&self, curve: usize) -> Axis {
-        self.curve_axes.get(curve).copied().unwrap_or(self.axis)
-    }
-
     /// Value for (curve, point), in the units of that curve's axis.
     pub fn value(&self, curve: usize, point: usize) -> f64 {
         let t = &self.curves[curve].trials[point];
-        match self.curve_axis(curve) {
+        match self.axes[curve] {
             Axis::DeliveredPps => t.delivered_pps,
             Axis::UserCpuPercent => t.aggregate().user_cpu_frac * 100.0,
             Axis::LatencyP99Micros => t.latency_p99.as_micros_f64(),
@@ -486,13 +658,13 @@ impl RenderedFigure {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# Figure {}: {}", self.id, self.caption);
-        let _ = write!(out, "{:>12}", self.x_label);
+        let _ = write!(out, "{:>12}", self.sweep.x_label());
         for c in &self.curves {
             let _ = write!(out, "  {:>24}", c.label.replace(' ', "_"));
         }
         let _ = writeln!(out);
-        for (pi, rate) in self.rates.iter().enumerate() {
-            let _ = write!(out, "{:>12}", fmt_x(*rate));
+        for (pi, x) in self.xs.iter().enumerate() {
+            let _ = write!(out, "{:>12}", fmt_x(*x));
             for ci in 0..self.curves.len() {
                 let _ = write!(out, "  {:>24.1}", self.value(ci, pi));
             }
@@ -505,13 +677,13 @@ impl RenderedFigure {
     pub fn to_csv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(out, "{}", self.x_label);
+        let _ = write!(out, "{}", self.sweep.x_label());
         for c in &self.curves {
             let _ = write!(out, ",{}", c.label.replace(',', ";"));
         }
         let _ = writeln!(out);
-        for (pi, rate) in self.rates.iter().enumerate() {
-            let _ = write!(out, "{}", fmt_x(*rate));
+        for (pi, x) in self.xs.iter().enumerate() {
+            let _ = write!(out, "{}", fmt_x(*x));
             for ci in 0..self.curves.len() {
                 let _ = write!(out, ",{:.2}", self.value(ci, pi));
             }
@@ -520,14 +692,17 @@ impl RenderedFigure {
         out
     }
 
-    /// One-line shape summary per curve: MLFRR, peak, tail, verdict.
+    /// One-line shape summary per curve — MLFRR, stability, verdict over
+    /// its (offered, delivered) points — for a throughput figure: a rate
+    /// sweep whose leading curve plots the delivered rate. Empty for
+    /// every other figure, whose curves are not throughput shapes.
     pub fn shape_summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        if self.sweep != Sweep::Rate || self.axes.first() != Some(&Axis::DeliveredPps) {
+            return out;
+        }
         for c in &self.curves {
-            if self.axis != Axis::DeliveredPps {
-                continue;
-            }
             let pts = c.points();
             let m = mlfrr(&pts, 0.95).unwrap_or(0.0);
             let stab = overload_stability(&pts);
@@ -542,590 +717,128 @@ impl RenderedFigure {
     }
 }
 
-/// Regenerates one figure at the given trial size.
+/// Renders one row of the table at the given trial size.
 ///
-/// The work list is the flattened (curve × rate) grid, not per-curve
-/// sweeps, so the available parallelism is `curves.len() * rates.len()`
-/// trials (e.g. 60 for Figure 6-5) rather than just one curve's rates.
+/// The work list is the flattened (curve × x) grid, not per-curve
+/// sweeps, so the available parallelism is `curves.len() * xs.len()`
+/// trials (e.g. 60 for Figure 6-5) rather than just one curve's points.
 /// Every trial is independently seeded, so the output is bit-for-bit
 /// identical across every [`Parallelism`] choice.
 pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> RenderedFigure {
-    render_figure_with_scheduler(fig, n_packets, par, None)
-}
-
-/// [`render_figure`] with the engine's event-scheduler backend forced to
-/// `scheduler` (`None` keeps each curve's configured backend — the
-/// heap default). Both backends dispatch identically, so the figure's
-/// numbers cannot depend on this choice; the `perf --json` trajectory
-/// harness uses the override to time heap vs calendar on the same trials.
-pub fn render_figure_with_scheduler(
-    fig: &Figure,
-    n_packets: usize,
-    par: Parallelism,
-    scheduler: Option<SchedulerKind>,
-) -> RenderedFigure {
-    let work: Vec<(usize, f64)> = fig
+    let work: Vec<(&Curve, f64)> = fig
         .curves
         .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| fig.rates.iter().map(move |&r| (ci, r)))
+        .flat_map(|c| fig.xs.iter().map(move |&x| (c, x)))
         .collect();
-    let mut trials = par_map(&work, par.jobs(), |&(ci, rate_pps)| {
-        let (_, cfg) = &fig.curves[ci];
-        let mut cfg = cfg.clone();
-        if let Some(kind) = scheduler {
-            cfg.scheduler = kind;
-        }
+    let mut trials = par_map(&work, par.jobs(), |&(curve, x)| {
+        let mut config = curve.config.clone();
+        let rate_pps = match fig.sweep {
+            Sweep::Rate => x,
+            Sweep::Storm { rate_pps } => {
+                // Intensity 0 leaves the plan out entirely, making the
+                // baseline row provably identical to a fault-free build.
+                let plan = storm(&config, x, rate_pps, n_packets);
+                if !plan.is_empty() {
+                    config.faults = Some(plan);
+                }
+                rate_pps
+            }
+        };
         run_trial(&TrialSpec {
             rate_pps,
             n_packets,
-            ..TrialSpec::new(cfg)
+            flows: fig.flows.clone(),
+            ..TrialSpec::new(config)
         })
     })
     .into_iter();
     let curves = fig
         .curves
         .iter()
-        .map(|(label, _)| SweepResult {
-            label: label.clone(),
-            trials: trials.by_ref().take(fig.rates.len()).collect(),
+        .map(|c| SweepResult {
+            label: c.label.clone(),
+            trials: trials.by_ref().take(fig.xs.len()).collect(),
         })
         .collect();
     RenderedFigure {
         id: fig.id,
         caption: fig.caption,
-        rates: fig.rates.clone(),
+        xs: fig.xs.clone(),
         curves,
-        axis: fig.axis,
-        curve_axes: fig.curve_axes.clone(),
-        x_label: "input_pps",
+        axes: fig.curves.iter().map(|c| c.axis).collect(),
+        sweep: fig.sweep,
     }
 }
 
-/// The fault intensities figure R-1 sweeps (0 = the fault-free
-/// baseline; the storm's event count scales linearly with intensity).
-pub fn r1_intensities() -> Vec<f64> {
-    vec![0.0, 0.5, 1.0, 2.0, 4.0]
+/// [`render_figure`] with every curve's event-scheduler backend forced
+/// to `scheduler` (`None` keeps the configured one — the heap default).
+/// An entry point the frozen `benchmark/` links to time heap vs calendar
+/// on the same trials; both dispatch identically, so no number moves.
+pub fn render_figure_with_scheduler(
+    fig: &Figure,
+    n_packets: usize,
+    par: Parallelism,
+    scheduler: Option<SchedulerKind>,
+) -> RenderedFigure {
+    let Some(kind) = scheduler else {
+        return render_figure(fig, n_packets, par);
+    };
+    let mut forced = fig.clone();
+    forced.curves.iter_mut().for_each(|c| c.config.scheduler = kind);
+    render_figure(&forced, n_packets, par)
 }
 
-/// R-1's fixed offered load: past the screend path's MLFRR (≈ 2000
-/// pkts/s), where the unmodified kernel is already sliding down its
-/// overload curve while the polled kernel holds its plateau — fault
-/// damage separates the two instead of vanishing into headroom.
-pub const R1_RATE_PPS: f64 = 3_000.0;
-
-/// The seed every R-1 storm derives from: the figure is a deterministic
-/// function of (seed, intensity, trial length) only.
-pub const R1_STORM_SEED: u64 = 0xFA17;
-
-/// The seeded storm R-1 injects at one intensity into a trial of
-/// `n_packets` at [`R1_RATE_PPS`]: the storm window covers the middle
-/// 80% of the trial, clear of warm-up and tail.
-pub fn r1_storm(config: &KernelConfig, intensity: f64, n_packets: usize) -> FaultPlan {
-    let freq = config.cost.freq;
-    let total_ms = (n_packets as f64 / R1_RATE_PPS * 1_000.0) as u64;
-    FaultPlan::storm(
-        R1_STORM_SEED,
-        intensity,
-        freq.cycles_from_millis(total_ms / 10),
-        freq.cycles_from_millis(total_ms * 9 / 10),
-    )
-}
-
-/// Figure R-1: graceful degradation under a seeded fault storm.
-/// Delivered throughput and p99 latency versus fault intensity at a
-/// fixed offered load, unmodified vs polled-with-feedback, both routing
-/// through screend. Rendered outside [`all_figures`] because its x-axis
-/// is fault intensity, not input rate.
+/// Figure R-1 by name: an entry point the frozen `benchmark/` links;
+/// everything else renders the row from [`figure_table`].
 pub fn render_fig_r1(n_packets: usize, par: Parallelism) -> RenderedFigure {
-    let unmod = KernelConfig::builder().screend(Default::default()).build();
-    let polled = KernelConfig::builder()
-        .polled(Quota::Limited(10))
-        .screend(Default::default())
-        .feedback(Default::default())
-        .build();
-    let curve_defs: Vec<(String, KernelConfig, Axis)> = vec![
-        ("Unmodified delivered".into(), unmod.clone(), Axis::DeliveredPps),
-        ("Polling w/feedback delivered".into(), polled.clone(), Axis::DeliveredPps),
-        ("Unmodified p99".into(), unmod, Axis::LatencyP99Micros),
-        ("Polling w/feedback p99".into(), polled, Axis::LatencyP99Micros),
-    ];
-    let intensities = r1_intensities();
-    let work: Vec<(usize, f64)> = curve_defs
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| intensities.iter().map(move |&x| (ci, x)))
-        .collect();
-    let mut trials = par_map(&work, par.jobs(), |&(ci, intensity)| {
-        let (_, cfg, _) = &curve_defs[ci];
-        let mut cfg = cfg.clone();
-        let plan = r1_storm(&cfg, intensity, n_packets);
-        // Intensity 0 leaves the plan out entirely, making the baseline
-        // column provably identical to a fault-free build.
-        if !plan.is_empty() {
-            cfg.faults = Some(plan);
-        }
-        run_trial(&TrialSpec {
-            rate_pps: R1_RATE_PPS,
-            n_packets,
-            ..TrialSpec::new(cfg)
-        })
-    })
-    .into_iter();
-    let curves = curve_defs
-        .iter()
-        .map(|(label, _, _)| SweepResult {
-            label: label.clone(),
-            trials: trials.by_ref().take(intensities.len()).collect(),
-        })
-        .collect();
-    RenderedFigure {
-        id: "R-1",
-        caption: "Graceful degradation under seeded fault storm (3000 pkts/s offered)",
-        rates: intensities,
-        curves,
-        axis: Axis::DeliveredPps,
-        curve_axes: curve_defs.iter().map(|&(_, _, a)| a).collect(),
-        x_label: "fault_intensity",
-    }
+    render_figure(&fig_r1(), n_packets, par)
 }
 
-/// The offered rates figure O-1 sweeps: from well under the screend
-/// path's MLFRR (≈ 2000 pkts/s) to deep overload, so the onset curve
-/// shows livelock arriving earlier as load climbs past the knee.
-pub fn o1_rates() -> Vec<f64> {
-    vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0]
-}
-
-/// The fixed eight-flow port set every O-1 trial cycles its packets
-/// through: enough distinct flows that the starved-flow count carries
-/// signal, few enough that each flow still sees a loaded detector
-/// window at every swept rate.
-pub fn o1_flows() -> Vec<u16> {
-    (0..8).map(|i| 6_000 + i * 17).collect()
-}
-
-/// Figure O-1: online livelock detection. Time-to-livelock-onset (in
-/// simulated milliseconds; 0 = never) and starved-flow count versus
-/// offered load, unmodified vs polled-with-feedback, both routing
-/// through screend with the observability layer enabled. Rendered
-/// outside [`all_figures`] because its y-axes are detector outputs, not
-/// throughput.
+/// Figure O-1 by name (see [`render_fig_r1`]).
 pub fn render_fig_o1(n_packets: usize, par: Parallelism) -> RenderedFigure {
-    let unmod = KernelConfig::builder()
-        .screend(Default::default())
-        .observe(ObserveConfig::default())
-        .build();
-    let polled = KernelConfig::builder()
-        .polled(Quota::Limited(10))
-        .screend(Default::default())
-        .feedback(Default::default())
-        .observe(ObserveConfig::default())
-        .build();
-    let curve_defs: Vec<(String, KernelConfig, Axis)> = vec![
-        ("Unmodified onset".into(), unmod.clone(), Axis::LivelockOnsetMillis),
-        (
-            "Polling w/feedback onset".into(),
-            polled.clone(),
-            Axis::LivelockOnsetMillis,
-        ),
-        ("Unmodified starved flows".into(), unmod, Axis::StarvedFlows),
-        ("Polling w/feedback starved flows".into(), polled, Axis::StarvedFlows),
-    ];
-    let rates = o1_rates();
-    let work: Vec<(usize, f64)> = curve_defs
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| rates.iter().map(move |&r| (ci, r)))
-        .collect();
-    let mut trials = par_map(&work, par.jobs(), |&(ci, rate_pps)| {
-        let (_, cfg, _) = &curve_defs[ci];
-        run_trial(&TrialSpec {
-            rate_pps,
-            n_packets,
-            flows: Some(o1_flows()),
-            ..TrialSpec::new(cfg.clone())
-        })
-    })
-    .into_iter();
-    let curves = curve_defs
-        .iter()
-        .map(|(label, _, _)| SweepResult {
-            label: label.clone(),
-            trials: trials.by_ref().take(rates.len()).collect(),
-        })
-        .collect();
-    RenderedFigure {
-        id: "O-1",
-        caption: "Online livelock detection: onset time and starved flows vs offered load",
-        rates,
-        curves,
-        axis: Axis::LivelockOnsetMillis,
-        curve_axes: curve_defs.iter().map(|&(_, _, a)| a).collect(),
-        x_label: "input_pps",
-    }
+    render_figure(&fig_o1(), n_packets, par)
 }
 
-/// Checks the rendered observability figure (O-1) against the online
-/// detector's claims. Returns human-readable violations (empty = the
-/// claims hold):
-///
-/// - the unmodified kernel shows no onset below the screend MLFRR and a
-///   positive onset cycle-stamp at the heaviest load — and once a swept
-///   rate livelocks, every heavier rate does too;
-/// - the polled kernel with feedback never produces an onset at any
-///   swept rate (livelock avoidance), and never starves more flows than
-///   the unmodified kernel does at the same rate (the feedback gate may
-///   leave a flow briefly unserved, but must not be *worse* than
-///   livelock);
-/// - at the heaviest load the unmodified kernel starves at least half
-///   the tracked flow set (under livelock nothing is served, so the
-///   per-flow watch must fire broadly) and strictly more flows than the
-///   polled kernel.
-pub fn observe_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    if r.id != "O-1" {
-        return v;
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.to_lowercase().contains(needle))
-    };
-    let (Some(u_on), Some(p_on), Some(u_st), Some(p_st)) = (
-        find("unmodified onset"),
-        find("feedback onset"),
-        find("unmodified starved"),
-        find("feedback starved"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs unmodified and polling-with-feedback onset and starved-flow curves",
-            r.id
-        ));
-        return v;
-    };
-    let last = r.rates.len() - 1;
-    if r.value(u_on, 0) != 0.0 {
-        v.push(format!(
-            "fig {}: unmodified kernel reports livelock onset at {:.0} pkts/s, \
-             below the screend MLFRR",
-            r.id, r.rates[0]
-        ));
-    }
-    if r.value(u_on, last) <= 0.0 {
-        v.push(format!(
-            "fig {}: unmodified kernel reports no livelock onset at {:.0} pkts/s \
-             (deep overload)",
-            r.id, r.rates[last]
-        ));
-    }
-    if let Some(first) = (0..r.rates.len()).find(|&pi| r.value(u_on, pi) > 0.0) {
-        for pi in first..r.rates.len() {
-            if r.value(u_on, pi) <= 0.0 {
-                v.push(format!(
-                    "fig {}: unmodified kernel livelocks at {:.0} pkts/s but not at \
-                     the heavier {:.0} pkts/s",
-                    r.id, r.rates[first], r.rates[pi]
-                ));
-            }
-        }
-    }
-    for pi in 0..r.rates.len() {
-        if r.value(p_on, pi) != 0.0 {
-            v.push(format!(
-                "fig {}: polled kernel reports livelock onset at {:.0} pkts/s",
-                r.id, r.rates[pi]
-            ));
-        }
-        if r.value(p_st, pi) > r.value(u_st, pi) {
-            v.push(format!(
-                "fig {}: polled kernel starves more flows than unmodified at \
-                 {:.0} pkts/s ({:.0} vs {:.0})",
-                r.id,
-                r.rates[pi],
-                r.value(p_st, pi),
-                r.value(u_st, pi)
-            ));
-        }
-    }
-    let half_flows = o1_flows().len() as f64 / 2.0;
-    if r.value(u_st, last) < half_flows {
-        v.push(format!(
-            "fig {}: unmodified kernel starves only {:.0} flows at {:.0} pkts/s \
-             (livelock serves nothing, so the per-flow watch must fire broadly)",
-            r.id,
-            r.value(u_st, last),
-            r.rates[last]
-        ));
-    }
-    if r.value(p_st, last) >= r.value(u_st, last) {
-        v.push(format!(
-            "fig {}: polled kernel starves as many flows as unmodified at \
-             {:.0} pkts/s ({:.0} vs {:.0})",
-            r.id,
-            r.rates[last],
-            r.value(p_st, last),
-            r.value(u_st, last)
-        ));
-    }
-    v
-}
-
-/// The fixed eight-flow port set every P-1 trial cycles its packets
-/// through: one `Control` flow, one `Realtime` flow and six `Bulk`
-/// flows, so offered load splits 1/8 : 1/8 : 6/8 across the classes.
-pub fn p1_flows() -> Vec<u16> {
-    vec![7_000, 7_100, 7_200, 7_201, 7_202, 7_203, 7_204, 7_205]
-}
-
-/// The classification policy figure P-1 (and `chaos --priority`) runs:
-/// source port 7000 is `Control`, 7100 is `Realtime`, everything else
-/// falls to the default `Bulk` class.
-///
-/// The shed hysteresis is tighter than the config default because the
-/// screend queue — the bottleneck the controller watches — is FIFO:
-/// every packet already admitted ahead of a `Control` packet adds a
-/// full service time (~hundreds of microseconds) to its sojourn, so
-/// meeting a single-digit-millisecond SLO means shedding early enough
-/// that the queue stays shallow, not just short of overflow.
-pub fn p1_classify_config() -> ClassifyConfig {
-    ClassifyConfig {
-        rules: vec![
-            MatchRule::src_port(7_000, TrafficClass::Control),
-            MatchRule::src_port(7_100, TrafficClass::Realtime),
-        ],
-        shed: livelock_kernel::config::ShedConfig {
-            shed_hi_frac: 0.125,
-            restore_lo_frac: 0.0,
-            min_hold_ticks: 2,
-        },
-        slo_p99_us: 5_000.0,
-        ..ClassifyConfig::default()
-    }
-}
-
-/// Figure P-1: priority-aware overload. Per-class delivered throughput
-/// and `Control` p99 latency versus offered load for the polled kernel
-/// with classification (strict-priority drain + SLO-guarded shedding),
-/// against the single-class unmodified kernel — both routing through
-/// screend, both fed the same eight-flow mix ([`p1_flows`]). Rendered
-/// outside [`all_figures`] because its y-axes mix per-class rates and
-/// latencies.
+/// Figure P-1 by name (see [`render_fig_r1`]).
 pub fn render_fig_p1(n_packets: usize, par: Parallelism) -> RenderedFigure {
-    let classified = KernelConfig::builder()
-        .polled(Quota::Limited(10))
-        .screend(Default::default())
-        .classes(p1_classify_config())
-        .build();
-    let unmod = KernelConfig::builder().screend(Default::default()).build();
-    let curve_defs: Vec<(String, KernelConfig, Axis)> = vec![
-        (
-            "Classified control delivered".into(),
-            classified.clone(),
-            Axis::ClassDeliveredPps(TrafficClass::Control),
-        ),
-        (
-            "Classified realtime delivered".into(),
-            classified.clone(),
-            Axis::ClassDeliveredPps(TrafficClass::Realtime),
-        ),
-        (
-            "Classified bulk delivered".into(),
-            classified.clone(),
-            Axis::ClassDeliveredPps(TrafficClass::Bulk),
-        ),
-        ("Unmodified delivered".into(), unmod.clone(), Axis::DeliveredPps),
-        (
-            "Classified control p99".into(),
-            classified,
-            Axis::ClassLatencyP99Micros(TrafficClass::Control),
-        ),
-        ("Unmodified p99".into(), unmod, Axis::LatencyP99Micros),
-    ];
-    let rates = throughput_rates();
-    let work: Vec<(usize, f64)> = curve_defs
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| rates.iter().map(move |&r| (ci, r)))
-        .collect();
-    let mut trials = par_map(&work, par.jobs(), |&(ci, rate_pps)| {
-        let (_, cfg, _) = &curve_defs[ci];
-        run_trial(&TrialSpec {
-            rate_pps,
-            n_packets,
-            flows: Some(p1_flows()),
-            ..TrialSpec::new(cfg.clone())
-        })
-    })
-    .into_iter();
-    let curves = curve_defs
-        .iter()
-        .map(|(label, _, _)| SweepResult {
-            label: label.clone(),
-            trials: trials.by_ref().take(rates.len()).collect(),
-        })
-        .collect();
-    RenderedFigure {
-        id: "P-1",
-        caption: "Priority-aware overload: per-class delivery and Control p99 vs offered load",
-        rates,
-        curves,
-        axis: Axis::DeliveredPps,
-        curve_axes: curve_defs.iter().map(|(_, _, a)| *a).collect(),
-        x_label: "input_pps",
-    }
+    render_figure(&fig_p1(), n_packets, par)
 }
 
-/// Checks the rendered priority figure (P-1) against the tentpole's
-/// claims. Returns human-readable violations (empty = the claims hold):
-///
-/// - `Control` is never shed and its p99 meets the SLO at every swept
-///   rate — including the deep-overload rates where the single-class
-///   unmodified kernel has collapsed (delivery under 10% of offered and
-///   p99 far above the classified `Control`'s);
-/// - at the heaviest load the classified kernel still delivers
-///   near-all of the offered `Control` share (its 1/8 of the mix);
-/// - the shedding lands on `Bulk`: bulk sheds dominate realtime sheds,
-///   and per-class arrived/delivered/shed counters stay consistent
-///   (shed + delivered never exceeds arrived).
-pub fn priority_shape_violations(r: &RenderedFigure) -> Vec<String> {
+/// The first curve whose lower-cased label contains `needle`: how the
+/// gates name the curves they compare.
+fn find_curve(r: &RenderedFigure, needle: &str) -> Option<usize> {
+    r.curves
+        .iter()
+        .position(|c| c.label.to_lowercase().contains(needle))
+}
+
+/// One violation per CPU of any trial whose nine class shares do not sum
+/// to 1: the ledger conservation invariant, as it survives the whole
+/// pipeline on every CPU of every cluster size.
+fn ledger_violations(r: &RenderedFigure) -> Vec<String> {
     let mut v = Vec::new();
-    if r.id != "P-1" {
-        return v;
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.to_lowercase().contains(needle))
-    };
-    let (Some(ctrl), Some(u_del), Some(ctrl_p99), Some(u_p99)) = (
-        find("control delivered"),
-        find("unmodified delivered"),
-        find("control p99"),
-        find("unmodified p99"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs classified control delivered/p99 and unmodified delivered/p99 curves",
-            r.id
-        ));
-        return v;
-    };
-    let slo_us = p1_classify_config().slo_p99_us;
-    let n_flows = p1_flows().len() as f64;
-    let last = r.rates.len() - 1;
-    for (pi, &rate) in r.rates.iter().enumerate() {
-        let p99 = r.value(ctrl_p99, pi);
-        if p99 > slo_us {
-            v.push(format!(
-                "fig {}: classified Control p99 is {p99:.0} us at {rate:.0} pkts/s, \
-                 above the {slo_us:.0} us SLO",
-                r.id
-            ));
-        }
-        for t in r.curves[ctrl].trials.get(pi).iter().copied() {
-            for s in t.per_class() {
-                if s.shed + s.delivered > s.arrived {
+    for c in &r.curves {
+        for t in &c.trials {
+            for cpu in t.per_cpu() {
+                let sum: f64 = cpu.cpu_share.iter().sum();
+                if (sum - 1.0).abs() > 1e-9 {
                     v.push(format!(
-                        "fig {}: class {} shed {} + delivered {} exceeds arrived {} \
-                         at {rate:.0} pkts/s",
-                        r.id,
-                        s.class.label(),
-                        s.shed,
-                        s.delivered,
-                        s.arrived
-                    ));
-                }
-                if s.class == TrafficClass::Control && s.shed > 0 {
-                    v.push(format!(
-                        "fig {}: {} Control packets shed at {rate:.0} pkts/s \
-                         (Control must never be shed)",
-                        r.id, s.shed
+                        "fig {}: {} cpu {:?} cpu_share sums to {sum}, not 1 \
+                         (ledger not conserved)",
+                        r.id, c.label, cpu.cpu
                     ));
                 }
             }
         }
     }
-    // Deep overload: the unmodified kernel has collapsed...
-    let u = r.value(u_del, last);
-    if u > 0.10 * r.rates[last] {
-        v.push(format!(
-            "fig {}: unmodified kernel still delivers {u:.0} pkts/s at {:.0} offered; \
-             expected collapse below 10%",
-            r.id, r.rates[last]
-        ));
-    }
-    // ...while the classified kernel still serves Control's full share.
-    let ctrl_share = r.rates[last] / n_flows;
-    let c = r.value(ctrl, last);
-    if c < 0.9 * ctrl_share {
-        v.push(format!(
-            "fig {}: classified Control delivers {c:.0} pkts/s at {:.0} offered, \
-             expected >= 90% of its {ctrl_share:.0} pkts/s share",
-            r.id, r.rates[last]
-        ));
-    }
-    // Once livelocked the unmodified kernel delivers nothing and its p99
-    // reads 0, so the latency comparison uses each curve's worst point.
-    let max_of = |ci: usize| {
-        (0..r.rates.len())
-            .map(|pi| r.value(ci, pi))
-            .fold(0.0_f64, f64::max)
-    };
-    if max_of(u_p99) < 2.0 * max_of(ctrl_p99).max(1.0) {
-        v.push(format!(
-            "fig {}: worst unmodified p99 ({:.0} us) does not sit well above the worst \
-             classified Control p99 ({:.0} us)",
-            r.id,
-            max_of(u_p99),
-            max_of(ctrl_p99)
-        ));
-    }
-    // The shedding lands on Bulk: at the heaviest rate bulk sheds exist
-    // and dominate.
-    if let Some(t) = r.curves[ctrl].trials.last() {
-        let shed_of = |c: TrafficClass| {
-            t.per_class()
-                .iter()
-                .find(|s| s.class == c)
-                .map_or(0, |s| s.shed)
-        };
-        let bulk = shed_of(TrafficClass::Bulk);
-        if bulk == 0 {
-            v.push(format!(
-                "fig {}: no Bulk packets shed at {:.0} pkts/s (the gate never engaged)",
-                r.id, r.rates[last]
-            ));
-        }
-        if shed_of(TrafficClass::Realtime) > bulk {
-            v.push(format!(
-                "fig {}: Realtime sheds exceed Bulk sheds at {:.0} pkts/s \
-                 (shedding must land on the lowest class first)",
-                r.id, r.rates[last]
-            ));
-        }
-    }
     v
-}
-
-/// Convenience for benches: a single trial of a figure's first curve at a
-/// representative overload rate.
-pub fn one_overload_trial(fig: &Figure, curve: usize, n_packets: usize) -> f64 {
-    let (_, cfg) = &fig.curves[curve];
-    let r = run_trial(&TrialSpec {
-        rate_pps: 8_000.0,
-        n_packets,
-        ..TrialSpec::new(cfg.clone())
-    });
-    r.delivered_pps
 }
 
 /// Checks a rendered throughput figure against the paper's qualitative
-/// shape, returning human-readable violations (empty = shape holds).
+/// shape, returning human-readable violations (empty = shape holds). A
+/// row with no expectation registered here (7-1) passes vacuously.
 pub fn shape_violations(r: &RenderedFigure) -> Vec<String> {
     let mut v = Vec::new();
-    if r.axis != Axis::DeliveredPps {
-        return v;
-    }
     for c in &r.curves {
         let pts = c.points();
         let label = &c.label;
@@ -1171,29 +884,22 @@ pub fn shape_violations(r: &RenderedFigure) -> Vec<String> {
 /// interruption. Returns human-readable violations (empty = shape holds).
 pub fn latency_shape_violations(r: &RenderedFigure) -> Vec<String> {
     let mut v = Vec::new();
-    if r.axis != Axis::LatencyP99Micros {
-        return v;
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.to_lowercase().contains(needle))
-    };
-    let (Some(unmod), Some(polled)) = (find("unmodified"), find("polling")) else {
+    let (Some(unmod), Some(polled)) = (find_curve(r, "unmodified"), find_curve(r, "polling"))
+    else {
         v.push(format!(
             "fig {}: latency figure needs an unmodified and a polling curve",
             r.id
         ));
         return v;
     };
-    let last = r.rates.len() - 1;
+    let last = r.xs.len() - 1;
     let unmod_p99 = r.value(unmod, last);
     let polled_p99 = r.value(polled, last);
     if polled_p99 * 2.0 > unmod_p99 {
         v.push(format!(
             "fig {}: at {:.0} pkts/s polled p99 ({polled_p99:.0} us) is not \
              well below unmodified p99 ({unmod_p99:.0} us)",
-            r.id, r.rates[last]
+            r.id, r.xs[last]
         ));
     }
     v
@@ -1212,33 +918,11 @@ pub fn latency_shape_violations(r: &RenderedFigure) -> Vec<String> {
 ///   keeps user+idle above 35% (the limit's floor: 50% minus the fixed
 ///   clock/scheduler overhead; the paper's Figure 7-1 measured ~40%).
 pub fn cpu_share_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    if !matches!(r.axis, Axis::RxIntrCpuPercent | Axis::UserIdleCpuPercent) {
-        return v;
-    }
-    for c in &r.curves {
-        for t in &c.trials {
-            for cpu in t.per_cpu() {
-                let sum: f64 = cpu.cpu_share.iter().sum();
-                if (sum - 1.0).abs() > 1e-9 {
-                    v.push(format!(
-                        "fig {}: {} cpu {:?} cpu_share sums to {sum}, not 1 \
-                         (ledger not conserved)",
-                        r.id, c.label, cpu.cpu
-                    ));
-                }
-            }
-        }
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.to_lowercase().contains(needle))
-    };
+    let mut v = ledger_violations(r);
     let (Some(unmod_rx), Some(unmod_ui), Some(polled_ui)) = (
-        find("unmodified rx-intr"),
-        find("unmodified user+idle"),
-        find("polled user+idle"),
+        find_curve(r, "unmodified rx-intr"),
+        find_curve(r, "unmodified user+idle"),
+        find_curve(r, "polled user+idle"),
     ) else {
         v.push(format!(
             "fig {}: needs unmodified rx-intr/user+idle and polled user+idle curves",
@@ -1246,12 +930,12 @@ pub fn cpu_share_violations(r: &RenderedFigure) -> Vec<String> {
         ));
         return v;
     };
-    let last = r.rates.len() - 1;
+    let last = r.xs.len() - 1;
     let rx = r.value(unmod_rx, last);
     if rx < 90.0 {
         v.push(format!(
             "fig {}: at {:.0} pkts/s unmodified rx-intr share is {rx:.1}%, expected >= 90%",
-            r.id, r.rates[last]
+            r.id, r.xs[last]
         ));
     }
     let t = &r.curves[unmod_rx].trials[last];
@@ -1291,35 +975,14 @@ pub fn cpu_share_violations(r: &RenderedFigure) -> Vec<String> {
 ///   ≤ 1.3× at 4 (the single `ipintrq` and its lock serialize the IP
 ///   layer no matter how many CPUs feed it).
 pub fn smp_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    if r.id != "S-1" {
-        return v;
-    }
-    for c in &r.curves {
-        for t in &c.trials {
-            for cpu in t.per_cpu() {
-                let sum: f64 = cpu.cpu_share.iter().sum();
-                if (sum - 1.0).abs() > 1e-9 {
-                    v.push(format!(
-                        "fig {}: {} cpu {:?} shares sum to {sum}, not 1",
-                        r.id, c.label, cpu.cpu
-                    ));
-                }
-            }
-        }
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.eq_ignore_ascii_case(needle))
-    };
+    let mut v = ledger_violations(r);
     let (Some(u1), Some(u2), Some(u4), Some(p1), Some(p2), Some(p4)) = (
-        find("Unmodified 1 CPU"),
-        find("Unmodified 2 CPUs"),
-        find("Unmodified 4 CPUs"),
-        find("Polling 1 CPU"),
-        find("Polling 2 CPUs"),
-        find("Polling 4 CPUs"),
+        find_curve(r, "unmodified 1 cpu"),
+        find_curve(r, "unmodified 2 cpus"),
+        find_curve(r, "unmodified 4 cpus"),
+        find_curve(r, "polling 1 cpu"),
+        find_curve(r, "polling 2 cpus"),
+        find_curve(r, "polling 4 cpus"),
     ) else {
         v.push(format!(
             "fig {}: needs unmodified and polling curves at 1, 2 and 4 CPUs",
@@ -1372,17 +1035,9 @@ pub fn smp_shape_violations(r: &RenderedFigure) -> Vec<String> {
 /// claim holds).
 pub fn fault_shape_violations(r: &RenderedFigure) -> Vec<String> {
     let mut v = Vec::new();
-    if r.id != "R-1" {
-        return v;
-    }
-    let find = |needle: &str| {
-        r.curves
-            .iter()
-            .position(|c| c.label.to_lowercase().contains(needle))
-    };
     let (Some(unmod), Some(polled)) = (
-        find("unmodified delivered"),
-        find("feedback delivered"),
+        find_curve(r, "unmodified delivered"),
+        find_curve(r, "feedback delivered"),
     ) else {
         v.push(format!(
             "fig {}: needs unmodified and polling-with-feedback delivered curves",
@@ -1390,7 +1045,7 @@ pub fn fault_shape_violations(r: &RenderedFigure) -> Vec<String> {
         ));
         return v;
     };
-    for (pi, &x) in r.rates.iter().enumerate() {
+    for (pi, &x) in r.xs.iter().enumerate() {
         let d = r.value(polled, pi);
         if d <= 0.0 {
             v.push(format!(
@@ -1408,7 +1063,7 @@ pub fn fault_shape_violations(r: &RenderedFigure) -> Vec<String> {
             r.id
         ));
     }
-    let last = r.rates.len() - 1;
+    let last = r.xs.len() - 1;
     let worst = r.value(polled, last);
     if worst < 0.5 * base {
         v.push(format!(
@@ -1428,49 +1083,283 @@ pub fn fault_shape_violations(r: &RenderedFigure) -> Vec<String> {
     v
 }
 
+/// Checks the rendered observability figure (O-1) against the online
+/// detector's claims. Returns human-readable violations (empty = the
+/// claims hold):
+///
+/// - the unmodified kernel shows no onset below the screend MLFRR and a
+///   positive onset cycle-stamp at the heaviest load — and once a swept
+///   rate livelocks, every heavier rate does too;
+/// - the polled kernel with feedback never produces an onset at any
+///   swept rate (livelock avoidance), and never starves more flows than
+///   the unmodified kernel does at the same rate (the feedback gate may
+///   leave a flow briefly unserved, but must not be *worse* than
+///   livelock);
+/// - at the heaviest load the unmodified kernel starves at least half
+///   the tracked flow set (under livelock nothing is served, so the
+///   per-flow watch must fire broadly) and strictly more flows than the
+///   polled kernel.
+pub fn observe_shape_violations(r: &RenderedFigure) -> Vec<String> {
+    let mut v = Vec::new();
+    let (Some(u_on), Some(p_on), Some(u_st), Some(p_st)) = (
+        find_curve(r, "unmodified onset"),
+        find_curve(r, "feedback onset"),
+        find_curve(r, "unmodified starved"),
+        find_curve(r, "feedback starved"),
+    ) else {
+        v.push(format!(
+            "fig {}: needs unmodified and polling-with-feedback onset and starved-flow curves",
+            r.id
+        ));
+        return v;
+    };
+    let last = r.xs.len() - 1;
+    if r.value(u_on, 0) != 0.0 {
+        v.push(format!(
+            "fig {}: unmodified kernel reports livelock onset at {:.0} pkts/s, \
+             below the screend MLFRR",
+            r.id, r.xs[0]
+        ));
+    }
+    if r.value(u_on, last) <= 0.0 {
+        v.push(format!(
+            "fig {}: unmodified kernel reports no livelock onset at {:.0} pkts/s \
+             (deep overload)",
+            r.id, r.xs[last]
+        ));
+    }
+    if let Some(first) = (0..r.xs.len()).find(|&pi| r.value(u_on, pi) > 0.0) {
+        for pi in first..r.xs.len() {
+            if r.value(u_on, pi) <= 0.0 {
+                v.push(format!(
+                    "fig {}: unmodified kernel livelocks at {:.0} pkts/s but not at \
+                     the heavier {:.0} pkts/s",
+                    r.id, r.xs[first], r.xs[pi]
+                ));
+            }
+        }
+    }
+    for pi in 0..r.xs.len() {
+        if r.value(p_on, pi) != 0.0 {
+            v.push(format!(
+                "fig {}: polled kernel reports livelock onset at {:.0} pkts/s",
+                r.id, r.xs[pi]
+            ));
+        }
+        if r.value(p_st, pi) > r.value(u_st, pi) {
+            v.push(format!(
+                "fig {}: polled kernel starves more flows than unmodified at \
+                 {:.0} pkts/s ({:.0} vs {:.0})",
+                r.id,
+                r.xs[pi],
+                r.value(p_st, pi),
+                r.value(u_st, pi)
+            ));
+        }
+    }
+    let half_flows = o1_flows().len() as f64 / 2.0;
+    if r.value(u_st, last) < half_flows {
+        v.push(format!(
+            "fig {}: unmodified kernel starves only {:.0} flows at {:.0} pkts/s \
+             (livelock serves nothing, so the per-flow watch must fire broadly)",
+            r.id,
+            r.value(u_st, last),
+            r.xs[last]
+        ));
+    }
+    if r.value(p_st, last) >= r.value(u_st, last) {
+        v.push(format!(
+            "fig {}: polled kernel starves as many flows as unmodified at \
+             {:.0} pkts/s ({:.0} vs {:.0})",
+            r.id,
+            r.xs[last],
+            r.value(p_st, last),
+            r.value(u_st, last)
+        ));
+    }
+    v
+}
+
+/// Checks the rendered priority figure (P-1) against the tentpole's
+/// claims. Returns human-readable violations (empty = the claims hold):
+///
+/// - `Control` is never shed and its p99 meets the SLO at every swept
+///   rate — including the deep-overload rates where the single-class
+///   unmodified kernel has collapsed (delivery under 10% of offered and
+///   p99 far above the classified `Control`'s);
+/// - at the heaviest load the classified kernel still delivers
+///   near-all of the offered `Control` share (its 1/8 of the mix);
+/// - the shedding lands on `Bulk`: bulk sheds dominate realtime sheds,
+///   and per-class arrived/delivered/shed counters stay consistent
+///   (shed + delivered never exceeds arrived).
+pub fn priority_shape_violations(r: &RenderedFigure) -> Vec<String> {
+    let mut v = Vec::new();
+    let (Some(ctrl), Some(u_del), Some(ctrl_p99), Some(u_p99)) = (
+        find_curve(r, "control delivered"),
+        find_curve(r, "unmodified delivered"),
+        find_curve(r, "control p99"),
+        find_curve(r, "unmodified p99"),
+    ) else {
+        v.push(format!(
+            "fig {}: needs classified control delivered/p99 and unmodified delivered/p99 curves",
+            r.id
+        ));
+        return v;
+    };
+    let slo_us = p1_classify_config().slo_p99_us;
+    let n_flows = p1_flows().len() as f64;
+    let last = r.xs.len() - 1;
+    for (pi, &rate) in r.xs.iter().enumerate() {
+        let p99 = r.value(ctrl_p99, pi);
+        if p99 > slo_us {
+            v.push(format!(
+                "fig {}: classified Control p99 is {p99:.0} us at {rate:.0} pkts/s, \
+                 above the {slo_us:.0} us SLO",
+                r.id
+            ));
+        }
+        for t in r.curves[ctrl].trials.get(pi).iter().copied() {
+            for s in t.per_class() {
+                if s.shed + s.delivered > s.arrived {
+                    v.push(format!(
+                        "fig {}: class {} shed {} + delivered {} exceeds arrived {} \
+                         at {rate:.0} pkts/s",
+                        r.id,
+                        s.class.label(),
+                        s.shed,
+                        s.delivered,
+                        s.arrived
+                    ));
+                }
+                if s.class == TrafficClass::Control && s.shed > 0 {
+                    v.push(format!(
+                        "fig {}: {} Control packets shed at {rate:.0} pkts/s \
+                         (Control must never be shed)",
+                        r.id, s.shed
+                    ));
+                }
+            }
+        }
+    }
+    // Deep overload: the unmodified kernel has collapsed...
+    let u = r.value(u_del, last);
+    if u > 0.10 * r.xs[last] {
+        v.push(format!(
+            "fig {}: unmodified kernel still delivers {u:.0} pkts/s at {:.0} offered; \
+             expected collapse below 10%",
+            r.id, r.xs[last]
+        ));
+    }
+    // ...while the classified kernel still serves Control's full share.
+    let ctrl_share = r.xs[last] / n_flows;
+    let c = r.value(ctrl, last);
+    if c < 0.9 * ctrl_share {
+        v.push(format!(
+            "fig {}: classified Control delivers {c:.0} pkts/s at {:.0} offered, \
+             expected >= 90% of its {ctrl_share:.0} pkts/s share",
+            r.id, r.xs[last]
+        ));
+    }
+    // Once livelocked the unmodified kernel delivers nothing and its p99
+    // reads 0, so the latency comparison uses each curve's worst point.
+    let max_of = |ci: usize| {
+        (0..r.xs.len())
+            .map(|pi| r.value(ci, pi))
+            .fold(0.0_f64, f64::max)
+    };
+    if max_of(u_p99) < 2.0 * max_of(ctrl_p99).max(1.0) {
+        v.push(format!(
+            "fig {}: worst unmodified p99 ({:.0} us) does not sit well above the worst \
+             classified Control p99 ({:.0} us)",
+            r.id,
+            max_of(u_p99),
+            max_of(ctrl_p99)
+        ));
+    }
+    // The shedding lands on Bulk: at the heaviest rate bulk sheds exist
+    // and dominate.
+    if let Some(t) = r.curves[ctrl].trials.last() {
+        let shed_of = |c: TrafficClass| {
+            t.per_class()
+                .iter()
+                .find(|s| s.class == c)
+                .map_or(0, |s| s.shed)
+        };
+        let bulk = shed_of(TrafficClass::Bulk);
+        if bulk == 0 {
+            v.push(format!(
+                "fig {}: no Bulk packets shed at {:.0} pkts/s (the gate never engaged)",
+                r.id, r.xs[last]
+            ));
+        }
+        if shed_of(TrafficClass::Realtime) > bulk {
+            v.push(format!(
+                "fig {}: Realtime sheds exceed Bulk sheds at {:.0} pkts/s \
+                 (shedding must land on the lowest class first)",
+                r.id, r.xs[last]
+            ));
+        }
+    }
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The table against everything derived from it, without running a
+    /// trial: the committed CSVs, the exit-code registry, and the nine-row
+    /// prefix the benchmark links.
     #[test]
     fn figure_inventory_is_complete() {
-        let figs = all_figures();
-        let ids: Vec<_> = figs.iter().map(|f| f.id).collect();
-        assert_eq!(
-            ids,
-            vec!["6-1", "6-3", "6-4", "6-5", "6-6", "7-1", "L-1", "C-1", "S-1"]
-        );
-        assert_eq!(figs[0].curves.len(), 2);
-        assert_eq!(figs[1].curves.len(), 4);
-        assert_eq!(figs[2].curves.len(), 3);
-        assert_eq!(figs[3].curves.len(), 5);
-        assert_eq!(figs[4].curves.len(), 5);
-        assert_eq!(figs[5].curves.len(), 4);
-        assert_eq!(figs[6].curves.len(), 2);
-        assert_eq!(figs[7].curves.len(), 4);
-        assert_eq!(figs[8].curves.len(), 10);
-        assert!(figs[..6].iter().all(|f| f.axis != Axis::LatencyP99Micros));
-        assert_eq!(figs[6].axis, Axis::LatencyP99Micros);
-        // C-1 and S-1: one axis override per curve. C-1's rate axis reaches
-        // near wire saturation so the rx-intr share can cross 90%; S-1's
-        // exceeds a single wire's capacity because multiqueue injection is
-        // paced per RX queue.
-        assert_eq!(figs[7].curve_axes.len(), figs[7].curves.len());
-        assert_eq!(*figs[7].rates.last().unwrap(), 14_000.0);
-        assert_eq!(figs[8].curve_axes.len(), figs[8].curves.len());
-        assert!(*figs[8].rates.last().unwrap() > 14_880.0);
-        assert!(figs[8]
-            .curve_axes
-            .iter()
-            .any(|a| matches!(a, Axis::PerCpuBusyPercent(_))));
-        // Every other figure plots a single axis.
-        assert!(figs[..7].iter().all(|f| f.curve_axes.is_empty()));
+        let table = figure_table();
+        let ids: Vec<&str> = table.iter().map(|f| f.id).collect();
+        assert_eq!(ids.len(), 12);
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "figure id {id} appears twice");
+        }
+        let prefix: Vec<&str> = all_figures().iter().map(|f| f.id).collect();
+        assert_eq!(prefix, ids[..9], "the benchmark appends R-1, O-1 and P-1 itself");
+        assert_eq!(ids[9..], ["R-1", "O-1", "P-1"]);
+
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for fig in &table {
+            assert!(!fig.curves.is_empty() && !fig.xs.is_empty(), "fig {}", fig.id);
+            let name = format!("fig{}.csv", fig.id.replace('-', "_"));
+            let csv = std::fs::read_to_string(results.join(&name))
+                .unwrap_or_else(|e| panic!("fig {} has no committed {name}: {e}", fig.id));
+            let mut lines = csv.lines();
+            let header: Vec<&str> = lines.next().unwrap_or("").split(',').collect();
+            let labels: Vec<String> =
+                fig.curves.iter().map(|c| c.label.replace(',', ";")).collect();
+            assert_eq!(header[0], fig.sweep.x_label(), "{name}");
+            assert_eq!(header[1..], labels[..], "{name}");
+            let first_column: Vec<&str> = lines.filter_map(|l| l.split(',').next()).collect();
+            let xs: Vec<String> = fig.xs.iter().map(|&x| fmt_x(x)).collect();
+            assert_eq!(first_column, xs, "{name}");
+            assert!(
+                lint::registry::STATIC_ENTRIES
+                    .iter()
+                    .any(|e| e.owner == "figures" && e.code == fig.gate_exit),
+                "fig {}: gate exit {} is not a registered `figures` code",
+                fig.id,
+                fig.gate_exit
+            );
+        }
+        for entry in std::fs::read_dir(&results).expect("results/ is committed") {
+            let name = entry.expect("readable entry").file_name();
+            let name = name.to_string_lossy();
+            if let Some(stem) = name.strip_suffix(".csv") {
+                let id = stem.trim_start_matches("fig").replace('_', "-");
+                assert!(ids.contains(&id.as_str()), "results/{name} has no table row");
+            }
+        }
     }
 
     #[test]
     fn render_small_figure_and_format() {
         let fig = Figure {
-            rates: vec![500.0, 1_000.0],
+            xs: vec![500.0, 1_000.0],
             ..fig6_1()
         };
         let r = render_figure(&fig, 200, Parallelism::Serial);
@@ -1488,7 +1377,7 @@ mod tests {
     fn parallel_render_matches_serial_bit_for_bit() {
         // Two curves x two rates: the flattened grid exercises regrouping.
         let fig = Figure {
-            rates: vec![1_000.0, 8_000.0],
+            xs: vec![1_000.0, 8_000.0],
             ..fig6_1()
         };
         let serial = render_figure(&fig, 300, Parallelism::Serial);
@@ -1500,6 +1389,13 @@ mod tests {
                 assert_eq!(p.trials, s.trials, "jobs={jobs}");
             }
             assert_eq!(par.to_csv(), serial.to_csv(), "jobs={jobs}");
+        }
+        // The benchmark's entry point: a forced backend renders the same
+        // trials (both schedulers dispatch identically).
+        let forced = Some(SchedulerKind::Calendar);
+        let calendar = render_figure_with_scheduler(&fig, 300, Parallelism::Serial, forced);
+        for (c, s) in calendar.curves.iter().zip(&serial.curves) {
+            assert_eq!(c.trials, s.trials, "calendar backend");
         }
     }
 
@@ -1544,16 +1440,16 @@ mod tests {
             fold: None,
             classes: Vec::new(),
         };
-        let rates = vec![2_000.0, 6_000.0, 12_000.0];
-        let plateau: Vec<_> = rates.iter().map(|&r| fake_trial(r, 4_000.0_f64.min(r))).collect();
-        let collapse: Vec<_> = rates
+        let xs = vec![2_000.0, 6_000.0, 12_000.0];
+        let plateau: Vec<_> = xs.iter().map(|&r| fake_trial(r, 4_000.0_f64.min(r))).collect();
+        let collapse: Vec<_> = xs
             .iter()
             .map(|&r| fake_trial(r, if r > 4_000.0 { 0.0 } else { r }))
             .collect();
         let rendered = RenderedFigure {
             id: "6-3",
             caption: "synthetic",
-            rates,
+            xs,
             curves: vec![
                 SweepResult {
                     label: "Polling (no quota)".into(),
@@ -1564,9 +1460,8 @@ mod tests {
                     trials: collapse, // Wrong: should plateau.
                 },
             ],
-            axis: Axis::DeliveredPps,
-            curve_axes: vec![],
-            x_label: "input_pps",
+            axes: vec![Axis::DeliveredPps; 2],
+            sweep: Sweep::Rate,
         };
         let v = shape_violations(&rendered);
         assert_eq!(v.len(), 2, "both wrong shapes flagged: {v:?}");
@@ -1579,7 +1474,7 @@ mod tests {
         // Run the real (tiny) sweeps for figure 6-3's extremes and confirm
         // no violations: the checker agrees with the simulator.
         let fig = Figure {
-            rates: vec![2_000.0, 6_000.0, 12_000.0],
+            xs: vec![2_000.0, 6_000.0, 12_000.0],
             curves: vec![fig6_3().curves.swap_remove(2)], // quota = 5.
             ..fig6_3()
         };
@@ -1590,14 +1485,25 @@ mod tests {
     #[test]
     fn fig7_1_uses_cpu_axis() {
         let fig = Figure {
-            rates: vec![500.0],
+            xs: vec![500.0],
             curves: vec![fig7_1().curves.remove(0)],
             ..fig7_1()
         };
         let r = render_figure(&fig, 200, Parallelism::Serial);
-        assert_eq!(r.axis, Axis::UserCpuPercent);
+        assert_eq!(r.axes, [Axis::UserCpuPercent]);
         let v = r.value(0, 0);
         assert!(v > 10.0 && v <= 100.0, "user CPU % = {v}");
+        // Not a throughput figure: no MLFRR summary under its table.
+        assert!(r.shape_summary().is_empty());
+    }
+
+    /// Relabels a rendered figure's columns with its row's labels after a
+    /// test has swapped the data underneath them: a gate that still
+    /// passes is not checking anything.
+    fn relabel(r: &mut RenderedFigure, fig: &Figure) {
+        for (c, row) in r.curves.iter_mut().zip(&fig.curves) {
+            c.label = row.label.clone();
+        }
     }
 
     #[test]
@@ -1606,19 +1512,17 @@ mod tests {
         // the unmodified kernel's CPU is all receive interrupts while the
         // cycle-limited polled kernel preserves user+idle.
         let fig = Figure {
-            rates: vec![2_000.0, 14_000.0],
+            xs: vec![2_000.0, 14_000.0],
             ..fig_c1()
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
-        let v = cpu_share_violations(&r);
+        let v = (fig.gate)(&r);
         assert!(v.is_empty(), "{v:?}");
         // And the checker really checks: swapping the kernels must trip it.
         let mut swapped = r;
         swapped.curves.swap(0, 2);
         swapped.curves.swap(1, 3);
-        for (i, label) in fig_c1().curves.iter().map(|(l, _)| l.clone()).enumerate() {
-            swapped.curves[i].label = label;
-        }
+        relabel(&mut swapped, &fig);
         assert!(!cpu_share_violations(&swapped).is_empty());
     }
 
@@ -1627,18 +1531,17 @@ mod tests {
         // A small render of the latency figure's extremes: the polled
         // kernel's overload p99 must sit well below the unmodified one's.
         let fig = Figure {
-            rates: vec![2_000.0, 12_000.0],
+            xs: vec![2_000.0, 12_000.0],
             ..fig_latency()
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
-        assert_eq!(r.axis, Axis::LatencyP99Micros);
-        let v = latency_shape_violations(&r);
+        assert_eq!(r.axes, [Axis::LatencyP99Micros; 2]);
+        let v = (fig.gate)(&r);
         assert!(v.is_empty(), "{v:?}");
         // And the checker really checks: swapping the curves must trip it.
         let mut swapped = r;
         swapped.curves.swap(0, 1);
-        swapped.curves[0].label = "Unmodified".into();
-        swapped.curves[1].label = "Polling (quota = 5)".into();
+        relabel(&mut swapped, &fig);
         assert!(!latency_shape_violations(&swapped).is_empty());
     }
 
@@ -1649,41 +1552,45 @@ mod tests {
         // The storm spreads a fixed event count over the trial window, so
         // very short trials concentrate it; 2000 packets keeps the test
         // quick while staying within the checker's calibration.
+        let fig = fig_r1();
         let r = render_fig_r1(2_000, Parallelism::Auto);
         assert_eq!(r.id, "R-1");
-        assert_eq!(r.x_label, "fault_intensity");
-        assert_eq!(r.rates, r1_intensities());
+        assert_eq!(r.sweep.x_label(), "fault_intensity");
+        assert_eq!(r.xs, [0.0, 0.5, 1.0, 2.0, 4.0]);
         assert_eq!(r.curves.len(), 4);
-        assert_eq!(r.curve_axes.len(), 4);
+        assert_eq!(r.axes.len(), 4);
         // Intensity 0 runs with no fault plan at all: nothing injected.
         for c in &r.curves {
             assert_eq!(c.trials[0].fault.injected, 0, "{}", c.label);
         }
         // Every non-zero intensity really injects a scaled storm.
-        for (pi, &x) in r.rates.iter().enumerate().skip(1) {
+        for (pi, &x) in r.xs.iter().enumerate().skip(1) {
             for c in &r.curves {
                 assert!(c.trials[pi].fault.injected > 0, "{} at {x}", c.label);
             }
         }
-        let v = fault_shape_violations(&r);
+        let v = (fig.gate)(&r);
         assert!(v.is_empty(), "{v:?}");
         // The CSV carries the fractional intensities verbatim.
         let csv = r.to_csv();
         assert!(csv.starts_with("fault_intensity,"), "{csv}");
         assert!(csv.contains("\n0.50,"), "{csv}");
+        // Delivered curves at a fixed rate are not throughput shapes.
+        assert!(r.shape_summary().is_empty());
     }
 
     #[test]
     fn observe_figure_detects_onset_online() {
         // A small O-1 render: the online detector separates the kernels
         // without waiting for end-of-trial aggregates.
+        let fig = fig_o1();
         let r = render_fig_o1(2_000, Parallelism::Auto);
         assert_eq!(r.id, "O-1");
-        assert_eq!(r.x_label, "input_pps");
-        assert_eq!(r.rates, o1_rates());
+        assert_eq!(r.sweep, Sweep::Rate);
+        assert_eq!(r.xs, fig.xs);
         assert_eq!(r.curves.len(), 4);
-        assert_eq!(r.curve_axes.len(), 4);
-        let v = observe_shape_violations(&r);
+        assert_eq!(r.axes.len(), 4);
+        let v = (fig.gate)(&r);
         assert!(v.is_empty(), "{v:?}");
         // Every O-1 trial tracks the full eight-flow set and attributes
         // every arrival (no registry overflow at 8 flows / 128 slots).
@@ -1698,17 +1605,7 @@ mod tests {
         let mut swapped = r;
         swapped.curves.swap(0, 1);
         swapped.curves.swap(2, 3);
-        for (i, label) in [
-            "Unmodified onset",
-            "Polling w/feedback onset",
-            "Unmodified starved flows",
-            "Polling w/feedback starved flows",
-        ]
-        .iter()
-        .enumerate()
-        {
-            swapped.curves[i].label = (*label).into();
-        }
+        relabel(&mut swapped, &fig);
         assert!(!observe_shape_violations(&swapped).is_empty());
     }
 
@@ -1717,13 +1614,14 @@ mod tests {
         // A small P-1 render: the classified kernel keeps Control inside
         // its SLO across the sweep while the single-class kernel
         // collapses, and the shedding lands on Bulk.
+        let fig = fig_p1();
         let r = render_fig_p1(2_000, Parallelism::Auto);
         assert_eq!(r.id, "P-1");
-        assert_eq!(r.x_label, "input_pps");
-        assert_eq!(r.rates, throughput_rates());
+        assert_eq!(r.sweep, Sweep::Rate);
+        assert_eq!(r.xs, throughput_rates());
         assert_eq!(r.curves.len(), 6);
-        assert_eq!(r.curve_axes.len(), 6);
-        let v = priority_shape_violations(&r);
+        assert_eq!(r.axes.len(), 6);
+        let v = (fig.gate)(&r);
         assert!(v.is_empty(), "{v:?}");
         // Every classified trial books all three classes, and the books
         // sum to the aggregate delivery count.
@@ -1737,19 +1635,7 @@ mod tests {
         let mut swapped = r;
         swapped.curves.swap(0, 3); // control delivered <-> unmodified delivered
         swapped.curves.swap(4, 5); // control p99 <-> unmodified p99
-        for (i, label) in [
-            "Classified control delivered",
-            "Classified realtime delivered",
-            "Classified bulk delivered",
-            "Unmodified delivered",
-            "Classified control p99",
-            "Unmodified p99",
-        ]
-        .iter()
-        .enumerate()
-        {
-            swapped.curves[i].label = (*label).into();
-        }
+        relabel(&mut swapped, &fig);
         assert!(!priority_shape_violations(&swapped).is_empty());
     }
 }

@@ -1669,33 +1669,62 @@ mod tests {
     #[test]
     fn observe_is_zero_perturbation() {
         use crate::config::ScreendConfig;
-        use crate::telemetry::ObserveConfig;
-        // The observability layer is a pure observer: a watched trial
-        // measures bit-identically to an unwatched one, on both kernels,
-        // at an overloaded rate where every code path (drops, feedback,
-        // screend) is exercised.
+        use crate::telemetry::{ObserveConfig, TelemetryConfig};
+        // Every observer is a pure observer: a watched trial measures
+        // bit-identically to an unwatched one, on both kernels, at an
+        // overloaded rate where every code path (drops, feedback,
+        // screend) is exercised. (latency histograms, telemetry sampler,
+        // observability layer) — each alone, then all three together.
+        let feature_sets = [
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+            (true, true, true),
+        ];
         for polled_mode in [false, true] {
-            let mk = |obs: bool| {
-                let mut b = KernelConfig::builder().screend(ScreendConfig::default());
+            let mk = |(latency, telemetry, observe): (bool, bool, bool)| {
+                let mut b = KernelConfig::builder()
+                    .screend(ScreendConfig::default())
+                    .latency_tracking(latency);
                 if polled_mode {
                     b = b.polled(Quota::Limited(10)).feedback(Default::default());
                 }
-                if obs {
+                if telemetry {
+                    b = b.telemetry(TelemetryConfig::default());
+                }
+                if observe {
                     b = b.observe(ObserveConfig::default());
                 }
-                b.build()
+                quick(b.build(), 9_000.0, 1_500)
             };
-            let base = quick(mk(false), 9_000.0, 1_500);
-            let mut watched = quick(mk(true), 9_000.0, 1_500);
-            assert!(watched.flows.is_some(), "registry allocated");
-            assert!(watched.fold.is_some(), "cycle fold enabled");
-            watched.flows = None;
-            watched.fold = None;
-            watched.events.clear();
-            assert_eq!(
-                watched, base,
-                "observability must not perturb the trial (polled={polled_mode})"
-            );
+            let base = mk((false, false, false));
+            assert_eq!(base.transmitted > 0, polled_mode, "9k pps livelocks only unmodified");
+            for on in feature_sets {
+                let mut watched = mk(on);
+                // Each observer produced its output; clear exactly that.
+                let (latency, telemetry, observe) = on;
+                if latency {
+                    // (The livelocked unmodified kernel delivers nothing.)
+                    assert_eq!(watched.latency.count(), watched.transmitted, "one sample each");
+                    watched.latency = base.latency.clone();
+                    watched.latency_mean = base.latency_mean;
+                    watched.latency_p99 = base.latency_p99;
+                    watched.latency_jitter = base.latency_jitter;
+                }
+                if telemetry {
+                    assert!(watched.timeline.take().is_some_and(|t| !t.is_empty()));
+                }
+                if observe {
+                    assert!(watched.flows.take().is_some(), "registry allocated");
+                    assert!(watched.fold.take().is_some(), "cycle fold enabled");
+                    watched.events.clear();
+                }
+                assert_eq!(
+                    watched, base,
+                    "observers must not perturb the trial (polled={polled_mode}, \
+                     latency/telemetry/observe={on:?})"
+                );
+            }
         }
     }
 

@@ -125,12 +125,29 @@ impl DropReason {
         }
     }
 
+    /// This reason's position in [`DropReason::ALL`].
     fn index(self) -> usize {
-        DropReason::ALL
-            .iter()
-            .position(|r| *r == self)
-            // simlint: allow(panic-freedom): ALL enumerates every variant; a miss is a compile-time taxonomy bug
-            .expect("reason listed in ALL")
+        use TrafficClass::{Bulk, Control, Realtime};
+        match self {
+            DropReason::RxRingFull => 0,
+            DropReason::FeedbackInhibit => 1,
+            DropReason::ClassShed { class: Bulk } => 2,
+            DropReason::ClassShed { class: Realtime } => 3,
+            DropReason::ClassShed { class: Control } => 4,
+            DropReason::IpintrqFull => 5,
+            DropReason::ScreendQueueFull => 6,
+            DropReason::ScreendDenied => 7,
+            DropReason::SocketQueueFull => 8,
+            DropReason::OutputQueueFull => 9,
+            DropReason::RedEarlyDrop => 10,
+            DropReason::Bystander => 11,
+            DropReason::TtlExpired => 12,
+            DropReason::NoRoute => 13,
+            DropReason::NoArp => 14,
+            DropReason::BadHeader => 15,
+            DropReason::NoListener => 16,
+            DropReason::ReassemblyTimeout => 17,
+        }
     }
 }
 
@@ -1076,6 +1093,15 @@ mod tests {
             let res = stage_residencies(Cycles::new(arrived), &stamps, end);
             let total: Cycles = res.iter().copied().sum();
             prop_assert_eq!(total, Cycles::new(t + deltas[7] - arrived));
+        }
+    }
+
+    #[test]
+    fn drop_reason_index_is_its_position_in_all() {
+        // `DropStats` stores counts by `index()` and reports them by
+        // zipping with `ALL`; the two orders must be the same order.
+        for (i, r) in DropReason::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i, "{}", r.label());
         }
     }
 

@@ -5,10 +5,9 @@
 //! classified by owning crate, target kind, and module path, which is
 //! what the rules scope themselves by.
 //!
-//! Vendored drop-in crates (`criterion`, `proptest`) are not scanned:
-//! they are registry stand-ins with their own idioms. The linter scans
-//! itself — a gate that exempts its own enforcement code is the first
-//! place drift hides.
+//! The vendored `proptest` drop-in is not scanned: it is a registry
+//! stand-in with its own idioms. The linter scans itself — a gate that
+//! exempts its own enforcement code is the first place drift hides.
 
 use std::fs;
 use std::io;
@@ -24,8 +23,6 @@ pub enum TargetKind {
     /// An integration test (`tests/**`, including the workspace-level
     /// `tests/` directory wired into the kernel crate).
     Test,
-    /// A benchmark (`benches/**`).
-    Bench,
     /// An example (`examples/**`).
     Example,
 }
@@ -71,9 +68,6 @@ impl FileInfo {
             }
             ["crates", krate, "src", rest @ ..] => ((*krate).to_string(), TargetKind::Lib, rest),
             ["crates", krate, "tests", rest @ ..] => ((*krate).to_string(), TargetKind::Test, rest),
-            ["crates", krate, "benches", rest @ ..] => {
-                ((*krate).to_string(), TargetKind::Bench, rest)
-            }
             // The workspace-level tests/ and examples/ are targets of the
             // kernel crate (see crates/kernel/Cargo.toml).
             ["tests", rest @ ..] => ("kernel".to_string(), TargetKind::Test, rest),
@@ -101,7 +95,7 @@ impl FileInfo {
 }
 
 /// Crates never scanned: vendored registry stand-ins.
-pub const SKIPPED_CRATES: &[&str] = &["criterion", "proptest"];
+pub const SKIPPED_CRATES: &[&str] = &["proptest"];
 
 /// Finds the workspace root by walking up from `start` until a
 /// `Cargo.toml` declaring `[workspace]` appears.
@@ -130,7 +124,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<(FileInfo, String)>> {
         if SKIPPED_CRATES.contains(&name.as_str()) {
             continue;
         }
-        for sub in ["src", "tests", "benches"] {
+        for sub in ["src", "tests"] {
             collect_rs(&krate.join(sub), root, &mut rel_paths)?;
         }
     }
@@ -199,12 +193,13 @@ mod tests {
 
     #[test]
     fn classifies_bins_tests_benches() {
-        let f = FileInfo::classify("crates/bench/src/bin/perf.rs").unwrap();
+        let f = FileInfo::classify("crates/bench/src/bin/figures.rs").unwrap();
         assert_eq!(f.kind, TargetKind::Bin);
         let f = FileInfo::classify("crates/machine/tests/engine_properties.rs").unwrap();
         assert_eq!(f.kind, TargetKind::Test);
-        let f = FileInfo::classify("crates/bench/benches/fig6_1.rs").unwrap();
-        assert_eq!(f.kind, TargetKind::Bench);
+        // The workspace has no bench targets (host time is measured by
+        // benchmark/, outside it), so `benches/` is not a scanned place.
+        assert!(FileInfo::classify("crates/bench/benches/fig6_1.rs").is_none());
     }
 
     #[test]
@@ -218,7 +213,6 @@ mod tests {
 
     #[test]
     fn vendored_is_skipped_and_the_linter_lints_itself() {
-        assert!(FileInfo::classify("crates/criterion/src/lib.rs").is_none());
         assert!(FileInfo::classify("crates/proptest/src/lib.rs").is_none());
         assert!(FileInfo::classify("target/debug/build/foo.rs").is_none());
         let f = FileInfo::classify("crates/lint/src/main.rs").unwrap();

@@ -35,7 +35,7 @@ use crate::Finding;
 /// instead of numeric literals so the registry can tell a live code
 /// from a stale one by reference.
 pub mod codes {
-    /// figures: I/O or argument failure (unwritable results/, bad --jobs).
+    /// figures: I/O or argument failure (unwritable results/, unknown flag or id).
     pub const FIGURES_IO: i32 = 1;
     /// figures: a throughput figure violates the paper's qualitative shape.
     pub const FIGURES_SHAPE: i32 = 2;
@@ -80,9 +80,6 @@ pub mod codes {
     pub const OBSERVE_STARVATION: i32 = 5;
     /// livelock observe: per-flow ledger leaked or did not close.
     pub const OBSERVE_FLOW_LEDGER: i32 = 6;
-
-    /// perf: any perf-harness failure (perturbation, schema, budget).
-    pub const PERF_FAILURE: i32 = 1;
 
     /// simlint: usage error (unknown flag).
     pub const SIMLINT_USAGE: i32 = 2;
@@ -129,20 +126,20 @@ const fn e(
 /// can never drift).
 pub const STATIC_ENTRIES: &[ExitEntry] = &[
     // ci.sh gates (checked as `exit N` literals in the script).
-    e("ci.sh", "build-test-io", 1, "build/test failure, unwritable CSVs, byte-identity mismatch across job counts, or bad arguments", None),
+    e("ci.sh", "build-test-io", 1, "build/test failure, unwritable CSVs, any figure CSV differing across job counts or from its committed copy, or bad arguments", None),
     e("ci.sh", "figure-shape", 2, "a rendered figure violates the paper's qualitative throughput shape", None),
     e("ci.sh", "latency-gate", 3, "figure L-1 latency gate failed (polled p99 not well below unmodified at overload)", None),
     e("ci.sh", "cpu-share-gate", 4, "figure C-1 CPU-share gate failed (cycle-ledger shares off-claim)", None),
     e("ci.sh", "fault-gate", 5, "figure R-1 fault gate failed (graceful-degradation claim violated)", None),
     e("ci.sh", "chaos-smoke", 6, "the chaos smoke run failed (see `livelock chaos` codes)", None),
     e("ci.sh", "simlint-gate", 7, "simlint found a non-baselined finding (run `cargo run -p lint` for the per-rule code)", None),
-    e("ci.sh", "perf-smoke", 8, "the perf smoke failed (schema mismatch or throughput collapse vs the committed trajectory)", None),
+    e("ci.sh", "bench-smoke", 8, "the benchmark smoke failed (a checked unit failed, or a workload's sim_digest differs from the committed BENCH_PR<N>.json)", None),
     e("ci.sh", "smp-gate", 9, "figure S-1 SMP gate failed (MLFRR scaling or per-CPU ledger conservation), or the 4-CPU chrome-trace smoke did", None),
-    e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims or byte-identity)", None),
-    e("ci.sh", "observe-smoke", 11, "the observe smoke failed (see `livelock observe` codes, or observability overhead over budget)", None),
-    e("ci.sh", "priority-gate", 12, "figure P-1 priority-isolation gate failed (Control SLO, shedding order, or byte-identity)", None),
+    e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims), or the event-stream/flamegraph rerun smoke did", None),
+    e("ci.sh", "observe-smoke", 11, "the observe smoke failed (see `livelock observe` codes)", None),
+    e("ci.sh", "priority-gate", 12, "figure P-1 priority-isolation gate failed (Control SLO or shedding order)", None),
     // figures binary.
-    e("figures", "io-or-args", codes::FIGURES_IO, "unwritable results/ directory, bad --jobs, or collected CSV write errors", Some("FIGURES_IO")),
+    e("figures", "io-or-args", codes::FIGURES_IO, "unknown flag or figure id, bad --jobs, unwritable results/ directory, or collected CSV write errors", Some("FIGURES_IO")),
     e("figures", "shape", codes::FIGURES_SHAPE, "a throughput figure violates the paper's qualitative shape", Some("FIGURES_SHAPE")),
     e("figures", "latency", codes::FIGURES_LATENCY, "figure L-1: polled p99 forwarding latency not well below unmodified at overload", Some("FIGURES_LATENCY")),
     e("figures", "cpu-share", codes::FIGURES_CPU, "figure C-1: conserved cycle ledger violates the CPU-share claims", Some("FIGURES_CPU")),
@@ -166,8 +163,6 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     e("livelock observe", "false-onset", codes::OBSERVE_FALSE_ONSET, "polled kernel with feedback reported livelock onset", Some("OBSERVE_FALSE_ONSET")),
     e("livelock observe", "starvation", codes::OBSERVE_STARVATION, "starvation-watch contrast failed between kernels", Some("OBSERVE_STARVATION")),
     e("livelock observe", "flow-ledger", codes::OBSERVE_FLOW_LEDGER, "per-flow ledger leaked arrivals or did not close", Some("OBSERVE_FLOW_LEDGER")),
-    // perf binary.
-    e("perf", "failure", codes::PERF_FAILURE, "perturbation detected, schema mismatch, bad arguments, or budget exceeded", Some("PERF_FAILURE")),
     // simlint's non-rule codes (the rule codes are generated below).
     e("simlint", "usage", codes::SIMLINT_USAGE, "usage error (unknown flag)", Some("SIMLINT_USAGE")),
     e("simlint", "io", codes::SIMLINT_IO, "I/O error (unreadable workspace or baseline)", Some("SIMLINT_IO")),

@@ -5,11 +5,10 @@
 //! 1. **No wall-clock or ad-hoc threading.** `Instant::now`, `SystemTime`,
 //!    and `std::thread` primitives introduce host-dependent values and
 //!    scheduling. The only sanctioned concurrency is `kernel::par`'s
-//!    scoped work queue (whose results are order-restored), and the only
-//!    sanctioned wall-clock readers are the self-timing `perf` binary
-//!    (including its `BENCH_*.json` trajectory writer), criterion bench
-//!    targets under `benches/**`, and the vendored `criterion` harness
-//!    itself (not scanned).
+//!    scoped work queue (whose results are order-restored). Nothing in
+//!    the workspace is sanctioned to read a wall clock: host time is
+//!    measured from outside, by `benchmark/` (its own package, not
+//!    scanned).
 //! 2. **No iteration-order-dependent containers in deterministic
 //!    crates.** `HashMap`/`HashSet` iteration order depends on the
 //!    hasher's random seed; one `for` loop over such a map inside the
@@ -21,15 +20,9 @@ use crate::tokenizer::Tok;
 
 use super::{path_match, raw, RawFinding, Rule, DETERMINISTIC_CRATES};
 
-/// Files allowed to use `std::thread` / `Instant`: the sanctioned
-/// parallelism module and the self-timing perf harness (which owns the
-/// `BENCH_*.json` trajectory writer). Criterion bench targets
-/// (`benches/**`, [`TargetKind::Bench`]) are likewise timing paths and
-/// exempted wholesale in [`Determinism::check`].
-const TIME_AND_THREAD_EXEMPT: &[&str] = &[
-    "crates/kernel/src/par.rs",
-    "crates/bench/src/bin/perf.rs",
-];
+/// The one file allowed to use `std::thread`: the sanctioned parallelism
+/// module. The wall-clock check has no allow-list at all.
+const THREAD_EXEMPT: &str = "crates/kernel/src/par.rs";
 
 /// `thread::<name>` calls that introduce host scheduling.
 const THREAD_FNS: &[&str] = &["spawn", "scope", "sleep", "park", "yield_now", "Builder"];
@@ -52,17 +45,13 @@ impl Rule for Determinism {
     }
 
     fn describe(&self) -> &'static str {
-        "no wall-clock/threads outside kernel::par + perf/bench timing paths; no HashMap/HashSet \
-         in deterministic crates"
+        "no wall-clock anywhere, no threads outside kernel::par; no HashMap/HashSet in \
+         deterministic crates"
     }
 
     fn check(&self, file: &FileInfo, toks: &[Tok]) -> Vec<RawFinding> {
         let mut out = Vec::new();
-        let timing_path = TIME_AND_THREAD_EXEMPT.contains(&file.rel_path.as_str())
-            || file.kind == TargetKind::Bench;
-        if !timing_path {
-            self.check_time_and_threads(toks, &mut out);
-        }
+        self.check_time_and_threads(toks, file.rel_path == THREAD_EXEMPT, &mut out);
         // The linter's own reports must be deterministic too (rule order,
         // baselines, and the registry table are all diffed in CI).
         let ordered_scope = DETERMINISTIC_CRATES.contains(&file.crate_name.as_str())
@@ -75,7 +64,7 @@ impl Rule for Determinism {
 }
 
 impl Determinism {
-    fn check_time_and_threads(&self, toks: &[Tok], out: &mut Vec<RawFinding>) {
+    fn check_time_and_threads(&self, toks: &[Tok], may_thread: bool, out: &mut Vec<RawFinding>) {
         let mut i = 0;
         while i < toks.len() {
             if let Some(end) = path_match(toks, i, &["Instant", "now"]) {
@@ -84,7 +73,7 @@ impl Determinism {
                     i,
                     "Instant::now",
                     "wall-clock read: simulation time must come from sim::Cycles, not the host \
-                     (allowed only in kernel::par and the perf binary)",
+                     (host time is benchmark/'s business, measured from outside)",
                 ));
                 i = end;
                 continue;
@@ -96,6 +85,10 @@ impl Determinism {
                     "SystemTime",
                     "wall-clock read: SystemTime is host-dependent and breaks replay byte-identity",
                 ));
+                i += 1;
+                continue;
+            }
+            if may_thread {
                 i += 1;
                 continue;
             }
@@ -180,17 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn par_and_perf_are_exempt_from_time_checks() {
+    fn par_may_thread_and_nothing_may_read_a_wall_clock() {
         assert!(run("crates/kernel/src/par.rs", "std::thread::scope(|s| {});").is_empty());
-        assert!(run("crates/bench/src/bin/perf.rs", "let t = Instant::now();").is_empty());
-    }
-
-    #[test]
-    fn criterion_bench_targets_are_timing_paths() {
-        // Criterion harnesses self-time; `benches/**` is exempt wholesale.
-        assert!(run("crates/bench/benches/schedulers.rs", "let t = Instant::now();").is_empty());
-        // Non-bench bin targets in the same crate stay scanned.
-        assert_eq!(run("crates/bench/src/bin/figures.rs", "let t = Instant::now();").len(), 1);
+        // The thread exemption is not a time exemption, and no target
+        // kind is a timing path: host time is measured by benchmark/.
+        for path in [
+            "crates/kernel/src/par.rs",
+            "crates/bench/src/bin/figures.rs",
+            "examples/ablation.rs",
+            "tests/alloc_count.rs",
+        ] {
+            let f = run(path, "let t = Instant::now();");
+            assert_eq!(f.len(), 1, "{path}");
+            assert_eq!(f[0].snippet, "Instant::now");
+        }
     }
 
     #[test]

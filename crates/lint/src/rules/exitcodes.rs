@@ -164,7 +164,7 @@ mod tests {
     fn libraries_and_user_exit_fns_are_out_of_scope() {
         let fs = findings("crates/kernel/src/config.rs", "fn f() { std::process::exit(3); }");
         assert!(fs.is_empty(), "lib files do not exit");
-        let fs = findings("crates/bench/src/bin/perf.rs", "fn f() { exit(3); }");
+        let fs = findings("crates/bench/src/bin/figures.rs", "fn f() { exit(3); }");
         assert!(fs.is_empty(), "a bare exit() is not process::exit");
     }
 }

@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn flags_hooks_outside_the_kernel() {
         let f = run(
-            "crates/bench/src/bin/perf.rs",
+            "crates/bench/src/bin/figures.rs",
             "stats.flow_arrival(k); stats.flow_delivery(k, a, b, fr); s.record_drop_for(r, k);",
         );
         let snippets: Vec<&str> = f.iter().map(|r| r.snippet.as_str()).collect();

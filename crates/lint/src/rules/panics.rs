@@ -3,7 +3,7 @@
 //! A panic inside the simulation substrate kills a whole trial — under
 //! `kernel::par` it kills the worker and poisons the run. Library code in
 //! the deterministic crates returns errors instead; `unwrap`/`expect`
-//! belongs in tests, benches, and binaries where a crash is an acceptable
+//! belongs in tests, examples, and binaries where a crash is an acceptable
 //! failure report. Grandfathered call sites live in the baseline;
 //! genuinely-justified invariants carry an inline
 //! `// simlint: allow(panic-freedom): why`.

@@ -63,11 +63,16 @@ fn determinism_collections_scope_is_library_code_in_deterministic_crates() {
         "wall-clock time is nondeterministic everywhere: {:?}",
         bench.active
     );
-    // The parallel executor and the perf harness are the sanctioned
-    // thread/time users.
+    // The parallel executor is the one sanctioned thread user; nothing
+    // is sanctioned to read a wall clock.
     let par = lint_at("crates/kernel/src/par.rs", DETERMINISM_BAD);
     assert!(
         !par.active.iter().any(|f| f.snippet.contains("thread")),
+        "{:?}",
+        par.active
+    );
+    assert!(
+        par.active.iter().any(|f| f.snippet.contains("Instant")),
         "{:?}",
         par.active
     );

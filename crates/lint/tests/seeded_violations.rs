@@ -42,7 +42,7 @@ fn scratch_copy(tag: &str) -> PathBuf {
             continue;
         }
         let name = krate.file_name().unwrap_or_default().to_string_lossy().to_string();
-        for sub in ["src", "tests", "benches"] {
+        for sub in ["src", "tests"] {
             copy_rs_tree(
                 &krate.join(sub),
                 &dst.join("crates").join(&name).join(sub),

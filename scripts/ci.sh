@@ -1,65 +1,37 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification plus a full quick figure regeneration.
+# CI gate: tier-1 verification, the static-analysis pass, every figure's
+# shape gate and byte-identity, the benchmark smoke and the CLI smokes.
 #
-# Exit status mirrors the strictest failure seen:
+# Exit status is the first failing step's code. Every code is registered
+# with its full meaning in crates/lint/src/registry.rs (owner `ci.sh`;
+# `simlint --exit-codes` prints the table, README embeds it), and the
+# exit-code-registry rule cross-checks the literal `exit N`s below
+# against it in both directions:
 #   0  everything passed
-#   1  build/test failure (tier 1, the `--features proptest` property
-#      suites, the criterion bench targets, or the standalone benchmark
-#      crate), figures could not write its CSVs, the figure output was
-#      not byte-identical across job counts, or bad arguments
-#   2  a rendered figure violates the paper's qualitative throughput shape
-#   3  the latency gate failed: the polled kernel's p99 forwarding latency
-#      is not well below the unmodified kernel's at overload (figure L-1)
-#   4  the CPU-share gate failed: figure C-1's conserved cycle ledger does
-#      not show the unmodified kernel's rx interrupt share reaching >= 90%
-#      with delivery collapsed at wire-saturating load, or shows the
-#      cycle-limited polled kernel failing to preserve user+idle share
-#   5  the fault gate failed: figure R-1 violates the graceful-degradation
-#      claim (the polled kernel stops delivering under the seeded storm,
-#      degrades past half its fault-free baseline, or ends the sweep worse
-#      than the unmodified kernel)
-#   6  the chaos smoke run failed: a seeded fault storm violated a
-#      graceful-degradation invariant (see `livelock chaos` exit codes)
-#   7  simlint found a non-baselined finding: a determinism,
-#      drop-accounting, interrupt-discipline, ledger-discipline,
-#      panic-freedom, smp-isolation, flow-discipline, class-discipline,
-#      unit-discipline, exit-code-registry, or stale-baseline violation, or `--fix --dry-run` found pending
-#      mechanical fixes (run `cargo run -p lint` for the per-rule exit
-#      code; `simlint --exit-codes` prints the full registry; on
-#      failure a SARIF report lands in target/simlint.sarif)
-#   8  the perf smoke failed: `perf --json` emitted a document that does
-#      not match the livelock-perf-trajectory/v1 schema, or its
-#      throughput fell more than 2x below what the committed
-#      BENCH_PR7.json predicts for a smoke-sized run (smaller shortfalls
-#      only warn — wall-clock on a shared box is noisy)
-#   9  the SMP gate failed: figure S-1 violates the scaling claim (the
-#      polled path's MLFRR must scale >= 1.7x at 2 CPUs and >= 2.5x at 4,
-#      the shared-queue path must stay <= 1.2x / <= 1.3x, and every
-#      per-CPU cycle ledger must conserve), figS_1.csv was not
-#      byte-identical across job counts, or the SMP trace smoke failed
-#      (`livelock trial --ncpus 4` must print the same table with and
-#      without --chrome-trace, and the trace must parse, carry four
-#      process groups and be byte-identical across runs)
-#  10  the online-detection gate failed: figure O-1 violates the
-#      detection claim (the unmodified kernel must report livelock onset
-#      and starved flows above the MLFRR while the polled kernel with
-#      feedback reports no onset), or figO_1.csv was not byte-identical
-#      across job counts, or the JSONL event stream / folded flamegraph
-#      from `livelock trial` was not byte-identical across runs
-#  11  the observe smoke failed: `livelock observe` did not exit 0 on the
-#      default overload (its own exit codes 3-6 name the violated
-#      invariant), or its bad-argument path did not exit 2, or
-#      `perf --observe` measured the observability layer perturbing the
-#      trial or costing more than its wall-clock budget
-#  12  the priority gate failed: figure P-1 violates the
-#      priority-isolation claim (classified Control must meet its SLO and
-#      never be shed across the sweep, with Bulk absorbing the shedding,
-#      while the single-class kernel collapses), or figP_1.csv was not
-#      byte-identical across job counts
+#   1  build/test failure (tier 1, the `--features proptest` suites, the
+#      standalone benchmark crate), unwritable CSVs, a figure CSV that
+#      differs across job counts or from its committed copy, or bad
+#      arguments
+#   2  a throughput figure violates the paper's qualitative shape
+#   3  the latency gate failed (figure L-1)
+#   4  the CPU-share gate failed (figure C-1)
+#   5  the fault gate failed (figure R-1)
+#   6  a chaos smoke run failed (see `livelock chaos` exit codes)
+#   7  simlint found a non-baselined finding or a pending mechanical fix
+#      (a SARIF report lands in target/simlint.sarif)
+#   8  the benchmark smoke failed: a checked unit failed, or a workload's
+#      sim_digest differs from the newest committed BENCH_PR<N>.json
+#   9  the SMP gate failed (figure S-1), or the 4-CPU chrome-trace smoke
+#  10  the online-detection gate failed (figure O-1), or the event
+#      stream / folded flamegraph was not byte-identical across runs
+#  11  the observe smoke failed (see `livelock observe` exit codes)
+#  12  the priority gate failed (figure P-1)
 #
 # Usage: scripts/ci.sh [--jobs N] [other flags...]
-#   --jobs N is validated here; any other flag is passed through to the
-#   figures binary unchanged.
+#   --jobs N is validated here and sets the job count the quick figure
+#   set is re-rendered at (default 4) for the byte-identity comparison
+#   against --jobs 1; any other flag is passed through to the figures
+#   binary, which rejects what it does not know.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -69,23 +41,17 @@ usage() {
     exit 1
 }
 
-jobs=""
+jobs=4
 fig_args=()
 while [ $# -gt 0 ]; do
     case "$1" in
     --jobs)
         [ $# -ge 2 ] || { echo "ci: --jobs needs a thread count" >&2; usage; }
-        case "$2" in
-        '' | *[!0-9]* | 0) echo "ci: --jobs: bad thread count '$2'" >&2; usage ;;
-        *) jobs=$2 ;;
-        esac
+        jobs=$2
         shift 2
         ;;
     --jobs=*)
         jobs=${1#--jobs=}
-        case "$jobs" in
-        '' | *[!0-9]* | 0) echo "ci: --jobs: bad thread count '$jobs'" >&2; usage ;;
-        esac
         shift
         ;;
     -h | --help)
@@ -98,8 +64,9 @@ while [ $# -gt 0 ]; do
         ;;
     esac
 done
-jobs_args=()
-[ -n "$jobs" ] && jobs_args=(--jobs "$jobs")
+case "$jobs" in
+'' | *[!0-9]* | 0) echo "ci: --jobs: bad thread count '$jobs'" >&2; usage ;;
+esac
 
 echo "== tier 1: cargo build --release =="
 cargo build --release || exit 1
@@ -116,19 +83,13 @@ cargo test -q --offline --features proptest \
     -p livelock-sim -p livelock-net -p livelock-machine \
     -p livelock-core -p livelock-kernel || exit 1
 
-echo "== bench targets: cargo build --benches =="
-# Tier 1 never compiles crates/bench/benches/*.rs, so a bench target can
-# rot unnoticed (fig7_1 did: it read a method as a field for several
-# PRs). Build them all; nothing is run.
-cargo build --release --offline --benches || exit 1
-
 echo "== benchmark crate: build + test =="
 # benchmark/ is a package of its own (outside the workspace, so tier 1
-# never sees it) that links the simulator's public types — Packet,
-# FramePool, Nic, StageStamps, PacketFactory. Build and test it here so
-# a change to those cannot break the repo's one benchmark unnoticed.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
-    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml || exit 1
+# never sees it) that links the simulator's public types and the figure
+# table's entry points. Build and test it here so a change to those
+# cannot break the repo's one measuring stick unnoticed.
+bench_manifest=(--release --offline --manifest-path benchmark/Cargo.toml)
+cargo build "${bench_manifest[@]}" && cargo test -q "${bench_manifest[@]}" || exit 1
 
 repo=$(pwd)
 scratch=$(mktemp -d)
@@ -162,8 +123,8 @@ fi
 
 echo "== simlint --fix --dry-run: no pending mechanical fixes =="
 # The autofixer (suppression normalization) must be a no-op on a clean
-# tree: fixable debt is
-# applied, not accumulated. A pending fix prints its diff and gates.
+# tree: fixable debt is applied, not accumulated. A pending fix prints
+# its diff and gates.
 if "$repo/target/release/simlint" --root "$repo" --fix --dry-run; then
     echo "ci: no pending autofixes"
 else
@@ -184,77 +145,49 @@ else
     echo "ci: clippy not installed; skipping advisory pass"
 fi
 
-echo "== figures --quick: regenerate all figures, check shapes =="
-# Run from a scratch directory: the quick-mode CSVs are a smoke check and
-# must not overwrite the committed full-fidelity results/.
-(cd "$scratch" && "$repo/target/release/figures" --quick "${jobs_args[@]}" \
-    ${fig_args[0]+"${fig_args[@]}"})
+# Renders the quick figure set into directory $1 at job count $2 (from a
+# scratch directory: quick-mode CSVs must not overwrite the committed
+# full-fidelity results/) and maps a failed gate to this script's code.
+# A figures exit code without an arm here (a new gate) fails as 1.
+quick_figures() {
+    mkdir -p "$1"
+    (cd "$1" && "$repo/target/release/figures" --quick --jobs "$2" \
+        ${fig_args[0]+"${fig_args[@]}"})
+    rc=$?
+    case "$rc" in
+    0) ;;
+    2) echo "ci: FAIL — rendered figures violate the paper's shapes" >&2 ; exit 2 ;;
+    3) echo "ci: FAIL — latency gate: figure L-1" >&2 ; exit 3 ;;
+    4) echo "ci: FAIL — CPU-share gate: figure C-1" >&2 ; exit 4 ;;
+    5) echo "ci: FAIL — fault gate: figure R-1" >&2 ; exit 5 ;;
+    6) echo "ci: FAIL — SMP gate: figure S-1" >&2 ; exit 9 ;;
+    7) echo "ci: FAIL — online-detection gate: figure O-1" >&2 ; exit 10 ;;
+    8) echo "ci: FAIL — priority gate: figure P-1" >&2 ; exit 12 ;;
+    *) echo "ci: FAIL — figures exited $rc" >&2 ; exit 1 ;;
+    esac
+}
+
+echo "== figures --quick: every gate, byte-identical across job counts =="
+# Every trial is independently seeded, so no CSV may depend on how trials
+# were fanned out — fault storms, SMP slice interleaving, the observe
+# layer and the class dimension included. Render the whole table serially
+# and in parallel and compare the two result directories.
+quick_figures "$scratch/j1" 1
+quick_figures "$scratch/jN" "$jobs"
+if diff -r "$scratch/j1/results" "$scratch/jN/results"; then
+    echo "ci: every quick CSV byte-identical at --jobs 1 and --jobs $jobs"
+else
+    echo "ci: FAIL — figure CSVs differ between --jobs 1 and --jobs $jobs" >&2
+    exit 1
+fi
+# An id outside the table renders nothing, so it must not pass as "ok".
+(cd "$scratch" && "$repo/target/release/figures" --fig 9-9 > /dev/null 2>&1)
 rc=$?
-if [ "$rc" -eq 2 ]; then
-    echo "ci: FAIL — rendered figures violate the paper's shapes" >&2
-    exit 2
-elif [ "$rc" -eq 3 ]; then
-    echo "ci: FAIL — latency gate: polled p99 not well below unmodified at overload" >&2
-    exit 3
-elif [ "$rc" -eq 4 ]; then
-    echo "ci: FAIL — CPU-share gate: figure C-1 violates the paper's cycle accounting" >&2
-    exit 4
-elif [ "$rc" -eq 5 ]; then
-    echo "ci: FAIL — fault gate: figure R-1 violates graceful degradation" >&2
-    exit 5
-elif [ "$rc" -eq 6 ]; then
-    echo "ci: FAIL — SMP gate: figure S-1 violates the scaling claim" >&2
-    exit 9
-elif [ "$rc" -eq 7 ]; then
-    echo "ci: FAIL — online-detection gate: figure O-1 violates the detection claim" >&2
-    exit 10
-elif [ "$rc" -eq 8 ]; then
-    echo "ci: FAIL — priority gate: figure P-1 violates the priority-isolation claim" >&2
-    exit 12
-elif [ "$rc" -ne 0 ]; then
-    echo "ci: FAIL — figures exited $rc" >&2
-    exit 1
-fi
-
-echo "== determinism: figure C-1 byte-identical across job counts =="
-# Every trial is independently seeded, so the CSV must not depend on how
-# trials were fanned out. Render the ledger figure serially and in
-# parallel and compare bytes.
-mkdir -p "$scratch/j1" "$scratch/jN"
-(cd "$scratch/j1" && "$repo/target/release/figures" --quick --fig C-1 --jobs 1) || exit 1
-(cd "$scratch/jN" && "$repo/target/release/figures" --quick --fig C-1 --jobs 4) || exit 1
-if cmp -s "$scratch/j1/results/figC_1.csv" "$scratch/jN/results/figC_1.csv"; then
-    echo "ci: figC_1.csv byte-identical at --jobs 1 and --jobs 4"
+if [ "$rc" -eq 1 ]; then
+    echo "ci: figures rejects an unknown figure id with exit 1"
 else
-    echo "ci: FAIL — figC_1.csv differs between --jobs 1 and --jobs 4" >&2
+    echo "ci: FAIL — figures --fig 9-9 exited $rc, want 1" >&2
     exit 1
-fi
-
-echo "== determinism: figure R-1 byte-identical across job counts =="
-# Same determinism contract for the fault figure: its intensity-0 column
-# runs with no fault plan at all (the zero-fault baseline), and the seeded
-# storms must land identically no matter how trials are fanned out.
-(cd "$scratch/j1" && "$repo/target/release/figures" --quick --fig R-1 --jobs 1) || exit 1
-(cd "$scratch/jN" && "$repo/target/release/figures" --quick --fig R-1 --jobs 4) || exit 1
-if cmp -s "$scratch/j1/results/figR_1.csv" "$scratch/jN/results/figR_1.csv"; then
-    echo "ci: figR_1.csv byte-identical at --jobs 1 and --jobs 4"
-else
-    echo "ci: FAIL — figR_1.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-
-echo "== determinism: figure S-1 byte-identical across job counts =="
-# The SMP figure's trials interleave up to four per-CPU engines through
-# the cluster's round-robin slices; the determinism contract extends to
-# that interleaving, so the rendered CSV must not depend on host job
-# count any more than the single-engine figures do.
-(cd "$scratch/j1" && "$repo/target/release/figures" --quick --fig S-1 --jobs 1) || exit 1
-(cd "$scratch/jN" && "$repo/target/release/figures" --quick --fig S-1 --jobs 4) || exit 1
-if cmp -s "$scratch/j1/results/figS_1.csv" "$scratch/jN/results/figS_1.csv"; then
-    echo "ci: figS_1.csv byte-identical at --jobs 1 and --jobs 4"
-else
-    echo "ci: FAIL — figS_1.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 9
 fi
 
 echo "== SMP trace smoke: --chrome-trace honours --ncpus, deterministically =="
@@ -291,33 +224,6 @@ else
     exit 9
 fi
 
-echo "== determinism: figure O-1 byte-identical across job counts =="
-# The online-detection figure runs with the full observability layer on
-# (per-flow registry, livelock detector, cycle fold); the determinism
-# contract extends to everything the layer measures, so its CSV must not
-# depend on host job count either.
-(cd "$scratch/j1" && "$repo/target/release/figures" --quick --fig O-1 --jobs 1) || exit 1
-(cd "$scratch/jN" && "$repo/target/release/figures" --quick --fig O-1 --jobs 4) || exit 1
-if cmp -s "$scratch/j1/results/figO_1.csv" "$scratch/jN/results/figO_1.csv"; then
-    echo "ci: figO_1.csv byte-identical at --jobs 1 and --jobs 4"
-else
-    echo "ci: FAIL — figO_1.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 10
-fi
-
-echo "== determinism: figure P-1 byte-identical across job counts =="
-# The priority figure threads the class dimension through the whole
-# stack (classifier, per-class rings, shed controller, per-class
-# latency ledgers); its CSV must not depend on host job count either.
-(cd "$scratch/j1" && "$repo/target/release/figures" --quick --fig P-1 --jobs 1) || exit 1
-(cd "$scratch/jN" && "$repo/target/release/figures" --quick --fig P-1 --jobs 4) || exit 1
-if cmp -s "$scratch/j1/results/figP_1.csv" "$scratch/jN/results/figP_1.csv"; then
-    echo "ci: figP_1.csv byte-identical at --jobs 1 and --jobs 4"
-else
-    echo "ci: FAIL — figP_1.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 12
-fi
-
 echo "== determinism: event stream and flamegraph byte-identical across runs =="
 # The observability artifacts themselves are part of the determinism
 # contract: the JSONL event stream and the folded flamegraph from two
@@ -349,16 +255,14 @@ fi
 echo "== committed results: full-fidelity figures byte-identical =="
 # The committed results/*.csv are the paper artifact; the engine (default
 # heap scheduler, arrivals streamed from the arrival source) must
-# reproduce every byte. Regenerate the full-fidelity
-# set in scratch and compare file by file.
+# reproduce every byte. Regenerate the full-fidelity set in scratch and
+# compare file by file.
 mkdir -p "$scratch/full"
 (cd "$scratch/full" && "$repo/target/release/figures") || exit 1
 results_ok=1
 for f in "$repo"/results/*.csv; do
     base=$(basename "$f")
-    if cmp -s "$f" "$scratch/full/results/$base"; then
-        :
-    else
+    if ! cmp -s "$f" "$scratch/full/results/$base"; then
         echo "ci: FAIL — committed results/$base differs from a fresh full-fidelity render" >&2
         results_ok=0
     fi
@@ -366,98 +270,41 @@ done
 [ "$results_ok" -eq 1 ] || exit 1
 echo "ci: all committed results/*.csv byte-identical to a fresh render"
 
-echo "== perf --json smoke: schema + soft regression gate =="
-# A smoke-sized perf-trajectory run (200 packets/trial vs the committed
-# artifact's 10000): validate the livelock-perf-trajectory/v1 schema
-# (including its documented stable field order) and soft-gate throughput
-# against the committed BENCH_PR7.json. Smoke runs amortize setup worse,
-# so the expected smoke throughput is about half the committed
-# events/sec; dipping below that prints a warning, and only a >2x
-# regression below it (i.e. under a quarter of the committed rate) exits
-# nonzero.
-"$repo/target/release/perf" --packets 200 --json > "$scratch/perf.json" || {
-    echo "ci: FAIL — perf --json exited nonzero" >&2
+echo "== benchmark smoke: every unit checked, sim_digests as committed =="
+# One second per workload of the repo's benchmark: every unit it runs is
+# checked (conservation, full-fidelity CSV identity, rerun bit-identity),
+# and each workload's sim_digest — a hash of what was simulated,
+# independent of --seconds — must equal the one in the newest committed
+# BENCH_PR<N>.json. Digests are compared exactly; the times that file
+# records are this trajectory's data points and are never gated here
+# (the box's slow spells would make that a coin-flip; the benchmark
+# pipeline bounds them on interleaved pairs instead).
+committed=$(ls "$repo"/BENCH_PR*.json | sort -V | tail -n 1)
+cargo run "${bench_manifest[@]}" --bin bench -- --seed 1 --seconds 1 --trace 0 \
+    > "$scratch/bench.txt" || {
+    echo "ci: FAIL — the benchmark exited nonzero" >&2
     exit 8
 }
-if python3 - "$scratch/perf.json" "$repo/BENCH_PR7.json" <<'PYEOF'
-import json, sys
-
-def ordered(path):
-    with open(path) as f:
-        return json.load(f, object_pairs_hook=lambda ps: ps)
-
-def keys(pairs):
-    return [k for k, _ in pairs]
-
-def get(pairs, key):
-    return dict(pairs)[key]
-
-smoke = ordered(sys.argv[1])
-committed = ordered(sys.argv[2])
-
-TOP = ["schema", "packets_per_trial", "jobs", "engines",
-       "calendar_speedup_vs_heap", "seed_baseline_wall_s",
-       "seed_baseline_packets_per_trial", "seed_baseline_note",
-       "speedup_vs_seed"]
-ENGINE = ["engine", "figures", "total_wall_s", "total_events",
-          "events_per_sec"]
-FIGURE = ["id", "wall_s", "events_dispatched", "events_per_sec"]
-
-def check_doc(doc, name):
-    if keys(doc) != TOP:
-        sys.exit(f"{name}: top-level keys {keys(doc)} != {TOP}")
-    if get(doc, "schema") != "livelock-perf-trajectory/v1":
-        sys.exit(f"{name}: unexpected schema {get(doc, 'schema')!r}")
-    engines = get(doc, "engines")
-    if [get(e, "engine") for e in engines] != ["heap", "calendar"]:
-        sys.exit(f"{name}: engines must be [heap, calendar]")
-    for e in engines:
-        if keys(e) != ENGINE:
-            sys.exit(f"{name}: engine keys {keys(e)} != {ENGINE}")
-        figures = get(e, "figures")
-        if not figures:
-            sys.exit(f"{name}: empty figure list")
-        for fig in figures:
-            if keys(fig) != FIGURE:
-                sys.exit(f"{name}: figure keys {keys(fig)} != {FIGURE}")
-            if get(fig, "events_dispatched") <= 0:
-                sys.exit(f"{name}: figure {get(fig, 'id')} dispatched no events")
-    return engines
-
-smoke_engines = check_doc(smoke, "smoke")
-committed_engines = check_doc(committed, "BENCH_PR7.json")
-print("ci: perf --json matches livelock-perf-trajectory/v1 (stable field order)")
-
-smoke_eps = get(smoke_engines[1], "events_per_sec")
-committed_eps = get(committed_engines[1], "events_per_sec")
-ratio = smoke_eps / committed_eps
-print(f"ci: smoke calendar throughput {smoke_eps:,.0f} ev/s "
-      f"({ratio:.2f}x of committed {committed_eps:,.0f} ev/s; "
-      f"smoke-sized runs expect ~0.5x)")
-if ratio < 0.25:
-    sys.exit(f"smoke throughput is a >2x regression below the expected "
-             f"smoke-scale rate ({ratio:.2f}x of committed, floor 0.25x)")
-if ratio < 0.5:
-    print(f"ci: WARN — smoke throughput below the expected smoke-scale "
-          f"rate ({ratio:.2f}x of committed); not gating, but worth a look",
-          file=sys.stderr)
+if python3 - "$scratch/bench.txt" "$committed" <<'PYEOF'
+import json, re, sys
+out = open(sys.argv[1]).read()
+want = json.load(open(sys.argv[2]))["workloads"]
+digests = dict(re.findall(r"^(\w+): .*sim_digest ([0-9a-f]+)$", out, re.M))
+results = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
+bad = [f"{r['failed']} of {r['attempted']} units failed"
+       for r in results if r["failed"] or not r["correct"]]
+if len(results) != len(want):
+    bad.append(f"{len(results)} result lines for {len(want)} workloads")
+for w, committed in want.items():
+    if digests.get(w) != committed["sim_digest"]:
+        bad.append(f"{w}: sim_digest {digests.get(w)} != committed {committed['sim_digest']}")
+sys.exit("\n".join(bad) if bad else 0)
 PYEOF
 then
-    echo "ci: perf smoke OK"
+    echo "ci: benchmark smoke OK (failed: 0; digests match $(basename "$committed"))"
 else
-    echo "ci: FAIL — perf smoke schema or >2x throughput regression (see above)" >&2
+    echo "ci: FAIL — benchmark smoke: a unit failed or a sim_digest moved (see above)" >&2
     exit 8
-fi
-
-echo "== perf --observe: zero-perturbation + overhead budget =="
-# Paired off/on trials: the binary asserts the observed run's measured
-# fields are bit-identical to the unobserved run's, and that the layer's
-# wall-clock cost stays inside its budget.
-if "$repo/target/release/perf" --observe --packets 200; then
-    echo "ci: observability layer unperturbing and within budget"
-else
-    echo "ci: FAIL — perf --observe found perturbation or a budget overrun" >&2
-    exit 11
 fi
 
 echo "== observe smoke: online detection exit codes =="
