@@ -228,9 +228,38 @@ impl Args {
                 continue;
             }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            Self::check_spec_value(name, value)?;
             flags.push((name.to_string(), value.clone()));
         }
         Ok(Args { flags })
+    }
+
+    /// The trial-spec flags every subcommand shares must describe a trial
+    /// that can run: a degenerate rate or packet count is a usage error
+    /// here, not a panic inside the trial pipeline.
+    fn check_spec_value(name: &str, value: &str) -> Result<(), String> {
+        let bad = |v: &str| format!("--{name}: bad number {v:?}");
+        match name {
+            "rate" | "rates" => {
+                for v in value.split(',') {
+                    let rate: f64 = v.parse().map_err(|_| bad(v))?;
+                    if rate.is_nan() || rate <= 0.0 {
+                        return Err(format!("--{name}: must be positive, got {rate}"));
+                    }
+                    if rate.is_infinite() {
+                        return Err(format!("--{name}: must be finite, got {rate}"));
+                    }
+                }
+            }
+            "packets" => {
+                let n: usize = value.parse().map_err(|_| bad(value))?;
+                if n == 0 {
+                    return Err("--packets: must be at least 1, got 0".to_string());
+                }
+            }
+            _ => {}
+        }
+        Ok(())
     }
 
     fn has(&self, name: &str) -> bool {
@@ -557,9 +586,6 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
     let rate = args.get_f64("rate", if priority { 5_000.0 } else { 12_000.0 })?;
     let n_packets = args.get_usize("packets", 6_000)?;
     let intensity = args.get_f64("intensity", 2.0)?;
-    if !(rate > 0.0) {
-        return Err(format!("--rate: must be positive, got {rate}"));
-    }
     if !(intensity >= 0.0) {
         return Err(format!("--intensity: must be >= 0, got {intensity}"));
     }
@@ -783,9 +809,6 @@ fn cmd_observe(args: &Args) -> Result<i32, String> {
     let rate = args.get_f64("rate", 12_000.0)?;
     let n_packets = args.get_usize("packets", 6_000)?;
     let seed = args.get_u64("seed", 1)?;
-    if !(rate > 0.0) {
-        return Err(format!("--rate: must be positive, got {rate}"));
-    }
 
     let flows = livelock_bench::o1_flows();
     let run = |name: &str| -> Result<TrialResult, String> {
@@ -974,6 +997,32 @@ mod tests {
         let args = parse("trial", &["--ncpus", "4", "--steal"]).expect("--ncpus is");
         assert_eq!(args.get("ncpus"), Some("4"));
         assert!(args.has("steal"));
+    }
+
+    #[test]
+    fn a_degenerate_trial_spec_is_an_error_naming_the_flag() {
+        for (cmd, raw, flag) in [
+            ("trial", ["--packets", "0"], "--packets"),
+            ("chaos", ["--packets", "0"], "--packets"),
+            ("mlfrr", ["--packets", "-3"], "--packets"),
+            ("trial", ["--rate", "0"], "--rate"),
+            ("trial", ["--rate", "nan"], "--rate"),
+            ("chaos", ["--rate", "inf"], "--rate"),
+            ("observe", ["--rate", "-1"], "--rate"),
+            ("sweep", ["--rates", "0"], "--rates"),
+            ("sweep", ["--rates", "1000,x"], "--rates"),
+        ] {
+            let err = parse(cmd, &raw).err().expect("a degenerate spec");
+            assert!(err.starts_with(flag), "{cmd} {raw:?}: {err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
+        assert_eq!(
+            parse("observe", &["--rate", "0"]).err().as_deref(),
+            Some("--rate: must be positive, got 0"),
+            "the message observe always gave"
+        );
+        let args = parse("sweep", &["--rates", "1000,2500.5", "--packets", "1"]).expect("fine");
+        assert_eq!(args.get("rates"), Some("1000,2500.5"));
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl CycleLimiter {
         self.budget_cycles
     }
 
-    /// Returns the cycles consumed so far this period.
-    pub fn used_cycles(&self) -> u64 {
-        self.used
-    }
-
     /// Returns `true` while input handling is inhibited.
     pub fn is_inhibited(&self) -> bool {
         self.inhibited
@@ -155,7 +150,7 @@ mod tests {
             assert_eq!(lim.record(100_000), LimiterDecision::Continue);
         }
         assert!(!lim.is_inhibited());
-        assert_eq!(lim.used_cycles(), 400_000);
+        assert_eq!(lim.used, 400_000);
     }
 
     #[test]
@@ -182,7 +177,7 @@ mod tests {
         assert!(lim.is_inhibited());
         assert!(lim.on_period_start());
         assert!(!lim.is_inhibited());
-        assert_eq!(lim.used_cycles(), 0);
+        assert_eq!(lim.used, 0);
         assert!(!lim.on_period_start(), "no resume needed when open");
         assert_eq!(lim.periods(), 2);
     }
@@ -193,7 +188,7 @@ mod tests {
         lim.record(60);
         assert!(lim.on_idle());
         assert!(!lim.is_inhibited());
-        assert_eq!(lim.used_cycles(), 0);
+        assert_eq!(lim.used, 0);
         assert!(!lim.on_idle());
     }
 
@@ -218,7 +213,7 @@ mod tests {
         let mut lim = CycleLimiter::new(u64::MAX, 0.0);
         lim.record(u64::MAX);
         assert_eq!(lim.record(u64::MAX), LimiterDecision::Continue);
-        assert_eq!(lim.used_cycles(), u64::MAX);
+        assert_eq!(lim.used, u64::MAX);
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl WatermarkFeedback {
         self.hi
     }
 
-    /// Returns the low-water mark in items.
-    pub fn low_water(&self) -> usize {
-        self.lo
-    }
-
     /// Returns `true` while input is inhibited.
     pub fn is_inhibited(&self) -> bool {
         self.inhibited
@@ -147,7 +142,7 @@ mod tests {
     fn paper_marks() {
         let fb = WatermarkFeedback::paper_screend();
         assert_eq!(fb.high_water(), 24);
-        assert_eq!(fb.low_water(), 8);
+        assert_eq!(fb.lo, 8);
         assert!(!fb.is_inhibited());
     }
 

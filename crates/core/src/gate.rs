@@ -148,13 +148,6 @@ impl IntrGate {
     pub const fn bits(self) -> u8 {
         self.reasons
     }
-
-    /// Returns the currently asserted reasons.
-    pub fn active_reasons(self) -> impl Iterator<Item = InhibitReason> {
-        InhibitReason::ALL
-            .into_iter()
-            .filter(move |r| self.reasons & r.bit() != 0)
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +160,7 @@ mod tests {
     fn starts_open() {
         let g = IntrGate::new();
         assert!(g.is_open());
-        assert_eq!(g.active_reasons().count(), 0);
+        assert_eq!(g.bits(), 0);
     }
 
     #[test]
@@ -203,18 +196,6 @@ mod tests {
         }
         assert_eq!(opened, 1, "exactly one allow() reports the opening edge");
         assert!(g.is_open());
-    }
-
-    #[test]
-    fn active_reasons_reports_exact_set() {
-        let mut g = IntrGate::new();
-        g.inhibit(InhibitReason::PollingActive);
-        g.inhibit(InhibitReason::CycleLimit);
-        let active: Vec<_> = g.active_reasons().collect();
-        assert_eq!(
-            active,
-            vec![InhibitReason::PollingActive, InhibitReason::CycleLimit]
-        );
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //!   Rate (MLFRR) and detects livelock in rate-sweep results.
 //!
 //! The library is simulation-agnostic: it contains no clocks, no I/O, and no
-//! device model. The `livelock-kernel` crate drives it from a simulated
-//! kernel; [`driver::PollLoop`] is the ready-made harness for driving real
-//! devices (netmap/AF_XDP/DPDK-style userspace NICs) with the same
-//! mechanisms.
+//! device model. The `livelock-kernel` crate assembles the mechanisms into
+//! the paper's polling protocol (`kernel::router::polled`) and drives them
+//! from a simulated kernel; [`watchdog::GateWatchdog`] un-wedges the shared
+//! gate when fault injection kills a mechanism mid-inhibit.
 
 pub mod analysis;
 pub mod cycle_limit;
-pub mod driver;
 pub mod feedback;
 pub mod gate;
 pub mod poller;
@@ -42,9 +41,8 @@ pub mod watchdog;
 
 pub use analysis::{mlfrr, LivelockVerdict, SweepPoint};
 pub use cycle_limit::{CycleLimiter, LimiterDecision};
-pub use driver::{PollDriver, PollLoop, PollOutcome, PollStatus};
 pub use feedback::{FeedbackSignal, WatermarkFeedback};
 pub use gate::{InhibitReason, IntrGate};
 pub use poller::{PollAction, PollDirection, Poller, Quota, SourceId};
 pub use rate_limit::IntrRateLimiter;
-pub use watchdog::{GateWatchdog, ProgressWatchdog, WatchdogSignal};
+pub use watchdog::GateWatchdog;

@@ -131,11 +131,6 @@ impl Poller {
         SourceId(self.sources.len() - 1)
     }
 
-    /// Returns the number of registered devices.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Marks a device as needing service (called from the interrupt stub).
     ///
     /// # Panics
@@ -223,12 +218,6 @@ impl Poller {
         })
     }
 
-    /// Returns `true` while any work is pending, serviceable or not
-    /// (inhibited receive work still counts: interrupts must stay off).
-    pub fn any_pending(&self) -> bool {
-        self.sources.iter().any(|s| s.rx_pending || s.tx_pending)
-    }
-
     /// Returns `true` when the device has pending work in `dir`.
     pub fn is_pending(&self, source: SourceId, dir: PollDirection) -> bool {
         let s = &self.sources[source.0];
@@ -255,12 +244,6 @@ impl Poller {
             PollDirection::Transmit => self.tx_quota,
         }
     }
-
-    /// Replaces the quotas (the paper recommends this be tunable).
-    pub fn set_quotas(&mut self, rx: Quota, tx: Quota) {
-        self.rx_quota = rx;
-        self.tx_quota = tx;
-    }
 }
 
 #[cfg(test)]
@@ -279,8 +262,7 @@ mod tests {
     fn empty_poller_yields_nothing() {
         let mut p = Poller::new(Quota::Unlimited, Quota::Unlimited);
         assert_eq!(p.next_action(), None);
-        assert!(!p.any_pending());
-        assert_eq!(p.num_sources(), 0);
+        assert!(p.sources.is_empty());
     }
 
     #[test]
@@ -327,7 +309,7 @@ mod tests {
         p.request(ids[0], PollDirection::Receive);
         let a = p.next_action().unwrap();
         p.complete(a.source, a.dir, 3, false);
-        assert!(!p.any_pending());
+        assert!(!p.is_pending(ids[0], PollDirection::Receive));
         assert_eq!(p.next_action(), None);
         assert_eq!(p.packets_reported(), 3);
     }
@@ -343,7 +325,10 @@ mod tests {
         assert_eq!(a.source, ids[1]);
         p.complete(a.source, a.dir, 1, false);
         assert_eq!(p.next_action(), None, "rx still inhibited");
-        assert!(p.any_pending(), "inhibited rx work is still pending");
+        assert!(
+            p.is_pending(ids[0], PollDirection::Receive),
+            "inhibited rx work is still pending"
+        );
         assert!(!p.any_serviceable());
         p.set_rx_inhibited(false);
         assert_eq!(p.next_action().unwrap().source, ids[0]);
@@ -357,18 +342,6 @@ mod tests {
         let a = p.next_action().unwrap();
         p.complete(a.source, a.dir, 5, false);
         assert_eq!(p.next_action(), None, "double request != double service");
-    }
-
-    #[test]
-    fn quotas_are_tunable() {
-        let mut p = Poller::new(Quota::Limited(5), Quota::Unlimited);
-        let id = p.register();
-        p.request(id, PollDirection::Receive);
-        assert_eq!(p.next_action().unwrap().quota, Quota::Limited(5));
-        p.set_quotas(Quota::Limited(20), Quota::Limited(20));
-        p.request(id, PollDirection::Receive);
-        assert_eq!(p.next_action().unwrap().quota, Quota::Limited(20));
-        assert_eq!(p.quota(PollDirection::Transmit), Quota::Limited(20));
     }
 
     #[cfg(feature = "proptest")]

@@ -39,8 +39,6 @@ pub struct IntrRateLimiter {
     /// Time the bucket state was last advanced, plus sub-token remainder
     /// folded into the next refill.
     last_refill: u64,
-    allowed: u64,
-    deferred: u64,
 }
 
 impl IntrRateLimiter {
@@ -59,8 +57,6 @@ impl IntrRateLimiter {
             burst,
             tokens: burst,
             last_refill: 0,
-            allowed: 0,
-            deferred: 0,
         }
     }
 
@@ -95,10 +91,8 @@ impl IntrRateLimiter {
         self.refill(now);
         if self.tokens > 0 {
             self.tokens -= 1;
-            self.allowed += 1;
             true
         } else {
-            self.deferred += 1;
             false
         }
     }
@@ -110,16 +104,6 @@ impl IntrRateLimiter {
         } else {
             self.last_refill + self.interval
         }
-    }
-
-    /// Interrupts allowed so far.
-    pub fn allowed_count(&self) -> u64 {
-        self.allowed
-    }
-
-    /// Delivery attempts deferred so far.
-    pub fn deferred_count(&self) -> u64 {
-        self.deferred
     }
 }
 
@@ -140,8 +124,6 @@ mod tests {
         assert!(rl.allow(100));
         assert!(!rl.allow(150));
         assert!(rl.allow(200));
-        assert_eq!(rl.allowed_count(), 5);
-        assert_eq!(rl.deferred_count(), 3);
     }
 
     #[test]

@@ -1,96 +1,6 @@
-//! The progress watchdog: §5.1's third livelock trigger.
-//!
-//! "The system may infer impending livelock because it is discarding
-//! packets due to queue overflow, or **because high-layer protocol
-//! processing or user code are making no progress**, or by measuring the
-//! fraction of CPU cycles used for packet processing."
-//!
-//! The watermark feedback covers the first trigger and the cycle limiter
-//! the third; this module is the second: a consumer reports progress
-//! (packets delivered to the application, RPCs completed), and if a whole
-//! observation period passes with input work happening but zero consumer
-//! progress, input is inhibited for the next period to let the consumer
-//! run. Unlike the cycle limiter it needs no clock register — only a
-//! periodic tick and two counters — which is why the paper lists it as an
-//! option for machines "without a fine-grained clock".
-
-/// Periodic verdicts from the watchdog.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WatchdogSignal {
-    /// The consumer starved while input ran: inhibit input.
-    Inhibit,
-    /// The inhibition period is over: resume input.
-    Resume,
-}
-
-/// Detects consumer starvation by comparing progress across periods.
-///
-/// # Examples
-///
-/// ```
-/// use livelock_core::watchdog::{ProgressWatchdog, WatchdogSignal};
-///
-/// let mut wd = ProgressWatchdog::new();
-/// wd.input_work(100);          // The kernel handled packets...
-/// assert_eq!(wd.on_period(), Some(WatchdogSignal::Inhibit)); // ...consumer got nothing.
-/// assert_eq!(wd.on_period(), Some(WatchdogSignal::Resume));  // One period of relief.
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProgressWatchdog {
-    input_in_period: u64,
-    progress_in_period: u64,
-    inhibited: bool,
-    inhibit_edges: u64,
-}
-
-impl ProgressWatchdog {
-    /// Creates a watchdog in the open state.
-    pub fn new() -> Self {
-        ProgressWatchdog::default()
-    }
-
-    /// Records input-side work (packets taken from devices this period).
-    pub fn input_work(&mut self, packets: u64) {
-        self.input_in_period = self.input_in_period.saturating_add(packets);
-    }
-
-    /// Records consumer progress (packets delivered / requests completed).
-    pub fn progress(&mut self, units: u64) {
-        self.progress_in_period = self.progress_in_period.saturating_add(units);
-    }
-
-    /// Period boundary: renders a verdict and resets the period counters.
-    ///
-    /// Starvation = input happened, progress did not. While inhibited, the
-    /// next period boundary always resumes (the consumer had a whole
-    /// period with input off; if it still made no progress the system is
-    /// not input-bound and inhibiting more would be wrong).
-    pub fn on_period(&mut self) -> Option<WatchdogSignal> {
-        let starved = self.input_in_period > 0 && self.progress_in_period == 0;
-        self.input_in_period = 0;
-        self.progress_in_period = 0;
-        if self.inhibited {
-            self.inhibited = false;
-            Some(WatchdogSignal::Resume)
-        } else if starved {
-            self.inhibited = true;
-            self.inhibit_edges += 1;
-            Some(WatchdogSignal::Inhibit)
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` while the watchdog holds input off.
-    pub fn is_inhibited(&self) -> bool {
-        self.inhibited
-    }
-
-    /// How many starvation events were detected.
-    pub fn inhibit_edges(&self) -> u64 {
-        self.inhibit_edges
-    }
-}
+//! Supervision for the interrupt gate the paper's mechanisms share: each
+//! inhibits input for a reason and clears it itself, unless fault
+//! injection (DESIGN.md §7) kills it first.
 
 /// Last-resort un-wedger for the interrupt gate itself.
 ///
@@ -159,121 +69,6 @@ impl GateWatchdog {
     /// How many times the watchdog had to force-clear stuck reasons.
     pub fn unwedges(&self) -> u64 {
         self.unwedges
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
-
-    #[test]
-    fn quiet_periods_stay_open() {
-        let mut wd = ProgressWatchdog::new();
-        for _ in 0..10 {
-            assert_eq!(wd.on_period(), None);
-        }
-        assert!(!wd.is_inhibited());
-    }
-
-    #[test]
-    fn healthy_flow_stays_open() {
-        let mut wd = ProgressWatchdog::new();
-        for _ in 0..10 {
-            wd.input_work(50);
-            wd.progress(50);
-            assert_eq!(wd.on_period(), None);
-        }
-        assert_eq!(wd.inhibit_edges(), 0);
-    }
-
-    #[test]
-    fn starvation_inhibits_then_resumes() {
-        let mut wd = ProgressWatchdog::new();
-        wd.input_work(100);
-        assert_eq!(wd.on_period(), Some(WatchdogSignal::Inhibit));
-        assert!(wd.is_inhibited());
-        // Even continued starvation only costs one inhibited period at a
-        // time — resume, then re-evaluate.
-        wd.input_work(100);
-        assert_eq!(wd.on_period(), Some(WatchdogSignal::Resume));
-        wd.input_work(100);
-        assert_eq!(wd.on_period(), Some(WatchdogSignal::Inhibit));
-        assert_eq!(wd.inhibit_edges(), 2);
-    }
-
-    #[test]
-    fn progress_without_input_is_fine() {
-        let mut wd = ProgressWatchdog::new();
-        wd.progress(10);
-        assert_eq!(wd.on_period(), None);
-    }
-
-    #[test]
-    fn recovery_clears_the_cycle() {
-        let mut wd = ProgressWatchdog::new();
-        wd.input_work(100);
-        assert_eq!(wd.on_period(), Some(WatchdogSignal::Inhibit));
-        assert_eq!(wd.on_period(), Some(WatchdogSignal::Resume));
-        // Consumer caught up: stays open.
-        wd.input_work(100);
-        wd.progress(40);
-        assert_eq!(wd.on_period(), None);
-    }
-
-    #[cfg(feature = "proptest")]
-    proptest! {
-        /// Signals alternate (never two Inhibits or two Resumes in a row)
-        /// and the state matches the last signal.
-        #[test]
-        fn signals_alternate(
-            periods in proptest::collection::vec((0u64..100, 0u64..100), 1..200)
-        ) {
-            let mut wd = ProgressWatchdog::new();
-            let mut last: Option<WatchdogSignal> = None;
-            for (input, progress) in periods {
-                wd.input_work(input);
-                wd.progress(progress);
-                if let Some(sig) = wd.on_period() {
-                    match (last, sig) {
-                        (Some(WatchdogSignal::Inhibit), WatchdogSignal::Inhibit) => {
-                            prop_assert!(false, "double inhibit");
-                        }
-                        (Some(WatchdogSignal::Resume), WatchdogSignal::Resume) => {
-                            // Legal only if an Inhibit happened in between,
-                            // which alternation already rules out.
-                            prop_assert!(false, "double resume");
-                        }
-                        (None, WatchdogSignal::Resume) => {
-                            prop_assert!(false, "resume before inhibit");
-                        }
-                        _ => {}
-                    }
-                    last = Some(sig);
-                }
-                prop_assert_eq!(
-                    wd.is_inhibited(),
-                    matches!(last, Some(WatchdogSignal::Inhibit))
-                );
-            }
-        }
-
-        /// The watchdog never inhibits for more than one consecutive
-        /// period: over any trace, inhibited periods never run
-        /// back-to-back.
-        #[test]
-        fn inhibition_is_bounded(inputs in proptest::collection::vec(0u64..100, 1..100)) {
-            let mut wd = ProgressWatchdog::new();
-            let mut prev_inhibited = false;
-            for input in inputs {
-                wd.input_work(input);
-                let _ = wd.on_period();
-                let now = wd.is_inhibited();
-                prop_assert!(!(prev_inhibited && now), "two inhibited periods in a row");
-                prev_inhibited = now;
-            }
-        }
     }
 }
 

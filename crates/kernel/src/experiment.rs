@@ -48,7 +48,7 @@ use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
 use crate::router::smp::{SmpCtx, SmpShared, STEAL_BUF_CAP};
 use crate::router::{Event, RouterKernel};
-use crate::stats::{ClassStats, DropStats, FaultStats, KernelStats, LatencyStats};
+use crate::stats::{ClassStats, DropReason, DropStats, FaultStats, KernelStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
 
 /// One trial's parameters.
@@ -149,7 +149,8 @@ pub struct ClassSummary {
 
 /// Renders the kernel's per-class books as [`ClassSummary`] rows in
 /// [`TrafficClass`] index order; empty when classification was off.
-fn class_summaries(class: Option<&ClassStats>, freq: Freq) -> Vec<ClassSummary> {
+/// `shed` is read from the drop taxonomy, the one place drops are kept.
+fn class_summaries(class: Option<&ClassStats>, drops: &DropStats, freq: Freq) -> Vec<ClassSummary> {
     let Some(cs) = class else {
         return Vec::new();
     };
@@ -161,7 +162,7 @@ fn class_summaries(class: Option<&ClassStats>, freq: Freq) -> Vec<ClassSummary> 
                 class: c,
                 arrived: cc.arrived,
                 delivered: cc.delivered,
-                shed: cc.shed,
+                shed: drops.get(DropReason::ClassShed { class: c }),
                 delivered_pps: cs.delivered_pps(c, freq),
                 latency_mean: cc.latency.mean(),
                 latency_p99: cc.latency.quantile(0.99),
@@ -205,8 +206,7 @@ pub struct TrialResult {
     /// Full latency distributions: total sojourn plus per-stage residency
     /// histograms (empty when `config.latency_tracking` is off).
     pub latency: LatencyStats,
-    /// Every drop in the trial, attributed to a
-    /// [`DropReason`](crate::stats::DropReason).
+    /// Every drop in the trial, attributed to a [`DropReason`].
     pub drops: DropStats,
     /// Per-CPU execution statistics, one entry per configured CPU in
     /// [`CpuId`] order (always at least one). The CPU-dimension API:
@@ -619,8 +619,6 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     let mut fault = FaultStats::default();
     let (mut offered_pps, mut delivered_pps, mut app_delivered_pps) = (0.0, 0.0, 0.0);
     let (mut transmitted, mut app_delivered) = (0, 0);
-    let (mut rx_ring_drops, mut ipintrq_drops, mut ifq_drops) = (0, 0, 0);
-    let (mut screend_q_drops, mut screend_denied, mut socket_q_drops) = (0, 0, 0);
     for (k, e) in engines.iter_mut().enumerate() {
         // Observability export: give a too-short timeline its drain-time
         // sample, then drain the detector's event stream — it also feeds
@@ -669,12 +667,6 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         app_delivered_pps += s.app_delivered_pps(freq);
         transmitted += s.transmitted;
         app_delivered += s.app_delivered;
-        rx_ring_drops += s.rx_ring_drops();
-        ipintrq_drops += s.ipintrq_drops();
-        ifq_drops += s.ifq_drops();
-        screend_q_drops += s.screend_q_drops();
-        screend_denied += s.screend_denied();
-        socket_q_drops += s.socket_q_drops();
     }
     events.sort_by_key(|ev| (ev.at.raw(), ev.cpu.0));
 
@@ -695,18 +687,19 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         offered_pps,
         delivered_pps,
         transmitted,
-        rx_ring_drops,
-        ipintrq_drops,
-        screend_q_drops,
-        screend_denied,
-        socket_q_drops,
+        rx_ring_drops: drops.rx_ring_drops(),
+        ipintrq_drops: drops.ipintrq_drops(),
+        screend_q_drops: drops.screend_q_drops(),
+        screend_denied: drops.screend_denied(),
+        socket_q_drops: drops.socket_q_drops(),
         app_delivered,
         app_delivered_pps,
-        ifq_drops,
+        ifq_drops: drops.ifq_drops(),
         latency_mean: latency.mean(),
         latency_p99: latency.quantile(0.99),
         latency_jitter: latency.jitter(),
         latency,
+        classes: class_summaries(classes.as_ref(), &drops, freq),
         drops,
         per_cpu,
         timeline: stats0.timeline.clone(),
@@ -715,7 +708,6 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         flows,
         events,
         fold,
-        classes: class_summaries(classes.as_ref(), freq),
     };
     Finished {
         result,
@@ -1264,7 +1256,6 @@ mod tests {
             seed in 1u64..32,
         ) {
             use crate::config::ClassifyConfig;
-            use crate::stats::DropReason;
             use livelock_net::classify::MatchRule;
             let ncpus = 1usize << ncpus_pow;
             let classes = ClassifyConfig {
@@ -1787,6 +1778,30 @@ mod tests {
         let reg = r.flows.as_ref().expect("observability on");
         assert_eq!(reg.total_arrivals(), spec.n_packets as u64);
         assert_eq!(r.per_flow().len(), 64, "the balanced flow set");
+        // The six frozen drop columns are views of the merged taxonomy,
+        // and on this config (no classes, no bystanders, no forwarding
+        // errors) they hold every drop there was.
+        assert!(r.drops.total() > 0, "overloaded: something must drop");
+        let columns = [
+            r.rx_ring_drops,
+            r.ipintrq_drops,
+            r.screend_q_drops,
+            r.screend_denied,
+            r.socket_q_drops,
+            r.ifq_drops,
+        ];
+        assert_eq!(columns.iter().sum::<u64>(), r.drops.total());
+        assert_eq!(
+            columns,
+            [
+                r.drops.rx_ring_drops(),
+                r.drops.ipintrq_drops(),
+                r.drops.screend_q_drops(),
+                r.drops.screend_denied(),
+                r.drops.socket_q_drops(),
+                r.drops.ifq_drops(),
+            ]
+        );
     }
 
     #[test]

@@ -45,15 +45,6 @@ impl Parallelism {
             Parallelism::Auto => default_jobs(),
         }
     }
-
-    /// A policy from an optional `--jobs` style argument: `None` means
-    /// [`Auto`](Parallelism::Auto).
-    pub fn from_jobs_arg(jobs: Option<usize>) -> Self {
-        match jobs {
-            None => Parallelism::Auto,
-            Some(n) => Parallelism::Jobs(n),
-        }
-    }
 }
 
 /// Maps `f` over `items` on up to `jobs` scoped worker threads, returning
@@ -148,8 +139,6 @@ mod tests {
         assert_eq!(Parallelism::Jobs(6).jobs(), 6);
         assert_eq!(Parallelism::Jobs(0).jobs(), 1, "zero clamps to one");
         assert_eq!(Parallelism::Auto.jobs(), default_jobs());
-        assert_eq!(Parallelism::from_jobs_arg(None), Parallelism::Auto);
-        assert_eq!(Parallelism::from_jobs_arg(Some(3)), Parallelism::Jobs(3));
         assert_eq!(Parallelism::default(), Parallelism::Auto);
     }
 

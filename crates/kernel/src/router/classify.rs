@@ -41,6 +41,7 @@ use livelock_net::classify::{Classifier, TrafficClass};
 #[derive(Clone, Debug)]
 pub(crate) struct ShedController {
     cfg: ShedConfig,
+    /// The current shed level (0 = admit everything).
     level: u8,
     ticks: u64,
     level_since: u64,
@@ -54,11 +55,6 @@ impl ShedController {
             ticks: 0,
             level_since: 0,
         }
-    }
-
-    /// The current shed level (0 = admit everything).
-    pub(crate) fn level(&self) -> u8 {
-        self.level
     }
 
     /// Whether class `c` is shed at the current level.
@@ -232,12 +228,6 @@ impl RouterKernel {
         }
     }
 
-    /// The admission gate's current shed level (0 = admit everything,
-    /// also when classification is off).
-    pub fn shed_level(&self) -> u8 {
-        self.classes.as_ref().map_or(0, |ce| ce.shed.level())
-    }
-
     /// The classed receive drain's ring choice for the next poll chunk:
     /// `None` when classification is off (the classless single-ring
     /// path) or nothing is pending.
@@ -265,31 +255,31 @@ mod tests {
     #[test]
     fn shed_controller_escalates_one_level_at_a_time() {
         let mut s = controller(1);
-        assert_eq!(s.level(), 0);
+        assert_eq!(s.level, 0);
         s.on_tick(0.9, false);
-        assert_eq!(s.level(), 1, "first pressure tick sheds Bulk only");
+        assert_eq!(s.level, 1, "first pressure tick sheds Bulk only");
         assert!(s.sheds(TrafficClass::Bulk));
         assert!(!s.sheds(TrafficClass::Realtime));
         s.on_tick(0.9, false);
-        assert_eq!(s.level(), 2);
+        assert_eq!(s.level, 2);
         assert!(s.sheds(TrafficClass::Realtime));
         assert!(!s.sheds(TrafficClass::Control), "Control is never shed");
         s.on_tick(0.9, false);
-        assert_eq!(s.level(), 2, "level 2 is the ceiling");
+        assert_eq!(s.level, 2, "level 2 is the ceiling");
     }
 
     #[test]
     fn shed_controller_hysteresis_band_holds_level() {
         let mut s = controller(1);
         s.on_tick(0.9, false);
-        assert_eq!(s.level(), 1);
+        assert_eq!(s.level, 1);
         // Mid-band fill: neither pressure nor calm — the level holds.
         for _ in 0..10 {
             s.on_tick(0.5, false);
         }
-        assert_eq!(s.level(), 1);
+        assert_eq!(s.level, 1);
         s.on_tick(0.1, false);
-        assert_eq!(s.level(), 0, "calm below the restore threshold");
+        assert_eq!(s.level, 0, "calm below the restore threshold");
     }
 
     #[test]
@@ -297,17 +287,17 @@ mod tests {
         let mut s = controller(4);
         for _ in 0..3 {
             s.on_tick(0.9, false);
-            assert_eq!(s.level(), 0, "held until the minimum-hold window");
+            assert_eq!(s.level, 0, "held until the minimum-hold window");
         }
         s.on_tick(0.9, false);
-        assert_eq!(s.level(), 1);
+        assert_eq!(s.level, 1);
         // Immediately calm: the new level must also be held.
         for _ in 0..3 {
             s.on_tick(0.0, false);
-            assert_eq!(s.level(), 1);
+            assert_eq!(s.level, 1);
         }
         s.on_tick(0.0, false);
-        assert_eq!(s.level(), 0);
+        assert_eq!(s.level, 0);
     }
 
     #[test]
@@ -316,30 +306,30 @@ mod tests {
         // No ticks have elapsed: the tick path would hold level 0, but
         // the admission-time path reacts to instantaneous fill at once.
         s.note_pressure(0.9);
-        assert_eq!(s.level(), 1);
+        assert_eq!(s.level, 1);
         s.note_pressure(0.9);
-        assert_eq!(s.level(), 2);
+        assert_eq!(s.level, 2);
         s.note_pressure(0.9);
-        assert_eq!(s.level(), 2, "level 2 is the ceiling");
+        assert_eq!(s.level, 2, "level 2 is the ceiling");
         // Calm fill at admission time does nothing: de-escalation is
         // tick-driven only, and still honours the minimum hold.
         s.note_pressure(0.0);
-        assert_eq!(s.level(), 2);
+        assert_eq!(s.level, 2);
         for _ in 0..3 {
             s.on_tick(0.0, false);
-            assert_eq!(s.level(), 2);
+            assert_eq!(s.level, 2);
         }
         s.on_tick(0.0, false);
-        assert_eq!(s.level(), 1);
+        assert_eq!(s.level, 1);
     }
 
     #[test]
     fn detector_verdict_is_pressure_regardless_of_fill() {
         let mut s = controller(1);
         s.on_tick(0.0, true);
-        assert_eq!(s.level(), 1, "livelock verdict alone escalates");
+        assert_eq!(s.level, 1, "livelock verdict alone escalates");
         s.on_tick(0.0, false);
-        assert_eq!(s.level(), 0);
+        assert_eq!(s.level, 0);
     }
 
     #[test]

@@ -790,8 +790,7 @@ impl RouterKernel {
         if self.stats.flows.is_some() {
             pkt.flow = pkt.flow_key();
         }
-        self.stats.record_arrival(env.now());
-        self.stats.flow_arrival(pkt.flow);
+        self.stats.record_arrival(env.now(), pkt.flow);
         pkt.arrived_at = env.now();
         // The class-aware admission gate: classify, stamp, and — on a
         // polled kernel under an active shed level — drop low-priority
@@ -1117,22 +1116,12 @@ impl Workload for RouterKernel {
                 };
                 self.stats.record_tx(now);
                 if let Some(pkt) = latency_src {
-                    // Kernel-originated packets (ARP/ICMP/replies) never
-                    // arrived on a wire and are not latency samples.
-                    if pkt.arrived_at != Cycles::MAX {
-                        if self.cfg.latency_tracking {
-                            self.stats.latency.record_delivery(
-                                pkt.arrived_at,
-                                &pkt.stamps,
-                                now,
-                                self.cost.freq,
-                            );
-                        }
-                        self.stats
-                            .flow_delivery(pkt.flow, pkt.arrived_at, now, self.cost.freq);
-                        self.stats
-                            .class_delivery(pkt.class, pkt.arrived_at, now, self.cost.freq);
-                    }
+                    self.stats.record_delivery(
+                        &pkt,
+                        now,
+                        self.cost.freq,
+                        self.cfg.latency_tracking,
+                    );
                 }
                 if post_tx && !self.consume_lost_tx_intr(i) {
                     env.post_intr(self.ifaces[i].tx_src);

@@ -68,20 +68,8 @@ impl RouterKernel {
         pkt.stamps.sq_deq = env.now();
         self.stats.record_app_delivery(env.now());
         // The application consuming the datagram ends its sojourn.
-        if pkt.arrived_at != Cycles::MAX {
-            if self.cfg.latency_tracking {
-                self.stats.latency.record_delivery(
-                    pkt.arrived_at,
-                    &pkt.stamps,
-                    env.now(),
-                    self.cost.freq,
-                );
-            }
-            self.stats
-                .flow_delivery(pkt.flow, pkt.arrived_at, env.now(), self.cost.freq);
-            self.stats
-                .class_delivery(pkt.class, pkt.arrived_at, env.now(), self.cost.freq);
-        }
+        self.stats
+            .record_delivery(&pkt, env.now(), self.cost.freq, self.cfg.latency_tracking);
         let depth = self.socket_q.len();
         if let Some(fb) = &mut self.socket_feedback {
             match fb.on_depth(depth) {

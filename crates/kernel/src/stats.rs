@@ -6,7 +6,7 @@
 //! counter over the trial. [`KernelStats`] keeps the same books.
 
 use livelock_net::pool::PoolStats;
-use livelock_net::{FlowKey, StageStamps, TrafficClass};
+use livelock_net::{FlowKey, Packet, StageStamps, TrafficClass};
 use livelock_sim::{Cycles, Freq, HdrHistogram, Nanos, RateWindow};
 
 use crate::flows::FlowRegistry;
@@ -14,9 +14,10 @@ use crate::telemetry::Timeline;
 
 /// Why a packet died. Every drop path in the kernel records one of these
 /// through [`KernelStats::record_drop`], giving the per-cause taxonomy the
-/// paper's loss-attribution argument (§3, §6.2) needs and that the legacy
-/// per-queue counters blur (e.g. an output-queue drop-tail drop vs a RED
-/// early drop both land in `ifq_drops`).
+/// paper's loss-attribution argument (§3, §6.2) needs. It is the only
+/// store: the per-queue names ([`KernelStats::ifq_drops`] and friends) are
+/// sums over it (e.g. an output-queue drop-tail drop and a RED early drop
+/// both read back through `ifq_drops`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// RX ring overflow: the host was too slow to drain the ring. The
@@ -51,9 +52,6 @@ pub enum DropReason {
     BadHeader,
     /// Locally destined but no application listening on the port.
     NoListener,
-    /// Fragment reassembly timed out before the datagram completed
-    /// (reserved: the reassembler currently runs outside the router path).
-    ReassemblyTimeout,
     /// Shed at admission by the class-aware gate (DESIGN.md §14): the
     /// shed controller decided this packet's [`TrafficClass`] is not
     /// worth host cycles while the downstream bottleneck is overloaded.
@@ -68,7 +66,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Every reason, in reporting order (cheapest drop first).
-    pub const ALL: [DropReason; 18] = [
+    pub const ALL: [DropReason; 17] = [
         DropReason::RxRingFull,
         DropReason::FeedbackInhibit,
         DropReason::ClassShed {
@@ -92,7 +90,6 @@ impl DropReason {
         DropReason::NoArp,
         DropReason::BadHeader,
         DropReason::NoListener,
-        DropReason::ReassemblyTimeout,
     ];
 
     /// Short stable name for tables and CSV columns.
@@ -112,7 +109,6 @@ impl DropReason {
             DropReason::NoArp => "no-arp",
             DropReason::BadHeader => "bad-header",
             DropReason::NoListener => "no-listener",
-            DropReason::ReassemblyTimeout => "reasm-timeout",
             DropReason::ClassShed {
                 class: TrafficClass::Control,
             } => "class-shed-control",
@@ -146,7 +142,6 @@ impl DropReason {
             DropReason::NoArp => 14,
             DropReason::BadHeader => 15,
             DropReason::NoListener => 16,
-            DropReason::ReassemblyTimeout => 17,
         }
     }
 }
@@ -192,6 +187,36 @@ impl DropStats {
             .zip(&self.counts)
             .filter(|(_, &c)| c > 0)
             .map(|(&r, &c)| (r, c))
+    }
+
+    // The six per-queue views `TrialResult` freezes as columns, each a sum
+    // over reasons. `KernelStats` has the same-named getters (and the
+    // views nothing outside one kernel's books reads).
+
+    /// `RxRingFull + FeedbackInhibit`: free drops at the interface.
+    pub(crate) fn rx_ring_drops(&self) -> u64 {
+        self.get(DropReason::RxRingFull) + self.get(DropReason::FeedbackInhibit)
+    }
+
+    pub(crate) fn ipintrq_drops(&self) -> u64 {
+        self.get(DropReason::IpintrqFull)
+    }
+
+    pub(crate) fn screend_q_drops(&self) -> u64 {
+        self.get(DropReason::ScreendQueueFull)
+    }
+
+    pub(crate) fn screend_denied(&self) -> u64 {
+        self.get(DropReason::ScreendDenied)
+    }
+
+    /// `OutputQueueFull + RedEarlyDrop`.
+    pub(crate) fn ifq_drops(&self) -> u64 {
+        self.get(DropReason::OutputQueueFull) + self.get(DropReason::RedEarlyDrop)
+    }
+
+    pub(crate) fn socket_q_drops(&self) -> u64 {
+        self.get(DropReason::SocketQueueFull)
     }
 }
 
@@ -445,7 +470,8 @@ impl FaultStats {
 }
 
 /// One traffic class's books: where its packets went and how long the
-/// delivered ones took.
+/// delivered ones took. Sheds are not kept here: they are the
+/// [`DropReason::ClassShed`] entries of [`DropStats`].
 #[derive(Clone, Debug)]
 pub struct ClassCounters {
     /// Wire arrivals classified into this class.
@@ -453,8 +479,6 @@ pub struct ClassCounters {
     /// Packets of this class delivered (wire transmit or local
     /// consumption).
     pub delivered: u64,
-    /// Packets of this class shed at admission by the gate.
-    pub shed: u64,
     /// Wire-to-delivery sojourn distribution (whole trial).
     pub latency: HdrHistogram,
     /// Sojourns recorded since the last [`ClassStats::take_window_p99`]
@@ -469,7 +493,6 @@ impl ClassCounters {
         ClassCounters {
             arrived: 0,
             delivered: 0,
-            shed: 0,
             latency: HdrHistogram::new(),
             window_latency: HdrHistogram::new(),
             window: None,
@@ -536,12 +559,6 @@ impl ClassStats {
         }
     }
 
-    /// Counts one shed (called from [`KernelStats::record_drop`], the
-    /// single mutation path for drop accounting).
-    fn record_shed(&mut self, c: TrafficClass) {
-        self.classes[c.index()].shed += 1;
-    }
-
     /// Drains the detector's sliding window for class `c`: returns the
     /// `(samples, p99)` of sojourns recorded since the previous call
     /// and resets the window in place (no allocation).
@@ -571,7 +588,6 @@ impl ClassStats {
         for (a, b) in self.classes.iter_mut().zip(&other.classes) {
             a.arrived += b.arrived;
             a.delivered += b.delivered;
-            a.shed += b.shed;
             a.latency.merge(&b.latency);
             a.window_latency.merge(&b.window_latency);
             match (&mut a.window, &b.window) {
@@ -591,40 +607,14 @@ impl Default for ClassStats {
 
 /// Counters and distributions collected by the router kernel during a run.
 ///
-/// The per-queue drop counters are private: [`KernelStats::record_drop`]
-/// is the only mutation path (it keeps them in sync with the
-/// [`DropReason`] taxonomy), and the same-named getter methods are the
-/// read path. CI enforces this by grepping for direct pushes.
-#[derive(Clone, Debug)]
+/// Drops live in one place, [`KernelStats::drops`], written only by
+/// [`KernelStats::record_drop`]; the per-queue getters (`rx_ring_drops()`,
+/// `ifq_drops()`, …) are sums over that taxonomy, not counters of their own.
+#[derive(Clone, Debug, Default)]
 pub struct KernelStats {
     /// Frames that finished arriving on input wires (offered load actually
     /// presented to the NICs).
     pub arrived: u64,
-    /// Frames dropped because a receive ring was full (free drops at the
-    /// interface). Read via [`KernelStats::rx_ring_drops`].
-    rx_ring_drops: u64,
-    /// Packets shed at admission by the class-aware gate — free,
-    /// deliberate drops (like feedback inhibition, the kernel chose not
-    /// to invest work). Read via [`KernelStats::class_shed_drops`].
-    class_shed_drops: u64,
-    /// Packets dropped at the `ipintrq` (unmodified kernel only) — each one
-    /// wasted device-level work. Read via [`KernelStats::ipintrq_drops`].
-    ipintrq_drops: u64,
-    /// Packets dropped at the screend queue — each one wasted device +
-    /// IP-level work. Read via [`KernelStats::screend_q_drops`].
-    screend_q_drops: u64,
-    /// Packets denied by the screening rules (not a malfunction). Read via
-    /// [`KernelStats::screend_denied`].
-    screend_denied: u64,
-    /// Packets dropped at an output interface queue — wasted everything
-    /// but transmission. Read via [`KernelStats::ifq_drops`].
-    ifq_drops: u64,
-    /// Of the output-queue drops, how many were RED early drops. Read via
-    /// [`KernelStats::red_drops`].
-    red_drops: u64,
-    /// Packets dropped at the local socket buffer (end-system mode). Read
-    /// via [`KernelStats::socket_q_drops`].
-    socket_q_drops: u64,
     /// Packets consumed by the local application (end-system mode).
     pub app_delivered: u64,
     /// Reply packets originated by the local application.
@@ -633,26 +623,18 @@ pub struct KernelStats {
     pub icmp_errors_sent: u64,
     /// ICMP error generation suppressed by pacing.
     pub icmp_suppressed: u64,
-    /// Packets discarded because the host is not a router (end-system
-    /// mode) and the destination was not local — the "innocent bystander"
-    /// cost of §1's multicast/broadcast storms. Read via
-    /// [`KernelStats::bystander_drops`].
-    bystander_drops: u64,
     /// ARP frames consumed by the host (requests, gratuitous, replies).
     pub arp_handled: u64,
     /// ARP replies originated by the host.
     pub arp_replies: u64,
-    /// Packets dropped by the forwarding code (bad checksum, TTL, no
-    /// route, no ARP entry). Read via [`KernelStats::fwd_errors`].
-    fwd_errors: u64,
     /// Frames fully transmitted on output wires (the `Opkts` the paper
     /// counts).
     pub transmitted: u64,
     /// Latency distributions (total sojourn + per-stage residencies) of
     /// delivered packets.
     pub latency: LatencyStats,
-    /// Per-cause drop taxonomy; the legacy per-queue counters above stay
-    /// in sync through [`KernelStats::record_drop`].
+    /// Every drop, by cause: the one store the per-queue getters below
+    /// are sums over.
     pub drops: DropStats,
     /// Transmissions inside the measurement window.
     pub tx_window: Option<RateWindow>,
@@ -674,105 +656,78 @@ pub struct KernelStats {
     /// The per-flow metrics registry, when the observability layer is
     /// enabled via
     /// [`KernelConfig::observe`](crate::config::KernelConfig::observe).
-    /// All mutation goes through the `flow_*` / `record_drop_for` hooks
-    /// below, which are no-ops while this is `None`.
+    /// All mutation goes through `record_arrival`, `record_delivery` and
+    /// `record_drop_for` below, which skip it while this is `None`.
     pub flows: Option<FlowRegistry>,
     /// Fault-injection and recovery bookkeeping (all zero on clean runs).
     pub fault: FaultStats,
     /// Per-traffic-class books, allocated when flow classification is
     /// enabled via
     /// [`KernelConfig::classes`](crate::config::KernelConfig::classes).
-    /// All mutation goes through [`KernelStats::record_drop`] and the
-    /// `class_*` hooks below, which are no-ops while this is `None`.
+    /// All mutation goes through [`KernelStats::class_arrival`] and
+    /// [`KernelStats::record_delivery`], which skip it while this is
+    /// `None`; per-class sheds are [`DropReason::ClassShed`] drops.
     pub class: Option<ClassStats>,
 }
 
 impl KernelStats {
-    /// Creates zeroed statistics with no measurement window.
+    /// Creates zeroed statistics with no measurement window and every
+    /// optional book off.
     pub fn new() -> Self {
-        KernelStats {
-            arrived: 0,
-            rx_ring_drops: 0,
-            class_shed_drops: 0,
-            ipintrq_drops: 0,
-            screend_q_drops: 0,
-            screend_denied: 0,
-            ifq_drops: 0,
-            red_drops: 0,
-            socket_q_drops: 0,
-            app_delivered: 0,
-            replies_created: 0,
-            icmp_errors_sent: 0,
-            icmp_suppressed: 0,
-            bystander_drops: 0,
-            arp_handled: 0,
-            arp_replies: 0,
-            fwd_errors: 0,
-            transmitted: 0,
-            latency: LatencyStats::new(),
-            drops: DropStats::new(),
-            tx_window: None,
-            arrival_window: None,
-            app_window: None,
-            user_chunks: 0,
-            ticks: 0,
-            pool: None,
-            timeline: None,
-            flows: None,
-            fault: FaultStats::default(),
-            class: None,
-        }
+        KernelStats::default()
     }
 
     /// Packets shed at admission by the class-aware gate.
     pub fn class_shed_drops(&self) -> u64 {
-        self.class_shed_drops
+        TrafficClass::ALL
+            .into_iter()
+            .map(|class| self.drops.get(DropReason::ClassShed { class }))
+            .sum()
     }
 
     /// Frames dropped because a receive ring was full.
     pub fn rx_ring_drops(&self) -> u64 {
-        self.rx_ring_drops
+        self.drops.rx_ring_drops()
     }
 
     /// Packets dropped at the `ipintrq` (unmodified kernel only).
     pub fn ipintrq_drops(&self) -> u64 {
-        self.ipintrq_drops
+        self.drops.ipintrq_drops()
     }
 
     /// Packets dropped at the screend queue.
     pub fn screend_q_drops(&self) -> u64 {
-        self.screend_q_drops
+        self.drops.screend_q_drops()
     }
 
     /// Packets denied by the screening rules.
     pub fn screend_denied(&self) -> u64 {
-        self.screend_denied
+        self.drops.screend_denied()
     }
 
     /// Packets dropped at an output interface queue.
     pub fn ifq_drops(&self) -> u64 {
-        self.ifq_drops
-    }
-
-    /// Of the output-queue drops, how many were RED early drops.
-    pub fn red_drops(&self) -> u64 {
-        self.red_drops
+        self.drops.ifq_drops()
     }
 
     /// Packets dropped at the local socket buffer (end-system mode).
     pub fn socket_q_drops(&self) -> u64 {
-        self.socket_q_drops
+        self.drops.socket_q_drops()
     }
 
     /// Packets discarded as innocent-bystander traffic (end-system mode).
     pub fn bystander_drops(&self) -> u64 {
-        self.bystander_drops
+        self.drops.get(DropReason::Bystander)
     }
 
     /// Packets dropped by the forwarding code (bad checksum, TTL, no
     /// route, no ARP entry).
     pub fn fwd_errors(&self) -> u64 {
-        self.fwd_errors
+        self.drops.get(DropReason::TtlExpired)
+            + self.drops.get(DropReason::NoRoute)
+            + self.drops.get(DropReason::NoArp)
+            + self.drops.get(DropReason::BadHeader)
+            + self.drops.get(DropReason::NoListener)
     }
 
     /// Installs the measurement window `[start, end)` for rate reporting.
@@ -785,35 +740,9 @@ impl KernelStats {
         }
     }
 
-    /// Records a drop: bumps the per-cause taxonomy *and* the matching
-    /// legacy per-queue counter, so the two views never disagree.
+    /// Records a drop under its cause — the only write to the drop books.
     pub fn record_drop(&mut self, reason: DropReason) {
         self.drops.record(reason);
-        match reason {
-            DropReason::RxRingFull | DropReason::FeedbackInhibit => self.rx_ring_drops += 1,
-            DropReason::IpintrqFull => self.ipintrq_drops += 1,
-            DropReason::ScreendQueueFull => self.screend_q_drops += 1,
-            DropReason::ScreendDenied => self.screend_denied += 1,
-            DropReason::SocketQueueFull => self.socket_q_drops += 1,
-            DropReason::OutputQueueFull => self.ifq_drops += 1,
-            DropReason::RedEarlyDrop => {
-                self.ifq_drops += 1;
-                self.red_drops += 1;
-            }
-            DropReason::Bystander => self.bystander_drops += 1,
-            DropReason::TtlExpired
-            | DropReason::NoRoute
-            | DropReason::NoArp
-            | DropReason::BadHeader
-            | DropReason::NoListener
-            | DropReason::ReassemblyTimeout => self.fwd_errors += 1,
-            DropReason::ClassShed { class } => {
-                self.class_shed_drops += 1;
-                if let Some(cs) = &mut self.class {
-                    cs.record_shed(class);
-                }
-            }
-        }
     }
 
     /// Records a drop and attributes it to `flow` in the per-flow
@@ -826,27 +755,33 @@ impl KernelStats {
         }
     }
 
-    /// Attributes one wire arrival to `flow` (no-op when the
-    /// observability layer is off). Call alongside
-    /// [`KernelStats::record_arrival`], which keeps the aggregate books.
-    pub fn flow_arrival(&mut self, flow: Option<FlowKey>) {
-        if let Some(reg) = &mut self.flows {
-            reg.record_arrival(flow);
-        }
-    }
-
-    /// Attributes one delivery (wire transmit or local consumption) to
-    /// `flow`, with its sojourn `[arrived, end)` (no-op when the
-    /// observability layer is off).
-    pub fn flow_delivery(
+    /// Records the end of `pkt`'s sojourn at time `end` (wire transmit or
+    /// local consumption) in every book that is on: the latency
+    /// histograms when `latency_tracking`, the per-flow registry and the
+    /// per-class books. Kernel-originated packets (ARP/ICMP/replies)
+    /// never arrived on a wire and are not samples. The caller counts the
+    /// delivery itself ([`KernelStats::record_tx`] /
+    /// [`KernelStats::record_app_delivery`]).
+    pub fn record_delivery(
         &mut self,
-        flow: Option<FlowKey>,
-        arrived: Cycles,
+        pkt: &Packet,
         end: Cycles,
         freq: Freq,
+        latency_tracking: bool,
     ) {
+        let arrived = pkt.arrived_at;
+        if arrived == Cycles::MAX {
+            return;
+        }
+        if latency_tracking {
+            self.latency
+                .record_delivery(arrived, &pkt.stamps, end, freq);
+        }
         if let Some(reg) = &mut self.flows {
-            reg.record_delivery(flow, arrived, end, freq);
+            reg.record_delivery(pkt.flow, arrived, end, freq);
+        }
+        if let (Some(cs), Some(c)) = (&mut self.class, pkt.class) {
+            cs.record_delivery(c, arrived, end, freq);
         }
     }
 
@@ -858,21 +793,6 @@ impl KernelStats {
         }
     }
 
-    /// Attributes one delivery (wire transmit or local consumption) to
-    /// `class`, with its sojourn `[arrived, end)` (no-op when
-    /// classification is off or the packet carries no class stamp).
-    pub fn class_delivery(
-        &mut self,
-        class: Option<TrafficClass>,
-        arrived: Cycles,
-        end: Cycles,
-        freq: Freq,
-    ) {
-        if let (Some(cs), Some(c)) = (&mut self.class, class) {
-            cs.record_delivery(c, arrived, end, freq);
-        }
-    }
-
     /// Records a completed transmission at time `t`.
     pub fn record_tx(&mut self, t: Cycles) {
         self.transmitted += 1;
@@ -881,11 +801,15 @@ impl KernelStats {
         }
     }
 
-    /// Records a frame arrival at time `t`.
-    pub fn record_arrival(&mut self, t: Cycles) {
+    /// Records a frame arrival at time `t`, attributed to `flow` in the
+    /// per-flow registry when the observability layer is on.
+    pub fn record_arrival(&mut self, t: Cycles, flow: Option<FlowKey>) {
         self.arrived += 1;
         if let Some(w) = &mut self.arrival_window {
             w.record(t);
+        }
+        if let Some(reg) = &mut self.flows {
+            reg.record_arrival(flow);
         }
     }
 
@@ -915,11 +839,11 @@ impl KernelStats {
     /// Total packets lost anywhere in the kernel (excluding free drops at
     /// the interface and deliberate screening denials).
     pub fn wasted_drops(&self) -> u64 {
-        self.ipintrq_drops
-            + self.screend_q_drops
-            + self.ifq_drops
-            + self.socket_q_drops
-            + self.fwd_errors
+        self.ipintrq_drops()
+            + self.screend_q_drops()
+            + self.ifq_drops()
+            + self.socket_q_drops()
+            + self.fwd_errors()
     }
 
     /// Packet-conservation check: every arrival is transmitted, dropped
@@ -948,25 +872,12 @@ impl KernelStats {
         let (mut entered, mut gone) = (0u64, 0u64);
         for s in kernels {
             entered += s.arrived + s.replies_created + s.icmp_errors_sent + s.arp_replies;
-            gone += s.rx_ring_drops
-                + s.class_shed_drops
-                + s.wasted_drops()
-                + s.screend_denied
-                + s.app_delivered
-                + s.arp_handled
-                + s.bystander_drops
-                + s.transmitted;
+            gone += s.drops.total() + s.app_delivered + s.arp_handled + s.transmitted;
         }
         entered
             .checked_sub(gone)
             // simlint: allow(panic-freedom): conservation is the delivered-throughput honesty gate; violating it must abort loudly
             .expect("packet conservation violated")
-    }
-}
-
-impl Default for KernelStats {
-    fn default() -> Self {
-        KernelStats::new()
     }
 }
 
@@ -983,7 +894,7 @@ mod tests {
         let mut s = KernelStats::new();
         s.set_window(Cycles::new(0), freq.cycles_from_secs(1));
         for i in 0..1000u64 {
-            s.record_arrival(Cycles::new(i * 100_000));
+            s.record_arrival(Cycles::new(i * 100_000), None);
             s.record_tx(Cycles::new(i * 100_000 + 50));
         }
         // Outside the window: counted in totals, not in rates.
@@ -1004,11 +915,16 @@ mod tests {
     fn conservation() {
         let mut s = KernelStats::new();
         for _ in 0..10 {
-            s.record_arrival(Cycles::new(1));
+            s.record_arrival(Cycles::new(1), None);
         }
-        s.rx_ring_drops = 2;
-        s.ipintrq_drops = 1;
-        s.screend_denied = 1;
+        for r in [
+            DropReason::RxRingFull,
+            DropReason::FeedbackInhibit,
+            DropReason::IpintrqFull,
+            DropReason::ScreendDenied,
+        ] {
+            s.record_drop(r);
+        }
         for _ in 0..4 {
             s.record_tx(Cycles::new(2));
         }
@@ -1106,39 +1022,45 @@ mod tests {
     }
 
     #[test]
-    fn record_drop_keeps_legacy_counters_in_sync() {
+    fn legacy_views_partition_the_taxonomy() {
+        // The nine per-queue views (RED early drops count in `ifq_drops`).
+        let views: [fn(&KernelStats) -> u64; 9] = [
+            KernelStats::rx_ring_drops,
+            KernelStats::class_shed_drops,
+            KernelStats::ipintrq_drops,
+            KernelStats::screend_q_drops,
+            KernelStats::screend_denied,
+            KernelStats::ifq_drops,
+            KernelStats::socket_q_drops,
+            KernelStats::bystander_drops,
+            KernelStats::fwd_errors,
+        ];
+        // Every reason lands in exactly one view.
+        for r in DropReason::ALL {
+            let mut s = KernelStats::new();
+            s.record_drop(r);
+            let hits: Vec<u64> = views.iter().map(|v| v(&s)).collect();
+            assert_eq!(hits.iter().sum::<u64>(), 1, "{}: {hits:?}", r.label());
+        }
+        // ...so over any mix the views sum to the taxonomy's total.
         let mut s = KernelStats::new();
-        s.class = Some(ClassStats::new());
         for r in DropReason::ALL {
             s.record_drop(r);
         }
         s.record_drop(DropReason::RedEarlyDrop);
         assert_eq!(s.drops.total(), DropReason::ALL.len() as u64 + 1);
-        assert_eq!(s.rx_ring_drops, 2, "ring-full + feedback-inhibit");
-        assert_eq!(s.ifq_drops, 3, "outq-full + 2x red");
-        assert_eq!(s.red_drops, 2);
-        assert_eq!(s.fwd_errors, 6);
-        assert_eq!(s.screend_denied, 1);
-        assert_eq!(s.class_shed_drops, 3, "one shed per traffic class");
-        // Legacy totals equal the taxonomy total (every reason maps).
-        let legacy = s.rx_ring_drops
-            + s.class_shed_drops
-            + s.ipintrq_drops
-            + s.screend_q_drops
-            + s.screend_denied
-            + s.ifq_drops
-            + s.socket_q_drops
-            + s.bystander_drops
-            + s.fwd_errors;
-        assert_eq!(legacy, s.drops.total());
+        assert_eq!(views.iter().map(|v| v(&s)).sum::<u64>(), s.drops.total());
+        assert_eq!(s.rx_ring_drops(), 2, "ring-full + feedback-inhibit");
+        assert_eq!(s.ifq_drops(), 3, "outq-full + 2x red");
         assert_eq!(s.drops.get(DropReason::RedEarlyDrop), 2);
+        assert_eq!(s.fwd_errors(), 5);
+        assert_eq!(s.class_shed_drops(), 3, "one shed per traffic class");
         assert_eq!(s.drops.nonzero().count(), DropReason::ALL.len());
-        // The per-class view stays in sync through the same path.
-        let cs = s.class.as_ref().unwrap();
-        for c in TrafficClass::ALL {
-            assert_eq!(cs.get(c).shed, 1, "{} shed once", c.label());
+        // Per-class shed is read back from the taxonomy, not a second book.
+        for class in TrafficClass::ALL {
+            assert_eq!(s.drops.get(DropReason::ClassShed { class }), 1);
         }
         // Shedding is a deliberate, free drop: not wasted work.
-        assert_eq!(s.wasted_drops(), 12);
+        assert_eq!(s.wasted_drops(), 11);
     }
 }

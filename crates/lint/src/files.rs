@@ -31,7 +31,7 @@ pub enum TargetKind {
 #[derive(Clone, Debug)]
 pub struct FileInfo {
     /// Workspace-relative path with forward slashes
-    /// (e.g. `crates/net/src/frag.rs`).
+    /// (e.g. `crates/net/src/filter.rs`).
     pub rel_path: String,
     /// Owning crate's directory name (`net`, `kernel`, `bench`, …).
     pub crate_name: String,
@@ -178,11 +178,11 @@ mod tests {
 
     #[test]
     fn classifies_lib_and_collapses_mod() {
-        let f = FileInfo::classify("crates/net/src/frag.rs").unwrap();
+        let f = FileInfo::classify("crates/net/src/filter.rs").unwrap();
         assert_eq!(f.crate_name, "net");
         assert_eq!(f.kind, TargetKind::Lib);
-        assert_eq!(f.module, vec!["frag"]);
-        assert_eq!(f.module_display(), "net::frag");
+        assert_eq!(f.module, vec!["filter"]);
+        assert_eq!(f.module_display(), "net::filter");
 
         let f = FileInfo::classify("crates/kernel/src/router/mod.rs").unwrap();
         assert_eq!(f.module, vec!["router"]);

@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn suppression_with_reason_silences_one_line() {
         let src = "fn f(o: Option<u8>) -> u8 {\n    // simlint: allow(panic-freedom): fixture invariant\n    o.unwrap()\n}\nfn g(o: Option<u8>) -> u8 { o.unwrap() }";
-        let fl = lint_source(&info("crates/net/src/frag.rs"), src, &rules::all_rules());
+        let fl = lint_source(&info("crates/net/src/filter.rs"), src, &rules::all_rules());
         assert_eq!(fl.suppressed.len(), 1);
         assert_eq!(fl.suppressed[0].line, 3);
         assert_eq!(fl.active.len(), 1, "the unsuppressed unwrap stands");
@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn suppression_without_reason_is_its_own_finding() {
         let src = "// simlint: allow(panic-freedom)\nfn f(o: Option<u8>) -> u8 { o.unwrap() }";
-        let fl = lint_source(&info("crates/net/src/frag.rs"), src, &rules::all_rules());
+        let fl = lint_source(&info("crates/net/src/filter.rs"), src, &rules::all_rules());
         let rules_hit: Vec<&str> = fl.active.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules_hit.contains(&"bad-suppression"));
         assert!(

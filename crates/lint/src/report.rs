@@ -11,7 +11,6 @@
 //! | 4    | `--fix --dry-run` found fixable findings |
 //! | 9    | fresh findings across multiple rules |
 //! | 10   | determinism |
-//! | 11   | drop-accounting |
 //! | 12   | interrupt-discipline |
 //! | 13   | ledger-discipline |
 //! | 14   | panic-freedom |

@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn hashmap_flagged_only_in_deterministic_lib_code() {
-        assert_eq!(run("crates/net/src/frag.rs", "use std::collections::HashMap;").len(), 1);
+        assert_eq!(run("crates/net/src/filter.rs", "use std::collections::HashMap;").len(), 1);
         assert_eq!(run("crates/sim/src/rng.rs", "let s: HashSet<u8>;").len(), 1);
         // bench crate and test targets are out of the container check's scope.
         assert!(run("crates/bench/src/lib.rs", "use std::collections::HashMap;").is_empty());

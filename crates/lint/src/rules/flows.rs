@@ -5,7 +5,7 @@
 //! arrival count, and a drained trial closes every flow's ledger exactly
 //! (arrived == delivered + drops). That law holds because every mutation
 //! of the [`FlowRegistry`] funnels through the `KernelStats` hooks
-//! (`flow_arrival`, `flow_delivery`, `record_drop_for`), which keep the
+//! (`record_arrival`, `record_delivery`, `record_drop_for`), which keep the
 //! aggregate and per-flow books in lockstep. A module that named the
 //! registry type directly — or called the attribution hooks from outside
 //! the kernel — could record a flow event the aggregates never saw,
@@ -31,7 +31,7 @@ const REGISTRY_FILES: &[&str] = &[
 
 /// The sanctioned attribution hooks; callable only inside the kernel
 /// crate (consumers read `TrialResult::per_flow()` instead).
-const HOOK_METHODS: &[&str] = &["flow_arrival", "flow_delivery", "record_drop_for"];
+const HOOK_METHODS: &[&str] = &["record_arrival", "record_delivery", "record_drop_for"];
 
 pub struct FlowDiscipline;
 
@@ -108,7 +108,7 @@ mod tests {
     fn flags_registry_outside_owner_files() {
         let f = run(
             "crates/bench/src/lib.rs",
-            "let mut reg = FlowRegistry::new(8); reg.record_arrival(None);",
+            "let mut reg = FlowRegistry::new(8); reg.per_flow();",
         );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].snippet, "FlowRegistry");
@@ -118,12 +118,12 @@ mod tests {
     fn flags_hooks_outside_the_kernel() {
         let f = run(
             "crates/bench/src/bin/figures.rs",
-            "stats.flow_arrival(k); stats.flow_delivery(k, a, b, fr); s.record_drop_for(r, k);",
+            "stats.record_arrival(t, k); stats.record_delivery(&p, t, fr, true); s.record_drop_for(r, k);",
         );
         let snippets: Vec<&str> = f.iter().map(|r| r.snippet.as_str()).collect();
         assert_eq!(
             snippets,
-            [".flow_arrival(", ".flow_delivery(", ".record_drop_for("]
+            [".record_arrival(", ".record_delivery(", ".record_drop_for("]
         );
     }
 
@@ -149,7 +149,7 @@ mod tests {
     fn unrelated_idents_do_not_match() {
         let f = run(
             "crates/bench/src/lib.rs",
-            "let flow_arrival = 3; registry.per_flow(); r.overflow_arrivals();",
+            "let record_arrival = 3; registry.per_flow(); r.overflow_arrivals();",
         );
         assert!(f.is_empty(), "{f:?}");
     }

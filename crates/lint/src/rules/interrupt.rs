@@ -2,11 +2,11 @@
 //!
 //! The paper's central fix (§6.2) is that interrupt handlers do no
 //! protocol work: they mask the device, mark it pending, and wake the
-//! polling thread — nothing else. The interrupt-context modules
-//! (`machine::intr`, the `core::driver` entry path) therefore must not
-//! reference upper-layer packet processing: IP input, queue insertion,
-//! router forwarding, or the screend path. One call from interrupt
-//! context into those layers is how the unmodified kernel livelocks.
+//! polling thread — nothing else. The interrupt-context module
+//! (`machine::intr`) therefore must not reference upper-layer packet
+//! processing: IP input, queue insertion, router forwarding, or the
+//! screend path. One call from interrupt context into those layers is
+//! how the unmodified kernel livelocks.
 
 use crate::files::FileInfo;
 use crate::tokenizer::Tok;
@@ -14,10 +14,7 @@ use crate::tokenizer::Tok;
 use super::{is_path_sep, raw, RawFinding, Rule};
 
 /// Modules that run in (or directly service) interrupt context.
-const INTERRUPT_CONTEXT_FILES: &[&str] = &[
-    "crates/machine/src/intr.rs",
-    "crates/core/src/driver.rs",
-];
+const INTERRUPT_CONTEXT_FILES: &[&str] = &["crates/machine/src/intr.rs"];
 
 /// Upper-layer identifiers interrupt context must never reference. The
 /// SMP shared-state idents are included because an interrupt handler
@@ -120,10 +117,10 @@ mod tests {
 
     #[test]
     fn queue_as_path_segment_is_flagged_but_variable_is_not() {
-        let bad = run("crates/core/src/driver.rs", "let q = queue::PacketQueue::new();");
+        let bad = run("crates/machine/src/intr.rs", "let q = queue::PacketQueue::new();");
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].snippet, "queue::");
-        let ok = run("crates/core/src/driver.rs", "let queue = Vec::new(); queue.push(1);");
+        let ok = run("crates/machine/src/intr.rs", "let queue = Vec::new(); queue.push(1);");
         assert!(ok.is_empty(), "{ok:?}");
     }
 

@@ -12,7 +12,6 @@ use crate::tokenizer::Tok;
 
 mod class;
 mod determinism;
-mod drops;
 mod exitcodes;
 mod flows;
 mod interrupt;
@@ -74,7 +73,6 @@ pub const BAD_SUPPRESSION_RULE: &str = "bad-suppression";
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(determinism::Determinism),
-        Box::new(drops::DropAccounting),
         Box::new(interrupt::InterruptDiscipline),
         Box::new(ledger::LedgerDiscipline),
         Box::new(panics::PanicFreedom),

@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn flags_unwrap_expect_and_panic_macros() {
         let f = run(
-            "crates/net/src/frag.rs",
+            "crates/net/src/filter.rs",
             "let x = o.unwrap(); let y = r.expect(\"msg\"); panic!(\"boom\"); todo!();",
         );
         let snippets: Vec<&str> = f.iter().map(|r| r.snippet.as_str()).collect();
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn unwrap_or_and_expect_err_are_different_idents() {
         let f = run(
-            "crates/net/src/frag.rs",
+            "crates/net/src/filter.rs",
             "let x = o.unwrap_or(0); let y = o.unwrap_or_else(f); let e = r.expect_err(\"m\");",
         );
         assert!(f.is_empty(), "{f:?}");

@@ -72,11 +72,6 @@ impl<W: Workload> Cluster<W> {
         &self.engines[cpu.0]
     }
 
-    /// Mutable access to one CPU's engine (event injection, measurement).
-    pub fn engine_mut(&mut self, cpu: CpuId) -> &mut Engine<W> {
-        &mut self.engines[cpu.0]
-    }
-
     /// All engines, in [`CpuId`] order.
     pub fn engines(&self) -> &[Engine<W>] {
         &self.engines

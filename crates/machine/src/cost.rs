@@ -198,12 +198,6 @@ impl CostModel {
             + self.tx_start_per_pkt
             + self.tx_done_per_pkt
     }
-
-    /// Analytic MLFRR (pkts/s) implied by
-    /// [`CostModel::analytic_unmodified_fwd_cost`].
-    pub fn analytic_unmodified_mlfrr(&self) -> f64 {
-        self.freq.as_hz() as f64 / self.analytic_unmodified_fwd_cost().raw() as f64
-    }
 }
 
 impl Default for CostModel {
@@ -216,11 +210,16 @@ impl Default for CostModel {
 mod tests {
     use super::*;
 
+    /// The MLFRR (pkts/s) the analytic forwarding cost implies.
+    fn analytic_mlfrr(c: &CostModel) -> f64 {
+        c.freq.as_hz() as f64 / c.analytic_unmodified_fwd_cost().raw() as f64
+    }
+
     #[test]
     fn calibrated_anchors() {
         let c = CostModel::calibrated();
         // ~216 us/packet -> ~4630 pkts/s, the paper's "peaked at 4700".
-        let mlfrr = c.analytic_unmodified_mlfrr();
+        let mlfrr = analytic_mlfrr(&c);
         assert!(
             (4_000.0..5_500.0).contains(&mlfrr),
             "analytic MLFRR {mlfrr} out of the paper's band"
@@ -274,7 +273,7 @@ mod tests {
         assert_eq!(fast.clock_tick_interval, base.clock_tick_interval);
         assert_eq!(fast.quantum(), base.quantum());
         // The analytic MLFRR doubles.
-        let ratio = fast.analytic_unmodified_mlfrr() / base.analytic_unmodified_mlfrr();
+        let ratio = analytic_mlfrr(&fast) / analytic_mlfrr(&base);
         assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio}");
         assert_eq!(
             CostModel::scaled(1.0).analytic_unmodified_fwd_cost(),

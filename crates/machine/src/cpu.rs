@@ -416,15 +416,6 @@ impl<E> EnvState<E> {
             .unwrap_or(Cycles::ZERO)
     }
 
-    /// Cycles consumed so far by an interrupt source's handler.
-    pub fn intr_cycles(&self, src: IntrSrc) -> Cycles {
-        self.usage
-            .intr_by_src
-            .get(src.0)
-            .copied()
-            .unwrap_or(Cycles::ZERO)
-    }
-
     /// Declares the [`CpuClass`] cycles in this source's handler are
     /// charged to. Unclassified sources default to
     /// [`CpuClass::KernelOther`]. Call at registration time, before the
@@ -493,11 +484,6 @@ impl<'a, E> Env<'a, E> {
     /// Masks or unmasks an interrupt source.
     pub fn set_intr_enabled(&mut self, src: IntrSrc, enabled: bool) {
         self.st.intr.set_enabled(src, enabled);
-    }
-
-    /// Returns `true` when a request is latched for the source.
-    pub fn intr_pending(&self, src: IntrSrc) -> bool {
-        self.st.intr.is_pending(src)
     }
 
     /// Clears a latched request without delivering it.

@@ -21,7 +21,6 @@ struct Source {
     ipl: Ipl,
     enabled: bool,
     pending: bool,
-    posted: Counter,
     taken: Counter,
 }
 
@@ -44,9 +43,9 @@ struct Source {
 pub struct IntrController {
     sources: Vec<Source>,
     /// Bit `i` set ⟺ `sources[i]` is pending *and* enabled, i.e. deliverable
-    /// at a low enough IPL. The executor polls [`IntrController::take`] /
-    /// [`IntrController::any_takeable`] at every chunk boundary, and the
-    /// common answer is "nothing": a single zero-test covers it. Caps the
+    /// at a low enough IPL. The executor polls [`IntrController::take`]
+    /// at every chunk boundary, and the common answer is "nothing": a
+    /// single zero-test covers it. Caps the
     /// controller at 64 sources (the machine registers a handful).
     ready: u64,
 }
@@ -65,7 +64,6 @@ impl IntrController {
             ipl,
             enabled: true,
             pending: false,
-            posted: Counter::new(),
             taken: Counter::new(),
         });
         IntrSrc(self.sources.len() - 1)
@@ -76,7 +74,6 @@ impl IntrController {
     /// lines do.
     pub fn post(&mut self, src: IntrSrc) {
         let s = &mut self.sources[src.0];
-        s.posted.inc();
         s.pending = true;
         if s.enabled {
             self.ready |= 1 << src.0;
@@ -93,11 +90,6 @@ impl IntrController {
         } else {
             self.ready &= !(1 << src.0);
         }
-    }
-
-    /// Returns `true` when the source's delivery is enabled.
-    pub fn is_enabled(&self, src: IntrSrc) -> bool {
-        self.sources[src.0].enabled
     }
 
     /// Returns `true` when a request is latched for the source.
@@ -143,22 +135,6 @@ impl IntrController {
         Some((IntrSrc(i), s.ipl))
     }
 
-    /// Returns `true` if [`IntrController::take`] would deliver something.
-    pub fn any_takeable(&self, current_ipl: Ipl) -> bool {
-        if self.ready == 0 {
-            return false;
-        }
-        let mut bits = self.ready;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.sources[i].ipl.preempts(current_ipl) {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Returns the source's IPL.
     pub fn ipl_of(&self, src: IntrSrc) -> Ipl {
         self.sources[src.0].ipl
@@ -167,11 +143,6 @@ impl IntrController {
     /// Returns the source's diagnostic name.
     pub fn name_of(&self, src: IntrSrc) -> &'static str {
         self.sources[src.0].name
-    }
-
-    /// Number of times the source was posted.
-    pub fn posted_count(&self, src: IntrSrc) -> u64 {
-        self.sources[src.0].posted.get()
     }
 
     /// Number of times the source was delivered to the CPU.
@@ -216,8 +187,6 @@ mod tests {
         ic.post(soft);
         // At SPLIMP, neither an IMP nor a SOFTNET source preempts.
         assert_eq!(ic.take(Ipl::IMP), None);
-        assert!(ic.any_takeable(Ipl::NONE));
-        assert!(!ic.any_takeable(Ipl::IMP));
         // Dropping to SPLNET lets the IMP source in, not the SOFTNET one.
         assert_eq!(ic.take(Ipl::SOFTNET), Some((rx, Ipl::IMP)));
         assert_eq!(ic.take(Ipl::SOFTNET), None);
@@ -245,7 +214,6 @@ mod tests {
         ic.post(rx);
         ic.post(rx);
         ic.post(rx);
-        assert_eq!(ic.posted_count(rx), 3);
         assert!(ic.take(Ipl::NONE).is_some());
         assert_eq!(ic.take(Ipl::NONE), None, "one delivery for many posts");
         assert_eq!(ic.taken_count(rx), 1);
@@ -276,7 +244,7 @@ mod tests {
         let (ic, rx, soft, _) = setup();
         assert_eq!(ic.ipl_of(rx), Ipl::IMP);
         assert_eq!(ic.name_of(soft), "softnet");
-        assert!(ic.is_enabled(rx));
+        assert!(ic.sources[rx.0].enabled);
     }
 
     #[test]
@@ -287,12 +255,11 @@ mod tests {
         ic.post(rx);
         ic.acknowledge(rx);
         ic.set_enabled(rx, true);
-        assert!(!ic.any_takeable(Ipl::NONE));
         assert_eq!(ic.take(Ipl::NONE), None);
         // Re-disabling an armed source hides it; re-enabling restores it.
         ic.post(soft);
         ic.set_enabled(soft, false);
-        assert!(!ic.any_takeable(Ipl::NONE));
+        assert_eq!(ic.take(Ipl::NONE), None);
         ic.set_enabled(soft, true);
         assert_eq!(ic.take(Ipl::NONE), Some((soft, Ipl::SOFTNET)));
     }

@@ -69,7 +69,7 @@ pub use cpu::{
 pub use intr::{IntrController, IntrSrc};
 pub use ipl::Ipl;
 pub use ledger::{CpuClass, CycleLedger};
-pub use nic::{rss_hash, rss_queue, Nic, NicConfig, RssSteering};
+pub use nic::{rss_hash, rss_queue, Nic, NicConfig};
 pub use thread::{Priority, Scheduler, ThreadId};
 pub use trace::{Trace, TraceEvent, TraceRecord};
 pub use wire::Wire;

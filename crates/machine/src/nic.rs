@@ -13,8 +13,6 @@ use livelock_net::packet::Packet;
 use livelock_net::queue::{DropTailQueue, Enqueued};
 use std::collections::VecDeque;
 
-use crate::cpu::CpuId;
-
 /// RSS-style 5-tuple flow hash: FNV-1a over (src ip, dst ip, protocol,
 /// src port, dst port). Deterministic — no per-boot secret key — so the
 /// same flow always lands on the same receive queue, which is exactly the
@@ -47,51 +45,6 @@ pub fn rss_hash(src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u1
 pub fn rss_queue(src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u16, nqueues: usize) -> usize {
     assert!(nqueues > 0, "a NIC has at least one receive queue");
     (rss_hash(src_ip, dst_ip, proto, src_port, dst_port) % nqueues as u64) as usize
-}
-
-/// Static receive-side-scaling plan for a multiqueue NIC: how many RX
-/// queues exist and which CPU each queue raises its interrupt on.
-///
-/// The default assignment is the identity (queue *q* interrupts CPU *q*),
-/// which is what the SMP experiments use; [`RssSteering::assign`] supports
-/// asymmetric mappings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RssSteering {
-    assigned: Vec<CpuId>,
-}
-
-impl RssSteering {
-    /// A steering plan with `nqueues` queues, queue *q* assigned to CPU *q*.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nqueues` is zero.
-    pub fn identity(nqueues: usize) -> Self {
-        assert!(nqueues > 0, "a NIC has at least one receive queue");
-        RssSteering {
-            assigned: (0..nqueues).map(CpuId).collect(),
-        }
-    }
-
-    /// Number of receive queues.
-    pub fn nqueues(&self) -> usize {
-        self.assigned.len()
-    }
-
-    /// Reassigns queue `q`'s interrupt to `cpu`.
-    pub fn assign(&mut self, q: usize, cpu: CpuId) {
-        self.assigned[q] = cpu;
-    }
-
-    /// The queue this 5-tuple's flow hashes to.
-    pub fn queue_of(&self, src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u16) -> usize {
-        rss_queue(src_ip, dst_ip, proto, src_port, dst_port, self.nqueues())
-    }
-
-    /// The CPU queue `q` raises its receive interrupt on.
-    pub fn cpu_of(&self, q: usize) -> CpuId {
-        self.assigned[q]
-    }
 }
 
 /// Static configuration for one NIC.
@@ -202,16 +155,6 @@ impl Nic {
                 .map(|name| DropTailQueue::new(name, cap))
                 .collect(),
         );
-    }
-
-    /// Whether per-priority receive rings are enabled.
-    pub fn class_rings_enabled(&self) -> bool {
-        self.rx_class_rings.is_some()
-    }
-
-    /// Number of per-priority rings (0 when classless).
-    pub fn class_ring_count(&self) -> usize {
-        self.rx_class_rings.as_ref().map_or(0, Vec::len)
     }
 
     /// DMA places a classified frame in its priority ring (out-of-range
@@ -539,10 +482,9 @@ mod tests {
     #[test]
     fn class_rings_partition_the_receive_side() {
         let mut n = nic(); // rx_ring = 4 -> each class ring gets 4 slots
-        assert!(!n.class_rings_enabled());
+        assert!(n.rx_class_rings.is_none());
         n.enable_class_rings(3);
-        assert!(n.class_rings_enabled());
-        assert_eq!(n.class_ring_count(), 3);
+        assert_eq!(n.rx_class_rings.as_ref().map(Vec::len), Some(3));
         // Fill priority 2 past capacity; priorities 0 and 1 stay open.
         for i in 0..6 {
             n.rx_arrive_classed(pkt(i), 2);
@@ -587,18 +529,5 @@ mod tests {
             hits[rss_queue(0x0a00_0002, 0x0a01_0063, 17, port, 9, 4)] += 1;
         }
         assert!(hits.iter().all(|&h| h > 0), "some queue starved: {hits:?}");
-    }
-
-    #[test]
-    fn steering_identity_and_reassignment() {
-        let mut s = RssSteering::identity(4);
-        assert_eq!(s.nqueues(), 4);
-        for q in 0..4 {
-            assert_eq!(s.cpu_of(q), CpuId(q));
-        }
-        let q = s.queue_of(0x0a00_0002, 0x0a01_0063, 17, 5001, 9);
-        assert!(q < 4);
-        s.assign(3, CpuId(0));
-        assert_eq!(s.cpu_of(3), CpuId(0));
     }
 }

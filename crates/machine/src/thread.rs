@@ -73,7 +73,6 @@ pub struct Scheduler {
     running: Option<ThreadId>,
     quantum: Cycles,
     run_in_quantum: Cycles,
-    switches: u64,
 }
 
 impl Scheduler {
@@ -87,7 +86,6 @@ impl Scheduler {
             running: None,
             quantum,
             run_in_quantum: Cycles::ZERO,
-            switches: 0,
         }
     }
 
@@ -186,7 +184,6 @@ impl Scheduler {
         self.threads[tid.0].state = ThreadState::Running;
         self.running = Some(tid);
         self.run_in_quantum = Cycles::ZERO;
-        self.switches += 1;
         Some(tid)
     }
 
@@ -218,11 +215,6 @@ impl Scheduler {
         }
     }
 
-    /// Returns `true` when any thread (besides the running one) is queued.
-    pub fn any_runnable(&self) -> bool {
-        self.nonempty.iter().any(|&w| w != 0)
-    }
-
     /// Returns the thread's current state.
     pub fn state(&self, tid: ThreadId) -> ThreadState {
         self.threads[tid.0].state
@@ -246,11 +238,6 @@ impl Scheduler {
     /// Returns `true` when no threads were spawned.
     pub fn is_empty(&self) -> bool {
         self.threads.is_empty()
-    }
-
-    /// Returns how many times a thread was selected to run.
-    pub fn switch_count(&self) -> u64 {
-        self.switches
     }
 }
 
@@ -380,17 +367,5 @@ mod tests {
         s.wake(a);
         s.pick();
         s.pick();
-    }
-
-    #[test]
-    fn any_runnable_and_switches() {
-        let mut s = sched();
-        assert!(!s.any_runnable());
-        let a = s.spawn("a", Priority::USER);
-        s.wake(a);
-        assert!(s.any_runnable());
-        s.pick();
-        assert!(!s.any_runnable(), "running thread is not queued");
-        assert_eq!(s.switch_count(), 1);
     }
 }

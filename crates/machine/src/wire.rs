@@ -56,11 +56,6 @@ impl Wire {
         done
     }
 
-    /// Returns `true` while a frame occupies the wire at time `now`.
-    pub fn is_busy(&self, now: Cycles) -> bool {
-        now < self.busy_until
-    }
-
     /// Forces the wire busy until at least `until` (carrier loss: a link
     /// flap holds off transmission exactly as an endless frame would).
     /// Never shortens an in-progress transmission.
@@ -116,8 +111,7 @@ mod tests {
         let mut w = Wire::ethernet_10m(FREQ);
         let done = w.begin_tx(Cycles::new(1000), 60);
         assert_eq!(done, Cycles::new(7720));
-        assert!(w.is_busy(Cycles::new(5000)));
-        assert!(!w.is_busy(Cycles::new(7720)));
+        assert_eq!(w.busy_until(), done);
         assert_eq!(w.frames_carried(), 1);
     }
 
@@ -147,7 +141,7 @@ mod tests {
     fn carrier_loss_defers_transmission() {
         let mut w = Wire::ethernet_10m(FREQ);
         w.force_carrier_loss(Cycles::new(10_000));
-        assert!(w.is_busy(Cycles::new(5_000)));
+        assert_eq!(w.busy_until(), Cycles::new(10_000));
         let done = w.begin_tx(Cycles::new(1_000), 60);
         assert_eq!(done, Cycles::new(16_720), "starts when carrier returns");
         // Never shortens: a later, earlier-ending loss is a no-op.

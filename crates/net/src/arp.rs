@@ -177,13 +177,6 @@ impl ArpCache {
             .map(|e| e.mac)
     }
 
-    /// Removes entries that expired at or before `now`; returns how many.
-    pub fn expire(&mut self, now: Cycles) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.phantom || e.expires > now);
-        before - self.entries.len()
-    }
-
     /// Returns the number of live entries (without expiring).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -248,8 +241,6 @@ mod tests {
         c.insert(ip, MacAddr::local(7), Cycles::new(100));
         assert_eq!(c.lookup(ip, Cycles::new(99)), Some(MacAddr::local(7)));
         assert_eq!(c.lookup(ip, Cycles::new(100)), None, "expired at expiry");
-        assert_eq!(c.expire(Cycles::new(100)), 1);
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -257,7 +248,6 @@ mod tests {
         let mut c = ArpCache::new();
         let ip = Ipv4Addr::new(10, 1, 0, 2);
         c.insert_phantom(ip, MacAddr::local(99));
-        assert_eq!(c.expire(Cycles::MAX), 0);
         assert_eq!(c.lookup(ip, Cycles::MAX), Some(MacAddr::local(99)));
         assert_eq!(c.len(), 1);
     }

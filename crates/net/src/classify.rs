@@ -57,11 +57,6 @@ impl TrafficClass {
             TrafficClass::Bulk => "bulk",
         }
     }
-
-    /// The class with dense index `i` (inverse of [`TrafficClass::index`]).
-    pub fn from_index(i: usize) -> Option<TrafficClass> {
-        Self::ALL.get(i).copied()
-    }
 }
 
 /// One match rule: every populated field must equal the flow key's for
@@ -206,9 +201,7 @@ mod tests {
     fn class_indices_are_dense_and_ordered_by_priority() {
         for (i, c) in TrafficClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(TrafficClass::from_index(i), Some(*c));
         }
-        assert_eq!(TrafficClass::from_index(3), None);
         assert!(TrafficClass::Control.index() < TrafficClass::Bulk.index());
     }
 

@@ -31,16 +31,6 @@ impl MacAddr {
     pub const fn octets(self) -> [u8; 6] {
         self.0
     }
-
-    /// Returns `true` for the broadcast address.
-    pub const fn is_broadcast(self) -> bool {
-        matches!(self.0, [0xff, 0xff, 0xff, 0xff, 0xff, 0xff])
-    }
-
-    /// Returns `true` for group (multicast or broadcast) addresses.
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -167,18 +157,6 @@ mod tests {
         assert!("de:ad:be:ef:00".parse::<MacAddr>().is_err());
         assert!("de:ad:be:ef:00:01:02".parse::<MacAddr>().is_err());
         assert!("zz:ad:be:ef:00:01".parse::<MacAddr>().is_err());
-    }
-
-    #[test]
-    fn mac_classification() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::local(1).is_broadcast());
-        assert!(
-            !MacAddr::local(1).is_multicast(),
-            "locally administered unicast"
-        );
-        assert!(MacAddr::new([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl PacketMeta {
     }
 }
 
-/// A first-match packet filter with a default action.
+/// A first-match packet filter; packets no rule matches are denied.
 ///
 /// # Examples
 ///
@@ -223,7 +223,6 @@ impl PacketMeta {
 #[derive(Clone, Debug)]
 pub struct Filter {
     rules: Vec<Rule>,
-    default_action: Action,
     evaluated: u64,
 }
 
@@ -249,7 +248,6 @@ impl Filter {
     pub fn new(rules: Vec<Rule>) -> Self {
         Filter {
             rules,
-            default_action: Action::Deny,
             evaluated: 0,
         }
     }
@@ -257,12 +255,6 @@ impl Filter {
     /// The paper's experimental configuration: a single accept-all rule.
     pub fn accept_all() -> Self {
         Filter::new(vec![Rule::ACCEPT_ALL])
-    }
-
-    /// Sets the verdict for packets no rule matches (default: deny).
-    pub fn with_default(mut self, action: Action) -> Self {
-        self.default_action = action;
-        self
     }
 
     /// Returns the rule list.
@@ -287,14 +279,15 @@ impl Filter {
         self.evaluate_meta(&meta)
     }
 
-    /// Renders a verdict for pre-extracted metadata.
+    /// Renders a verdict for pre-extracted metadata: the first matching
+    /// rule's, or deny when none matches.
     pub fn evaluate_meta(&self, meta: &PacketMeta) -> Action {
         for rule in &self.rules {
             if rule.matches(meta) {
                 return rule.action;
             }
         }
-        self.default_action
+        Action::Deny
     }
 
     /// Parses a rule file: one rule per line, `#` comments, blank lines
@@ -453,6 +446,26 @@ mod tests {
     }
 
     #[test]
+    fn filter_sees_tcp_ports() {
+        // The port fallback must read TCP ports: a 20-byte SYN segment,
+        // 5555 (0x15b3) -> 22, seq 1, data offset 5, window 512.
+        let seg: [u8; 20] = [
+            0x15, 0xb3, 0x00, 0x16, 0, 0, 0, 1, 0, 0, 0, 0, 0x50, 0x02, 0x02, 0x00, 0, 0, 0, 0,
+        ];
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 1, 0, 2));
+        let mut dgram = vec![0u8; IPV4_HEADER_LEN + seg.len()];
+        Ipv4Header::new(src, dst, proto::TCP, 32, seg.len() as u16)
+            .encode(&mut dgram)
+            .unwrap();
+        dgram[IPV4_HEADER_LEN..].copy_from_slice(&seg);
+
+        let meta = PacketMeta::from_ip_datagram(&dgram).unwrap();
+        assert_eq!(meta.src_port, Some(5555));
+        assert_eq!(meta.dst_port, Some(22));
+        assert_eq!(meta.protocol, proto::TCP);
+    }
+
+    #[test]
     fn first_match_semantics() {
         let mut f = Filter::parse(
             "deny udp from 10.0.0.0/8 to any port 53\n\
@@ -487,8 +500,6 @@ mod tests {
         let mut f = Filter::new(vec![]);
         let d = udp_dgram(Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2), 1, 1);
         assert_eq!(f.evaluate(&d), Action::Deny);
-        let mut f = Filter::new(vec![]).with_default(Action::Accept);
-        assert_eq!(f.evaluate(&d), Action::Accept);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper's source host sent "10000 UDP packets carrying 4 bytes of
 //! data" at a nominal rate, noting that "this system does not generate a
 //! precisely paced stream of packets". [`TrafficGen`] reproduces that: a
-//! jittered constant-bit-rate process by default, plus Poisson, bursty
-//! on/off, and trace-replay processes for the latency/jitter extensions.
+//! constant-rate process with ±20 % jitter. [`TraceReplay`] walks the
+//! schedule it produced.
 
 use std::net::Ipv4Addr;
 
@@ -185,89 +185,42 @@ impl PacketFactory {
     }
 }
 
-/// The inter-arrival process shapes supported by [`TrafficGen`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ArrivalProcess {
-    /// Constant rate with uniform jitter of ±`jitter` (fraction of the mean
-    /// interval, 0.0 = perfectly paced). The paper's generator corresponds
-    /// to a modest jitter (its "short-term rates varied somewhat").
-    Cbr {
-        /// Jitter amplitude as a fraction of the mean interval, in `[0, 1)`.
-        jitter: f64,
-    },
-    /// Poisson arrivals (exponential inter-arrival times).
-    Poisson,
-    /// Bursty on/off: bursts of `burst_len` packets back-to-back at the
-    /// wire-limited `peak_interval`, separated by idle gaps sized so the
-    /// long-run average matches the nominal rate.
-    Bursty {
-        /// Packets per burst (≥ 1).
-        burst_len: u32,
-        /// Interval between packets inside a burst, in cycles.
-        peak_interval_cycles: u64,
-    },
-}
-
-/// A deterministic arrival-time generator for a nominal packet rate.
+/// A deterministic arrival-time generator for a nominal packet rate:
+/// constant rate with uniform jitter of ±`jitter` (a fraction of the mean
+/// interval; 0.0 is perfectly paced).
 #[derive(Clone, Debug)]
 pub struct TrafficGen {
-    process: ArrivalProcess,
+    jitter: f64,
     mean_interval: Cycles,
     rng: Rng,
-    burst_pos: u32,
 }
 
 impl TrafficGen {
-    /// Creates a generator emitting `rate_pps` packets per second on average
-    /// at CPU frequency `freq`, using `seed` for the jitter stream.
+    fn new(jitter: f64, rate_pps: f64, freq: Freq, seed: u64) -> Self {
+        assert!(rate_pps > 0.0, "rate must be positive");
+        TrafficGen {
+            jitter: jitter.clamp(0.0, 0.999),
+            mean_interval: freq.interval_for_rate(rate_pps),
+            rng: Rng::seed_from(seed),
+        }
+    }
+
+    /// The paper's source host: `rate_pps` packets per second on average
+    /// at CPU frequency `freq`, ±20% jitter (its "short-term rates varied
+    /// somewhat") drawn from `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `rate_pps` is not positive.
-    pub fn new(process: ArrivalProcess, rate_pps: f64, freq: Freq, seed: u64) -> Self {
-        assert!(rate_pps > 0.0, "rate must be positive");
-        TrafficGen {
-            process,
-            mean_interval: freq.interval_for_rate(rate_pps),
-            rng: Rng::seed_from(seed),
-            burst_pos: 0,
-        }
-    }
-
-    /// The paper's default shape: CBR with ±20% jitter.
     pub fn paper_default(rate_pps: f64, freq: Freq, seed: u64) -> Self {
-        TrafficGen::new(ArrivalProcess::Cbr { jitter: 0.2 }, rate_pps, freq, seed)
+        TrafficGen::new(0.2, rate_pps, freq, seed)
     }
 
     /// Returns the delay from the previous packet to the next one.
     pub fn next_interval(&mut self) -> Cycles {
         let mean = self.mean_interval.raw() as f64;
-        match self.process {
-            ArrivalProcess::Cbr { jitter } => {
-                let j = jitter.clamp(0.0, 0.999);
-                let factor = 1.0 + j * (2.0 * self.rng.next_f64() - 1.0);
-                Cycles::new((mean * factor).round().max(1.0) as u64)
-            }
-            ArrivalProcess::Poisson => {
-                Cycles::new(self.rng.exponential(mean).round().max(1.0) as u64)
-            }
-            ArrivalProcess::Bursty {
-                burst_len,
-                peak_interval_cycles,
-            } => {
-                let burst_len = burst_len.max(1);
-                self.burst_pos = (self.burst_pos + 1) % burst_len;
-                if self.burst_pos == 0 {
-                    // Gap sized so the burst-average equals the nominal rate:
-                    // burst_len packets take (burst_len-1)*peak + gap cycles.
-                    let burst_span = mean * burst_len as f64;
-                    let in_burst = peak_interval_cycles as f64 * (burst_len - 1) as f64;
-                    Cycles::new((burst_span - in_burst).round().max(1.0) as u64)
-                } else {
-                    Cycles::new(peak_interval_cycles.max(1))
-                }
-            }
-        }
+        let factor = 1.0 + self.jitter * (2.0 * self.rng.next_f64() - 1.0);
+        Cycles::new((mean * factor).round().max(1.0) as u64)
     }
 
     /// Generates absolute arrival times for `n` packets starting at `start`.
@@ -453,43 +406,11 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_perfectly_paced() {
-        let mut g = TrafficGen::new(ArrivalProcess::Cbr { jitter: 0.0 }, 1000.0, FREQ, 1);
+        let mut g = TrafficGen::new(0.0, 1000.0, FREQ, 1);
         let i1 = g.next_interval();
         let i2 = g.next_interval();
         assert_eq!(i1, i2);
         assert_eq!(i1, Cycles::new(100_000));
-    }
-
-    #[test]
-    fn poisson_mean_rate_is_close() {
-        let mut g = TrafficGen::new(ArrivalProcess::Poisson, 5_000.0, FREQ, 7);
-        let n = 50_000;
-        let times = g.arrival_times(Cycles::ZERO, n);
-        let span = FREQ.secs_from_cycles(*times.last().unwrap());
-        let rate = n as f64 / span;
-        assert!((rate - 5_000.0).abs() < 150.0, "rate = {rate}");
-    }
-
-    #[test]
-    fn bursty_average_matches_nominal() {
-        let peak = 6_720; // Wire-limited at 10 Mb/s, 100 MHz.
-        let mut g = TrafficGen::new(
-            ArrivalProcess::Bursty {
-                burst_len: 10,
-                peak_interval_cycles: peak,
-            },
-            2_000.0,
-            FREQ,
-            3,
-        );
-        let n = 10_000;
-        let times = g.arrival_times(Cycles::ZERO, n);
-        let span = FREQ.secs_from_cycles(*times.last().unwrap());
-        let rate = n as f64 / span;
-        assert!((rate - 2_000.0).abs() < 100.0, "rate = {rate}");
-        // Inside a burst the spacing equals the peak interval.
-        let deltas: Vec<u64> = times.windows(2).map(|w| (w[1] - w[0]).raw()).collect();
-        assert!(deltas.iter().filter(|&&d| d == peak).count() > n * 8 / 10);
     }
 
     #[test]
@@ -526,10 +447,6 @@ mod tests {
             let mut g = TrafficGen::paper_default(rate, FREQ, seed);
             for _ in 0..100 {
                 prop_assert!(g.next_interval() >= Cycles::new(1));
-            }
-            let mut p = TrafficGen::new(ArrivalProcess::Poisson, rate, FREQ, seed);
-            for _ in 0..100 {
-                prop_assert!(p.next_interval() >= Cycles::new(1));
             }
         }
 

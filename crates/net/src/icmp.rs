@@ -61,25 +61,6 @@ pub struct IcmpMessage {
 }
 
 impl IcmpMessage {
-    /// Builds an echo request.
-    pub fn echo_request(ident: u16, seq: u16, payload: &[u8]) -> Self {
-        IcmpMessage {
-            kind: IcmpKind::EchoRequest { ident, seq },
-            payload: payload.to_vec(),
-        }
-    }
-
-    /// Builds the echo reply matching a request.
-    pub fn reply_to(request: &IcmpMessage) -> Option<Self> {
-        match request.kind {
-            IcmpKind::EchoRequest { ident, seq } => Some(IcmpMessage {
-                kind: IcmpKind::EchoReply { ident, seq },
-                payload: request.payload.clone(),
-            }),
-            _ => None,
-        }
-    }
-
     /// Builds a time-exceeded error quoting the offending datagram.
     ///
     /// `original` should be the offending IP header plus at least the first
@@ -171,25 +152,20 @@ mod tests {
     #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
+    fn echo_request(ident: u16, seq: u16, payload: &[u8]) -> IcmpMessage {
+        IcmpMessage {
+            kind: IcmpKind::EchoRequest { ident, seq },
+            payload: payload.to_vec(),
+        }
+    }
+
     #[test]
     fn echo_round_trip() {
-        let m = IcmpMessage::echo_request(0x1234, 7, b"hello");
+        let m = echo_request(0x1234, 7, b"hello");
         let mut buf = vec![0u8; m.encoded_len()];
         let n = m.encode(&mut buf).unwrap();
         assert_eq!(n, 13);
         assert_eq!(IcmpMessage::parse(&buf).unwrap(), m);
-    }
-
-    #[test]
-    fn reply_matches_request() {
-        let req = IcmpMessage::echo_request(9, 3, b"abc");
-        let rep = IcmpMessage::reply_to(&req).unwrap();
-        assert_eq!(rep.kind, IcmpKind::EchoReply { ident: 9, seq: 3 });
-        assert_eq!(rep.payload, b"abc");
-        assert!(
-            IcmpMessage::reply_to(&rep).is_none(),
-            "replies are terminal"
-        );
     }
 
     #[test]
@@ -213,7 +189,7 @@ mod tests {
 
     #[test]
     fn corrupt_checksum_rejected() {
-        let m = IcmpMessage::echo_request(1, 1, b"x");
+        let m = echo_request(1, 1, b"x");
         let mut buf = vec![0u8; m.encoded_len()];
         m.encode(&mut buf).unwrap();
         buf[8] ^= 0xff;
@@ -223,7 +199,7 @@ mod tests {
     #[test]
     fn truncated_and_unknown() {
         assert_eq!(IcmpMessage::parse(&[0u8; 4]), Err(NetError::Truncated));
-        let m = IcmpMessage::echo_request(1, 1, b"");
+        let m = echo_request(1, 1, b"");
         let mut buf = vec![0u8; m.encoded_len()];
         m.encode(&mut buf).unwrap();
         buf[0] = 42; // Unknown type; fix checksum so we hit the type check.
@@ -239,7 +215,7 @@ mod tests {
         #[test]
         fn round_trip_any_echo(ident in any::<u16>(), seq in any::<u16>(),
                                payload in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let m = IcmpMessage::echo_request(ident, seq, &payload);
+            let m = echo_request(ident, seq, &payload);
             let mut buf = vec![0u8; m.encoded_len()];
             m.encode(&mut buf).unwrap();
             prop_assert_eq!(IcmpMessage::parse(&buf).unwrap(), m);

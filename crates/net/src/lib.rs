@@ -16,7 +16,7 @@
 //!   forwarding allocates no heap memory per packet (the mbuf-cluster
 //!   analogue).
 //! - [`queue`] — bounded drop-tail queues (`ipintrq`, interface output
-//!   queues, the screend queue) with drop accounting and watermark queries.
+//!   queues, the screend queue) with drop accounting.
 //! - [`red`] — Random Early Detection admission (the §8-cited drop-policy
 //!   alternative), usable in front of any bounded queue.
 //! - [`route`] — a longest-prefix-match routing table (binary trie).
@@ -26,11 +26,8 @@
 //! - [`classify`] — deterministic, order-independent 5-tuple →
 //!   priority-class mapping (control / realtime / bulk) for the
 //!   priority-aware receive path.
-//! - [`tcp`] — TCP header codec (§7.1's end-system transport discussion).
-//! - [`frag`] — IPv4 fragmentation and bounded, timeout-governed
-//!   reassembly (§5.3's "fragment must be queued" case).
-//! - [`gen`] — deterministic traffic generators (constant-rate with jitter,
-//!   Poisson, bursty on/off, trace replay).
+//! - [`gen`] — the deterministic traffic source (the paper's constant
+//!   rate with ±20 % jitter) and trace replay.
 //! - [`mutate`] — deterministic in-flight frame damage (bit flips, DMA
 //!   scribbles, runts, mangled headers) for fault injection, each aimed at
 //!   a specific validation layer.
@@ -42,7 +39,6 @@ pub mod checksum;
 pub mod classify;
 pub mod ethernet;
 pub mod filter;
-pub mod frag;
 pub mod gen;
 pub mod icmp;
 pub mod ipv4;
@@ -53,7 +49,6 @@ pub mod pool;
 pub mod queue;
 pub mod red;
 pub mod route;
-pub mod tcp;
 pub mod udp;
 
 pub use arp::ArpCache;

@@ -26,16 +26,6 @@ impl LinkSpeed {
         bits_per_sec: 10_000_000,
     };
 
-    /// 100 Mbit/s Ethernet.
-    pub const ETHERNET_100M: LinkSpeed = LinkSpeed {
-        bits_per_sec: 100_000_000,
-    };
-
-    /// FDDI at 100 Mbit/s (the paper's "future work" interface).
-    pub const FDDI: LinkSpeed = LinkSpeed {
-        bits_per_sec: 100_000_000,
-    };
-
     /// Creates a custom speed.
     ///
     /// # Panics
@@ -66,11 +56,6 @@ impl LinkSpeed {
     pub fn frame_cycles(self, frame_len: usize, freq: Freq) -> livelock_sim::Cycles {
         freq.cycles_from_nanos(self.frame_time(frame_len))
     }
-
-    /// The maximum packet rate for frames of `frame_len` bytes.
-    pub fn max_packet_rate(self, frame_len: usize) -> f64 {
-        1e9 / self.frame_time(frame_len).raw() as f64
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +72,7 @@ mod tests {
 
     #[test]
     fn paper_max_rate_14880() {
-        let rate = LinkSpeed::ETHERNET_10M.max_packet_rate(MIN_FRAME_LEN);
+        let rate = 1e9 / LinkSpeed::ETHERNET_10M.frame_time(MIN_FRAME_LEN).raw() as f64;
         assert!((rate - 14_880.95).abs() < 1.0, "rate = {rate}");
     }
 
@@ -109,7 +94,7 @@ mod tests {
     #[test]
     fn faster_links_scale() {
         let t10 = LinkSpeed::ETHERNET_10M.frame_time(MIN_FRAME_LEN);
-        let t100 = LinkSpeed::ETHERNET_100M.frame_time(MIN_FRAME_LEN);
+        let t100 = LinkSpeed::new(100_000_000).frame_time(MIN_FRAME_LEN);
         assert_eq!(t10.raw(), t100.raw() * 10);
     }
 

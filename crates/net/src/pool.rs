@@ -138,11 +138,6 @@ impl FramePool {
     pub fn outstanding(&self) -> usize {
         self.inner.borrow().stats.outstanding
     }
-
-    /// Slots currently available without allocating.
-    pub fn free_buffers(&self) -> usize {
-        self.inner.borrow().free.len()
-    }
 }
 
 impl fmt::Debug for FramePool {
@@ -277,16 +272,16 @@ mod tests {
     #[test]
     fn take_recycles_on_drop() {
         let pool = FramePool::new(64, 2);
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.stats().free, 2);
         {
             let a = pool.take(60);
             let b = pool.take(60);
             assert_eq!(a.len(), 60);
             assert_eq!(b.len(), 60);
-            assert_eq!(pool.free_buffers(), 0);
+            assert_eq!(pool.stats().free, 0);
             assert_eq!(pool.outstanding(), 2);
         }
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.stats().free, 2);
         assert_eq!(pool.outstanding(), 0);
         let s = pool.stats();
         assert_eq!(s.acquired, 2);
@@ -306,7 +301,7 @@ mod tests {
         drop(a);
         drop(b);
         // Both buffers join the freelist; the pool has grown to demand.
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.stats().free, 2);
         let c = pool.take(10);
         drop(c);
         assert_eq!(pool.stats().misses, 1, "no further miss after warm-up");
@@ -353,7 +348,7 @@ mod tests {
         drop(a);
         drop(b);
         assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(pool.stats().free, 2);
     }
 
     #[test]
@@ -447,10 +442,10 @@ mod tests {
         assert_eq!(a.stamps.tx_start, Cycles::new(9));
         // …and each returns to the pool when it dies.
         drop(a);
-        assert_eq!((pool.outstanding(), pool.free_buffers()), (1, 1));
+        assert_eq!((pool.outstanding(), pool.stats().free), (1, 1));
         assert_eq!(b.len(), 80, "the clone outlives the original");
         drop(b);
-        assert_eq!((pool.outstanding(), pool.free_buffers()), (0, 2));
+        assert_eq!((pool.outstanding(), pool.stats().free), (0, 2));
         assert_eq!(pool.stats().allocated, 2);
     }
 

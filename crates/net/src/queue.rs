@@ -1,11 +1,11 @@
-//! Bounded drop-tail queues with drop accounting and watermark queries.
+//! Bounded drop-tail queues with drop accounting.
 //!
 //! Every inter-layer queue in the paper's system (`ipintrq`, per-interface
 //! output queues, the screend queue) is a fixed-limit drop-tail FIFO; "when a
 //! packet should be queued but the queue is full, the system must drop the
-//! packet". [`DropTailQueue`] reproduces that, counts drops (the experiment
-//! harness attributes loss to specific queues), and answers the watermark
-//! queries the queue-state feedback mechanism (paper §6.6.1) needs.
+//! packet". [`DropTailQueue`] reproduces that and counts drops (the
+//! experiment harness attributes loss to specific queues); the queue-state
+//! feedback mechanism (paper §6.6.1) watches its depth.
 
 use std::collections::VecDeque;
 
@@ -138,38 +138,12 @@ impl<T> DropTailQueue<T> {
         self.high_water_len
     }
 
-    /// Returns the current occupancy as a fraction of capacity in `[0, 1]`.
-    pub fn fill_fraction(&self) -> f64 {
-        self.items.len() as f64 / self.capacity as f64
-    }
-
-    /// Returns `true` when occupancy is at or above `fraction` of capacity.
-    ///
-    /// This is the high-water query the queue-state feedback mechanism uses
-    /// ("inhibit input when the screening queue is 75% full").
-    pub fn at_or_above(&self, fraction: f64) -> bool {
-        self.items.len() as f64 >= fraction * self.capacity as f64
-    }
-
-    /// Returns `true` when occupancy is at or below `fraction` of capacity
-    /// (the low-water / re-enable query).
-    pub fn at_or_below(&self, fraction: f64) -> bool {
-        self.items.len() as f64 <= fraction * self.capacity as f64
-    }
-
     /// Discards all queued items and returns how many were discarded.
     /// Statistics are preserved.
     pub fn clear(&mut self) -> usize {
         let n = self.items.len();
         self.items.clear();
         n
-    }
-
-    /// Resets drop/accept statistics (items stay queued).
-    pub fn reset_stats(&mut self) {
-        self.drops.reset();
-        self.enqueued.reset();
-        self.high_water_len = self.items.len();
     }
 }
 
@@ -215,33 +189,16 @@ mod tests {
     }
 
     #[test]
-    fn watermarks() {
-        let mut q = DropTailQueue::new("screend", 32);
-        for i in 0..24 {
-            q.enqueue(i);
-        }
-        assert!(q.at_or_above(0.75), "24/32 = 75%");
-        assert!(!q.at_or_above(0.80));
-        while q.len() > 8 {
-            q.dequeue();
-        }
-        assert!(q.at_or_below(0.25), "8/32 = 25%");
-        assert!(!q.at_or_below(0.20));
-    }
-
-    #[test]
-    fn fill_fraction_and_peek() {
+    fn peek_does_not_dequeue() {
         let mut q = DropTailQueue::new("t", 4);
-        assert_eq!(q.fill_fraction(), 0.0);
         q.enqueue('a');
         q.enqueue('b');
-        assert_eq!(q.fill_fraction(), 0.5);
         assert_eq!(q.peek(), Some(&'a'));
         assert_eq!(q.len(), 2);
     }
 
     #[test]
-    fn clear_and_reset_stats() {
+    fn clear_preserves_stats() {
         let mut q = DropTailQueue::new("t", 2);
         q.enqueue(1);
         q.enqueue(2);
@@ -249,10 +206,8 @@ mod tests {
         assert_eq!(q.clear(), 2);
         assert!(q.is_empty());
         assert_eq!(q.drops(), 1, "clear preserves stats");
-        q.reset_stats();
-        assert_eq!(q.drops(), 0);
-        assert_eq!(q.accepted(), 0);
-        assert_eq!(q.high_water_len(), 0);
+        assert_eq!(q.accepted(), 2);
+        assert_eq!(q.high_water_len(), 2);
     }
 
     #[cfg(feature = "proptest")]

@@ -113,11 +113,6 @@ impl Red {
         }
     }
 
-    /// The current average queue length estimate.
-    pub fn avg_queue_len(&self) -> f64 {
-        self.avg
-    }
-
     /// Early drops so far.
     pub fn early_drops(&self) -> u64 {
         self.early_drops
@@ -173,7 +168,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(red.admit(16), Admission::Accept);
         }
-        assert!(red.avg_queue_len() < 4.0);
+        assert!(red.avg < 4.0);
     }
 
     #[test]

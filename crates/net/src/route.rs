@@ -78,24 +78,6 @@ impl RouteTable {
         }
     }
 
-    /// Removes the route for exactly `prefix/len`; returns the old next hop.
-    pub fn remove(&mut self, prefix: Ipv4Addr, len: u8) -> Option<NextHop> {
-        if len > 32 {
-            return None;
-        }
-        let addr = u32::from(prefix);
-        let mut node = &mut self.root;
-        for depth in 0..len {
-            let b = bit(addr, depth);
-            node = node.children[b].as_deref_mut()?;
-        }
-        let old = node.entry.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
     /// Looks up the longest-prefix-match next hop for `dst`.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<NextHop> {
         let addr = u32::from(dst);
@@ -188,25 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn replace_and_remove() {
+    fn replace_does_not_grow_the_table() {
         let mut rt = RouteTable::new();
         rt.insert(Ipv4Addr::new(10, 0, 0, 0), 8, hop(1));
         rt.insert(Ipv4Addr::new(10, 0, 0, 0), 8, hop(2));
         assert_eq!(rt.len(), 1, "replace does not grow the table");
         assert_eq!(rt.lookup(Ipv4Addr::new(10, 0, 0, 1)).unwrap().iface, 2);
-        assert_eq!(rt.remove(Ipv4Addr::new(10, 0, 0, 0), 8), Some(hop(2)));
-        assert_eq!(rt.remove(Ipv4Addr::new(10, 0, 0, 0), 8), None);
-        assert_eq!(rt.lookup(Ipv4Addr::new(10, 0, 0, 1)), None);
-        assert!(rt.is_empty());
-    }
-
-    #[test]
-    fn remove_keeps_covering_route() {
-        let mut rt = RouteTable::new();
-        rt.insert(Ipv4Addr::new(10, 0, 0, 0), 8, hop(1));
-        rt.insert(Ipv4Addr::new(10, 1, 0, 0), 16, hop(2));
-        rt.remove(Ipv4Addr::new(10, 1, 0, 0), 16);
-        assert_eq!(rt.lookup(Ipv4Addr::new(10, 1, 5, 5)).unwrap().iface, 1);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Rng {
         result
     }
 
-    /// Returns a uniformly distributed `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 high bits → [0, 1) with full double precision.
@@ -108,39 +103,9 @@ impl Rng {
         lo + self.next_below(span + 1)
     }
 
-    /// Samples an exponential distribution with the given mean.
-    ///
-    /// Used for Poisson inter-arrival times. Returns 0.0 for a zero mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // Avoid ln(0): next_f64 is in [0, 1), so use 1 - u in (0, 1].
-        let u = 1.0 - self.next_f64();
-        -mean * u.ln()
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Fills `buf` with random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        let mut chunks = buf.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    /// Derives an independent child generator (for per-subsystem streams).
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from(self.next_u64())
     }
 }
 
@@ -205,41 +170,6 @@ mod tests {
         assert_eq!(r.range_inclusive(4, 4), 4);
         // Full u64 range must not overflow.
         let _ = r.range_inclusive(0, u64::MAX);
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = Rng::seed_from(13);
-        let n = 100_000;
-        let mean = 250.0;
-        let sum: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        let observed = sum / n as f64;
-        assert!(
-            (observed - mean).abs() < mean * 0.02,
-            "observed mean {observed}"
-        );
-        assert_eq!(r.exponential(0.0), 0.0);
-    }
-
-    #[test]
-    fn fill_bytes_exact_and_ragged() {
-        let mut r = Rng::seed_from(17);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-        let mut buf8 = [0u8; 16];
-        r.fill_bytes(&mut buf8);
-        assert!(buf8.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn fork_is_independent_but_deterministic() {
-        let mut a = Rng::seed_from(21);
-        let mut b = Rng::seed_from(21);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.next_u64(), fb.next_u64());
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

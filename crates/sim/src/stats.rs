@@ -32,11 +32,6 @@ impl Counter {
     pub const fn get(self) -> u64 {
         self.0
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
 }
 
 impl fmt::Display for Counter {
@@ -146,92 +141,6 @@ impl MeanVar {
     }
 }
 
-/// A logarithmically bucketed histogram of durations, for latency and jitter.
-///
-/// Buckets are powers of two in nanoseconds, giving ~2x resolution over a
-/// huge dynamic range with constant memory — adequate for the paper's
-/// qualitative latency discussion (§4.3).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    stats: MeanVar,
-}
-
-const HIST_BUCKETS: usize = 64;
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; HIST_BUCKETS],
-            stats: MeanVar::new(),
-        }
-    }
-
-    fn bucket_for(ns: u64) -> usize {
-        (64 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-
-    /// Records a duration.
-    pub fn record(&mut self, d: Nanos) {
-        self.buckets[Self::bucket_for(d.raw())] += 1;
-        self.stats.record(d.raw() as f64);
-    }
-
-    /// Returns the number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Returns the mean duration.
-    pub fn mean(&self) -> Nanos {
-        Nanos::new(self.stats.mean() as u64)
-    }
-
-    /// Returns the standard deviation of the recorded durations, a proxy for
-    /// jitter.
-    pub fn jitter(&self) -> Nanos {
-        Nanos::new(self.stats.stddev() as u64)
-    }
-
-    /// Returns the maximum recorded duration.
-    pub fn max(&self) -> Nanos {
-        Nanos::new(self.stats.max().unwrap_or(0.0) as u64)
-    }
-
-    /// Returns the minimum recorded duration.
-    pub fn min(&self) -> Nanos {
-        Nanos::new(self.stats.min().unwrap_or(0.0) as u64)
-    }
-
-    /// Returns an upper bound for the q-quantile (0.0 ≤ q ≤ 1.0) duration.
-    ///
-    /// The bound is the top edge of the bucket containing the quantile, so it
-    /// is within 2x of the true value.
-    pub fn quantile(&self, q: f64) -> Nanos {
-        let total = self.count();
-        if total == 0 {
-            return Nanos::ZERO;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                let top = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-                return Nanos::new(top);
-            }
-        }
-        Nanos::new(u64::MAX)
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
 /// Number of linear sub-buckets per power-of-two octave in [`HdrHistogram`]
 /// (trades memory for quantile resolution; 32 gives ≤ 1/32 ≈ 3.1% relative
 /// error on any reported quantile bound).
@@ -245,9 +154,9 @@ const HDR_BUCKETS: usize = HDR_SUB_BUCKETS as usize * (1 + HDR_OCTAVES);
 /// A high-dynamic-range histogram of durations: log2 octaves split into
 /// linear sub-buckets, HdrHistogram-style.
 ///
-/// Where [`Histogram`] quantile bounds are within 2x of the true value,
-/// this one is within ~3% (1/[`HDR_SUB_BUCKETS`] relative error), which is
-/// what tail quantiles like p99.9 need to be meaningful. Values below
+/// Quantile bounds are within ~3% of the true value
+/// (1/[`HDR_SUB_BUCKETS`] relative error), which is what tail quantiles
+/// like p99.9 need to be meaningful. Values below
 /// [`HDR_SUB_BUCKETS`] ns are recorded exactly. All storage is allocated
 /// up front in [`HdrHistogram::new`]; recording never allocates, so it is
 /// safe on the zero-allocation packet path.
@@ -420,21 +329,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Returns the mean of values sampled within `[from, to)`.
-    pub fn mean_in(&self, from: Cycles, to: Cycles) -> Option<f64> {
-        let mut acc = MeanVar::new();
-        for &(t, v) in &self.points {
-            if t >= from && t < to {
-                acc.record(v);
-            }
-        }
-        if acc.count() == 0 {
-            None
-        } else {
-            Some(acc.mean())
-        }
-    }
-
     /// Halves the sample count by dropping every second sample (the
     /// first, third, ... are kept), bounding memory for long-running
     /// samplers: when a series hits its budget, decimate and double the
@@ -519,8 +413,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
         c.add(u64::MAX);
         c.inc();
         assert_eq!(c.get(), u64::MAX, "saturates");
@@ -546,37 +438,6 @@ mod tests {
         assert_eq!(m.variance(), 0.0);
         assert_eq!(m.min(), None);
         assert_eq!(m.max(), None);
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_samples() {
-        let mut h = Histogram::new();
-        for us in 1..=1000u64 {
-            h.record(Nanos::from_micros(us));
-        }
-        assert_eq!(h.count(), 1000);
-        let median = h.quantile(0.5);
-        // True median 500us; bucketed bound must be within 2x above it.
-        assert!(median >= Nanos::from_micros(500));
-        assert!(median <= Nanos::from_micros(1100), "median bound {median}");
-        assert!(h.quantile(1.0) >= h.quantile(0.5));
-        assert_eq!(h.mean(), Nanos::new(500_500));
-        assert_eq!(h.max(), Nanos::from_micros(1000));
-        assert_eq!(h.min(), Nanos::from_micros(1));
-    }
-
-    #[test]
-    fn histogram_empty_quantile() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.99), Nanos::ZERO);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn histogram_zero_duration() {
-        let mut h = Histogram::new();
-        h.record(Nanos::ZERO);
-        assert_eq!(h.count(), 1);
     }
 
     /// A deterministic splitmix64 stream for generating test samples.
@@ -774,17 +635,6 @@ mod tests {
                 a.iter().sum::<u64>() + b.iter().sum::<u64>()
             );
         }
-    }
-
-    #[test]
-    fn time_series_mean_in_window() {
-        let mut ts = TimeSeries::new();
-        ts.push(Cycles::new(0), 1.0);
-        ts.push(Cycles::new(10), 3.0);
-        ts.push(Cycles::new(20), 100.0);
-        assert_eq!(ts.mean_in(Cycles::new(0), Cycles::new(20)), Some(2.0));
-        assert_eq!(ts.mean_in(Cycles::new(30), Cycles::new(40)), None);
-        assert_eq!(ts.len(), 3);
     }
 
     #[test]

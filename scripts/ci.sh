@@ -95,12 +95,19 @@ repo=$(pwd)
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-echo "== simlint: determinism / drop-accounting / interrupt-discipline =="
+echo "== counted lines under crates/ (printed, never gated) =="
+# ROADMAP 4's measure, so each PR's number is reproduced, not hand-counted:
+# non-blank, non-comment lines before a file's first top-level
+# #[cfg(test)], with crates/**/tests and the lint fixtures left out.
+find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
+    xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
+
+echo "== simlint: determinism / interrupt-discipline / ledger-discipline =="
 # The workspace's own static-analysis pass (crates/lint). It enforces the
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
-# maps in deterministic crates, record_drop as the only drop-counter
-# mutation path, interrupt handlers that only initiate polling, ledger
-# charges only at executor commit points, panic-free library code,
+# maps in deterministic crates, interrupt handlers that only initiate
+# polling, ledger charges only at executor commit points, panic-free
+# library code,
 # cross-CPU state confined to the IPI/steal channel files, per-flow
 # metrics mutated only through the KernelStats attribution hooks,
 # traffic classes stamped/shed only by the admission gate, no mixed time
@@ -187,6 +194,15 @@ if [ "$rc" -eq 1 ]; then
     echo "ci: figures rejects an unknown figure id with exit 1"
 else
     echo "ci: FAIL — figures --fig 9-9 exited $rc, want 1" >&2
+    exit 1
+fi
+# A degenerate trial spec is a usage error, not a panic (exit 101).
+"$repo/target/release/livelock" trial --packets 0 > /dev/null 2>&1
+rc=$?
+if [ "$rc" -eq 2 ]; then
+    echo "ci: livelock rejects an empty trial with exit 2"
+else
+    echo "ci: FAIL — livelock trial --packets 0 exited $rc, want 2" >&2
     exit 1
 fi
 
