@@ -73,12 +73,12 @@ use livelock_kernel::config::{FeedbackConfig, KernelConfig, LocalDeliveryConfig}
 use livelock_kernel::experiment::{
     paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec,
 };
-use livelock_machine::fault::FaultPlan;
 use livelock_kernel::experiment::sweep;
 use livelock_kernel::par::{default_jobs, par_map, Parallelism};
 use livelock_kernel::stats::{DropReason, Stage};
 use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig, TelemetryConfig};
 use livelock_machine::CpuClass;
+use livelock_sim::Nanos;
 
 fn configs() -> Vec<(&'static str, &'static str)> {
     vec![
@@ -570,6 +570,11 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The largest `chaos --intensity`: a storm schedules 48 faults per
+/// unit, so the cap keeps a plan to tens of thousands of events where an
+/// unbounded value would schedule until memory ran out.
+const MAX_INTENSITY: f64 = 1_000.0;
+
 /// The seeded fault-storm run: both kernels face the identical storm,
 /// the polled kernel's graceful-degradation invariants are asserted,
 /// and the first violated invariant picks the (documented) exit code.
@@ -586,8 +591,8 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
     let rate = args.get_f64("rate", if priority { 5_000.0 } else { 12_000.0 })?;
     let n_packets = args.get_usize("packets", 6_000)?;
     let intensity = args.get_f64("intensity", 2.0)?;
-    if !(intensity >= 0.0) {
-        return Err(format!("--intensity: must be >= 0, got {intensity}"));
+    if !(0.0..=MAX_INTENSITY).contains(&intensity) {
+        return Err(format!("--intensity: want 0..={MAX_INTENSITY}, got {intensity}"));
     }
 
     // Both kernels route through screend and face the identical storm:
@@ -605,20 +610,16 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
         // (The unmodified kernel's verdict does not depend on this: it
         // fires the starved-outright clause, which has no SLO in it.)
         let mut classes = livelock_bench::p1_classify_config();
-        classes.slo_p99_us = 25_000.0;
+        classes.slo_p99 = Nanos::from_millis(25);
         polled_cfg.classes = Some(classes.clone());
         unmod_cfg.classes = Some(classes);
         polled_cfg.observe = Some(ObserveConfig::default());
         unmod_cfg.observe = Some(ObserveConfig::default());
     }
-    let freq = polled_cfg.cost.freq;
-    let total_ms = (n_packets as f64 / rate * 1_000.0) as u64;
-    let plan = FaultPlan::storm(
-        seed,
-        intensity,
-        freq.cycles_from_millis(total_ms / 10),
-        freq.cycles_from_millis(total_ms * 9 / 10),
-    );
+    let plan = livelock_bench::storm_plan(seed, intensity, polled_cfg.cost.freq, rate, n_packets)
+        .ok_or_else(|| {
+            format!("--packets: {n_packets} at {rate} pkts/s is under 2 ms of load, too short for a storm")
+        })?;
     let n_faults = plan.len() as u64;
     eprintln!(
         "chaos: seed {seed:#x}, intensity {intensity}, {n_faults} faults over \
@@ -1011,8 +1012,14 @@ mod tests {
             ("observe", ["--rate", "-1"], "--rate"),
             ("sweep", ["--rates", "0"], "--rates"),
             ("sweep", ["--rates", "1000,x"], "--rates"),
+            ("chaos", ["--intensity", "inf"], "--intensity"),
+            ("chaos", ["--intensity", "nan"], "--intensity"),
+            ("chaos", ["--packets", "5"], "--packets"),
         ] {
-            let err = parse(cmd, &raw).err().expect("a degenerate spec");
+            // Parse, then the subcommand's own checks: every row is
+            // refused before a trial runs.
+            let run = subcommand(cmd).expect("a subcommand").1;
+            let err = parse(cmd, &raw).and_then(|a| run(&a)).err().expect("a degenerate spec");
             assert!(err.starts_with(flag), "{cmd} {raw:?}: {err}");
             assert!(!err.contains('\n'), "one line: {err}");
         }

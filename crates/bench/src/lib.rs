@@ -22,6 +22,7 @@ use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig};
 use livelock_machine::fault::FaultPlan;
 use livelock_machine::{CpuClass, SchedulerKind};
 use livelock_net::classify::{MatchRule, TrafficClass};
+use livelock_sim::{Freq, Nanos};
 
 /// What a curve's value column (y-axis) plots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -401,18 +402,28 @@ const R1_RATE_PPS: f64 = 3_000.0;
 /// deterministic function of (seed, intensity, rate, trial length) only.
 const STORM_SEED: u64 = 0xFA17;
 
-/// The seeded storm a [`Sweep::Storm`] row injects at one intensity into
-/// a trial of `n_packets` at `rate_pps`: the storm window covers the
-/// middle 80% of the trial, clear of warm-up and tail.
-fn storm(config: &KernelConfig, intensity: f64, rate_pps: f64, n_packets: usize) -> FaultPlan {
-    let freq = config.cost.freq;
+/// The seeded storm injected into a trial of `n_packets` at `rate_pps`:
+/// its window covers the middle 80% of the trial, clear of warm-up and
+/// tail, in whole truncated milliseconds (the committed R-1 CSV depends
+/// on that rounding). `None` when the trial is too short (under 2 ms of
+/// offered load) to hold a window at all.
+pub fn storm_plan(
+    seed: u64,
+    intensity: f64,
+    freq: Freq,
+    rate_pps: f64,
+    n_packets: usize,
+) -> Option<FaultPlan> {
     let total_ms = (n_packets as f64 / rate_pps * 1_000.0) as u64;
-    FaultPlan::storm(
-        STORM_SEED,
-        intensity,
-        freq.cycles_from_millis(total_ms / 10),
-        freq.cycles_from_millis(total_ms * 9 / 10),
-    )
+    let (start_ms, end_ms) = (total_ms / 10, total_ms * 9 / 10);
+    (start_ms < end_ms).then(|| {
+        FaultPlan::storm(
+            seed,
+            intensity,
+            freq.cycles_from_millis(start_ms),
+            freq.cycles_from_millis(end_ms),
+        )
+    })
 }
 
 /// Figure R-1: graceful degradation under a seeded fault storm.
@@ -506,7 +517,7 @@ pub fn p1_classify_config() -> ClassifyConfig {
             restore_lo_frac: 0.0,
             min_hold_ticks: 2,
         },
-        slo_p99_us: 5_000.0,
+        slo_p99: Nanos::from_millis(5),
         ..ClassifyConfig::default()
     }
 }
@@ -737,7 +748,8 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
             Sweep::Storm { rate_pps } => {
                 // Intensity 0 leaves the plan out entirely, making the
                 // baseline row provably identical to a fault-free build.
-                let plan = storm(&config, x, rate_pps, n_packets);
+                let plan = storm_plan(STORM_SEED, x, config.cost.freq, rate_pps, n_packets)
+                    .expect("a Storm row's trial is long enough to hold a storm window");
                 if !plan.is_empty() {
                     config.faults = Some(plan);
                 }
@@ -1206,7 +1218,7 @@ pub fn priority_shape_violations(r: &RenderedFigure) -> Vec<String> {
         ));
         return v;
     };
-    let slo_us = p1_classify_config().slo_p99_us;
+    let slo_us = p1_classify_config().slo_p99.as_micros_f64();
     let n_flows = p1_flows().len() as f64;
     let last = r.xs.len() - 1;
     for (pi, &rate) in r.xs.iter().enumerate() {

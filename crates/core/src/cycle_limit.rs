@@ -71,16 +71,6 @@ impl CycleLimiter {
         }
     }
 
-    /// Returns the period length in cycles.
-    pub fn period_cycles(&self) -> u64 {
-        self.period_cycles
-    }
-
-    /// Returns the per-period budget in cycles.
-    pub fn budget_cycles(&self) -> u64 {
-        self.budget_cycles
-    }
-
     /// Returns `true` while input handling is inhibited.
     pub fn is_inhibited(&self) -> bool {
         self.inhibited
@@ -145,7 +135,7 @@ mod tests {
     #[test]
     fn stays_open_under_budget() {
         let mut lim = CycleLimiter::new(1_000_000, 0.5);
-        assert_eq!(lim.budget_cycles(), 500_000);
+        assert_eq!(lim.budget_cycles, 500_000);
         for _ in 0..4 {
             assert_eq!(lim.record(100_000), LimiterDecision::Continue);
         }
@@ -235,7 +225,7 @@ mod tests {
         ) {
             let frac = frac_pct as f64 / 100.0;
             let mut lim = CycleLimiter::new(period, frac);
-            let budget = lim.budget_cycles();
+            let budget = lim.budget_cycles;
             let mut total = 0u64;
             let mut inhibited_at: Option<u64> = None;
             for &c in &chunks {

@@ -106,7 +106,6 @@ pub struct Poller {
     /// `source * 2 + {0: rx, 1: tx}`.
     cursor: usize,
     rx_inhibited: bool,
-    actions_issued: u64,
     packets_reported: u64,
 }
 
@@ -119,7 +118,6 @@ impl Poller {
             tx_quota,
             cursor: 0,
             rx_inhibited: false,
-            actions_issued: 0,
             packets_reported: 0,
         }
     }
@@ -151,11 +149,6 @@ impl Poller {
         self.rx_inhibited = inhibited;
     }
 
-    /// Returns `true` while receive actions are inhibited.
-    pub fn rx_inhibited(&self) -> bool {
-        self.rx_inhibited
-    }
-
     /// Picks the next (device, direction) to service, round-robin, or
     /// `None` when nothing serviceable is pending.
     pub fn next_action(&mut self) -> Option<PollAction> {
@@ -175,7 +168,6 @@ impl Poller {
                 continue;
             }
             self.cursor = (slot + 1) % slots;
-            self.actions_issued += 1;
             let quota = match dir {
                 PollDirection::Receive => self.rx_quota,
                 PollDirection::Transmit => self.tx_quota,
@@ -225,16 +217,6 @@ impl Poller {
             PollDirection::Receive => s.rx_pending,
             PollDirection::Transmit => s.tx_pending,
         }
-    }
-
-    /// Total scheduling decisions issued (diagnostics).
-    pub fn actions_issued(&self) -> u64 {
-        self.actions_issued
-    }
-
-    /// Total packets reported through [`Poller::complete`] (diagnostics).
-    pub fn packets_reported(&self) -> u64 {
-        self.packets_reported
     }
 
     /// Returns the configured quota for a direction.
@@ -311,7 +293,7 @@ mod tests {
         p.complete(a.source, a.dir, 3, false);
         assert!(!p.is_pending(ids[0], PollDirection::Receive));
         assert_eq!(p.next_action(), None);
-        assert_eq!(p.packets_reported(), 3);
+        assert_eq!(p.packets_reported, 3);
     }
 
     #[test]

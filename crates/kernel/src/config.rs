@@ -7,6 +7,7 @@ use livelock_machine::fault::FaultPlan;
 use livelock_machine::nic::NicConfig;
 use livelock_net::classify::{MatchRule, TrafficClass};
 use livelock_net::filter::Filter;
+use livelock_sim::Nanos;
 
 use crate::telemetry::{ObserveConfig, TelemetryConfig};
 
@@ -194,12 +195,11 @@ pub struct ClassifyConfig {
     pub burst: [u32; TrafficClass::COUNT],
     /// The shed controller's hysteresis parameters.
     pub shed: ShedConfig,
-    /// The `Control` class's p99 latency SLO in microseconds, judged
-    /// over the livelock detector's sliding window. The upgraded
-    /// `PriorityInversion` detector fires when this is violated (or
-    /// `Control` arrivals see zero deliveries) while `Bulk` still
-    /// progresses.
-    pub slo_p99_us: f64,
+    /// The `Control` class's p99 latency SLO, judged over the livelock
+    /// detector's sliding window. The upgraded `PriorityInversion`
+    /// detector fires when this is violated (or `Control` arrivals see
+    /// zero deliveries) while `Bulk` still progresses.
+    pub slo_p99: Nanos,
 }
 
 impl Default for ClassifyConfig {
@@ -209,7 +209,7 @@ impl Default for ClassifyConfig {
             default_class: TrafficClass::Bulk,
             burst: [8, 8, 8],
             shed: ShedConfig::default(),
-            slo_p99_us: 2_000.0,
+            slo_p99: Nanos::from_millis(2),
         }
     }
 }

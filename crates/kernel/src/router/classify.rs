@@ -110,7 +110,7 @@ pub(crate) struct ClassEngine {
     pub(crate) shed: ShedController,
     /// The Control class's p99 latency SLO, for the cross-class
     /// priority-inversion detector.
-    pub(crate) slo_p99_us: f64,
+    pub(crate) slo_p99: livelock_sim::Nanos,
 }
 
 impl ClassEngine {
@@ -120,7 +120,7 @@ impl ClassEngine {
             burst: cfg.burst.map(|b| b.max(1)),
             taken_in_round: [0; TrafficClass::COUNT],
             shed: ShedController::new(cfg.shed),
-            slo_p99_us: cfg.slo_p99_us,
+            slo_p99: cfg.slo_p99,
         }
     }
 

@@ -141,9 +141,9 @@ impl RouterKernel {
                     f.pending_clock_skew = skew_cycles;
                 }
             }
-            FaultKind::LinkFlap { iface, down_cycles } => {
+            FaultKind::LinkFlap { iface, down } => {
                 let i = iface % nif;
-                let until = Cycles::new(now.raw().saturating_add(down_cycles));
+                let until = now + down;
                 self.stats.fault.link_flaps += 1;
                 if let Some(f) = self.fault.as_mut() {
                     f.link_down_until[i] = f.link_down_until[i].max(until);

@@ -687,7 +687,6 @@ impl RouterKernel {
         let Some(ce) = &self.classes else {
             return;
         };
-        let slo = livelock_sim::Nanos::new((ce.slo_p99_us * 1_000.0) as u64);
         let Some(cs) = &mut self.stats.class else {
             return;
         };
@@ -698,7 +697,7 @@ impl RouterKernel {
             cs.get(TrafficClass::Control).delivered,
             cs.get(TrafficClass::Bulk).delivered,
             p99,
-            slo,
+            ce.slo_p99,
         );
     }
 

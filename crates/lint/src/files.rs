@@ -1,8 +1,8 @@
-//! Workspace discovery and the lightweight module map.
+//! Workspace discovery and file classification.
 //!
 //! The linter does not parse `Cargo.toml`s; the workspace layout is
 //! simple and stable enough to walk directly. Every scanned file is
-//! classified by owning crate, target kind, and module path, which is
+//! classified by owning crate and target kind, which (with its path) is
 //! what the rules scope themselves by.
 //!
 //! The vendored `proptest` drop-in is not scanned: it is a registry
@@ -27,7 +27,7 @@ pub enum TargetKind {
     Example,
 }
 
-/// One scanned source file with its place in the module map.
+/// One scanned source file with its place in the workspace.
 #[derive(Clone, Debug)]
 pub struct FileInfo {
     /// Workspace-relative path with forward slashes
@@ -37,59 +37,33 @@ pub struct FileInfo {
     pub crate_name: String,
     /// Target kind.
     pub kind: TargetKind,
-    /// Module path within the crate (`["router", "mod"]` collapses to
-    /// `["router"]`; `src/lib.rs` is the empty path).
-    pub module: Vec<String>,
 }
 
 impl FileInfo {
-    /// The module path rendered as `crate::a::b` for messages.
-    pub fn module_display(&self) -> String {
-        let mut s = self.crate_name.clone();
-        for m in &self.module {
-            s.push_str("::");
-            s.push_str(m);
-        }
-        s
-    }
-
     /// Classifies a workspace-relative path. Returns `None` for paths the
     /// linter does not scan.
     pub fn classify(rel_path: &str) -> Option<FileInfo> {
         let parts: Vec<&str> = rel_path.split('/').collect();
-        let (crate_name, kind, module_parts): (String, TargetKind, &[&str]) = match parts.as_slice()
-        {
-            ["crates", krate, "src", "bin", rest @ ..] => {
-                ((*krate).to_string(), TargetKind::Bin, rest)
-            }
+        let (crate_name, kind) = match parts.as_slice() {
             // A crate-root main.rs is the crate's default binary.
-            ["crates", krate, "src", "main.rs"] => {
-                ((*krate).to_string(), TargetKind::Bin, &["main.rs"][..])
+            ["crates", krate, "src", "bin", ..] | ["crates", krate, "src", "main.rs"] => {
+                (*krate, TargetKind::Bin)
             }
-            ["crates", krate, "src", rest @ ..] => ((*krate).to_string(), TargetKind::Lib, rest),
-            ["crates", krate, "tests", rest @ ..] => ((*krate).to_string(), TargetKind::Test, rest),
+            ["crates", krate, "src", ..] => (*krate, TargetKind::Lib),
+            ["crates", krate, "tests", ..] => (*krate, TargetKind::Test),
             // The workspace-level tests/ and examples/ are targets of the
             // kernel crate (see crates/kernel/Cargo.toml).
-            ["tests", rest @ ..] => ("kernel".to_string(), TargetKind::Test, rest),
-            ["examples", rest @ ..] => ("kernel".to_string(), TargetKind::Example, rest),
+            ["tests", ..] => ("kernel", TargetKind::Test),
+            ["examples", ..] => ("kernel", TargetKind::Example),
             _ => return None,
         };
-        if SKIPPED_CRATES.contains(&crate_name.as_str()) {
+        if SKIPPED_CRATES.contains(&crate_name) {
             return None;
-        }
-        let mut module: Vec<String> = module_parts
-            .iter()
-            .map(|p| p.trim_end_matches(".rs").to_string())
-            .collect();
-        // lib.rs / main.rs / mod.rs do not open a module level of their own.
-        if matches!(module.last().map(String::as_str), Some("lib" | "main" | "mod")) {
-            module.pop();
         }
         Some(FileInfo {
             rel_path: rel_path.to_string(),
-            crate_name,
+            crate_name: crate_name.to_string(),
             kind,
-            module,
         })
     }
 }
@@ -177,18 +151,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classifies_lib_and_collapses_mod() {
-        let f = FileInfo::classify("crates/net/src/filter.rs").unwrap();
-        assert_eq!(f.crate_name, "net");
-        assert_eq!(f.kind, TargetKind::Lib);
-        assert_eq!(f.module, vec!["filter"]);
-        assert_eq!(f.module_display(), "net::filter");
-
-        let f = FileInfo::classify("crates/kernel/src/router/mod.rs").unwrap();
-        assert_eq!(f.module, vec!["router"]);
-        let f = FileInfo::classify("crates/sim/src/lib.rs").unwrap();
-        assert!(f.module.is_empty());
-        assert_eq!(f.module_display(), "sim");
+    fn classifies_lib_files_by_crate() {
+        for (path, krate) in [
+            ("crates/net/src/filter.rs", "net"),
+            ("crates/kernel/src/router/mod.rs", "kernel"),
+            ("crates/sim/src/lib.rs", "sim"),
+        ] {
+            let f = FileInfo::classify(path).unwrap();
+            assert_eq!((f.crate_name.as_str(), f.kind), (krate, TargetKind::Lib));
+            assert_eq!(f.rel_path, path);
+        }
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! every CPU cycle is charged exactly once, and the whole simulation
 //! replays byte-identically. simlint turns those conventions into
 //! checked invariants: it lexes the workspace's Rust sources with a
-//! comment/string-aware tokenizer, builds a lightweight module map, and
-//! runs a rule engine over the token streams.
+//! comment/string-aware tokenizer, classifies each file by crate and
+//! target kind, and runs a rule engine over the token streams.
 //!
 //! The pipeline per file:
 //!
 //! 1. [`tokenizer`] lexes the source (literals and comments can never
 //!    trigger rules);
 //! 2. [`regions`] marks `#[cfg(test)]` spans, which some rules exempt;
-//! 3. each [`rules::Rule`] scans the tokens, scoped by the module map
-//!    ([`files::FileInfo`]);
+//! 3. each [`rules::Rule`] scans the tokens, scoped by the file's place
+//!    in the workspace ([`files::FileInfo`]);
 //! 4. [`suppress`] applies inline `// simlint: allow(rule): reason`
 //!    directives (reason mandatory);
 //! 5. [`baseline`] absorbs grandfathered findings so the gate holds the
@@ -24,10 +24,7 @@
 //! rationale and `scripts/ci.sh` for the gate (exit 7).
 
 pub mod baseline;
-pub mod dataflow;
 pub mod files;
-pub mod fix;
-pub mod model;
 pub mod regions;
 pub mod registry;
 pub mod report;
@@ -72,7 +69,6 @@ pub struct FileLint {
 pub fn lint_source(info: &FileInfo, src: &str, rules: &[Box<dyn Rule>]) -> FileLint {
     let lexed = tokenizer::tokenize(src);
     let test_regions = regions::test_regions(&lexed.toks);
-    let file_model = model::FileModel::build(info, &lexed.toks);
     let ids = rules::rule_ids();
     let sup = suppress::parse(&lexed.lint_comments, &ids);
 
@@ -87,9 +83,7 @@ pub fn lint_source(info: &FileInfo, src: &str, rules: &[Box<dyn Rule>]) -> FileL
         });
     }
     for rule in rules {
-        let mut raws = rule.check(info, &lexed.toks);
-        raws.extend(rule.check_model(info, &lexed.toks, &file_model));
-        for rf in raws {
+        for rf in rule.check(info, &lexed.toks) {
             if rule.exempt_test_code() && test_regions.contains(rf.tok) {
                 continue;
             }

@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use lint::baseline::Baseline;
 use lint::files::find_workspace_root;
 use lint::registry::codes;
-use lint::{fix, registry, report, rules};
+use lint::{registry, report, rules};
 
 const USAGE: &str = "\
 simlint — static-analysis gate for the receive-livelock workspace
@@ -17,12 +17,8 @@ USAGE:
     simlint [OPTIONS]
 
 OPTIONS:
-    --json              emit the machine-readable JSON report
-    --format <FMT>      report format: human (default), json, or sarif
-    --fix               apply mechanical fixes (suppression
-                        normalization)
-    --dry-run           with --fix: print the would-be diff, write
-                        nothing; exit 4 if any fix is pending
+    --json              emit the machine-readable JSON report instead of
+                        the human one
     --write-baseline    rewrite the baseline file to absorb all current
                         findings (then exit 0); review the diff before
                         committing — the baseline should only shrink
@@ -33,54 +29,27 @@ OPTIONS:
                         markdown table embedded in README.md and exit
 
 EXIT CODES:
-    0 clean   2 usage   3 I/O error   4 fixable (--fix --dry-run)
+    0 clean   2 usage   3 I/O error
     9 multiple rules   10..22 one code per rule (see --list-rules);
     the full cross-binary registry is `--exit-codes`
 ";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
+#[derive(Default)]
 struct Opts {
-    format: Format,
+    json: bool,
     write_baseline: bool,
     baseline: Option<PathBuf>,
     root: Option<PathBuf>,
     list_rules: bool,
     exit_codes: bool,
-    fix: bool,
-    dry_run: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        format: Format::Human,
-        write_baseline: false,
-        baseline: None,
-        root: None,
-        list_rules: false,
-        exit_codes: false,
-        fix: false,
-        dry_run: false,
-    };
+    let mut opts = Opts::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => opts.format = Format::Json,
-            "--format" => {
-                opts.format = match args.next().ok_or("--format needs a value")?.as_str() {
-                    "human" => Format::Human,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-            }
-            "--fix" => opts.fix = true,
-            "--dry-run" => opts.dry_run = true,
+            "--json" => opts.json = true,
             "--write-baseline" => opts.write_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--exit-codes" => opts.exit_codes = true,
@@ -94,9 +63,6 @@ fn parse_args() -> Result<Opts, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if opts.dry_run && !opts.fix {
-        return Err("--dry-run only makes sense with --fix".to_string());
     }
     Ok(opts)
 }
@@ -148,33 +114,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.fix {
-        let outcome = match fix::fix_workspace(&root, opts.dry_run) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("simlint: fix failed: {e}");
-                return to_exit(codes::SIMLINT_IO);
-            }
-        };
-        if outcome.files.is_empty() {
-            println!("simlint: nothing to fix");
-            return ExitCode::SUCCESS;
-        }
-        if opts.dry_run {
-            print!("{}", outcome.diff);
-            println!(
-                "simlint: {} pending fix(es) in {} file(s) — run --fix to apply",
-                outcome.edit_count(),
-                outcome.files.len()
-            );
-            return to_exit(codes::SIMLINT_FIXABLE);
-        }
-        for (file, n) in &outcome.files {
-            println!("simlint: fixed {file} ({n} edit(s))");
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let baseline_path = opts
         .baseline
         .unwrap_or_else(|| root.join("crates/lint/baseline.txt"));
@@ -217,10 +156,10 @@ fn main() -> ExitCode {
         }
     };
 
-    match opts.format {
-        Format::Json => print!("{}", report::json(&result)),
-        Format::Sarif => print!("{}", report::sarif(&result)),
-        Format::Human => print!("{}", report::human(&result)),
+    if opts.json {
+        print!("{}", report::json(&result));
+    } else {
+        print!("{}", report::human(&result));
     }
     to_exit(report::exit_code(&result))
 }

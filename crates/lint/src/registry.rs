@@ -85,8 +85,6 @@ pub mod codes {
     pub const SIMLINT_USAGE: i32 = 2;
     /// simlint: I/O error (unreadable workspace or baseline).
     pub const SIMLINT_IO: i32 = 3;
-    /// simlint: --fix --dry-run found fixable findings.
-    pub const SIMLINT_FIXABLE: i32 = 4;
 }
 
 /// One registered exit code.
@@ -166,7 +164,6 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     // simlint's non-rule codes (the rule codes are generated below).
     e("simlint", "usage", codes::SIMLINT_USAGE, "usage error (unknown flag)", Some("SIMLINT_USAGE")),
     e("simlint", "io", codes::SIMLINT_IO, "I/O error (unreadable workspace or baseline)", Some("SIMLINT_IO")),
-    e("simlint", "fixable", codes::SIMLINT_FIXABLE, "--fix --dry-run found fixable findings on the tree", Some("SIMLINT_FIXABLE")),
 ];
 
 /// Owned form of an entry, for the generated simlint rule codes.

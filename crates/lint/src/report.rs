@@ -1,4 +1,4 @@
-//! Human, JSON, and SARIF reporting, and the exit-code contract.
+//! Human and JSON reporting, and the exit-code contract.
 //!
 //! Exit codes (authoritative table: `crates/lint/src/registry.rs`, or
 //! `simlint --exit-codes`):
@@ -8,7 +8,6 @@
 //! | 0    | clean (all findings suppressed or baselined) |
 //! | 2    | usage error |
 //! | 3    | I/O error (unreadable workspace or baseline) |
-//! | 4    | `--fix --dry-run` found fixable findings |
 //! | 9    | fresh findings across multiple rules |
 //! | 10   | determinism |
 //! | 12   | interrupt-discipline |
@@ -119,49 +118,6 @@ pub fn json(result: &WorkspaceLint) -> String {
     out
 }
 
-/// Renders the report as minimal SARIF 2.1.0 — one run, one rule entry
-/// per rule with fresh findings, one result per finding. Enough for CI
-/// artifact upload and SARIF viewers; no external dependencies.
-pub fn sarif(result: &WorkspaceLint) -> String {
-    let mut rule_ids: Vec<&str> = result.fresh.iter().map(|f| f.rule.as_str()).collect();
-    rule_ids.sort_unstable();
-    rule_ids.dedup();
-    let mut out = String::from(
-        "{\n  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"simlint\",\n          \"rules\": [",
-    );
-    for (i, id) in rule_ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n            {{\"id\": {}, \"properties\": {{\"exitCode\": {}}}}}",
-            quote(id),
-            exit_code_for(id)
-        ));
-    }
-    if !rule_ids.is_empty() {
-        out.push_str("\n          ");
-    }
-    out.push_str("]\n        }\n      },\n      \"results\": [");
-    for (i, f) in result.fresh.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-            quote(&f.rule),
-            quote(&f.message),
-            quote(&f.file),
-            f.line.max(1)
-        ));
-    }
-    if !result.fresh.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("]\n    }\n  ]\n}\n");
-    out
-}
-
 /// Minimal JSON string escaping.
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -221,19 +177,6 @@ mod tests {
         assert!(h.contains("panic-freedom: 2"));
         let clean = human(&result(&[]));
         assert!(clean.contains("clean"));
-    }
-
-    #[test]
-    fn sarif_lists_rules_and_results() {
-        let s = sarif(&result(&["determinism", "panic-freedom"]));
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"name\": \"simlint\""));
-        assert!(s.contains("{\"id\": \"determinism\", \"properties\": {\"exitCode\": 10}}"));
-        assert!(s.contains("\"ruleId\": \"panic-freedom\""));
-        assert!(s.contains("\"uri\": \"crates/net/src/x.rs\""));
-        assert!(s.contains("\"startLine\": 3"));
-        let clean = sarif(&result(&[]));
-        assert!(clean.contains("\"results\": []"));
     }
 
     #[test]

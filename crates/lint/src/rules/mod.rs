@@ -2,12 +2,11 @@
 //!
 //! Every rule encodes one invariant the paper's design depends on but the
 //! compiler cannot check. Rules work on the lexed token stream of one
-//! file plus that file's place in the module map; they return raw
+//! file plus that file's place in the workspace; they return raw
 //! findings which the engine then filters through `#[cfg(test)]` regions,
 //! inline suppressions, and the baseline.
 
 use crate::files::FileInfo;
-use crate::model::FileModel;
 use crate::tokenizer::Tok;
 
 mod class;
@@ -51,12 +50,6 @@ pub trait Rule {
     /// Scans one file. Rules scope themselves: out-of-scope files simply
     /// return no findings.
     fn check(&self, file: &FileInfo, toks: &[Tok]) -> Vec<RawFinding>;
-    /// Scans one file with its semantic model. Rules that need item
-    /// extents or per-function dataflow implement this instead of (or in
-    /// addition to) `check`; the engine calls both.
-    fn check_model(&self, _file: &FileInfo, _toks: &[Tok], _model: &FileModel) -> Vec<RawFinding> {
-        Vec::new()
-    }
 }
 
 /// The five crates whose behavior must replay bit-identically.

@@ -1,38 +1,47 @@
-//! unit-discipline: no arithmetic, comparison, or assignment may mix
-//! time bases without a named conversion.
+//! unit-discipline: a binding named for a time unit is declared with
+//! that unit's type.
 //!
-//! The paper's diagnosis was a measurement-discipline story, and the
-//! simulator inherits the hazard: cycles, nanoseconds, microseconds,
-//! and milliseconds all travel as bare `u64`/`f64`, so `deadline_cycles
-//! < elapsed_ns` compiles, runs, and silently corrupts a figure. The
-//! naming convention plus the `Freq` conversion API make the base
-//! recoverable from the source; this rule runs intra-function dataflow
-//! ([`crate::dataflow`]) over every function body and flags:
+//! The simulator crosses cycles, nanoseconds, microseconds and
+//! milliseconds everywhere, and a mixed base corrupts a figure that
+//! still plots plausibly. `livelock_sim`'s `Cycles` and `Nanos` make the
+//! mix a type error — `Cycles + Nanos`, `Cycles < Nanos` and
+//! `charge(_, Nanos)` do not compile — but only for values that travel
+//! as the newtypes. This rule closes that gap at the declaration: a
+//! struct field, fn parameter or typed `let` whose name carries a
+//! time-unit suffix may not have a bare numeric primitive as its type.
+//! rustc checks every operator after that.
 //!
-//! * additive/comparison/assignment operators whose operands resolve to
-//!   different bases;
-//! * `let x_ns = …` initializers whose right side resolves to a
-//!   different base than the declared suffix;
-//! * known API arguments carrying the wrong base (`Freq::
-//!   cycles_from_nanos` wants ns, the ledger's `charge` wants cycles,
-//!   histograms record ns or cycles — never coarser bases).
+//! Two places are out of scope, each for a reason:
 //!
-//! Multiplicative operators are exempt by design: multiplying or
-//! dividing legitimately *changes* units (`rate * window_secs`).
+//! * `crates/sim/src/time.rs` is where raw numbers enter the newtypes
+//!   (`Nanos::from_micros(us: u64)`, `Freq::cycles_from_millis(ms: u64)`):
+//!   the named gates have to take the bare number.
+//! * `crates/core/` is dependency-free by design, so it has no `Cycles`
+//!   to take, and it works in one base only (cycles).
 
-use crate::dataflow::{
-    conversion, operand_unit_left, operand_unit_right, unit_of_name, Unit, UnitEnv,
-};
 use crate::files::FileInfo;
-use crate::model::FileModel;
-use crate::rules::{raw, RawFinding, Rule};
+use crate::rules::{is_path_sep, raw, RawFinding, Rule};
 use crate::tokenizer::{Tok, TokKind};
 
-/// The unit-of-measure dataflow rule.
+/// The unit-named-declaration rule.
 pub struct UnitDiscipline;
 
 /// Exit code for unit-discipline findings.
 pub const EXIT_UNIT_DISCIPLINE: i32 = 20;
+
+/// Name suffixes that declare a time base (`deadline_ns`, or just `ns`).
+const UNIT_SUFFIXES: &[&str] = &[
+    "_cycles", "_cy", "_ns", "_nanos", "_us", "_micros", "_ms", "_millis", "_secs",
+];
+
+/// The types a unit-named binding may not be declared with.
+const BARE_NUMERIC: &[&str] = &["u64", "i64", "u32", "i32", "usize", "f64", "f32"];
+
+fn names_a_unit(name: &str) -> bool {
+    UNIT_SUFFIXES
+        .iter()
+        .any(|s| name == &s[1..] || name.ends_with(s))
+}
 
 impl Rule for UnitDiscipline {
     fn id(&self) -> &'static str {
@@ -48,380 +57,73 @@ impl Rule for UnitDiscipline {
     }
 
     fn describe(&self) -> &'static str {
-        "time bases (cycles/ns/us/ms) never mix without a named Freq conversion"
+        "a binding named for a time unit (_cycles/_ns/_us/_ms) is declared Cycles/Nanos, not a bare number"
     }
 
-    fn check(&self, _file: &FileInfo, _toks: &[Tok]) -> Vec<RawFinding> {
-        Vec::new()
-    }
-
-    fn check_model(&self, _file: &FileInfo, toks: &[Tok], model: &FileModel) -> Vec<RawFinding> {
+    fn check(&self, file: &FileInfo, toks: &[Tok]) -> Vec<RawFinding> {
+        if file.rel_path == "crates/sim/src/time.rs" || file.rel_path.starts_with("crates/core/") {
+            return Vec::new();
+        }
         let mut out = Vec::new();
-        for f in &model.fns {
-            let (lo, hi) = f.body;
-            if lo >= hi {
-                continue;
+        for (i, w) in toks.windows(3).enumerate() {
+            let (name, ty) = (&w[0], &w[2]);
+            // `name: u64::MAX` in a struct literal is a value, not a type.
+            if w[1].is_punct(':')
+                && BARE_NUMERIC.contains(&ty.text.as_str())
+                && !is_path_sep(toks, i + 3)
+                && name.kind == TokKind::Ident
+                && names_a_unit(&name.text)
+            {
+                out.push(raw(
+                    toks,
+                    i,
+                    format!("{}: {}", name.text, ty.text),
+                    format!(
+                        "`{}` is named for a time unit but declared `{}`: declare it `Cycles` or \
+                         `Nanos` (livelock_sim) so rustc checks every operator it meets",
+                        name.text, ty.text
+                    ),
+                ));
             }
-            let env = UnitEnv::for_body(toks, lo, hi);
-            check_operators(toks, lo, hi, &env, &mut out);
-            check_let_suffixes(toks, lo, hi, &env, &mut out);
-            check_api_args(toks, lo, hi, &env, &mut out);
         }
         out
     }
 }
 
-fn mixed(toks: &[Tok], i: usize, a: Unit, b: Unit, context: &str) -> RawFinding {
-    raw(
-        toks,
-        i,
-        format!("{} {} {}", a.label(), toks[i].text, b.label()),
-        format!(
-            "{context} mixes {} with {} without a named Freq conversion",
-            a.label(),
-            b.label()
-        ),
-    )
-}
-
-/// Is the token at `i` a unary use of `+`/`-` (sign, not arithmetic)?
-fn is_unary(toks: &[Tok], lo: usize, i: usize) -> bool {
-    if i == lo {
-        return true;
-    }
-    let p = &toks[i - 1];
-    if p.kind == TokKind::Ident {
-        // `return -x`, `x as -…` — keywords make it unary; a value
-        // identifier makes it binary.
-        return matches!(
-            p.text.as_str(),
-            "return" | "if" | "else" | "match" | "while" | "in" | "as" | "break"
-        );
-    }
-    if p.kind == TokKind::Num {
-        return false;
-    }
-    // After `)` / `]` it is binary; after any other punctuation
-    // (operators, `(`, `,`, `{`, `=`, …) it is a sign.
-    !(p.is_punct(')') || p.is_punct(']'))
-}
-
-/// Scans one body for mixed-base operators.
-fn check_operators(toks: &[Tok], lo: usize, hi: usize, env: &UnitEnv, out: &mut Vec<RawFinding>) {
-    let mut i = lo;
-    while i < hi {
-        let t = &toks[i];
-        let next = toks.get(i + 1);
-        let prev_op = i > lo
-            && "+-*/%&|^<>=!".chars().any(|c| toks[i - 1].is_punct(c));
-        if t.is_punct('+') || t.is_punct('-') {
-            let arrow = t.is_punct('-') && next.is_some_and(|u| u.is_punct('>'));
-            if !arrow && !is_unary(toks, lo, i) {
-                let rhs_at = if next.is_some_and(|u| u.is_punct('=')) { i + 2 } else { i + 1 };
-                report_if_mixed(toks, lo, hi, i, rhs_at, env, "additive arithmetic", out);
-                i = rhs_at;
-                continue;
-            }
-        } else if (t.is_punct('<') || t.is_punct('>')) && !prev_op {
-            let shift = next.is_some_and(|u| u.text == t.text);
-            let turbofish = t.is_punct('<') && i > lo && toks[i - 1].is_punct(':');
-            if !shift && !turbofish {
-                let rhs_at = if next.is_some_and(|u| u.is_punct('=')) { i + 2 } else { i + 1 };
-                report_if_mixed(toks, lo, hi, i, rhs_at, env, "comparison", out);
-                i = rhs_at;
-                continue;
-            }
-        } else if t.is_punct('=') && !prev_op {
-            if next.is_some_and(|u| u.is_punct('=')) {
-                report_if_mixed(toks, lo, hi, i, i + 2, env, "equality comparison", out);
-                i += 2;
-                continue;
-            }
-            // A `let` binding's `=` belongs to the suffix-contract
-            // check, not the assignment check.
-            if !next.is_some_and(|u| u.is_punct('>')) && !is_let_stmt(toks, lo, i) {
-                report_if_mixed(toks, lo, hi, i, i + 1, env, "assignment", out);
-                i += 1;
-                continue;
-            }
-        } else if t.is_punct('!') && next.is_some_and(|u| u.is_punct('=')) {
-            report_if_mixed(toks, lo, hi, i, i + 2, env, "inequality comparison", out);
-            i += 2;
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Does the statement containing the `=` at `op` start with `let`?
-fn is_let_stmt(toks: &[Tok], lo: usize, op: usize) -> bool {
-    let mut i = op;
-    while i > lo {
-        i -= 1;
-        let t = &toks[i];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            return false;
-        }
-        if t.is_ident("let") {
-            return true;
-        }
-    }
-    false
-}
-
-fn report_if_mixed(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    op: usize,
-    rhs_at: usize,
-    env: &UnitEnv,
-    context: &str,
-    out: &mut Vec<RawFinding>,
-) {
-    let lhs = operand_unit_left(toks, lo, op, env);
-    let rhs = operand_unit_right(toks, rhs_at, hi, env);
-    if let (Some(a), Some(b)) = (lhs, rhs) {
-        if a != b {
-            out.push(mixed(toks, op, a, b, context));
-        }
-    }
-}
-
-/// `let x_ns = <expr in another base>` — the declared suffix is a
-/// contract the initializer must meet.
-fn check_let_suffixes(toks: &[Tok], lo: usize, hi: usize, env: &UnitEnv, out: &mut Vec<RawFinding>) {
-    let mut i = lo;
-    while i < hi {
-        if !toks[i].is_ident("let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-            j += 1;
-        }
-        let Some(name) = toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        let Some(declared) = unit_of_name(&name.text) else {
-            i = j + 1;
-            continue;
-        };
-        // Find the top-level `=` of this binding.
-        let mut k = j + 1;
-        let mut depth = 0i32;
-        let mut eq = None;
-        while k < hi {
-            let t = &toks[k];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if t.is_punct('>') && !toks[k - 1].is_punct('-') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct(';') {
-                break;
-            } else if depth == 0
-                && t.is_punct('=')
-                && !toks.get(k + 1).is_some_and(|u| u.is_punct('='))
-            {
-                eq = Some(k);
-                break;
-            }
-            k += 1;
-        }
-        if let Some(eq) = eq {
-            if let Some(init) = operand_unit_right(toks, eq + 1, hi, env) {
-                if init != declared {
-                    out.push(raw(
-                        toks,
-                        j,
-                        format!("let {} = <{}>", name.text, init.label()),
-                        format!(
-                            "`{}` declares {} but is initialized from {} — convert through Freq or rename",
-                            name.text,
-                            declared.label(),
-                            init.label()
-                        ),
-                    ));
-                }
-            }
-        }
-        i = j + 1;
-    }
-}
-
-/// Known time-API calls: the argument in the signature's time slot must
-/// carry the signature's base.
-fn check_api_args(toks: &[Tok], lo: usize, hi: usize, env: &UnitEnv, out: &mut Vec<RawFinding>) {
-    let mut i = lo;
-    while i < hi {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|u| u.is_punct('(')) {
-            i += 1;
-            continue;
-        }
-        // Histograms record ns or cycles; coarser bases lose precision.
-        if t.text == "record" && i > lo && toks[i - 1].is_punct('.') {
-            if let Some((a_lo, a_hi)) = arg_span(toks, i + 1, hi, 0) {
-                if let Some(u) = operand_unit_right(toks, a_lo, a_hi, env) {
-                    if matches!(u, Unit::Us | Unit::Ms | Unit::Secs) {
-                        out.push(raw(
-                            toks,
-                            i,
-                            format!("record(<{}>)", u.label()),
-                            format!(
-                                "histograms record ns or cycles; a {} argument loses precision — convert first",
-                                u.label()
-                            ),
-                        ));
-                    }
-                }
-            }
-            i += 1;
-            continue;
-        }
-        let Some(c) = conversion(&t.text) else {
-            i += 1;
-            continue;
-        };
-        if let (Some(required), Some((a_lo, a_hi))) =
-            (c.arg, arg_span(toks, i + 1, hi, c.arg_index))
-        {
-            if let Some(u) = operand_unit_right(toks, a_lo, a_hi, env) {
-                if u != required {
-                    out.push(raw(
-                        toks,
-                        i,
-                        format!("{}(<{}>)", t.text, u.label()),
-                        format!(
-                            "`{}` takes {} but the argument carries {}",
-                            t.text,
-                            required.label(),
-                            u.label()
-                        ),
-                    ));
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The half-open token span of the `idx`-th top-level argument of the
-/// call whose `(` sits at `open`.
-fn arg_span(toks: &[Tok], open: usize, hi: usize, idx: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i32;
-    let mut arg = 0usize;
-    let mut start = open + 1;
-    let mut i = open;
-    while i < hi {
-        let t = &toks[i];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return (arg == idx && start < i).then_some((start, i));
-            }
-        } else if t.is_punct(',') && depth == 1 {
-            if arg == idx {
-                return (start < i).then_some((start, i));
-            }
-            arg += 1;
-            start = i + 1;
-        }
-        i += 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::files::FileInfo;
-    use crate::tokenizer::tokenize;
-
-    fn findings(src: &str) -> Vec<RawFinding> {
-        let info = FileInfo::classify("crates/kernel/src/gate.rs").unwrap();
-        let lexed = tokenize(src);
-        let model = FileModel::build(&info, &lexed.toks);
-        UnitDiscipline.check_model(&info, &lexed.toks, &model)
-    }
+    use crate::rules::all_rules;
 
     #[test]
-    fn mixed_comparison_is_flagged() {
-        let fs = findings("fn f(deadline_cycles: u64, elapsed_ns: u64) -> bool { deadline_cycles < elapsed_ns }");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("cycles"));
-        assert!(fs[0].message.contains("ns"));
-    }
-
-    #[test]
-    fn same_base_and_converted_compares_are_clean() {
-        let fs = findings(
-            "fn f(freq: Freq, deadline_cycles: u64, elapsed_ns: u64) -> bool {\n\
-             deadline_cycles < freq.cycles_from_nanos(elapsed_ns)\n}",
-        );
-        assert!(fs.is_empty(), "{fs:?}");
-    }
-
-    #[test]
-    fn mixed_addition_and_assignment_are_flagged() {
-        let fs = findings("fn f(a_us: u64, b_ms: u64) -> u64 { a_us + b_ms }");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        let fs = findings("fn f(mut a_us: u64, b_ns: u64) { a_us = b_ns; }");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        let fs = findings("fn f(mut a_us: u64, b_us: u64) { a_us += b_us; }");
-        assert!(fs.is_empty(), "{fs:?}");
-    }
-
-    #[test]
-    fn multiplicative_ops_are_exempt() {
-        let fs = findings("fn f(rate: u64, window_secs: u64, x_ns: u64) -> u64 { rate * window_secs + x_ns * 2 }");
-        assert!(fs.is_empty(), "scaling legitimately changes units: {fs:?}");
-    }
-
-    #[test]
-    fn let_propagation_carries_units() {
-        let fs = findings(
-            "fn f(freq: Freq, slo_us: f64, elapsed_cycles: u64) -> bool {\n\
-             let deadline = freq.cycles_from_micros(slo_us);\n\
-             elapsed_cycles > deadline\n}",
-        );
-        assert!(fs.is_empty(), "converted binding is cycles: {fs:?}");
-        let fs = findings(
-            "fn f(freq: Freq, slo_us: f64, elapsed_ns: u64) -> bool {\n\
-             let deadline = freq.cycles_from_micros(slo_us);\n\
-             elapsed_ns > deadline\n}",
-        );
-        assert_eq!(fs.len(), 1, "propagated cycles vs ns: {fs:?}");
-    }
-
-    #[test]
-    fn declared_suffix_contract_is_checked() {
-        let fs = findings("fn f(freq: Freq, c: u64) { let t_us = freq.nanos_from_cycles(c); }");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("declares us"));
-    }
-
-    #[test]
-    fn api_argument_bases_are_checked() {
-        let fs = findings("fn f(freq: Freq, t_ms: u64) -> u64 { freq.cycles_from_nanos(t_ms) }");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        let fs = findings("fn f(l: &mut CycleLedger, cls: CpuClass, t_ns: u64) { l.charge(cls, t_ns); }");
-        assert_eq!(fs.len(), 1, "charge takes cycles: {fs:?}");
-        let fs = findings("fn f(l: &mut CycleLedger, cls: CpuClass, t_cycles: u64) { l.charge(cls, t_cycles); }");
-        assert!(fs.is_empty(), "{fs:?}");
-        let fs = findings("fn f(h: &mut HdrHistogram, lat_ms: u64) { h.record(lat_ms); }");
-        assert_eq!(fs.len(), 1, "record wants ns/cycles: {fs:?}");
-    }
-
-    #[test]
-    fn unknown_units_stay_silent() {
-        let fs = findings("fn f(a: u64, b: u64) -> bool { a < b }");
-        assert!(fs.is_empty());
+    fn unit_named_declarations_need_the_newtype() {
+        const KERNEL: &str = "crates/kernel/src/gate.rs";
+        for (path, src, want) in [
+            (KERNEL, "struct S { x_ns: u64 }", vec!["x_ns: u64"]),
+            (KERNEL, "fn f(t_cycles: u64) {}", vec!["t_cycles: u64"]),
+            (KERNEL, "fn f() { let d_us: f64 = 1.0; }", vec!["d_us: f64"]),
+            (KERNEL, "fn f(t_ns: u64, mut ms: i64) {}", vec!["t_ns: u64", "ms: i64"]),
+            (KERNEL, "struct S { x_ns: Nanos }", vec![]),
+            (KERNEL, "fn f(t: Cycles, rate_hz: f64, timeout_ticks: u32) {}", vec![]),
+            (KERNEL, "fn f() { let s = S { x_ns: u64::MAX }; let bonus = 1u64; }", vec![]),
+            (
+                KERNEL,
+                "#[cfg(test)]\nmod tests { struct S { x_ns: u64 } fn f(t_cycles: u64) { let d_us: f64 = 1.0; } }",
+                vec![],
+            ),
+            ("crates/core/src/cycle_limit.rs", "fn new(period_cycles: u64) {}", vec![]),
+            ("crates/sim/src/time.rs", "fn from_micros(us: u64) {}", vec![]),
+            (
+                KERNEL,
+                "struct S {\n    // simlint: allow(unit-discipline): a signed offset\n    skew_cycles: i64,\n}",
+                vec![],
+            ),
+        ] {
+            let info = FileInfo::classify(path).expect("classifiable");
+            let fl = crate::lint_source(&info, src, &all_rules());
+            let got: Vec<&str> = fl.active.iter().map(|f| f.snippet.as_str()).collect();
+            assert_eq!(got, want, "{path}: {src}");
+            assert!(fl.active.iter().all(|f| f.rule == "unit-discipline"), "{:?}", fl.active);
+        }
     }
 }

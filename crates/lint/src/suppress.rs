@@ -123,8 +123,6 @@ mod tests {
         LintComment {
             text: text.to_string(),
             line,
-            span: (0, 0),
-            line_comment: true,
         }
     }
 

@@ -37,9 +37,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based source line.
     pub line: u32,
-    /// Half-open `char`-index span in the source (autofix rewrites
-    /// operate on a `Vec<char>` view, so spans count chars, not bytes).
-    pub span: (usize, usize),
 }
 
 impl Tok {
@@ -61,12 +58,6 @@ pub struct LintComment {
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// Half-open `char`-index span of the whole comment, markers
-    /// included (`//` through end of line, or `/*` through `*/`).
-    pub span: (usize, usize),
-    /// Whether this is a `//` line comment (the only kind the
-    /// suppression normalizer rewrites).
-    pub line_comment: bool,
 }
 
 /// The result of lexing one file.
@@ -112,9 +103,8 @@ impl Lexer {
                 c if c.is_ascii_digit() => self.number(),
                 c if is_ident_start(c) => self.ident_or_prefixed_literal(),
                 c => {
-                    let start = self.pos;
                     self.pos += 1;
-                    self.push_tok(TokKind::Punct, c.to_string(), start);
+                    self.push_tok(TokKind::Punct, c.to_string());
                 }
             }
         }
@@ -125,30 +115,22 @@ impl Lexer {
         self.chars.get(self.pos + ahead).copied()
     }
 
-    /// Emits a token whose text spans `[start, self.pos)`.
-    fn push_tok(&mut self, kind: TokKind, text: String, start: usize) {
+    fn push_tok(&mut self, kind: TokKind, text: String) {
         self.out.toks.push(Tok {
             kind,
             text,
             line: self.line,
-            span: (start, self.pos),
         });
     }
 
-    fn note_comment(&mut self, text: String, line: u32, start: usize, line_comment: bool) {
+    fn note_comment(&mut self, text: String, line: u32) {
         if text.contains("simlint:") {
-            self.out.lint_comments.push(LintComment {
-                text,
-                line,
-                span: (start, self.pos),
-                line_comment,
-            });
+            self.out.lint_comments.push(LintComment { text, line });
         }
     }
 
     fn line_comment(&mut self) {
         let start_line = self.line;
-        let start = self.pos;
         let mut text = String::new();
         self.pos += 2; // "//"
         while let Some(c) = self.peek(0) {
@@ -158,12 +140,11 @@ impl Lexer {
             text.push(c);
             self.pos += 1;
         }
-        self.note_comment(text, start_line, start, true);
+        self.note_comment(text, start_line);
     }
 
     fn block_comment(&mut self) {
         let start_line = self.line;
-        let start = self.pos;
         let mut text = String::new();
         self.pos += 2; // "/*"
         let mut depth = 1usize;
@@ -187,7 +168,7 @@ impl Lexer {
                 self.pos += 1;
             }
         }
-        self.note_comment(text, start_line, start, false);
+        self.note_comment(text, start_line);
     }
 
     /// A plain `"…"` string with escapes.
@@ -261,9 +242,8 @@ impl Lexer {
                     self.pos += end + 1; // char literal
                 } else {
                     let name: String = (1..end).filter_map(|i| self.peek(i)).collect();
-                    let start = self.pos;
                     self.pos += end;
-                    self.push_tok(TokKind::Lifetime, name, start);
+                    self.push_tok(TokKind::Lifetime, name);
                 }
             }
             Some(_) => {
@@ -275,7 +255,6 @@ impl Lexer {
     }
 
     fn number(&mut self) {
-        let start = self.pos;
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
             if c.is_ascii_alphanumeric() || c == '_' {
@@ -285,7 +264,7 @@ impl Lexer {
                 break;
             }
         }
-        self.push_tok(TokKind::Num, text, start);
+        self.push_tok(TokKind::Num, text);
     }
 
     /// An identifier — unless it is the `r`/`b`/`br` prefix of a raw or
@@ -310,9 +289,8 @@ impl Lexer {
                     self.string_literal();
                 } else if text == "b" && hashes > 0 {
                     // `b#` is not a literal prefix; fall through to ident.
-                    let start = self.pos;
                     self.pos += end;
-                    self.push_tok(TokKind::Ident, text, start);
+                    self.push_tok(TokKind::Ident, text);
                 } else {
                     self.pos += end + hashes;
                     if hashes == 0 {
@@ -338,9 +316,8 @@ impl Lexer {
             }
         }
 
-        let start = self.pos;
         self.pos += end;
-        self.push_tok(TokKind::Ident, text, start);
+        self.push_tok(TokKind::Ident, text);
     }
 }
 
@@ -476,22 +453,5 @@ mod tests {
         assert_eq!(idents(src), vec!["before", "after"]);
         // `/**/` and `/***/` terminate immediately.
         assert_eq!(idents("a /**/ b /***/ c"), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn spans_cover_token_text_in_chars() {
-        let src = "let nÿme = 42; // simlint: allow(x): y";
-        let lexed = tokenize(src);
-        let chars: Vec<char> = src.chars().collect();
-        for t in &lexed.toks {
-            let (s, e) = t.span;
-            let slice: String = chars[s..e].iter().collect();
-            assert_eq!(slice, t.text, "span must reproduce the token text");
-        }
-        let c = &lexed.lint_comments[0];
-        let slice: String = chars[c.span.0..c.span.1].iter().collect();
-        assert!(slice.starts_with("//"), "comment span includes the marker");
-        assert!(slice.ends_with("y"));
-        assert!(c.line_comment);
     }
 }

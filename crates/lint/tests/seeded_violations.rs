@@ -105,7 +105,7 @@ fn seeded_unit_violation_exits_20() {
     let dir = scratch_copy("units");
     append(
         &dir.join("crates/sim/src/lib.rs"),
-        "\npub fn seeded_unit_mix(t_ns: u64, t_cycles: u64) -> u64 { t_ns + t_cycles }\n",
+        "\npub fn seeded_raw_time(t_ns: u64) -> u64 { t_ns }\n",
     );
     let (code, rules_hit) = lint_exit(&dir);
     assert_eq!(rules_hit, vec!["unit-discipline".to_string()], "exactly the seeded finding");

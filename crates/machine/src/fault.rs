@@ -68,6 +68,7 @@ pub enum FaultKind {
     /// (the feedback timeout and cycle-limit periods run off the tick).
     ClockJitter {
         /// Signed skew applied to the next tick interval.
+        // simlint: allow(unit-discipline): a signed offset, and Cycles is unsigned and saturating
         skew_cycles: i64,
     },
     /// Carrier drops on the interface's wire: arriving frames are lost
@@ -77,7 +78,7 @@ pub enum FaultKind {
         /// Interface whose link goes down.
         iface: usize,
         /// How long the link stays down.
-        down_cycles: u64,
+        down: Cycles,
     },
     /// A single bit of the next received frame's IP header flips in
     /// transit; the IPv4 header checksum must catch it.
@@ -231,7 +232,7 @@ impl FaultPlan {
                 7 => FaultKind::LinkFlap {
                     iface: 0,
                     // 0.5 - 2 ms of carrier loss at 100 MHz.
-                    down_cycles: rng.range_inclusive(50_000, 200_000),
+                    down: Cycles::new(rng.range_inclusive(50_000, 200_000)),
                 },
                 8 => FaultKind::PacketBitFlip { iface: 0 },
                 9 => FaultKind::PacketTruncate { iface: 0 },

@@ -309,25 +309,10 @@ impl Nic {
         self.tx_unreclaimed
     }
 
-    /// Packets queued in the transmit ring (not yet on the wire).
-    pub fn tx_queued(&self) -> usize {
-        self.tx_queued.len()
-    }
-
-    /// Returns `true` while a frame is being serialized.
-    pub fn tx_inflight(&self) -> bool {
-        self.tx_inflight
-    }
-
     /// Total frames fully transmitted (`Opkts` — the paper's measurement
     /// counter).
     pub fn opkts(&self) -> u64 {
         self.opkts
-    }
-
-    /// Submissions rejected for lack of a free descriptor.
-    pub fn tx_ring_rejects(&self) -> u64 {
-        self.tx_ring_rejects
     }
 
     /// Transmit interrupt enable flag.
@@ -383,7 +368,7 @@ mod tests {
 
         let on_wire = n.tx_begin().unwrap();
         assert_eq!(on_wire.id, PacketId(1));
-        assert!(n.tx_inflight());
+        assert!(n.tx_inflight);
         assert!(n.tx_begin().is_none(), "one frame on the wire at a time");
         assert_eq!(n.tx_slots_free(), 1, "in-flight frame still owns a slot");
 
@@ -410,12 +395,12 @@ mod tests {
             n.tx_begin().unwrap();
             n.tx_complete();
         }
-        assert_eq!(n.tx_queued(), 0);
-        assert!(!n.tx_inflight());
+        assert!(n.tx_queued.is_empty());
+        assert!(!n.tx_inflight);
         assert_eq!(n.tx_unreclaimed(), 3);
         assert_eq!(n.tx_slots_free(), 0);
         assert_eq!(n.tx_submit(pkt(10)), Enqueued::Dropped, "starved");
-        assert_eq!(n.tx_ring_rejects(), 2);
+        assert_eq!(n.tx_ring_rejects, 2);
         // Reclaiming frees the ring again.
         while n.tx_reclaim_one() {}
         assert_eq!(n.tx_slots_free(), 3);
@@ -451,11 +436,11 @@ mod tests {
         // Four accepted frames hold buffers; the two overflow drops
         // returned theirs to the pool immediately.
         assert_eq!(n.rx_ring_drops(), 2);
-        assert_eq!(pool.outstanding(), 4);
+        assert_eq!(pool.stats().outstanding, 4);
         assert_eq!(pool.stats().recycled, 2);
         // Draining the ring returns the rest.
         while n.rx_take().is_some() {}
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.stats().outstanding, 0);
         assert_eq!(pool.stats().recycled, 6);
     }
 

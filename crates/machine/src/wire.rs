@@ -63,16 +63,6 @@ impl Wire {
         self.busy_until = self.busy_until.max(until);
     }
 
-    /// The time the wire becomes free.
-    pub fn busy_until(&self) -> Cycles {
-        self.busy_until
-    }
-
-    /// Total frames carried.
-    pub fn frames_carried(&self) -> u64 {
-        self.frames_carried
-    }
-
     /// Paces a sorted arrival schedule to physical feasibility: consecutive
     /// frame *completion* times are spaced at least one frame time apart.
     /// The input times are interpreted (and returned) as arrival-complete
@@ -111,8 +101,8 @@ mod tests {
         let mut w = Wire::ethernet_10m(FREQ);
         let done = w.begin_tx(Cycles::new(1000), 60);
         assert_eq!(done, Cycles::new(7720));
-        assert_eq!(w.busy_until(), done);
-        assert_eq!(w.frames_carried(), 1);
+        assert_eq!(w.busy_until, done);
+        assert_eq!(w.frames_carried, 1);
     }
 
     #[test]
@@ -122,7 +112,7 @@ mod tests {
         let d2 = w.begin_tx(Cycles::new(100), 60);
         assert_eq!(d1, Cycles::new(6720));
         assert_eq!(d2, Cycles::new(13_440), "starts when the wire frees");
-        assert_eq!(w.busy_until(), d2);
+        assert_eq!(w.busy_until, d2);
     }
 
     #[test]
@@ -141,12 +131,12 @@ mod tests {
     fn carrier_loss_defers_transmission() {
         let mut w = Wire::ethernet_10m(FREQ);
         w.force_carrier_loss(Cycles::new(10_000));
-        assert_eq!(w.busy_until(), Cycles::new(10_000));
+        assert_eq!(w.busy_until, Cycles::new(10_000));
         let done = w.begin_tx(Cycles::new(1_000), 60);
         assert_eq!(done, Cycles::new(16_720), "starts when carrier returns");
         // Never shortens: a later, earlier-ending loss is a no-op.
         w.force_carrier_loss(Cycles::new(12_000));
-        assert_eq!(w.busy_until(), done);
+        assert_eq!(w.busy_until, done);
     }
 
     #[test]

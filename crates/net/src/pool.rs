@@ -133,11 +133,6 @@ impl FramePool {
             ..inner.stats
         }
     }
-
-    /// Slots currently checked out.
-    pub fn outstanding(&self) -> usize {
-        self.inner.borrow().stats.outstanding
-    }
 }
 
 impl fmt::Debug for FramePool {
@@ -279,10 +274,10 @@ mod tests {
             assert_eq!(a.len(), 60);
             assert_eq!(b.len(), 60);
             assert_eq!(pool.stats().free, 0);
-            assert_eq!(pool.outstanding(), 2);
+            assert_eq!(pool.stats().outstanding, 2);
         }
         assert_eq!(pool.stats().free, 2);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.stats().outstanding, 0);
         let s = pool.stats();
         assert_eq!(s.acquired, 2);
         assert_eq!(s.recycled, 2);
@@ -344,10 +339,10 @@ mod tests {
         let b = a.clone();
         assert!(b.is_pooled());
         assert_eq!(&a[..], &b[..]);
-        assert_eq!(pool.outstanding(), 2);
+        assert_eq!(pool.stats().outstanding, 2);
         drop(a);
         drop(b);
-        assert_eq!(pool.outstanding(), 0);
+        assert_eq!(pool.stats().outstanding, 0);
         assert_eq!(pool.stats().free, 2);
     }
 
@@ -426,7 +421,7 @@ mod tests {
         let pool = FramePool::new(128, 2);
         let a = dirty(&pool, 80);
         let mut b = a.clone();
-        assert_eq!(pool.outstanding(), 2, "the clone drew from the same pool");
+        assert_eq!(pool.stats().outstanding, 2, "the clone drew from the same pool");
         assert_eq!(pool.stats().misses, 0);
         assert_eq!(b.id, a.id);
         assert_eq!(b.arrived_at, a.arrived_at);
@@ -442,10 +437,10 @@ mod tests {
         assert_eq!(a.stamps.tx_start, Cycles::new(9));
         // …and each returns to the pool when it dies.
         drop(a);
-        assert_eq!((pool.outstanding(), pool.stats().free), (1, 1));
+        assert_eq!((pool.stats().outstanding, pool.stats().free), (1, 1));
         assert_eq!(b.len(), 80, "the clone outlives the original");
         drop(b);
-        assert_eq!((pool.outstanding(), pool.stats().free), (0, 2));
+        assert_eq!((pool.stats().outstanding, pool.stats().free), (0, 2));
         assert_eq!(pool.stats().allocated, 2);
     }
 

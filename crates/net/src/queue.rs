@@ -133,11 +133,6 @@ impl<T> DropTailQueue<T> {
         self.enqueued.get()
     }
 
-    /// Returns the maximum length ever observed.
-    pub fn high_water_len(&self) -> usize {
-        self.high_water_len
-    }
-
     /// Discards all queued items and returns how many were discarded.
     /// Statistics are preserved.
     pub fn clear(&mut self) -> usize {
@@ -175,7 +170,7 @@ mod tests {
         assert!(q.is_full());
         assert_eq!(q.drops(), 7);
         assert_eq!(q.accepted(), 3);
-        assert_eq!(q.high_water_len(), 3);
+        assert_eq!(q.high_water_len, 3);
         // Draining one makes room for exactly one.
         assert_eq!(q.dequeue(), Some(0));
         assert!(q.enqueue(99).is_ok());
@@ -207,7 +202,7 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.drops(), 1, "clear preserves stats");
         assert_eq!(q.accepted(), 2);
-        assert_eq!(q.high_water_len(), 2);
+        assert_eq!(q.high_water_len, 2);
     }
 
     #[cfg(feature = "proptest")]

@@ -113,11 +113,6 @@ impl Red {
         }
     }
 
-    /// Early drops so far.
-    pub fn early_drops(&self) -> u64 {
-        self.early_drops
-    }
-
     /// Accepted packets so far.
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -136,7 +131,7 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(red.admit(0), Admission::Accept);
         }
-        assert_eq!(red.early_drops(), 0);
+        assert_eq!(red.early_drops, 0);
     }
 
     #[test]
@@ -158,7 +153,7 @@ mod tests {
         let mut red = Red::new(2.0, 8.0, 0.1, 1.0, 3); // w_q=1: avg = instant.
         assert_eq!(red.admit(20), Admission::EarlyDrop);
         assert_eq!(red.admit(20), Admission::EarlyDrop);
-        assert_eq!(red.early_drops(), 2);
+        assert_eq!(red.early_drops, 2);
     }
 
     #[test]
@@ -203,7 +198,7 @@ mod tests {
             for &l in &lens {
                 let _ = red.admit(l);
             }
-            prop_assert_eq!(red.accepted() + red.early_drops(), lens.len() as u64);
+            prop_assert_eq!(red.accepted() + red.early_drops, lens.len() as u64);
         }
 
         /// Below min threshold RED never drops, regardless of history.

@@ -4,6 +4,29 @@
 //! Alpha cycle counter the paper's CPU-limit mechanism reads. Wall-clock-like
 //! quantities (packet rates, Ethernet serialization times) are expressed in
 //! nanoseconds ([`Nanos`]) and converted through a [`Freq`].
+//!
+//! The two bases are distinct types, so mixing them is a compile error
+//! rather than a figure that still plots plausibly. Neither arithmetic,
+//!
+//! ```compile_fail,E0308
+//! use livelock_sim::{Cycles, Nanos};
+//! let _ = Cycles::new(100) + Nanos::new(100);
+//! ```
+//!
+//! nor comparison,
+//!
+//! ```compile_fail,E0308
+//! use livelock_sim::{Cycles, Nanos};
+//! let _ = Cycles::new(100) < Nanos::new(100);
+//! ```
+//!
+//! nor assignment crosses without a named [`Freq`] conversion:
+//!
+//! ```compile_fail,E0308
+//! use livelock_sim::{Cycles, Nanos};
+//! let mut deadline = Cycles::new(100);
+//! deadline = Nanos::new(100);
+//! ```
 
 use core::fmt;
 use core::iter::Sum;

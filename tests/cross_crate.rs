@@ -907,7 +907,7 @@ fn chrome_trace_fault_markers_are_well_formed() {
     plan.push(freq.cycles_from_millis(50), FaultKind::ScreendStall { ticks: 2 });
     plan.push(freq.cycles_from_millis(80), FaultKind::LinkFlap {
         iface: 0,
-        down_cycles: freq.cycles_from_millis(5).raw(),
+        down: freq.cycles_from_millis(5),
     });
     let n_faults = plan.len();
     let spec = TrialSpec {

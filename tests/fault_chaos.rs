@@ -229,7 +229,7 @@ fn link_flap_loses_frames_on_the_wire_not_in_the_ledger() {
         freq.cycles_from_millis(100),
         FaultKind::LinkFlap {
             iface: 0,
-            down_cycles: freq.cycles_from_millis(50).raw(),
+            down: freq.cycles_from_millis(50),
         },
     );
     let r = run_chaos_trial(&spec(1_000.0, 1_500, polled_screend(Some(plan))));

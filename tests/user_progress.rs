@@ -11,13 +11,13 @@ use livelock_sim::{Cycles, Freq};
 
 const FREQ: Freq = Freq::mhz(100);
 
-/// Runs the machine for `millis` with no network traffic at all and
-/// returns the compute-bound process's CPU share.
-fn zero_load_share(cfg: KernelConfig, millis: u64) -> f64 {
+/// Runs the machine for half a second with no network traffic at all
+/// and returns the compute-bound process's CPU share.
+fn zero_load_share(cfg: KernelConfig) -> f64 {
     let ctx_switch = cfg.cost.ctx_switch;
     let (st, kernel) = RouterKernel::build(cfg);
     let mut e = Engine::new(st, kernel, ctx_switch);
-    let end = FREQ.cycles_from_millis(millis);
+    let end = FREQ.cycles_from_millis(500);
     e.run_until(end);
     let tid = e.workload().user_tid().expect("user process configured");
     e.state().thread_cycles(tid).fraction_of(end)
@@ -29,7 +29,7 @@ fn zero_load_share(cfg: KernelConfig, millis: u64) -> f64 {
 fn zero_load_user_share_is_about_94_percent() {
     let mut cfg = KernelConfig::builder().build();
     cfg.user_process = true;
-    let share = zero_load_share(cfg, 500);
+    let share = zero_load_share(cfg);
     assert!(
         (0.92..0.96).contains(&share),
         "zero-load user share {share} should be ~0.94"
@@ -42,7 +42,7 @@ fn zero_load_user_share_is_about_94_percent() {
 fn modified_kernel_is_free_when_idle() {
     let mut cfg = KernelConfig::builder().polled(Quota::Limited(5)).cycle_limit(0.25).user_process(true).build();
     cfg.user_process = true;
-    let share = zero_load_share(cfg, 500);
+    let share = zero_load_share(cfg);
     assert!(
         (0.92..0.96).contains(&share),
         "idle modified-kernel share {share}"
