@@ -241,15 +241,7 @@ impl Args {
         let bad = |v: &str| format!("--{name}: bad number {v:?}");
         match name {
             "rate" | "rates" => {
-                for v in value.split(',') {
-                    let rate: f64 = v.parse().map_err(|_| bad(v))?;
-                    if rate.is_nan() || rate <= 0.0 {
-                        return Err(format!("--{name}: must be positive, got {rate}"));
-                    }
-                    if rate.is_infinite() {
-                        return Err(format!("--{name}: must be finite, got {rate}"));
-                    }
-                }
+                Self::parse_rates(name, value)?;
             }
             "packets" => {
                 let n: usize = value.parse().map_err(|_| bad(value))?;
@@ -257,9 +249,37 @@ impl Args {
                     return Err("--packets: must be at least 1, got 0".to_string());
                 }
             }
+            "loss-free" => {
+                let frac: f64 = value.parse().map_err(|_| bad(value))?;
+                if !(frac > 0.0 && frac <= 1.0) {
+                    return Err(format!(
+                        "--loss-free: must be a fraction in (0, 1], got {frac}"
+                    ));
+                }
+            }
             _ => {}
         }
         Ok(())
+    }
+
+    /// The comma-separated offered rates of `--rate` / `--rates`, each
+    /// finite and positive.
+    fn parse_rates(name: &str, value: &str) -> Result<Vec<f64>, String> {
+        value
+            .split(',')
+            .map(|v| {
+                let rate: f64 = v
+                    .parse()
+                    .map_err(|_| format!("--{name}: bad number {v:?}"))?;
+                if rate.is_nan() || rate <= 0.0 {
+                    return Err(format!("--{name}: must be positive, got {rate}"));
+                }
+                if rate.is_infinite() {
+                    return Err(format!("--{name}: must be finite, got {rate}"));
+                }
+                Ok(rate)
+            })
+            .collect()
     }
 
     fn has(&self, name: &str) -> bool {
@@ -466,12 +486,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         .unwrap_or("unmodified,polled")
         .split(',')
         .collect();
-    let rates: Vec<f64> = match args.get("rates") {
+    let rates = match args.get("rates") {
         None => paper_rates(),
-        Some(s) => s
-            .split(',')
-            .map(|r| r.parse().map_err(|_| format!("bad rate {r:?}")))
-            .collect::<Result<_, _>>()?,
+        Some(s) => Args::parse_rates("rates", s)?,
     };
     let n_packets = args.get_usize("packets", 3_000)?;
     let jobs = args.get_usize("jobs", default_jobs())?;
@@ -1015,6 +1032,10 @@ mod tests {
             ("chaos", ["--intensity", "inf"], "--intensity"),
             ("chaos", ["--intensity", "nan"], "--intensity"),
             ("chaos", ["--packets", "5"], "--packets"),
+            ("mlfrr", ["--loss-free", "nan"], "--loss-free"),
+            ("mlfrr", ["--loss-free", "-1"], "--loss-free"),
+            ("mlfrr", ["--loss-free", "0"], "--loss-free"),
+            ("mlfrr", ["--loss-free", "2"], "--loss-free"),
         ] {
             // Parse, then the subcommand's own checks: every row is
             // refused before a trial runs.

@@ -21,9 +21,6 @@
 //! the machine drains past the window. The paper's uniprocessor is a
 //! cluster of one, so every capability works at every CPU count.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use livelock_core::analysis::SweepPoint;
 use livelock_machine::chrome_trace_json;
 use livelock_machine::cluster::{Cluster, DEFAULT_SLICE};
@@ -46,8 +43,7 @@ use livelock_sim::Freq;
 use crate::config::{KernelConfig, Mode};
 use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
-use crate::router::smp::{SmpCtx, SmpShared, STEAL_BUF_CAP};
-use crate::router::{Event, RouterKernel};
+use crate::router::{CpuLink, Event, RouterKernel, STEAL_BUF_CAP};
 use crate::stats::{ClassStats, DropReason, DropStats, FaultStats, KernelStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
 
@@ -344,6 +340,9 @@ struct Plan {
     queue_times: Vec<Vec<Cycles>>,
     /// The measurement window: after warm-up, until the last arrival.
     window: (Cycles, Cycles),
+    /// How long the machine runs past the window before its books are
+    /// read, even when the caller asks for no drain.
+    settle: Cycles,
 }
 
 /// Stage 1, *plan*: one aggregate arrival schedule at the nominal rate,
@@ -362,13 +361,23 @@ fn plan(spec: &TrialSpec) -> Plan {
     let ncpus = cfg.topology.ncpus;
     let freq = cfg.cost.freq;
     let factory = PacketFactory::paper_testbed();
-    // The first of the two data differences between one CPU and many: a
-    // lone CPU defaults to the paper's single flow, a cluster to a flow
-    // set that loads its queues evenly.
+    // The two data differences between one CPU and many. First, a lone
+    // CPU defaults to the paper's single flow, a cluster to a flow set
+    // that loads its queues evenly.
     let ports = match &spec.flows {
         Some(ports) => ports.clone(),
         None if ncpus == 1 => vec![factory.src_port],
         None => balanced_flows(),
+    };
+    // Second, a cluster settles for one more slice, so the final
+    // arrivals (scheduled at exactly the window's end) and any trailing
+    // IPIs are processed before the audit; a lone CPU stops at the
+    // window's end as it always has (`events_dispatched` is part of its
+    // results).
+    let settle = if ncpus == 1 {
+        Cycles::ZERO
+    } else {
+        DEFAULT_SLICE
     };
     assert!(!ports.is_empty(), "trial needs at least one flow");
 
@@ -440,58 +449,34 @@ fn plan(spec: &TrialSpec) -> Plan {
         flows,
         queue_times,
         window: (window_start, last),
+        settle,
     }
 }
-
-/// The state the kernels of one trial share — `None` on a lone CPU, which
-/// has no sibling to share with and stays a plain uniprocessor kernel.
-type Shared = Option<Rc<RefCell<SmpShared>>>;
 
 /// Stage 2, *build*: one frame pool for the whole trial, sized to what
 /// the configured kernels can hold in flight (packets are built as they
 /// arrive, so slots recycle and the run performs zero per-packet heap
 /// allocations), and per CPU one kernel, one engine, and that CPU's queue
-/// of the plan as the engine's arrival source. Returns the machine, ready
-/// to run, and what its kernels share.
-fn build(
-    spec: &TrialSpec,
-    plan: Plan,
-    trace_capacity: Option<usize>,
-) -> (Cluster<RouterKernel>, Shared) {
+/// of the plan as the engine's arrival source, linked to its siblings.
+/// Returns the machine, ready to run.
+fn build(spec: &TrialSpec, plan: Plan, trace_capacity: Option<usize>) -> Cluster<RouterKernel> {
     let cfg = &spec.config;
-    let ncpus = cfg.topology.ncpus;
     let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(cfg));
     let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
-    let shared = (ncpus > 1).then(|| SmpShared::new(ncpus, cfg.ipintrq_cap));
+    let links = CpuLink::cluster(&cfg.topology, cfg.ipintrq_cap);
 
     // Packet ids are one space across queues: queue `k`'s start where
     // queue `k - 1`'s end.
     let mut first_id = 0;
-    let mut engines = Vec::with_capacity(ncpus);
-    for (k, times) in plan.queue_times.into_iter().enumerate() {
-        let cpu = CpuId(k);
+    let mut engines = Vec::with_capacity(links.len());
+    for (link, times) in links.into_iter().zip(plan.queue_times) {
+        let cpu = link.cpu();
         let mut c = cfg.clone();
         // A fault plan targets one CPU; siblings run clean.
         if c.faults.as_ref().is_some_and(|plan| plan.target() != cpu) {
             c.faults = None;
         }
-        let (mut st, mut kernel) = RouterKernel::build_with_pool(c, pool.clone());
-        st.set_cpu(cpu);
-        if let Some(shared) = &shared {
-            kernel.attach_smp(
-                &mut st,
-                SmpCtx {
-                    cpu,
-                    ncpus,
-                    steal: cfg.topology.steal,
-                    shared: Rc::clone(shared),
-                },
-            );
-        }
-        if let Some(tl) = &mut kernel.stats_mut().timeline {
-            tl.set_cpu(cpu);
-        }
-        kernel.set_observe_cpu(cpu);
+        let (st, mut kernel) = RouterKernel::build_linked(c, link, pool.clone());
         kernel.stats_mut().set_window(plan.window.0, plan.window.1);
         let mut engine = Engine::new(st, kernel, cfg.cost.ctx_switch);
         if let Some(capacity) = trace_capacity {
@@ -501,11 +486,11 @@ fn build(
         first_id += times.len() as u64;
         inject(
             &mut engine,
-            WireArrivals::new(times, queue_factory, plan.flows.clone(), k),
+            WireArrivals::new(times, queue_factory, plan.flows.clone(), cpu.0),
         );
         engines.push(engine);
     }
-    (Cluster::new(engines, DEFAULT_SLICE), shared)
+    Cluster::new(engines, DEFAULT_SLICE)
 }
 
 /// One CPU's cumulative user-process cycles and cycle ledger, for
@@ -562,16 +547,14 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     let ncpus = spec.config.topology.ncpus;
     let plan = plan(spec);
     let (window_start, window_end) = plan.window;
-    let (mut cluster, shared) = build(spec, plan, trace_capacity);
+    let post_window = drain.max(plan.settle);
+    let mut cluster = build(spec, plan, trace_capacity);
 
     // Stage 3, *run*. The interleaver's slice hook is the sole cross-CPU
     // signal path: drain a CPU's coalesced IPI flag into one Event::Ipi
     // per slice.
-    let mut deliver_ipi = |cpu: CpuId, engine: &mut Engine<RouterKernel>| {
-        let Some(shared) = &shared else {
-            return;
-        };
-        if std::mem::take(&mut shared.borrow_mut().ipi_pending[cpu.0]) {
+    let mut deliver_ipi = |_: CpuId, engine: &mut Engine<RouterKernel>| {
+        if engine.workload().link().take_ipi() {
             engine.state_schedule(engine.now(), Event::Ipi);
         }
     };
@@ -581,24 +564,12 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     let before: Vec<_> = cluster.engines().iter().map(snapshot).collect();
     cluster.run_until(window_end, &mut deliver_ipi);
     let after: Vec<_> = cluster.engines().iter().map(snapshot).collect();
-    // The second data difference: a cluster settles for one more slice,
-    // so the final arrivals (scheduled at exactly `window_end`) and any
-    // trailing IPIs are processed before the audit; a lone CPU stops at
-    // the window's end as it always has (`events_dispatched` is part of
-    // its results).
-    let settle = if ncpus > 1 {
-        DEFAULT_SLICE
-    } else {
-        Cycles::ZERO
-    };
-    let post_window = drain.max(settle);
     cluster.run_until(window_end + post_window, &mut deliver_ipi);
     let mut engines = cluster.into_engines();
 
     // Stage 4, *collect*.
-    let shared = shared.as_ref().map(|sh| sh.borrow());
     if !post_window.is_zero() && spec.config.faults.is_none() {
-        let steal_residual = shared.as_ref().map_or(0, |sh| sh.steal_residual());
+        let steal_residual = engines[0].workload().link().steal_residual();
         audit_nic_boundary(&engines, steal_residual as u64, spec.n_packets);
     }
     engines[0].workload_mut().sync_pool_stats();
@@ -642,6 +613,7 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         events.extend(cpu_events);
 
         let ((user_before, ledger_before), (user_after, ledger_after)) = (&before[k], &after[k]);
+        let (steals_published, steals_taken) = e.workload().link().steals();
         per_cpu.push(CpuStats {
             cpu: CpuId(k),
             cpu_share: ledger_after.since(ledger_before).shares(),
@@ -651,8 +623,8 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
             },
             interrupts_taken,
             events_dispatched: e.state().events_dispatched(),
-            steals_published: shared.as_ref().map_or(0, |sh| sh.steals_published[k]),
-            steals_taken: shared.as_ref().map_or(0, |sh| sh.steals_taken[k]),
+            steals_published,
+            steals_taken,
         });
 
         merge_into(&mut fold, e.state().fold(), CycleFold::merge);
@@ -830,7 +802,11 @@ fn pool_prealloc(cfg: &KernelConfig) -> usize {
     let per_iface = cfg.nic.rx_ring * (1 + class_rings) + cfg.nic.tx_ring + cfg.ifq_cap + 1;
     let screend = cfg.screend.as_ref().map_or(0, |s| s.queue_cap);
     let socket = cfg.local.as_ref().map_or(0, |l| l.socket_cap);
-    let steal = if cfg.topology.steal { STEAL_BUF_CAP } else { 0 };
+    let steal = if CpuLink::stealing(&cfg.topology) {
+        STEAL_BUF_CAP
+    } else {
+        0
+    };
     let per_cpu =
         per_iface * cfg.num_ifaces + cfg.ipintrq_cap + screend + socket + steal + POOL_HEADROOM;
     per_cpu * cfg.topology.ncpus
@@ -1077,6 +1053,30 @@ mod tests {
                 "ncpus={ncpus}: the drain empties the machine"
             );
             assert!(dh.gate_open_at_end && dh.screend_q_len == 0);
+        }
+    }
+
+    #[test]
+    fn a_lone_steal_flag_changes_nothing() {
+        // Every kernel holds a link, so "steal" must mean "steal, and a
+        // sibling to steal from": at overload a lone polled CPU's ring
+        // is full on most arrivals, and a frame parked for nobody would
+        // be lost to the books.
+        for (base, ring_overflows) in [
+            (unmodified(), false),
+            (polled(Quota::Limited(10)), true),
+        ] {
+            let run = |steal| {
+                let mut config = base.clone();
+                config.topology.steal = steal;
+                quick(config, 12_000.0, 2_000)
+            };
+            let (on, off) = (run(true), run(false));
+            assert_eq!(on.rx_ring_drops > 0, ring_overflows);
+            assert_eq!(on, off, "numbers, per-CPU books and pool alike");
+            let cpu = on.per_cpu()[0];
+            assert_eq!((cpu.steals_published, cpu.steals_taken), (0, 0));
+            assert_eq!(on.pool.misses, 0);
         }
     }
 
@@ -1511,7 +1511,7 @@ mod tests {
             // arrival schedule.
             let plan = plan(&spec);
             let end = plan.window.1;
-            let (mut cluster, _) = build(&spec, plan, None);
+            let mut cluster = build(&spec, plan, None);
             let mut max_pending = 0;
             for stop in 1..=16 {
                 cluster.run_until(Cycles::new(end.raw() / 16 * stop), |_, _| {});

@@ -164,19 +164,16 @@ impl RouterKernel {
         self.reply_seq += 1;
         let id = livelock_net::packet::PacketId(u64::MAX / 4 + self.reply_seq);
         // MACs are zero here; route_packet rewrites them.
-        let err = match &self.pool {
-            Some(pool) => Packet::icmp_ipv4_in(
-                pool,
-                id,
-                MacAddr::ZERO,
-                MacAddr::ZERO,
-                src_ip,
-                ip.src,
-                32,
-                &msg,
-            ),
-            None => Packet::icmp_ipv4(id, MacAddr::ZERO, MacAddr::ZERO, src_ip, ip.src, 32, &msg),
-        };
+        let err = Packet::icmp_ipv4_in(
+            &self.pool,
+            id,
+            MacAddr::ZERO,
+            MacAddr::ZERO,
+            src_ip,
+            ip.src,
+            32,
+            &msg,
+        );
         self.pending_icmp.push(err);
     }
 

@@ -32,7 +32,7 @@ use livelock_core::gate::{GateChange, InhibitReason, IntrGate};
 use livelock_core::poller::{PollAction, PollDirection, Poller, Quota, SourceId};
 use livelock_core::rate_limit::IntrRateLimiter;
 use livelock_machine::cost::CostModel;
-use livelock_machine::cpu::{Chunk, CpuId, CtxKind, Env, EnvState, Workload};
+use livelock_machine::cpu::{Chunk, CtxKind, Env, EnvState, Workload};
 use livelock_machine::fault::FaultKind;
 use livelock_machine::ledger::CpuClass;
 use livelock_machine::intr::IntrSrc;
@@ -59,13 +59,13 @@ mod forwarding;
 mod gating;
 mod polled;
 mod procs;
-pub(crate) mod smp;
+mod smp;
 mod unmodified;
 
 use classify::ClassEngine;
 use faults::FaultState;
 use livelock_net::classify::TrafficClass;
-use smp::{SmpCtx, STEAL_BUF_CAP};
+pub(crate) use smp::{CpuLink, STEAL_BUF_CAP};
 
 use crate::config::{KernelConfig, Mode};
 use crate::flows::FlowRegistry;
@@ -108,7 +108,8 @@ pub enum Event {
     Fault(FaultKind),
     /// A cross-CPU wakeup from a sibling CPU in an SMP cluster, injected
     /// by the interleaver's slice hook when this CPU's coalesced IPI
-    /// flag is set. Never scheduled on a uniprocessor.
+    /// flag is set. Never scheduled on a lone CPU, which has nobody to
+    /// set the flag.
     Ipi,
 }
 
@@ -259,8 +260,6 @@ pub struct RouterKernel {
     softnet_in_handler: bool,
     clock_in_handler: bool,
     softclock_in_handler: bool,
-    /// `ipintrq`: packets awaiting IP-layer processing (unmodified mode).
-    ipintrq: DropTailQueue<Packet>,
     /// Queue to the user-mode screend process: already-routed packets with
     /// their output interface.
     screend_q: DropTailQueue<(usize, Packet)>,
@@ -287,18 +286,17 @@ pub struct RouterKernel {
     app_tid: Option<ThreadId>,
     user_tid: Option<ThreadId>,
     /// Frame pool for kernel-originated packets (ARP/ICMP/UDP replies).
-    /// `None` falls back to per-packet heap allocation.
-    pool: Option<FramePool>,
+    pool: FramePool,
     /// Live fault-injection state; `None` when no fault plan is
     /// configured, in which case every fault hook is dead code.
     fault: Option<FaultState>,
-    /// This kernel's view of the SMP cluster; `None` on a uniprocessor,
-    /// in which case every cross-CPU hook is dead code and the kernel is
-    /// byte-identical to one built before the SMP layer existed.
-    smp: Option<SmpCtx>,
-    /// The per-CPU IPI interrupt source, registered by
-    /// [`RouterKernel::attach_smp`].
-    ipi_src: Option<IntrSrc>,
+    /// This CPU's end of the cluster's shared state: the `ipintrq`
+    /// (packets awaiting IP-layer processing, unmodified mode), the IPI
+    /// flags and the steal buffers. A uniprocessor is a cluster of one.
+    link: CpuLink,
+    /// The per-CPU IPI interrupt source; on a lone CPU it exists and is
+    /// never posted.
+    ipi_src: IntrSrc,
     ipi_in_handler: bool,
     /// The online livelock detector; `None` unless
     /// [`KernelConfig::observe`] is set, in which case the clock tick
@@ -315,22 +313,27 @@ impl RouterKernel {
     /// Builds the machine state and kernel for a configuration, with the
     /// paper's two-interface topology: interface `i` owns subnet
     /// `10.<i>.0.0/16` and a phantom ARP entry exists for the test
-    /// destination `10.1.0.99`.
+    /// destination `10.1.0.99`. A kernel built here is a cluster of one
+    /// with a frame pool of its own, whatever `cfg.topology` says:
+    /// siblings exist only inside a trial.
     pub fn build(cfg: KernelConfig) -> (EnvState<Event>, RouterKernel) {
-        Self::build_inner(cfg, None)
+        let link = CpuLink::lone(cfg.ipintrq_cap);
+        Self::build_linked(cfg, link, FramePool::for_frames(0))
     }
 
-    /// Like [`RouterKernel::build`], but every kernel-originated packet
-    /// (ARP replies, ICMP errors, application replies) draws its frame
-    /// buffer from `pool`, and [`KernelStats::pool`] reports the pool's
-    /// occupancy counters.
-    pub fn build_with_pool(cfg: KernelConfig, pool: FramePool) -> (EnvState<Event>, RouterKernel) {
-        Self::build_inner(cfg, Some(pool))
-    }
-
-    fn build_inner(cfg: KernelConfig, pool: Option<FramePool>) -> (EnvState<Event>, RouterKernel) {
+    /// Builds the kernel of CPU `link.cpu()` of a cluster. Every
+    /// kernel-originated packet (ARP replies, ICMP errors, application
+    /// replies) draws its frame buffer from `pool`, whose occupancy
+    /// counters [`KernelStats::pool`] reports.
+    pub(crate) fn build_linked(
+        cfg: KernelConfig,
+        link: CpuLink,
+        pool: FramePool,
+    ) -> (EnvState<Event>, RouterKernel) {
         let cost = cfg.cost;
+        let cpu = link.cpu();
         let mut st = EnvState::with_scheduler(cost.quantum(), cfg.scheduler);
+        st.set_cpu(cpu);
 
         let clock_src = st.intr.register("clock", Ipl::CLOCK);
         let softclock_src = st.intr.register("softclock", Ipl::SOFTCLOCK);
@@ -380,6 +383,13 @@ impl RouterKernel {
             });
         }
 
+        // The IPI source is registered last: same-IPL ties break by
+        // registration index, so a cross-CPU wakeup (device priority — it
+        // preempts threads and software interrupts like any device
+        // interrupt) never reorders the NIC sources.
+        let ipi_src = st.intr.register("ipi", Ipl::IMP);
+        src_roles.push(SrcRole::Ipi);
+
         let mut arp = ArpCache::new();
         // The paper's trick: "we fooled the router by inserting a phantom
         // entry into its ARP table" for the nonexistent destination.
@@ -416,6 +426,7 @@ impl RouterKernel {
             st.set_intr_class(iface.rx_src, CpuClass::RxIntr);
             st.set_intr_class(iface.tx_src, CpuClass::TxIntr);
         }
+        st.set_intr_class(ipi_src, CpuClass::KernelOther);
         if let Some(tid) = poll_tid {
             st.set_thread_class(tid, CpuClass::PollThread);
         }
@@ -487,20 +498,19 @@ impl RouterKernel {
 
         let mut stats = KernelStats::new();
         stats.class = classes.is_some().then(crate::stats::ClassStats::new);
-        stats.timeline = cfg.telemetry.map(Timeline::new);
+        stats.timeline = cfg.telemetry.map(|t| Timeline::new(t, cpu));
         // The observability layer: per-flow registry, online livelock
         // detector, and the machine's (cpu, class, stage) cycle fold.
         // All three are pure bookkeeping — when absent nothing is
         // allocated and the run is bit-identical; when present the run
         // is *still* bit-identical, just observed.
         stats.flows = cfg.observe.map(|o| FlowRegistry::new(o.flow_slots));
-        let detector = cfg.observe.map(LivelockDetector::new);
+        let detector = cfg.observe.map(|o| LivelockDetector::new(o, cpu));
         if cfg.observe.is_some() {
             st.enable_fold();
         }
 
         let kernel = RouterKernel {
-            ipintrq: DropTailQueue::new("ipintrq", cfg.ipintrq_cap),
             screend_q: DropTailQueue::new("screendq", screend_cap),
             socket_q: DropTailQueue::new("socketq", socket_cap),
             socket_feedback,
@@ -534,8 +544,8 @@ impl RouterKernel {
             user_tid,
             pool,
             fault,
-            smp: None,
-            ipi_src: None,
+            link,
+            ipi_src,
             ipi_in_handler: false,
             detector,
             classes,
@@ -544,17 +554,10 @@ impl RouterKernel {
         (st, kernel)
     }
 
-    /// Joins this kernel to an SMP cluster: registers the per-CPU IPI
-    /// interrupt source (device priority — a cross-CPU wakeup preempts
-    /// threads and software interrupts like any device interrupt) and
-    /// installs the shared-state handle. Must be called before the
-    /// engine runs; a kernel without it is a plain uniprocessor.
-    pub(crate) fn attach_smp(&mut self, st: &mut EnvState<Event>, ctx: SmpCtx) {
-        let src = st.intr.register("ipi", Ipl::IMP);
-        st.set_intr_class(src, CpuClass::KernelOther);
-        self.src_roles.push(SrcRole::Ipi);
-        self.ipi_src = Some(src);
-        self.smp = Some(ctx);
+    /// This CPU's end of the cluster's shared state (the harness takes
+    /// IPI flags and reads the steal books through it).
+    pub(crate) fn link(&self) -> &CpuLink {
+        &self.link
     }
 
     /// Frames the interface's NIC accepted into its receive ring
@@ -563,25 +566,19 @@ impl RouterKernel {
         self.ifaces[iface].nic.ipkts()
     }
 
-    /// The kernel's frame pool, when built with one.
-    pub fn pool(&self) -> Option<&FramePool> {
-        self.pool.as_ref()
+    /// The kernel's frame pool.
+    pub fn pool(&self) -> &FramePool {
+        &self.pool
     }
 
     /// Refreshes [`KernelStats::pool`] from the live pool counters.
     pub fn sync_pool_stats(&mut self) {
-        if let Some(pool) = &self.pool {
-            self.stats.pool = Some(pool.stats());
-        }
+        self.stats.pool = Some(self.pool.stats());
     }
 
-    /// A zero-filled frame buffer: pooled when the kernel has a pool,
-    /// heap-allocated otherwise.
+    /// A zero-filled frame buffer from the kernel's pool.
     fn alloc_frame(&self, len: usize) -> FrameBuf {
-        match &self.pool {
-            Some(pool) => pool.take(len),
-            None => FrameBuf::from(vec![0u8; len]),
-        }
+        self.pool.take(len)
     }
 
     /// Clock-tick telemetry hook: when the sampler is enabled and a sample
@@ -624,17 +621,12 @@ impl RouterKernel {
     }
 
     /// Every queue depth along the forwarding path, as sampled by both
-    /// the timeline and the drain-time fallback sample. On an unmodified
-    /// SMP kernel the IP input queue is the shared one; the local
-    /// ipintrq never fills.
+    /// the timeline and the drain-time fallback sample. The IP input
+    /// queue is the cluster's one, whichever CPU samples it.
     fn queue_depths(&self) -> QueueDepths {
-        let ipintrq_depth = match &self.smp {
-            Some(ctx) if !self.is_polled() => ctx.shared.borrow().ipintrq.len(),
-            _ => self.ipintrq.len(),
-        };
         QueueDepths {
             rx_ring: self.ifaces.iter().map(|i| i.nic.rx_pending()).sum(),
-            ipintrq: ipintrq_depth,
+            ipintrq: self.link.ipintrq().len(),
             screend_q: self.screend_q.len(),
             out_ifq: self.ifaces.iter().map(|i| i.out_q.len()).sum(),
             socket_q: self.socket_q.len(),
@@ -707,13 +699,6 @@ impl RouterKernel {
         match &mut self.detector {
             Some(det) => det.take_events(),
             None => Vec::new(),
-        }
-    }
-
-    /// Stamps the detector with the CPU it observes (SMP trials).
-    pub(crate) fn set_observe_cpu(&mut self, cpu: CpuId) {
-        if let Some(det) = &mut self.detector {
-            det.set_cpu(cpu);
         }
     }
 
@@ -809,7 +794,7 @@ impl RouterKernel {
             return;
         }
         let flow = pkt.flow;
-        let class = pkt.class;
+        let class = pkt.class();
         let iface = &mut self.ifaces[i];
         // A classified kernel lands the frame in its class's priority
         // ring; `rx_arrive_classed` falls back to the single legacy
@@ -832,48 +817,26 @@ impl RouterKernel {
     /// Whether a frame arriving on interface `i` now goes to the steal
     /// buffer instead of the ring: stealing is on and the ring is full.
     fn steal_wanted(&self, i: usize) -> bool {
-        self.smp
-            .as_ref()
-            .is_some_and(|ctx| ctx.steal && self.ifaces[i].nic.rx_ring_is_full())
+        self.link.steals_frames() && self.ifaces[i].nic.rx_ring_is_full()
     }
 
-    /// Parks the frame in this CPU's steal buffer (or drops it when that
-    /// is full too) and signals idle siblings.
+    /// Parks the frame in this CPU's steal buffer, signalling idle
+    /// siblings, or drops it when that is full too.
     fn steal_publish(&mut self, pkt: Packet) {
-        let Some(ctx) = &self.smp else {
-            return;
-        };
-        let me = ctx.cpu.0;
-        let mut sh = ctx.shared.borrow_mut();
-        if sh.steal_bufs[me].len() >= STEAL_BUF_CAP {
-            drop(sh);
+        if let Err(pkt) = self.link.steal_publish(pkt) {
             self.stats.record_drop_for(DropReason::RxRingFull, pkt.flow);
-            return;
-        }
-        sh.steal_bufs[me].push_back(pkt);
-        sh.steals_published[me] += 1;
-        // Coalesced "steal work available" signal to every sibling; the
-        // interleaver turns each flag into at most one IPI per slice.
-        let ncpus = ctx.ncpus;
-        for j in 0..ncpus {
-            if j != me {
-                sh.ipi_pending[j] = true;
-            }
         }
     }
 
-    /// The unmodified SMP wakeup-and-drain: runs on CPU 0 when a
-    /// sibling's IPI lands (polled kernels instead wake their poller to
-    /// go stealing).
+    /// The unmodified wakeup-and-drain: runs on CPU 0 when a sibling's
+    /// IPI lands (polled kernels instead wake their poller to go
+    /// stealing).
     fn ipi_done(&mut self, env: &mut Env<'_, Event>) {
-        let Some(ctx) = &self.smp else {
-            return;
-        };
         if self.is_polled() {
             if let Some(tid) = self.poll_tid {
                 env.wake(tid);
             }
-        } else if !ctx.shared.borrow().ipintrq.is_empty() {
+        } else if !self.link.ipintrq().is_empty() {
             env.post_intr(self.softnet_src);
         }
     }
@@ -991,9 +954,7 @@ impl Workload for RouterKernel {
                 SrcRole::Ipi => {
                     if self.ipi_in_handler {
                         self.ipi_in_handler = false;
-                        if let Some(src) = self.ipi_src {
-                            env.intr_ack(src);
-                        }
+                        env.intr_ack(self.ipi_src);
                         return None;
                     }
                     self.ipi_in_handler = true;
@@ -1034,7 +995,7 @@ impl Workload for RouterKernel {
                 }
             }
             (CtxKind::Intr(_), tag::SOFTNET_PKT) => {
-                if let Some(p) = self.ipintrq.peek_mut() {
+                if let Some(p) = self.link.ipintrq().peek_mut() {
                     p.stamps.fwd_start = env.now();
                 }
             }
@@ -1152,11 +1113,7 @@ impl Workload for RouterKernel {
                 }
             }
             Event::Fault(kind) => self.apply_fault(env, kind),
-            Event::Ipi => {
-                if let Some(src) = self.ipi_src {
-                    env.post_intr(src);
-                }
-            }
+            Event::Ipi => env.post_intr(self.ipi_src),
         }
     }
 

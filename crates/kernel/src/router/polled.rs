@@ -192,40 +192,22 @@ impl RouterKernel {
     /// true when anything was stolen (the poller now has a pending
     /// receive request to process).
     pub(super) fn try_steal(&mut self) -> bool {
-        let Some(ctx) = &self.smp else {
-            return false;
-        };
-        if !ctx.steal {
+        if !self.link.steals_frames() {
             return false;
         }
-        let me = ctx.cpu.0;
-        let ncpus = ctx.ncpus;
-        let shared = std::rc::Rc::clone(&ctx.shared);
         let mut stole = false;
-        let mut sh = shared.borrow_mut();
-        'victims: for d in 1..ncpus {
-            let victim = (me + d) % ncpus;
-            while !sh.steal_bufs[victim].is_empty() {
-                if self.ifaces[0].nic.rx_ring_is_full() {
-                    break 'victims;
-                }
-                if let Some(pkt) = sh.steal_bufs[victim].pop_front() {
-                    // A stolen frame keeps the class its home CPU
-                    // stamped at admission, landing in this CPU's
-                    // matching priority ring.
-                    match pkt.class {
-                        Some(c) => {
-                            let idx = c.index();
-                            self.ifaces[0].nic.rx_arrive_classed(pkt, idx)
-                        }
-                        None => self.ifaces[0].nic.rx_arrive(pkt),
-                    };
-                    sh.steals_taken[me] += 1;
-                    stole = true;
-                }
-            }
+        while !self.ifaces[0].nic.rx_ring_is_full() {
+            let Some(pkt) = self.link.steal_take() else {
+                break;
+            };
+            // A stolen frame keeps the class its home CPU stamped at
+            // admission, landing in this CPU's matching priority ring.
+            match pkt.class() {
+                Some(c) => self.ifaces[0].nic.rx_arrive_classed(pkt, c.index()),
+                None => self.ifaces[0].nic.rx_arrive(pkt),
+            };
+            stole = true;
         }
-        drop(sh);
         if stole {
             let sid = self.ifaces[0].poll_sid;
             self.poller.request(sid, PollDirection::Receive);

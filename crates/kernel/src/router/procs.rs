@@ -105,31 +105,18 @@ impl RouterKernel {
         self.reply_seq += 1;
         let id = livelock_net::packet::PacketId(u64::MAX / 2 + self.reply_seq);
         // MACs are zero here; route_packet rewrites them.
-        let reply = match &self.pool {
-            Some(pool) => Packet::udp_ipv4_in(
-                pool,
-                id,
-                MacAddr::ZERO,
-                MacAddr::ZERO,
-                ip.dst,
-                ip.src,
-                udp.dst_port,
-                udp.src_port,
-                32,
-                &[0u8; 4],
-            ),
-            None => Packet::udp_ipv4(
-                id,
-                MacAddr::ZERO,
-                MacAddr::ZERO,
-                ip.dst,
-                ip.src,
-                udp.dst_port,
-                udp.src_port,
-                32,
-                &[0u8; 4],
-            ),
-        };
+        let reply = Packet::udp_ipv4_in(
+            &self.pool,
+            id,
+            MacAddr::ZERO,
+            MacAddr::ZERO,
+            ip.dst,
+            ip.src,
+            udp.dst_port,
+            udp.src_port,
+            32,
+            &[0u8; 4],
+        );
         self.stats.replies_created += 1;
         if let Some(Routed::Forward(out_iface, pkt)) = self.route_output(reply, env.now()) {
             // Locally originated traffic bypasses screend.

@@ -49,27 +49,14 @@ impl RouterKernel {
         if self.try_handle_arp(env, i, &pkt) {
             return;
         }
-        // SMP: every CPU's receive handler feeds the one shared ipintrq
-        // (the classic single-IP-layer bottleneck); only CPU 0 runs the
-        // softnet drain, so siblings raise a coalesced IPI instead.
+        // Every CPU's receive handler feeds the one ipintrq (the classic
+        // single-IP-layer bottleneck); only CPU 0 runs the softnet drain,
+        // and the link raises a coalesced IPI for an enqueueing sibling.
         let flow = pkt.flow;
-        if let Some(ctx) = &self.smp {
-            let mut sh = ctx.shared.borrow_mut();
-            if sh.ipintrq.enqueue(pkt).is_ok() {
-                if ctx.cpu.0 == 0 {
-                    drop(sh);
-                    env.post_intr(self.softnet_src);
-                } else {
-                    sh.ipi_pending[0] = true;
-                }
-            } else {
-                drop(sh);
-                self.stats.record_drop_for(DropReason::IpintrqFull, flow);
+        if self.link.ipintrq_enqueue(pkt).is_ok() {
+            if self.link.drains_ipintrq() {
+                env.post_intr(self.softnet_src);
             }
-            return;
-        }
-        if self.ipintrq.enqueue(pkt).is_ok() {
-            env.post_intr(self.softnet_src);
         } else {
             // "the IP code never runs ... [ipintrq] fills up, and all
             // subsequent received packets are dropped" — after device-level
@@ -87,61 +74,43 @@ impl RouterKernel {
                 tag::SOFTNET_DISPATCH,
             ));
         }
-        // SMP: CPU 0 drains the shared ipintrq, paying a per-packet
-        // lock-acquisition cost for every contending sibling — the term
-        // that keeps the shared-queue MLFRR flat as CPUs are added. No
-        // bursting: siblings refill the queue at every slice boundary.
-        if let Some(ctx) = &self.smp {
-            let contenders = ctx.ncpus as u64 - 1;
-            let mut sh = ctx.shared.borrow_mut();
-            if let Some(p) = sh.ipintrq.peek_mut() {
-                p.stamps.fwd_start = env.now();
-                let mut cost = self.cost.ip_forward_per_pkt
-                    + self.cost.queue_op
-                    + self.cost.smp_queue_lock * contenders
-                    + extra;
-                if self.cfg.screend.is_none() {
-                    cost += self.cost.tx_start_per_pkt;
-                }
-                return Some(Chunk::new(cost, tag::SOFTNET_PKT));
-            }
+        let mut ipintrq = self.link.ipintrq();
+        let Some(head) = ipintrq.peek_mut() else {
             self.softnet_in_handler = false;
             env.intr_ack(self.softnet_src);
             return None;
+        };
+        // IP forwarding of the head packet starts now (the dequeue
+        // happens when the chunk completes).
+        head.stamps.fwd_start = env.now();
+        let queued = ipintrq.len();
+        drop(ipintrq);
+        // IP processing of one packet, including the ipintrq dequeue and
+        // (when it will go straight out) the if_start work — plus a lock
+        // acquisition for every contending sibling, the term that keeps
+        // the shared-queue MLFRR flat as CPUs are added.
+        let contenders = self.link.ncpus() as u64 - 1;
+        let mut cost = self.cost.ip_forward_per_pkt
+            + self.cost.queue_op
+            + self.cost.smp_queue_lock * contenders
+            + extra;
+        if self.cfg.screend.is_none() {
+            cost += self.cost.tx_start_per_pkt;
         }
-        if self.ipintrq.peek().is_some() {
-            // IP forwarding of the head packet starts now (the dequeue
-            // happens when the chunk completes).
-            if let Some(p) = self.ipintrq.peek_mut() {
-                p.stamps.fwd_start = env.now();
-            }
-            // IP processing of one packet, including the ipintrq dequeue
-            // and (when it will go straight out) the if_start work.
-            let mut cost = self.cost.ip_forward_per_pkt + self.cost.queue_op + extra;
-            if self.cfg.screend.is_none() {
-                cost += self.cost.tx_start_per_pkt;
-            }
-            // Burst: preempting receive interrupts only *add* to ipintrq
-            // (and a full queue drops, never shrinks it), so every packet
-            // already queued is a promised repetition.
-            let reps = if self.burstable() {
-                (self.ipintrq.len() as u32).saturating_sub(1)
-            } else {
-                0
-            };
-            return Some(Chunk::new(cost, tag::SOFTNET_PKT).with_reps(reps));
-        }
-        self.softnet_in_handler = false;
-        env.intr_ack(self.softnet_src);
-        None
+        // Burst: preempting receive interrupts only *add* to ipintrq
+        // (and a full queue drops, never shrinks it), so every packet
+        // already queued is a promised repetition. Not with contenders:
+        // siblings refill the queue at every slice boundary.
+        let reps = if self.burstable() && contenders == 0 {
+            (queued as u32).saturating_sub(1)
+        } else {
+            0
+        };
+        Some(Chunk::new(cost, tag::SOFTNET_PKT).with_reps(reps))
     }
 
     pub(super) fn softnet_done(&mut self, env: &mut Env<'_, Event>) {
-        let next = match &self.smp {
-            Some(ctx) => ctx.shared.borrow_mut().ipintrq.dequeue(),
-            None => self.ipintrq.dequeue(),
-        };
-        let Some(mut pkt) = next else {
+        let Some(mut pkt) = self.link.ipintrq().dequeue() else {
             return;
         };
         pkt.stamps.fwd_done = env.now();

@@ -780,7 +780,7 @@ impl KernelStats {
         if let Some(reg) = &mut self.flows {
             reg.record_delivery(pkt.flow, arrived, end, freq);
         }
-        if let (Some(cs), Some(c)) = (&mut self.class, pkt.class) {
+        if let (Some(cs), Some(c)) = (&mut self.class, pkt.class()) {
             cs.record_delivery(c, arrived, end, freq);
         }
     }

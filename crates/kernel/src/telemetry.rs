@@ -220,12 +220,13 @@ pub struct LivelockDetector {
 }
 
 impl LivelockDetector {
-    /// Creates a detector with all per-flow watch state preallocated.
-    pub fn new(cfg: ObserveConfig) -> Self {
+    /// Creates a detector for the kernel of `cpu`, with all per-flow
+    /// watch state preallocated.
+    pub fn new(cfg: ObserveConfig, cpu: CpuId) -> Self {
         let slots = cfg.flow_slots.max(1);
         LivelockDetector {
             cfg,
-            cpu: CpuId(0),
+            cpu,
             ticks_in_window: 0,
             last_arrived: 0,
             last_delivered: 0,
@@ -243,11 +244,6 @@ impl LivelockDetector {
             slot_fired: vec![false; slots],
             events: Vec::new(),
         }
-    }
-
-    /// Tags the detector with the CPU whose kernel drives it.
-    pub fn set_cpu(&mut self, cpu: CpuId) {
-        self.cpu = cpu;
     }
 
     /// Whether the most recent judged window was livelocked.
@@ -489,10 +485,11 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Creates an empty timeline for the given sampler configuration.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    /// Creates an empty timeline, recorded by the kernel of `cpu`, for
+    /// the given sampler configuration.
+    pub fn new(cfg: TelemetryConfig, cpu: CpuId) -> Self {
         Timeline {
-            cpu: CpuId(0),
+            cpu,
             interval_ticks: cfg.interval_ticks.max(1),
             max_samples: cfg.max_samples.max(2),
             ticks_since_sample: 0,
@@ -510,11 +507,6 @@ impl Timeline {
             class_delivered: Default::default(),
             last_class_delivered: [0; 3],
         }
-    }
-
-    /// Tags the timeline with the CPU whose kernel records it.
-    pub fn set_cpu(&mut self, cpu: CpuId) {
-        self.cpu = cpu;
     }
 
     /// The CPU whose kernel recorded this timeline.
@@ -672,10 +664,13 @@ mod tests {
 
     #[test]
     fn on_tick_respects_interval() {
-        let mut tl = Timeline::new(TelemetryConfig {
-            interval_ticks: 3,
-            max_samples: 64,
-        });
+        let mut tl = Timeline::new(
+            TelemetryConfig {
+                interval_ticks: 3,
+                max_samples: 64,
+            },
+            CpuId(0),
+        );
         let due: Vec<bool> = (0..6).map(|_| tl.on_tick()).collect();
         assert_eq!(due, [false, false, true, false, false, true]);
     }
@@ -683,7 +678,7 @@ mod tests {
     #[test]
     fn shares_cover_each_interval_exactly() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(TelemetryConfig::default());
+        let mut tl = Timeline::new(TelemetryConfig::default(), CpuId(0));
         tl.sample(
             Cycles::new(1_000),
             ledger_at(600, 400),
@@ -721,10 +716,13 @@ mod tests {
     #[test]
     fn decimation_bounds_memory_and_doubles_interval() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(TelemetryConfig {
-            interval_ticks: 1,
-            max_samples: 8,
-        });
+        let mut tl = Timeline::new(
+            TelemetryConfig {
+                interval_ticks: 1,
+                max_samples: 8,
+            },
+            CpuId(0),
+        );
         for i in 1..=40u64 {
             tl.sample(
                 Cycles::new(i * 1_000),
@@ -750,7 +748,7 @@ mod tests {
             min_window_arrivals: 10,
             ..Default::default()
         };
-        let mut d = LivelockDetector::new(cfg);
+        let mut d = LivelockDetector::new(cfg, CpuId(0));
         // Healthy loaded window: no event.
         d.on_tick(Cycles::new(1), 100, 90, 0, false, None);
         assert!(d.events().is_empty());
@@ -786,7 +784,7 @@ mod tests {
             min_window_arrivals: 10,
             ..Default::default()
         };
-        let mut d = LivelockDetector::new(cfg);
+        let mut d = LivelockDetector::new(cfg, CpuId(0));
         // Idle window: never an onset.
         d.on_tick(Cycles::new(1), 5, 0, 0, false, None);
         assert!(!d.is_livelocked());
@@ -804,7 +802,7 @@ mod tests {
             min_window_arrivals: 10,
             ..Default::default()
         };
-        let mut d = LivelockDetector::new(cfg);
+        let mut d = LivelockDetector::new(cfg, CpuId(0));
         // User starved two loaded windows running: one event.
         d.on_tick(Cycles::new(1), 100, 90, 0, true, None);
         d.on_tick(Cycles::new(2), 200, 180, 0, true, None);
@@ -820,7 +818,7 @@ mod tests {
         assert_eq!(inv[0].at, Cycles::new(1));
         assert_eq!(inv[1].at, Cycles::new(4));
         // Without a configured user process the signal is meaningless.
-        let mut d2 = LivelockDetector::new(cfg);
+        let mut d2 = LivelockDetector::new(cfg, CpuId(0));
         d2.on_tick(Cycles::new(1), 100, 90, 0, false, None);
         assert!(d2.events().is_empty());
     }
@@ -832,7 +830,7 @@ mod tests {
             min_window_arrivals: 10,
             ..Default::default()
         };
-        let mut d = LivelockDetector::new(cfg);
+        let mut d = LivelockDetector::new(cfg, CpuId(0));
         // Loaded, user starved: episode opens, one event.
         d.on_tick(Cycles::new(1), 100, 90, 0, true, None);
         // An *idle* starved window holds the latch: it neither clears
@@ -866,7 +864,7 @@ mod tests {
     impl ClassJudge {
         fn new() -> Self {
             ClassJudge {
-                d: LivelockDetector::new(ObserveConfig::default()),
+                d: LivelockDetector::new(ObserveConfig::default(), CpuId(0)),
                 arr: 0,
                 c_del: 0,
                 b_del: 0,
@@ -980,7 +978,7 @@ mod tests {
             flow_slots: 8,
             ..Default::default()
         };
-        let mut d = LivelockDetector::new(cfg);
+        let mut d = LivelockDetector::new(cfg, CpuId(0));
         let mut reg = FlowRegistry::new(8);
         let freq = Freq::mhz(100);
         for w in 1..=4u64 {
@@ -1033,7 +1031,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_one_row_per_sample() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(TelemetryConfig::default());
+        let mut tl = Timeline::new(TelemetryConfig::default(), CpuId(0));
         tl.sample(
             Cycles::new(100_000),
             ledger_at(50_000, 50_000),

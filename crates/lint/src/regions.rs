@@ -19,16 +19,6 @@ impl TestRegions {
     pub fn contains(&self, i: usize) -> bool {
         self.ranges.iter().any(|&(s, e)| s <= i && i < e)
     }
-
-    /// Number of detected regions (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Returns `true` when no test regions were found.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
 }
 
 /// Computes the test regions of a token stream.
@@ -146,7 +136,7 @@ mod tests {
     fn cfg_test_mod_is_a_region() {
         let src = "fn prod() {}\n#[cfg(test)]\nmod tests { fn inner() { helper(); } }\nfn after() {}";
         let (toks, r) = regions_of(src);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.ranges.len(), 1);
         assert!(ident_in_test(&toks, &r, "helper"));
         assert!(!ident_in_test(&toks, &r, "prod"));
         assert!(!ident_in_test(&toks, &r, "after"));
@@ -173,14 +163,14 @@ mod tests {
         // inside a literal never lexes into a token.
         let src = "#[cfg(feature = \"proptest\")] mod m { inner(); }";
         let (_, r) = regions_of(src);
-        assert!(r.is_empty());
+        assert!(r.ranges.is_empty());
     }
 
     #[test]
     fn semicolon_items_and_tricky_depths() {
         let src = "#[cfg(test)] use std::collections::HashMap;\nfn prod() { let x: [u8; 2] = [0, 1]; probe(); }";
         let (toks, r) = regions_of(src);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.ranges.len(), 1);
         assert!(ident_in_test(&toks, &r, "HashMap"));
         assert!(!ident_in_test(&toks, &r, "probe"));
     }

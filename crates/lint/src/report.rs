@@ -14,7 +14,6 @@
 //! | 13   | ledger-discipline |
 //! | 14   | panic-freedom |
 //! | 16   | bad-suppression |
-//! | 17   | smp-isolation |
 //! | 18   | flow-discipline |
 //! | 19   | class-discipline |
 //! | 20   | unit-discipline |

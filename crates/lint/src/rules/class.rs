@@ -9,6 +9,8 @@
 //! [`DropReason::ClassShed`]. A second stamping site could reclassify a
 //! packet after its arrival was counted under another class; a second
 //! shed site could record a class drop the admission books never saw.
+//! (The field behind the setter is `pub(crate)` in `net`, so the setter
+//! is the only write path another crate has.)
 //! Consumers read classes through `TrialResult::per_class()` instead.
 
 use crate::files::FileInfo;

@@ -16,22 +16,8 @@ use super::{is_path_sep, raw, RawFinding, Rule};
 /// Modules that run in (or directly service) interrupt context.
 const INTERRUPT_CONTEXT_FILES: &[&str] = &["crates/machine/src/intr.rs"];
 
-/// Upper-layer identifiers interrupt context must never reference. The
-/// SMP shared-state idents are included because an interrupt handler
-/// that pokes another CPU's queue or IPI flag directly would bypass the
-/// cluster interleaver's slice-boundary delivery — cross-CPU wakeups are
-/// the commit points' job, not the handler's (DESIGN.md §12).
-const UPPER_LAYER_IDENTS: &[&str] = &[
-    "ipv4",
-    "livelock_net",
-    "forwarding",
-    "screend",
-    "ipintrq",
-    "SmpShared",
-    "SmpCtx",
-    "ipi_pending",
-    "steal_bufs",
-];
+/// Upper-layer identifiers interrupt context must never reference.
+const UPPER_LAYER_IDENTS: &[&str] = &["ipv4", "livelock_net", "forwarding", "screend", "ipintrq"];
 
 pub struct InterruptDiscipline;
 

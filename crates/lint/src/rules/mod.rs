@@ -16,7 +16,6 @@ mod flows;
 mod interrupt;
 mod ledger;
 mod panics;
-mod smp;
 mod stale;
 mod units;
 
@@ -69,7 +68,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(interrupt::InterruptDiscipline),
         Box::new(ledger::LedgerDiscipline),
         Box::new(panics::PanicFreedom),
-        Box::new(smp::SmpIsolation),
         Box::new(flows::FlowDiscipline),
         Box::new(class::ClassDiscipline),
         Box::new(units::UnitDiscipline),

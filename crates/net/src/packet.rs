@@ -131,9 +131,11 @@ pub struct PacketBody {
     pub flow: Option<FlowKey>,
     /// The priority class the admission path assigned (`None` until the
     /// kernel's classifier runs, and always `None` when classification
-    /// is off). Read-only outside the classifier/admission modules —
-    /// simlint's `class-discipline` rule confines [`Packet::set_class`].
-    pub class: Option<crate::classify::TrafficClass>,
+    /// is off). Private to this crate: other crates read it through
+    /// [`Packet::class`] and write it only through
+    /// [`Packet::set_class`], the one call simlint's `class-discipline`
+    /// rule confines to the classifier.
+    pub(crate) class: Option<crate::classify::TrafficClass>,
 }
 
 impl PacketBody {
@@ -228,6 +230,11 @@ impl Packet {
         let mut pkt = Packet(frame);
         pkt.id = id;
         pkt
+    }
+
+    /// The priority class the admission path assigned, if any.
+    pub fn class(&self) -> Option<crate::classify::TrafficClass> {
+        self.class
     }
 
     /// Assigns the packet's priority class. Only the kernel's
@@ -325,27 +332,8 @@ impl Packet {
     }
 
     /// Builds a complete ICMP/IPv4/Ethernet frame with valid checksums
-    /// (used by the router to originate Time Exceeded / Destination
-    /// Unreachable errors).
-    pub fn icmp_ipv4(
-        id: PacketId,
-        src_mac: MacAddr,
-        dst_mac: MacAddr,
-        src_ip: Ipv4Addr,
-        dst_ip: Ipv4Addr,
-        ttl: u8,
-        msg: &IcmpMessage,
-    ) -> Self {
-        let icmp_len = msg.encoded_len();
-        let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + icmp_len;
-        let mut frame = vec![0u8; total.max(MIN_FRAME_LEN)];
-        let encoded =
-            encode_icmp_frame(&mut frame, src_mac, dst_mac, src_ip, dst_ip, ttl, msg, icmp_len);
-        debug_assert!(encoded.is_ok(), "buffer sized for all headers");
-        Packet::from_frame(id, frame)
-    }
-
-    /// Like [`Packet::icmp_ipv4`], but the frame buffer comes from `pool`.
+    /// in a buffer from `pool` (used by the router to originate Time
+    /// Exceeded / Destination Unreachable errors).
     pub fn icmp_ipv4_in(
         pool: &FramePool,
         id: PacketId,
@@ -642,7 +630,8 @@ mod tests {
     fn icmp_frame_round_trips() {
         use crate::icmp::{IcmpKind, IcmpMessage};
         let msg = IcmpMessage::time_exceeded(&[0xabu8; 40]);
-        let p = Packet::icmp_ipv4(
+        let p = Packet::icmp_ipv4_in(
+            &FramePool::for_frames(1),
             PacketId(9),
             MacAddr::local(1),
             MacAddr::local(2),
@@ -690,7 +679,8 @@ mod tests {
     fn flow_key_portless_for_icmp() {
         use crate::icmp::IcmpMessage;
         let msg = IcmpMessage::time_exceeded(&[0u8; 28]);
-        let p = Packet::icmp_ipv4(
+        let p = Packet::icmp_ipv4_in(
+            &FramePool::for_frames(1),
             PacketId(8),
             MacAddr::local(1),
             MacAddr::local(2),

@@ -128,11 +128,6 @@ impl<T> DropTailQueue<T> {
         self.drops.get()
     }
 
-    /// Returns the number of items accepted since creation (or last reset).
-    pub fn accepted(&self) -> u64 {
-        self.enqueued.get()
-    }
-
     /// Discards all queued items and returns how many were discarded.
     /// Statistics are preserved.
     pub fn clear(&mut self) -> usize {
@@ -169,7 +164,7 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert!(q.is_full());
         assert_eq!(q.drops(), 7);
-        assert_eq!(q.accepted(), 3);
+        assert_eq!(q.enqueued.get(), 3);
         assert_eq!(q.high_water_len, 3);
         // Draining one makes room for exactly one.
         assert_eq!(q.dequeue(), Some(0));
@@ -201,7 +196,7 @@ mod tests {
         assert_eq!(q.clear(), 2);
         assert!(q.is_empty());
         assert_eq!(q.drops(), 1, "clear preserves stats");
-        assert_eq!(q.accepted(), 2);
+        assert_eq!(q.enqueued.get(), 2);
         assert_eq!(q.high_water_len, 2);
     }
 
@@ -236,8 +231,8 @@ mod tests {
             for i in 0..n {
                 q.enqueue(i);
             }
-            prop_assert_eq!(q.accepted() + q.drops(), n as u64);
-            prop_assert_eq!(q.len() as u64, q.accepted());
+            prop_assert_eq!(q.enqueued.get() + q.drops(), n as u64);
+            prop_assert_eq!(q.len() as u64, q.enqueued.get());
         }
     }
 }

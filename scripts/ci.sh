@@ -106,8 +106,7 @@ echo "== simlint: determinism / interrupt-discipline / ledger-discipline =="
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
 # maps in deterministic crates, interrupt handlers that only initiate
 # polling, ledger charges only at executor commit points, panic-free
-# library code,
-# cross-CPU state confined to the IPI/steal channel files, per-flow
+# library code, per-flow
 # metrics mutated only through the KernelStats attribution hooks,
 # traffic classes stamped/shed only by the admission gate, no unit-named
 # binding declared as a bare number, and every process exit code
@@ -182,7 +181,7 @@ else
 fi
 # A degenerate trial or storm spec is a usage error, not a panic (exit
 # 101) or a hang (hence the timeout: an unbounded storm never returns).
-for bad_spec in "trial --packets 0" "chaos --intensity inf" "chaos --packets 5"; do
+for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" "chaos --packets 5"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
     if [ "$rc" -eq 2 ]; then

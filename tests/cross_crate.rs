@@ -216,6 +216,40 @@ fn cycle_accounting_is_conservative() {
     assert_eq!(u.idle_cycles, Cycles::ZERO);
 }
 
+/// A kernel built outside a trial has no siblings, whatever its config's
+/// topology says: no lock-contention charge, bursts intact, stealing off,
+/// and its IPI source never taken.
+#[test]
+fn a_standalone_kernel_is_a_cluster_of_one() {
+    let run = |cfg: KernelConfig| {
+        let mut e = engine_for(cfg);
+        let freq = Freq::mhz(100);
+        let mut factory = PacketFactory::paper_testbed();
+        // Back to back at wire speed: the ring and ipintrq both back up.
+        for k in 0..60u64 {
+            e.state_schedule(
+                freq.cycles_from_micros(100 + k * 68),
+                Event::RxArrive {
+                    iface: 0,
+                    pkt: factory.next_packet(),
+                },
+            );
+        }
+        e.run_until(freq.cycles_from_millis(100));
+        assert!(e.workload().stats().transmitted > 0);
+        (
+            format!("{:?}", e.workload().stats()),
+            e.state().ledger(),
+            e.state().events_dispatched(),
+            e.state().intr.total_taken(),
+        )
+    };
+    assert_eq!(
+        run(KernelConfig::builder().ncpus(4).steal(true).build()),
+        run(KernelConfig::builder().build()),
+    );
+}
+
 /// ICMP error origination: a TTL-expired packet triggers a Time Exceeded
 /// message routed back to the offender's network, itself a real,
 /// checksummed ICMP/IPv4 frame.
