@@ -398,17 +398,9 @@ pub struct KernelConfigBuilder {
 }
 
 impl KernelConfigBuilder {
-    /// Sets the forwarding-path implementation directly.
-    pub fn mode(mut self, mode: Mode) -> Self {
+    fn mode(mut self, mode: Mode) -> Self {
         self.cfg.mode = mode;
         self
-    }
-
-    /// The unmodified 4.2BSD interrupt-driven path (the starting state).
-    pub fn unmodified(self) -> Self {
-        self.mode(Mode::Unmodified {
-            emulate_modified_structure: false,
-        })
     }
 
     /// The modified kernel acting as if unmodified (Figure 6-3 open
@@ -421,8 +413,7 @@ impl KernelConfigBuilder {
     }
 
     /// The polling kernel with `rx_quota` for both receive and transmit
-    /// callbacks (use [`mode`](Self::mode) with an explicit
-    /// [`PolledConfig`] for asymmetric quotas).
+    /// callbacks.
     pub fn polled(self, rx_quota: Quota) -> Self {
         self.mode(Mode::Polled(PolledConfig {
             rx_quota,
@@ -476,12 +467,6 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// Originate paced ICMP errors for undeliverable packets.
-    pub fn icmp_errors(mut self, on: bool) -> Self {
-        self.cfg.icmp_errors = on;
-        self
-    }
-
     /// Applies RED early-drop admission on output queues.
     pub fn ifq_red(mut self, on: bool) -> Self {
         self.cfg.ifq_red = on;
@@ -531,30 +516,6 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// NIC ring geometry.
-    pub fn nic(mut self, nic: NicConfig) -> Self {
-        self.cfg.nic = nic;
-        self
-    }
-
-    /// `ipintrq` length limit (unmodified kernel only).
-    pub fn ipintrq_cap(mut self, cap: usize) -> Self {
-        self.cfg.ipintrq_cap = cap;
-        self
-    }
-
-    /// Per-interface output queue length limit.
-    pub fn ifq_cap(mut self, cap: usize) -> Self {
-        self.cfg.ifq_cap = cap;
-        self
-    }
-
-    /// Number of network interfaces.
-    pub fn num_ifaces(mut self, n: usize) -> Self {
-        self.cfg.num_ifaces = n;
-        self
-    }
-
     /// Number of CPUs (1 = the paper's uniprocessor, a cluster of one).
     ///
     /// # Panics
@@ -570,12 +531,6 @@ impl KernelConfigBuilder {
     /// `ncpus > 1` only; a no-op on one CPU).
     pub fn steal(mut self, on: bool) -> Self {
         self.cfg.topology.steal = on;
-        self
-    }
-
-    /// The cycle cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
         self
     }
 

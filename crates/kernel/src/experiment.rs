@@ -209,7 +209,8 @@ pub struct TrialResult {
     /// read through [`TrialResult::per_cpu`] and
     /// [`TrialResult::aggregate`].
     pub per_cpu: Vec<CpuStats>,
-    /// The telemetry timeline, when the spec's
+    /// The telemetry timeline — every CPU's samples, in `(time, cpu)`
+    /// order — when the spec's
     /// [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry)
     /// enabled the periodic sampler (`None` otherwise).
     pub timeline: Option<Timeline>,
@@ -308,8 +309,9 @@ impl TrialResult {
 /// # Panics
 ///
 /// Panics if the spec is degenerate (zero packets, non-positive rate, or
-/// an explicitly empty flow set), or — on a fault-free trial of more than
-/// one CPU — if NIC-boundary packet conservation fails.
+/// an explicitly empty flow set), if a CPU's cycle ledger does not sum to
+/// its elapsed time, or — on a fault-free trial of more than one CPU — if
+/// NIC-boundary packet conservation fails.
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
     run_pipeline(spec, None, Cycles::ZERO).result
 }
@@ -572,8 +574,6 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         let steal_residual = engines[0].workload().link().steal_residual();
         audit_nic_boundary(&engines, steal_residual as u64, spec.n_packets);
     }
-    engines[0].workload_mut().sync_pool_stats();
-
     // One pass over the CPUs: per-CPU books out, everything else folded.
     // Rates are summed per CPU (not recomputed from summed counts), and
     // every merge is order-independent, so the result is the same no
@@ -582,7 +582,8 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     let mut per_cpu = Vec::with_capacity(ncpus);
     let mut events: Vec<ObsEvent> = Vec::new();
     let mut tracks = Vec::new();
-    let mut fold: Option<CycleFold> = None;
+    let mut fold = spec.config.observe.map(|_| CycleFold::new());
+    let mut timeline: Option<Timeline> = None;
     let mut flows: Option<FlowRegistry> = None;
     let mut classes: Option<ClassStats> = None;
     let mut latency = LatencyStats::new();
@@ -596,6 +597,14 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         // the chrome-trace markers, next to the fault layer's.
         let interrupts_taken = e.state().intr.total_taken();
         let (now, ledger) = (e.state().now(), e.state().ledger());
+        // Cycle conservation, checked on every trial: the ledger is a
+        // read of the executor's one cycle book, so this is the book's
+        // total against the clock.
+        assert_eq!(
+            ledger.total(),
+            now,
+            "cycle conservation violated on cpu{k}: the ledger must sum to elapsed time"
+        );
         e.workload_mut()
             .finalize_timeline(now, ledger, interrupts_taken);
         let cpu_events = e.workload_mut().take_obs_events();
@@ -627,8 +636,11 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
             steals_taken,
         });
 
-        merge_into(&mut fold, e.state().fold(), CycleFold::merge);
+        if let Some(fold) = &mut fold {
+            fold.merge(&e.state().fold());
+        }
         let s = e.workload().stats();
+        merge_into(&mut timeline, s.timeline.as_ref(), Timeline::merge);
         merge_into(&mut flows, s.flows.as_ref(), FlowRegistry::merge);
         merge_into(&mut classes, s.class.as_ref(), ClassStats::merge);
         latency.merge(&s.latency);
@@ -654,7 +666,6 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
             |cpu, tid| engines[cpu.0].state().sched.name(tid).to_string(),
         )
     });
-    let stats0 = engines[0].workload().stats();
     let result = TrialResult {
         offered_pps,
         delivered_pps,
@@ -674,8 +685,8 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         classes: class_summaries(classes.as_ref(), &drops, freq),
         drops,
         per_cpu,
-        timeline: stats0.timeline.clone(),
-        pool: stats0.pool.unwrap_or_default(),
+        timeline,
+        pool: engines[0].workload().pool().stats(),
         fault,
         flows,
         events,
@@ -1619,6 +1630,36 @@ mod tests {
         assert!(!tl.is_empty(), "clock ticks should have produced samples");
         let csv = tl.to_csv(unmodified().cost.freq);
         assert!(csv.starts_with("time_us,rx_intr,"));
+    }
+
+    #[test]
+    fn a_multi_cpu_timeline_carries_every_cpu() {
+        let telemetry = crate::telemetry::TelemetryConfig::default();
+        let freq = unmodified().cost.freq;
+        let two = KernelConfig::builder()
+            .polled(Quota::Limited(10))
+            .ncpus(2)
+            .telemetry(telemetry)
+            .build();
+        let tl = quick(two, 12_000.0, 2_000).timeline.expect("sampler on");
+        for cpu in [CpuId(0), CpuId(1)] {
+            let rows = tl.rows().iter().filter(|row| row.cpu == cpu);
+            assert!(rows.count() > 1, "{cpu} sampled");
+        }
+        for row in tl.rows() {
+            let sum: f64 = row.cpu_share.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9, "{} at {}: {sum}", row.cpu, row.at);
+        }
+        let in_order = |w: &[crate::telemetry::Sample]| (w[0].at, w[0].cpu) < (w[1].at, w[1].cpu);
+        assert!(tl.rows().windows(2).all(in_order), "(time, cpu) order");
+        assert!(tl.to_csv(freq).starts_with("cpu,time_us,rx_intr,"));
+
+        let one = KernelConfig::builder().telemetry(telemetry).build();
+        let tl = quick(one, 12_000.0, 2_000).timeline.expect("sampler on");
+        assert!(
+            tl.to_csv(freq).starts_with("time_us,rx_intr,"),
+            "no cpu column"
+        );
     }
 
     #[test]

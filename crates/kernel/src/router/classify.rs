@@ -25,9 +25,9 @@
 //! shed `Bulk` packets, raising it late costs a queue full of them in
 //! front of every `Control` packet for milliseconds.
 //!
-//! This module is the *only* place allowed to stamp a packet's class or
-//! record a [`DropReason::ClassShed`] (simlint's `class-discipline`
-//! rule, exit 19, enforces both): classification policy lives here, and
+//! This module is the only place that stamps a packet's class (through
+//! `net`'s [`Classifier::stamp`], the one write there is) or records a
+//! [`DropReason::ClassShed`]: classification policy lives here, and
 //! everything downstream — queues, quotas, per-class accounting — just
 //! reads the stamp.
 
@@ -124,10 +124,6 @@ impl ClassEngine {
         }
     }
 
-    pub(crate) fn classify(&self, key: Option<&livelock_net::FlowKey>) -> TrafficClass {
-        self.classifier.classify_opt(key)
-    }
-
     /// Picks the class ring the polling thread drains next, given each
     /// ring's pending count: strict priority (`Control` before
     /// `Realtime` before `Bulk`), except that a class which has consumed
@@ -174,9 +170,8 @@ impl RouterKernel {
             ce.shed.note_pressure(fill);
         }
         let key = pkt.flow.or_else(|| pkt.flow_key());
-        let class = ce.classify(key.as_ref());
+        let class = ce.classifier.stamp(pkt, key.as_ref());
         let shed = polled && ce.shed.sheds(class);
-        pkt.set_class(class);
         self.stats.class_arrival(Some(class));
         if let Some(reg) = &mut self.stats.flows {
             reg.note_class(key, class);

@@ -145,6 +145,10 @@ mod tag {
     pub const POLL_RX_PKT_P2: u64 = 22;
 }
 
+// The machine books each tag below `Chunk::TAG_LIMIT` as a stage of its
+// own; the highest tag above must stay under it.
+const _: () = assert!(tag::POLL_RX_PKT_P2 < Chunk::TAG_LIMIT);
+
 /// The class ring a per-class polled receive tag drains, `None` for
 /// every other tag.
 fn tag_class(t: u64) -> Option<usize> {
@@ -323,8 +327,7 @@ impl RouterKernel {
 
     /// Builds the kernel of CPU `link.cpu()` of a cluster. Every
     /// kernel-originated packet (ARP replies, ICMP errors, application
-    /// replies) draws its frame buffer from `pool`, whose occupancy
-    /// counters [`KernelStats::pool`] reports.
+    /// replies) draws its frame buffer from `pool`.
     pub(crate) fn build_linked(
         cfg: KernelConfig,
         link: CpuLink,
@@ -419,25 +422,23 @@ impl RouterKernel {
         // machine's conserved cycle ledger can decompose "where did the
         // CPU go" (softclock counts as kernel housekeeping, not the
         // network soft interrupt).
-        st.set_intr_class(clock_src, CpuClass::ClockIntr);
-        st.set_intr_class(softclock_src, CpuClass::KernelOther);
-        st.set_intr_class(softnet_src, CpuClass::SoftIntNet);
+        st.set_ctx_class(CtxKind::Intr(clock_src), CpuClass::ClockIntr);
+        st.set_ctx_class(CtxKind::Intr(softclock_src), CpuClass::KernelOther);
+        st.set_ctx_class(CtxKind::Intr(softnet_src), CpuClass::SoftIntNet);
         for iface in &ifaces {
-            st.set_intr_class(iface.rx_src, CpuClass::RxIntr);
-            st.set_intr_class(iface.tx_src, CpuClass::TxIntr);
+            st.set_ctx_class(CtxKind::Intr(iface.rx_src), CpuClass::RxIntr);
+            st.set_ctx_class(CtxKind::Intr(iface.tx_src), CpuClass::TxIntr);
         }
-        st.set_intr_class(ipi_src, CpuClass::KernelOther);
-        if let Some(tid) = poll_tid {
-            st.set_thread_class(tid, CpuClass::PollThread);
-        }
-        if let Some(tid) = screend_tid {
-            st.set_thread_class(tid, CpuClass::Screend);
-        }
-        if let Some(tid) = app_tid {
-            st.set_thread_class(tid, CpuClass::UserProc);
-        }
-        if let Some(tid) = user_tid {
-            st.set_thread_class(tid, CpuClass::UserProc);
+        st.set_ctx_class(CtxKind::Intr(ipi_src), CpuClass::KernelOther);
+        for (tid, class) in [
+            (poll_tid, CpuClass::PollThread),
+            (screend_tid, CpuClass::Screend),
+            (app_tid, CpuClass::UserProc),
+            (user_tid, CpuClass::UserProc),
+        ] {
+            if let Some(tid) = tid {
+                st.set_ctx_class(CtxKind::Thread(tid), class);
+            }
         }
 
         let feedback = polled.and_then(|p| p.feedback).map(|f| {
@@ -499,16 +500,13 @@ impl RouterKernel {
         let mut stats = KernelStats::new();
         stats.class = classes.is_some().then(crate::stats::ClassStats::new);
         stats.timeline = cfg.telemetry.map(|t| Timeline::new(t, cpu));
-        // The observability layer: per-flow registry, online livelock
-        // detector, and the machine's (cpu, class, stage) cycle fold.
-        // All three are pure bookkeeping — when absent nothing is
+        // The observability layer: per-flow registry and online livelock
+        // detector (the trial also reads the machine's cycle fold at
+        // collect). Both are pure bookkeeping — when absent nothing is
         // allocated and the run is bit-identical; when present the run
         // is *still* bit-identical, just observed.
         stats.flows = cfg.observe.map(|o| FlowRegistry::new(o.flow_slots));
         let detector = cfg.observe.map(|o| LivelockDetector::new(o, cpu));
-        if cfg.observe.is_some() {
-            st.enable_fold();
-        }
 
         let kernel = RouterKernel {
             screend_q: DropTailQueue::new("screendq", screend_cap),
@@ -571,11 +569,6 @@ impl RouterKernel {
         &self.pool
     }
 
-    /// Refreshes [`KernelStats::pool`] from the live pool counters.
-    pub fn sync_pool_stats(&mut self) {
-        self.stats.pool = Some(self.pool.stats());
-    }
-
     /// A zero-filled frame buffer from the kernel's pool.
     fn alloc_frame(&self, len: usize) -> FrameBuf {
         self.pool.take(len)
@@ -586,14 +579,14 @@ impl RouterKernel {
     /// cycle ledger), every queue depth along the forwarding path, the
     /// interrupt gate's inhibit bitmask, and the interrupt rate.
     fn sample_telemetry(&mut self, env: &mut Env<'_, Event>) {
+        if !self.stats.timeline.as_mut().is_some_and(Timeline::on_tick) {
+            return;
+        }
         let depths = self.queue_depths();
         let class_delivered = self.class_delivered_cum();
         let Some(tl) = &mut self.stats.timeline else {
             return;
         };
-        if !tl.on_tick() {
-            return;
-        }
         tl.sample(
             env.now(),
             env.ledger(),

@@ -129,7 +129,6 @@ impl RouterKernel {
 
     pub(super) fn clock_done(&mut self, env: &mut Env<'_, Event>) {
         self.stats.ticks += 1;
-        self.sync_pool_stats();
         self.sample_telemetry(env);
         self.observe_tick(env);
         self.class_tick();

@@ -5,7 +5,6 @@
 //! measures delivered throughput by sampling the output interface's `Opkts`
 //! counter over the trial. [`KernelStats`] keeps the same books.
 
-use livelock_net::pool::PoolStats;
 use livelock_net::{FlowKey, Packet, StageStamps, TrafficClass};
 use livelock_sim::{Cycles, Freq, HdrHistogram, Nanos, RateWindow};
 
@@ -56,8 +55,8 @@ pub enum DropReason {
     /// shed controller decided this packet's [`TrafficClass`] is not
     /// worth host cycles while the downstream bottleneck is overloaded.
     /// Like [`DropReason::FeedbackInhibit`] this is a drop the kernel
-    /// *wants*, taken at the cheapest point. Recording is confined to
-    /// the admission-gate module by simlint's `class-discipline` rule.
+    /// *wants*, taken at the cheapest point, and recorded only by the
+    /// admission gate (`router::classify`).
     ClassShed {
         /// The class that was shed (`Bulk` first; never `Control`).
         class: TrafficClass,
@@ -646,10 +645,6 @@ pub struct KernelStats {
     pub user_chunks: u64,
     /// Clock ticks observed.
     pub ticks: u64,
-    /// Frame-pool occupancy counters, when the kernel allocates packet
-    /// buffers from a [`livelock_net::FramePool`] (refreshed on every
-    /// clock tick and at trial end).
-    pub pool: Option<PoolStats>,
     /// The telemetry timeline, when the sampler is enabled via
     /// [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry).
     pub timeline: Option<Timeline>,

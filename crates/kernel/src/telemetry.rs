@@ -5,12 +5,12 @@
 //! conserved [`CycleLedger`] (per-class CPU share since the previous
 //! sample), every queue depth along the forwarding path, the interrupt
 //! gate's inhibit-reason bitmask, and the hardware interrupt rate — into
-//! [`sim::TimeSeries`](livelock_sim::TimeSeries) columns that export as
-//! one CSV ([`Timeline::to_csv`]).
+//! one [`Sample`] row of a [`Timeline`], which exports as CSV
+//! ([`Timeline::to_csv`]).
 //!
-//! Memory is bounded: when a series reaches
-//! [`TelemetryConfig::max_samples`], every series is decimated (every
-//! second sample dropped) and the sampling interval doubles, so an
+//! Memory is bounded: when a timeline reaches
+//! [`TelemetryConfig::max_samples`] rows it is decimated (every second
+//! row dropped) and the sampling interval doubles, so an
 //! arbitrarily long run keeps a uniform grid at whatever resolution fits
 //! the budget. Sampling is off unless
 //! [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry)
@@ -27,7 +27,7 @@
 //! simulated run is bit-identical.
 
 use livelock_machine::{CpuClass, CpuId, CycleLedger};
-use livelock_sim::{Cycles, Freq, Nanos, TimeSeries};
+use livelock_sim::{Cycles, Freq, Nanos};
 
 use crate::flows::FlowRegistry;
 
@@ -35,12 +35,12 @@ use crate::flows::FlowRegistry;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Clock ticks between samples (1 = every tick, i.e. every simulated
-    /// millisecond with the calibrated cost model). The default of 4
-    /// keeps the sampler's wall-clock cost well under the `perf` bin's 2%
-    /// budget while a canonical 10,000-packet overload trial still
-    /// records a few hundred samples.
+    /// millisecond with the calibrated cost model). At the default of 4
+    /// a canonical 10,000-packet overload trial still records a few
+    /// hundred samples; what the sampler costs the host is the
+    /// benchmark's `kernel.telemetry.overhead_frac`.
     pub interval_ticks: u32,
-    /// Sample budget per series; reaching it decimates all series and
+    /// Sample budget per CPU; reaching it drops every other row and
     /// doubles the effective interval.
     pub max_samples: usize,
 }
@@ -443,12 +443,39 @@ pub struct QueueDepths {
     pub socket_q: usize,
 }
 
-/// The recorded telemetry time-series. All series sample at the same
-/// instants, so row `i` of each describes the same moment.
+/// One telemetry sample: what one CPU's kernel saw at one instant.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Sample {
+    /// When the sample was taken.
+    pub at: Cycles,
+    /// The CPU whose kernel took it.
+    pub cpu: CpuId,
+    /// Per-class CPU share over the interval since that CPU's previous
+    /// sample, indexed by [`CpuClass::index`] ([`CpuClass::ALL`] order).
+    /// The nine values sum to 1 — the ledger's conservation, interval by
+    /// interval.
+    pub cpu_share: [f64; CpuClass::COUNT],
+    /// Every queue depth along the forwarding path.
+    pub depths: QueueDepths,
+    /// The interrupt gate's inhibit-reason bitmask
+    /// ([`InhibitReason::bit_index`](livelock_core::gate::InhibitReason::bit_index)
+    /// gives each bit); 0 = gate open.
+    pub gate_bits: u8,
+    /// Hardware interrupts per second over the interval.
+    pub intr_rate: f64,
+    /// Deliveries per traffic class over the interval, indexed by
+    /// [`TrafficClass::index`](livelock_net::TrafficClass::index)
+    /// (`control`, `realtime`, `bulk`). All-zero when flow
+    /// classification is off.
+    pub class_delivered: [u64; 3],
+}
+
+/// The recorded telemetry: one [`Sample`] row per sampling instant per
+/// CPU. A kernel records its own CPU's rows; a trial's result holds every
+/// CPU's, [merged](Timeline::merge) in `(time, cpu)` order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Timeline {
-    /// Which CPU's kernel recorded this timeline (every series belongs to
-    /// one CPU; SMP trials keep one `Timeline` per CPU).
+    /// The CPU whose kernel samples into this timeline.
     cpu: CpuId,
     interval_ticks: u32,
     max_samples: usize,
@@ -456,32 +483,8 @@ pub struct Timeline {
     last_ledger: CycleLedger,
     last_taken: u64,
     last_at: Cycles,
-    /// Per-class CPU share over each sampling interval, indexed by
-    /// [`CpuClass::index`] ([`CpuClass::ALL`] order). Each sample's nine
-    /// values sum to 1 — the ledger's conservation, interval by interval.
-    pub cpu_share: [TimeSeries; CpuClass::COUNT],
-    /// Receive-ring depth (frames, summed over interfaces).
-    pub rx_ring: TimeSeries,
-    /// `ipintrq` depth.
-    pub ipintrq: TimeSeries,
-    /// Screend queue depth.
-    pub screend_q: TimeSeries,
-    /// Output interface queue depth (summed over interfaces).
-    pub out_ifq: TimeSeries,
-    /// Local socket buffer depth.
-    pub socket_q: TimeSeries,
-    /// The interrupt gate's inhibit-reason bitmask
-    /// ([`InhibitReason::bit_index`](livelock_core::gate::InhibitReason::bit_index)
-    /// gives each bit); 0 = gate open.
-    pub gate_bits: TimeSeries,
-    /// Hardware interrupts per second over each sampling interval.
-    pub intr_rate: TimeSeries,
-    /// Deliveries per traffic class over each sampling interval, indexed
-    /// by [`TrafficClass::index`](livelock_net::TrafficClass::index)
-    /// (`control`, `realtime`, `bulk`). All-zero when flow
-    /// classification is off.
-    pub class_delivered: [TimeSeries; 3],
     last_class_delivered: [u64; 3],
+    rows: Vec<Sample>,
 }
 
 impl Timeline {
@@ -496,22 +499,9 @@ impl Timeline {
             last_ledger: CycleLedger::new(),
             last_taken: 0,
             last_at: Cycles::ZERO,
-            cpu_share: Default::default(),
-            rx_ring: TimeSeries::new(),
-            ipintrq: TimeSeries::new(),
-            screend_q: TimeSeries::new(),
-            out_ifq: TimeSeries::new(),
-            socket_q: TimeSeries::new(),
-            gate_bits: TimeSeries::new(),
-            intr_rate: TimeSeries::new(),
-            class_delivered: Default::default(),
             last_class_delivered: [0; 3],
+            rows: Vec::new(),
         }
-    }
-
-    /// The CPU whose kernel recorded this timeline.
-    pub fn cpu(&self) -> CpuId {
-        self.cpu
     }
 
     /// Clock-tick hook: returns `true` when a sample is due (and resets
@@ -531,14 +521,19 @@ impl Timeline {
         self.interval_ticks
     }
 
-    /// Number of samples recorded (per series).
+    /// The recorded samples, in `(time, cpu)` order.
+    pub fn rows(&self) -> &[Sample] {
+        &self.rows
+    }
+
+    /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.gate_bits.len()
+        self.rows.len()
     }
 
     /// Returns `true` when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.gate_bits.is_empty()
+        self.rows.is_empty()
     }
 
     /// Records one sample at time `now`: per-class CPU shares over the
@@ -557,93 +552,77 @@ impl Timeline {
         class_delivered: [u64; 3],
         freq: Freq,
     ) {
-        let delta = ledger.since(&self.last_ledger);
-        let shares = delta.shares();
-        for (series, share) in self.cpu_share.iter_mut().zip(shares) {
-            series.push(now, share);
-        }
-        self.rx_ring.push(now, depths.rx_ring as f64);
-        self.ipintrq.push(now, depths.ipintrq as f64);
-        self.screend_q.push(now, depths.screend_q as f64);
-        self.out_ifq.push(now, depths.out_ifq as f64);
-        self.socket_q.push(now, depths.socket_q as f64);
-        self.gate_bits.push(now, f64::from(gate_bits));
         let span_secs = freq.secs_from_cycles(now - self.last_at);
-        let rate = if span_secs > 0.0 {
-            (taken - self.last_taken) as f64 / span_secs
-        } else {
-            0.0
-        };
-        self.intr_rate.push(now, rate);
-        for (i, s) in self.class_delivered.iter_mut().enumerate() {
-            let delta = class_delivered[i].saturating_sub(self.last_class_delivered[i]);
-            s.push(now, delta as f64);
-        }
+        self.rows.push(Sample {
+            at: now,
+            cpu: self.cpu,
+            cpu_share: ledger.since(&self.last_ledger).shares(),
+            depths,
+            gate_bits,
+            intr_rate: if span_secs > 0.0 {
+                (taken - self.last_taken) as f64 / span_secs
+            } else {
+                0.0
+            },
+            class_delivered: std::array::from_fn(|i| {
+                class_delivered[i].saturating_sub(self.last_class_delivered[i])
+            }),
+        });
 
         self.last_ledger = ledger;
         self.last_taken = taken;
         self.last_class_delivered = class_delivered;
         self.last_at = now;
         if self.len() >= self.max_samples {
-            self.decimate();
+            // Bounded memory for unbounded runs: keep every other row
+            // and sample half as often from here on.
+            let mut keep = false;
+            self.rows.retain(|_| {
+                keep = !keep;
+                keep
+            });
+            self.interval_ticks = self.interval_ticks.saturating_mul(2);
         }
     }
 
-    /// Halves every series and doubles the sampling interval (bounded
-    /// memory for unbounded runs).
-    fn decimate(&mut self) {
-        for s in &mut self.cpu_share {
-            s.decimate();
-        }
-        for s in [
-            &mut self.rx_ring,
-            &mut self.ipintrq,
-            &mut self.screend_q,
-            &mut self.out_ifq,
-            &mut self.socket_q,
-            &mut self.gate_bits,
-            &mut self.intr_rate,
-        ] {
-            s.decimate();
-        }
-        for s in &mut self.class_delivered {
-            s.decimate();
-        }
-        self.interval_ticks = self.interval_ticks.saturating_mul(2);
+    /// Adds another CPU's rows to this timeline, keeping `(time, cpu)`
+    /// order.
+    pub fn merge(&mut self, other: &Timeline) {
+        self.rows.extend_from_slice(&other.rows);
+        self.rows.sort_by_key(|row| (row.at, row.cpu));
     }
 
     /// Renders the timeline as CSV: one row per sample, a `time_us`
     /// column, the nine per-class share columns (labelled by
     /// [`CpuClass::label`]), the five queue depths, the gate bitmask,
     /// the interrupt rate, and the three per-traffic-class delivery
-    /// columns. Output is deterministic: same samples, same bytes.
+    /// columns — behind a leading `cpu` column when the rows come from
+    /// more than one CPU. Output is deterministic: same samples, same
+    /// bytes.
     pub fn to_csv(&self, freq: Freq) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("time_us");
+        let multi_cpu = self.rows.windows(2).any(|w| w[0].cpu != w[1].cpu);
+        let mut out = String::from(if multi_cpu { "cpu,time_us" } else { "time_us" });
         for c in CpuClass::ALL {
             let _ = write!(out, ",{}", c.label());
         }
         out.push_str(",rx_ring,ipintrq,screend_q,out_ifq,socket_q,gate_bits,intr_rate_hz");
         out.push_str(",delivered_control,delivered_realtime,delivered_bulk\n");
-        for i in 0..self.len() {
-            let (at, _) = self.gate_bits.points()[i];
-            let _ = write!(out, "{:.1}", freq.nanos_from_cycles(at).as_micros_f64());
-            for s in &self.cpu_share {
-                let _ = write!(out, ",{:.6}", s.points()[i].1);
+        for row in &self.rows {
+            if multi_cpu {
+                let _ = write!(out, "{},", row.cpu.0);
             }
-            for s in [
-                &self.rx_ring,
-                &self.ipintrq,
-                &self.screend_q,
-                &self.out_ifq,
-                &self.socket_q,
-                &self.gate_bits,
-            ] {
-                let _ = write!(out, ",{:.0}", s.points()[i].1);
+            let _ = write!(out, "{:.1}", freq.nanos_from_cycles(row.at).as_micros_f64());
+            for share in row.cpu_share {
+                let _ = write!(out, ",{share:.6}");
             }
-            let _ = write!(out, ",{:.1}", self.intr_rate.points()[i].1);
-            for s in &self.class_delivered {
-                let _ = write!(out, ",{:.0}", s.points()[i].1);
+            let d = row.depths;
+            for depth in [d.rx_ring, d.ipintrq, d.screend_q, d.out_ifq, d.socket_q] {
+                let _ = write!(out, ",{depth}");
+            }
+            let _ = write!(out, ",{},{:.1}", row.gate_bits, row.intr_rate);
+            for delivered in row.class_delivered {
+                let _ = write!(out, ",{delivered}");
             }
             out.push('\n');
         }
@@ -656,10 +635,10 @@ mod tests {
     use super::*;
 
     fn ledger_at(rx: u64, idle: u64) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        l.charge(CpuClass::RxIntr, Cycles::new(rx));
-        l.charge(CpuClass::Idle, Cycles::new(idle));
-        l
+        let mut by_class = [Cycles::ZERO; CpuClass::COUNT];
+        by_class[CpuClass::RxIntr.index()] = Cycles::new(rx);
+        by_class[CpuClass::Idle.index()] = Cycles::new(idle);
+        CycleLedger::from_totals(by_class)
     }
 
     #[test]
@@ -698,17 +677,17 @@ mod tests {
             [0; 3],
             freq,
         );
-        let rx = &tl.cpu_share[CpuClass::RxIntr.index()];
-        assert_eq!(rx.points()[0].1, 0.6);
-        assert_eq!(rx.points()[1].1, 1.0);
-        let idle = &tl.cpu_share[CpuClass::Idle.index()];
-        assert_eq!(idle.points()[1].1, 0.0);
-        assert_eq!(tl.gate_bits.points()[1].1, 5.0);
+        let rows = tl.rows();
+        let (rx, idle) = (CpuClass::RxIntr.index(), CpuClass::Idle.index());
+        assert_eq!(rows[0].cpu_share[rx], 0.6);
+        assert_eq!(rows[1].cpu_share[rx], 1.0);
+        assert_eq!(rows[1].cpu_share[idle], 0.0);
+        assert_eq!(rows[1].gate_bits, 5);
         // 20 interrupts over 1000 cycles at 100 MHz = 10 us → 2e6/s.
-        assert!((tl.intr_rate.points()[1].1 - 2_000_000.0).abs() < 1.0);
+        assert!((rows[1].intr_rate - 2_000_000.0).abs() < 1.0);
         // Every sample's shares sum to 1.
-        for i in 0..tl.len() {
-            let sum: f64 = tl.cpu_share.iter().map(|s| s.points()[i].1).sum();
+        for (i, row) in rows.iter().enumerate() {
+            let sum: f64 = row.cpu_share.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {i} sums to {sum}");
         }
     }
@@ -736,9 +715,10 @@ mod tests {
         }
         assert!(tl.len() <= 8, "bounded: {} samples", tl.len());
         assert!(tl.interval_ticks() > 1, "interval doubled");
-        for s in &tl.cpu_share {
-            assert_eq!(s.len(), tl.len(), "series stay in lockstep");
-        }
+        // Each decimation kept the first, third, ... rows: 1..=8 → 1 3 5 7,
+        // then 1 3 5 7 9 10 11 12 → 1 5 9 11, and so on.
+        let times: Vec<u64> = tl.rows().iter().map(|row| row.at.raw()).collect();
+        assert_eq!(times, [1_000, 33_000, 37_000, 39_000]);
     }
 
     #[test]

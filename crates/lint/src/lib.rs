@@ -201,11 +201,11 @@ mod tests {
 
     #[test]
     fn test_region_exemption_honors_per_rule_flag() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { ledger.charge(c, cy); o.unwrap(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n    fn f() { o.unwrap(); }\n}";
         let fl = lint_source(&info("crates/kernel/src/telemetry.rs"), src, &rules::all_rules());
         assert!(
             fl.active.is_empty(),
-            "ledger + panic rules exempt test code: {:?}",
+            "the panic rule exempts test code: {:?}",
             fl.active
         );
     }

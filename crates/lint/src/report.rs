@@ -11,11 +11,9 @@
 //! | 9    | fresh findings across multiple rules |
 //! | 10   | determinism |
 //! | 12   | interrupt-discipline |
-//! | 13   | ledger-discipline |
 //! | 14   | panic-freedom |
 //! | 16   | bad-suppression |
 //! | 18   | flow-discipline |
-//! | 19   | class-discipline |
 //! | 20   | unit-discipline |
 //! | 21   | exit-code-registry |
 //! | 22   | stale-baseline |

@@ -9,12 +9,10 @@
 use crate::files::FileInfo;
 use crate::tokenizer::Tok;
 
-mod class;
 mod determinism;
 mod exitcodes;
 mod flows;
 mod interrupt;
-mod ledger;
 mod panics;
 mod stale;
 mod units;
@@ -66,10 +64,8 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(determinism::Determinism),
         Box::new(interrupt::InterruptDiscipline),
-        Box::new(ledger::LedgerDiscipline),
         Box::new(panics::PanicFreedom),
         Box::new(flows::FlowDiscipline),
-        Box::new(class::ClassDiscipline),
         Box::new(units::UnitDiscipline),
         Box::new(exitcodes::ExitCodeRegistry),
         Box::new(stale::StaleBaseline),

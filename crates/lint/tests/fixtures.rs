@@ -24,8 +24,6 @@ const DETERMINISM_BAD: &str = include_str!("../fixtures/determinism_bad.rs");
 const DETERMINISM_GOOD: &str = include_str!("../fixtures/determinism_good.rs");
 const INTERRUPT_BAD: &str = include_str!("../fixtures/interrupt_bad.rs");
 const INTERRUPT_GOOD: &str = include_str!("../fixtures/interrupt_good.rs");
-const LEDGER_BAD: &str = include_str!("../fixtures/ledger_bad.rs");
-const LEDGER_GOOD: &str = include_str!("../fixtures/ledger_good.rs");
 const PANICS_BAD: &str = include_str!("../fixtures/panics_bad.rs");
 const PANICS_GOOD: &str = include_str!("../fixtures/panics_good.rs");
 const SUPPRESSIONS: &str = include_str!("../fixtures/suppressions.rs");
@@ -94,18 +92,6 @@ fn interrupt_discipline_only_binds_interrupt_context_files() {
         "{:?}",
         elsewhere.active
     );
-}
-
-#[test]
-fn ledger_discipline_bad_is_flagged_good_is_clean() {
-    let bad = lint_at("crates/kernel/src/telemetry.rs", LEDGER_BAD);
-    assert_eq!(rules_hit(&bad), vec!["ledger-discipline"]);
-    assert_eq!(bad.active.len(), 2, "method and path form: {:?}", bad.active);
-    let good = lint_at("crates/kernel/src/telemetry.rs", LEDGER_GOOD);
-    assert!(good.active.is_empty(), "{:?}", good.active);
-    // At a commit point the same calls are sanctioned.
-    let commit = lint_at("crates/machine/src/cpu.rs", LEDGER_BAD);
-    assert!(commit.active.is_empty(), "{:?}", commit.active);
 }
 
 #[test]

@@ -27,8 +27,11 @@
 //!    interrupts and clear the cycle-limit total) and then advances time to
 //!    the next external event.
 //!
-//! All cycles are accounted per context class; [`UsageReport`] is how the
-//! Figure 7-1 experiment measures the CPU share a user process received.
+//! Every cycle is booked once, under the context that ran it and the
+//! chunk tag it ran for; the per-class [`CycleLedger`], the per-context
+//! [`UsageReport`] (how the Figure 7-1 experiment measures the CPU share a
+//! user process received) and the [`CycleFold`] are reads of that one
+//! book.
 
 use livelock_sim::{CalendarQueue, Cycles, EventQueue, Scheduler as EventScheduler};
 
@@ -71,7 +74,11 @@ pub struct Chunk {
     /// Cost in cycles. Zero-cost chunks complete immediately.
     pub cycles: Cycles,
     /// Workload-defined discriminator passed back to
-    /// [`Workload::chunk_done`].
+    /// [`Workload::chunk_done`], and the *stage* the chunk's cycles are
+    /// booked under. In contract: `1..`[`Chunk::TAG_LIMIT`] (0 is the
+    /// executor's own out-of-chunk time). A tag at or past the limit
+    /// still runs and is still handed back unchanged, but its cycles
+    /// share the book's last stage cell.
     pub tag: u64,
     /// Extra identical repetitions beyond this chunk — a *burst*. After
     /// each completion (and its [`Workload::chunk_done`]) the engine
@@ -86,6 +93,10 @@ pub struct Chunk {
 }
 
 impl Chunk {
+    /// Stage cells per context in the executor's cycle book: tags below
+    /// this are booked apart.
+    pub const TAG_LIMIT: u64 = 32;
+
     /// Creates a chunk.
     pub fn new(cycles: Cycles, tag: u64) -> Self {
         Chunk {
@@ -247,87 +258,95 @@ pub struct EnvState<E> {
     now: Cycles,
     evq: EvBackend<E>,
     events_dispatched: u64,
-    usage: Usage,
+    book: CycleBook,
     cpu: CpuId,
 }
 
-#[derive(Clone, Debug, Default)]
-struct Usage {
-    intr_by_src: Vec<Cycles>,
-    thread_by_id: Vec<Cycles>,
-    sched_cycles: Cycles,
-    idle_cycles: Cycles,
-    ledger: CycleLedger,
-    intr_class: Vec<CpuClass>,
-    thread_class: Vec<CpuClass>,
-    /// Optional `(cpu, class, stage)` fold of the same charges, for
-    /// flamegraph export. `None` (the default) costs nothing; `Some`
-    /// only adds bookkeeping at the commit points below, never a
-    /// scheduling change, so enabling it cannot perturb a trial.
-    fold: Option<CycleFold>,
-    /// Mirror of [`EnvState::cpu`] so the fold can be charged here
-    /// without widening every charge call.
-    cpu: CpuId,
+/// Which row of the cycle book a step's cycles belong to.
+enum Account {
+    /// A workload context: an interrupt handler or a thread.
+    Ctx(CtxKind),
+    /// The scheduler's context-switch overhead.
+    Sched,
+    /// The idle loop.
+    Idle,
 }
 
-/// Fold stage tag for cycles spent outside any workload chunk (the
-/// scheduler's context-switch overhead and the idle loop). Workload
-/// chunk tags start at 1 by convention, so 0 is free.
-const FOLD_TAG_EXEC: u64 = 0;
+/// The stage cell for cycles spent outside any workload chunk (switch
+/// overhead and the idle loop). Workload chunk tags start at 1 by
+/// convention, so 0 is free.
+const TAG_EXEC: u64 = 0;
 
-impl Usage {
-    fn intr_class_of(&self, src: IntrSrc) -> CpuClass {
-        self.intr_class
-            .get(src.0)
-            .copied()
-            .unwrap_or(CpuClass::KernelOther)
-    }
+/// One execution context's row of the cycle book.
+#[derive(Clone)]
+struct Row {
+    /// The class every cycle of this context belongs to, fixed at
+    /// registration ([`EnvState::set_ctx_class`]).
+    class: CpuClass,
+    total: Cycles,
+    /// `total` split by chunk tag; always sums to it.
+    by_tag: [Cycles; Chunk::TAG_LIMIT as usize],
+}
 
-    fn thread_class_of(&self, tid: ThreadId) -> CpuClass {
-        self.thread_class
-            .get(tid.0)
-            .copied()
-            .unwrap_or(CpuClass::KernelOther)
-    }
-
-    fn charge_intr(&mut self, src: IntrSrc, tag: u64, cy: Cycles) {
-        if self.intr_by_src.len() <= src.0 {
-            self.intr_by_src.resize(src.0 + 1, Cycles::ZERO);
-        }
-        self.intr_by_src[src.0] += cy;
-        let class = self.intr_class_of(src);
-        self.ledger.charge(class, cy);
-        if let Some(f) = &mut self.fold {
-            f.charge(self.cpu, class, tag, cy);
+impl Row {
+    fn new(class: CpuClass) -> Self {
+        Row {
+            class,
+            total: Cycles::ZERO,
+            by_tag: [Cycles::ZERO; Chunk::TAG_LIMIT as usize],
         }
     }
+}
 
-    fn charge_thread(&mut self, tid: ThreadId, tag: u64, cy: Cycles) {
-        if self.thread_by_id.len() <= tid.0 {
-            self.thread_by_id.resize(tid.0 + 1, Cycles::ZERO);
-        }
-        self.thread_by_id[tid.0] += cy;
-        let class = self.thread_class_of(tid);
-        self.ledger.charge(class, cy);
-        if let Some(f) = &mut self.fold {
-            f.charge(self.cpu, class, tag, cy);
-        }
-    }
+/// The one store of executed cycles: a [`Row`] per execution context,
+/// written only by [`CycleBook::charge`]. The per-class ledger, the
+/// per-context usage report, a thread's running total and the
+/// `(cpu, class, stage)` fold are all sums over its cells, so they agree
+/// by construction and the only thing left to check is that the book's
+/// total equals elapsed time.
+struct CycleBook {
+    intr: Vec<Row>,
+    thread: Vec<Row>,
+    sched: Row,
+    idle: Row,
+}
 
-    fn charge_sched(&mut self, cy: Cycles) {
-        self.sched_cycles += cy;
-        self.ledger.charge(CpuClass::KernelOther, cy);
-        if let Some(f) = &mut self.fold {
-            f.charge(self.cpu, CpuClass::KernelOther, FOLD_TAG_EXEC, cy);
+impl CycleBook {
+    fn new() -> Self {
+        CycleBook {
+            intr: Vec::new(),
+            thread: Vec::new(),
+            sched: Row::new(CpuClass::KernelOther),
+            idle: Row::new(CpuClass::Idle),
         }
     }
 
-    fn charge_idle(&mut self, cy: Cycles) {
-        self.idle_cycles += cy;
-        self.ledger.charge(CpuClass::Idle, cy);
-        if let Some(f) = &mut self.fold {
-            f.charge(self.cpu, CpuClass::Idle, FOLD_TAG_EXEC, cy);
+    /// The account's row, created unclassified
+    /// ([`CpuClass::KernelOther`]) on first touch.
+    fn row_mut(&mut self, account: Account) -> &mut Row {
+        let (rows, i) = match account {
+            Account::Ctx(CtxKind::Intr(src)) => (&mut self.intr, src.0),
+            Account::Ctx(CtxKind::Thread(tid)) => (&mut self.thread, tid.0),
+            Account::Sched => return &mut self.sched,
+            Account::Idle => return &mut self.idle,
+        };
+        if rows.len() <= i {
+            rows.resize(i + 1, Row::new(CpuClass::KernelOther));
         }
+        &mut rows[i]
+    }
+
+    fn charge(&mut self, account: Account, tag: u64, cy: Cycles) {
+        let row = self.row_mut(account);
+        row.total += cy;
+        row.by_tag[tag.min(Chunk::TAG_LIMIT - 1) as usize] += cy;
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.intr
+            .iter()
+            .chain(&self.thread)
+            .chain([&self.sched, &self.idle])
     }
 }
 
@@ -346,7 +365,7 @@ impl<E> EnvState<E> {
             now: Cycles::ZERO,
             evq: EvBackend::new(kind),
             events_dispatched: 0,
-            usage: Usage::default(),
+            book: CycleBook::new(),
             cpu: CpuId(0),
         }
     }
@@ -361,23 +380,20 @@ impl<E> EnvState<E> {
     /// `cpu`. The SMP cluster calls this once per executor at build time.
     pub fn set_cpu(&mut self, cpu: CpuId) {
         self.cpu = cpu;
-        self.usage.cpu = cpu;
     }
 
-    /// Turns on the `(cpu, class, stage)` cycle fold for flamegraph
-    /// export. Pure bookkeeping at the existing ledger commit points —
-    /// no event, cost, or scheduling change — so a trial with the fold
-    /// on is bit-identical to the same trial with it off.
-    pub fn enable_fold(&mut self) {
-        if self.usage.fold.is_none() {
-            self.usage.fold = Some(CycleFold::new());
-        }
-    }
-
-    /// The cycle fold, when [`enable_fold`](Self::enable_fold) was
-    /// called before the engine ran.
-    pub fn fold(&self) -> Option<&CycleFold> {
-        self.usage.fold.as_ref()
+    /// The `(cpu, class, stage)` fold of every cycle run so far, for
+    /// flamegraph export: the book's cells keyed by this CPU, the row's
+    /// class and the chunk tag. Built on demand — nothing on the charge
+    /// path exists for it.
+    pub fn fold(&self) -> CycleFold {
+        self.book
+            .rows()
+            .flat_map(|row| {
+                let stages = row.by_tag.iter().zip(0..);
+                stages.map(|(&cy, tag)| (self.cpu, row.class, tag, cy))
+            })
+            .collect()
     }
 
     /// Current virtual time.
@@ -409,41 +425,28 @@ impl<E> EnvState<E> {
 
     /// Cycles consumed so far by a thread.
     pub fn thread_cycles(&self, tid: ThreadId) -> Cycles {
-        self.usage
-            .thread_by_id
+        self.book
+            .thread
             .get(tid.0)
-            .copied()
-            .unwrap_or(Cycles::ZERO)
+            .map_or(Cycles::ZERO, |row| row.total)
     }
 
-    /// Declares the [`CpuClass`] cycles in this source's handler are
-    /// charged to. Unclassified sources default to
+    /// Declares the [`CpuClass`] cycles run in this interrupt handler or
+    /// thread belong to. Unclassified contexts default to
     /// [`CpuClass::KernelOther`]. Call at registration time, before the
     /// engine runs.
-    pub fn set_intr_class(&mut self, src: IntrSrc, class: CpuClass) {
-        if self.usage.intr_class.len() <= src.0 {
-            self.usage
-                .intr_class
-                .resize(src.0 + 1, CpuClass::KernelOther);
-        }
-        self.usage.intr_class[src.0] = class;
+    pub fn set_ctx_class(&mut self, ctx: CtxKind, class: CpuClass) {
+        self.book.row_mut(Account::Ctx(ctx)).class = class;
     }
 
-    /// Declares the [`CpuClass`] cycles in this thread are charged to.
-    /// Unclassified threads default to [`CpuClass::KernelOther`].
-    pub fn set_thread_class(&mut self, tid: ThreadId, class: CpuClass) {
-        if self.usage.thread_class.len() <= tid.0 {
-            self.usage
-                .thread_class
-                .resize(tid.0 + 1, CpuClass::KernelOther);
-        }
-        self.usage.thread_class[tid.0] = class;
-    }
-
-    /// The conserved per-class cycle ledger: Σ over classes equals
-    /// elapsed virtual time, always.
+    /// The conserved per-class cycle ledger: the book's rows summed by
+    /// class, so Σ over classes equals elapsed virtual time, always.
     pub fn ledger(&self) -> CycleLedger {
-        self.usage.ledger
+        let mut by_class = [Cycles::ZERO; CpuClass::COUNT];
+        for row in self.book.rows() {
+            by_class[row.class.index()] += row.total;
+        }
+        CycleLedger::from_totals(by_class)
     }
 }
 
@@ -715,24 +718,13 @@ impl<W: Workload> Engine<W> {
 
     /// A cycle-accounting snapshot.
     pub fn usage(&self) -> UsageReport {
-        debug_assert_eq!(
-            self.st.usage.ledger.total(),
-            self.st.now,
-            "cycle ledger not conserved: class totals must sum to elapsed time"
-        );
-        if let Some(f) = &self.st.usage.fold {
-            debug_assert_eq!(
-                f.total(),
-                self.st.now,
-                "cycle fold not conserved: stack totals must sum to elapsed time"
-            );
-        }
+        let book = &self.st.book;
         UsageReport {
-            intr_by_src: self.st.usage.intr_by_src.clone(),
-            thread_by_id: self.st.usage.thread_by_id.clone(),
-            sched_cycles: self.st.usage.sched_cycles,
-            idle_cycles: self.st.usage.idle_cycles,
-            ledger: self.st.usage.ledger,
+            intr_by_src: book.intr.iter().map(|row| row.total).collect(),
+            thread_by_id: book.thread.iter().map(|row| row.total).collect(),
+            sched_cycles: book.sched.total,
+            idle_cycles: book.idle.total,
+            ledger: self.st.ledger(),
             now: self.st.now,
         }
     }
@@ -832,7 +824,7 @@ impl<W: Workload> Engine<W> {
             // 3. Run the top interrupt frame.
             if let Some(top) = self.frames.last_mut() {
                 let src = top.src;
-                if top.progress.is_none() {
+                let Some(progress) = top.progress else {
                     let workload = &mut self.workload;
                     let chunk = Self::env_call(&mut self.st, |env| {
                         workload.next_chunk(env, CtxKind::Intr(src))
@@ -845,8 +837,13 @@ impl<W: Workload> Engine<W> {
                         }
                     }
                     continue;
+                };
+                // Workload callbacks reach the machine through `Env`,
+                // never the frame stack: the top frame is still this one.
+                let next = self.step_chunk(CtxKind::Intr(src), progress, limit);
+                if let Some(top) = self.frames.last_mut() {
+                    top.progress = next;
                 }
-                self.step_intr_chunk(limit);
                 continue;
             }
 
@@ -875,7 +872,7 @@ impl<W: Workload> Engine<W> {
                     self.cur_thread = None;
                     continue;
                 }
-                if progress.is_none() {
+                let Some(progress) = progress else {
                     let workload = &mut self.workload;
                     let chunk = Self::env_call(&mut self.st, |env| {
                         workload.next_chunk(env, CtxKind::Thread(tid))
@@ -890,8 +887,9 @@ impl<W: Workload> Engine<W> {
                         }
                     }
                     continue;
-                }
-                self.step_thread_chunk(tid, limit);
+                };
+                let next = self.step_chunk(CtxKind::Thread(tid), progress, limit);
+                self.cur_thread = Some((tid, next));
                 continue;
             }
             if let Some(tid) = self.st.sched.pick() {
@@ -915,11 +913,15 @@ impl<W: Workload> Engine<W> {
             }
             match self.next_event_time() {
                 Some(t) if t <= limit => {
-                    self.st.usage.charge_idle(t - self.st.now);
+                    self.st
+                        .book
+                        .charge(Account::Idle, TAG_EXEC, t - self.st.now);
                     self.st.now = t;
                 }
                 next => {
-                    self.st.usage.charge_idle(limit - self.st.now);
+                    self.st
+                        .book
+                        .charge(Account::Idle, TAG_EXEC, limit - self.st.now);
                     self.st.now = limit;
                     return if next.is_none() {
                         Exit::Quiescent
@@ -988,93 +990,54 @@ impl<W: Workload> Engine<W> {
         (stop, stop == chunk_end)
     }
 
-    fn step_intr_chunk(&mut self, limit: Cycles) {
-        // The run loop only dispatches here with a frame carrying progress;
-        // if that ever stops holding, a no-op step just sends the loop back
-        // through the next-chunk path instead of killing the trial.
-        let Some(f) = self.frames.last() else { return };
-        let (src, mut progress) = match (f.src, f.progress) {
-            (src, Some(p)) => (src, p),
-            (_, None) => return,
-        };
-        let frame_idx = self.frames.len() - 1;
+    /// Runs `ctx`'s chunk in progress up to its stop time and returns
+    /// what is left of it: the remainder when an event or the limit cut
+    /// it short, the re-armed next repetition of a burst, or nothing.
+    fn step_chunk(
+        &mut self,
+        ctx: CtxKind,
+        mut progress: Progress,
+        limit: Cycles,
+    ) -> Option<Progress> {
         if progress.fresh {
             // A burst repetition issues here — the exact instant
             // `next_chunk` would have been called for it. `chunk_start`
             // is observationally pure towards the machine, so the
-            // interrupt/event checks the loop already ran this iteration
-            // cannot have been invalidated.
+            // interrupt/event/preemption checks the loop already ran this
+            // iteration (see `at_issue` in `run_until` for threads) cannot
+            // have been invalidated.
             progress.fresh = false;
-            self.frames[frame_idx].progress = Some(progress);
             let workload = &mut self.workload;
             Self::env_call(&mut self.st, |env| {
-                workload.chunk_start(env, CtxKind::Intr(src), progress.tag)
+                workload.chunk_start(env, ctx, progress.tag)
             });
         }
         let (stop, completes) = self.step_stop(progress.remaining, limit);
         let ran = stop - self.st.now;
-        self.st.usage.charge_intr(src, progress.tag, ran);
+        self.st.book.charge(Account::Ctx(ctx), progress.tag, ran);
+        if let CtxKind::Thread(_) = ctx {
+            self.st.sched.charge_quantum(ran);
+        }
         self.st.now = stop;
-        if completes {
-            self.frames[frame_idx].progress = None;
-            let workload = &mut self.workload;
-            Self::env_call(&mut self.st, |env| {
-                workload.chunk_done(env, CtxKind::Intr(src), progress.tag)
-            });
-            // Re-arm the next repetition of a burst; the loop still
-            // honors due events and preempting interrupts before it runs.
-            self.frames[frame_idx].progress = progress.rearm();
-        } else {
-            self.frames[frame_idx].progress = Some(Progress {
+        if !completes {
+            return Some(Progress {
                 remaining: progress.remaining - ran,
                 ..progress
             });
         }
-    }
-
-    fn step_thread_chunk(&mut self, tid: ThreadId, limit: Cycles) {
-        // Same contract as step_intr_chunk: dispatched only with progress
-        // in hand, and a no-op step is harmless if the contract breaks.
-        let Some(mut progress) = self.cur_thread.and_then(|(_, p)| p) else {
-            return;
-        };
-        if progress.fresh {
-            // Burst repetition issue point; the loop has already run this
-            // boundary's preemption check (see `at_issue` in `run_until`).
-            progress.fresh = false;
-            self.cur_thread = Some((tid, Some(progress)));
-            let workload = &mut self.workload;
-            Self::env_call(&mut self.st, |env| {
-                workload.chunk_start(env, CtxKind::Thread(tid), progress.tag)
-            });
-        }
-        let (stop, completes) = self.step_stop(progress.remaining, limit);
-        let ran = stop - self.st.now;
-        self.st.usage.charge_thread(tid, progress.tag, ran);
-        self.st.sched.charge_quantum(ran);
-        self.st.now = stop;
-        if completes {
-            self.cur_thread = Some((tid, None));
-            let workload = &mut self.workload;
-            Self::env_call(&mut self.st, |env| {
-                workload.chunk_done(env, CtxKind::Thread(tid), progress.tag)
-            });
-            self.cur_thread = Some((tid, progress.rearm()));
-        } else {
-            self.cur_thread = Some((
-                tid,
-                Some(Progress {
-                    remaining: progress.remaining - ran,
-                    ..progress
-                }),
-            ));
-        }
+        let workload = &mut self.workload;
+        Self::env_call(&mut self.st, |env| {
+            workload.chunk_done(env, ctx, progress.tag)
+        });
+        // Re-arm the next repetition of a burst; the loop still honors
+        // due events and preempting interrupts before it runs.
+        progress.rearm()
     }
 
     fn step_switch_overhead(&mut self, limit: Cycles) {
         let (stop, completes) = self.step_stop(self.switch_remaining, limit);
         let ran = stop - self.st.now;
-        self.st.usage.charge_sched(ran);
+        self.st.book.charge(Account::Sched, TAG_EXEC, ran);
         self.st.now = stop;
         self.switch_remaining = if completes {
             Cycles::ZERO
@@ -1413,9 +1376,9 @@ mod tests {
     fn ledger_conserves_and_classifies() {
         let mut st = EnvState::new(cy(1_000_000));
         let src = st.intr.register("rx", Ipl::IMP);
-        st.set_intr_class(src, CpuClass::RxIntr);
+        st.set_ctx_class(CtxKind::Intr(src), CpuClass::RxIntr);
         let t = st.sched.spawn("worker", Priority::USER);
-        st.set_thread_class(t, CpuClass::UserProc);
+        st.set_ctx_class(CtxKind::Thread(t), CpuClass::UserProc);
         st.sched.wake(t);
         st.schedule_at(cy(250), Ev::Post(src));
         let wl = Script {
@@ -1437,11 +1400,10 @@ mod tests {
     #[test]
     fn fold_conserves_and_tags_by_stage() {
         let mut st = EnvState::new(cy(1_000_000));
-        st.enable_fold();
         let src = st.intr.register("rx", Ipl::IMP);
-        st.set_intr_class(src, CpuClass::RxIntr);
+        st.set_ctx_class(CtxKind::Intr(src), CpuClass::RxIntr);
         let t = st.sched.spawn("worker", Priority::USER);
-        st.set_thread_class(t, CpuClass::UserProc);
+        st.set_ctx_class(CtxKind::Thread(t), CpuClass::UserProc);
         st.sched.wake(t);
         st.schedule_at(cy(250), Ev::Post(src));
         let wl = Script {
@@ -1453,7 +1415,7 @@ mod tests {
         let mut e = Engine::new(st, wl, cy(40));
         e.run_until(cy(2_000));
         let u = e.usage();
-        let fold = e.state().fold().expect("fold enabled");
+        let fold = e.state().fold();
         assert_eq!(fold.total(), u.now, "fold conserves elapsed time");
         let by_stack: Vec<_> = fold.iter().collect();
         assert!(by_stack
@@ -1477,9 +1439,28 @@ mod tests {
     }
 
     #[test]
-    fn fold_off_by_default() {
-        let st: EnvState<Ev> = EnvState::new(cy(1_000));
-        assert!(st.fold().is_none());
+    fn out_of_contract_tags_share_the_last_stage_cell() {
+        let mut st = EnvState::new(cy(1_000_000));
+        let src = st.intr.register("rx", Ipl::IMP);
+        st.schedule_at(cy(0), Ev::Post(src));
+        let chunks =
+            [Chunk::TAG_LIMIT - 1, Chunk::TAG_LIMIT, u64::MAX].map(|t| Chunk::new(cy(10), t));
+        let wl = Script {
+            intr_chunks: vec![(src, chunks.to_vec())],
+            ..Default::default()
+        };
+        let mut e = Engine::new(st, wl, cy(0));
+        e.run_to_quiescence();
+        assert_eq!(
+            e.workload().log[2].1,
+            format!("done Intr(IntrSrc(0)) tag={}", u64::MAX),
+            "the workload still gets its own tag back"
+        );
+        let fold = e.state().fold();
+        let handler: Vec<_> = fold.iter().filter(|s| s.1 != CpuClass::Idle).collect();
+        let last = Chunk::TAG_LIMIT - 1;
+        assert_eq!(handler, [(CpuId(0), CpuClass::KernelOther, last, cy(30))]);
+        assert_eq!(e.usage().ledger.total(), e.now(), "and nothing is lost");
     }
 
     #[test]

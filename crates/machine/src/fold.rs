@@ -1,27 +1,18 @@
-//! Collapsed-stack folding of the cycle ledger: `(cpu, class, stage)`
+//! Collapsed-stack folding of the cycle book: `(cpu, class, stage)`
 //! cycle totals that render directly as `inferno`-compatible folded
 //! text (`cpu0;rx_intr;rx_pkt 12345` — one line per stack, semicolon
 //! frames, space, sample count).
 //!
-//! The fold rides the exact same commit points as the [`CycleLedger`]
-//! (crate::ledger::CycleLedger): the executor charges it when it
-//! retires a chunk, tagged with the chunk's workload `tag` — the
-//! *stage* dimension the kernel already threads through every chunk it
-//! issues. Because folding only ever adds a third key to charges that
-//! already happen, enabling it perturbs nothing: no event is
-//! rescheduled, no cost changes, and a trial with folding on is
-//! bit-identical (asserted in tests) to the same trial with it off.
+//! A fold is a *read* of the executor's one cycle book
+//! ([`EnvState::fold`](crate::cpu::EnvState::fold)): its cells keyed by
+//! the row's class and the chunk's workload `tag` — the *stage*
+//! dimension the kernel already threads through every chunk it issues.
+//! Nothing is kept on the charge path for it, so taking one perturbs
+//! nothing.
 //!
-//! The canonical view is keyed `(cpu, class, stage)`, so iteration
-//! order — and therefore the folded text — is deterministic and
-//! byte-identical across `--jobs` counts and scheduler backends.
-//!
-//! Charging sits on the executor's hottest path (every retired chunk),
-//! so the table is two-tier: a flat dense array covers the one CPU and
-//! the small workload tags an engine actually charges (one add and an
-//! index, no search), and a `BTreeMap` spill absorbs the rare rest
-//! (foreign CPUs after a merge, out-of-range tags). Both tiers fold
-//! into one canonical map for iteration, comparison and rendering.
+//! Stacks are keyed `(cpu, class, stage)` in an ordered map, so
+//! iteration order — and therefore the folded text — is deterministic
+//! and byte-identical across `--jobs` counts and scheduler backends.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,11 +20,6 @@ use std::fmt::Write as _;
 use crate::cpu::CpuId;
 use crate::ledger::CpuClass;
 use livelock_sim::Cycles;
-
-/// Workload tags below this go to the dense tier (the kernel's stage
-/// tags are small consecutive integers; tag 0 is the executor's own
-/// out-of-chunk time).
-const DENSE_TAGS: usize = 32;
 
 /// Cycle totals keyed by `(cpu, class, stage-tag)`.
 ///
@@ -43,28 +29,28 @@ const DENSE_TAGS: usize = 32;
 /// the tag→label mapping; rendering takes it as a closure so this
 /// crate stays ignorant of kernel stage names.
 ///
+/// A fold is built whole — collected from `(cpu, class, tag, cycles)`
+/// stacks, or [merged](Self::merge) from other folds — never charged.
+///
 /// # Examples
 ///
 /// ```
 /// use livelock_machine::{CpuClass, CpuId, CycleFold};
 /// use livelock_sim::Cycles;
 ///
-/// let mut f = CycleFold::new();
-/// f.charge(CpuId(0), CpuClass::RxIntr, 2, Cycles::new(750));
-/// f.charge(CpuId(0), CpuClass::Idle, 0, Cycles::new(250));
+/// let f: CycleFold = [
+///     (CpuId(0), CpuClass::RxIntr, 2, Cycles::new(750)),
+///     (CpuId(0), CpuClass::Idle, 0, Cycles::new(250)),
+/// ]
+/// .into_iter()
+/// .collect();
 /// let txt = f.folded(|tag| if tag == 2 { "rx_pkt" } else { "(none)" });
 /// assert_eq!(txt, "cpu0;rx_intr;rx_pkt 750\ncpu0;idle;(none) 250\n");
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CycleFold {
-    /// The CPU the dense tier belongs to: that of the first charge
-    /// (an engine's fold only ever charges its own CPU).
-    dense_cpu: Option<usize>,
-    /// `class.index() * DENSE_TAGS + tag` cycle totals for `dense_cpu`.
-    dense: Vec<Cycles>,
-    /// Everything else: foreign CPUs (merged-in per-CPU folds) and
-    /// tags ≥ [`DENSE_TAGS`].
-    spill: BTreeMap<(usize, usize, u64), Cycles>,
+    /// `(cpu, class index, tag) -> cycles`; zero stacks are never stored.
+    stacks: BTreeMap<(usize, usize, u64), Cycles>,
 }
 
 impl CycleFold {
@@ -73,70 +59,46 @@ impl CycleFold {
         CycleFold::default()
     }
 
-    /// Charges `cy` cycles to the stack `(cpu, class, tag)`.
-    pub fn charge(&mut self, cpu: CpuId, class: CpuClass, tag: u64, cy: Cycles) {
-        if cy == Cycles::ZERO {
-            return;
-        }
-        if (tag as usize) < DENSE_TAGS && self.dense_cpu.map_or(true, |c| c == cpu.0) {
-            if self.dense_cpu.is_none() {
-                self.dense_cpu = Some(cpu.0);
-                self.dense = vec![Cycles::ZERO; CpuClass::COUNT * DENSE_TAGS];
-            }
-            self.dense[class.index() * DENSE_TAGS + tag as usize] += cy;
-        } else {
-            *self
-                .spill
-                .entry((cpu.0, class.index(), tag))
-                .or_insert(Cycles::ZERO) += cy;
-        }
-    }
-
-    /// The canonical `(cpu, class, tag) -> cycles` view: both tiers
-    /// folded into one ordered map (zero entries omitted).
-    fn canonical(&self) -> BTreeMap<(usize, usize, u64), Cycles> {
-        let mut out = self.spill.clone();
-        if let Some(cpu) = self.dense_cpu {
-            for (i, &cy) in self.dense.iter().enumerate() {
-                if cy != Cycles::ZERO {
-                    let key = (cpu, i / DENSE_TAGS, (i % DENSE_TAGS) as u64);
-                    *out.entry(key).or_insert(Cycles::ZERO) += cy;
-                }
-            }
-        }
-        out
-    }
-
     /// Sum over all stacks; equals the ledger total (and therefore
-    /// elapsed virtual time) when charged by the executor.
+    /// elapsed virtual time) when taken from an executor.
     pub fn total(&self) -> Cycles {
-        self.dense.iter().copied().sum::<Cycles>() + self.spill.values().copied().sum::<Cycles>()
+        self.stacks.values().copied().sum()
     }
 
     /// Number of distinct `(cpu, class, stage)` stacks.
     pub fn len(&self) -> usize {
-        self.canonical().len()
+        self.stacks.len()
     }
 
-    /// True when nothing has been charged.
+    /// True when the fold holds no cycles.
     pub fn is_empty(&self) -> bool {
-        self.spill.is_empty() && self.dense.iter().all(|&cy| cy == Cycles::ZERO)
+        self.stacks.is_empty()
     }
 
     /// Merges another fold into this one (pointwise sum). Commutative
     /// and associative, so per-CPU folds can merge in any order.
     pub fn merge(&mut self, other: &CycleFold) {
-        for (CpuId(cpu), class, tag, cy) in other.iter() {
-            // simlint: allow(ledger-discipline): CycleFold::charge, not the ledger's
-            self.charge(CpuId(cpu), class, tag, cy);
-        }
+        self.add(other.iter());
     }
 
     /// Iterates stacks in deterministic key order.
-    pub fn iter(&self) -> impl Iterator<Item = (CpuId, CpuClass, u64, Cycles)> {
-        self.canonical()
-            .into_iter()
-            .map(|((cpu, class, tag), cy)| (CpuId(cpu), CpuClass::ALL[class], tag, cy))
+    pub fn iter(&self) -> impl Iterator<Item = (CpuId, CpuClass, u64, Cycles)> + '_ {
+        self.stacks
+            .iter()
+            .map(|(&(cpu, class, tag), &cy)| (CpuId(cpu), CpuClass::ALL[class], tag, cy))
+    }
+
+    /// Adds stacks pointwise. Private: outside this module a fold is
+    /// collected or merged, not charged.
+    fn add(&mut self, stacks: impl Iterator<Item = (CpuId, CpuClass, u64, Cycles)>) {
+        for (cpu, class, tag, cy) in stacks {
+            if cy != Cycles::ZERO {
+                *self
+                    .stacks
+                    .entry((cpu.0, class.index(), tag))
+                    .or_insert(Cycles::ZERO) += cy;
+            }
+        }
     }
 
     /// Renders the fold as `inferno`-style collapsed stacks, one line
@@ -161,15 +123,15 @@ impl CycleFold {
     }
 }
 
-/// Equality is over the canonical view: where a charge landed (dense
-/// tier vs spill) is an implementation detail, not part of the value.
-impl PartialEq for CycleFold {
-    fn eq(&self, other: &Self) -> bool {
-        self.canonical() == other.canonical()
+/// Collects `(cpu, class, tag, cycles)` stacks, summing repeats and
+/// omitting zeros.
+impl FromIterator<(CpuId, CpuClass, u64, Cycles)> for CycleFold {
+    fn from_iter<I: IntoIterator<Item = (CpuId, CpuClass, u64, Cycles)>>(stacks: I) -> Self {
+        let mut fold = CycleFold::new();
+        fold.add(stacks.into_iter());
+        fold
     }
 }
-
-impl Eq for CycleFold {}
 
 #[cfg(test)]
 mod tests {
@@ -188,30 +150,38 @@ mod tests {
         }
     }
 
+    fn fold(stacks: &[(usize, CpuClass, u64, u64)]) -> CycleFold {
+        stacks
+            .iter()
+            .map(|&(cpu, class, tag, n)| (CpuId(cpu), class, tag, cy(n)))
+            .collect()
+    }
+
     #[test]
     fn charges_accumulate_per_stack() {
-        let mut f = CycleFold::new();
-        f.charge(CpuId(0), CpuClass::RxIntr, 2, cy(100));
-        f.charge(CpuId(0), CpuClass::RxIntr, 2, cy(50));
-        f.charge(CpuId(0), CpuClass::SoftIntNet, 4, cy(30));
+        let f = fold(&[
+            (0, CpuClass::RxIntr, 2, 100),
+            (0, CpuClass::RxIntr, 2, 50),
+            (0, CpuClass::SoftIntNet, 4, 30),
+        ]);
         assert_eq!(f.len(), 2);
         assert_eq!(f.total(), cy(180));
     }
 
     #[test]
     fn zero_charges_create_no_stacks() {
-        let mut f = CycleFold::new();
-        f.charge(CpuId(0), CpuClass::Idle, 0, Cycles::ZERO);
+        let f = fold(&[(0, CpuClass::Idle, 0, 0)]);
         assert!(f.is_empty());
         assert_eq!(f.folded(label), "");
     }
 
     #[test]
     fn folded_text_is_sorted_and_stable() {
-        let mut f = CycleFold::new();
-        f.charge(CpuId(1), CpuClass::SoftIntNet, 4, cy(7));
-        f.charge(CpuId(0), CpuClass::RxIntr, 2, cy(9));
-        f.charge(CpuId(0), CpuClass::Idle, 0, cy(3));
+        let f = fold(&[
+            (1, CpuClass::SoftIntNet, 4, 7),
+            (0, CpuClass::RxIntr, 2, 9),
+            (0, CpuClass::Idle, 0, 3),
+        ]);
         let txt = f.folded(label);
         assert_eq!(
             txt,
@@ -221,20 +191,15 @@ mod tests {
 
     #[test]
     fn labels_are_sanitized() {
-        let mut f = CycleFold::new();
-        f.charge(CpuId(0), CpuClass::UserProc, 99, cy(1));
+        let f = fold(&[(0, CpuClass::UserProc, 99, 1)]);
         let txt = f.folded(|_| "a;b c");
         assert_eq!(txt, "cpu0;user_proc;a_b_c 1\n");
     }
 
     #[test]
     fn merge_is_order_independent() {
-        let mut a = CycleFold::new();
-        a.charge(CpuId(0), CpuClass::RxIntr, 2, cy(10));
-        a.charge(CpuId(1), CpuClass::Idle, 0, cy(5));
-        let mut b = CycleFold::new();
-        b.charge(CpuId(0), CpuClass::RxIntr, 2, cy(4));
-        b.charge(CpuId(1), CpuClass::UserProc, 15, cy(6));
+        let a = fold(&[(0, CpuClass::RxIntr, 2, 10), (1, CpuClass::Idle, 0, 5)]);
+        let b = fold(&[(0, CpuClass::RxIntr, 2, 4), (1, CpuClass::UserProc, 15, 6)]);
 
         let mut ab = a.clone();
         ab.merge(&b);

@@ -9,17 +9,17 @@
 //! this module adds the *semantic* classification the paper reasons in
 //! ([`CpuClass`]) and a [`CycleLedger`] with a telescoping invariant:
 //! the per-class totals sum **exactly** to elapsed virtual time. Nothing
-//! is sampled and nothing is estimated — the executor charges the ledger
-//! at the same four sites where it already commits cycle progress, so
-//! conservation holds by construction and is asserted in debug builds.
+//! is sampled and nothing is estimated — a ledger is a read of the
+//! executor's one cycle book (its rows summed by class), so it cannot be
+//! charged, only taken ([`EnvState::ledger`](crate::cpu::EnvState::ledger))
+//! or built whole from nine totals ([`CycleLedger::from_totals`]).
 
 use livelock_sim::Cycles;
 
 /// The execution class a cycle is charged to. One and only one class per
 /// cycle; the mapping from machine identities (interrupt sources, thread
 /// ids) to classes is declared at registration time via
-/// [`EnvState::set_intr_class`](crate::cpu::EnvState::set_intr_class) and
-/// [`EnvState::set_thread_class`](crate::cpu::EnvState::set_thread_class).
+/// [`EnvState::set_ctx_class`](crate::cpu::EnvState::set_ctx_class).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CpuClass {
     /// Receive-interrupt handlers (device RX, the livelock driver).
@@ -86,7 +86,7 @@ impl CpuClass {
 ///
 /// The invariant — Σ over classes == elapsed cycles — is the same
 /// telescoping discipline as the kernel's `stage_residencies`: because
-/// every charge site in the executor routes through exactly one class,
+/// every row of the executor's cycle book belongs to exactly one class,
 /// the sum cannot drift from virtual time.
 ///
 /// # Examples
@@ -95,11 +95,23 @@ impl CpuClass {
 /// use livelock_machine::{CpuClass, CycleLedger};
 /// use livelock_sim::Cycles;
 ///
-/// let mut l = CycleLedger::new();
-/// l.charge(CpuClass::RxIntr, Cycles::new(750));
-/// l.charge(CpuClass::Idle, Cycles::new(250));
+/// let mut totals = [Cycles::ZERO; CpuClass::COUNT];
+/// totals[CpuClass::RxIntr.index()] = Cycles::new(750);
+/// totals[CpuClass::Idle.index()] = Cycles::new(250);
+/// let l = CycleLedger::from_totals(totals);
 /// assert_eq!(l.total(), Cycles::new(1000));
 /// assert!((l.share(CpuClass::RxIntr) - 0.75).abs() < 1e-12);
+/// ```
+///
+/// A ledger is a value: nothing outside the executor's book adds cycles
+/// to one.
+///
+/// ```compile_fail
+/// use livelock_machine::{CpuClass, CycleLedger};
+/// use livelock_sim::Cycles;
+///
+/// let mut l = CycleLedger::new();
+/// l.charge(CpuClass::RxIntr, Cycles::new(750));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CycleLedger {
@@ -114,9 +126,10 @@ impl CycleLedger {
         }
     }
 
-    /// Charges `cy` cycles to `class`.
-    pub fn charge(&mut self, class: CpuClass, cy: Cycles) {
-        self.by_class[class.index()] += cy;
+    /// The ledger holding these per-class totals ([`CpuClass::ALL`]
+    /// order).
+    pub const fn from_totals(by_class: [Cycles; CpuClass::COUNT]) -> Self {
+        CycleLedger { by_class }
     }
 
     /// Cycles charged to `class` so far.
@@ -171,6 +184,14 @@ mod tests {
         Cycles::new(n)
     }
 
+    fn ledger(charges: &[(CpuClass, u64)]) -> CycleLedger {
+        let mut by_class = [Cycles::ZERO; CpuClass::COUNT];
+        for &(class, n) in charges {
+            by_class[class.index()] += cy(n);
+        }
+        CycleLedger::from_totals(by_class)
+    }
+
     #[test]
     fn index_matches_all_order() {
         for (i, c) in CpuClass::ALL.iter().enumerate() {
@@ -188,11 +209,12 @@ mod tests {
 
     #[test]
     fn charges_accumulate_and_conserve() {
-        let mut l = CycleLedger::new();
-        l.charge(CpuClass::RxIntr, cy(100));
-        l.charge(CpuClass::RxIntr, cy(50));
-        l.charge(CpuClass::UserProc, cy(30));
-        l.charge(CpuClass::Idle, cy(20));
+        let l = ledger(&[
+            (CpuClass::RxIntr, 100),
+            (CpuClass::RxIntr, 50),
+            (CpuClass::UserProc, 30),
+            (CpuClass::Idle, 20),
+        ]);
         assert_eq!(l.get(CpuClass::RxIntr), cy(150));
         assert_eq!(l.total(), cy(200));
         let shares = l.shares();
@@ -210,11 +232,8 @@ mod tests {
 
     #[test]
     fn since_is_pointwise_difference() {
-        let mut a = CycleLedger::new();
-        a.charge(CpuClass::RxIntr, cy(100));
-        let snapshot = a;
-        a.charge(CpuClass::RxIntr, cy(40));
-        a.charge(CpuClass::Idle, cy(60));
+        let snapshot = ledger(&[(CpuClass::RxIntr, 100)]);
+        let a = ledger(&[(CpuClass::RxIntr, 140), (CpuClass::Idle, 60)]);
         let d = a.since(&snapshot);
         assert_eq!(d.get(CpuClass::RxIntr), cy(40));
         assert_eq!(d.get(CpuClass::Idle), cy(60));

@@ -31,9 +31,9 @@
 //! - [`ledger`] — the conserved CPU-cycle ledger: every executed cycle
 //!   attributed to exactly one [`ledger::CpuClass`], with class totals
 //!   summing exactly to elapsed time.
-//! - [`fold`] — the optional `(cpu, class, stage)` fold of the same
-//!   charges, rendered as `inferno`-compatible collapsed stacks for
-//!   flamegraphs of simulated cycles.
+//! - [`fold`] — the `(cpu, class, stage)` fold of the same cycle book,
+//!   rendered as `inferno`-compatible collapsed stacks for flamegraphs
+//!   of simulated cycles.
 //! - [`chrome`] — Chrome-trace / Perfetto JSON export of [`trace`]
 //!   records, so an interleaving can be inspected visually.
 //! - [`fault`] — deterministic, seeded fault-injection plans (lost and

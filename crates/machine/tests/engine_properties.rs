@@ -5,7 +5,8 @@
 //!   a nested handler always has a strictly higher IPL than the one it
 //!   preempted.
 //! - **Conservation**: interrupt + thread + scheduler + idle cycles equal
-//!   elapsed virtual time, always.
+//!   elapsed virtual time, always — and the ledger, the fold and the
+//!   per-thread totals, all reads of the same cycle book, agree.
 //! - **Liveness**: with all sources enabled, quiescence implies no latched
 //!   interrupt remains.
 //! - **Source equivalence**: streaming arrivals from an `ArrivalSource`
@@ -20,7 +21,8 @@ use livelock_machine::cpu::{
 };
 use livelock_machine::intr::IntrSrc;
 use livelock_machine::ipl::Ipl;
-use livelock_machine::thread::Priority;
+use livelock_machine::ledger::CpuClass;
+use livelock_machine::thread::{Priority, ThreadId};
 use livelock_machine::trace::TraceEvent;
 use livelock_sim::Cycles;
 use proptest::prelude::*;
@@ -316,14 +318,22 @@ proptest! {
         let mut st = EnvState::new(Cycles::new(1_000_000));
         let mut srcs = Vec::new();
         let mut src_ipls = Vec::new();
-        for &lvl in ipls.iter().take(n) {
+        // Each context in a class of its own (the last source stays
+        // unclassified), so the per-class projections have something to
+        // tell apart.
+        for (i, &lvl) in ipls.iter().take(n).enumerate() {
             let ipl = Ipl::new(lvl);
-            srcs.push(st.intr.register("s", ipl));
+            let src = st.intr.register("s", ipl);
+            if i + 1 < n {
+                st.set_ctx_class(CtxKind::Intr(src), CpuClass::ALL[i]);
+            }
+            srcs.push(src);
             src_ipls.push(ipl);
         }
         let has_thread = !thread_chunks.is_empty();
         if has_thread {
             let tid = st.sched.spawn("worker", Priority::USER);
+            st.set_ctx_class(CtxKind::Thread(tid), CpuClass::UserProc);
             st.sched.wake(tid);
         }
         for &(t, which) in &posts {
@@ -353,6 +363,20 @@ proptest! {
         let u = e.usage();
         let accounted = u.total_intr() + u.total_thread() + u.sched_cycles + u.idle_cycles;
         prop_assert_eq!(accounted, u.now, "cycle accounting must balance");
+
+        // The projections of the one cycle book agree with each other.
+        let (ledger, fold) = (e.state().ledger(), e.state().fold());
+        prop_assert_eq!(ledger, u.ledger);
+        prop_assert_eq!(ledger.total(), u.now);
+        prop_assert_eq!(fold.total(), u.now);
+        for class in CpuClass::ALL {
+            let stacks = fold.iter().filter(|&(_, c, _, _)| c == class);
+            let cells: Cycles = stacks.map(|(_, _, _, cy)| cy).sum();
+            prop_assert_eq!(cells, ledger.get(class), "{:?}", class);
+        }
+        for (t, &cy) in u.thread_by_id.iter().enumerate() {
+            prop_assert_eq!(cy, e.state().thread_cycles(ThreadId(t)));
+        }
 
         // Stack discipline over the full trace.
         let trace = e.trace().expect("tracing enabled");

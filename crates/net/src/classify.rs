@@ -14,7 +14,7 @@
 //! specificity (most constrained rule wins) with class priority as the
 //! tie-break, so shuffling the rules cannot change any packet's class.
 
-use crate::packet::FlowKey;
+use crate::packet::{FlowKey, Packet};
 
 /// The three service classes, in strict priority order.
 ///
@@ -181,6 +181,16 @@ impl Classifier {
     pub fn classify_opt(&self, key: Option<&FlowKey>) -> TrafficClass {
         key.map_or(self.default_class, |k| self.classify(k))
     }
+
+    /// Classifies `pkt` by its flow `key` (as
+    /// [`classify_opt`](Self::classify_opt)) and stamps the class on the
+    /// packet — the only write to [`Packet::class`] there is — returning
+    /// it for the caller's per-class books.
+    pub fn stamp(&self, pkt: &mut Packet, key: Option<&FlowKey>) -> TrafficClass {
+        let class = self.classify_opt(key);
+        pkt.class = Some(class);
+        class
+    }
 }
 
 #[cfg(test)]
@@ -237,6 +247,11 @@ mod tests {
         assert_eq!(c.classify(&key(1, 2)), TrafficClass::Bulk);
         assert_eq!(c.classify_opt(None), TrafficClass::Bulk);
         assert_eq!(c.classify_opt(Some(&key(7000, 2))), TrafficClass::Control);
+        // Stamping writes the class it computed, and only then.
+        let mut pkt = Packet::from_frame(crate::packet::PacketId(0), vec![0u8; 60]);
+        assert_eq!(pkt.class(), None);
+        assert_eq!(c.stamp(&mut pkt, Some(&key(7000, 2))), TrafficClass::Control);
+        assert_eq!(pkt.class(), Some(TrafficClass::Control));
     }
 
     #[test]

@@ -132,9 +132,9 @@ pub struct PacketBody {
     /// The priority class the admission path assigned (`None` until the
     /// kernel's classifier runs, and always `None` when classification
     /// is off). Private to this crate: other crates read it through
-    /// [`Packet::class`] and write it only through
-    /// [`Packet::set_class`], the one call simlint's `class-discipline`
-    /// rule confines to the classifier.
+    /// [`Packet::class`], and the one write is
+    /// [`Classifier::stamp`](crate::classify::Classifier::stamp), which
+    /// computes the class it writes.
     pub(crate) class: Option<crate::classify::TrafficClass>,
 }
 
@@ -232,17 +232,19 @@ impl Packet {
         pkt
     }
 
-    /// The priority class the admission path assigned, if any.
+    /// The priority class the admission path assigned, if any. There is
+    /// no setter: a class comes from a classifier
+    /// ([`Classifier::stamp`](crate::classify::Classifier::stamp)), never
+    /// from a caller's say-so.
+    ///
+    /// ```compile_fail
+    /// use livelock_net::{Packet, PacketId, TrafficClass};
+    ///
+    /// let mut pkt = Packet::from_frame(PacketId(0), vec![0u8; 60]);
+    /// pkt.set_class(TrafficClass::Control);
+    /// ```
     pub fn class(&self) -> Option<crate::classify::TrafficClass> {
         self.class
-    }
-
-    /// Assigns the packet's priority class. Only the kernel's
-    /// classifier/admission-gate module may call this (enforced by the
-    /// simlint `class-discipline` rule): a class assigned anywhere else
-    /// would bypass the per-class arrival accounting.
-    pub fn set_class(&mut self, class: crate::classify::TrafficClass) {
-        self.class = Some(class);
     }
 
     /// Parses the transport 5-tuple from the frame bytes: `None` for

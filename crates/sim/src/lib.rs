@@ -36,5 +36,5 @@ pub use calendar::CalendarQueue;
 pub use event::EventQueue;
 pub use sched::Scheduler;
 pub use rng::Rng;
-pub use stats::{Counter, HdrHistogram, MeanVar, RateWindow, TimeSeries};
+pub use stats::{Counter, HdrHistogram, MeanVar, RateWindow};
 pub use time::{Cycles, Freq, Nanos};

@@ -290,59 +290,6 @@ impl Default for HdrHistogram {
     }
 }
 
-/// A time series of `(time, value)` samples.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(Cycles, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample; times must be non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the previous sample.
-    pub fn push(&mut self, at: Cycles, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(at >= last, "time series must be monotonic");
-        }
-        self.points.push((at, value));
-    }
-
-    /// Returns the recorded samples.
-    pub fn points(&self) -> &[(Cycles, f64)] {
-        &self.points
-    }
-
-    /// Returns the number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Halves the sample count by dropping every second sample (the
-    /// first, third, ... are kept), bounding memory for long-running
-    /// samplers: when a series hits its budget, decimate and double the
-    /// sampling interval, keeping a uniform grid at half the resolution.
-    pub fn decimate(&mut self) {
-        let mut keep = 0;
-        for i in (0..self.points.len()).step_by(2) {
-            self.points[keep] = self.points[i];
-            keep += 1;
-        }
-        self.points.truncate(keep);
-    }
-}
-
 /// Counts events inside a measurement window and converts to a rate.
 ///
 /// The paper reports averaged rates over each trial (sampling interface
@@ -635,37 +582,6 @@ mod tests {
                 a.iter().sum::<u64>() + b.iter().sum::<u64>()
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonic")]
-    fn time_series_rejects_backwards_time() {
-        let mut ts = TimeSeries::new();
-        ts.push(Cycles::new(10), 1.0);
-        ts.push(Cycles::new(5), 2.0);
-    }
-
-    #[test]
-    fn time_series_decimate_keeps_even_indices() {
-        let mut ts = TimeSeries::new();
-        for i in 0..5u64 {
-            ts.push(Cycles::new(i * 10), i as f64);
-        }
-        ts.decimate();
-        assert_eq!(
-            ts.points(),
-            &[
-                (Cycles::new(0), 0.0),
-                (Cycles::new(20), 2.0),
-                (Cycles::new(40), 4.0)
-            ]
-        );
-        // Decimating again halves again; an empty series stays empty.
-        ts.decimate();
-        assert_eq!(ts.len(), 2);
-        let mut empty = TimeSeries::new();
-        empty.decimate();
-        assert!(empty.is_empty());
     }
 
     #[test]

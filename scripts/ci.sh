@@ -101,16 +101,14 @@ echo "== counted lines under crates/ (printed, never gated) =="
 find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
 
-echo "== simlint: determinism / interrupt-discipline / ledger-discipline =="
+echo "== simlint: determinism / interrupt-discipline / panic-freedom =="
 # The workspace's own static-analysis pass (crates/lint). It enforces the
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
 # maps in deterministic crates, interrupt handlers that only initiate
-# polling, ledger charges only at executor commit points, panic-free
-# library code, per-flow
-# metrics mutated only through the KernelStats attribution hooks,
-# traffic classes stamped/shed only by the admission gate, no unit-named
-# binding declared as a bare number, and every process exit code
-# registered in crates/lint/src/registry.rs. Inline
+# polling, panic-free library code, per-flow metrics mutated only
+# through the KernelStats attribution hooks, no unit-named binding
+# declared as a bare number, and every process exit code registered in
+# crates/lint/src/registry.rs. Inline
 # `// simlint: allow(rule): reason` and crates/lint/baseline.txt cover the
 # sanctioned exceptions; anything fresh gates hard here.
 if "$repo/target/release/simlint" --root "$repo"; then
