@@ -1,13 +1,15 @@
 //! The figure table of the receive-livelock reproduction.
 //!
 //! Every committed figure is one [`Figure`] row of [`figure_table`]: its
-//! curves (label, kernel configuration, y-axis), its x values, how an x
-//! becomes a trial ([`Sweep`]), the flow set its trials carry, and the
-//! gate that checks the rendered shape with the exit code a failure maps
-//! to. Everything else is derived from the rows: [`render_figure`] is the
-//! one renderer, the `figures` binary is one loop over the table, and
-//! `scripts/ci.sh` compares whole result directories. Adding a figure is
-//! one row, one gate function, one registry row and its committed CSV.
+//! kernels, each declared once, then its curves (label, which kernel,
+//! y-axis), its x values, how an x becomes a trial ([`Sweep`]), the flow
+//! set its trials carry, and the gate that checks the rendered shape with
+//! the exit code a failure maps to. Everything else is derived from the
+//! rows: [`render_figure`] is the one renderer (one trial per kernel and
+//! x, however many curves plot it), the `figures` binary is one loop over
+//! the table, and `scripts/ci.sh` compares whole result directories.
+//! Adding a figure is one row, one gate function, one registry row and
+//! its committed CSV.
 //!
 //! This crate describes; `benchmark/` measures. Nothing here reads a
 //! wall clock.
@@ -16,7 +18,7 @@ use lint::registry::codes;
 use livelock_core::analysis::{classify, mlfrr, overload_stability, LivelockVerdict};
 use livelock_core::poller::Quota;
 use livelock_kernel::config::{ClassifyConfig, KernelConfig, KernelConfigBuilder};
-use livelock_kernel::experiment::{run_trial, SweepResult, TrialSpec};
+use livelock_kernel::experiment::{run_trial, SweepResult, TrialResult, TrialSpec};
 use livelock_kernel::par::{par_map, Parallelism};
 use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig};
 use livelock_machine::fault::FaultPlan;
@@ -61,23 +63,24 @@ pub enum Axis {
     ClassLatencyP99Micros(TrafficClass),
 }
 
-/// One curve of a figure: what it is called, the kernel it runs and the
-/// quantity it plots. Two curves may share a kernel and differ only in
-/// axis (C-1 plots two ledger classes per kernel on one grid).
+/// One curve of a figure: what it is called, which of the row's kernels
+/// it plots, and the quantity it plots. Curves that share a kernel are
+/// projections of the same trials on different axes (C-1 plots two ledger
+/// classes per kernel on one grid).
 #[derive(Clone)]
 pub struct Curve {
     /// Column header.
     pub label: String,
-    /// The kernel under test.
-    pub config: KernelConfig,
+    /// The kernel under test: an index into [`Figure::kernels`].
+    pub kernel: usize,
     /// What the value column plots.
     pub axis: Axis,
 }
 
-fn curve(label: impl Into<String>, config: KernelConfig, axis: Axis) -> Curve {
+fn curve(label: impl Into<String>, kernel: usize, axis: Axis) -> Curve {
     Curve {
         label: label.into(),
-        config,
+        kernel,
         axis,
     }
 }
@@ -112,9 +115,12 @@ pub struct Figure {
     pub id: &'static str,
     /// The caption (the paper's, for the paper's figures).
     pub caption: &'static str,
-    /// The curves, in column order.
+    /// The kernels under test, each declared once: every one runs one
+    /// trial per x value.
+    pub kernels: Vec<KernelConfig>,
+    /// The curves, in column order, each plotting one of `kernels`.
     pub curves: Vec<Curve>,
-    /// The x values every curve is sampled at.
+    /// The x values every kernel is sampled at.
     pub xs: Vec<f64>,
     /// What an x value means.
     pub sweep: Sweep,
@@ -138,19 +144,22 @@ fn throughput_rates() -> Vec<f64> {
     ]
 }
 
-/// A paper throughput figure: delivered rate over [`throughput_rates`],
-/// gated on the curve shapes the paper drew.
+/// A paper throughput figure: one delivered-rate curve per kernel over
+/// [`throughput_rates`], gated on the curve shapes the paper drew.
 fn throughput_figure(
     id: &'static str,
     caption: &'static str,
     curves: Vec<(&str, KernelConfig)>,
 ) -> Figure {
+    let (labels, kernels): (Vec<_>, Vec<_>) = curves.into_iter().unzip();
     Figure {
         id,
         caption,
-        curves: curves
+        kernels,
+        curves: labels
             .into_iter()
-            .map(|(label, config)| curve(label, config, Axis::DeliveredPps))
+            .enumerate()
+            .map(|(k, label)| curve(label, k, Axis::DeliveredPps))
             .collect(),
         xs: throughput_rates(),
         sweep: Sweep::Rate,
@@ -257,20 +266,27 @@ fn fig6_6() -> Figure {
 /// packet rate; [`shape_violations`] registers no expectation for it —
 /// `tests/user_progress.rs` asserts the claim.)
 fn fig7_1() -> Figure {
+    let thresholds = [0.25, 0.50, 0.75, 1.00];
     Figure {
         id: "7-1",
         caption: "User-mode CPU time available using cycle-limit mechanism",
-        curves: [0.25, 0.50, 0.75, 1.00]
+        kernels: thresholds
             .into_iter()
             .map(|t| {
-                let config = KernelConfig::builder()
+                KernelConfig::builder()
                     .polled(Quota::Limited(5))
                     .cycle_limit(t)
                     .user_process(true)
-                    .build();
+                    .build()
+            })
+            .collect(),
+        curves: thresholds
+            .into_iter()
+            .enumerate()
+            .map(|(k, t)| {
                 curve(
                     format!("threshold {:.0} %", t * 100.0),
-                    config,
+                    k,
                     Axis::UserCpuPercent,
                 )
             })
@@ -295,9 +311,10 @@ fn fig_latency() -> Figure {
     Figure {
         id: "L-1",
         caption: "99th-percentile forwarding latency vs input rate",
+        kernels: vec![KernelConfig::builder().build(), polled],
         curves: vec![
-            curve("Unmodified", KernelConfig::builder().build(), Axis::LatencyP99Micros),
-            curve("Polling (quota = 5)", polled, Axis::LatencyP99Micros),
+            curve("Unmodified", 0, Axis::LatencyP99Micros),
+            curve("Polling (quota = 5)", 1, Axis::LatencyP99Micros),
         ],
         xs: throughput_rates(),
         sweep: Sweep::Rate,
@@ -330,11 +347,12 @@ fn fig_c1() -> Figure {
     Figure {
         id: "C-1",
         caption: "CPU-class share vs offered load (conserved cycle ledger)",
+        kernels: vec![unmodified, polled],
         curves: vec![
-            curve("Unmodified rx-intr", unmodified.clone(), Axis::RxIntrCpuPercent),
-            curve("Unmodified user+idle", unmodified, Axis::UserIdleCpuPercent),
-            curve("Polled rx-intr", polled.clone(), Axis::RxIntrCpuPercent),
-            curve("Polled user+idle", polled, Axis::UserIdleCpuPercent),
+            curve("Unmodified rx-intr", 0, Axis::RxIntrCpuPercent),
+            curve("Unmodified user+idle", 0, Axis::UserIdleCpuPercent),
+            curve("Polled rx-intr", 1, Axis::RxIntrCpuPercent),
+            curve("Polled user+idle", 1, Axis::UserIdleCpuPercent),
         ],
         xs,
         sweep: Sweep::Rate,
@@ -366,20 +384,23 @@ fn fig_s1() -> Figure {
             .ncpus(n)
             .build()
     };
+    // Kernel indices: unmodified at 1, 2, 4 CPUs, then polled likewise.
+    let (unmod4, polled4) = (2, 5);
     Figure {
         id: "S-1",
         caption: "SMP scaling: shared-queue vs per-CPU polling, with per-CPU busy shares",
+        kernels: vec![unmod(1), unmod(2), unmod(4), polled(1), polled(2), polled(4)],
         curves: vec![
-            curve("Unmodified 1 CPU", unmod(1), Axis::DeliveredPps),
-            curve("Unmodified 2 CPUs", unmod(2), Axis::DeliveredPps),
-            curve("Unmodified 4 CPUs", unmod(4), Axis::DeliveredPps),
-            curve("Polling 1 CPU", polled(1), Axis::DeliveredPps),
-            curve("Polling 2 CPUs", polled(2), Axis::DeliveredPps),
-            curve("Polling 4 CPUs", polled(4), Axis::DeliveredPps),
-            curve("Unmodified 4-CPU cpu0 busy", unmod(4), Axis::PerCpuBusyPercent(0)),
-            curve("Unmodified 4-CPU cpu1 busy", unmod(4), Axis::PerCpuBusyPercent(1)),
-            curve("Polling 4-CPU cpu0 busy", polled(4), Axis::PerCpuBusyPercent(0)),
-            curve("Polling 4-CPU cpu1 busy", polled(4), Axis::PerCpuBusyPercent(1)),
+            curve("Unmodified 1 CPU", 0, Axis::DeliveredPps),
+            curve("Unmodified 2 CPUs", 1, Axis::DeliveredPps),
+            curve("Unmodified 4 CPUs", unmod4, Axis::DeliveredPps),
+            curve("Polling 1 CPU", 3, Axis::DeliveredPps),
+            curve("Polling 2 CPUs", 4, Axis::DeliveredPps),
+            curve("Polling 4 CPUs", polled4, Axis::DeliveredPps),
+            curve("Unmodified 4-CPU cpu0 busy", unmod4, Axis::PerCpuBusyPercent(0)),
+            curve("Unmodified 4-CPU cpu1 busy", unmod4, Axis::PerCpuBusyPercent(1)),
+            curve("Polling 4-CPU cpu0 busy", polled4, Axis::PerCpuBusyPercent(0)),
+            curve("Polling 4-CPU cpu1 busy", polled4, Axis::PerCpuBusyPercent(1)),
         ],
         xs: vec![
             2_000.0, 4_000.0, 5_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0, 16_000.0, 20_000.0,
@@ -437,11 +458,12 @@ fn fig_r1() -> Figure {
     Figure {
         id: "R-1",
         caption: "Graceful degradation under seeded fault storm (3000 pkts/s offered)",
+        kernels: vec![unmod, polled],
         curves: vec![
-            curve("Unmodified delivered", unmod.clone(), Axis::DeliveredPps),
-            curve("Polling w/feedback delivered", polled.clone(), Axis::DeliveredPps),
-            curve("Unmodified p99", unmod, Axis::LatencyP99Micros),
-            curve("Polling w/feedback p99", polled, Axis::LatencyP99Micros),
+            curve("Unmodified delivered", 0, Axis::DeliveredPps),
+            curve("Polling w/feedback delivered", 1, Axis::DeliveredPps),
+            curve("Unmodified p99", 0, Axis::LatencyP99Micros),
+            curve("Polling w/feedback p99", 1, Axis::LatencyP99Micros),
         ],
         xs: vec![0.0, 0.5, 1.0, 2.0, 4.0],
         sweep: Sweep::Storm {
@@ -475,11 +497,12 @@ fn fig_o1() -> Figure {
     Figure {
         id: "O-1",
         caption: "Online livelock detection: onset time and starved flows vs offered load",
+        kernels: vec![unmod, polled],
         curves: vec![
-            curve("Unmodified onset", unmod.clone(), Axis::LivelockOnsetMillis),
-            curve("Polling w/feedback onset", polled.clone(), Axis::LivelockOnsetMillis),
-            curve("Unmodified starved flows", unmod, Axis::StarvedFlows),
-            curve("Polling w/feedback starved flows", polled, Axis::StarvedFlows),
+            curve("Unmodified onset", 0, Axis::LivelockOnsetMillis),
+            curve("Polling w/feedback onset", 1, Axis::LivelockOnsetMillis),
+            curve("Unmodified starved flows", 0, Axis::StarvedFlows),
+            curve("Polling w/feedback starved flows", 1, Axis::StarvedFlows),
         ],
         xs: vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0],
         sweep: Sweep::Rate,
@@ -539,13 +562,14 @@ fn fig_p1() -> Figure {
     Figure {
         id: "P-1",
         caption: "Priority-aware overload: per-class delivery and Control p99 vs offered load",
+        kernels: vec![classified, unmod],
         curves: vec![
-            curve("Classified control delivered", classified.clone(), delivered(Control)),
-            curve("Classified realtime delivered", classified.clone(), delivered(Realtime)),
-            curve("Classified bulk delivered", classified.clone(), delivered(Bulk)),
-            curve("Unmodified delivered", unmod.clone(), Axis::DeliveredPps),
-            curve("Classified control p99", classified, Axis::ClassLatencyP99Micros(Control)),
-            curve("Unmodified p99", unmod, Axis::LatencyP99Micros),
+            curve("Classified control delivered", 0, delivered(Control)),
+            curve("Classified realtime delivered", 0, delivered(Realtime)),
+            curve("Classified bulk delivered", 0, delivered(Bulk)),
+            curve("Unmodified delivered", 1, Axis::DeliveredPps),
+            curve("Classified control p99", 0, Axis::ClassLatencyP99Micros(Control)),
+            curve("Unmodified p99", 1, Axis::LatencyP99Micros),
         ],
         xs: throughput_rates(),
         sweep: Sweep::Rate,
@@ -730,19 +754,21 @@ impl RenderedFigure {
 
 /// Renders one row of the table at the given trial size.
 ///
-/// The work list is the flattened (curve × x) grid, not per-curve
-/// sweeps, so the available parallelism is `curves.len() * xs.len()`
-/// trials (e.g. 60 for Figure 6-5) rather than just one curve's points.
-/// Every trial is independently seeded, so the output is bit-for-bit
-/// identical across every [`Parallelism`] choice.
+/// One trial per (kernel, x): curves that share a kernel are projections
+/// of the same trials, so a row runs `kernels.len() * xs.len()` trials
+/// however many curves it plots, and that flattened grid is the available
+/// parallelism. Each curve gets its kernel's trials — moved into the
+/// kernel's last curve, copied for the earlier ones. Every trial is
+/// independently seeded, so the output is bit-for-bit identical across
+/// every [`Parallelism`] choice, and to one trial per (curve, x).
 pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> RenderedFigure {
-    let work: Vec<(&Curve, f64)> = fig
-        .curves
+    let work: Vec<(&KernelConfig, f64)> = fig
+        .kernels
         .iter()
-        .flat_map(|c| fig.xs.iter().map(move |&x| (c, x)))
+        .flat_map(|k| fig.xs.iter().map(move |&x| (k, x)))
         .collect();
-    let mut trials = par_map(&work, par.jobs(), |&(curve, x)| {
-        let mut config = curve.config.clone();
+    let mut trials = par_map(&work, par.jobs(), |&(kernel, x)| {
+        let mut config = kernel.clone();
         let rate_pps = match fig.sweep {
             Sweep::Rate => x,
             Sweep::Storm { rate_pps } => {
@@ -764,12 +790,22 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
         })
     })
     .into_iter();
+    let mut per_kernel: Vec<Vec<TrialResult>> = fig
+        .kernels
+        .iter()
+        .map(|_| trials.by_ref().take(fig.xs.len()).collect())
+        .collect();
     let curves = fig
         .curves
         .iter()
-        .map(|c| SweepResult {
-            label: c.label.clone(),
-            trials: trials.by_ref().take(fig.xs.len()).collect(),
+        .enumerate()
+        .map(|(i, c)| {
+            let last_use = fig.curves[i + 1..].iter().all(|d| d.kernel != c.kernel);
+            let own = &mut per_kernel[c.kernel];
+            SweepResult {
+                label: c.label.clone(),
+                trials: if last_use { std::mem::take(own) } else { own.clone() },
+            }
         })
         .collect();
     RenderedFigure {
@@ -782,7 +818,7 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
     }
 }
 
-/// [`render_figure`] with every curve's event-scheduler backend forced
+/// [`render_figure`] with every kernel's event-scheduler backend forced
 /// to `scheduler` (`None` keeps the configured one — the heap default).
 /// An entry point the frozen `benchmark/` links to time heap vs calendar
 /// on the same trials; both dispatch identically, so no number moves.
@@ -796,7 +832,7 @@ pub fn render_figure_with_scheduler(
         return render_figure(fig, n_packets, par);
     };
     let mut forced = fig.clone();
-    forced.curves.iter_mut().for_each(|c| c.config.scheduler = kind);
+    forced.kernels.iter_mut().for_each(|k| k.scheduler = kind);
     render_figure(&forced, n_packets, par)
 }
 
@@ -1368,6 +1404,81 @@ mod tests {
         }
     }
 
+    /// Row `fig` cut down to its curve `i` and that curve's kernel.
+    fn one_curve(fig: Figure, i: usize) -> Figure {
+        let kernels = vec![fig.kernels[fig.curves[i].kernel].clone()];
+        let curves = vec![Curve {
+            kernel: 0,
+            ..fig.curves[i].clone()
+        }];
+        Figure {
+            kernels,
+            curves,
+            ..fig
+        }
+    }
+
+    /// Row `fig` with every curve given its own copy of its kernel: one
+    /// trial per (curve, x), the semantics shared kernels replaced, kept
+    /// as their reference.
+    fn kernel_per_curve(fig: &Figure) -> Figure {
+        Figure {
+            kernels: fig.curves.iter().map(|c| fig.kernels[c.kernel].clone()).collect(),
+            curves: (fig.curves.iter().enumerate())
+                .map(|(i, c)| Curve { kernel: i, ..c.clone() })
+                .collect(),
+            ..fig.clone()
+        }
+    }
+
+    /// Every row declares each kernel once and plots it: each curve names
+    /// a kernel of its row, each kernel has a curve, and no two kernels
+    /// of a row are the same configuration (by their `Debug` rendering).
+    #[test]
+    fn every_row_declares_each_kernel_once() {
+        let (mut cells, mut trials) = (0, 0);
+        for fig in figure_table() {
+            let n = fig.kernels.len();
+            for c in &fig.curves {
+                assert!(c.kernel < n, "fig {}: {} names kernel {}", fig.id, c.label, c.kernel);
+            }
+            for k in 0..n {
+                assert!(
+                    fig.curves.iter().any(|c| c.kernel == k),
+                    "fig {}: kernel {k} is plotted by no curve",
+                    fig.id
+                );
+            }
+            let debug: Vec<String> = fig.kernels.iter().map(|k| format!("{k:?}")).collect();
+            for (k, d) in debug.iter().enumerate() {
+                assert!(!debug[..k].contains(d), "fig {}: kernel {k} is declared twice", fig.id);
+            }
+            cells += fig.curves.len() * fig.xs.len();
+            trials += n * fig.xs.len();
+        }
+        assert_eq!((cells, trials), (564, 424), "(curve, x) cells and (kernel, x) trials");
+    }
+
+    #[test]
+    fn sharing_a_kernel_renders_what_a_kernel_per_curve_renders() {
+        let mut shared = Vec::new();
+        for fig in figure_table() {
+            if fig.kernels.len() == fig.curves.len() {
+                continue;
+            }
+            shared.push(fig.id);
+            let declared = render_figure(&fig, 1_000, Parallelism::Auto);
+            let copied = render_figure(&kernel_per_curve(&fig), 1_000, Parallelism::Auto);
+            assert_eq!(declared.to_csv(), copied.to_csv(), "fig {}", fig.id);
+            assert_eq!(declared.curves.len(), copied.curves.len(), "fig {}", fig.id);
+            for (d, c) in declared.curves.iter().zip(&copied.curves) {
+                assert_eq!(d.label, c.label, "fig {}", fig.id);
+                assert_eq!(d.trials, c.trials, "fig {}: {}", fig.id, d.label);
+            }
+        }
+        assert_eq!(shared, ["C-1", "S-1", "R-1", "O-1", "P-1"]);
+    }
+
     #[test]
     fn render_small_figure_and_format() {
         let fig = Figure {
@@ -1487,8 +1598,7 @@ mod tests {
         // no violations: the checker agrees with the simulator.
         let fig = Figure {
             xs: vec![2_000.0, 6_000.0, 12_000.0],
-            curves: vec![fig6_3().curves.swap_remove(2)], // quota = 5.
-            ..fig6_3()
+            ..one_curve(fig6_3(), 2) // quota = 5.
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
         assert!(shape_violations(&r).is_empty());
@@ -1498,8 +1608,7 @@ mod tests {
     fn fig7_1_uses_cpu_axis() {
         let fig = Figure {
             xs: vec![500.0],
-            curves: vec![fig7_1().curves.remove(0)],
-            ..fig7_1()
+            ..one_curve(fig7_1(), 0)
         };
         let r = render_figure(&fig, 200, Parallelism::Serial);
         assert_eq!(r.axes, [Axis::UserCpuPercent]);

@@ -218,7 +218,10 @@ pub struct TrialResult {
     /// came from one [`FramePool`] preallocated to what the configured
     /// rings and queues can hold at once — whatever the trial's length —
     /// so `pool.misses` is the number of per-packet heap allocations (0
-    /// on every fault-free trial).
+    /// on every fault-free trial). The pool is shared by every CPU, so on
+    /// a multi-CPU trial `pool.high_water` depends on the host order the
+    /// CPUs ran in (slicing moves it; nothing else in this result does)
+    /// and no CSV, CLI line or benchmark digest reads it.
     pub pool: PoolStats,
     /// Fault-injection and recovery counters (all zero when the config
     /// carries no fault plan).
@@ -460,12 +463,17 @@ fn plan(spec: &TrialSpec) -> Plan {
 /// arrive, so slots recycle and the run performs zero per-packet heap
 /// allocations), and per CPU one kernel, one engine, and that CPU's queue
 /// of the plan as the engine's arrival source, linked to its siblings.
-/// Returns the machine, ready to run.
+/// Returns the machine, ready to run: sliced at [`DEFAULT_SLICE`] when
+/// its CPUs share a channel ([`CpuLink::coupled`]), each engine run
+/// straight through otherwise.
 fn build(spec: &TrialSpec, plan: Plan, trace_capacity: Option<usize>) -> Cluster<RouterKernel> {
     let cfg = &spec.config;
     let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(cfg));
     let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
     let links = CpuLink::cluster(&cfg.topology, cfg.ipintrq_cap);
+    let coupled = CpuLink::coupled(cfg);
+    #[cfg(test)]
+    let coupled = coupled || oracle::slicing();
 
     // Packet ids are one space across queues: queue `k`'s start where
     // queue `k - 1`'s end.
@@ -492,7 +500,11 @@ fn build(spec: &TrialSpec, plan: Plan, trace_capacity: Option<usize>) -> Cluster
         );
         engines.push(engine);
     }
-    Cluster::new(engines, DEFAULT_SLICE)
+    if coupled {
+        Cluster::new(engines, DEFAULT_SLICE)
+    } else {
+        Cluster::uncoupled(engines)
+    }
 }
 
 /// One CPU's cumulative user-process cycles and cycle ledger, for
@@ -932,9 +944,11 @@ pub fn paper_rates() -> Vec<f64> {
     ]
 }
 
-/// The pre-streaming behaviour, kept only as the oracle the streamed
-/// trials are proved bit-identical to: every arrival built and scheduled
-/// through [`Engine::state_schedule`] before the engine runs.
+/// Two superseded behaviours, kept only as the oracles the pipeline is
+/// proved bit-identical to: every arrival built and scheduled through
+/// [`Engine::state_schedule`] before the engine runs (pre-streaming), and
+/// every cluster sliced at [`DEFAULT_SLICE`] whether or not its CPUs are
+/// coupled.
 #[cfg(test)]
 mod oracle {
     use std::cell::Cell;
@@ -943,18 +957,33 @@ mod oracle {
 
     thread_local! {
         static PRELOAD: Cell<bool> = const { Cell::new(false) };
+        static SLICE: Cell<bool> = const { Cell::new(false) };
     }
 
     pub(super) fn preloading() -> bool {
         PRELOAD.with(Cell::get)
     }
 
+    pub(super) fn slicing() -> bool {
+        SLICE.with(Cell::get)
+    }
+
+    /// Runs `f` between `set(true)` and `set(false)`.
+    fn with<R>(set: fn(bool), f: impl FnOnce() -> R) -> R {
+        set(true);
+        let out = f();
+        set(false);
+        out
+    }
+
     /// Runs `f` with every trial on this thread preloading its arrivals.
     pub(super) fn with_preloaded_arrivals<R>(f: impl FnOnce() -> R) -> R {
-        PRELOAD.with(|p| p.set(true));
-        let out = f();
-        PRELOAD.with(|p| p.set(false));
-        out
+        with(|on| PRELOAD.with(|p| p.set(on)), f)
+    }
+
+    /// Runs `f` with every trial on this thread sliced, coupled or not.
+    pub(super) fn with_every_cluster_sliced<R>(f: impl FnOnce() -> R) -> R {
+        with(|on| SLICE.with(|p| p.set(on)), f)
     }
 
     pub(super) fn preload(engine: &mut Engine<RouterKernel>, mut arrivals: WireArrivals) {
@@ -1089,6 +1118,81 @@ mod tests {
             assert_eq!((cpu.steals_published, cpu.steals_taken), (0, 0));
             assert_eq!(on.pool.misses, 0);
         }
+    }
+
+    #[test]
+    fn coupling_is_a_shared_queue_or_stealing_between_siblings() {
+        let unmod = |n| KernelConfig::builder().ncpus(n).build();
+        let polled = |n, steal| {
+            KernelConfig::builder()
+                .polled(Quota::Limited(10))
+                .ncpus(n)
+                .steal(steal)
+                .build()
+        };
+        for (cfg, coupled, what) in [
+            (unmod(1), false, "1-CPU unmodified"),
+            (unmod(2), true, "2-CPU unmodified: the shared ipintrq"),
+            (polled(4, false), false, "4-CPU polled"),
+            (polled(4, true), true, "4-CPU polled --steal"),
+            (polled(1, true), false, "1-CPU --steal"),
+        ] {
+            assert_eq!(CpuLink::coupled(&cfg), coupled, "{what}");
+        }
+    }
+
+    /// Asserts a trial of an uncoupled cluster, run straight through,
+    /// equals the same trial sliced at [`DEFAULT_SLICE`] — every
+    /// `TrialResult` field but `pool.high_water`, which counts frames
+    /// live at once across CPUs in host order — and that tracing it
+    /// writes the same Chrome JSON both ways. Returns whether the
+    /// high-water marks differed (proof the oracle really sliced).
+    fn assert_matches_slicing_oracle(spec: &TrialSpec, traced: bool, what: &str) -> bool {
+        assert!(!CpuLink::coupled(&spec.config), "{what}: uncoupled");
+        let run = || {
+            if traced {
+                let (r, json) = run_trial_traced(spec, 1 << 16);
+                (r, Some(json))
+            } else {
+                (run_trial(spec), None)
+            }
+        };
+        let (straight, straight_json) = run();
+        let (mut sliced, sliced_json) = oracle::with_every_cluster_sliced(run);
+        assert_eq!(straight.pool.misses, 0, "{what}: pool misses");
+        let moved = sliced.pool.high_water != straight.pool.high_water;
+        sliced.pool.high_water = straight.pool.high_water;
+        assert_eq!(straight, sliced, "{what}: every other field");
+        assert_eq!(straight_json, sliced_json, "{what}: chrome trace");
+        assert!(straight.transmitted > 0, "{what}: ran");
+        moved
+    }
+
+    #[test]
+    fn an_uncoupled_cluster_runs_straight_through_unchanged() {
+        use crate::config::KernelConfigBuilder;
+        use crate::telemetry::{ObserveConfig, TelemetryConfig};
+        let spec = |ncpus, rate_pps, b: KernelConfigBuilder| TrialSpec {
+            rate_pps,
+            n_packets: 2_000,
+            ..TrialSpec::new(b.polled(Quota::Limited(10)).ncpus(ncpus).build())
+        };
+        let mut moved = 0;
+        for ncpus in [2, 4] {
+            for rate in [2_000.0, 16_000.0, 40_000.0] {
+                let what = format!("polled ncpus={ncpus} at {rate} pps");
+                let s = spec(ncpus, rate, KernelConfig::builder());
+                moved += usize::from(assert_matches_slicing_oracle(&s, false, &what));
+            }
+        }
+        assert!(moved > 0, "the oracle slices: some high-water mark moves");
+        let watched = KernelConfig::builder()
+            .observe(ObserveConfig::default())
+            .telemetry(TelemetryConfig::default());
+        let s = spec(4, 16_000.0, watched);
+        assert_matches_slicing_oracle(&s, false, "observe + telemetry");
+        let s = spec(4, 16_000.0, KernelConfig::builder());
+        assert_matches_slicing_oracle(&s, true, "traced");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use livelock_machine::cpu::CpuId;
 use livelock_net::packet::Packet;
 use livelock_net::queue::{DropTailQueue, Enqueued};
 
-use crate::config::Topology;
+use crate::config::{KernelConfig, Topology};
 
 /// Capacity of each CPU's steal buffer, in frames. Deliberately ring-
 /// sized: stealing absorbs short imbalance between siblings, it is not
@@ -85,6 +85,17 @@ impl CpuLink {
     /// steal from. A lone CPU with the flag set is a plain CPU.
     pub(crate) fn stealing(topology: &Topology) -> bool {
         topology.steal && topology.ncpus > 1
+    }
+
+    /// Whether a configuration's CPUs share a channel, so its cluster is
+    /// sliced: more than one CPU, and either the unmodified path's one
+    /// `ipintrq` (every sibling's enqueue flags CPU 0) or work stealing
+    /// (a publish flags every sibling). A polled cluster that does not
+    /// steal sets no IPI flag and touches no steal buffer or `ipintrq`,
+    /// so its CPUs share only the frame pool, whose one host-order
+    /// statistic, `PoolStats::high_water`, is all slicing changes there.
+    pub(crate) fn coupled(cfg: &KernelConfig) -> bool {
+        cfg.topology.ncpus > 1 && (cfg.polled_config().is_none() || Self::stealing(&cfg.topology))
     }
 
     /// The link of a CPU with no siblings: a cluster of one.

@@ -1,15 +1,16 @@
 //! A deterministic SMP cluster: N per-CPU [`Engine`]s advanced in
-//! round-robin time slices.
+//! round-robin time slices — or, when the CPUs share no channel, each
+//! straight to the limit.
 //!
 //! Each CPU is a complete, independent executor — its own run queue,
 //! event scheduler, interrupt controller, and conserved
-//! [`CycleLedger`](crate::ledger::CycleLedger). The cluster advances them
-//! through virtual time in fixed-size slices, always visiting CPUs in
-//! ascending [`CpuId`] order within a slice. Because the interleaving is a
-//! pure function of (slice size, CPU count) and each engine is itself
-//! deterministic, a cluster run is bit-identical on every host and at any
-//! `par_map` job count — the multi-CPU extension of the single-engine
-//! determinism argument.
+//! [`CycleLedger`](crate::ledger::CycleLedger). A *coupled* cluster
+//! ([`Cluster::new`]) advances them through virtual time in fixed-size
+//! slices, always visiting CPUs in ascending [`CpuId`] order within a
+//! slice. Because the interleaving is a pure function of (slice size, CPU
+//! count) and each engine is itself deterministic, a cluster run is
+//! bit-identical on every host and at any `par_map` job count — the
+//! multi-CPU extension of the single-engine determinism argument.
 //!
 //! Cross-CPU communication (IPI-style wakeups, work stealing) happens at
 //! *slice boundaries only*: the `before_slice` hook passed to
@@ -19,6 +20,12 @@
 //! default slice and calibrated clock) without ever letting two engines
 //! interleave within a slice — which is what makes the schedule, and
 //! therefore every counter, reproducible.
+//!
+//! Slices exist only to deliver those signals. An *uncoupled* cluster
+//! ([`Cluster::uncoupled`]) — one CPU, or CPUs that share no channel —
+//! has none to deliver, so it advances each engine to the limit in one
+//! step: the same results, without a hook call and an engine re-entry
+//! per CPU every 10 000 cycles.
 
 use livelock_sim::Cycles;
 
@@ -30,24 +37,42 @@ use crate::cpu::{CpuId, Engine, Workload};
 /// a full trial costs only tens of thousands of slice switches.
 pub const DEFAULT_SLICE: Cycles = Cycles::new(10_000);
 
-/// N per-CPU engines advanced in deterministic round-robin time slices.
+/// N per-CPU engines advanced in deterministic round-robin time slices,
+/// or each straight to the limit when uncoupled.
 pub struct Cluster<W: Workload> {
     engines: Vec<Engine<W>>,
-    slice: Cycles,
+    /// The interleaving slice; `None` for an uncoupled cluster.
+    slice: Option<Cycles>,
     now: Cycles,
 }
 
 impl<W: Workload> Cluster<W> {
-    /// Builds a cluster over pre-constructed engines; `engines[k]` is CPU
-    /// `k`. Every engine must start at the same virtual time (normally
-    /// zero).
+    /// Builds a coupled cluster over pre-constructed engines, interleaved
+    /// in `slice`-sized rounds; `engines[k]` is CPU `k`. Every engine must
+    /// start at the same virtual time (normally zero).
     ///
     /// # Panics
     ///
     /// Panics on an empty engine list or a zero slice.
     pub fn new(engines: Vec<Engine<W>>, slice: Cycles) -> Self {
-        assert!(!engines.is_empty(), "a cluster has at least one CPU");
         assert!(!slice.is_zero(), "slice must be positive");
+        Self::with_slice(engines, Some(slice))
+    }
+
+    /// Builds an uncoupled cluster: engines that exchange no signal, so
+    /// [`Cluster::run_until`] advances each straight to its limit in CPU
+    /// order. For a configuration whose CPUs share no channel this
+    /// produces exactly what [`Cluster::new`] would, in one step per CPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty engine list.
+    pub fn uncoupled(engines: Vec<Engine<W>>) -> Self {
+        Self::with_slice(engines, None)
+    }
+
+    fn with_slice(engines: Vec<Engine<W>>, slice: Option<Cycles>) -> Self {
+        assert!(!engines.is_empty(), "a cluster has at least one CPU");
         let now = engines[0].now();
         assert!(
             engines.iter().all(|e| e.now() == now),
@@ -83,16 +108,11 @@ impl<W: Workload> Cluster<W> {
     }
 
     /// Advances every CPU to exactly `limit`, interleaving them in
-    /// `slice`-sized rounds: within each round, CPUs run in ascending id
-    /// order, and `before_slice(cpu, engine)` runs immediately before each
-    /// engine's turn — the hook where pending cross-CPU signals (IPI
-    /// flags, steal buffers) become engine events.
-    ///
-    /// A one-CPU cluster advances in a single step (one `before_slice`
-    /// call, one [`Engine::run_until`]): slices exist to deliver
-    /// cross-CPU signals, and a lone CPU has nobody to signal — slicing it
-    /// printed the same results for 20–25 % more wall-clock on a light
-    /// trial (DESIGN.md §12).
+    /// `slice`-sized rounds (one round to `limit` when uncoupled): within
+    /// each round, CPUs run in ascending id order, and
+    /// `before_slice(cpu, engine)` runs immediately before each engine's
+    /// turn — the hook where pending cross-CPU signals (IPI flags, steal
+    /// buffers) become engine events.
     ///
     /// Like [`Engine::run_until`], this always lands `now` exactly on
     /// `limit` (idle engines coast), so ledger windows snapshotted at two
@@ -102,13 +122,8 @@ impl<W: Workload> Cluster<W> {
         limit: Cycles,
         mut before_slice: impl FnMut(CpuId, &mut Engine<W>),
     ) {
-        let lone = self.engines.len() == 1;
         while self.now < limit {
-            let boundary = if lone {
-                limit
-            } else {
-                (self.now + self.slice).min(limit)
-            };
+            let boundary = self.slice.map_or(limit, |slice| (self.now + slice).min(limit));
             for (k, engine) in self.engines.iter_mut().enumerate() {
                 before_slice(CpuId(k), engine);
                 engine.run_until(boundary);
@@ -183,10 +198,10 @@ mod tests {
         solo.run_until(Cycles::new(30_000));
         solo.run_until(Cycles::new(50_000));
 
-        // A lone CPU is not sliced: the hook runs once per `run_until`
-        // (five slices' worth of time here), seeing the engine where the
-        // previous call left it.
-        let mut c = Cluster::new(vec![ticker_engine(CpuId(0), 700, 90, 20)], DEFAULT_SLICE);
+        // A cluster of one is uncoupled: the hook runs once per
+        // `run_until` (three slices' worth of time here), seeing the
+        // engine where the previous call left it.
+        let mut c = Cluster::uncoupled(vec![ticker_engine(CpuId(0), 700, 90, 20)]);
         let mut visits = Vec::new();
         for limit in [30_000, 50_000, 50_000] {
             c.run_until(Cycles::new(limit), |cpu, e| {
@@ -208,22 +223,42 @@ mod tests {
 
     #[test]
     fn slice_size_is_invisible_to_independent_cpus() {
-        let run = |slice: u64| {
+        let run = |slice: Option<u64>| {
             let engines = vec![
                 ticker_engine(CpuId(0), 700, 90, 30),
                 ticker_engine(CpuId(1), 450, 120, 30),
             ];
-            let mut c = Cluster::new(engines, Cycles::new(slice));
+            let mut c = match slice {
+                Some(slice) => Cluster::new(engines, Cycles::new(slice)),
+                None => Cluster::uncoupled(engines),
+            };
             c.run_until(Cycles::new(60_000), |_, _| {});
-            c.into_engines()
-                .into_iter()
-                .map(|e| e.workload().done_at.clone())
+            c.engines()
+                .iter()
+                .map(|e| e.workload().done_at.to_vec())
                 .collect::<Vec<_>>()
         };
-        let coarse = run(50_000);
-        for slice in [128, 1_000, 10_000] {
-            assert_eq!(run(slice), coarse, "slice {slice}");
+        let uncoupled = run(None);
+        for slice in [128, 1_000, 10_000, 50_000] {
+            assert_eq!(run(Some(slice)), uncoupled, "slice {slice}");
         }
+    }
+
+    #[test]
+    fn an_uncoupled_cluster_visits_each_cpu_once_per_call() {
+        let engines = vec![
+            ticker_engine(CpuId(0), 700, 90, 2),
+            ticker_engine(CpuId(1), 450, 120, 2),
+        ];
+        let mut c = Cluster::uncoupled(engines);
+        let mut visits = Vec::new();
+        for limit in [3_000, 3_000, 5_000] {
+            c.run_until(Cycles::new(limit), |cpu, e| {
+                visits.push((cpu.0, e.now().raw()))
+            });
+        }
+        assert_eq!(visits, vec![(0, 0), (1, 0), (0, 3_000), (1, 3_000)]);
+        assert!(c.engines().iter().all(|e| e.now() == Cycles::new(5_000)));
     }
 
     #[test]
@@ -266,19 +301,17 @@ mod tests {
         // Use the hook the way the SMP kernel does: turn a shared flag
         // into an engine event at the slice boundary.
         use std::cell::Cell;
-        use std::rc::Rc;
-        let flag = Rc::new(Cell::new(false));
+        let flag = Cell::new(false);
         let engines = vec![
             ticker_engine(CpuId(0), 10_000_000, 1, 0), // effectively idle
             ticker_engine(CpuId(1), 700, 90, 5),
         ];
         let mut c = Cluster::new(engines, Cycles::new(1_000));
-        let f = flag.clone();
-        c.run_until(Cycles::new(10_000), move |cpu, e| {
+        c.run_until(Cycles::new(10_000), |cpu, e| {
             if cpu == CpuId(1) && e.now() == Cycles::new(2_000) {
-                f.set(true);
+                flag.set(true);
             }
-            if cpu == CpuId(0) && f.get() && e.workload().done_at.is_empty() {
+            if cpu == CpuId(0) && flag.get() && e.workload().done_at.is_empty() {
                 let at = e.now();
                 e.state_schedule(at, ());
             }

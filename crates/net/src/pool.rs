@@ -44,7 +44,11 @@ pub struct PoolStats {
     pub misses: u64,
     /// Slots currently checked out.
     pub outstanding: usize,
-    /// Maximum simultaneous checked-out slots ever observed.
+    /// Maximum simultaneous checked-out slots ever observed, in *host*
+    /// order: a pool shared by several simulated CPUs sees them take and
+    /// release in whatever order the host runs them (one CPU's whole
+    /// trial after another's, when they share no channel), so this is not
+    /// a simulated quantity and nothing simulated reads it.
     pub high_water: usize,
     /// Slots currently sitting in the freelist.
     pub free: usize,

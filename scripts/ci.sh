@@ -194,35 +194,45 @@ echo "== SMP trace smoke: --chrome-trace honours --ncpus, deterministically =="
 # One trial pipeline serves every entry point, so tracing a 4-CPU trial
 # must measure the same 4-CPU trial (it used to silently run one CPU),
 # export one Chrome-trace process group per CPU, and — like every other
-# artifact — come out byte-identical from two fresh processes.
-smp_trial=("$repo/target/release/livelock" trial --config polled --rate 30000
-    --packets 5000 --ncpus 4)
-mkdir -p "$scratch/smp"
-"${smp_trial[@]}" > "$scratch/smp/plain.txt" &&
-    "${smp_trial[@]}" --chrome-trace "$scratch/smp/a.json" > "$scratch/smp/traced.txt" 2> /dev/null &&
-    "${smp_trial[@]}" --chrome-trace "$scratch/smp/b.json" > /dev/null 2>&1 || {
-    echo "ci: FAIL — livelock trial --ncpus 4 [--chrome-trace] exited nonzero" >&2
-    exit 9
-}
-if cmp -s "$scratch/smp/plain.txt" "$scratch/smp/traced.txt"; then
-    echo "ci: 4-CPU trial prints the same table with and without --chrome-trace"
-else
-    echo "ci: FAIL — --chrome-trace changed what a 4-CPU trial measured" >&2
-    diff "$scratch/smp/plain.txt" "$scratch/smp/traced.txt" >&2
-    exit 9
-fi
-if cmp -s "$scratch/smp/a.json" "$scratch/smp/b.json" && python3 - "$scratch/smp/a.json" <<'PYEOF'
+# artifact — come out byte-identical from two fresh processes. Checked on
+# both cluster shapes: polled CPUs share no channel, so each engine runs
+# straight through; unmodified CPUs share the ipintrq, so the cluster is
+# sliced.
+for shape in polled unmodified; do
+    case $shape in
+        polled) rate=30000 ;;
+        unmodified) rate=16000 ;;
+    esac
+    smp_trial=("$repo/target/release/livelock" trial --config "$shape" --rate "$rate"
+        --packets 5000 --ncpus 4)
+    dir="$scratch/smp/$shape"
+    mkdir -p "$dir"
+    "${smp_trial[@]}" > "$dir/plain.txt" &&
+        "${smp_trial[@]}" --chrome-trace "$dir/a.json" > "$dir/traced.txt" 2> /dev/null &&
+        "${smp_trial[@]}" --chrome-trace "$dir/b.json" > /dev/null 2>&1 || {
+        echo "ci: FAIL — livelock trial --config $shape --ncpus 4 [--chrome-trace] exited nonzero" >&2
+        exit 9
+    }
+    if cmp -s "$dir/plain.txt" "$dir/traced.txt"; then
+        echo "ci: 4-CPU $shape trial prints the same table with and without --chrome-trace"
+    else
+        echo "ci: FAIL — --chrome-trace changed what a 4-CPU $shape trial measured" >&2
+        diff "$dir/plain.txt" "$dir/traced.txt" >&2
+        exit 9
+    fi
+    if cmp -s "$dir/a.json" "$dir/b.json" && python3 - "$dir/a.json" <<'PYEOF'
 import json, sys
 pids = {e["pid"] for e in json.load(open(sys.argv[1]))["traceEvents"]}
 if pids != {1, 2, 3, 4}:
     sys.exit(f"4-CPU trace carries process groups {sorted(pids)}, want [1, 2, 3, 4]")
 PYEOF
-then
-    echo "ci: 4-CPU chrome trace parses, has four process groups, byte-identical across runs"
-else
-    echo "ci: FAIL — 4-CPU chrome trace differs between runs, does not parse, or lacks a CPU" >&2
-    exit 9
-fi
+    then
+        echo "ci: 4-CPU $shape chrome trace parses, has four process groups, byte-identical across runs"
+    else
+        echo "ci: FAIL — 4-CPU $shape chrome trace differs between runs, does not parse, or lacks a CPU" >&2
+        exit 9
+    fi
+done
 
 echo "== determinism: event stream and flamegraph byte-identical across runs =="
 # The observability artifacts themselves are part of the determinism
