@@ -160,7 +160,7 @@ fn class_summaries(class: Option<&ClassStats>, drops: &DropStats, freq: Freq) ->
                 delivered: cc.delivered,
                 shed: drops.get(DropReason::ClassShed { class: c }),
                 delivered_pps: cs.delivered_pps(c, freq),
-                latency_mean: cc.latency.mean(),
+                latency_mean: cc.latency_mean(),
                 latency_p99: cc.latency.quantile(0.99),
             }
         })
@@ -1861,6 +1861,63 @@ mod tests {
                      latency/telemetry/observe={on:?})"
                 );
             }
+        }
+
+        // Frames damaged in flight while classes are on: the one path
+        // where the key a generated packet was stamped with no longer
+        // matches its bytes. Classification and the registry must both
+        // see the damaged bytes, watched or not.
+        use crate::config::ClassifyConfig;
+        use livelock_machine::fault::{FaultKind, FaultPlan};
+        use livelock_net::classify::MatchRule;
+        let freq = unmodified().cost.freq;
+        let mut plan = FaultPlan::new();
+        for k in 0..60u64 {
+            let iface = 0;
+            let kind = match k % 4 {
+                0 => FaultKind::PacketBitFlip { iface },
+                1 => FaultKind::RxDescriptorCorrupt { iface },
+                2 => FaultKind::PacketTruncate { iface },
+                _ => FaultKind::PacketMalformHeader { iface },
+            };
+            plan.push(freq.cycles_from_micros(1_000 + k * 2_300), kind);
+        }
+        for polled_mode in [false, true] {
+            let mk = |observe: bool| {
+                let mut b = KernelConfig::builder()
+                    .screend(ScreendConfig::default())
+                    .classes(ClassifyConfig {
+                        rules: vec![MatchRule::src_port(7_000, TrafficClass::Control)],
+                        ..ClassifyConfig::default()
+                    })
+                    .faults(plan.clone());
+                if polled_mode {
+                    b = b.polled(Quota::Limited(10)).feedback(Default::default());
+                }
+                if observe {
+                    b = b.observe(ObserveConfig::default());
+                }
+                run_trial(&TrialSpec {
+                    rate_pps: 9_000.0,
+                    n_packets: 1_500,
+                    flows: Some(vec![7_000, 7_100, 7_200]),
+                    ..TrialSpec::new(b.build())
+                })
+            };
+            let base = mk(false);
+            let mut watched = mk(true);
+            let mutated = watched.fault.mutated_frames;
+            assert!(mutated > 0, "polled={polled_mode}: the plan damaged frames");
+            let reg = watched.flows.take().expect("registry allocated");
+            // Every mutation breaks the IPv4 parse: a damaged frame is
+            // unattributed, not credited to the flow it was built for.
+            assert_eq!(reg.unattributed_arrivals(), mutated, "polled={polled_mode}");
+            watched.fold = None;
+            watched.events.clear();
+            assert_eq!(
+                watched, base,
+                "polled={polled_mode}: mutations under classes"
+            );
         }
     }
 

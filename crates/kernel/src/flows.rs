@@ -95,6 +95,19 @@ impl FlowStats {
     }
 }
 
+/// Entries in [`FlowRegistry`]'s key → slot memo (a power of two).
+const MEMO_ENTRIES: usize = 16;
+
+/// The memo entry for `key`: an xor-fold of its addresses and ports.
+/// Flows that differ only in a port (every generated flow set) land in
+/// distinct entries for up to [`MEMO_ENTRIES`] consecutive ports.
+fn memo_index(key: FlowKey) -> usize {
+    let ports = u32::from(key.src_port) << 16 | u32::from(key.dst_port);
+    let x = key.src_ip ^ key.dst_ip ^ ports;
+    let x = x ^ (x >> 16);
+    (x ^ (x >> 8)) as usize & (MEMO_ENTRIES - 1)
+}
+
 /// Fixed-size per-flow metrics table, keyed by 5-tuple via the NIC's RSS
 /// hash with linear probing. All storage is allocated in
 /// [`FlowRegistry::new`]; recording never allocates.
@@ -104,13 +117,13 @@ pub struct FlowRegistry {
     occupied: usize,
     overflow_arrivals: u64,
     unattributed_arrivals: u64,
-    /// Last `(key, slot)` resolved — a packet's arrival, drop and
-    /// delivery records land back-to-back on the hot path, so one entry
-    /// short-circuits the hash + probe for the common repeat lookup.
-    last_slot: Option<(FlowKey, usize)>,
+    /// Direct-mapped `(key, slot)` memo indexed by [`memo_index`]: a hit
+    /// resolves a flow with no hash and no probe. Flows are never
+    /// evicted, so an entry stays right for the registry's lifetime.
+    memo: [Option<(FlowKey, usize)>; MEMO_ENTRIES],
 }
 
-/// Equality is over the recorded contents; the lookup cache is an
+/// Equality is over the recorded contents; the memo is an
 /// implementation detail, not part of the value.
 impl PartialEq for FlowRegistry {
     fn eq(&self, other: &Self) -> bool {
@@ -130,36 +143,43 @@ impl FlowRegistry {
             occupied: 0,
             overflow_arrivals: 0,
             unattributed_arrivals: 0,
-            last_slot: None,
+            memo: [None; MEMO_ENTRIES],
         }
     }
 
-    /// Finds (or inserts) the slot for `key`: linear probe from the RSS
-    /// hash's home bucket. `None` when the table is full and the key is
-    /// not already present.
+    /// Finds (or inserts) the slot for `key`: the memo, else a linear
+    /// probe from the RSS hash's home bucket. `None` when the table is
+    /// full and the key is not already present.
     fn slot_for(&mut self, key: FlowKey) -> Option<usize> {
-        if let Some((k, i)) = self.last_slot {
+        let m = memo_index(key);
+        if let Some((k, i)) = self.memo[m] {
             if k == key {
                 return Some(i);
             }
         }
-        let cap = self.slots.len();
         let hash = flow_hash(key);
-        let home = (hash % cap as u64) as usize;
-        for probe in 0..cap {
-            let i = (home + probe) % cap;
+        let i = self.probe(key, hash)?;
+        if self.slots[i].is_none() {
+            self.slots[i] = Some(FlowStats::new(key, hash));
+            self.occupied += 1;
+        }
+        self.memo[m] = Some((key, i));
+        Some(i)
+    }
+
+    /// Linear probe for `key` from its home bucket: the slot holding it,
+    /// else the first empty slot on its path, else `None` (table full).
+    fn probe(&self, key: FlowKey, hash: u64) -> Option<usize> {
+        let cap = self.slots.len();
+        let mut i = (hash % cap as u64) as usize;
+        for _ in 0..cap {
             match &self.slots[i] {
-                Some(s) if s.key == key => {
-                    self.last_slot = Some((key, i));
-                    return Some(i);
-                }
-                Some(_) => continue,
-                None => {
-                    self.slots[i] = Some(FlowStats::new(key, hash));
-                    self.occupied += 1;
-                    self.last_slot = Some((key, i));
-                    return Some(i);
-                }
+                Some(s) if s.key != key => {}
+                _ => return Some(i),
+            }
+            i += 1;
+            if i == cap {
+                i = 0;
             }
         }
         None
@@ -275,16 +295,7 @@ impl FlowRegistry {
 
     /// The tracked stats for `key`, if present.
     pub fn get(&self, key: FlowKey) -> Option<&FlowStats> {
-        let cap = self.slots.len();
-        let home = (flow_hash(key) % cap as u64) as usize;
-        for probe in 0..cap {
-            match &self.slots[(home + probe) % cap] {
-                Some(s) if s.key == key => return Some(s),
-                Some(_) => continue,
-                None => return None,
-            }
-        }
-        None
+        self.slot(self.probe(key, flow_hash(key))?)
     }
 
     /// Every tracked flow, sorted by 5-tuple — a canonical order
@@ -415,6 +426,86 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_arrivals(), total, "arrivals survive a full merge");
         assert_eq!(a.overflow_arrivals(), 1);
+    }
+
+    /// The registry's placement without its memo: a linear probe stepping
+    /// by `%`, inserting at the first empty slot.
+    fn reference_slot(table: &mut [Option<FlowKey>], key: FlowKey) -> Option<usize> {
+        let cap = table.len();
+        let home = (flow_hash(key) % cap as u64) as usize;
+        for probe in 0..cap {
+            let i = (home + probe) % cap;
+            match table[i] {
+                Some(k) if k == key => return Some(i),
+                Some(_) => continue,
+                None => {
+                    table[i] = Some(key);
+                    return Some(i);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn memo_placement_equals_a_memo_less_probe() {
+        // 200 keys differing in address and ports (more than any table
+        // here holds), drawn in a random interleaving so memo entries
+        // collide and keys overflow once the table is full.
+        let keys: Vec<FlowKey> = (0..200u32)
+            .map(|n| FlowKey {
+                src_ip: 0x0a00_0000 | (n % 7),
+                dst_ip: 0x0a01_0063,
+                proto: 17,
+                src_port: 5_000 + (n * 13 % 200) as u16,
+                dst_port: 9 + (n % 3) as u16,
+            })
+            .collect();
+        let mut rng = 0xf10e5_u64;
+        for cap in [1, 7, 128] {
+            let mut r = FlowRegistry::new(cap);
+            let mut table = vec![None; cap];
+            let (mut overflow, mut unattributed) = (0, 0);
+            let mut arrived = vec![0u64; cap];
+            for step in 0..20_000 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let draw = (rng >> 33) as usize % (keys.len() + 1);
+                let Some(&key) = keys.get(draw) else {
+                    r.record_arrival(None);
+                    unattributed += 1;
+                    continue;
+                };
+                r.record_arrival(Some(key));
+                let want = reference_slot(&mut table, key);
+                match want {
+                    Some(i) => arrived[i] += 1,
+                    None => overflow += 1,
+                }
+                let at = r
+                    .slots
+                    .iter()
+                    .position(|s| s.as_ref().is_some_and(|s| s.key == key));
+                assert_eq!(at, want, "cap {cap} step {step}");
+                assert_eq!(
+                    r.slot_for(key),
+                    want,
+                    "cap {cap} step {step}: repeat lookup"
+                );
+            }
+            assert_eq!(r.len(), cap, "cap {cap}: the stream fills the table");
+            assert_eq!(r.overflow_arrivals(), overflow, "cap {cap}");
+            assert_eq!(r.unattributed_arrivals(), unattributed, "cap {cap}");
+            for (i, &n) in arrived.iter().enumerate() {
+                assert_eq!(r.slot(i).map_or(0, |s| s.arrived), n, "cap {cap} slot {i}");
+                assert_eq!(r.slot(i).map(|s| s.key), table[i], "cap {cap} slot {i}");
+            }
+            for &key in &keys {
+                let home = table.iter().position(|k| *k == Some(key));
+                assert_eq!(r.get(key).map(|s| s.key), home.map(|_| key), "cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -755,16 +755,18 @@ impl RouterKernel {
                 return;
             }
             // An armed mutation corrupts the frame in place; the IPv4
-            // header checksum (or length checks) catch it downstream.
+            // header checksum (or length checks) catch it downstream. The
+            // key stamped on the old bytes goes with them.
             if let Some(m) = f.pending_mutation[i].take() {
                 m.apply(&mut pkt);
+                pkt.flow = pkt.flow_key();
                 self.stats.fault.mutated_frames += 1;
             }
         }
-        // Flow attribution is parsed once at the NIC boundary and rides
-        // the packet from here on; the parse only runs when the per-flow
-        // registry exists, so unobserved runs touch no extra bytes.
-        if self.stats.flows.is_some() {
+        // The flow key rides the packet from here on. Generated frames
+        // arrive stamped; any other frame is parsed once, here, when the
+        // per-flow registry wants it.
+        if pkt.flow.is_none() && self.stats.flows.is_some() {
             pkt.flow = pkt.flow_key();
         }
         self.stats.record_arrival(env.now(), pkt.flow);

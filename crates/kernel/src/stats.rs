@@ -6,7 +6,7 @@
 //! counter over the trial. [`KernelStats`] keeps the same books.
 
 use livelock_net::{FlowKey, Packet, StageStamps, TrafficClass};
-use livelock_sim::{Cycles, Freq, HdrHistogram, Nanos, RateWindow};
+use livelock_sim::{Cycles, Freq, HdrHistogram, MeanVar, Nanos, RateWindow};
 
 use crate::flows::FlowRegistry;
 use crate::telemetry::Timeline;
@@ -303,7 +303,8 @@ pub fn stage_residencies(arrived: Cycles, stamps: &StageStamps, end: Cycles) -> 
 
 /// Latency distributions for delivered packets: the total wire-to-wire
 /// sojourn plus a per-[`Stage`] residency breakdown, all as HDR-style
-/// histograms (p50/p90/p99/p99.9 within ~3%).
+/// histograms (p50/p90/p99/p99.9 within ~3%), and the total's running
+/// moments for [`LatencyStats::mean`] and [`LatencyStats::jitter`].
 ///
 /// All storage preallocates in [`LatencyStats::new`]; recording a packet
 /// never allocates.
@@ -311,6 +312,8 @@ pub fn stage_residencies(arrived: Cycles, stamps: &StageStamps, end: Cycles) -> 
 pub struct LatencyStats {
     /// Total sojourn (arrival on the input wire to delivery).
     pub total: HdrHistogram,
+    /// The total sojourn's moments, fed the same samples as `total`.
+    moments: MeanVar,
     stages: [HdrHistogram; 6],
 }
 
@@ -319,6 +322,7 @@ impl LatencyStats {
     pub fn new() -> Self {
         LatencyStats {
             total: HdrHistogram::new(),
+            moments: MeanVar::new(),
             stages: std::array::from_fn(|_| HdrHistogram::new()),
         }
     }
@@ -354,7 +358,9 @@ impl LatencyStats {
             Some((k, lim)) if c.raw() <= lim => Nanos::new(c.raw() * k),
             _ => freq.nanos_from_cycles(c),
         };
-        self.total.record(ns(total));
+        let total = ns(total);
+        self.total.record(total);
+        self.moments.record(total.raw() as f64);
         for (h, c) in self.stages.iter_mut().zip(res) {
             h.record(ns(c));
         }
@@ -370,14 +376,16 @@ impl LatencyStats {
         self.total.is_empty()
     }
 
-    /// Mean total sojourn.
+    /// Mean total sojourn: Welford's running mean in `f64`, truncated to
+    /// whole nanoseconds (not the exact `sum / count`).
     pub fn mean(&self) -> Nanos {
-        self.total.mean()
+        Nanos::new(self.moments.mean() as u64)
     }
 
-    /// Standard deviation of the total sojourn (jitter proxy).
+    /// Sample standard deviation of the total sojourn (jitter proxy),
+    /// truncated to whole nanoseconds.
     pub fn jitter(&self) -> Nanos {
-        self.total.jitter()
+        Nanos::new(self.moments.stddev() as u64)
     }
 
     /// Minimum total sojourn.
@@ -398,6 +406,7 @@ impl LatencyStats {
     /// Folds another `LatencyStats` into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.total.merge(&other.total);
+        self.moments.merge(&other.moments);
         for (a, b) in self.stages.iter_mut().zip(&other.stages) {
             a.merge(b);
         }
@@ -480,6 +489,8 @@ pub struct ClassCounters {
     pub delivered: u64,
     /// Wire-to-delivery sojourn distribution (whole trial).
     pub latency: HdrHistogram,
+    /// The moments of the samples in `latency`.
+    latency_moments: MeanVar,
     /// Sojourns recorded since the last [`ClassStats::take_window_p99`]
     /// — the detector's sliding SLO window.
     window_latency: HdrHistogram,
@@ -493,9 +504,16 @@ impl ClassCounters {
             arrived: 0,
             delivered: 0,
             latency: HdrHistogram::new(),
+            latency_moments: MeanVar::new(),
             window_latency: HdrHistogram::new(),
             window: None,
         }
+    }
+
+    /// Mean sojourn of the samples in `latency`: Welford's running mean
+    /// in `f64`, truncated to whole nanoseconds.
+    pub fn latency_mean(&self) -> Nanos {
+        Nanos::new(self.latency_moments.mean() as u64)
     }
 }
 
@@ -552,6 +570,7 @@ impl ClassStats {
         });
         if in_window {
             cc.latency.record(ns);
+            cc.latency_moments.record(ns.raw() as f64);
         }
         if let Some(w) = &mut cc.window {
             w.record(end);
@@ -588,6 +607,7 @@ impl ClassStats {
             a.arrived += b.arrived;
             a.delivered += b.delivered;
             a.latency.merge(&b.latency);
+            a.latency_moments.merge(&b.latency_moments);
             a.window_latency.merge(&b.window_latency);
             match (&mut a.window, &b.window) {
                 (Some(wa), Some(wb)) => wa.merge(wb),
@@ -955,6 +975,51 @@ mod tests {
         assert_eq!(s.latency.stage(Stage::Sq).sum(), Nanos::new(0));
         assert_eq!(s.latency.stage(Stage::Outq).sum(), Nanos::new(50));
         assert_eq!(s.latency.stage(Stage::Wire).sum(), Nanos::new(100));
+    }
+
+    #[test]
+    fn latency_moments_are_a_meanvar_of_the_totals_through_merges() {
+        // Per CPU, and then merged in CPU order as `collect` does: mean
+        // and jitter are bit-for-bit a `MeanVar` fed the same totals in
+        // the same order (the class book's moments likewise).
+        let freq = Freq::mhz(40);
+        let mut rng = 0x1a7e_u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        let (mut merged, mut want) = (LatencyStats::new(), MeanVar::new());
+        let (mut classes, mut class_want) = (ClassStats::new(), MeanVar::new());
+        for cpu in 0..3u64 {
+            let (mut s, mut m) = (LatencyStats::new(), MeanVar::new());
+            let (mut cs, mut cm) = (ClassStats::new(), MeanVar::new());
+            for k in 0..500 {
+                let arrived = Cycles::new(cpu * 1_000_000 + k * 997);
+                let mut stamps = StageStamps::UNSET;
+                stamps.ring_deq = arrived + Cycles::new(next(5_000));
+                let end = stamps.ring_deq + Cycles::new(1 + next(90_000));
+                s.record_delivery(arrived, &stamps, end, freq);
+                let ns = freq.nanos_from_cycles(end - arrived);
+                m.record(ns.raw() as f64);
+                cs.record_delivery(TrafficClass::Realtime, arrived, end, freq);
+                cm.record(ns.raw() as f64);
+            }
+            assert_eq!(s.moments, m, "cpu {cpu}");
+            assert_eq!(s.mean(), Nanos::new(m.mean() as u64));
+            assert_eq!(s.jitter(), Nanos::new(m.stddev() as u64));
+            merged.merge(&s);
+            want.merge(&m);
+            classes.merge(&cs);
+            class_want.merge(&cm);
+        }
+        assert_eq!(merged.moments, want);
+        assert_eq!(merged.mean(), Nanos::new(want.mean() as u64));
+        assert_eq!(merged.jitter(), Nanos::new(want.stddev() as u64));
+        let rt = classes.get(TrafficClass::Realtime);
+        assert_eq!(rt.latency_moments, class_want);
+        assert_eq!(rt.latency_mean(), Nanos::new(class_want.mean() as u64));
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     e("ci.sh", "simlint-gate", 7, "simlint found a non-baselined finding (run `cargo run -p lint` for the per-rule code)", None),
     e("ci.sh", "bench-smoke", 8, "the benchmark smoke failed (a checked unit failed, or a workload's sim_digest differs from the committed BENCH_PR<N>.json)", None),
     e("ci.sh", "smp-gate", 9, "figure S-1 SMP gate failed (MLFRR scaling or per-CPU ledger conservation), or the 4-CPU chrome-trace smoke did", None),
-    e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims), or the event-stream/flamegraph rerun smoke did", None),
+    e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims), or the event-stream/flamegraph rerun smoke (byte-identical reruns, same table as unobserved) did", None),
     e("ci.sh", "observe-smoke", 11, "the observe smoke failed (see `livelock observe` codes)", None),
     e("ci.sh", "priority-gate", 12, "figure P-1 priority-isolation gate failed (Control SLO or shedding order)", None),
     // figures binary.

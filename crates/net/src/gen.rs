@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 use livelock_sim::{Cycles, Freq, Rng};
 
 use crate::ethernet::MacAddr;
-use crate::packet::{udp_frame, Packet, PacketId};
+use crate::packet::{udp_frame, FlowKey, Packet, PacketId};
 use crate::pool::FramePool;
 
 /// Builds the paper's UDP test datagrams with sequential ids.
@@ -45,7 +45,7 @@ pub struct PacketFactory {
     /// multi-flow trial cycles `src_port` on every packet — so the cache
     /// is keyed, not single-entry. At most [`TEMPLATE_CAP`] entries; a
     /// new key arriving at a full cache empties it and starts over.
-    templates: Vec<(TemplateKey, Vec<u8>)>,
+    templates: Vec<Template>,
     /// Index of the template the previous packet used.
     last: usize,
 }
@@ -57,6 +57,16 @@ pub struct PacketFactory {
 /// paid the re-encode and two allocations, without the scan). No trial
 /// shape in the workspace uses more than 64 flows.
 const TEMPLATE_CAP: usize = 128;
+
+/// One cached frame: the addressing it was encoded from, its bytes, and
+/// the flow key parsed from those bytes once, stamped on every packet
+/// built from it.
+#[derive(Clone, Debug)]
+struct Template {
+    key: TemplateKey,
+    frame: Vec<u8>,
+    flow: Option<FlowKey>,
+}
 
 /// The addressing fields a cached frame template depends on.
 type TemplateKey = (
@@ -111,20 +121,23 @@ impl PacketFactory {
         self.pool.as_ref()
     }
 
-    /// Builds the next packet.
+    /// Builds the next packet, its [`flow`](crate::packet::PacketBody::flow)
+    /// stamped with the template's key.
     pub fn next_packet(&mut self) -> Packet {
         let id = PacketId(self.next_id);
         self.next_id += 1;
         let at = self.template_index();
-        let template = &self.templates[at].1;
-        match &self.pool {
+        let template = &self.templates[at];
+        let mut pkt = match &self.pool {
             Some(pool) => {
-                let mut buf = pool.take(template.len());
-                buf.copy_from_slice(template);
+                let mut buf = pool.take(template.frame.len());
+                buf.copy_from_slice(&template.frame);
                 Packet::from_frame(id, buf)
             }
-            None => Packet::from_frame(id, template.clone()),
-        }
+            None => Packet::from_frame(id, template.frame.clone()),
+        };
+        pkt.flow = template.flow;
+        pkt
     }
 
     /// Index in `templates` of the encoded frame for the current
@@ -149,15 +162,16 @@ impl PacketFactory {
             0
         };
         let hit = match self.templates.get(next) {
-            Some((k, _)) if *k == key => Some(next),
-            _ => self.templates.iter().position(|(k, _)| *k == key),
+            Some(t) if t.key == key => Some(next),
+            _ => self.templates.iter().position(|t| t.key == key),
         };
         self.last = match hit {
             Some(i) => i,
             None => {
-                // Encode once through the full header/checksum path; the
-                // id is carried beside the frame, never inside it, so
-                // every later packet with this key reuses these bytes.
+                // Encode (and parse the flow key) once through the full
+                // header/checksum path; the id is carried beside the
+                // frame, never inside it, so every later packet with this
+                // key reuses these bytes and that key.
                 self.zeros.resize(self.payload_len, 0);
                 let frame = udp_frame(
                     self.src_mac,
@@ -172,7 +186,8 @@ impl PacketFactory {
                 if self.templates.len() == TEMPLATE_CAP {
                     self.templates.clear();
                 }
-                self.templates.push((key, frame));
+                let flow = FlowKey::parse(&frame);
+                self.templates.push(Template { key, frame, flow });
                 self.templates.len() - 1
             }
         };
@@ -370,6 +385,35 @@ mod tests {
         f.dst_ip = PacketFactory::paper_testbed().dst_ip;
         assert_eq!(f.next_packet().frame, fresh_encode(&f));
         assert_eq!(f.templates.len(), 1 + edits.len());
+    }
+
+    #[test]
+    fn stamped_flow_key_is_the_built_frames_key() {
+        // Every template, through evictions (three laps of 3 × TEMPLATE_CAP
+        // ports, then a stride that defeats the round-robin probe), pooled
+        // and not, with every addressing field moved once.
+        let mut pooled = PacketFactory::paper_testbed().with_pool(FramePool::new(128, 4));
+        let mut plain = PacketFactory::paper_testbed();
+        let ports = (0..3 * TEMPLATE_CAP as u16)
+            .cycle()
+            .take(9 * TEMPLATE_CAP)
+            .chain((0..4_096u16).map(|p| p.wrapping_mul(7919)));
+        for (n, port) in ports.enumerate() {
+            for f in [&mut pooled, &mut plain] {
+                f.src_port = port;
+                match n % 1_000 {
+                    250 => f.dst_port = f.dst_port.wrapping_add(1),
+                    500 => f.src_ip = Ipv4Addr::from(u32::from(f.src_ip) + 1),
+                    750 => f.payload_len += 1,
+                    999 => f.ttl -= 1,
+                    _ => {}
+                }
+                let pkt = f.next_packet();
+                assert!(pkt.flow.is_some(), "port {port}: a UDP frame has a key");
+                assert_eq!(pkt.flow, pkt.flow_key(), "port {port}");
+            }
+        }
+        assert!(pooled.pool().is_some_and(|p| p.stats().misses == 0));
     }
 
     #[test]

@@ -48,6 +48,45 @@ pub struct FlowKey {
     pub dst_port: u16,
 }
 
+impl FlowKey {
+    /// Parses the 5-tuple out of Ethernet frame bytes; see
+    /// [`Packet::flow_key`].
+    pub(crate) fn parse(frame: &[u8]) -> Option<FlowKey> {
+        if EthernetHeader::parse(frame).ok()?.ethertype != EtherType::Ipv4 {
+            return None;
+        }
+        // Bound the datagram from the one parsed header's total-length
+        // field: `Packet::ip_datagram` would parse (and checksum) the
+        // same header a second time.
+        let ip = Ipv4Header::parse(&frame[ETHERNET_HEADER_LEN..]).ok()?;
+        let end = ETHERNET_HEADER_LEN + ip.total_len as usize;
+        if frame.len() < end {
+            return None;
+        }
+        let seg = &frame[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..end];
+        let (src_port, dst_port) = match ip.protocol {
+            ipv4::proto::UDP => {
+                let udp = udp::UdpHeader::parse(seg).ok()?;
+                (udp.src_port, udp.dst_port)
+            }
+            // TCP's fixed header is 20 bytes and opens with the ports.
+            ipv4::proto::TCP if seg.len() < 20 => return None,
+            ipv4::proto::TCP => (
+                u16::from_be_bytes([seg[0], seg[1]]),
+                u16::from_be_bytes([seg[2], seg[3]]),
+            ),
+            _ => (0, 0),
+        };
+        Some(FlowKey {
+            src_ip: ip.src.into(),
+            dst_ip: ip.dst.into(),
+            proto: ip.protocol,
+            src_port,
+            dst_port,
+        })
+    }
+}
+
 /// Per-packet lifecycle timestamps, one per stage boundary of the receive
 /// path. Stamps live in the packet's slot (plain `Copy` data), so
 /// recording them costs nothing on the zero-allocation forwarding path.
@@ -124,10 +163,12 @@ pub struct PacketBody {
     pub dequeued_at: Cycles,
     /// Lifecycle stage-boundary timestamps for latency accounting.
     pub stamps: StageStamps,
-    /// The transport 5-tuple, parsed once at RX-arrival by the kernel
-    /// when per-flow observability is on (`None` otherwise, and for
-    /// non-IP or portless frames). Cached here so drop and delivery
-    /// sites never re-parse the frame.
+    /// The transport 5-tuple the frame carries, so drop and delivery
+    /// sites never re-parse it. A [`PacketFactory`](crate::gen::PacketFactory)
+    /// stamps it from its template; otherwise the kernel parses it at RX
+    /// arrival when per-flow observability is on (`None` until then, and
+    /// for non-IP frames). Whoever edits the frame's addresses or ports
+    /// after the stamp re-parses it ([`Packet::flow_key`]).
     pub flow: Option<FlowKey>,
     /// The priority class the admission path assigned (`None` until the
     /// kernel's classifier runs, and always `None` when classification
@@ -251,39 +292,10 @@ impl Packet {
     /// non-IPv4 frames, malformed headers, or truncated transport
     /// headers; ports are 0 for protocols other than UDP/TCP.
     ///
-    /// This reads the wire bytes every call — the kernel parses once at
-    /// arrival and caches the result in [`Packet::flow`].
+    /// This reads the wire bytes every call; the key a packet carries is
+    /// [`PacketBody::flow`].
     pub fn flow_key(&self) -> Option<FlowKey> {
-        // Parse the IPv4 header once and bound the datagram from its
-        // total-length field directly — going through `ip_datagram()`
-        // here would parse (and checksum) the same header a second time,
-        // and this runs on every arrival when per-flow metrics are on.
-        let ip = self.ipv4().ok()?;
-        let end = ETHERNET_HEADER_LEN + ip.total_len as usize;
-        if self.frame.len() < end {
-            return None;
-        }
-        let seg = &self.frame[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..end];
-        let (src_port, dst_port) = match ip.protocol {
-            ipv4::proto::UDP => {
-                let udp = udp::UdpHeader::parse(seg).ok()?;
-                (udp.src_port, udp.dst_port)
-            }
-            // TCP's fixed header is 20 bytes and opens with the ports.
-            ipv4::proto::TCP if seg.len() < 20 => return None,
-            ipv4::proto::TCP => (
-                u16::from_be_bytes([seg[0], seg[1]]),
-                u16::from_be_bytes([seg[2], seg[3]]),
-            ),
-            _ => (0, 0),
-        };
-        Some(FlowKey {
-            src_ip: ip.src.into(),
-            dst_ip: ip.dst.into(),
-            proto: ip.protocol,
-            src_port,
-            dst_port,
-        })
+        FlowKey::parse(&self.frame)
     }
 
     /// Builds a complete UDP/IPv4/Ethernet frame with valid checksums.

@@ -237,17 +237,30 @@ done
 echo "== determinism: event stream and flamegraph byte-identical across runs =="
 # The observability artifacts themselves are part of the determinism
 # contract: the JSONL event stream and the folded flamegraph from two
-# fresh processes of the same trial must match byte for byte.
-mkdir -p "$scratch/obs1" "$scratch/obs2"
+# fresh processes of the same trial must match byte for byte. The same
+# trial unobserved must print the same table (observe on ≡ off in a
+# release build).
+mkdir -p "$scratch/obs1" "$scratch/obs2" "$scratch/obs0"
 for d in obs1 obs2; do
     "$repo/target/release/livelock" trial --config screend --rate 12000 \
         --packets 2000 --seed 7 \
         --events "$scratch/$d/events.jsonl" \
-        --flamegraph "$scratch/$d/trial.folded" > /dev/null || {
+        --flamegraph "$scratch/$d/trial.folded" > "$scratch/$d/stdout.txt" || {
         echo "ci: FAIL — livelock trial --events/--flamegraph exited nonzero" >&2
         exit 10
     }
 done
+"$repo/target/release/livelock" trial --config screend --rate 12000 \
+    --packets 2000 --seed 7 > "$scratch/obs0/stdout.txt" || {
+    echo "ci: FAIL — unobserved livelock trial exited nonzero" >&2
+    exit 10
+}
+if cmp -s "$scratch/obs0/stdout.txt" "$scratch/obs1/stdout.txt"; then
+    echo "ci: observed and unobserved trial print the same table"
+else
+    echo "ci: FAIL — --events/--flamegraph changed the trial's printed table" >&2
+    exit 10
+fi
 if cmp -s "$scratch/obs1/events.jsonl" "$scratch/obs2/events.jsonl" \
     && cmp -s "$scratch/obs1/trial.folded" "$scratch/obs2/trial.folded"; then
     echo "ci: events.jsonl and trial.folded byte-identical across runs"
