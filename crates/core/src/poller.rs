@@ -156,8 +156,10 @@ impl Poller {
         if slots == 0 {
             return None;
         }
-        for step in 0..slots {
-            let slot = (self.cursor + step) % slots;
+        // Slots wrap by compare: `cursor < slots` always holds.
+        let next = |slot: usize| if slot + 1 == slots { 0 } else { slot + 1 };
+        let mut slot = self.cursor;
+        for _ in 0..slots {
             let source = SourceId(slot / 2);
             let dir = if slot % 2 == 0 {
                 PollDirection::Receive
@@ -165,9 +167,10 @@ impl Poller {
                 PollDirection::Transmit
             };
             if !self.slot_serviceable(source, dir) {
+                slot = next(slot);
                 continue;
             }
-            self.cursor = (slot + 1) % slots;
+            self.cursor = next(slot);
             let quota = match dir {
                 PollDirection::Receive => self.rx_quota,
                 PollDirection::Transmit => self.tx_quota,

@@ -847,8 +847,9 @@ struct WireArrivals {
     /// trial carries flow `i % len`.
     flows: Vec<(u16, usize)>,
     queue: usize,
-    /// Trial-wide index of the next packet to consider.
-    next_index: usize,
+    /// The flow of the next packet to consider: the trial-wide packet
+    /// index modulo `flows.len()`, kept by wrapping.
+    cursor: usize,
 }
 
 impl WireArrivals {
@@ -863,7 +864,7 @@ impl WireArrivals {
             factory,
             flows,
             queue,
-            next_index: 0,
+            cursor: 0,
         }
     }
 }
@@ -878,8 +879,11 @@ impl ArrivalSource<Event> for WireArrivals {
         // A scheduled arrival means a packet of this queue remains, so
         // the skip over other queues' packets terminates.
         let port = loop {
-            let (port, queue) = self.flows[self.next_index % self.flows.len()];
-            self.next_index += 1;
+            let (port, queue) = self.flows[self.cursor];
+            self.cursor += 1;
+            if self.cursor == self.flows.len() {
+                self.cursor = 0;
+            }
             if queue == self.queue {
                 break port;
             }

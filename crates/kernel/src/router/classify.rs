@@ -161,6 +161,9 @@ impl RouterKernel {
     /// classes are observed, never enforced, which is exactly the
     /// contrast the `chaos --priority` scenario measures.
     pub(super) fn class_admit(&mut self, pkt: &mut Packet) -> bool {
+        if self.classes.is_none() {
+            return true;
+        }
         let polled = self.is_polled();
         let fill = self.bottleneck_fill();
         let Some(ce) = &mut self.classes else {

@@ -3,6 +3,19 @@
 
 use super::*;
 
+/// The last destination forwarded and how it resolved — the one-entry
+/// cache 4.4BSD's `ip_forward` keeps as `ipforward_rt`. A hit answers what
+/// the route and ARP lookups would; the simulated per-packet cost is the
+/// same either way.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct FwdCache {
+    dst: Ipv4Addr,
+    hop: NextHop,
+    mac: MacAddr,
+    /// When the ARP entry behind `mac` expires.
+    expires: Cycles,
+}
+
 impl RouterKernel {
     // --- Forwarding (the real per-packet work) ---
 
@@ -43,16 +56,28 @@ impl RouterKernel {
             self.stats.record_drop_for(DropReason::Bystander, flow);
             return None;
         }
-        let Some(hop) = self.routes.lookup(ip.dst) else {
-            self.stats.record_drop_for(DropReason::NoRoute, flow);
-            self.queue_icmp_error(&pkt, IcmpErrorKind::NetUnreachable, now);
-            return None;
-        };
-        let arp_target = hop.gateway.unwrap_or(ip.dst);
-        let Some(dst_mac) = self.arp.lookup(arp_target, Cycles::MAX) else {
-            self.stats.record_drop_for(DropReason::NoArp, flow);
-            self.queue_icmp_error(&pkt, IcmpErrorKind::HostUnreachable, now);
-            return None;
+        let (hop, dst_mac) = match self.fwd_cache {
+            Some(c) if c.dst == ip.dst && now < c.expires => (c.hop, c.mac),
+            _ => {
+                let Some(hop) = self.routes.lookup(ip.dst) else {
+                    self.stats.record_drop_for(DropReason::NoRoute, flow);
+                    self.queue_icmp_error(&pkt, IcmpErrorKind::NetUnreachable, now);
+                    return None;
+                };
+                let arp_target = hop.gateway.unwrap_or(ip.dst);
+                let Some((mac, expires)) = self.arp.lookup(arp_target, now) else {
+                    self.stats.record_drop_for(DropReason::NoArp, flow);
+                    self.queue_icmp_error(&pkt, IcmpErrorKind::HostUnreachable, now);
+                    return None;
+                };
+                self.fwd_cache = Some(FwdCache {
+                    dst: ip.dst,
+                    hop,
+                    mac,
+                    expires,
+                });
+                (hop, mac)
+            }
         };
         let hdr = match pkt.ip_header_bytes_mut() {
             Ok(h) => h,
@@ -97,6 +122,7 @@ impl RouterKernel {
         let lifetime = self.cost.freq.cycles_from_secs(1200);
         self.arp
             .insert(arp.sender_ip, arp.sender_mac, env.now() + lifetime);
+        self.fwd_cache = None;
         if arp.op == ArpOp::Request && self.ifaces[in_iface].ip == arp.target_ip {
             let our_mac = self.ifaces[in_iface].mac;
             let reply = ArpPacket {

@@ -64,6 +64,7 @@ mod unmodified;
 
 use classify::ClassEngine;
 use faults::FaultState;
+use forwarding::FwdCache;
 use livelock_net::classify::TrafficClass;
 pub(crate) use smp::{CpuLink, STEAL_BUF_CAP};
 
@@ -279,6 +280,8 @@ pub struct RouterKernel {
     icmp_pace: IntrRateLimiter,
     routes: RouteTable,
     arp: ArpCache,
+    /// Cleared by every change to `routes` or `arp`.
+    fwd_cache: Option<FwdCache>,
     filter: Filter,
     poller: Poller,
     gate: IntrGate,
@@ -530,6 +533,7 @@ impl RouterKernel {
             softclock_in_handler: false,
             routes,
             arp,
+            fwd_cache: None,
             filter,
             poller,
             gate: IntrGate::new(),
@@ -723,11 +727,13 @@ impl RouterKernel {
     /// Adds a route (for non-default topologies).
     pub fn add_route(&mut self, prefix: Ipv4Addr, len: u8, hop: NextHop) {
         self.routes.insert(prefix, len, hop);
+        self.fwd_cache = None;
     }
 
     /// Adds a permanent ARP entry (for non-default topologies).
     pub fn add_phantom_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         self.arp.insert_phantom(ip, mac);
+        self.fwd_cache = None;
     }
 
     /// Interface-level drop count (receive ring overflows).
@@ -1250,6 +1256,120 @@ mod tests {
         let s = e.workload().stats();
         assert_eq!(s.fwd_errors(), 1);
         assert_eq!(s.transmitted, 0);
+    }
+
+    /// Routes one generated packet for `dst` at `now`, straight through
+    /// the forwarding path: where it goes and the MAC it is addressed to.
+    fn forward(k: &mut RouterKernel, dst: Ipv4Addr, now: Cycles) -> Option<(usize, MacAddr)> {
+        let mut factory = PacketFactory::paper_testbed();
+        factory.dst_ip = dst;
+        match k.route_packet(factory.next_packet(), now)? {
+            Routed::Forward(i, pkt) => Some((i, pkt.ethernet().ok()?.dst)),
+            Routed::Local(_) => None,
+        }
+    }
+
+    /// Delivers an ARP request from `(ip, mac)` for the router's own
+    /// address on `iface`, and runs until it is handled.
+    fn arp_from(e: &mut Engine<RouterKernel>, iface: usize, ip: Ipv4Addr, mac: MacAddr) {
+        let request = ArpPacket {
+            op: ArpOp::Request,
+            sender_mac: mac,
+            sender_ip: ip,
+            target_mac: MacAddr::ZERO,
+            target_ip: Ipv4Addr::new(10, iface as u8, 0, 1),
+        };
+        let mut frame = vec![0u8; ETHERNET_HEADER_LEN + ARP_PACKET_LEN];
+        let eth = EthernetHeader {
+            dst: MacAddr::BROADCAST,
+            src: mac,
+            ethertype: EtherType::Arp,
+        };
+        eth.encode(&mut frame).unwrap();
+        request.encode(&mut frame[ETHERNET_HEADER_LEN..]).unwrap();
+        let pkt = Packet::from_frame(livelock_net::packet::PacketId(1), frame);
+        let at = e.now() + Cycles::new(1_000);
+        e.state_schedule(at, Event::RxArrive { iface, pkt });
+        let handled = e.workload().stats().arp_handled;
+        e.run_until(at + Cycles::new(1_000_000));
+        assert_eq!(e.workload().stats().arp_handled, handled + 1);
+    }
+
+    fn drops(e: &Engine<RouterKernel>, reason: DropReason) -> u64 {
+        e.workload().stats().drops.get(reason)
+    }
+
+    #[test]
+    fn an_arp_learned_host_is_forwardable_until_its_entry_expires() {
+        let mut e = engine_for(KernelConfig::builder().build());
+        let (x, mac) = (Ipv4Addr::new(10, 1, 0, 50), MacAddr::local(0x500));
+        let now = e.now();
+        assert_eq!(forward(e.workload_mut(), x, now), None, "not yet learned");
+        assert_eq!(drops(&e, DropReason::NoArp), 1);
+        arp_from(&mut e, 1, x, mac);
+        let now = e.now();
+        let (_, expires) = e.workload().arp.lookup(x, now).expect("learned");
+        for t in [now, expires - Cycles::new(1)] {
+            assert_eq!(forward(e.workload_mut(), x, t), Some((1, mac)));
+        }
+        assert_eq!(forward(e.workload_mut(), x, expires), None, "expired");
+        assert_eq!(drops(&e, DropReason::NoArp), 2);
+    }
+
+    #[test]
+    fn a_relearned_mac_takes_effect_on_the_next_packet() {
+        let mut e = engine_for(KernelConfig::builder().build());
+        let dst = Ipv4Addr::new(10, 1, 0, 99);
+        let now = e.now();
+        let phantom = Some((1, MacAddr::local(0x99)));
+        assert_eq!(forward(e.workload_mut(), dst, now), phantom);
+        // The destination announces a new MAC: it overwrites the phantom.
+        arp_from(&mut e, 1, dst, MacAddr::local(0x777));
+        let now = e.now();
+        let relearned = Some((1, MacAddr::local(0x777)));
+        for _ in 0..2 {
+            assert_eq!(forward(e.workload_mut(), dst, now), relearned);
+        }
+        assert_eq!(drops(&e, DropReason::NoArp), 0);
+    }
+
+    #[test]
+    fn a_more_specific_route_takes_effect_on_the_next_packet() {
+        let mut e = engine_for(KernelConfig::builder().build());
+        let dst = Ipv4Addr::new(10, 1, 0, 99);
+        let now = e.now();
+        let direct = Some((1, MacAddr::local(0x99)));
+        assert_eq!(forward(e.workload_mut(), dst, now), direct);
+        let gateway = Ipv4Addr::new(10, 0, 0, 2);
+        let hop = NextHop {
+            iface: 0,
+            gateway: Some(gateway),
+        };
+        e.workload_mut().add_route(dst, 32, hop);
+        let via_gateway = Some((0, MacAddr::local(0x100)));
+        assert_eq!(forward(e.workload_mut(), dst, now), via_gateway);
+        // And a new ARP entry for the gateway reaches the cached route.
+        let moved_mac = MacAddr::local(0x101);
+        e.workload_mut().add_phantom_arp(gateway, moved_mac);
+        let moved = Some((0, moved_mac));
+        assert_eq!(forward(e.workload_mut(), dst, now), moved);
+    }
+
+    #[test]
+    fn unroutable_and_unresolvable_packets_are_counted_every_time() {
+        let mut e = engine_for(KernelConfig::builder().build());
+        let reachable = Ipv4Addr::new(10, 1, 0, 99);
+        let no_route = Ipv4Addr::new(192, 168, 55, 1);
+        let no_arp = Ipv4Addr::new(10, 1, 0, 42);
+        let now = e.now();
+        for round in 1..=3 {
+            for dst in [no_route, no_route, no_arp, no_arp] {
+                assert_eq!(forward(e.workload_mut(), dst, now), None);
+            }
+            assert!(forward(e.workload_mut(), reachable, now).is_some());
+            assert_eq!(drops(&e, DropReason::NoRoute), 2 * round);
+            assert_eq!(drops(&e, DropReason::NoArp), 2 * round);
+        }
     }
 
     #[test]

@@ -230,10 +230,10 @@ impl<E> EvBackend<E> {
         }
     }
 
-    fn pop_due_batch(&mut self, now: Cycles, out: &mut Vec<(Cycles, E)>) -> usize {
+    fn pop(&mut self) -> Option<(Cycles, E)> {
         match self {
-            EvBackend::Heap(q) => q.pop_due_batch(now, out),
-            EvBackend::Calendar(q) => q.pop_due_batch(now, out),
+            EvBackend::Heap(q) => q.pop(),
+            EvBackend::Calendar(q) => q.pop(),
         }
     }
 
@@ -257,6 +257,10 @@ pub struct EnvState<E> {
     pub sched: Scheduler,
     now: Cycles,
     evq: EvBackend<E>,
+    /// Time of the queue's earliest event, kept by every schedule and
+    /// every pop, so the executor's due check, step stop and idle advance
+    /// read a field instead of the backend.
+    head: Option<Cycles>,
     events_dispatched: u64,
     book: CycleBook,
     cpu: CpuId,
@@ -364,6 +368,7 @@ impl<E> EnvState<E> {
             sched: Scheduler::new(quantum),
             now: Cycles::ZERO,
             evq: EvBackend::new(kind),
+            head: None,
             events_dispatched: 0,
             book: CycleBook::new(),
             cpu: CpuId(0),
@@ -415,12 +420,26 @@ impl<E> EnvState<E> {
 
     /// Schedules an event at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: Cycles, event: E) {
-        self.evq.schedule(at.max(self.now), event);
+        self.schedule(at.max(self.now), event);
     }
 
     /// Schedules an event `delay` cycles from now.
     pub fn schedule_in(&mut self, delay: Cycles, event: E) {
-        self.evq.schedule(self.now + delay, event);
+        self.schedule(self.now + delay, event);
+    }
+
+    fn schedule(&mut self, at: Cycles, event: E) {
+        self.evq.schedule(at, event);
+        if self.head.map_or(true, |h| at < h) {
+            self.head = Some(at);
+        }
+    }
+
+    /// Removes the queue's earliest event and refreshes the head.
+    fn pop(&mut self) -> Option<E> {
+        let (_, event) = self.evq.pop()?;
+        self.head = self.evq.peek_time();
+        Some(event)
     }
 
     /// Cycles consumed so far by a thread.
@@ -625,8 +644,6 @@ pub struct Engine<W: Workload> {
     ctx_switch_cost: Cycles,
     idle_notified: bool,
     trace: Option<Trace>,
-    /// Reused buffer for the batched due-event drain in `run_until`.
-    due_batch: Vec<(Cycles, W::Event)>,
     source: Option<Box<dyn ArrivalSource<W::Event>>>,
     /// Cached `source.next_time()`, so the merged peek on the hot path is
     /// one compare instead of a virtual call.
@@ -643,6 +660,37 @@ pub struct Engine<W: Workload> {
 /// zero-cost work).
 const SPIN_LIMIT: u64 = 10_000_000;
 
+/// Counts the executor's steps since virtual time last advanced: every
+/// pass of the loop head and every step a context takes without
+/// returning to it.
+struct SpinGuard {
+    spins: u64,
+    last_now: Cycles,
+}
+
+impl SpinGuard {
+    fn new(now: Cycles) -> Self {
+        SpinGuard {
+            spins: 0,
+            last_now: now,
+        }
+    }
+
+    /// One step, taken at `now`.
+    fn step(&mut self, now: Cycles) {
+        if now > self.last_now {
+            self.last_now = now;
+            self.spins = 0;
+        } else {
+            self.spins += 1;
+            assert!(
+                self.spins < SPIN_LIMIT,
+                "workload makes no progress at t={now} (zero-cost loop?)"
+            );
+        }
+    }
+}
+
 impl<W: Workload> Engine<W> {
     /// Creates an engine over pre-populated machine state.
     pub fn new(st: EnvState<W::Event>, workload: W, ctx_switch_cost: Cycles) -> Self {
@@ -656,7 +704,6 @@ impl<W: Workload> Engine<W> {
             ctx_switch_cost,
             idle_notified: false,
             trace: None,
-            due_batch: Vec::new(),
             source: None,
             source_next: None,
             // Room for the usual one parked arrival from the start, so
@@ -758,20 +805,9 @@ impl<W: Workload> Engine<W> {
             self.arrived = arrived;
             self.idle_notified = false;
         }
-        let mut spins: u64 = 0;
-        let mut last_now = self.st.now;
+        let mut guard = SpinGuard::new(self.st.now);
         loop {
-            if self.st.now > last_now {
-                last_now = self.st.now;
-                spins = 0;
-            } else {
-                spins += 1;
-                assert!(
-                    spins < SPIN_LIMIT,
-                    "workload makes no progress at t={} (zero-cost loop?)",
-                    self.st.now
-                );
-            }
+            guard.step(self.st.now);
 
             if self.st.now >= limit {
                 while let Some(ev) = self.pop_source_through(self.st.now) {
@@ -780,32 +816,11 @@ impl<W: Workload> Engine<W> {
                 return Exit::HitLimit;
             }
 
-            // 1. Deliver due events — the whole same-cycle burst, queued
-            // and source, in one batched drain. Dispatch order is identical
-            // to popping one event per loop iteration: handlers cannot
-            // advance time, so nothing else runs between two due events
-            // either way, and anything a handler schedules for `now`
-            // carries a later sequence number than every event already
-            // drained, so it pops (in order) on the next pass. Source
-            // events go first at equal times (the `ArrivalSource` tie
-            // order).
-            // Both peeks are O(1) (a cached field, a cached queue head);
-            // the overwhelmingly common loop iteration has nothing due and
-            // skips the drain machinery entirely.
-            let now = self.st.now;
-            let queue_due = matches!(self.st.evq.peek_time(), Some(t) if t <= now);
-            if queue_due || self.source_due(now) {
-                let mut batch = std::mem::take(&mut self.due_batch);
-                if queue_due {
-                    self.st.evq.pop_due_batch(now, &mut batch);
-                }
-                for (t, ev) in batch.drain(..) {
-                    self.dispatch_source_through(t);
-                    self.dispatch(ev);
-                }
-                self.dispatch_source_through(now);
+            // 1. Deliver due events. Both reads are fields; the
+            // overwhelmingly common pass has nothing due.
+            if self.event_due() {
+                self.dispatch_due(&mut guard);
                 self.idle_notified = false;
-                self.due_batch = batch;
                 continue;
             }
 
@@ -822,28 +837,8 @@ impl<W: Workload> Engine<W> {
             }
 
             // 3. Run the top interrupt frame.
-            if let Some(top) = self.frames.last_mut() {
-                let src = top.src;
-                let Some(progress) = top.progress else {
-                    let workload = &mut self.workload;
-                    let chunk = Self::env_call(&mut self.st, |env| {
-                        workload.next_chunk(env, CtxKind::Intr(src))
-                    });
-                    match chunk {
-                        Some(c) => top.progress = Some(Progress::from_chunk(c)),
-                        None => {
-                            self.frames.pop();
-                            self.record(TraceEvent::IntrExit(src));
-                        }
-                    }
-                    continue;
-                };
-                // Workload callbacks reach the machine through `Env`,
-                // never the frame stack: the top frame is still this one.
-                let next = self.step_chunk(CtxKind::Intr(src), progress, limit);
-                if let Some(top) = self.frames.last_mut() {
-                    top.progress = next;
-                }
+            if let Some(&top) = self.frames.last() {
+                self.run_frame(top, limit, &mut guard);
                 continue;
             }
 
@@ -855,41 +850,7 @@ impl<W: Workload> Engine<W> {
 
             // 5. Thread level.
             if let Some((tid, progress)) = self.cur_thread {
-                // The workload may have put the current thread to sleep.
-                if self.st.sched.running() != Some(tid) {
-                    self.cur_thread = None;
-                    continue;
-                }
-                // A chunk-issue boundary: either `next_chunk` is about to
-                // be asked, or a re-armed burst repetition is about to
-                // start. Both get exactly the same preemption check.
-                let at_issue = match progress {
-                    None => true,
-                    Some(p) => p.fresh,
-                };
-                if at_issue && self.st.sched.should_preempt() {
-                    self.st.sched.yield_current();
-                    self.cur_thread = None;
-                    continue;
-                }
-                let Some(progress) = progress else {
-                    let workload = &mut self.workload;
-                    let chunk = Self::env_call(&mut self.st, |env| {
-                        workload.next_chunk(env, CtxKind::Thread(tid))
-                    });
-                    match chunk {
-                        Some(c) => self.cur_thread = Some((tid, Some(Progress::from_chunk(c)))),
-                        None => {
-                            if self.st.sched.running() == Some(tid) {
-                                self.st.sched.yield_current();
-                            }
-                            self.cur_thread = None;
-                        }
-                    }
-                    continue;
-                };
-                let next = self.step_chunk(CtxKind::Thread(tid), progress, limit);
-                self.cur_thread = Some((tid, next));
+                self.run_thread(tid, progress, limit, &mut guard);
                 continue;
             }
             if let Some(tid) = self.st.sched.pick() {
@@ -938,18 +899,139 @@ impl<W: Workload> Engine<W> {
         self.run_until(Cycles::MAX)
     }
 
+    /// Step 3: runs the top interrupt frame — asks for its next chunk,
+    /// runs it, and keeps going in this frame for as long as nothing
+    /// [intervenes](Self::intervenes). A `None` chunk returns from the
+    /// interrupt.
+    fn run_frame(&mut self, frame: Frame, limit: Cycles, guard: &mut SpinGuard) {
+        let ctx = CtxKind::Intr(frame.src);
+        let mut progress = frame.progress;
+        loop {
+            progress = match progress {
+                Some(p) => self.step_chunk(ctx, p, limit),
+                None => match self.issue(ctx) {
+                    Some(c) => Some(Progress::from_chunk(c)),
+                    None => {
+                        self.frames.pop();
+                        self.record(TraceEvent::IntrExit(frame.src));
+                        return;
+                    }
+                },
+            };
+            if self.intervenes(frame.ipl, limit) {
+                break;
+            }
+            guard.step(self.st.now);
+        }
+        // Workload callbacks reach the machine through `Env`, never the
+        // frame stack: the top frame is still this one.
+        if let Some(top) = self.frames.last_mut() {
+            top.progress = progress;
+        }
+    }
+
+    /// Step 5: runs the current thread — asks for its next chunk, runs
+    /// it, and keeps going in this thread for as long as nothing
+    /// [intervenes](Self::intervenes), it stays the running thread, and
+    /// no other thread preempts it at a chunk-issue boundary.
+    fn run_thread(
+        &mut self,
+        tid: ThreadId,
+        mut progress: Option<Progress>,
+        limit: Cycles,
+        guard: &mut SpinGuard,
+    ) {
+        let ctx = CtxKind::Thread(tid);
+        loop {
+            // The workload may have put the current thread to sleep.
+            if self.st.sched.running() != Some(tid) {
+                self.cur_thread = None;
+                return;
+            }
+            // A chunk-issue boundary: either `next_chunk` is about to be
+            // asked, or a re-armed burst repetition is about to start.
+            // Both get exactly the same preemption check.
+            let at_issue = progress.map_or(true, |p| p.fresh);
+            if at_issue && self.st.sched.should_preempt() {
+                self.st.sched.yield_current();
+                self.cur_thread = None;
+                return;
+            }
+            progress = match progress {
+                Some(p) => self.step_chunk(ctx, p, limit),
+                None => match self.issue(ctx) {
+                    Some(c) => Some(Progress::from_chunk(c)),
+                    None => {
+                        if self.st.sched.running() == Some(tid) {
+                            self.st.sched.yield_current();
+                        }
+                        self.cur_thread = None;
+                        return;
+                    }
+                },
+            };
+            if self.intervenes(Ipl::NONE, limit) {
+                break;
+            }
+            guard.step(self.st.now);
+        }
+        self.cur_thread = Some((tid, progress));
+    }
+
+    /// Whether the loop head has work before the context running at
+    /// `ipl` takes its next step: exactly what it would check first — the
+    /// limit is reached, an event is due, or a pending interrupt preempts
+    /// `ipl`.
+    fn intervenes(&self, ipl: Ipl, limit: Cycles) -> bool {
+        self.st.now >= limit || self.event_due() || self.st.intr.preempts(ipl)
+    }
+
+    /// Asks the workload for `ctx`'s next chunk.
+    fn issue(&mut self, ctx: CtxKind) -> Option<Chunk> {
+        let workload = &mut self.workload;
+        Self::env_call(&mut self.st, |env| workload.next_chunk(env, ctx))
+    }
+
     /// Time of the earliest event still to dispatch, queued or source.
-    /// (`&mut` only because the calendar backend's peek maintains its min
-    /// cache.)
-    fn next_event_time(&mut self) -> Option<Cycles> {
-        match (self.source_next, self.st.evq.peek_time()) {
+    fn next_event_time(&self) -> Option<Cycles> {
+        match (self.source_next, self.st.head) {
             (Some(s), Some(q)) => Some(s.min(q)),
             (s, q) => s.or(q),
         }
     }
 
+    /// Whether an event, queued or source, is due at `now`.
+    fn event_due(&self) -> bool {
+        let now = self.st.now;
+        matches!(self.st.head, Some(t) if t <= now) || self.source_due(now)
+    }
+
     fn source_due(&self, now: Cycles) -> bool {
         matches!(self.source_next, Some(t) if t <= now)
+    }
+
+    /// Step 1: dispatches every event due at `now`, one at a time, in the
+    /// queue's `(at, seq)` order merged with the source's, a source event
+    /// first at equal times (the [`ArrivalSource`] tie order). Handlers
+    /// cannot advance time, and anything one schedules for `now` carries
+    /// a later sequence number than every event already due, so it
+    /// dispatches after them, in this same call. Each dispatch is a step
+    /// for the spin guard.
+    fn dispatch_due(&mut self, guard: &mut SpinGuard) {
+        let now = self.st.now;
+        loop {
+            let queued = self.st.head.filter(|&t| t <= now);
+            let ev = match (self.source_next.filter(|&t| t <= now), queued) {
+                (None, None) => return,
+                (Some(s), Some(q)) if q < s => self.st.pop(),
+                (None, Some(_)) => self.st.pop(),
+                (Some(_), _) => self.pop_source_through(now),
+            };
+            if let Some(ev) = ev {
+                self.dispatch(ev);
+            }
+            guard.step(now);
+        }
     }
 
     fn dispatch(&mut self, ev: W::Event) {
@@ -972,16 +1054,9 @@ impl<W: Workload> Engine<W> {
         ev
     }
 
-    /// Produces and dispatches every source event due at or before `t`.
-    fn dispatch_source_through(&mut self, t: Cycles) {
-        while let Some(ev) = self.pop_source_through(t) {
-            self.dispatch(ev);
-        }
-    }
-
     /// The stop time for a chunk step: the earliest of chunk completion,
     /// the next event, and the run limit.
-    fn step_stop(&mut self, remaining: Cycles, limit: Cycles) -> (Cycles, bool) {
+    fn step_stop(&self, remaining: Cycles, limit: Cycles) -> (Cycles, bool) {
         let chunk_end = self.st.now + remaining;
         let mut stop = chunk_end.min(limit);
         if let Some(t) = self.next_event_time() {
@@ -1003,9 +1078,9 @@ impl<W: Workload> Engine<W> {
             // A burst repetition issues here — the exact instant
             // `next_chunk` would have been called for it. `chunk_start`
             // is observationally pure towards the machine, so the
-            // interrupt/event/preemption checks the loop already ran this
-            // iteration (see `at_issue` in `run_until` for threads) cannot
-            // have been invalidated.
+            // interrupt/event/preemption checks already run for this step
+            // (see `at_issue` in `run_thread` for threads) cannot have
+            // been invalidated.
             progress.fresh = false;
             let workload = &mut self.workload;
             Self::env_call(&mut self.st, |env| {
@@ -1029,8 +1104,8 @@ impl<W: Workload> Engine<W> {
         Self::env_call(&mut self.st, |env| {
             workload.chunk_done(env, ctx, progress.tag)
         });
-        // Re-arm the next repetition of a burst; the loop still honors
-        // due events and preempting interrupts before it runs.
+        // Re-arm the next repetition of a burst; due events and
+        // preempting interrupts still intervene before it runs.
         progress.rearm()
     }
 
@@ -1055,6 +1130,7 @@ mod tests {
 
     use super::*;
     use crate::thread::Priority;
+    use crate::trace::TraceRecord;
 
     /// A scriptable workload for engine tests.
     #[derive(Default)]
@@ -1067,6 +1143,11 @@ mod tests {
         /// Threads that should sleep after draining their chunks.
         sleep_when_done: Vec<ThreadId>,
         idle_calls: u64,
+        /// `(tag, src)`: a completing chunk with this tag posts `src`.
+        post_on_done: Vec<(u64, IntrSrc)>,
+        /// `(tag, delay)`: a completing chunk with this tag schedules a
+        /// `Note` `delay` cycles on.
+        note_on_done: Vec<(u64, u64)>,
     }
 
     #[derive(Debug)]
@@ -1075,6 +1156,8 @@ mod tests {
         Wake(ThreadId),
         /// Logs its name when dispatched.
         Note(&'static str),
+        /// Masks (`false`) or unmasks a source.
+        Enable(IntrSrc, bool),
     }
 
     /// An [`ArrivalSource`] over a fixed list, counting what it has built.
@@ -1151,6 +1234,21 @@ mod tests {
         fn chunk_done(&mut self, env: &mut Env<'_, Ev>, ctx: CtxKind, tag: u64) {
             let now = env.now();
             self.log(now, format!("done {ctx:?} tag={tag}"));
+            for &(t, src) in &self.post_on_done {
+                if t == tag {
+                    env.post_intr(src);
+                }
+            }
+            for &(t, delay) in &self.note_on_done {
+                if t == tag {
+                    env.schedule_in(cy(delay), Ev::Note("timer"));
+                }
+            }
+        }
+
+        fn chunk_start(&mut self, env: &mut Env<'_, Ev>, ctx: CtxKind, tag: u64) {
+            let now = env.now();
+            self.log(now, format!("start {ctx:?} tag={tag}"));
         }
 
         fn on_event(&mut self, env: &mut Env<'_, Ev>, event: Ev) {
@@ -1163,6 +1261,7 @@ mod tests {
                     let now = env.now();
                     self.log(now, name);
                 }
+                Ev::Enable(src, on) => env.set_intr_enabled(src, on),
             }
         }
 
@@ -1596,6 +1695,146 @@ mod tests {
         assert_eq!(log[1].0, 330, "imp resumed, finished 100+200+30");
         assert_eq!(log[2].0, 1230, "softnet stretched by both preemptors");
         assert_eq!(e.usage().total_intr(), cy(1230));
+    }
+
+    /// Everything a run exposes, for comparing two runs of one script.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        log: Vec<(u64, String)>,
+        idle_calls: u64,
+        intr_by_src: Vec<Cycles>,
+        thread_by_id: Vec<Cycles>,
+        sched_cycles: Cycles,
+        idle_cycles: Cycles,
+        ledger: CycleLedger,
+        now: Cycles,
+        fold: CycleFold,
+        events_dispatched: u64,
+        taken: Vec<u64>,
+        trace: Vec<TraceRecord>,
+    }
+
+    fn observe(e: &Engine<Script>, srcs: &[IntrSrc]) -> Observed {
+        let u = e.usage();
+        Observed {
+            log: e.workload().log.clone(),
+            idle_calls: e.workload().idle_calls,
+            intr_by_src: u.intr_by_src,
+            thread_by_id: u.thread_by_id,
+            sched_cycles: u.sched_cycles,
+            idle_cycles: u.idle_cycles,
+            ledger: u.ledger,
+            now: u.now,
+            fold: e.state().fold(),
+            events_dispatched: e.state().events_dispatched(),
+            taken: srcs
+                .iter()
+                .map(|&s| e.state().intr.taken_count(s))
+                .collect(),
+            trace: e.trace().expect("tracing on").records().copied().collect(),
+        }
+    }
+
+    /// One engine over a script with nested preemption, zero-cost chunks,
+    /// bursts, a masked latch, completions that post interrupts and
+    /// schedule zero-delay events, and two threads with a switch cost.
+    fn fused_script() -> (Engine<Script>, Vec<IntrSrc>) {
+        let mut st = EnvState::new(cy(400));
+        let soft = st.intr.register("softnet", Ipl::SOFTNET);
+        let rx = st.intr.register("rx", Ipl::IMP);
+        let clock = st.intr.register("clock", Ipl::CLOCK);
+        let late = st.intr.register("late", Ipl::IMP);
+        st.intr.set_enabled(late, false);
+        let user = st.sched.spawn("user", Priority::USER);
+        let peer = st.sched.spawn("peer", Priority::USER);
+        let kern = st.sched.spawn("kern", Priority::KERNEL);
+        st.sched.wake(user);
+        st.sched.wake(peer);
+        for (t, ev) in [
+            (0, Ev::Post(soft)),
+            (100, Ev::Post(late)),
+            (150, Ev::Post(rx)),
+            (1_700, Ev::Enable(late, true)),
+            (2_300, Ev::Wake(kern)),
+            (2_350, Ev::Post(rx)),
+            (2_420, Ev::Post(soft)),
+            (3_000, Ev::Note("tick")),
+        ] {
+            st.schedule_at(cy(t), ev);
+        }
+        let wl = Script {
+            intr_chunks: vec![
+                (
+                    soft,
+                    vec![
+                        Chunk::new(cy(1000), 1),
+                        Chunk::new(cy(0), 2),
+                        Chunk::new(cy(300), 3).with_reps(3),
+                        Chunk::new(cy(60), 12).with_reps(2),
+                    ],
+                ),
+                (
+                    rx,
+                    vec![
+                        Chunk::new(cy(200), 4),
+                        Chunk::new(cy(0), 5),
+                        Chunk::new(cy(90), 13).with_reps(4),
+                    ],
+                ),
+                (clock, vec![Chunk::new(cy(30), 6), Chunk::new(cy(0), 6)]),
+                (late, vec![Chunk::new(cy(50), 7)]),
+            ],
+            thread_chunks: vec![
+                (
+                    user,
+                    vec![
+                        Chunk::new(cy(100), 8).with_reps(5),
+                        Chunk::new(cy(0), 9),
+                        Chunk::new(cy(250), 10),
+                    ],
+                ),
+                (peer, vec![Chunk::new(cy(150), 14).with_reps(6)]),
+                (kern, vec![Chunk::new(cy(70), 11).with_reps(2)]),
+            ],
+            sleep_when_done: vec![user, peer, kern],
+            // The running context raises what must stop it: a higher-IPL
+            // interrupt, and an event due at once.
+            post_on_done: vec![(4, clock), (10, rx), (14, clock)],
+            note_on_done: vec![(5, 0), (8, 0), (12, 0)],
+            ..Default::default()
+        };
+        let mut e = Engine::new(st, wl, cy(40));
+        e.enable_trace(4_096);
+        (e, vec![soft, rx, clock, late])
+    }
+
+    #[test]
+    fn one_run_equals_a_chopped_run() {
+        const END: u64 = 8_000;
+        let (mut one, srcs) = fused_script();
+        one.run_until(cy(END));
+        // A run limit at every cycle: the loop head runs at every step
+        // boundary, so this is the step-at-a-time reference.
+        let (mut chopped, _) = fused_script();
+        for t in 1..=END {
+            chopped.run_until(cy(t));
+        }
+        let (a, b) = (observe(&one, &srcs), observe(&chopped, &srcs));
+        assert_eq!(a, b);
+        // The script exercised what it claims to.
+        let log = |s: &str| a.log.iter().filter(|(_, l)| l.contains(s)).count();
+        assert!(
+            log("start Intr") >= 6 && log("start Thread") >= 6,
+            "bursts ran"
+        );
+        assert!(log("timer") >= 3);
+        assert!(
+            a.taken.iter().all(|&n| n > 0),
+            "every source ran: {:?}",
+            a.taken
+        );
+        assert!(a.sched_cycles > cy(40), "threads switched more than once");
+        assert!(a.trace.iter().any(|r| r.event == TraceEvent::Idle));
     }
 
     #[test]

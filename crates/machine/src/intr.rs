@@ -104,6 +104,21 @@ impl IntrController {
         self.ready &= !(1 << src.0);
     }
 
+    /// Whether [`take`](Self::take) would deliver a source at
+    /// `current_ipl`: some enabled pending source preempts it. Changes
+    /// nothing.
+    pub fn preempts(&self, current_ipl: Ipl) -> bool {
+        let mut bits = self.ready;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.sources[i].ipl.preempts(current_ipl) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Delivers the highest-IPL enabled pending source that preempts
     /// `current_ipl`, clearing its latch. Ties are broken by registration
     /// order (lower index first), deterministically.
@@ -262,6 +277,36 @@ mod tests {
         assert_eq!(ic.take(Ipl::NONE), None);
         ic.set_enabled(soft, true);
         assert_eq!(ic.take(Ipl::NONE), Some((soft, Ipl::SOFTNET)));
+    }
+
+    #[test]
+    fn preempts_answers_what_take_would_do() {
+        let (mut ic, rx, soft, clock) = setup();
+        let levels = [Ipl::NONE, Ipl::SOFTNET, Ipl::IMP, Ipl::CLOCK];
+        // Each step changes the controller; after each, `preempts` must
+        // agree with `take` on a clone at every level, and leave the
+        // controller untouched.
+        let steps: [&dyn Fn(&mut IntrController); 8] = [
+            &|_| {},
+            &|ic| ic.post(soft),
+            &|ic| ic.set_enabled(soft, false),
+            &|ic| ic.post(rx),
+            &|ic| ic.set_enabled(soft, true),
+            &|ic| ic.acknowledge(rx),
+            &|ic| ic.post(clock),
+            &|ic| {
+                ic.take(Ipl::NONE);
+            },
+        ];
+        for step in steps {
+            step(&mut ic);
+            for ipl in levels {
+                let (ready, taken) = (ic.ready, ic.total_taken());
+                let want = ic.clone().take(ipl).is_some();
+                assert_eq!(ic.preempts(ipl), want, "at {ipl}");
+                assert_eq!((ic.ready, ic.total_taken()), (ready, taken));
+            }
+        }
     }
 
     #[test]

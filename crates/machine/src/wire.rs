@@ -6,6 +6,7 @@
 //! the NIC's DMA engine's problem — so this model only computes occupancy
 //! times and paces arrival schedules to physical feasibility.
 
+use livelock_net::packet::MIN_FRAME_LEN;
 use livelock_net::phy::LinkSpeed;
 use livelock_sim::{Cycles, Freq};
 
@@ -14,6 +15,8 @@ use livelock_sim::{Cycles, Freq};
 pub struct Wire {
     speed: LinkSpeed,
     freq: Freq,
+    /// Serialization time of every frame that pads to the minimum.
+    min_frame_cycles: Cycles,
     busy_until: Cycles,
     frames_carried: u64,
 }
@@ -25,6 +28,7 @@ impl Wire {
         Wire {
             speed,
             freq,
+            min_frame_cycles: speed.frame_cycles(MIN_FRAME_LEN, freq),
             busy_until: Cycles::ZERO,
             frames_carried: 0,
         }
@@ -42,7 +46,11 @@ impl Wire {
 
     /// Serialization time of a frame of `len` bytes, in cycles.
     pub fn frame_cycles(&self, len: usize) -> Cycles {
-        self.speed.frame_cycles(len, self.freq)
+        if len <= MIN_FRAME_LEN {
+            self.min_frame_cycles
+        } else {
+            self.speed.frame_cycles(len, self.freq)
+        }
     }
 
     /// Begins transmitting a frame at time `now`; returns the completion
@@ -94,6 +102,19 @@ mod tests {
     fn min_frame_occupancy() {
         let w = Wire::ethernet_10m(FREQ);
         assert_eq!(w.frame_cycles(60), Cycles::new(6720), "67.2 us at 100 MHz");
+    }
+
+    #[test]
+    fn frame_cycles_matches_the_link_speed_at_every_length() {
+        use livelock_net::packet::MAX_FRAME_LEN;
+        for speed in [LinkSpeed::ETHERNET_10M, LinkSpeed::new(100_000_000)] {
+            for freq in [FREQ, Freq::mhz(25)] {
+                let w = Wire::new(speed, freq);
+                for len in 0..=MAX_FRAME_LEN {
+                    assert_eq!(w.frame_cycles(len), speed.frame_cycles(len, freq), "{len}");
+                }
+            }
+        }
     }
 
     #[test]

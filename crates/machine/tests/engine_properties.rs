@@ -183,6 +183,205 @@ impl ArrivalSource<Tick> for TickSource {
     }
 }
 
+/// What a scripted chunk does when it completes, beyond being logged.
+#[derive(Clone, Copy, Debug)]
+enum Effect {
+    Nothing,
+    /// Posts the source with this index.
+    Post(usize),
+    /// Schedules a `Note` due at once.
+    Note,
+    /// Masks or unmasks the source with this index.
+    Enable(usize, bool),
+}
+
+/// A workload that replays a script: every source and every thread hands
+/// out its own chunks in order (a source returns from each activation
+/// once its list is spent; a thread then sleeps), and each completing
+/// chunk applies its [`Effect`]. A chunk's tag is its index in `effects`.
+struct Scripted {
+    srcs: Vec<IntrSrc>,
+    intr: Vec<Vec<Chunk>>,
+    threads: Vec<Vec<Chunk>>,
+    effects: Vec<Effect>,
+    log: Vec<(u64, String)>,
+}
+
+#[derive(Debug)]
+enum Cue {
+    Post(usize),
+    Wake(ThreadId),
+    Enable(usize, bool),
+    Note,
+}
+
+impl Workload for Scripted {
+    type Event = Cue;
+
+    fn next_chunk(&mut self, env: &mut Env<'_, Cue>, ctx: CtxKind) -> Option<Chunk> {
+        let list = match ctx {
+            CtxKind::Intr(src) => &mut self.intr[src.0],
+            CtxKind::Thread(tid) => &mut self.threads[tid.0],
+        };
+        if list.is_empty() {
+            if let CtxKind::Thread(tid) = ctx {
+                env.sleep(tid);
+            }
+            return None;
+        }
+        Some(list.remove(0))
+    }
+
+    fn chunk_done(&mut self, env: &mut Env<'_, Cue>, ctx: CtxKind, tag: u64) {
+        self.log
+            .push((env.now().raw(), format!("done {ctx:?} {tag}")));
+        match self.effects[tag as usize] {
+            Effect::Nothing => {}
+            Effect::Post(i) => env.post_intr(self.srcs[i]),
+            Effect::Note => env.schedule_in(Cycles::ZERO, Cue::Note),
+            Effect::Enable(i, on) => env.set_intr_enabled(self.srcs[i], on),
+        }
+    }
+
+    fn chunk_start(&mut self, env: &mut Env<'_, Cue>, ctx: CtxKind, tag: u64) {
+        self.log
+            .push((env.now().raw(), format!("start {ctx:?} {tag}")));
+    }
+
+    fn on_event(&mut self, env: &mut Env<'_, Cue>, cue: Cue) {
+        self.log.push((env.now().raw(), format!("{cue:?}")));
+        match cue {
+            Cue::Post(i) => env.post_intr(self.srcs[i]),
+            Cue::Wake(tid) => {
+                env.wake(tid);
+            }
+            Cue::Enable(i, on) => env.set_intr_enabled(self.srcs[i], on),
+            Cue::Note => {}
+        }
+    }
+
+    fn on_idle(&mut self, env: &mut Env<'_, Cue>) {
+        self.log.push((env.now().raw(), "idle".to_string()));
+    }
+}
+
+/// A scripted chunk as drawn: `(cost, reps, effect pick)`.
+type ChunkSpec = (u64, u32, usize);
+
+/// The script's inputs, as the property draws them.
+struct Script {
+    ipls: Vec<u8>,
+    intr: Vec<Vec<ChunkSpec>>,
+    threads: Vec<(bool, Vec<ChunkSpec>)>,
+    cues: Vec<(u64, usize, usize)>,
+    ctx_switch: u64,
+    quantum: u64,
+}
+
+/// Everything a run exposes: the workload's log, the cycle book's
+/// projections, the dispatch and per-source delivery counts, the trace.
+type Seen = (
+    Vec<(u64, String)>,
+    Vec<Cycles>,
+    Vec<Cycles>,
+    (Cycles, Cycles, Cycles),
+    Vec<(CpuClass, u64, Cycles)>,
+    u64,
+    Vec<u64>,
+    Vec<(Cycles, TraceEvent)>,
+);
+
+/// Runs `script` to `end`, either in one `run_until` or chopped into one
+/// per simulated cycle.
+fn run_script(script: &Script, end: u64, chopped: bool) -> Seen {
+    let mut st = EnvState::new(Cycles::new(script.quantum));
+    let srcs: Vec<IntrSrc> = script
+        .ipls
+        .iter()
+        .map(|&l| st.intr.register("s", Ipl::new(l)))
+        .collect();
+    let n = srcs.len();
+    let mut effects = vec![Effect::Nothing];
+    let mut chunks = |specs: &[ChunkSpec]| -> Vec<Chunk> {
+        specs
+            .iter()
+            .map(|&(cost, reps, pick)| {
+                effects.push(match pick % 6 {
+                    0 => Effect::Post(pick % n),
+                    1 => Effect::Note,
+                    2 => Effect::Enable(pick % n, pick % 4 < 2),
+                    _ => Effect::Nothing,
+                });
+                let tag = effects.len() as u64 - 1;
+                Chunk::new(Cycles::new(cost), tag).with_reps(reps)
+            })
+            .collect()
+    };
+    let intr: Vec<Vec<Chunk>> = (0..n)
+        .map(|i| chunks(script.intr.get(i).map_or(&[][..], Vec::as_slice)))
+        .collect();
+    let mut tids = Vec::new();
+    let mut threads = Vec::new();
+    for (kernel, specs) in &script.threads {
+        let prio = if *kernel {
+            Priority::KERNEL
+        } else {
+            Priority::USER
+        };
+        let tid = st.sched.spawn("t", prio);
+        st.set_ctx_class(CtxKind::Thread(tid), CpuClass::UserProc);
+        st.sched.wake(tid);
+        tids.push(tid);
+        threads.push(chunks(specs));
+    }
+    for &(t, kind, which) in &script.cues {
+        let cue = match kind % 4 {
+            0 | 1 => Cue::Post(which % n),
+            2 if !tids.is_empty() => Cue::Wake(tids[which % tids.len()]),
+            _ => Cue::Enable(which % n, which % 3 != 0),
+        };
+        st.schedule_at(Cycles::new(t), cue);
+    }
+    let wl = Scripted {
+        srcs: srcs.clone(),
+        intr,
+        threads,
+        effects,
+        log: Vec::new(),
+    };
+    let mut e = Engine::new(st, wl, Cycles::new(script.ctx_switch));
+    e.enable_trace(100_000);
+    if chopped {
+        for t in 1..=end {
+            e.run_until(Cycles::new(t));
+        }
+    } else {
+        e.run_until(Cycles::new(end));
+    }
+    let u = e.usage();
+    let taken = srcs
+        .iter()
+        .map(|&s| e.state().intr.taken_count(s))
+        .collect();
+    let trace = e.trace().expect("tracing enabled");
+    assert_eq!(trace.dropped(), 0, "trace ring too small for the check");
+    let trace = trace.records().map(|r| (r.at, r.event)).collect();
+    (
+        e.workload().log.clone(),
+        u.intr_by_src,
+        u.thread_by_id,
+        (u.sched_cycles, u.idle_cycles, u.now),
+        e.state()
+            .fold()
+            .iter()
+            .map(|(_, c, t, cy)| (c, t, cy))
+            .collect(),
+        e.state().events_dispatched(),
+        taken,
+        trace,
+    )
+}
+
 /// What one run observed: dispatch log, dispatch count, external trace
 /// records, final time.
 type Observed = (Vec<(u64, u32)>, u64, usize, Cycles);
@@ -246,8 +445,56 @@ fn run_breeder(
     (e.into_parts().1.log, dispatched, externals, now)
 }
 
+/// A chunk cost, a quarter of them zero.
+fn cost(c: u64) -> u64 {
+    if c % 4 == 0 {
+        0
+    } else {
+        c
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The executor keeps running a context while nothing intervenes;
+    /// a run limit at every cycle forces the loop head at every step
+    /// boundary instead. Both must produce the same log, cycle book,
+    /// dispatch count, per-source deliveries and trace — through nested
+    /// preemption, zero-cost chunks, bursts, masked latches, completions
+    /// that post interrupts or schedule events due at once, and threads
+    /// that pay a switch cost and a quantum.
+    #[test]
+    fn one_run_equals_a_chopped_run(
+        ipls in proptest::collection::vec(1u8..=6, 1..5),
+        intr in proptest::collection::vec(
+            proptest::collection::vec((0u64..400, 0u32..4, 0usize..36), 0..6),
+            1..5,
+        ),
+        threads in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec((0u64..500, 0u32..5, 0usize..36), 0..8)),
+            0..3,
+        ),
+        cues in proptest::collection::vec((0u64..5_000, 0usize..4, 0usize..12), 0..30),
+        ctx_switch in 0u64..60,
+        quantum in 100u64..2_000,
+    ) {
+        let zeroed = |specs: &Vec<ChunkSpec>| -> Vec<ChunkSpec> {
+            specs.iter().map(|&(c, r, p)| (cost(c), r, p)).collect()
+        };
+        let script = Script {
+            ipls,
+            intr: intr.iter().map(zeroed).collect(),
+            threads: threads.iter().map(|(k, s)| (*k, zeroed(s))).collect(),
+            cues,
+            ctx_switch,
+            quantum,
+        };
+        const END: u64 = 7_000;
+        let one = run_script(&script, END, false);
+        let chopped = run_script(&script, END, true);
+        prop_assert_eq!(one, chopped);
+    }
 
     /// Streaming arrivals from a source is indistinguishable from having
     /// scheduled them all before the run: same events at the same times

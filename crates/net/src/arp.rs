@@ -129,7 +129,8 @@ struct Entry {
 /// let dst = Ipv4Addr::new(10, 1, 0, 2);
 /// // The paper's trick: a phantom entry for a nonexistent destination.
 /// cache.insert_phantom(dst, MacAddr::local(99));
-/// assert_eq!(cache.lookup(dst, livelock_sim::Cycles::MAX), Some(MacAddr::local(99)));
+/// let now = livelock_sim::Cycles::new(1_000);
+/// assert_eq!(cache.lookup(dst, now).map(|(mac, _)| mac), Some(MacAddr::local(99)));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ArpCache {
@@ -169,12 +170,14 @@ impl ArpCache {
         );
     }
 
-    /// Looks up the MAC for `ip`, honouring expiry at time `now`.
-    pub fn lookup(&self, ip: Ipv4Addr, now: Cycles) -> Option<MacAddr> {
+    /// Looks up the MAC for `ip`, honouring expiry at time `now`, and
+    /// returns it with the time the entry expires ([`Cycles::MAX`] for a
+    /// phantom).
+    pub fn lookup(&self, ip: Ipv4Addr, now: Cycles) -> Option<(MacAddr, Cycles)> {
         self.entries
             .get(&ip)
             .filter(|e| e.phantom || e.expires > now)
-            .map(|e| e.mac)
+            .map(|e| (e.mac, e.expires))
     }
 
     /// Returns the number of live entries (without expiring).
@@ -239,7 +242,8 @@ mod tests {
         let mut c = ArpCache::new();
         let ip = Ipv4Addr::new(10, 0, 0, 7);
         c.insert(ip, MacAddr::local(7), Cycles::new(100));
-        assert_eq!(c.lookup(ip, Cycles::new(99)), Some(MacAddr::local(7)));
+        let entry = Some((MacAddr::local(7), Cycles::new(100)));
+        assert_eq!(c.lookup(ip, Cycles::new(99)), entry);
         assert_eq!(c.lookup(ip, Cycles::new(100)), None, "expired at expiry");
     }
 
@@ -248,7 +252,10 @@ mod tests {
         let mut c = ArpCache::new();
         let ip = Ipv4Addr::new(10, 1, 0, 2);
         c.insert_phantom(ip, MacAddr::local(99));
-        assert_eq!(c.lookup(ip, Cycles::MAX), Some(MacAddr::local(99)));
+        assert_eq!(
+            c.lookup(ip, Cycles::MAX),
+            Some((MacAddr::local(99), Cycles::MAX))
+        );
         assert_eq!(c.len(), 1);
     }
 
@@ -258,7 +265,8 @@ mod tests {
         let ip = Ipv4Addr::new(10, 0, 0, 8);
         c.insert(ip, MacAddr::local(1), Cycles::new(10));
         c.insert(ip, MacAddr::local(2), Cycles::new(20));
-        assert_eq!(c.lookup(ip, Cycles::new(15)), Some(MacAddr::local(2)));
+        let entry = Some((MacAddr::local(2), Cycles::new(20)));
+        assert_eq!(c.lookup(ip, Cycles::new(15)), entry);
         assert_eq!(c.len(), 1);
     }
 }

@@ -476,7 +476,7 @@ impl<E> CalendarQueue<E> {
         // the same width-slice as the popped event, it is provably the
         // global minimum — any earlier event would hash to this bucket and
         // sort ahead of it — so the cache survives the pop. Same-cycle
-        // bursts (the batched-drain hot path) then pop at O(1) each.
+        // bursts (the engine's due-event drain) then pop at O(1) each.
         self.next_cache = match self.buckets[bucket].front() {
             Some(f) if f.at.raw() >> self.shift == e.at.raw() >> self.shift => {
                 Some((bucket, f.at))
@@ -667,7 +667,7 @@ mod tests {
 
         /// The engine's real access pattern: a virtual clock advances via
         /// `peek_time` (idle jumps), events are drained with `pop_due(now)`
-        /// (possibly in a same-cycle batch), and handlers schedule new
+        /// (a same-cycle burst one after another), and handlers schedule new
         /// events relative to `now` — never into the past. Both backends
         /// must agree on every intermediate peek and every dequeued event.
         #[test]
@@ -697,7 +697,7 @@ mod tests {
                 if let Some(t) = heap.peek_time() {
                     now = now.max(t.raw());
                 }
-                // Drain everything due, like the engine's batched step 1.
+                // Drain everything due, like the engine's step 1.
                 loop {
                     let a = cal.pop_due(Cycles::new(now));
                     let b = heap.pop_due(Cycles::new(now));

@@ -37,19 +37,6 @@ pub trait Scheduler<E> {
     /// Removes the earliest event only if it is due at or before `now`.
     fn pop_due(&mut self, now: Cycles) -> Option<(Cycles, E)>;
 
-    /// Drains every event due at or before `now` into `out`, in pop
-    /// order, returning how many were appended. Equivalent to calling
-    /// [`pop_due`](Scheduler::pop_due) until it returns `None`, but lets
-    /// the executor dispatch a same-cycle burst in one pass over a reused
-    /// buffer instead of re-entering its step loop per event.
-    fn pop_due_batch(&mut self, now: Cycles, out: &mut Vec<(Cycles, E)>) -> usize {
-        let before = out.len();
-        while let Some(ev) = self.pop_due(now) {
-            out.push(ev);
-        }
-        out.len() - before
-    }
-
     /// Number of pending events.
     fn len(&self) -> usize;
 
@@ -115,9 +102,11 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Cycles::new(10)));
         assert_eq!(q.len(), 4);
         let mut out = Vec::new();
-        // Same-cycle batch drain: both t=10 events, FIFO order.
-        assert_eq!(q.pop_due_batch(Cycles::new(30), &mut out), 3);
-        assert_eq!(q.pop_due(Cycles::new(35)), None);
+        // Both t=10 events in FIFO order, then t=30; t=40 is not due.
+        while let Some(ev) = q.pop_due(Cycles::new(35)) {
+            out.push(ev);
+        }
+        assert_eq!(out.len(), 3);
         while let Some(ev) = q.pop() {
             out.push(ev);
         }

@@ -77,7 +77,8 @@ echo "== property tests: --features proptest =="
 # The property suites are opt-in per crate, so tier 1 compiles them out.
 # They hold the scheduler-equivalence properties (heap == calendar, and
 # streamed arrivals == arrivals scheduled up front) that the default-heap
-# decision rests on; run them here so a gate actually executes them.
+# decision rests on, and the executor's one run == a run chopped at every
+# cycle; run them here so a gate actually executes them.
 cargo test -q --offline --features proptest \
     -p livelock-sim -p livelock-net -p livelock-machine \
     -p livelock-core -p livelock-kernel || exit 1
