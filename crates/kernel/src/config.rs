@@ -172,9 +172,10 @@ impl Default for ScreendConfig {
 /// Priority-aware classification of the receive path (DESIGN.md §14).
 ///
 /// A deterministic 5-tuple → [`TrafficClass`] mapping replaces the RSS
-/// hash as the NIC queue-selection policy: each class gets its own
-/// receive ring, the polled path drains rings in strict-priority order
-/// under per-class burst budgets, and an admission gate sheds low
+/// hash as the NIC queue-selection policy: on a polled kernel each class
+/// gets its own receive ring ([`KernelConfig::rx_rings`]), the polling
+/// thread drains rings in strict-priority order under per-class burst
+/// budgets, and an admission gate sheds low
 /// classes first when the downstream queue (or the livelock detector)
 /// signals overload. `None` on [`KernelConfig::classes`] is
 /// zero-perturbation: no classifier runs, packets carry no class, and
@@ -187,12 +188,6 @@ pub struct ClassifyConfig {
     pub rules: Vec<MatchRule>,
     /// Class assigned to unmatched flows and unparseable frames.
     pub default_class: TrafficClass,
-    /// Per-class burst budget for the strict-priority drain, indexed by
-    /// [`TrafficClass::index`]: one poll pass takes at most `burst[c]`
-    /// packets from class `c` before moving down the priority order, so
-    /// a flooding `Control` source cannot starve `Bulk` forever within
-    /// a pass (strictness is between passes, fairness within one).
-    pub burst: [u32; TrafficClass::COUNT],
     /// The shed controller's hysteresis parameters.
     pub shed: ShedConfig,
     /// The `Control` class's p99 latency SLO, judged over the livelock
@@ -207,7 +202,6 @@ impl Default for ClassifyConfig {
         ClassifyConfig {
             rules: Vec::new(),
             default_class: TrafficClass::Bulk,
-            burst: [8, 8, 8],
             shed: ShedConfig::default(),
             slo_p99: Nanos::from_millis(2),
         }
@@ -375,6 +369,15 @@ impl KernelConfig {
         match &self.mode {
             Mode::Polled(p) => Some(p),
             Mode::Unmodified { .. } => None,
+        }
+    }
+
+    /// Receive rings per NIC: one per traffic class on a classified
+    /// polled kernel, one otherwise.
+    pub(crate) fn rx_rings(&self) -> usize {
+        match (&self.classes, &self.mode) {
+            (Some(_), Mode::Polled(_)) => TrafficClass::COUNT,
+            _ => 1,
         }
     }
 }

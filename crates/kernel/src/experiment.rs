@@ -40,7 +40,7 @@ use livelock_net::classify::{Classifier, TrafficClass};
 use livelock_net::FlowKey;
 use livelock_sim::Freq;
 
-use crate::config::{KernelConfig, Mode};
+use crate::config::KernelConfig;
 use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
 use crate::router::{CpuLink, Event, RouterKernel, STEAL_BUF_CAP};
@@ -529,8 +529,8 @@ fn audit_nic_boundary(engines: &[Engine<RouterKernel>], steal_residual: u64, n_p
     let accounted: u64 = engines
         .iter()
         .map(|e| {
-            let s = e.workload().stats();
-            e.workload().ipkts(0) + s.rx_ring_drops() + s.class_shed_drops()
+            let drops = &e.workload().stats().drops;
+            e.workload().ipkts(0) + drops.rx_ring_drops() + drops.class_shed_drops()
         })
         .sum();
     assert_eq!(
@@ -817,12 +817,8 @@ const POOL_HEADROOM: usize = 64;
 /// [`POOL_HEADROOM`]. A function of the configuration alone — a trial's
 /// length never enters it.
 fn pool_prealloc(cfg: &KernelConfig) -> usize {
-    let class_rings = match (&cfg.classes, &cfg.mode) {
-        (Some(_), Mode::Polled(_)) => TrafficClass::COUNT,
-        _ => 0,
-    };
     // Receive rings, transmit ring, output queue, the frame on the wire.
-    let per_iface = cfg.nic.rx_ring * (1 + class_rings) + cfg.nic.tx_ring + cfg.ifq_cap + 1;
+    let per_iface = cfg.nic.rx_ring * cfg.rx_rings() + cfg.nic.tx_ring + cfg.ifq_cap + 1;
     let screend = cfg.screend.as_ref().map_or(0, |s| s.queue_cap);
     let socket = cfg.local.as_ref().map_or(0, |l| l.socket_cap);
     let steal = if CpuLink::stealing(&cfg.topology) {
@@ -1306,6 +1302,64 @@ mod tests {
     }
 
     #[test]
+    fn classed_cpus_steal_when_a_class_ring_overflows() {
+        // Class steering puts Control, Realtime and Bulk on CPUs 0-2 of
+        // 4, so Bulk's 6/8 share overflows CPU 2's Bulk ring while CPU 3
+        // idles. The steal question is per frame — is *this* frame's
+        // ring full? — so the Bulk overflow is published even though
+        // CPU 2's other two rings stay empty.
+        use crate::config::{ClassifyConfig, ShedConfig};
+        use livelock_net::classify::MatchRule;
+        let classes = ClassifyConfig {
+            rules: vec![
+                MatchRule::src_port(7_000, TrafficClass::Control),
+                MatchRule::src_port(7_100, TrafficClass::Realtime),
+            ],
+            shed: ShedConfig {
+                shed_hi_frac: 0.125,
+                restore_lo_frac: 0.0,
+                min_hold_ticks: 2,
+            },
+            slo_p99: Nanos::from_millis(5),
+            ..ClassifyConfig::default()
+        };
+        let run = |steal| {
+            let config = KernelConfig::builder()
+                .polled(Quota::Limited(10))
+                .classes(classes.clone())
+                .ncpus(4)
+                .steal(steal)
+                .build();
+            // `run_trial` audits the NIC boundary: a stolen frame its
+            // thief's ring refused would be lost to every book.
+            run_trial(&TrialSpec {
+                rate_pps: 14_000.0,
+                n_packets: 20_000,
+                flows: Some(vec![7_000, 7_100, 7_200, 7_201, 7_202, 7_203, 7_204, 7_205]),
+                ..TrialSpec::new(config)
+            })
+        };
+        let (on, off) = (run(true), run(false));
+        let agg = on.aggregate();
+        assert!(agg.steals_published > 0, "the Bulk CPU publishes");
+        // CPU 3 runs after CPU 2 in each slice, so it finds frames that
+        // arrive later in its own time: it leaves them (with latency on,
+        // stage residencies telescope only if no frame is served before
+        // it arrived) and is woken again next slice to take every one.
+        assert_eq!(
+            agg.steals_taken, agg.steals_published,
+            "siblings take every frame"
+        );
+        let ring_full = |r: &TrialResult| r.drops.get(DropReason::RxRingFull);
+        assert!(
+            ring_full(&on) < ring_full(&off),
+            "stealing should convert ring drops into deliveries: {} !< {}",
+            ring_full(&on),
+            ring_full(&off)
+        );
+    }
+
+    #[test]
     fn balanced_flows_cover_every_rss_bucket() {
         let flows = balanced_flows();
         assert_eq!(flows.len(), 64);
@@ -1332,16 +1386,18 @@ mod tests {
     #[cfg(feature = "proptest")]
     proptest::proptest! {
         /// RSS steering never loses or invents packets: at any CPU count,
-        /// rate and packet count, delivered + every attributed drop +
-        /// steal residue accounts for exactly the generated population.
-        /// (The pipeline's `audit_nic_boundary` enforces the ring-level
-        /// half; this checks the harness end to end.)
+        /// rate and packet count, with or without stealing, delivered +
+        /// every attributed drop + steal residue accounts for exactly the
+        /// generated population. (The pipeline's `audit_nic_boundary`
+        /// enforces the ring-level half; this checks the harness end to
+        /// end.)
         #[test]
         fn rss_conserves_packets(
             ncpus_pow in 1u32..3,
             rate in 4_000.0f64..26_000.0,
             n in 400usize..1_200,
             seed in 1u64..64,
+            steal in proptest::any::<bool>(),
         ) {
             let ncpus = 1usize << ncpus_pow;
             let spec = TrialSpec {
@@ -1352,6 +1408,7 @@ mod tests {
                     KernelConfig::builder()
                         .polled(Quota::Limited(10))
                         .ncpus(ncpus)
+                        .steal(steal)
                         .build(),
                 )
             };
@@ -1361,18 +1418,21 @@ mod tests {
         }
 
         /// The class dimension never loses or invents packets either:
-        /// at any CPU count, every generated packet is classified
-        /// exactly once, the per-class arrived/delivered/shed columns
-        /// sum to the aggregate counters, and each class's own ledger
-        /// stays within its arrivals. Runs under the drained chaos
-        /// harness (fault-free) so the books close exactly — a plain
-        /// trial can end with its last wire arrival still in flight.
+        /// at any CPU count, with or without stealing, every generated
+        /// packet is classified exactly once, the per-class
+        /// arrived/delivered/shed columns sum to the aggregate counters,
+        /// and each class's own ledger stays within its arrivals. Runs
+        /// under the drained chaos harness (fault-free), whose
+        /// NIC-boundary audit also holds every stolen frame to account,
+        /// so the books close exactly — a plain trial can end with its
+        /// last wire arrival still in flight.
         #[test]
         fn classed_counters_sum_to_aggregates(
             ncpus_pow in 0u32..3,
             rate in 3_000.0f64..16_000.0,
             n in 400usize..1_000,
             seed in 1u64..32,
+            steal in proptest::any::<bool>(),
         ) {
             use crate::config::ClassifyConfig;
             use livelock_net::classify::MatchRule;
@@ -1395,6 +1455,7 @@ mod tests {
                         .screend(Default::default())
                         .classes(classes)
                         .ncpus(ncpus)
+                        .steal(steal)
                         .build(),
                 )
             };

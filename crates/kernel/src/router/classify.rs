@@ -100,12 +100,18 @@ impl ShedController {
     }
 }
 
+/// Per-class burst budget of the strict-priority drain, indexed by
+/// [`TrafficClass::index`]: one round takes at most `BURST[c]` packets
+/// from class `c` before moving down the priority order, so a flooding
+/// `Control` source cannot starve `Bulk` forever (strictness is between
+/// rounds, fairness within one).
+const BURST: [u32; TrafficClass::COUNT] = [8, 8, 8];
+
 /// Per-kernel classification state: the rule engine, the strict-priority
 /// drain's round-robin budgets, and the shed controller.
 #[derive(Clone, Debug)]
 pub(crate) struct ClassEngine {
     classifier: Classifier,
-    burst: [u32; TrafficClass::COUNT],
     taken_in_round: [u32; TrafficClass::COUNT],
     pub(crate) shed: ShedController,
     /// The Control class's p99 latency SLO, for the cross-class
@@ -117,7 +123,6 @@ impl ClassEngine {
     pub(crate) fn new(cfg: &ClassifyConfig) -> Self {
         ClassEngine {
             classifier: Classifier::new(cfg.rules.clone(), cfg.default_class),
-            burst: cfg.burst.map(|b| b.max(1)),
             taken_in_round: [0; TrafficClass::COUNT],
             shed: ShedController::new(cfg.shed),
             slo_p99: cfg.slo_p99,
@@ -137,7 +142,7 @@ impl ClassEngine {
         }
         for round in 0..2 {
             for c in 0..TrafficClass::COUNT {
-                if pending[c] > 0 && self.taken_in_round[c] < self.burst[c] {
+                if pending[c] > 0 && self.taken_in_round[c] < BURST[c] {
                     self.taken_in_round[c] += 1;
                     return Some(c);
                 }
@@ -226,15 +231,17 @@ impl RouterKernel {
         }
     }
 
-    /// The classed receive drain's ring choice for the next poll chunk:
-    /// `None` when classification is off (the classless single-ring
-    /// path) or nothing is pending.
-    pub(super) fn class_pick_ring(&mut self, i: usize) -> Option<usize> {
-        let pending = {
-            let nic = &self.ifaces[i].nic;
-            std::array::from_fn(|c| nic.rx_pending_class(c))
+    /// The receive ring the polling thread drains next on interface
+    /// `i`: [`ClassEngine::pick_ring`] over the class rings, or ring 0
+    /// without classes. Called only while a frame is pending, so the
+    /// pick always finds a ring.
+    pub(super) fn pick_rx_ring(&mut self, i: usize) -> usize {
+        let Some(ce) = &mut self.classes else {
+            return 0;
         };
-        self.classes.as_mut()?.pick_ring(pending)
+        let nic = &self.ifaces[i].nic;
+        ce.pick_ring(std::array::from_fn(|c| nic.rx_ring_len(c)))
+            .unwrap_or(0)
     }
 }
 
@@ -332,16 +339,18 @@ mod tests {
 
     #[test]
     fn pick_ring_is_strict_priority_with_burst_rotation() {
-        let mut ce = ClassEngine::new(&ClassifyConfig {
-            burst: [2, 2, 2],
-            ..ClassifyConfig::default()
-        });
-        // All three rings loaded: Control twice, then Realtime twice,
-        // then Bulk twice, then the round resets back to Control.
-        let picks: Vec<usize> = (0..7)
-            .map(|_| ce.pick_ring([10, 10, 10]).unwrap())
+        let mut ce = ClassEngine::new(&ClassifyConfig::default());
+        // All three rings loaded: a burst of Control, then of Realtime,
+        // then of Bulk, then the round resets back to Control.
+        let picks: Vec<usize> = (0..25)
+            .map(|_| ce.pick_ring([100, 100, 100]).unwrap())
             .collect();
-        assert_eq!(picks, [0, 0, 1, 1, 2, 2, 0]);
+        let mut want = Vec::new();
+        for (c, &budget) in BURST.iter().enumerate() {
+            want.extend(std::iter::repeat(c).take(budget as usize));
+        }
+        want.push(0);
+        assert_eq!(picks, want);
     }
 
     #[test]
@@ -354,11 +363,8 @@ mod tests {
 
     #[test]
     fn sole_pending_class_keeps_draining_across_rounds() {
-        let mut ce = ClassEngine::new(&ClassifyConfig {
-            burst: [2, 8, 8],
-            ..ClassifyConfig::default()
-        });
-        for _ in 0..10 {
+        let mut ce = ClassEngine::new(&ClassifyConfig::default());
+        for _ in 0..3 * BURST[0] {
             assert_eq!(ce.pick_ring([5, 0, 0]), Some(0));
         }
     }

@@ -138,35 +138,30 @@ mod tag {
     pub const HOUSEKEEPING: u64 = 17;
     pub const APP_PKT: u64 = 18;
     pub const IPI: u64 = 19;
-    /// Per-class polled receive chunks (classified kernels): the class
-    /// rides the tag so the cycle ledger's fold and the chunk hooks see
-    /// which priority the polling thread is serving.
+    /// Per-class polled receive chunks (classified kernels), one per
+    /// class ring in ring order: the ring rides the tag so the cycle
+    /// ledger's fold and the chunk hooks see which priority the polling
+    /// thread is serving.
     pub const POLL_RX_PKT_P0: u64 = 20;
     pub const POLL_RX_PKT_P1: u64 = 21;
     pub const POLL_RX_PKT_P2: u64 = 22;
 }
 
 // The machine books each tag below `Chunk::TAG_LIMIT` as a stage of its
-// own; the highest tag above must stay under it.
+// own; the highest tag above must stay under it. Class ring `r`'s tag is
+// `POLL_RX_PKT_P0 + r`.
 const _: () = assert!(tag::POLL_RX_PKT_P2 < Chunk::TAG_LIMIT);
+const _: () = assert!(tag::POLL_RX_PKT_P2 - tag::POLL_RX_PKT_P0 == 2);
 
-/// The class ring a per-class polled receive tag drains, `None` for
+/// The receive ring a polled receive chunk drains: ring 0 for the
+/// classless drain's tag, the class ring for a per-class tag, `None` for
 /// every other tag.
-fn tag_class(t: u64) -> Option<usize> {
+fn poll_rx_ring(t: u64) -> Option<usize> {
     match t {
-        tag::POLL_RX_PKT_P0 => Some(0),
+        tag::POLL_RX_PKT | tag::POLL_RX_PKT_P0 => Some(0),
         tag::POLL_RX_PKT_P1 => Some(1),
         tag::POLL_RX_PKT_P2 => Some(2),
         _ => None,
-    }
-}
-
-/// The per-class polled receive tag for a class ring index.
-fn class_tag(c: usize) -> u64 {
-    match c {
-        0 => tag::POLL_RX_PKT_P0,
-        1 => tag::POLL_RX_PKT_P1,
-        _ => tag::POLL_RX_PKT_P2,
     }
 }
 
@@ -372,7 +367,9 @@ impl RouterKernel {
                 },
             );
             ifaces.push(Iface {
-                nic: Nic::new("ln", cfg.nic),
+                // A classified polled kernel's NIC files each class into
+                // a ring of its own; every other NIC has one ring.
+                nic: Nic::new("ln", cfg.nic).with_rx_rings(cfg.rx_rings()),
                 ip: Ipv4Addr::new(10, i as u8, 0, 1),
                 out_q: DropTailQueue::new("ifqueue", cfg.ifq_cap),
                 out_red: cfg
@@ -489,16 +486,10 @@ impl RouterKernel {
             _ => None,
         };
 
-        // Priority-aware classification: on a polled kernel the class
-        // picks one of three per-priority receive rings; an unmodified
-        // kernel keeps its single ring (classes are observed, not
-        // enforced — the chaos --priority contrast).
+        // Priority-aware classification. An unmodified kernel's NIC has
+        // one ring: classes are observed, not enforced (the chaos
+        // --priority contrast).
         let classes = cfg.classes.as_ref().map(ClassEngine::new);
-        if classes.is_some() && matches!(cfg.mode, Mode::Polled(_)) {
-            for iface in &mut ifaces {
-                iface.nic.enable_class_rings(TrafficClass::COUNT);
-            }
-        }
 
         let mut stats = KernelStats::new();
         stats.class = classes.is_some().then(crate::stats::ClassStats::new);
@@ -787,23 +778,17 @@ impl RouterKernel {
         // A ring overflow while the gate is closed is the drop the
         // feedback deliberately asked for (§6.4); attribute it so.
         let inhibited = self.is_polled() && !self.gate.is_open();
-        // Work stealing: a frame that would overflow this CPU's ring is
-        // published for an idle sibling instead — unless feedback closed
-        // the gate, in which case the drop is the point.
-        if !inhibited && self.steal_wanted(i) {
+        // Work stealing: a frame that would overflow its ring on this CPU
+        // is published for an idle sibling instead — unless feedback
+        // closed the gate, in which case the drop is the point.
+        if !inhibited && self.steal_wanted(i, &pkt) {
             self.steal_publish(pkt);
             return;
         }
         let flow = pkt.flow;
-        let class = pkt.class();
         let iface = &mut self.ifaces[i];
-        // A classified kernel lands the frame in its class's priority
-        // ring; `rx_arrive_classed` falls back to the single legacy
-        // ring when class rings are off (unmodified mode).
-        let accepted = match class {
-            Some(c) => iface.nic.rx_arrive_classed(pkt, c.index()).is_ok(),
-            None => iface.nic.rx_arrive(pkt).is_ok(),
-        };
+        // The NIC files the frame by its class stamp.
+        let accepted = iface.nic.rx_arrive(pkt).is_ok();
         if accepted {
             if iface.nic.rx_intr_enabled() {
                 self.post_rx_intr(env, i);
@@ -815,10 +800,11 @@ impl RouterKernel {
         }
     }
 
-    /// Whether a frame arriving on interface `i` now goes to the steal
-    /// buffer instead of the ring: stealing is on and the ring is full.
-    fn steal_wanted(&self, i: usize) -> bool {
-        self.link.steals_frames() && self.ifaces[i].nic.rx_ring_is_full()
+    /// Whether `pkt`, arriving on interface `i`, goes to the steal
+    /// buffer instead of its ring: stealing is on and that ring is full.
+    fn steal_wanted(&self, i: usize, pkt: &Packet) -> bool {
+        let nic = &self.ifaces[i].nic;
+        self.link.steals_frames() && nic.rx_ring_is_full(nic.rx_ring_for(pkt))
     }
 
     /// Parks the frame in this CPU's steal buffer, signalling idle
@@ -990,7 +976,7 @@ impl Workload for RouterKernel {
         match (ctx, tag_id) {
             (CtxKind::Intr(src), tag::RX_PKT) => {
                 if let SrcRole::Rx(i) = self.src_roles[src.0] {
-                    if let Some(p) = self.ifaces[i].nic.rx_peek_mut() {
+                    if let Some(p) = self.ifaces[i].nic.rx_peek_mut(0) {
                         p.stamps.ring_deq = env.now();
                     }
                 }
@@ -1000,17 +986,9 @@ impl Workload for RouterKernel {
                     p.stamps.fwd_start = env.now();
                 }
             }
-            (CtxKind::Thread(_), tag::POLL_RX_PKT) => {
-                if let Some(action) = self.poll.action {
-                    if let Some(p) = self.ifaces[action.source.0].nic.rx_peek_mut() {
-                        p.stamps.ring_deq = env.now();
-                        p.stamps.fwd_start = env.now();
-                    }
-                }
-            }
-            (CtxKind::Thread(_), t) if tag_class(t).is_some() => {
-                if let (Some(action), Some(c)) = (self.poll.action, tag_class(t)) {
-                    if let Some(p) = self.ifaces[action.source.0].nic.rx_peek_class_mut(c) {
+            (CtxKind::Thread(_), t) => {
+                if let (Some(ring), Some(action)) = (poll_rx_ring(t), self.poll.action) {
+                    if let Some(p) = self.ifaces[action.source.0].nic.rx_peek_mut(ring) {
                         p.stamps.ring_deq = env.now();
                         p.stamps.fwd_start = env.now();
                     }
@@ -1050,15 +1028,16 @@ impl Workload for RouterKernel {
             }
             (CtxKind::Intr(_), tag::CLOCK) => self.clock_done(env),
             (CtxKind::Intr(_), tag::IPI) => self.ipi_done(env),
-            (CtxKind::Thread(_), tag::POLL_RX_PKT) => self.poll_rx_done(env, None),
-            (CtxKind::Thread(_), t) if tag_class(t).is_some() => {
-                self.poll_rx_done(env, tag_class(t))
-            }
             (CtxKind::Thread(_), tag::POLL_TX_PKT) => self.poll_tx_done(env, true),
             (CtxKind::Thread(_), tag::POLL_TX_START) => self.poll_tx_done(env, false),
             (CtxKind::Thread(_), tag::SCREEND_PKT) => self.screend_done(env),
             (CtxKind::Thread(_), tag::APP_PKT) => self.app_done(env),
             (CtxKind::Thread(_), tag::USER) => self.stats.user_chunks += 1,
+            (CtxKind::Thread(_), t) => {
+                if let Some(ring) = poll_rx_ring(t) {
+                    self.poll_rx_done(env, ring);
+                }
+            }
             _ => {}
         }
     }
@@ -1175,7 +1154,7 @@ mod tests {
         let s = e.workload().stats();
         assert_eq!(s.arrived, 1);
         assert_eq!(s.transmitted, 1, "drops: {s:?}");
-        assert_eq!(s.wasted_drops(), 0);
+        assert_eq!(s.drops.wasted_drops(), 0);
         assert_eq!(e.workload().opkts(1), 1, "went out interface 1");
         assert_eq!(e.workload().opkts(0), 0);
     }
@@ -1201,7 +1180,7 @@ mod tests {
             e.run_until(Cycles::new(200_000_000));
             let s = e.workload().stats();
             assert_eq!(s.transmitted, 20, "stats: {s:?}");
-            assert_eq!(s.screend_denied(), 0);
+            assert_eq!(s.drops.screend_denied(), 0);
         }
     }
 
@@ -1214,7 +1193,11 @@ mod tests {
         inject(&mut e, 100, 5, 1000);
         e.run_until(Cycles::new(100_000_000));
         let s = e.workload().stats();
-        assert_eq!(s.screend_denied(), 5, "the testbed traffic targets port 9");
+        assert_eq!(
+            s.drops.screend_denied(),
+            5,
+            "the testbed traffic targets port 9"
+        );
         assert_eq!(s.transmitted, 0);
     }
 
@@ -1226,10 +1209,10 @@ mod tests {
         inject(&mut e, 100, 100, 0);
         e.run_until(Cycles::new(1_000_000_000));
         let s = e.workload().stats();
-        assert!(s.rx_ring_drops() > 0, "ring must overflow: {s:?}");
+        assert!(s.drops.rx_ring_drops() > 0, "ring must overflow: {s:?}");
         assert_eq!(
             s.arrived,
-            s.transmitted + s.rx_ring_drops() + s.wasted_drops() + s.in_flight(),
+            s.transmitted + s.drops.rx_ring_drops() + s.drops.wasted_drops() + s.in_flight(),
         );
         assert_eq!(s.in_flight(), 0, "everything drained by quiescence");
     }
@@ -1254,7 +1237,7 @@ mod tests {
         e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt });
         e.run_until(Cycles::new(10_000_000));
         let s = e.workload().stats();
-        assert_eq!(s.fwd_errors(), 1);
+        assert_eq!(s.drops.fwd_errors(), 1);
         assert_eq!(s.transmitted, 0);
     }
 
@@ -1380,6 +1363,6 @@ mod tests {
         let pkt = factory.next_packet();
         e.state_schedule(Cycles::new(1000), Event::RxArrive { iface: 0, pkt });
         e.run_until(Cycles::new(10_000_000));
-        assert_eq!(e.workload().stats().fwd_errors(), 1);
+        assert_eq!(e.workload().stats().drops.fwd_errors(), 1);
     }
 }

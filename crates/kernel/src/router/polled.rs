@@ -53,38 +53,19 @@ impl RouterKernel {
                         let stop = !self.gate.is_open()
                             || action.quota.exhausted_by(self.poll.done_in_cb)
                             || self.ifaces[i].nic.rx_pending() == 0;
-                        if !stop && self.classes.is_some() {
-                            // Classified drain: strict priority across
-                            // the per-class rings under per-class burst
-                            // budgets. The chosen ring rides the chunk
-                            // tag, so stamping (chunk_start) and the
-                            // take (poll_rx_done) agree on the ring even
-                            // if a higher-priority frame lands mid-chunk.
-                            let Some(c) = self.class_pick_ring(i) else {
-                                // Rings report pending but the engine is
-                                // gone — unreachable; fall through to
-                                // callback completion.
-                                let more = self.ifaces[i].nic.rx_pending() > 0;
-                                self.finish_callback(env, action, more);
-                                continue;
-                            };
-                            if let Some(p) = self.ifaces[i].nic.rx_peek_class_mut(c) {
-                                p.stamps.ring_deq = env.now();
-                                p.stamps.fwd_start = env.now();
-                            }
-                            let mut cost =
-                                self.cost.rx_device_per_pkt + self.cost.ip_forward_per_pkt;
-                            if self.cfg.screend.is_none() {
-                                cost += self.cost.tx_start_per_pkt;
-                            }
-                            return Some(Chunk::new(cost, class_tag(c)));
-                        }
                         if !stop {
+                            // The ring to drain: the class rings' strict-
+                            // priority pick under burst budgets, or the one
+                            // ring. It rides the chunk tag, so stamping
+                            // (chunk_start) and the take (poll_rx_done)
+                            // agree on it even if a higher-priority frame
+                            // lands mid-chunk.
+                            let ring = self.pick_rx_ring(i);
                             // Process-to-completion starts on the head
                             // frame now: it leaves the ring and is routed
                             // in one go, so ring dequeue and forward start
                             // coincide (the ipq stage is zero by design).
-                            if let Some(p) = self.ifaces[i].nic.rx_peek_mut() {
+                            if let Some(p) = self.ifaces[i].nic.rx_peek_mut(ring) {
                                 p.stamps.ring_deq = env.now();
                                 p.stamps.fwd_start = env.now();
                             }
@@ -96,7 +77,8 @@ impl RouterKernel {
                             // Burst: every packet already in the ring (the
                             // backlog only grows from here) up to the quota
                             // is a promised repetition; each `poll_rx_done`
-                            // consumes exactly one.
+                            // consumes exactly one. Never with classes:
+                            // `poll_burstable` requires them off.
                             let reps = if self.poll_burstable() {
                                 let avail = self.ifaces[i].nic.rx_pending() as u32;
                                 let room = match action.quota {
@@ -109,7 +91,11 @@ impl RouterKernel {
                             } else {
                                 0
                             };
-                            return Some(Chunk::new(cost, tag::POLL_RX_PKT).with_reps(reps));
+                            let t = match self.classes {
+                                Some(_) => tag::POLL_RX_PKT_P0 + ring as u64,
+                                None => tag::POLL_RX_PKT,
+                            };
+                            return Some(Chunk::new(cost, t).with_reps(reps));
                         }
                         let more = self.ifaces[i].nic.rx_pending() > 0;
                         self.finish_callback(env, action, more);
@@ -170,7 +156,7 @@ impl RouterKernel {
                     // Out of local work: before re-enabling interrupts and
                     // sleeping, an idle SMP poller pulls frames a sibling
                     // parked when its own ring overflowed.
-                    if self.try_steal() {
+                    if self.try_steal(env.now()) {
                         continue;
                     }
                     // "Once all the packets pending at an interface have
@@ -188,24 +174,27 @@ impl RouterKernel {
 
     /// Work stealing: an otherwise-idle poll thread drains frames its
     /// siblings parked when their own receive rings overflowed, feeding
-    /// them into this CPU's ring as if they had arrived here. Returns
-    /// true when anything was stolen (the poller now has a pending
-    /// receive request to process).
-    pub(super) fn try_steal(&mut self) -> bool {
+    /// them into this CPU's rings as if they had arrived here. It takes a
+    /// frame only once it has arrived in this CPU's time, and only when
+    /// that frame's ring has room — a stolen frame keeps the class its
+    /// home CPU stamped at admission — so every steal is accepted.
+    /// Returns true when anything was stolen (the poller now has a
+    /// pending receive request to process).
+    pub(super) fn try_steal(&mut self, now: Cycles) -> bool {
         if !self.link.steals_frames() {
             return false;
         }
         let mut stole = false;
-        while !self.ifaces[0].nic.rx_ring_is_full() {
-            let Some(pkt) = self.link.steal_take() else {
+        loop {
+            let nic = &self.ifaces[0].nic;
+            let Some(pkt) = self
+                .link
+                .steal_take(now, |p| !nic.rx_ring_is_full(nic.rx_ring_for(p)))
+            else {
                 break;
             };
-            // A stolen frame keeps the class its home CPU stamped at
-            // admission, landing in this CPU's matching priority ring.
-            match pkt.class() {
-                Some(c) => self.ifaces[0].nic.rx_arrive_classed(pkt, c.index()),
-                None => self.ifaces[0].nic.rx_arrive(pkt),
-            };
+            let accepted = self.ifaces[0].nic.rx_arrive(pkt).is_ok();
+            debug_assert!(accepted, "a stolen frame's ring had room");
             stole = true;
         }
         if stole {
@@ -300,17 +289,13 @@ impl RouterKernel {
         }
     }
 
-    pub(super) fn poll_rx_done(&mut self, env: &mut Env<'_, Event>, class_ring: Option<usize>) {
+    pub(super) fn poll_rx_done(&mut self, env: &mut Env<'_, Event>, ring: usize) {
         let Some(action) = self.poll.action else {
             return;
         };
         self.poll.done_in_cb += 1;
         let i = action.source.0;
-        let taken = match class_ring {
-            Some(c) => self.ifaces[i].nic.rx_take_class(c),
-            None => self.ifaces[i].nic.rx_take(),
-        };
-        let Some(mut pkt) = taken else {
+        let Some(mut pkt) = self.ifaces[i].nic.rx_take_from(ring) else {
             return;
         };
         if self.try_handle_arp(env, i, &pkt) {

@@ -30,6 +30,7 @@ use std::rc::Rc;
 use livelock_machine::cpu::CpuId;
 use livelock_net::packet::Packet;
 use livelock_net::queue::{DropTailQueue, Enqueued};
+use livelock_sim::Cycles;
 
 use crate::config::{KernelConfig, Topology};
 
@@ -201,12 +202,30 @@ impl CpuLink {
         Ok(())
     }
 
-    /// Pulls the next parked frame: the oldest of the nearest sibling
-    /// (in CPU order after this one) that has any.
-    pub(super) fn steal_take(&self) -> Option<Packet> {
+    /// Pulls the next parked frame this CPU can take at `now`: the oldest
+    /// of the nearest sibling (in CPU order after this one) whose oldest
+    /// has arrived by `now` and `fits`. A sibling that runs earlier in
+    /// the slice may have parked frames that arrive later in this CPU's
+    /// time; when one is left for that reason, this CPU's IPI flag is
+    /// raised again, so the next slice boundary wakes it to take it.
+    pub(super) fn steal_take(&self, now: Cycles, fits: impl Fn(&Packet) -> bool) -> Option<Packet> {
         let me = self.cpu.0;
         let mut sh = self.shared.borrow_mut();
-        let pkt = (1..self.ncpus).find_map(|d| sh.steal_bufs[(me + d) % self.ncpus].pop_front())?;
+        let mut ahead = false;
+        let from = (1..self.ncpus).map(|d| (me + d) % self.ncpus).find(|&k| {
+            match sh.steal_bufs[k].front() {
+                Some(p) if p.arrived_at > now => {
+                    ahead = true;
+                    false
+                }
+                Some(p) => fits(p),
+                None => false,
+            }
+        });
+        let Some(pkt) = from.and_then(|k| sh.steal_bufs[k].pop_front()) else {
+            sh.ipi_pending[me] |= ahead;
+            return None;
+        };
         sh.steals_taken[me] += 1;
         Some(pkt)
     }

@@ -17,8 +17,9 @@ impl RouterKernel {
         }
         if iface.nic.rx_pending() > 0 {
             // The driver starts on the head frame now; it leaves the ring
-            // when this chunk completes.
-            if let Some(p) = iface.nic.rx_peek_mut() {
+            // (the one ring: this kernel enforces no classes) when this
+            // chunk completes.
+            if let Some(p) = iface.nic.rx_peek_mut(0) {
                 p.stamps.ring_deq = env.now();
             }
             // Interrupt batching: keep consuming the ring before returning.
@@ -43,7 +44,7 @@ impl RouterKernel {
     }
 
     pub(super) fn unmod_rx_done(&mut self, env: &mut Env<'_, Event>, i: usize) {
-        let Some(pkt) = self.ifaces[i].nic.rx_take() else {
+        let Some(pkt) = self.ifaces[i].nic.rx_take_from(0) else {
             return;
         };
         if self.try_handle_arp(env, i, &pkt) {

@@ -12,9 +12,9 @@ use crate::flows::FlowRegistry;
 use crate::telemetry::Timeline;
 
 /// Why a packet died. Every drop path in the kernel records one of these
-/// through [`KernelStats::record_drop`], giving the per-cause taxonomy the
+/// through `KernelStats::record_drop`, giving the per-cause taxonomy the
 /// paper's loss-attribution argument (§3, §6.2) needs. It is the only
-/// store: the per-queue names ([`KernelStats::ifq_drops`] and friends) are
+/// store: the per-queue names ([`DropStats::ifq_drops`] and friends) are
 /// sums over it (e.g. an output-queue drop-tail drop and a RED early drop
 /// both read back through `ifq_drops`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -188,34 +188,74 @@ impl DropStats {
             .map(|(&r, &c)| (r, c))
     }
 
-    // The six per-queue views `TrialResult` freezes as columns, each a sum
-    // over reasons. `KernelStats` has the same-named getters (and the
-    // views nothing outside one kernel's books reads).
+    // The per-queue views, each a sum over reasons. Every reason lands in
+    // exactly one of the first nine; `TrialResult` freezes six of them as
+    // columns.
 
-    /// `RxRingFull + FeedbackInhibit`: free drops at the interface.
-    pub(crate) fn rx_ring_drops(&self) -> u64 {
+    /// `RxRingFull + FeedbackInhibit`: frames dropped because a receive
+    /// ring was full — free drops at the interface.
+    pub fn rx_ring_drops(&self) -> u64 {
         self.get(DropReason::RxRingFull) + self.get(DropReason::FeedbackInhibit)
     }
 
-    pub(crate) fn ipintrq_drops(&self) -> u64 {
+    /// Packets shed at admission by the class-aware gate.
+    pub fn class_shed_drops(&self) -> u64 {
+        TrafficClass::ALL
+            .into_iter()
+            .map(|class| self.get(DropReason::ClassShed { class }))
+            .sum()
+    }
+
+    /// Packets dropped at the `ipintrq` (unmodified kernel only).
+    pub fn ipintrq_drops(&self) -> u64 {
         self.get(DropReason::IpintrqFull)
     }
 
-    pub(crate) fn screend_q_drops(&self) -> u64 {
+    /// Packets dropped at the screend queue.
+    pub fn screend_q_drops(&self) -> u64 {
         self.get(DropReason::ScreendQueueFull)
     }
 
-    pub(crate) fn screend_denied(&self) -> u64 {
+    /// Packets denied by the screening rules.
+    pub fn screend_denied(&self) -> u64 {
         self.get(DropReason::ScreendDenied)
     }
 
-    /// `OutputQueueFull + RedEarlyDrop`.
-    pub(crate) fn ifq_drops(&self) -> u64 {
+    /// `OutputQueueFull + RedEarlyDrop`: packets dropped at an output
+    /// interface queue.
+    pub fn ifq_drops(&self) -> u64 {
         self.get(DropReason::OutputQueueFull) + self.get(DropReason::RedEarlyDrop)
     }
 
-    pub(crate) fn socket_q_drops(&self) -> u64 {
+    /// Packets dropped at the local socket buffer (end-system mode).
+    pub fn socket_q_drops(&self) -> u64 {
         self.get(DropReason::SocketQueueFull)
+    }
+
+    /// Packets discarded as innocent-bystander traffic (end-system mode).
+    pub fn bystander_drops(&self) -> u64 {
+        self.get(DropReason::Bystander)
+    }
+
+    /// Packets dropped by the forwarding code (bad checksum, TTL, no
+    /// route, no ARP entry, no listener).
+    pub fn fwd_errors(&self) -> u64 {
+        self.get(DropReason::TtlExpired)
+            + self.get(DropReason::NoRoute)
+            + self.get(DropReason::NoArp)
+            + self.get(DropReason::BadHeader)
+            + self.get(DropReason::NoListener)
+    }
+
+    /// Packets lost after the host invested work in them: every drop but
+    /// the free ones at the interface, admission sheds, screening
+    /// denials and bystander discards.
+    pub fn wasted_drops(&self) -> u64 {
+        self.ipintrq_drops()
+            + self.screend_q_drops()
+            + self.ifq_drops()
+            + self.socket_q_drops()
+            + self.fwd_errors()
     }
 }
 
@@ -627,8 +667,25 @@ impl Default for ClassStats {
 /// Counters and distributions collected by the router kernel during a run.
 ///
 /// Drops live in one place, [`KernelStats::drops`], written only by
-/// [`KernelStats::record_drop`]; the per-queue getters (`rx_ring_drops()`,
-/// `ifq_drops()`, …) are sums over that taxonomy, not counters of their own.
+/// `record_drop`; its per-queue views (`drops.rx_ring_drops()`,
+/// `drops.ifq_drops()`, …) are sums over that taxonomy, not counters of
+/// their own.
+///
+/// Only the kernel writes a trial's books. The hooks (`record_arrival`,
+/// `record_delivery`, `record_drop`, `record_drop_for`, `class_arrival`,
+/// `record_tx`, `record_app_delivery`) and the per-flow, per-class and
+/// timeline books are private to this crate, so the per-flow and
+/// per-class ledgers cannot drift from the aggregate counters. Code
+/// outside it cannot call a hook, even through
+/// [`RouterKernel::stats_mut`](crate::RouterKernel::stats_mut):
+///
+/// ```compile_fail,E0624
+/// use livelock_kernel::{KernelConfig, RouterKernel};
+/// use livelock_sim::Cycles;
+///
+/// let (_, mut kernel) = RouterKernel::build(KernelConfig::builder().build());
+/// kernel.stats_mut().record_arrival(Cycles::ZERO, None);
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
     /// Frames that finished arriving on input wires (offered load actually
@@ -652,8 +709,8 @@ pub struct KernelStats {
     /// Latency distributions (total sojourn + per-stage residencies) of
     /// delivered packets.
     pub latency: LatencyStats,
-    /// Every drop, by cause: the one store the per-queue getters below
-    /// are sums over.
+    /// Every drop, by cause: the one store the per-queue views are sums
+    /// over.
     pub drops: DropStats,
     /// Transmissions inside the measurement window.
     pub tx_window: Option<RateWindow>,
@@ -667,22 +724,22 @@ pub struct KernelStats {
     pub ticks: u64,
     /// The telemetry timeline, when the sampler is enabled via
     /// [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry).
-    pub timeline: Option<Timeline>,
+    pub(crate) timeline: Option<Timeline>,
     /// The per-flow metrics registry, when the observability layer is
     /// enabled via
     /// [`KernelConfig::observe`](crate::config::KernelConfig::observe).
     /// All mutation goes through `record_arrival`, `record_delivery` and
     /// `record_drop_for` below, which skip it while this is `None`.
-    pub flows: Option<FlowRegistry>,
+    pub(crate) flows: Option<FlowRegistry>,
     /// Fault-injection and recovery bookkeeping (all zero on clean runs).
     pub fault: FaultStats,
     /// Per-traffic-class books, allocated when flow classification is
     /// enabled via
     /// [`KernelConfig::classes`](crate::config::KernelConfig::classes).
-    /// All mutation goes through [`KernelStats::class_arrival`] and
-    /// [`KernelStats::record_delivery`], which skip it while this is
-    /// `None`; per-class sheds are [`DropReason::ClassShed`] drops.
-    pub class: Option<ClassStats>,
+    /// All mutation goes through `class_arrival` and `record_delivery`,
+    /// which skip it while this is `None`; per-class sheds are
+    /// [`DropReason::ClassShed`] drops.
+    pub(crate) class: Option<ClassStats>,
 }
 
 impl KernelStats {
@@ -690,59 +747,6 @@ impl KernelStats {
     /// optional book off.
     pub fn new() -> Self {
         KernelStats::default()
-    }
-
-    /// Packets shed at admission by the class-aware gate.
-    pub fn class_shed_drops(&self) -> u64 {
-        TrafficClass::ALL
-            .into_iter()
-            .map(|class| self.drops.get(DropReason::ClassShed { class }))
-            .sum()
-    }
-
-    /// Frames dropped because a receive ring was full.
-    pub fn rx_ring_drops(&self) -> u64 {
-        self.drops.rx_ring_drops()
-    }
-
-    /// Packets dropped at the `ipintrq` (unmodified kernel only).
-    pub fn ipintrq_drops(&self) -> u64 {
-        self.drops.ipintrq_drops()
-    }
-
-    /// Packets dropped at the screend queue.
-    pub fn screend_q_drops(&self) -> u64 {
-        self.drops.screend_q_drops()
-    }
-
-    /// Packets denied by the screening rules.
-    pub fn screend_denied(&self) -> u64 {
-        self.drops.screend_denied()
-    }
-
-    /// Packets dropped at an output interface queue.
-    pub fn ifq_drops(&self) -> u64 {
-        self.drops.ifq_drops()
-    }
-
-    /// Packets dropped at the local socket buffer (end-system mode).
-    pub fn socket_q_drops(&self) -> u64 {
-        self.drops.socket_q_drops()
-    }
-
-    /// Packets discarded as innocent-bystander traffic (end-system mode).
-    pub fn bystander_drops(&self) -> u64 {
-        self.drops.get(DropReason::Bystander)
-    }
-
-    /// Packets dropped by the forwarding code (bad checksum, TTL, no
-    /// route, no ARP entry).
-    pub fn fwd_errors(&self) -> u64 {
-        self.drops.get(DropReason::TtlExpired)
-            + self.drops.get(DropReason::NoRoute)
-            + self.drops.get(DropReason::NoArp)
-            + self.drops.get(DropReason::BadHeader)
-            + self.drops.get(DropReason::NoListener)
     }
 
     /// Installs the measurement window `[start, end)` for rate reporting.
@@ -756,14 +760,14 @@ impl KernelStats {
     }
 
     /// Records a drop under its cause — the only write to the drop books.
-    pub fn record_drop(&mut self, reason: DropReason) {
+    pub(crate) fn record_drop(&mut self, reason: DropReason) {
         self.drops.record(reason);
     }
 
     /// Records a drop and attributes it to `flow` in the per-flow
     /// registry (identical to [`KernelStats::record_drop`] when the
     /// observability layer is off).
-    pub fn record_drop_for(&mut self, reason: DropReason, flow: Option<FlowKey>) {
+    pub(crate) fn record_drop_for(&mut self, reason: DropReason, flow: Option<FlowKey>) {
         self.record_drop(reason);
         if let Some(reg) = &mut self.flows {
             reg.record_drop(flow, reason);
@@ -777,7 +781,7 @@ impl KernelStats {
     /// never arrived on a wire and are not samples. The caller counts the
     /// delivery itself ([`KernelStats::record_tx`] /
     /// [`KernelStats::record_app_delivery`]).
-    pub fn record_delivery(
+    pub(crate) fn record_delivery(
         &mut self,
         pkt: &Packet,
         end: Cycles,
@@ -802,14 +806,14 @@ impl KernelStats {
 
     /// Attributes one classified wire arrival to `class` (no-op when
     /// classification is off or the packet carries no class stamp).
-    pub fn class_arrival(&mut self, class: Option<TrafficClass>) {
+    pub(crate) fn class_arrival(&mut self, class: Option<TrafficClass>) {
         if let (Some(cs), Some(c)) = (&mut self.class, class) {
             cs.record_arrival(c);
         }
     }
 
     /// Records a completed transmission at time `t`.
-    pub fn record_tx(&mut self, t: Cycles) {
+    pub(crate) fn record_tx(&mut self, t: Cycles) {
         self.transmitted += 1;
         if let Some(w) = &mut self.tx_window {
             w.record(t);
@@ -818,7 +822,7 @@ impl KernelStats {
 
     /// Records a frame arrival at time `t`, attributed to `flow` in the
     /// per-flow registry when the observability layer is on.
-    pub fn record_arrival(&mut self, t: Cycles, flow: Option<FlowKey>) {
+    pub(crate) fn record_arrival(&mut self, t: Cycles, flow: Option<FlowKey>) {
         self.arrived += 1;
         if let Some(w) = &mut self.arrival_window {
             w.record(t);
@@ -829,7 +833,7 @@ impl KernelStats {
     }
 
     /// Records a local application delivery at time `t`.
-    pub fn record_app_delivery(&mut self, t: Cycles) {
+    pub(crate) fn record_app_delivery(&mut self, t: Cycles) {
         self.app_delivered += 1;
         if let Some(w) = &mut self.app_window {
             w.record(t);
@@ -849,16 +853,6 @@ impl KernelStats {
     /// Offered packet rate inside the window, pkts/s.
     pub fn offered_pps(&self, freq: Freq) -> f64 {
         self.arrival_window.map_or(0.0, |w| w.rate_per_sec(freq))
-    }
-
-    /// Total packets lost anywhere in the kernel (excluding free drops at
-    /// the interface and deliberate screening denials).
-    pub fn wasted_drops(&self) -> u64 {
-        self.ipintrq_drops()
-            + self.screend_q_drops()
-            + self.ifq_drops()
-            + self.socket_q_drops()
-            + self.fwd_errors()
     }
 
     /// Packet-conservation check: every arrival is transmitted, dropped
@@ -944,7 +938,7 @@ mod tests {
             s.record_tx(Cycles::new(2));
         }
         assert_eq!(s.in_flight(), 2);
-        assert_eq!(s.wasted_drops(), 1);
+        assert_eq!(s.drops.wasted_drops(), 1);
     }
 
     #[test]
@@ -1084,43 +1078,43 @@ mod tests {
     #[test]
     fn legacy_views_partition_the_taxonomy() {
         // The nine per-queue views (RED early drops count in `ifq_drops`).
-        let views: [fn(&KernelStats) -> u64; 9] = [
-            KernelStats::rx_ring_drops,
-            KernelStats::class_shed_drops,
-            KernelStats::ipintrq_drops,
-            KernelStats::screend_q_drops,
-            KernelStats::screend_denied,
-            KernelStats::ifq_drops,
-            KernelStats::socket_q_drops,
-            KernelStats::bystander_drops,
-            KernelStats::fwd_errors,
+        let views: [fn(&DropStats) -> u64; 9] = [
+            DropStats::rx_ring_drops,
+            DropStats::class_shed_drops,
+            DropStats::ipintrq_drops,
+            DropStats::screend_q_drops,
+            DropStats::screend_denied,
+            DropStats::ifq_drops,
+            DropStats::socket_q_drops,
+            DropStats::bystander_drops,
+            DropStats::fwd_errors,
         ];
         // Every reason lands in exactly one view.
         for r in DropReason::ALL {
-            let mut s = KernelStats::new();
-            s.record_drop(r);
-            let hits: Vec<u64> = views.iter().map(|v| v(&s)).collect();
+            let mut d = DropStats::new();
+            d.record(r);
+            let hits: Vec<u64> = views.iter().map(|v| v(&d)).collect();
             assert_eq!(hits.iter().sum::<u64>(), 1, "{}: {hits:?}", r.label());
         }
         // ...so over any mix the views sum to the taxonomy's total.
-        let mut s = KernelStats::new();
+        let mut d = DropStats::new();
         for r in DropReason::ALL {
-            s.record_drop(r);
+            d.record(r);
         }
-        s.record_drop(DropReason::RedEarlyDrop);
-        assert_eq!(s.drops.total(), DropReason::ALL.len() as u64 + 1);
-        assert_eq!(views.iter().map(|v| v(&s)).sum::<u64>(), s.drops.total());
-        assert_eq!(s.rx_ring_drops(), 2, "ring-full + feedback-inhibit");
-        assert_eq!(s.ifq_drops(), 3, "outq-full + 2x red");
-        assert_eq!(s.drops.get(DropReason::RedEarlyDrop), 2);
-        assert_eq!(s.fwd_errors(), 5);
-        assert_eq!(s.class_shed_drops(), 3, "one shed per traffic class");
-        assert_eq!(s.drops.nonzero().count(), DropReason::ALL.len());
+        d.record(DropReason::RedEarlyDrop);
+        assert_eq!(d.total(), DropReason::ALL.len() as u64 + 1);
+        assert_eq!(views.iter().map(|v| v(&d)).sum::<u64>(), d.total());
+        assert_eq!(d.rx_ring_drops(), 2, "ring-full + feedback-inhibit");
+        assert_eq!(d.ifq_drops(), 3, "outq-full + 2x red");
+        assert_eq!(d.get(DropReason::RedEarlyDrop), 2);
+        assert_eq!(d.fwd_errors(), 5);
+        assert_eq!(d.class_shed_drops(), 3, "one shed per traffic class");
+        assert_eq!(d.nonzero().count(), DropReason::ALL.len());
         // Per-class shed is read back from the taxonomy, not a second book.
         for class in TrafficClass::ALL {
-            assert_eq!(s.drops.get(DropReason::ClassShed { class }), 1);
+            assert_eq!(d.get(DropReason::ClassShed { class }), 1);
         }
         // Shedding is a deliberate, free drop: not wasted work.
-        assert_eq!(s.wasted_drops(), 11);
+        assert_eq!(d.wasted_drops(), 11);
     }
 }

@@ -13,7 +13,6 @@
 //! | 12   | interrupt-discipline |
 //! | 14   | panic-freedom |
 //! | 16   | bad-suppression |
-//! | 18   | flow-discipline |
 //! | 20   | unit-discipline |
 //! | 21   | exit-code-registry |
 //! | 22   | stale-baseline |

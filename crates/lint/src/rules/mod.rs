@@ -11,7 +11,6 @@ use crate::tokenizer::Tok;
 
 mod determinism;
 mod exitcodes;
-mod flows;
 mod interrupt;
 mod panics;
 mod stale;
@@ -65,7 +64,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(determinism::Determinism),
         Box::new(interrupt::InterruptDiscipline),
         Box::new(panics::PanicFreedom),
-        Box::new(flows::FlowDiscipline),
         Box::new(units::UnitDiscipline),
         Box::new(exitcodes::ExitCodeRegistry),
         Box::new(stale::StaleBaseline),

@@ -66,16 +66,14 @@ impl Default for NicConfig {
     }
 }
 
-/// One network interface: receive ring, transmit ring, interrupt-enable
+/// One network interface: receive rings, transmit ring, interrupt-enable
 /// flags, and counters (`Ipkts`/`Opkts`, as `netstat` reports them).
 #[derive(Clone, Debug)]
 pub struct Nic {
     name: &'static str,
-    rx_ring: DropTailQueue<Packet>,
-    /// Per-priority receive rings (index = priority, 0 highest), present
-    /// only when the host enabled classified admission. `None` keeps the
-    /// single classless `rx_ring` — the bit-identical legacy layout.
-    rx_class_rings: Option<Vec<DropTailQueue<Packet>>>,
+    /// The receive rings, index 0 the highest priority. One unless the
+    /// host asked for per-priority rings ([`Nic::with_rx_rings`]).
+    rx_rings: Vec<DropTailQueue<Packet>>,
     /// Packets in the transmit ring, not yet on the wire.
     tx_queued: VecDeque<Packet>,
     /// A frame is currently being serialized onto the wire.
@@ -92,12 +90,16 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// Creates a NIC with both interrupt directions enabled.
+    /// Diagnostic names for the receive rings of a multi-ring NIC,
+    /// highest priority first. Bounds the supported ring count.
+    const PRIORITY_RING_NAMES: [&'static str; 3] = ["rx-ring-p0", "rx-ring-p1", "rx-ring-p2"];
+
+    /// Creates a NIC with one receive ring and both interrupt directions
+    /// enabled.
     pub fn new(name: &'static str, config: NicConfig) -> Self {
         Nic {
             name,
-            rx_ring: DropTailQueue::new("rx-ring", config.rx_ring),
-            rx_class_rings: None,
+            rx_rings: vec![DropTailQueue::new("rx-ring", config.rx_ring)],
             tx_queued: VecDeque::with_capacity(config.tx_ring),
             tx_inflight: false,
             tx_unreclaimed: 0,
@@ -110,6 +112,22 @@ impl Nic {
         }
     }
 
+    /// The same NIC with `n` per-priority receive rings (clamped to
+    /// 1..=3), each of the configured ring's capacity — the hardware
+    /// analogue of a multiqueue NIC whose queues are keyed by a priority
+    /// field instead of an RSS hash. One ring is the plain NIC.
+    pub fn with_rx_rings(mut self, n: usize) -> Self {
+        let n = n.clamp(1, Self::PRIORITY_RING_NAMES.len());
+        if n > 1 {
+            let cap = self.rx_rings[0].capacity();
+            self.rx_rings = Self::PRIORITY_RING_NAMES[..n]
+                .iter()
+                .map(|name| DropTailQueue::new(name, cap))
+                .collect();
+        }
+        self
+    }
+
     /// Returns the interface's diagnostic name.
     pub fn name(&self) -> &'static str {
         self.name
@@ -117,120 +135,69 @@ impl Nic {
 
     // --- Receive side ---
 
-    /// A frame finished arriving on the wire; DMA places it in the receive
-    /// ring. Returns whether the ring accepted it (a full ring drops the
-    /// frame at zero host cost). The caller decides whether to post an
-    /// interrupt, based on [`Nic::rx_intr_enabled`].
+    /// The ring DMA files `pkt` into: its class stamp's priority, clamped
+    /// to the last ring. An unstamped frame files last, so a one-ring NIC
+    /// files every frame into ring 0.
+    pub fn rx_ring_for(&self, pkt: &Packet) -> usize {
+        let last = self.rx_rings.len() - 1;
+        pkt.class().map_or(last, |c| c.index().min(last))
+    }
+
+    /// A frame finished arriving on the wire; DMA places it in its ring
+    /// ([`Nic::rx_ring_for`]). Returns whether the ring accepted it (a
+    /// full ring drops the frame at zero host cost). The caller decides
+    /// whether to post an interrupt, based on [`Nic::rx_intr_enabled`].
     pub fn rx_arrive(&mut self, pkt: Packet) -> Enqueued {
-        let r = self.rx_ring.enqueue(pkt);
+        let ring = self.rx_ring_for(&pkt);
+        let r = self.rx_rings[ring].enqueue(pkt);
         if r.is_ok() {
             self.ipkts += 1;
         }
         r
     }
 
-    /// The driver pulls the oldest received frame out of the ring.
+    /// The driver pulls the oldest frame of the highest-priority ring
+    /// that has one.
     pub fn rx_take(&mut self) -> Option<Packet> {
-        self.rx_ring.dequeue()
+        self.rx_rings.iter_mut().find_map(DropTailQueue::dequeue)
     }
 
-    // --- Per-priority receive rings (classified admission) ---
-
-    /// Diagnostic names for the per-priority rings, highest priority
-    /// first. Bounds the supported ring count.
-    const CLASS_RING_NAMES: [&'static str; 3] = ["rx-ring-p0", "rx-ring-p1", "rx-ring-p2"];
-
-    /// Splits the receive side into `n` per-priority rings (1..=3, index
-    /// 0 = highest priority), each with the configured ring's capacity —
-    /// the hardware analogue of a multiqueue NIC whose queues are keyed
-    /// by a priority field instead of an RSS hash. Frames already in the
-    /// classless ring stay there; callers enable class rings before
-    /// traffic starts.
-    pub fn enable_class_rings(&mut self, n: usize) {
-        let n = n.clamp(1, Self::CLASS_RING_NAMES.len());
-        let cap = self.rx_ring.capacity();
-        self.rx_class_rings = Some(
-            Self::CLASS_RING_NAMES[..n]
-                .iter()
-                .map(|name| DropTailQueue::new(name, cap))
-                .collect(),
-        );
+    /// The driver pulls the oldest frame of ring `ring`.
+    pub fn rx_take_from(&mut self, ring: usize) -> Option<Packet> {
+        self.rx_rings[ring].dequeue()
     }
 
-    /// DMA places a classified frame in its priority ring (out-of-range
-    /// priorities land in the lowest ring). Falls back to the classless
-    /// ring when class rings are off. Returns whether the ring accepted
-    /// the frame.
-    pub fn rx_arrive_classed(&mut self, pkt: Packet, priority: usize) -> Enqueued {
-        let Some(rings) = &mut self.rx_class_rings else {
-            return self.rx_arrive(pkt);
-        };
-        let i = priority.min(rings.len() - 1);
-        let r = rings[i].enqueue(pkt);
-        if r.is_ok() {
-            self.ipkts += 1;
-        }
-        r
+    /// Mutable access to the oldest frame of ring `ring` without taking
+    /// it — lets the host stamp the packet when it starts processing,
+    /// before the chunk that consumes it completes.
+    pub fn rx_peek_mut(&mut self, ring: usize) -> Option<&mut Packet> {
+        self.rx_rings[ring].peek_mut()
     }
 
-    /// The driver pulls the oldest frame from priority ring `priority`.
-    pub fn rx_take_class(&mut self, priority: usize) -> Option<Packet> {
-        self.rx_class_rings.as_mut()?.get_mut(priority)?.dequeue()
+    /// Frames waiting in ring `ring`.
+    pub fn rx_ring_len(&self, ring: usize) -> usize {
+        self.rx_rings[ring].len()
     }
 
-    /// Mutable access to the oldest frame in priority ring `priority`
-    /// (the classed twin of [`Nic::rx_peek_mut`]).
-    pub fn rx_peek_class_mut(&mut self, priority: usize) -> Option<&mut Packet> {
-        self.rx_class_rings.as_mut()?.get_mut(priority)?.peek_mut()
-    }
-
-    /// Frames waiting in priority ring `priority` (0 when out of range
-    /// or classless).
-    pub fn rx_pending_class(&self, priority: usize) -> usize {
-        self.rx_class_rings
-            .as_ref()
-            .and_then(|r| r.get(priority))
-            .map_or(0, DropTailQueue::len)
-    }
-
-    /// Mutable access to the oldest ring frame without taking it — lets the
-    /// host stamp the packet when it starts processing, before the chunk
-    /// that consumes it completes.
-    pub fn rx_peek_mut(&mut self) -> Option<&mut Packet> {
-        self.rx_ring.peek_mut()
-    }
-
-    /// Number of frames waiting in the receive ring (summed across the
-    /// per-priority rings when classified admission is on).
+    /// Frames waiting across every receive ring.
     pub fn rx_pending(&self) -> usize {
-        match &self.rx_class_rings {
-            Some(rings) => rings.iter().map(DropTailQueue::len).sum(),
-            None => self.rx_ring.len(),
-        }
+        self.rx_rings.iter().map(DropTailQueue::len).sum()
     }
 
-    /// Whether the receive ring has no free descriptor — the next
-    /// [`Nic::rx_arrive`] would drop. The SMP steal path checks this
-    /// before DMA to divert the frame instead of losing it. With class
-    /// rings on, true only when every priority ring is full.
-    pub fn rx_ring_is_full(&self) -> bool {
-        match &self.rx_class_rings {
-            Some(rings) => rings.iter().all(DropTailQueue::is_full),
-            None => self.rx_ring.is_full(),
-        }
+    /// Whether ring `ring` has no free descriptor. The SMP steal path
+    /// asks it of a frame's own ring ([`Nic::rx_ring_for`]) before DMA,
+    /// to divert the frame instead of losing it.
+    pub fn rx_ring_is_full(&self, ring: usize) -> bool {
+        self.rx_rings[ring].is_full()
     }
 
-    /// Frames dropped because the receive ring was full (summed across
-    /// the per-priority rings when classified admission is on).
+    /// Frames dropped because their receive ring was full, over every
+    /// ring.
     pub fn rx_ring_drops(&self) -> u64 {
-        self.rx_ring.drops()
-            + self
-                .rx_class_rings
-                .as_ref()
-                .map_or(0, |rings| rings.iter().map(DropTailQueue::drops).sum())
+        self.rx_rings.iter().map(DropTailQueue::drops).sum()
     }
 
-    /// Total frames accepted into the receive ring (`Ipkts`).
+    /// Total frames accepted into the receive rings (`Ipkts`).
     pub fn ipkts(&self) -> u64 {
         self.ipkts
     }
@@ -329,6 +296,7 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livelock_net::classify::{Classifier, TrafficClass};
     use livelock_net::packet::PacketId;
 
     fn pkt(n: u64) -> Packet {
@@ -451,45 +419,103 @@ mod tests {
         assert_eq!(c.tx_ring, 32);
     }
 
-    #[test]
-    fn rx_ring_full_flag_tracks_occupancy() {
-        let mut n = nic(); // rx_ring = 4
-        for i in 0..3 {
-            n.rx_arrive(pkt(i));
+    /// A frame stamped `class` (`None`: unstamped).
+    fn stamped(n: u64, class: Option<TrafficClass>) -> Packet {
+        let mut p = pkt(n);
+        if let Some(c) = class {
+            Classifier::new(Vec::new(), c).stamp(&mut p, None);
         }
-        assert!(!n.rx_ring_is_full());
-        n.rx_arrive(pkt(3));
-        assert!(n.rx_ring_is_full());
-        n.rx_take();
-        assert!(!n.rx_ring_is_full());
+        p
+    }
+
+    const STAMPS: [Option<TrafficClass>; 4] = [
+        None,
+        Some(TrafficClass::Control),
+        Some(TrafficClass::Realtime),
+        Some(TrafficClass::Bulk),
+    ];
+
+    #[test]
+    fn one_ring_files_every_stamp_into_ring_zero() {
+        let mut n = nic(); // rx_ring = 4
+        assert_eq!(n.rx_rings.len(), 1);
+        for (i, class) in STAMPS.into_iter().enumerate() {
+            let p = stamped(i as u64, class);
+            assert_eq!(n.rx_ring_for(&p), 0, "{class:?}");
+            assert!(!n.rx_ring_is_full(0));
+            assert!(n.rx_arrive(p).is_ok());
+        }
+        assert!(n.rx_ring_is_full(0));
+        assert_eq!(n.rx_ring_len(0), 4);
+        assert_eq!(n.rx_arrive(stamped(9, None)), Enqueued::Dropped);
+        assert_eq!(n.rx_peek_mut(0).unwrap().id, PacketId(0));
+        assert_eq!(n.rx_take_from(0).unwrap().id, PacketId(0));
+        assert!(!n.rx_ring_is_full(0));
+        assert_eq!(n.rx_take().unwrap().id, PacketId(1), "FIFO");
     }
 
     #[test]
     fn class_rings_partition_the_receive_side() {
-        let mut n = nic(); // rx_ring = 4 -> each class ring gets 4 slots
-        assert!(n.rx_class_rings.is_none());
-        n.enable_class_rings(3);
-        assert_eq!(n.rx_class_rings.as_ref().map(Vec::len), Some(3));
-        // Fill priority 2 past capacity; priorities 0 and 1 stay open.
-        for i in 0..6 {
-            n.rx_arrive_classed(pkt(i), 2);
+        let three = nic().with_rx_rings(3);
+        assert_eq!(three.rx_rings.len(), 3);
+        let rings = |n: &Nic| STAMPS.map(|c| n.rx_ring_for(&stamped(0, c)));
+        assert_eq!(rings(&three), [2, 0, 1, 2], "unstamped files last");
+        let two = nic().with_rx_rings(2);
+        assert_eq!(rings(&two), [1, 0, 1, 1], "Bulk clamps to ring 1");
+        assert_eq!(nic().with_rx_rings(9).rx_rings.len(), 3);
+        assert_eq!(nic().with_rx_rings(0).rx_rings.len(), 1);
+    }
+
+    #[test]
+    fn rx_take_is_strict_priority() {
+        let mut n = nic().with_rx_rings(3);
+        let order = [
+            TrafficClass::Bulk,
+            TrafficClass::Realtime,
+            TrafficClass::Control,
+        ];
+        for (i, c) in order.into_iter().enumerate() {
+            n.rx_arrive(stamped(i as u64, Some(c)));
+            n.rx_arrive(stamped(10 + i as u64, Some(c)));
         }
-        assert!(n.rx_arrive_classed(pkt(10), 0).is_ok());
-        assert!(n.rx_arrive_classed(pkt(11), 1).is_ok());
-        assert_eq!(n.rx_pending_class(0), 1);
-        assert_eq!(n.rx_pending_class(1), 1);
-        assert_eq!(n.rx_pending_class(2), 4);
-        assert_eq!(n.rx_pending(), 6);
-        assert_eq!(n.rx_ring_drops(), 2, "only the bulk ring overflowed");
+        let taken: Vec<u64> = std::iter::from_fn(|| n.rx_take()).map(|p| p.id.0).collect();
+        assert_eq!(
+            taken,
+            [2, 12, 1, 11, 0, 10],
+            "Control, Realtime, Bulk; FIFO within"
+        );
+    }
+
+    #[test]
+    fn rx_ring_full_flag_tracks_occupancy() {
+        let mut n = nic().with_rx_rings(3); // 4 slots per ring
+        let bulk = |i| stamped(i, Some(TrafficClass::Bulk));
+        for i in 0..6 {
+            n.rx_arrive(bulk(i));
+        }
+        let control = stamped(10, Some(TrafficClass::Control));
+        assert!(
+            n.rx_ring_is_full(n.rx_ring_for(&bulk(0))),
+            "Bulk's ring is full"
+        );
+        assert!(
+            !n.rx_ring_is_full(n.rx_ring_for(&control)),
+            "Control's is not"
+        );
+        assert!(n.rx_arrive(control).is_ok());
+        assert_eq!(n.rx_take_from(2).unwrap().id, PacketId(0));
+        assert!(!n.rx_ring_is_full(2), "a take frees Bulk's ring");
+        assert!(n.rx_arrive(bulk(6)).is_ok());
+        assert_eq!(
+            [n.rx_ring_len(0), n.rx_ring_len(1), n.rx_ring_len(2)],
+            [1, 0, 4]
+        );
+        assert_eq!(n.rx_pending(), 5);
         assert_eq!(n.ipkts(), 6);
-        assert!(!n.rx_ring_is_full(), "higher-priority rings still open");
-        // Out-of-range priorities land in the lowest ring (already full).
-        assert_eq!(n.rx_arrive_classed(pkt(12), 9), Enqueued::Dropped);
-        // Per-ring FIFO, selectable by priority.
-        assert_eq!(n.rx_take_class(0).unwrap().id, PacketId(10));
-        assert_eq!(n.rx_peek_class_mut(2).unwrap().id, PacketId(0));
-        assert_eq!(n.rx_take_class(2).unwrap().id, PacketId(0));
-        assert!(n.rx_take_class(0).is_none());
+        for i in 0..5 {
+            n.rx_arrive(stamped(20 + i, Some(TrafficClass::Control)));
+        }
+        assert_eq!(n.rx_ring_drops(), 2 + 2, "Bulk's two and Control's two");
     }
 
     #[test]

@@ -106,9 +106,8 @@ echo "== simlint: determinism / interrupt-discipline / panic-freedom =="
 # The workspace's own static-analysis pass (crates/lint). It enforces the
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
 # maps in deterministic crates, interrupt handlers that only initiate
-# polling, panic-free library code, per-flow metrics mutated only
-# through the KernelStats attribution hooks, no unit-named binding
-# declared as a bare number, and every process exit code registered in
+# polling, panic-free library code, no unit-named binding declared as a
+# bare number, and every process exit code registered in
 # crates/lint/src/registry.rs. Inline
 # `// simlint: allow(rule): reason` and crates/lint/baseline.txt cover the
 # sanctioned exceptions; anything fresh gates hard here.

@@ -102,8 +102,8 @@ fn ring_absorbs_bursts_without_loss() {
     ] {
         let s = run_burst(cfg, 30); // Ring holds 32.
         assert_eq!(s.transmitted, 30, "stats: {s:?}");
-        assert_eq!(s.rx_ring_drops(), 0);
-        assert_eq!(s.wasted_drops(), 0);
+        assert_eq!(s.drops.rx_ring_drops(), 0);
+        assert_eq!(s.drops.wasted_drops(), 0);
     }
 }
 
@@ -114,10 +114,10 @@ fn ring_absorbs_bursts_without_loss() {
 fn oversized_burst_drop_location() {
     let unmod = run_burst(KernelConfig::builder().build(), 150);
     let polled = run_burst(KernelConfig::builder().polled(Quota::Limited(5)).build(), 150);
-    assert!(unmod.ipintrq_drops() > 0, "unmodified wastes work: {unmod:?}");
-    assert_eq!(polled.ipintrq_drops(), 0);
+    assert!(unmod.drops.ipintrq_drops() > 0, "unmodified wastes work: {unmod:?}");
+    assert_eq!(polled.drops.ipintrq_drops(), 0);
     assert_eq!(
-        polled.ifq_drops(), 0,
+        polled.drops.ifq_drops(), 0,
         "modified drops only at the ring: {polled:?}"
     );
     // And the modified kernel delivers at least as many in total.

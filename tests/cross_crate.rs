@@ -59,7 +59,7 @@ fn three_interface_routing() {
     let k = e.workload();
     assert_eq!(k.opkts(1), 20, "10.1/16 out iface 1");
     assert_eq!(k.opkts(2), 20, "10.2/16 out iface 2");
-    assert_eq!(k.stats().fwd_errors(), 0);
+    assert_eq!(k.stats().drops.fwd_errors(), 0);
 }
 
 /// Round-robin fairness across input interfaces (§5.2): two saturating
@@ -168,7 +168,7 @@ fn gateway_routes_resolve_gateway_mac() {
     e.run_until(Cycles::new(100_000_000));
     let k = e.workload();
     assert_eq!(k.stats().transmitted, 1, "{:?}", k.stats());
-    assert_eq!(k.stats().fwd_errors(), 0);
+    assert_eq!(k.stats().drops.fwd_errors(), 0);
 }
 
 /// A packet with a corrupted IP checksum is dropped by forwarding (and
@@ -182,7 +182,7 @@ fn corrupt_checksum_is_dropped() {
     e.state_schedule(Cycles::new(1_000), Event::RxArrive { iface: 0, pkt });
     e.run_until(Cycles::new(100_000_000));
     let s = e.workload().stats();
-    assert_eq!(s.fwd_errors(), 1);
+    assert_eq!(s.drops.fwd_errors(), 1);
     assert_eq!(s.transmitted, 0);
 }
 
@@ -271,7 +271,7 @@ fn ttl_expiry_generates_icmp_time_exceeded() {
     }
     e.run_until(Cycles::new(200_000_000));
     let s = e.workload().stats();
-    assert_eq!(s.fwd_errors(), 3);
+    assert_eq!(s.drops.fwd_errors(), 3);
     assert_eq!(s.icmp_errors_sent, 3, "{s:?}");
     // The errors leave on interface 0, back toward the source network.
     assert_eq!(e.workload().opkts(0), 3);
@@ -321,7 +321,7 @@ fn icmp_disabled_by_default() {
     e.run_until(Cycles::new(100_000_000));
     let s = e.workload().stats();
     assert_eq!(s.icmp_errors_sent, 0);
-    assert_eq!(s.fwd_errors(), 1);
+    assert_eq!(s.drops.fwd_errors(), 1);
 }
 
 /// The execution trace shows the livelock interleaving directly: under
@@ -431,12 +431,15 @@ fn latency_layer_agrees_with_trace_and_counters() {
         // `rx_ring_drops`, per the `record_drop` contract.)
         assert_eq!(
             s.drops.get(DropReason::RxRingFull) + s.drops.get(DropReason::FeedbackInhibit),
-            s.rx_ring_drops()
+            s.drops.rx_ring_drops()
         );
-        assert_eq!(s.drops.get(DropReason::IpintrqFull), s.ipintrq_drops());
+        assert_eq!(
+            s.drops.get(DropReason::IpintrqFull),
+            s.drops.ipintrq_drops()
+        );
         assert_eq!(
             s.drops.get(DropReason::OutputQueueFull) + s.drops.get(DropReason::RedEarlyDrop),
-            s.ifq_drops()
+            s.drops.ifq_drops()
         );
         // Conservation: everything that arrived was delivered, dropped
         // (for a typed reason), or is still in flight.
@@ -510,7 +513,7 @@ fn arp_requests_are_answered() {
         assert_eq!(s.arp_handled, 1, "{s:?}");
         assert_eq!(s.arp_replies, 1);
         assert_eq!(e.workload().opkts(0), 1, "reply leaves the asking wire");
-        assert_eq!(s.fwd_errors(), 0);
+        assert_eq!(s.drops.fwd_errors(), 0);
         assert_eq!(s.in_flight(), 0);
     }
 }

@@ -58,7 +58,7 @@ fn light_load_serves_and_replies() {
         // Replies go back out the input interface's wire.
         assert_eq!(s.transmitted, 800);
         assert!(goodput > 700.0, "goodput {goodput}");
-        assert_eq!(s.socket_q_drops(), 0);
+        assert_eq!(s.drops.socket_q_drops(), 0);
     }
 }
 
@@ -78,7 +78,7 @@ fn unmodified_end_system_starves_application() {
         "overload should collapse app goodput: {high} vs {low}"
     );
     assert!(
-        s.socket_q_drops() > 0,
+        s.drops.socket_q_drops() > 0,
         "loss lands at the socket buffer: {s:?}"
     );
 }
@@ -108,7 +108,7 @@ fn replies_are_well_formed() {
         500.0,
         300,
     );
-    assert_eq!(s.fwd_errors(), 0);
+    assert_eq!(s.drops.fwd_errors(), 0);
     assert_eq!(s.replies_created, 300);
     assert_eq!(s.transmitted, 300);
     assert_eq!(s.in_flight(), 0, "everything drained");
@@ -120,7 +120,7 @@ fn replies_are_well_formed() {
 fn no_listener_counts_errors() {
     let (s, _) = serve(KernelConfig::builder().build(), 500.0, 100);
     assert_eq!(s.app_delivered, 0);
-    assert_eq!(s.fwd_errors(), 100);
+    assert_eq!(s.drops.fwd_errors(), 100);
 }
 
 /// The request/reply path measures latency end to end (request arrival to
@@ -186,7 +186,7 @@ fn bystander_flood_starves_the_unprotected_application() {
 
     let unmod = run(KernelConfig::builder().local_delivery(Default::default()).ip_forwarding(false).build());
     assert!(
-        unmod.bystander_drops() > 1_000,
+        unmod.drops.bystander_drops() > 1_000,
         "the storm is processed then discarded: {unmod:?}"
     );
     assert!(
@@ -216,14 +216,14 @@ fn bystander_flood_starves_the_unprotected_application() {
     // packets it then drops at ipintrq; the modified kernel has no such
     // mid-pipeline loss and sheds the excess for free at the interface.
     assert!(
-        unmod.ipintrq_drops() > 0,
+        unmod.drops.ipintrq_drops() > 0,
         "unmodified wastes work at ipintrq: {unmod:?}"
     );
-    assert_eq!(prot.ipintrq_drops(), 0);
+    assert_eq!(prot.drops.ipintrq_drops(), 0);
     assert!(
-        prot.rx_ring_drops() > unmod.rx_ring_drops(),
+        prot.drops.rx_ring_drops() > unmod.drops.rx_ring_drops(),
         "load is shed for free at the ring instead: {} vs {}",
-        prot.rx_ring_drops(),
-        unmod.rx_ring_drops()
+        prot.drops.rx_ring_drops(),
+        unmod.drops.rx_ring_drops()
     );
 }
