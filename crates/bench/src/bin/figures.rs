@@ -12,19 +12,17 @@
 //! output is byte-identical for every job count.
 //!
 //! The binary is one loop over `livelock_bench::figure_table()`: render,
-//! print, write the CSV, run the row's gate. Exit status: 0 on success;
-//! when gates failed, the smallest failing row's `gate_exit` (2 throughput
-//! shape, 3 latency L-1, 4 CPU share C-1, 5 faults R-1, 6 SMP S-1, 7
-//! online detection O-1, 8 priority P-1 — `simlint --exit-codes` prints
-//! each meaning, and each gate function documents its claim); otherwise 1
-//! when the arguments are bad (an unknown flag or figure id renders
-//! nothing) or a CSV could not be written.
+//! print, write the CSV, evaluate the row's claims. Exit status: 0 on
+//! success; when claims failed, the smallest failing claim's exit (the
+//! README claims table lists each; `simlint --exit-codes` prints every
+//! code's meaning); otherwise 1 when the arguments are bad or a CSV could
+//! not be written.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 use lint::registry::codes;
+use livelock_bench::claims::{self, Run};
 use livelock_bench::{figure_table, render_figure, PAPER_TRIAL_PACKETS};
 use livelock_kernel::par::{default_jobs, Parallelism};
 
@@ -81,14 +79,13 @@ fn main() {
     let n_packets = if args.quick { 2_000 } else { PAPER_TRIAL_PACKETS };
 
     // I/O failures are collected, not fatal: a read-only results/ dir
-    // should not abort the remaining figures' rendering and shape checks.
+    // should not abort the remaining figures' rendering and claims.
     let mut io_errors = Vec::new();
     let out_dir = Path::new("results");
     if let Err(e) = fs::create_dir_all(out_dir) {
         io_errors.push(format!("cannot create {}: {e}", out_dir.display()));
     }
-    // Gate violations by exit code: the smallest failing code wins.
-    let mut violations: BTreeMap<i32, Vec<String>> = BTreeMap::new();
+    let mut violations = Vec::new();
     for fig in table.iter().filter(|f| args.only.as_deref().map_or(true, |id| id == f.id)) {
         eprintln!(
             "rendering figure {} ({n_packets} packets/trial, {jobs} jobs)...",
@@ -103,10 +100,7 @@ fn main() {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => io_errors.push(format!("{}: {e}", path.display())),
         }
-        let found = (fig.gate)(&rendered);
-        if !found.is_empty() {
-            violations.entry(fig.gate_exit).or_default().extend(found);
-        }
+        violations.extend(claims::evaluate(|c| fig.claims.contains(&c.id), Run::Figure(&rendered)));
     }
 
     if !io_errors.is_empty() {
@@ -115,17 +109,9 @@ fn main() {
             eprintln!("  {w}");
         }
     }
-    if violations.is_empty() {
-        eprintln!("all rendered figures match the paper's qualitative shapes");
-    }
-    for (code, found) in &violations {
-        eprintln!("GATE VIOLATIONS (exit {code}):");
-        for v in found {
-            eprintln!("  {v}");
-        }
-    }
-    if let Some(&code) = violations.keys().next() {
-        std::process::exit(code);
+    match claims::report(&violations) {
+        0 => eprintln!("every rendered figure meets its claims"),
+        code => std::process::exit(code),
     }
     if !io_errors.is_empty() {
         std::process::exit(codes::FIGURES_IO);

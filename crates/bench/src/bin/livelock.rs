@@ -33,41 +33,22 @@
 //! `chaos` runs a deterministic seeded fault storm (lost and spurious
 //! interrupts, packet corruption, overrun bursts, link flaps, screend
 //! stalls and crashes) against the polled-with-feedback kernel and the
-//! unmodified kernel, then asserts the graceful-degradation invariants.
-//! Exit status: 0 when every invariant holds, 2 on bad arguments,
-//! 3 when the polled kernel stopped delivering (fault-induced
-//! livelock), 4 when its interrupt gate ended the run inhibited,
-//! 5 when the screend queue failed to drain after a crash/restart,
-//! 6 when the conservation ledger left packets unaccounted,
-//! 7 when a scheduled fault never fired, 8 when the unmodified kernel
-//! failed to livelock under the same storm (the contrast half of the
-//! demonstration; expects the default overload `--rate`).
-//!
-//! `chaos --priority` runs the same storm with the P-1 flow classifier
-//! and the observability layer on both kernels (classes are *observed*
-//! on the unmodified kernel but only *enforced* — priority rings, shed
-//! gate — on the polled one) and additionally asserts the
-//! priority-isolation contrast. Exit status 9 when the classified
-//! polled kernel produced a priority-inversion event (Control blew its
-//! p99 SLO while Bulk was still served), 10 when the unmodified kernel
-//! produced none under the identical storm.
-//!
-//! `observe` runs the online livelock detector against both kernels at
-//! one overload rate (an eight-flow flood through screend, observability
-//! enabled) and asserts the detection claims. Exit status: 0 when every
-//! claim holds, 2 on bad arguments, 3 when the unmodified kernel
-//! produced no livelock-onset event (expects the default overload
-//! `--rate`, past the screend MLFRR), 4 when the polled kernel with
-//! feedback produced one, 5 when the per-flow starvation watch is broken
-//! (the livelocked kernel must starve at least half the tracked flows
-//! and strictly more than the polled kernel), 6 when a per-flow ledger
-//! failed to conserve (arrived ≠ delivered + dropped after the drain,
-//! or arrivals leaked to overflow/unattributed).
+//! unmodified kernel, then evaluates its graceful-degradation claims;
+//! `chaos --priority` runs the same storm with the P-1 flow classifier and
+//! the observability layer on both kernels (classes are *observed* on the
+//! unmodified kernel but only *enforced* on the polled one) and adds the
+//! priority-isolation claims. `observe` runs the online livelock detector
+//! against both kernels at one overload rate (an eight-flow flood through
+//! screend) and evaluates the detection claims. Both exit with the
+//! smallest violated claim's code (`livelock_bench::claims`; README's
+//! claims table lists them, `simlint --exit-codes` prints each meaning),
+//! or 2 on bad arguments.
 
+use lint::registry::codes;
+use livelock_bench::claims::{self, Drained, Evidence, Run};
 use livelock_core::analysis::{
     classify, mlfrr_multisection, multisection_rounds, overload_stability, SweepPoint,
 };
-use lint::registry::codes;
 use livelock_core::poller::Quota;
 use livelock_kernel::config::{FeedbackConfig, KernelConfig, LocalDeliveryConfig};
 use livelock_kernel::experiment::{
@@ -76,78 +57,39 @@ use livelock_kernel::experiment::{
 use livelock_kernel::experiment::sweep;
 use livelock_kernel::par::{default_jobs, par_map, Parallelism};
 use livelock_kernel::stats::{DropReason, Stage};
-use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig, TelemetryConfig};
+use livelock_kernel::telemetry::{ObserveConfig, TelemetryConfig};
 use livelock_machine::CpuClass;
 use livelock_sim::Nanos;
 
-fn configs() -> Vec<(&'static str, &'static str)> {
+/// Every named kernel configuration: its name, what it is, and the kernel.
+#[rustfmt::skip]
+fn configs() -> Vec<(&'static str, &'static str, KernelConfig)> {
+    let b = KernelConfig::builder;
+    let polled = |q| b().polled(q);
+    let polled_screend = |q| polled(Quota::Limited(q)).screend(Default::default());
+    let end_system = LocalDeliveryConfig {
+        feedback: Some(FeedbackConfig::default()),
+        ..LocalDeliveryConfig::default()
+    };
     vec![
-        ("unmodified", "4.2BSD interrupt-driven path (Figure 6-1)"),
-        ("screend", "unmodified + user-mode screend filter"),
-        (
-            "no-polling",
-            "modified kernel acting unmodified (Figure 6-3)",
-        ),
-        ("polled", "modified kernel, polling, quota 10"),
-        ("polled-q5", "polling, quota 5"),
-        ("polled-q100", "polling, quota 100"),
-        (
-            "no-quota",
-            "polling without a quota (livelocks, Figure 6-3)",
-        ),
-        (
-            "feedback",
-            "polling + screend + queue-state feedback (Figure 6-4)",
-        ),
-        ("no-feedback", "polling + screend, feedback off (livelocks)"),
-        (
-            "rate-limited",
-            "unmodified + 2000/s interrupt rate limit (§5.1)",
-        ),
-        (
-            "cycle-25",
-            "polling + 25% CPU cycle limit + user process (§7)",
-        ),
-        ("cycle-50", "polling + 50% CPU cycle limit + user process"),
-        (
-            "end-system",
-            "UDP/RPC server, modified kernel + socket feedback",
-        ),
+        ("unmodified", "4.2BSD interrupt-driven path (Figure 6-1)", b().build()),
+        ("screend", "unmodified + user-mode screend filter", b().screend(Default::default()).build()),
+        ("no-polling", "modified kernel acting unmodified (Figure 6-3)", b().no_polling().build()),
+        ("polled", "modified kernel, polling, quota 10", polled(Quota::Limited(10)).build()),
+        ("polled-q5", "polling, quota 5", polled(Quota::Limited(5)).build()),
+        ("polled-q100", "polling, quota 100", polled(Quota::Limited(100)).build()),
+        ("no-quota", "polling without a quota (livelocks, Figure 6-3)", polled(Quota::Unlimited).build()),
+        ("feedback", "polling + screend + queue-state feedback (Figure 6-4)", polled_screend(10).feedback(Default::default()).build()),
+        ("no-feedback", "polling + screend, feedback off (livelocks)", polled_screend(10).build()),
+        ("rate-limited", "unmodified + 2000/s interrupt rate limit (§5.1)", b().intr_rate_limit(2_000.0, 4).build()),
+        ("cycle-25", "polling + 25% CPU cycle limit + user process (§7)", polled(Quota::Limited(5)).cycle_limit(0.25).user_process(true).build()),
+        ("cycle-50", "polling + 50% CPU cycle limit + user process", polled(Quota::Limited(5)).cycle_limit(0.50).user_process(true).build()),
+        ("end-system", "UDP/RPC server, modified kernel + socket feedback", polled(Quota::Limited(10)).local_delivery(end_system).ip_forwarding(false).build()),
     ]
 }
 
 fn config_by_name(name: &str) -> Option<KernelConfig> {
-    let b = KernelConfig::builder();
-    Some(match name {
-        "unmodified" => b.build(),
-        "screend" => b.screend(Default::default()).build(),
-        "no-polling" => b.no_polling().build(),
-        "polled" => b.polled(Quota::Limited(10)).build(),
-        "polled-q5" => b.polled(Quota::Limited(5)).build(),
-        "polled-q100" => b.polled(Quota::Limited(100)).build(),
-        "no-quota" => b.polled(Quota::Unlimited).build(),
-        "feedback" => b
-            .polled(Quota::Limited(10))
-            .screend(Default::default())
-            .feedback(Default::default())
-            .build(),
-        "no-feedback" => b
-            .polled(Quota::Limited(10))
-            .screend(Default::default())
-            .build(),
-        "rate-limited" => b.intr_rate_limit(2_000.0, 4).build(),
-        "cycle-25" => b.polled(Quota::Limited(5)).cycle_limit(0.25).user_process(true).build(),
-        "cycle-50" => b.polled(Quota::Limited(5)).cycle_limit(0.50).user_process(true).build(),
-        "end-system" => b
-            .polled(Quota::Limited(10))
-            .local_delivery(LocalDeliveryConfig {
-                feedback: Some(FeedbackConfig::default()),
-                ..LocalDeliveryConfig::default()
-            })
-            .ip_forwarding(false)
-            .build(),
-        _ => return None,
-    })
+    configs().into_iter().find(|c| c.0 == name).map(|c| c.2)
 }
 
 struct Args {
@@ -293,21 +235,8 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_f64(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
-        }
-    }
-
-    fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
-        }
-    }
-
-    fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// The number `--name` gives, or `default` when it is absent.
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
@@ -317,7 +246,7 @@ impl Args {
 
 fn cmd_configs() {
     println!("{:<14} description", "name");
-    for (name, desc) in configs() {
+    for (name, desc, _) in configs() {
         println!("{name:<14} {desc}");
     }
 }
@@ -329,7 +258,7 @@ const TRACE_CAPACITY: usize = 1 << 20;
 /// Applies `--ncpus N` / `--steal` to a parsed config: the SMP topology
 /// (per-CPU executors fed by a multiqueue RSS NIC, see DESIGN.md §12).
 fn apply_topology(cfg: &mut KernelConfig, args: &Args) -> Result<(), String> {
-    let ncpus = args.get_usize("ncpus", 1)?;
+    let ncpus = args.num::<usize>("ncpus", 1)?;
     if ncpus == 0 || ncpus > 8 {
         return Err(format!("--ncpus: want 1..=8, got {ncpus}"));
     }
@@ -354,9 +283,9 @@ fn cmd_trial(args: &Args) -> Result<(), String> {
     }
     let freq = cfg.cost.freq;
     let spec = TrialSpec {
-        rate_pps: args.get_f64("rate", 8_000.0)?,
-        n_packets: args.get_usize("packets", 10_000)?,
-        seed: args.get_u64("seed", 1)?,
+        rate_pps: args.num::<f64>("rate", 8_000.0)?,
+        n_packets: args.num::<usize>("packets", 10_000)?,
+        seed: args.num::<u64>("seed", 1)?,
         ..TrialSpec::new(cfg)
     };
     let (r, chrome_json) = match trace_path {
@@ -490,8 +419,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         None => paper_rates(),
         Some(s) => Args::parse_rates("rates", s)?,
     };
-    let n_packets = args.get_usize("packets", 3_000)?;
-    let jobs = args.get_usize("jobs", default_jobs())?;
+    let n_packets = args.num::<usize>("packets", 3_000)?;
+    let jobs = args.num::<usize>("jobs", default_jobs())?;
     let latency = args.has("latency");
 
     let mut results = Vec::new();
@@ -544,9 +473,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 fn cmd_mlfrr(args: &Args) -> Result<(), String> {
     let name = args.get("config").unwrap_or("polled");
     let cfg = config_by_name(name).ok_or_else(|| format!("unknown config {name:?}"))?;
-    let loss_free = args.get_f64("loss-free", 0.98)?;
-    let n_packets = args.get_usize("packets", 3_000)?;
-    let jobs = args.get_usize("jobs", default_jobs())?;
+    let loss_free = args.num::<f64>("loss-free", 0.98)?;
+    let n_packets = args.num::<usize>("packets", 3_000)?;
+    let jobs = args.num::<usize>("jobs", default_jobs())?;
 
     // Multisection on the offered rate for the highest loss-free point:
     // each round probes `jobs` bracketing rates concurrently, shrinking
@@ -592,11 +521,10 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
 /// unbounded value would schedule until memory ran out.
 const MAX_INTENSITY: f64 = 1_000.0;
 
-/// The seeded fault-storm run: both kernels face the identical storm,
-/// the polled kernel's graceful-degradation invariants are asserted,
-/// and the first violated invariant picks the (documented) exit code.
+/// The seeded fault-storm run: both kernels face the identical storm and
+/// the `livelock chaos` claims judge the pair.
 fn cmd_chaos(args: &Args) -> Result<i32, String> {
-    let seed = args.get_u64("seed", 0xC4A05)?;
+    let seed = args.num::<u64>("seed", 0xC4A05)?;
     let priority = args.has("priority");
     // The default rate sits deep in the unmodified kernel's livelock
     // region, so the run demonstrates the contrast the paper is about:
@@ -605,9 +533,9 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
     // cross-class inversion needs the unmodified kernel still serving a
     // Bulk trickle while Control starves — at deep collapse it serves
     // nothing at all, which is livelock, not inversion.
-    let rate = args.get_f64("rate", if priority { 5_000.0 } else { 12_000.0 })?;
-    let n_packets = args.get_usize("packets", 6_000)?;
-    let intensity = args.get_f64("intensity", 2.0)?;
+    let rate = args.num::<f64>("rate", if priority { 5_000.0 } else { 12_000.0 })?;
+    let n_packets = args.num::<usize>("packets", 6_000)?;
+    let intensity = args.num::<f64>("intensity", 2.0)?;
     if !(0.0..=MAX_INTENSITY).contains(&intensity) {
         return Err(format!("--intensity: want 0..={MAX_INTENSITY}, got {intensity}"));
     }
@@ -698,69 +626,7 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
     }
     println!();
 
-    // The graceful-degradation invariants, most fundamental first.
-    let mut violations: Vec<(i32, String)> = Vec::new();
-    if n_faults > 0 && polled.result.delivered_pps <= 0.0 {
-        violations.push((codes::CHAOS_NO_DELIVERY, "polled kernel delivered nothing (fault-induced livelock)".into()));
-    }
-    if !polled.gate_open_at_end {
-        violations.push((
-            codes::CHAOS_GATE_INHIBITED,
-            format!(
-                "polled interrupt gate ended the run inhibited (bits {:#04x})",
-                polled.gate_bits
-            ),
-        ));
-    }
-    if polled.screend_q_len != 0 {
-        violations.push((
-            codes::CHAOS_SCREEND_BACKLOG,
-            format!(
-                "screend queue holds {} packets after the drain window",
-                polled.screend_q_len
-            ),
-        ));
-    }
-    if polled.in_flight != 0 {
-        violations.push((
-            codes::CHAOS_LEDGER_LEAK,
-            format!(
-                "conservation ledger leaves {} packets unaccounted",
-                polled.in_flight
-            ),
-        ));
-    }
-    if f.injected != n_faults {
-        violations.push((
-            codes::CHAOS_FAULTS_MISSING,
-            format!("only {} of {n_faults} scheduled faults fired", f.injected),
-        ));
-    }
-    // The contrast half of the demonstration: under the identical storm
-    // the unmodified kernel must be (close to) livelocked. This holds at
-    // the default rate, which sits past its collapse point; a
-    // user-supplied low --rate can legitimately trip it.
-    if unmod.result.delivered_pps >= 0.05 * polled.result.delivered_pps.max(1.0) {
-        violations.push((
-            codes::CHAOS_NOT_LIVELOCKED,
-            format!(
-                "unmodified kernel is not livelocked under the storm \
-                 ({:.0} vs polled {:.0} pkts/s) — is --rate below its collapse point?",
-                unmod.result.delivered_pps, polled.result.delivered_pps
-            ),
-        ));
-    }
-    // The priority-isolation contrast (`--priority`): under the
-    // identical storm the classified polled kernel must keep Control
-    // clear of cross-class inversion while the unmodified kernel —
-    // observing the same classes without enforcing them — must show it.
     if priority {
-        let inversions = |r: &TrialResult| {
-            r.events
-                .iter()
-                .filter(|ev| matches!(ev.kind, ObsEventKind::PriorityInversion { .. }))
-                .count()
-        };
         println!("per-class books (delivered pkts/s, shed)");
         for (name, r) in [("polled", &polled.result), ("unmodified", &unmod.result)] {
             print!("  {name:<11}");
@@ -774,28 +640,21 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
             }
             println!();
         }
-        let (p_inv, u_inv) = (inversions(&polled.result), inversions(&unmod.result));
+        let p_inv = claims::inversions(&polled.result);
+        let u_inv = claims::inversions(&unmod.result);
         println!("priority-inversion events: polled {p_inv}, unmodified {u_inv}");
         println!();
-        if p_inv > 0 {
-            violations.push((
-                codes::CHAOS_PRIORITY_INVERSION,
-                format!(
-                    "classified polled kernel produced {p_inv} priority-inversion \
-                     event(s) — Control blew its SLO while Bulk was served"
-                ),
-            ));
-        }
-        if u_inv == 0 {
-            violations.push((
-                codes::CHAOS_NO_INVERSION_CONTRAST,
-                format!(
-                    "unmodified kernel produced no priority-inversion event at \
-                     {rate:.0} pkts/s — is --rate below its collapse point?"
-                ),
-            ));
-        }
     }
+    let evidence = Evidence {
+        x: rate,
+        unmod: &unmod.result,
+        polled: &polled.result,
+        drained: Some(Drained {
+            polled: &polled,
+            scheduled_faults: n_faults,
+        }),
+    };
+    let violations = claims::evaluate(|c| c.owner == claims::CHAOS, Run::Pair(evidence));
     if violations.is_empty() {
         println!(
             "all graceful-degradation invariants hold: delivery sustained, \
@@ -807,26 +666,21 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
                 ""
             }
         );
-        return Ok(0);
     }
-    eprintln!("CHAOS INVARIANT VIOLATIONS:");
-    for (_, msg) in &violations {
-        eprintln!("  {msg}");
-    }
-    Ok(violations[0].0)
+    Ok(claims::report(&violations))
 }
 
 /// The online-detection run: both kernels face the identical eight-flow
 /// overload through screend with the observability layer on, the typed
-/// event streams and per-flow ledgers are printed, and the detection
-/// claims are asserted — first violated claim picks the exit code.
+/// event streams and per-flow ledgers are printed, and the `livelock
+/// observe` claims judge the pair.
 fn cmd_observe(args: &Args) -> Result<i32, String> {
     // The default rate sits past the screend path's MLFRR, where the
     // unmodified kernel livelocks and the polled kernel holds its
     // plateau — the separation the detector exists to time-stamp.
-    let rate = args.get_f64("rate", 12_000.0)?;
-    let n_packets = args.get_usize("packets", 6_000)?;
-    let seed = args.get_u64("seed", 1)?;
+    let rate = args.num::<f64>("rate", 12_000.0)?;
+    let n_packets = args.num::<usize>("packets", 6_000)?;
+    let seed = args.num::<u64>("seed", 1)?;
 
     let flows = livelock_bench::o1_flows();
     let run = |name: &str| -> Result<TrialResult, String> {
@@ -847,19 +701,6 @@ fn cmd_observe(args: &Args) -> Result<i32, String> {
     let unmod = run("screend")?;
     let polled = run("feedback")?;
     let freq = config_by_name("screend").ok_or("missing screend config")?.cost.freq;
-
-    let onset = |r: &TrialResult| {
-        r.events
-            .iter()
-            .find(|ev| matches!(ev.kind, ObsEventKind::LivelockOnset { .. }))
-            .map(|ev| ev.at)
-    };
-    let starved = |r: &TrialResult| {
-        r.events
-            .iter()
-            .filter(|ev| matches!(ev.kind, ObsEventKind::FlowStarved { .. }))
-            .count()
-    };
 
     for (name, r) in [("unmodified+screend", &unmod), ("polled+feedback", &polled)] {
         println!("{name}: delivered {:.0} pkts/s, {} events", r.delivered_pps, r.events.len());
@@ -887,87 +728,27 @@ fn cmd_observe(args: &Args) -> Result<i32, String> {
         println!();
     }
 
-    // The detection claims, most fundamental first.
-    let mut violations: Vec<(i32, String)> = Vec::new();
-    match onset(&unmod) {
-        Some(at) => println!(
+    if let Some(at) = claims::onset(&unmod) {
+        println!(
             "unmodified livelock onset at cycle {} ({:.1} us into the trial)",
             at.raw(),
             freq.nanos_from_cycles(at).as_micros_f64()
-        ),
-        None => violations.push((
-            codes::OBSERVE_NO_ONSET,
-            format!(
-                "unmodified kernel produced no livelock-onset event at {rate:.0} pkts/s \
-                 — is --rate below the screend MLFRR?"
-            ),
-        )),
+        );
     }
-    if let Some(at) = onset(&polled) {
-        violations.push((
-            codes::OBSERVE_FALSE_ONSET,
-            format!(
-                "polled kernel with feedback reports livelock onset at cycle {}",
-                at.raw()
-            ),
-        ));
-    }
-    let (u_starved, p_starved) = (starved(&unmod), starved(&polled));
-    if u_starved < flows.len() / 2 || p_starved >= u_starved.max(1) {
-        violations.push((
-            codes::OBSERVE_STARVATION,
-            format!(
-                "starvation watch: unmodified starved {u_starved} of {} tracked flows, \
-                 polled starved {p_starved} — expected broad starvation under livelock \
-                 and strictly less under polling",
-                flows.len()
-            ),
-        ));
-    }
-    for (name, r) in [("unmodified", &unmod), ("polled", &polled)] {
-        let Some(reg) = &r.flows else {
-            violations.push((codes::OBSERVE_FLOW_LEDGER, format!("{name} trial carried no flow registry")));
-            continue;
-        };
-        if reg.overflow_arrivals() != 0 || reg.unattributed_arrivals() != 0 {
-            violations.push((
-                codes::OBSERVE_FLOW_LEDGER,
-                format!(
-                    "{name} registry leaked arrivals: {} overflow, {} unattributed \
-                     (eight flows must fit 128 slots and every flood frame parses)",
-                    reg.overflow_arrivals(),
-                    reg.unattributed_arrivals()
-                ),
-            ));
-        }
-        for s in r.per_flow() {
-            if s.arrived != s.delivered + s.drops.total() {
-                violations.push((
-                    codes::OBSERVE_FLOW_LEDGER,
-                    format!(
-                        "{name} flow {} ledger does not close: {} arrived != {} delivered \
-                         + {} dropped",
-                        s.key.src_port,
-                        s.arrived,
-                        s.delivered,
-                        s.drops.total()
-                    ),
-                ));
-            }
-        }
-    }
+    let evidence = Evidence {
+        x: rate,
+        unmod: &unmod,
+        polled: &polled,
+        drained: None,
+    };
+    let violations = claims::evaluate(|c| c.owner == claims::OBSERVE, Run::Pair(evidence));
     if violations.is_empty() {
         println!(
             "all online-detection claims hold: onset timed on the unmodified kernel, \
              none on the polled kernel, starvation contained, per-flow ledgers closed"
         );
-        return Ok(0);
     }
-    eprintln!("OBSERVE CLAIM VIOLATIONS:");
-    for (_, msg) in &violations {
-        eprintln!("  {msg}");
-    }
-    Ok(violations[0].0)
+    Ok(claims::report(&violations))
 }
 
 fn main() {

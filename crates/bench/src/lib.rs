@@ -3,24 +3,25 @@
 //! Every committed figure is one [`Figure`] row of [`figure_table`]: its
 //! kernels, each declared once, then its curves (label, which kernel,
 //! y-axis), its x values, how an x becomes a trial ([`Sweep`]), the flow
-//! set its trials carry, and the gate that checks the rendered shape with
-//! the exit code a failure maps to. Everything else is derived from the
-//! rows: [`render_figure`] is the one renderer (one trial per kernel and
-//! x, however many curves plot it), the `figures` binary is one loop over
-//! the table, and `scripts/ci.sh` compares whole result directories.
-//! Adding a figure is one row, one gate function, one registry row and
-//! its committed CSV.
+//! set its trials carry, which curves pair an unmodified with a polled
+//! kernel, and the [`claims`] rows the rendered figure must satisfy.
+//! Everything else is derived from the rows: [`render_figure`] is the one
+//! renderer (one trial per kernel and x, however many curves plot it),
+//! the `figures` binary is one loop over the table, and `scripts/ci.sh`
+//! compares whole result directories. Adding a figure is one row, its
+//! claims, and its committed CSV.
 //!
 //! This crate describes; `benchmark/` measures. Nothing here reads a
 //! wall clock.
 
-use lint::registry::codes;
-use livelock_core::analysis::{classify, mlfrr, overload_stability, LivelockVerdict};
+pub mod claims;
+
+use livelock_core::analysis::{classify, mlfrr, overload_stability};
 use livelock_core::poller::Quota;
 use livelock_kernel::config::{ClassifyConfig, KernelConfig, KernelConfigBuilder};
 use livelock_kernel::experiment::{run_trial, SweepResult, TrialResult, TrialSpec};
 use livelock_kernel::par::{par_map, Parallelism};
-use livelock_kernel::telemetry::{ObsEventKind, ObserveConfig};
+use livelock_kernel::telemetry::ObserveConfig;
 use livelock_machine::fault::FaultPlan;
 use livelock_machine::{CpuClass, SchedulerKind};
 use livelock_net::classify::{MatchRule, TrafficClass};
@@ -127,12 +128,12 @@ pub struct Figure {
     /// UDP source ports every trial cycles its packets through
     /// ([`TrialSpec::flows`]); `None` is the topology's default set.
     pub flows: Option<Vec<u16>>,
-    /// Checks the rendered figure against the claim it illustrates,
-    /// returning human-readable violations (empty = the claim holds).
-    pub gate: fn(&RenderedFigure) -> Vec<String>,
-    /// The `figures` exit code a gate violation maps to (a
-    /// `codes::FIGURES_*` constant, registered under owner `figures`).
-    pub gate_exit: i32,
+    /// The (unmodified, polled) curve pairs the claims compare, each as
+    /// indices into `curves`.
+    pub pairs: Vec<(usize, usize)>,
+    /// The ids of the [`claims::CLAIMS`] rows the rendered figure must
+    /// satisfy.
+    pub claims: &'static [&'static str],
 }
 
 /// The rates every throughput figure sweeps (as in the paper: 0 to 12,000
@@ -164,8 +165,8 @@ fn throughput_figure(
         xs: throughput_rates(),
         sweep: Sweep::Rate,
         flows: None,
-        gate: shape_violations,
-        gate_exit: codes::FIGURES_SHAPE,
+        pairs: Vec::new(),
+        claims: &["6-x shape-verdicts"],
     }
 }
 
@@ -263,8 +264,8 @@ fn fig6_6() -> Figure {
 
 /// Figure 7-1: available user-mode CPU time under the cycle-limit
 /// mechanism, one curve per threshold. (The y-axis is user CPU %, not
-/// packet rate; [`shape_violations`] registers no expectation for it —
-/// `tests/user_progress.rs` asserts the claim.)
+/// packet rate, so it has no claim rows: `tests/user_progress.rs`
+/// asserts the claim.)
 fn fig7_1() -> Figure {
     let thresholds = [0.25, 0.50, 0.75, 1.00];
     Figure {
@@ -296,8 +297,8 @@ fn fig7_1() -> Figure {
         ],
         sweep: Sweep::Rate,
         flows: None,
-        gate: shape_violations,
-        gate_exit: codes::FIGURES_SHAPE,
+        pairs: Vec::new(),
+        claims: &[],
     }
 }
 
@@ -319,8 +320,8 @@ fn fig_latency() -> Figure {
         xs: throughput_rates(),
         sweep: Sweep::Rate,
         flows: None,
-        gate: latency_shape_violations,
-        gate_exit: codes::FIGURES_LATENCY,
+        pairs: vec![(0, 1)],
+        claims: &["L-1 polled-p99-under-half"],
     }
 }
 
@@ -357,8 +358,15 @@ fn fig_c1() -> Figure {
         xs,
         sweep: Sweep::Rate,
         flows: None,
-        gate: cpu_share_violations,
-        gate_exit: codes::FIGURES_CPU,
+        pairs: vec![(0, 2)],
+        claims: &[
+            "C-1 ledger-conserved",
+            "C-1 unmod-rx-intr-over-90pct",
+            "C-1 unmod-delivery-collapses",
+            "C-1 unmod-user-idle-under-5pct",
+            "C-1 polled-user-idle-over-35pct",
+            "C-1 polled-rx-intr-under-5pct",
+        ],
     }
 }
 
@@ -408,8 +416,8 @@ fn fig_s1() -> Figure {
         ],
         sweep: Sweep::Rate,
         flows: None,
-        gate: smp_shape_violations,
-        gate_exit: codes::FIGURES_SMP,
+        pairs: vec![(0, 3), (1, 4), (2, 5)],
+        claims: &["S-1 ledger-conserved", "S-1 mlfrr-scaling"],
     }
 }
 
@@ -470,8 +478,13 @@ fn fig_r1() -> Figure {
             rate_pps: R1_RATE_PPS,
         },
         flows: None,
-        gate: fault_shape_violations,
-        gate_exit: codes::FIGURES_FAULT,
+        pairs: vec![(0, 1)],
+        claims: &[
+            "R-1 polled-keeps-delivering",
+            "R-1 polled-fault-free-plateau",
+            "R-1 polled-degrades-gracefully",
+            "R-1 polled-beats-unmod",
+        ],
     }
 }
 
@@ -507,8 +520,14 @@ fn fig_o1() -> Figure {
         xs: vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0],
         sweep: Sweep::Rate,
         flows: Some(o1_flows()),
-        gate: observe_shape_violations,
-        gate_exit: codes::FIGURES_OBSERVE,
+        pairs: vec![(0, 1)],
+        claims: &[
+            "O-1 onset-monotone",
+            "O-1 unmod-onset",
+            "O-1 no-polled-onset",
+            "O-1 starvation-bounded",
+            "O-1 starvation-contrast",
+        ],
     }
 }
 
@@ -574,8 +593,17 @@ fn fig_p1() -> Figure {
         xs: throughput_rates(),
         sweep: Sweep::Rate,
         flows: Some(p1_flows()),
-        gate: priority_shape_violations,
-        gate_exit: codes::FIGURES_PRIORITY,
+        pairs: vec![(3, 0)],
+        claims: &[
+            "P-1 control-slo",
+            "P-1 class-books",
+            "P-1 control-never-shed",
+            "P-1 unmod-collapses",
+            "P-1 control-share",
+            "P-1 p99-contrast",
+            "P-1 bulk-sheds",
+            "P-1 shed-order",
+        ],
     }
 }
 
@@ -628,12 +656,14 @@ pub struct RenderedFigure {
     pub axes: Vec<Axis>,
     /// What an x value means; names the x column ([`Sweep::x_label`]).
     pub sweep: Sweep,
+    /// The (unmodified, polled) curve pairs ([`Figure::pairs`]).
+    pub pairs: Vec<(usize, usize)>,
 }
 
 /// Formats an x-axis value: integral rates print bare (as every
 /// committed rate-sweep CSV always has), fractional fault intensities
 /// keep two decimals.
-fn fmt_x(x: f64) -> String {
+pub(crate) fn fmt_x(x: f64) -> String {
     if x.fract() == 0.0 {
         format!("{x:.0}")
     } else {
@@ -649,41 +679,22 @@ impl RenderedFigure {
             Axis::DeliveredPps => t.delivered_pps,
             Axis::UserCpuPercent => t.aggregate().user_cpu_frac * 100.0,
             Axis::LatencyP99Micros => t.latency_p99.as_micros_f64(),
-            Axis::RxIntrCpuPercent => t.aggregate().cpu_share[CpuClass::RxIntr.index()] * 100.0,
-            Axis::UserIdleCpuPercent => {
-                let agg = t.aggregate().cpu_share;
-                (agg[CpuClass::UserProc.index()] + agg[CpuClass::Idle.index()]) * 100.0
-            }
+            Axis::RxIntrCpuPercent => claims::share(t, claims::RX),
+            Axis::UserIdleCpuPercent => claims::share(t, claims::USER_IDLE),
             Axis::PerCpuBusyPercent(k) => t
                 .per_cpu()
                 .get(k as usize)
                 .map_or(0.0, |c| (1.0 - c.cpu_share[CpuClass::Idle.index()]) * 100.0),
-            Axis::LivelockOnsetMillis => t
-                .events
-                .iter()
-                .find(|ev| matches!(ev.kind, ObsEventKind::LivelockOnset { .. }))
-                .map_or(0.0, |ev| {
-                    // Every committed figure runs the default calibrated
-                    // cost model, so its frequency converts the onset
-                    // cycle-stamp to simulated time.
-                    let freq = KernelConfig::builder().build().cost.freq;
-                    freq.nanos_from_cycles(ev.at).as_micros_f64() / 1_000.0
-                }),
-            Axis::StarvedFlows => t
-                .events
-                .iter()
-                .filter(|ev| matches!(ev.kind, ObsEventKind::FlowStarved { .. }))
-                .count() as f64,
-            Axis::ClassDeliveredPps(c) => t
-                .per_class()
-                .iter()
-                .find(|s| s.class == c)
-                .map_or(0.0, |s| s.delivered_pps),
-            Axis::ClassLatencyP99Micros(c) => t
-                .per_class()
-                .iter()
-                .find(|s| s.class == c)
-                .map_or(0.0, |s| s.latency_p99.as_micros_f64()),
+            Axis::LivelockOnsetMillis => claims::onset(t).map_or(0.0, |at| {
+                // Every committed figure runs the default calibrated cost
+                // model, so its frequency converts the onset cycle-stamp
+                // to simulated time.
+                let freq = KernelConfig::builder().build().cost.freq;
+                freq.nanos_from_cycles(at).as_micros_f64() / 1_000.0
+            }),
+            Axis::StarvedFlows => claims::starved(t) as f64,
+            Axis::ClassDeliveredPps(c) => claims::class(t, c).delivered_pps,
+            Axis::ClassLatencyP99Micros(c) => claims::class(t, c).latency_p99.as_micros_f64(),
         }
     }
 
@@ -815,6 +826,7 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
         curves,
         axes: fig.curves.iter().map(|c| c.axis).collect(),
         sweep: fig.sweep,
+        pairs: fig.pairs.clone(),
     }
 }
 
@@ -852,505 +864,6 @@ pub fn render_fig_p1(n_packets: usize, par: Parallelism) -> RenderedFigure {
     render_figure(&fig_p1(), n_packets, par)
 }
 
-/// The first curve whose lower-cased label contains `needle`: how the
-/// gates name the curves they compare.
-fn find_curve(r: &RenderedFigure, needle: &str) -> Option<usize> {
-    r.curves
-        .iter()
-        .position(|c| c.label.to_lowercase().contains(needle))
-}
-
-/// One violation per CPU of any trial whose nine class shares do not sum
-/// to 1: the ledger conservation invariant, as it survives the whole
-/// pipeline on every CPU of every cluster size.
-fn ledger_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    for c in &r.curves {
-        for t in &c.trials {
-            for cpu in t.per_cpu() {
-                let sum: f64 = cpu.cpu_share.iter().sum();
-                if (sum - 1.0).abs() > 1e-9 {
-                    v.push(format!(
-                        "fig {}: {} cpu {:?} cpu_share sums to {sum}, not 1 \
-                         (ledger not conserved)",
-                        r.id, c.label, cpu.cpu
-                    ));
-                }
-            }
-        }
-    }
-    v
-}
-
-/// Checks a rendered throughput figure against the paper's qualitative
-/// shape, returning human-readable violations (empty = shape holds). A
-/// row with no expectation registered here (7-1) passes vacuously.
-pub fn shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    for c in &r.curves {
-        let pts = c.points();
-        let label = &c.label;
-        let lower = label.to_lowercase();
-        let verdict = classify(&pts, 0.10, 0.80);
-        // Expectations straight from the paper's figures. In 6-6 the
-        // queue-state feedback "prevents livelock" at every quota,
-        // infinity included.
-        let expect_livelock = match r.id {
-            "6-1" => lower.contains("with screend"),
-            "6-3" => lower.contains("no quota"),
-            "6-4" => lower.contains("unmodified") || lower.contains("no feedback"),
-            "6-5" => lower.contains("infinity"),
-            _ => false,
-        };
-        let expect_plateau = match r.id {
-            "6-3" => lower.contains("quota = 5"),
-            "6-4" => lower.contains("w/feedback"),
-            "6-5" => ["= 5", "= 10", "= 20"].iter().any(|q| lower.contains(q)),
-            "6-6" => true,
-            _ => false,
-        };
-        if expect_plateau && verdict != LivelockVerdict::StablePlateau {
-            v.push(format!(
-                "fig {}: {label} expected plateau, got {verdict:?}",
-                r.id
-            ));
-        }
-        if expect_livelock && verdict != LivelockVerdict::Livelock {
-            v.push(format!(
-                "fig {}: {label} expected livelock, got {verdict:?}",
-                r.id
-            ));
-        }
-    }
-    v
-}
-
-/// Checks the rendered latency figure against the paper's §3 argument:
-/// under overload the polled kernel processes each accepted packet to
-/// completion, so its tail latency must sit well below the unmodified
-/// kernel's, whose delivered packets age in long queues under constant
-/// interruption. Returns human-readable violations (empty = shape holds).
-pub fn latency_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    let (Some(unmod), Some(polled)) = (find_curve(r, "unmodified"), find_curve(r, "polling"))
-    else {
-        v.push(format!(
-            "fig {}: latency figure needs an unmodified and a polling curve",
-            r.id
-        ));
-        return v;
-    };
-    let last = r.xs.len() - 1;
-    let unmod_p99 = r.value(unmod, last);
-    let polled_p99 = r.value(polled, last);
-    if polled_p99 * 2.0 > unmod_p99 {
-        v.push(format!(
-            "fig {}: at {:.0} pkts/s polled p99 ({polled_p99:.0} us) is not \
-             well below unmodified p99 ({unmod_p99:.0} us)",
-            r.id, r.xs[last]
-        ));
-    }
-    v
-}
-
-/// Checks the rendered cycle-ledger figure (C-1) against the paper's
-/// §3/§6.2 CPU-accounting claim. Returns human-readable violations
-/// (empty = the claim holds):
-///
-/// - every trial's nine class shares sum to 1 (the conservation invariant
-///   survives the whole pipeline);
-/// - at the highest offered rate the unmodified kernel spends ≥ 90% of
-///   the CPU in receive-interrupt context, delivers ≈ nothing, and leaves
-///   ≤ 5% for user+idle — the livelock;
-/// - at the highest offered rate the polled kernel with a 50% cycle limit
-///   keeps user+idle above 35% (the limit's floor: 50% minus the fixed
-///   clock/scheduler overhead; the paper's Figure 7-1 measured ~40%).
-pub fn cpu_share_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = ledger_violations(r);
-    let (Some(unmod_rx), Some(unmod_ui), Some(polled_ui)) = (
-        find_curve(r, "unmodified rx-intr"),
-        find_curve(r, "unmodified user+idle"),
-        find_curve(r, "polled user+idle"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs unmodified rx-intr/user+idle and polled user+idle curves",
-            r.id
-        ));
-        return v;
-    };
-    let last = r.xs.len() - 1;
-    let rx = r.value(unmod_rx, last);
-    if rx < 90.0 {
-        v.push(format!(
-            "fig {}: at {:.0} pkts/s unmodified rx-intr share is {rx:.1}%, expected >= 90%",
-            r.id, r.xs[last]
-        ));
-    }
-    let t = &r.curves[unmod_rx].trials[last];
-    if t.delivered_pps > 0.01 * t.offered_pps {
-        v.push(format!(
-            "fig {}: unmodified kernel still delivers {:.0} pkts/s at {:.0} offered; \
-             expected collapse to ~0",
-            r.id, t.delivered_pps, t.offered_pps
-        ));
-    }
-    let ui = r.value(unmod_ui, last);
-    if ui > 5.0 {
-        v.push(format!(
-            "fig {}: unmodified user+idle share is {ui:.1}% at overload, expected <= 5%",
-            r.id
-        ));
-    }
-    let pui = r.value(polled_ui, last);
-    if pui < 35.0 {
-        v.push(format!(
-            "fig {}: polled user+idle share is {pui:.1}% at overload, expected >= 35% \
-             (the 50% cycle-limit floor)",
-            r.id
-        ));
-    }
-    v
-}
-
-/// Checks the rendered SMP-scaling figure (S-1) against the tentpole's
-/// claims. Returns human-readable violations (empty = the claims hold):
-///
-/// - every trial's per-CPU nine class shares each sum to 1 (the ledger
-///   conservation invariant holds on every CPU of every cluster size);
-/// - the polled path's MLFRR scales: ≥ 1.7× at 2 CPUs and ≥ 2.5× at 4
-///   (RSS steering and per-CPU queues buy real parallel capacity);
-/// - the shared-queue path's MLFRR does not: ≤ 1.2× at 2 CPUs and
-///   ≤ 1.3× at 4 (the single `ipintrq` and its lock serialize the IP
-///   layer no matter how many CPUs feed it).
-pub fn smp_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = ledger_violations(r);
-    let (Some(u1), Some(u2), Some(u4), Some(p1), Some(p2), Some(p4)) = (
-        find_curve(r, "unmodified 1 cpu"),
-        find_curve(r, "unmodified 2 cpus"),
-        find_curve(r, "unmodified 4 cpus"),
-        find_curve(r, "polling 1 cpu"),
-        find_curve(r, "polling 2 cpus"),
-        find_curve(r, "polling 4 cpus"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs unmodified and polling curves at 1, 2 and 4 CPUs",
-            r.id
-        ));
-        return v;
-    };
-    let m = |ci: usize| mlfrr(&r.curves[ci].points(), 0.95).unwrap_or(0.0);
-    let (mu1, mu2, mu4) = (m(u1), m(u2), m(u4));
-    let (mp1, mp2, mp4) = (m(p1), m(p2), m(p4));
-    if mp1 <= 0.0 || mu1 <= 0.0 {
-        v.push(format!(
-            "fig {}: single-CPU MLFRRs must be positive (unmod {mu1:.0}, polled {mp1:.0})",
-            r.id
-        ));
-        return v;
-    }
-    let checks = [
-        (mp2 / mp1 >= 1.7, format!(
-            "polled MLFRR must scale >= 1.7x at 2 CPUs, got {:.2}x ({mp2:.0}/{mp1:.0})",
-            mp2 / mp1
-        )),
-        (mp4 / mp1 >= 2.5, format!(
-            "polled MLFRR must scale >= 2.5x at 4 CPUs, got {:.2}x ({mp4:.0}/{mp1:.0})",
-            mp4 / mp1
-        )),
-        (mu2 / mu1 <= 1.2, format!(
-            "shared-queue MLFRR must stay <= 1.2x at 2 CPUs, got {:.2}x ({mu2:.0}/{mu1:.0})",
-            mu2 / mu1
-        )),
-        (mu4 / mu1 <= 1.3, format!(
-            "shared-queue MLFRR must stay <= 1.3x at 4 CPUs, got {:.2}x ({mu4:.0}/{mu1:.0})",
-            mu4 / mu1
-        )),
-    ];
-    for (ok, msg) in checks {
-        if !ok {
-            v.push(format!("fig {}: {msg}", r.id));
-        }
-    }
-    v
-}
-
-/// Checks the rendered fault figure (R-1) against the
-/// graceful-degradation claim: the polled kernel must keep delivering
-/// at every fault intensity (no fault-induced livelock or permanent
-/// wedge), must not degrade past half its fault-free throughput even at
-/// the heaviest storm, and must end the sweep no worse than the
-/// unmodified kernel. Returns human-readable violations (empty = the
-/// claim holds).
-pub fn fault_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    let (Some(unmod), Some(polled)) = (
-        find_curve(r, "unmodified delivered"),
-        find_curve(r, "feedback delivered"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs unmodified and polling-with-feedback delivered curves",
-            r.id
-        ));
-        return v;
-    };
-    for (pi, &x) in r.xs.iter().enumerate() {
-        let d = r.value(polled, pi);
-        if d <= 0.0 {
-            v.push(format!(
-                "fig {}: polled kernel delivers nothing at fault intensity {x} \
-                 (fault-induced livelock)",
-                r.id
-            ));
-        }
-    }
-    let base = r.value(polled, 0);
-    if base < 1_500.0 {
-        v.push(format!(
-            "fig {}: fault-free polled baseline is {base:.0} pkts/s, \
-             expected the MLFRR plateau (>= 1500)",
-            r.id
-        ));
-    }
-    let last = r.xs.len() - 1;
-    let worst = r.value(polled, last);
-    if worst < 0.5 * base {
-        v.push(format!(
-            "fig {}: polled throughput degrades from {base:.0} to {worst:.0} pkts/s \
-             at the heaviest storm, expected graceful (>= 50% of baseline)",
-            r.id
-        ));
-    }
-    if r.value(unmod, last) > worst {
-        v.push(format!(
-            "fig {}: unmodified kernel out-delivers polled under the heaviest storm \
-             ({:.0} vs {worst:.0} pkts/s)",
-            r.id,
-            r.value(unmod, last)
-        ));
-    }
-    v
-}
-
-/// Checks the rendered observability figure (O-1) against the online
-/// detector's claims. Returns human-readable violations (empty = the
-/// claims hold):
-///
-/// - the unmodified kernel shows no onset below the screend MLFRR and a
-///   positive onset cycle-stamp at the heaviest load — and once a swept
-///   rate livelocks, every heavier rate does too;
-/// - the polled kernel with feedback never produces an onset at any
-///   swept rate (livelock avoidance), and never starves more flows than
-///   the unmodified kernel does at the same rate (the feedback gate may
-///   leave a flow briefly unserved, but must not be *worse* than
-///   livelock);
-/// - at the heaviest load the unmodified kernel starves at least half
-///   the tracked flow set (under livelock nothing is served, so the
-///   per-flow watch must fire broadly) and strictly more flows than the
-///   polled kernel.
-pub fn observe_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    let (Some(u_on), Some(p_on), Some(u_st), Some(p_st)) = (
-        find_curve(r, "unmodified onset"),
-        find_curve(r, "feedback onset"),
-        find_curve(r, "unmodified starved"),
-        find_curve(r, "feedback starved"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs unmodified and polling-with-feedback onset and starved-flow curves",
-            r.id
-        ));
-        return v;
-    };
-    let last = r.xs.len() - 1;
-    if r.value(u_on, 0) != 0.0 {
-        v.push(format!(
-            "fig {}: unmodified kernel reports livelock onset at {:.0} pkts/s, \
-             below the screend MLFRR",
-            r.id, r.xs[0]
-        ));
-    }
-    if r.value(u_on, last) <= 0.0 {
-        v.push(format!(
-            "fig {}: unmodified kernel reports no livelock onset at {:.0} pkts/s \
-             (deep overload)",
-            r.id, r.xs[last]
-        ));
-    }
-    if let Some(first) = (0..r.xs.len()).find(|&pi| r.value(u_on, pi) > 0.0) {
-        for pi in first..r.xs.len() {
-            if r.value(u_on, pi) <= 0.0 {
-                v.push(format!(
-                    "fig {}: unmodified kernel livelocks at {:.0} pkts/s but not at \
-                     the heavier {:.0} pkts/s",
-                    r.id, r.xs[first], r.xs[pi]
-                ));
-            }
-        }
-    }
-    for pi in 0..r.xs.len() {
-        if r.value(p_on, pi) != 0.0 {
-            v.push(format!(
-                "fig {}: polled kernel reports livelock onset at {:.0} pkts/s",
-                r.id, r.xs[pi]
-            ));
-        }
-        if r.value(p_st, pi) > r.value(u_st, pi) {
-            v.push(format!(
-                "fig {}: polled kernel starves more flows than unmodified at \
-                 {:.0} pkts/s ({:.0} vs {:.0})",
-                r.id,
-                r.xs[pi],
-                r.value(p_st, pi),
-                r.value(u_st, pi)
-            ));
-        }
-    }
-    let half_flows = o1_flows().len() as f64 / 2.0;
-    if r.value(u_st, last) < half_flows {
-        v.push(format!(
-            "fig {}: unmodified kernel starves only {:.0} flows at {:.0} pkts/s \
-             (livelock serves nothing, so the per-flow watch must fire broadly)",
-            r.id,
-            r.value(u_st, last),
-            r.xs[last]
-        ));
-    }
-    if r.value(p_st, last) >= r.value(u_st, last) {
-        v.push(format!(
-            "fig {}: polled kernel starves as many flows as unmodified at \
-             {:.0} pkts/s ({:.0} vs {:.0})",
-            r.id,
-            r.xs[last],
-            r.value(p_st, last),
-            r.value(u_st, last)
-        ));
-    }
-    v
-}
-
-/// Checks the rendered priority figure (P-1) against the tentpole's
-/// claims. Returns human-readable violations (empty = the claims hold):
-///
-/// - `Control` is never shed and its p99 meets the SLO at every swept
-///   rate — including the deep-overload rates where the single-class
-///   unmodified kernel has collapsed (delivery under 10% of offered and
-///   p99 far above the classified `Control`'s);
-/// - at the heaviest load the classified kernel still delivers
-///   near-all of the offered `Control` share (its 1/8 of the mix);
-/// - the shedding lands on `Bulk`: bulk sheds dominate realtime sheds,
-///   and per-class arrived/delivered/shed counters stay consistent
-///   (shed + delivered never exceeds arrived).
-pub fn priority_shape_violations(r: &RenderedFigure) -> Vec<String> {
-    let mut v = Vec::new();
-    let (Some(ctrl), Some(u_del), Some(ctrl_p99), Some(u_p99)) = (
-        find_curve(r, "control delivered"),
-        find_curve(r, "unmodified delivered"),
-        find_curve(r, "control p99"),
-        find_curve(r, "unmodified p99"),
-    ) else {
-        v.push(format!(
-            "fig {}: needs classified control delivered/p99 and unmodified delivered/p99 curves",
-            r.id
-        ));
-        return v;
-    };
-    let slo_us = p1_classify_config().slo_p99.as_micros_f64();
-    let n_flows = p1_flows().len() as f64;
-    let last = r.xs.len() - 1;
-    for (pi, &rate) in r.xs.iter().enumerate() {
-        let p99 = r.value(ctrl_p99, pi);
-        if p99 > slo_us {
-            v.push(format!(
-                "fig {}: classified Control p99 is {p99:.0} us at {rate:.0} pkts/s, \
-                 above the {slo_us:.0} us SLO",
-                r.id
-            ));
-        }
-        for t in r.curves[ctrl].trials.get(pi).iter().copied() {
-            for s in t.per_class() {
-                if s.shed + s.delivered > s.arrived {
-                    v.push(format!(
-                        "fig {}: class {} shed {} + delivered {} exceeds arrived {} \
-                         at {rate:.0} pkts/s",
-                        r.id,
-                        s.class.label(),
-                        s.shed,
-                        s.delivered,
-                        s.arrived
-                    ));
-                }
-                if s.class == TrafficClass::Control && s.shed > 0 {
-                    v.push(format!(
-                        "fig {}: {} Control packets shed at {rate:.0} pkts/s \
-                         (Control must never be shed)",
-                        r.id, s.shed
-                    ));
-                }
-            }
-        }
-    }
-    // Deep overload: the unmodified kernel has collapsed...
-    let u = r.value(u_del, last);
-    if u > 0.10 * r.xs[last] {
-        v.push(format!(
-            "fig {}: unmodified kernel still delivers {u:.0} pkts/s at {:.0} offered; \
-             expected collapse below 10%",
-            r.id, r.xs[last]
-        ));
-    }
-    // ...while the classified kernel still serves Control's full share.
-    let ctrl_share = r.xs[last] / n_flows;
-    let c = r.value(ctrl, last);
-    if c < 0.9 * ctrl_share {
-        v.push(format!(
-            "fig {}: classified Control delivers {c:.0} pkts/s at {:.0} offered, \
-             expected >= 90% of its {ctrl_share:.0} pkts/s share",
-            r.id, r.xs[last]
-        ));
-    }
-    // Once livelocked the unmodified kernel delivers nothing and its p99
-    // reads 0, so the latency comparison uses each curve's worst point.
-    let max_of = |ci: usize| {
-        (0..r.xs.len())
-            .map(|pi| r.value(ci, pi))
-            .fold(0.0_f64, f64::max)
-    };
-    if max_of(u_p99) < 2.0 * max_of(ctrl_p99).max(1.0) {
-        v.push(format!(
-            "fig {}: worst unmodified p99 ({:.0} us) does not sit well above the worst \
-             classified Control p99 ({:.0} us)",
-            r.id,
-            max_of(u_p99),
-            max_of(ctrl_p99)
-        ));
-    }
-    // The shedding lands on Bulk: at the heaviest rate bulk sheds exist
-    // and dominate.
-    if let Some(t) = r.curves[ctrl].trials.last() {
-        let shed_of = |c: TrafficClass| {
-            t.per_class()
-                .iter()
-                .find(|s| s.class == c)
-                .map_or(0, |s| s.shed)
-        };
-        let bulk = shed_of(TrafficClass::Bulk);
-        if bulk == 0 {
-            v.push(format!(
-                "fig {}: no Bulk packets shed at {:.0} pkts/s (the gate never engaged)",
-                r.id, r.xs[last]
-            ));
-        }
-        if shed_of(TrafficClass::Realtime) > bulk {
-            v.push(format!(
-                "fig {}: Realtime sheds exceed Bulk sheds at {:.0} pkts/s \
-                 (shedding must land on the lowest class first)",
-                r.id, r.xs[last]
-            ));
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1385,14 +898,13 @@ mod tests {
             let first_column: Vec<&str> = lines.filter_map(|l| l.split(',').next()).collect();
             let xs: Vec<String> = fig.xs.iter().map(|&x| fmt_x(x)).collect();
             assert_eq!(first_column, xs, "{name}");
-            assert!(
-                lint::registry::STATIC_ENTRIES
-                    .iter()
-                    .any(|e| e.owner == "figures" && e.code == fig.gate_exit),
-                "fig {}: gate exit {} is not a registered `figures` code",
-                fig.id,
-                fig.gate_exit
-            );
+            for id in fig.claims {
+                let row = claims::CLAIMS.iter().find(|c| c.id == *id);
+                assert!(row.is_some_and(|c| c.owner == claims::FIGURES), "fig {}: {id}", fig.id);
+            }
+            for &(u, p) in &fig.pairs {
+                assert!(u < fig.curves.len() && p < fig.curves.len(), "fig {}", fig.id);
+            }
         }
         for entry in std::fs::read_dir(&results).expect("results/ is committed") {
             let name = entry.expect("readable entry").file_name();
@@ -1402,6 +914,12 @@ mod tests {
                 assert!(ids.contains(&id.as_str()), "results/{name} has no table row");
             }
         }
+    }
+
+    /// The violated claims' messages when `claims` judge `r`.
+    fn violations(claims: &[&str], r: &RenderedFigure) -> Vec<String> {
+        let found = claims::evaluate(|c| claims.contains(&c.id), claims::Run::Figure(r));
+        found.into_iter().map(|v| v.message).collect()
     }
 
     /// Row `fig` cut down to its curve `i` and that curve's kernel.
@@ -1585,8 +1103,9 @@ mod tests {
             ],
             axes: vec![Axis::DeliveredPps; 2],
             sweep: Sweep::Rate,
+            pairs: Vec::new(),
         };
-        let v = shape_violations(&rendered);
+        let v = violations(&["6-x shape-verdicts"], &rendered);
         assert_eq!(v.len(), 2, "both wrong shapes flagged: {v:?}");
         assert!(v.iter().any(|m| m.contains("no quota")));
         assert!(v.iter().any(|m| m.contains("quota = 5")));
@@ -1601,7 +1120,7 @@ mod tests {
             ..one_curve(fig6_3(), 2) // quota = 5.
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
-        assert!(shape_violations(&r).is_empty());
+        assert!(violations(fig.claims, &r).is_empty());
     }
 
     #[test]
@@ -1618,15 +1137,6 @@ mod tests {
         assert!(r.shape_summary().is_empty());
     }
 
-    /// Relabels a rendered figure's columns with its row's labels after a
-    /// test has swapped the data underneath them: a gate that still
-    /// passes is not checking anything.
-    fn relabel(r: &mut RenderedFigure, fig: &Figure) {
-        for (c, row) in r.curves.iter_mut().zip(&fig.curves) {
-            c.label = row.label.clone();
-        }
-    }
-
     #[test]
     fn cycle_ledger_figure_shows_the_livelock() {
         // A small render of figure C-1's extremes: at wire-saturating load
@@ -1637,14 +1147,13 @@ mod tests {
             ..fig_c1()
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
-        let v = (fig.gate)(&r);
+        let v = violations(fig.claims, &r);
         assert!(v.is_empty(), "{v:?}");
-        // And the checker really checks: swapping the kernels must trip it.
+        // And the claims really check: swapping the kernels must trip them.
         let mut swapped = r;
         swapped.curves.swap(0, 2);
         swapped.curves.swap(1, 3);
-        relabel(&mut swapped, &fig);
-        assert!(!cpu_share_violations(&swapped).is_empty());
+        assert!(!violations(fig.claims, &swapped).is_empty());
     }
 
     #[test]
@@ -1657,13 +1166,12 @@ mod tests {
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
         assert_eq!(r.axes, [Axis::LatencyP99Micros; 2]);
-        let v = (fig.gate)(&r);
+        let v = violations(fig.claims, &r);
         assert!(v.is_empty(), "{v:?}");
-        // And the checker really checks: swapping the curves must trip it.
+        // And the claim really checks: swapping the curves must trip it.
         let mut swapped = r;
         swapped.curves.swap(0, 1);
-        relabel(&mut swapped, &fig);
-        assert!(!latency_shape_violations(&swapped).is_empty());
+        assert!(!violations(fig.claims, &swapped).is_empty());
     }
 
     #[test]
@@ -1690,7 +1198,7 @@ mod tests {
                 assert!(c.trials[pi].fault.injected > 0, "{} at {x}", c.label);
             }
         }
-        let v = (fig.gate)(&r);
+        let v = violations(fig.claims, &r);
         assert!(v.is_empty(), "{v:?}");
         // The CSV carries the fractional intensities verbatim.
         let csv = r.to_csv();
@@ -1711,7 +1219,7 @@ mod tests {
         assert_eq!(r.xs, fig.xs);
         assert_eq!(r.curves.len(), 4);
         assert_eq!(r.axes.len(), 4);
-        let v = (fig.gate)(&r);
+        let v = violations(fig.claims, &r);
         assert!(v.is_empty(), "{v:?}");
         // Every O-1 trial tracks the full eight-flow set and attributes
         // every arrival (no registry overflow at 8 flows / 128 slots).
@@ -1722,12 +1230,11 @@ mod tests {
                 assert_eq!(reg.overflow_arrivals(), 0, "{}", c.label);
             }
         }
-        // The checker really checks: swapping the kernels must trip it.
+        // The claims really check: swapping the kernels must trip them.
         let mut swapped = r;
         swapped.curves.swap(0, 1);
         swapped.curves.swap(2, 3);
-        relabel(&mut swapped, &fig);
-        assert!(!observe_shape_violations(&swapped).is_empty());
+        assert!(!violations(fig.claims, &swapped).is_empty());
     }
 
     #[test]
@@ -1742,7 +1249,7 @@ mod tests {
         assert_eq!(r.xs, throughput_rates());
         assert_eq!(r.curves.len(), 6);
         assert_eq!(r.axes.len(), 6);
-        let v = (fig.gate)(&r);
+        let v = violations(fig.claims, &r);
         assert!(v.is_empty(), "{v:?}");
         // Every classified trial books all three classes, and the books
         // sum to the aggregate delivery count.
@@ -1751,12 +1258,10 @@ mod tests {
             assert_eq!(per.len(), TrafficClass::COUNT);
             assert_eq!(per.iter().map(|s| s.delivered).sum::<u64>(), t.transmitted);
         }
-        // The checker really checks: handing the unmodified kernel's
-        // curves to the classified labels must trip it.
+        // The claims really check: swapping the kernels must trip them.
         let mut swapped = r;
         swapped.curves.swap(0, 3); // control delivered <-> unmodified delivered
         swapped.curves.swap(4, 5); // control p99 <-> unmodified p99
-        relabel(&mut swapped, &fig);
-        assert!(!priority_shape_violations(&swapped).is_empty());
+        assert!(!violations(fig.claims, &swapped).is_empty());
     }
 }

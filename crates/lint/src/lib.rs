@@ -1,9 +1,9 @@
 //! simlint — the workspace's static-analysis layer.
 //!
-//! The paper's fix rests on discipline the compiler cannot see:
-//! interrupt handlers only initiate polling, every drop is accounted,
-//! every CPU cycle is charged exactly once, and the whole simulation
-//! replays byte-identically. simlint turns those conventions into
+//! The reproduction rests on discipline the compiler cannot see: the
+//! whole simulation replays byte-identically, library code does not
+//! panic, unit-named values carry their newtype, and every exit code is
+//! registered. simlint turns those conventions into
 //! checked invariants: it lexes the workspace's Rust sources with a
 //! comment/string-aware tokenizer, classifies each file by crate and
 //! target kind, and runs a rule engine over the token streams.

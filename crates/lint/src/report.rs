@@ -10,7 +10,6 @@
 //! | 3    | I/O error (unreadable workspace or baseline) |
 //! | 9    | fresh findings across multiple rules |
 //! | 10   | determinism |
-//! | 12   | interrupt-discipline |
 //! | 14   | panic-freedom |
 //! | 16   | bad-suppression |
 //! | 20   | unit-discipline |

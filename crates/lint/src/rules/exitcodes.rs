@@ -2,10 +2,10 @@
 //! and alive.
 //!
 //! The per-file half of the rule (this file) bans raw numeric exit
-//! codes in binaries: `std::process::exit(3)`, `ExitCode::from(9)`,
-//! and the chaos/observe `violations.push((4, …))` pattern must all go
-//! through [`crate::registry::codes`] constants, because a number the
-//! registry cannot see is a number the registry cannot keep honest.
+//! codes in binaries: `std::process::exit(3)` and `ExitCode::from(9)`
+//! must go through [`crate::registry::codes`] constants, because a
+//! number the registry cannot see is a number the registry cannot keep
+//! honest.
 //! Exit 0 (success) is always allowed.
 //!
 //! The workspace half — cross-checking `scripts/ci.sh` literals and
@@ -14,7 +14,7 @@
 //! because it needs the whole source set and a non-Rust file.
 
 use crate::files::{FileInfo, TargetKind};
-use crate::rules::{is_path_sep, method_call, path_match, raw, RawFinding, Rule};
+use crate::rules::{is_path_sep, path_match, raw, RawFinding, Rule};
 use crate::tokenizer::{Tok, TokKind};
 
 /// The exit-code-registry rule.
@@ -86,24 +86,6 @@ impl Rule for ExitCodeRegistry {
                     }
                 }
             }
-            // `violations.push((<num>, …))` — the chaos/observe
-            // invariant-code pattern.
-            if toks[i].is_ident("violations")
-                && method_call(toks, i + 1, "push")
-                && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-                && toks.get(i + 5).is_some_and(|t| t.kind == TokKind::Num)
-                && toks.get(i + 6).is_some_and(|t| t.is_punct(','))
-            {
-                let n = &toks[i + 5].text;
-                out.push(raw(
-                    toks,
-                    i,
-                    format!("violations.push(({n},"),
-                    format!(
-                        "raw invariant exit code {n}: use a `lint::registry::codes` constant so the registry can track it"
-                    ),
-                ));
-            }
         }
         out
     }
@@ -144,18 +126,12 @@ mod tests {
             "fn main() -> ExitCode { ExitCode::from(9) }",
         );
         assert_eq!(fs.len(), 1, "{fs:?}");
-        let fs = findings(
-            "crates/bench/src/bin/livelock.rs",
-            "fn f(violations: &mut Vec<(i32, String)>) { violations.push((4, \"x\".into())); }",
-        );
-        assert_eq!(fs.len(), 1, "{fs:?}");
     }
 
     #[test]
     fn constants_variables_and_zero_are_clean() {
         let src = "fn main() { std::process::exit(codes::FIGURES_SHAPE); \
-                    std::process::exit(code); std::process::exit(0); \
-                    violations.push((codes::CHAOS_LEDGER_LEAK, msg)); }";
+                    std::process::exit(code); std::process::exit(0); }";
         let fs = findings("crates/bench/src/bin/figures.rs", src);
         assert!(fs.is_empty(), "{fs:?}");
     }

@@ -11,7 +11,6 @@ use crate::tokenizer::Tok;
 
 mod determinism;
 mod exitcodes;
-mod interrupt;
 mod panics;
 mod stale;
 mod units;
@@ -62,7 +61,6 @@ pub const BAD_SUPPRESSION_RULE: &str = "bad-suppression";
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(determinism::Determinism),
-        Box::new(interrupt::InterruptDiscipline),
         Box::new(panics::PanicFreedom),
         Box::new(units::UnitDiscipline),
         Box::new(exitcodes::ExitCodeRegistry),

@@ -1,30 +1,12 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verification, the static-analysis pass, every figure's
-# shape gate and byte-identity, the benchmark smoke and the CLI smokes.
+# claims and byte-identity, the benchmark smoke and the CLI smokes.
 #
-# Exit status is the first failing step's code. Every code is registered
-# with its full meaning in crates/lint/src/registry.rs (owner `ci.sh`;
-# `simlint --exit-codes` prints the table, README embeds it), and the
-# exit-code-registry rule cross-checks the literal `exit N`s below
-# against it in both directions:
-#   0  everything passed
-#   1  build/test failure (tier 1, the `--features proptest` suites, the
-#      standalone benchmark crate), unwritable CSVs, a figure CSV that
-#      differs across job counts or from its committed copy, or bad
-#      arguments
-#   2  a throughput figure violates the paper's qualitative shape
-#   3  the latency gate failed (figure L-1)
-#   4  the CPU-share gate failed (figure C-1)
-#   5  the fault gate failed (figure R-1)
-#   6  a chaos smoke run failed (see `livelock chaos` exit codes)
-#   7  simlint found a non-baselined finding (its JSON report is printed)
-#   8  the benchmark smoke failed: a checked unit failed, or a workload's
-#      sim_digest differs from the newest committed BENCH_PR<N>.json
-#   9  the SMP gate failed (figure S-1), or the 4-CPU chrome-trace smoke
-#  10  the online-detection gate failed (figure O-1), or the event
-#      stream / folded flamegraph was not byte-identical across runs
-#  11  the observe smoke failed (see `livelock observe` exit codes)
-#  12  the priority gate failed (figure P-1)
+# Exit status is the first failing step's code, 0 when everything
+# passed. Every code is registered with its meaning in
+# crates/lint/src/registry.rs (owner `ci.sh`): `simlint --exit-codes`
+# prints the table, README embeds it, and the exit-code-registry rule
+# cross-checks the literal `exit N`s below against it both ways.
 #
 # Usage: scripts/ci.sh [--jobs N] [other flags...]
 #   --jobs N is validated here and sets the job count the quick figure
@@ -102,13 +84,12 @@ echo "== counted lines under crates/ (printed, never gated) =="
 find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
 
-echo "== simlint: determinism / interrupt-discipline / panic-freedom =="
+echo "== simlint: determinism / panic-freedom / unit-discipline / exit-code registry =="
 # The workspace's own static-analysis pass (crates/lint). It enforces the
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
-# maps in deterministic crates, interrupt handlers that only initiate
-# polling, panic-free library code, no unit-named binding declared as a
-# bare number, and every process exit code registered in
-# crates/lint/src/registry.rs. Inline
+# maps in deterministic crates, panic-free library code, no unit-named
+# binding declared as a bare number, and every process exit code
+# registered in crates/lint/src/registry.rs. Inline
 # `// simlint: allow(rule): reason` and crates/lint/baseline.txt cover the
 # sanctioned exceptions; anything fresh gates hard here.
 if "$repo/target/release/simlint" --root "$repo"; then
@@ -135,8 +116,8 @@ fi
 
 # Renders the quick figure set into directory $1 at job count $2 (from a
 # scratch directory: quick-mode CSVs must not overwrite the committed
-# full-fidelity results/) and maps a failed gate to this script's code.
-# A figures exit code without an arm here (a new gate) fails as 1.
+# full-fidelity results/) and maps a failed claim's figures exit to this
+# script's code. A figures exit code without an arm here fails as 1.
 quick_figures() {
     mkdir -p "$1"
     (cd "$1" && "$repo/target/release/figures" --quick --jobs "$2" \
@@ -155,7 +136,7 @@ quick_figures() {
     esac
 }
 
-echo "== figures --quick: every gate, byte-identical across job counts =="
+echo "== figures --quick: every claim, byte-identical across job counts =="
 # Every trial is independently seeded, so no CSV may depend on how trials
 # were fanned out — fault storms, SMP slice interleaving, the observe
 # layer and the class dimension included. Render the whole table serially
@@ -331,10 +312,9 @@ else
 fi
 
 echo "== observe smoke: online detection exit codes =="
-# The observe subcommand's contract is its exit code: 0 when the
-# unmodified kernel livelocks above the MLFRR, the polled kernel does
-# not, the starvation watch separates them, and every per-flow ledger
-# closes exactly; 3-6 name the violated invariant; 2 is bad arguments.
+# The observe subcommand's contract is its exit code: 0 when every
+# `livelock observe` claim holds (README's claims table), the violated
+# claim's code otherwise, 2 on bad arguments.
 if "$repo/target/release/livelock" observe; then
     echo "ci: observe invariants hold at the default overload"
 else
@@ -355,8 +335,8 @@ echo "== chaos smoke: seeded fault storm, graceful-degradation invariants =="
 # A fixed-seed storm against both kernels: the polled kernel must keep
 # delivering, un-wedge every injected stall, and conserve the ledger,
 # while the unmodified kernel livelocks under the identical plan. The
-# binary asserts all of that and reports each violation with its own
-# exit code.
+# binary evaluates every `livelock chaos` claim and exits with the
+# violated claim's code.
 if "$repo/target/release/livelock" chaos --seed 49157; then
     echo "ci: chaos invariants hold under seed 49157"
 else
