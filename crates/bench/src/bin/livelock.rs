@@ -1,16 +1,9 @@
 //! `livelock` — the command-line face of the reproduction.
 //!
-//! ```text
-//! livelock configs                      list kernel configurations
-//! livelock trial  --config polled --rate 8000 [--packets N] [--seed S] [--latency]
-//!                 [--ncpus N] [--steal] [--timeline out.csv] [--chrome-trace out.json]
-//!                 [--events out.jsonl] [--flamegraph out.folded]
-//! livelock sweep  --config unmodified,polled [--rates 1000,2000,...] [--jobs N] [--latency]
-//!                 [--ncpus N] [--steal]
-//! livelock mlfrr  --config polled [--loss-free 0.98] [--jobs N]
-//! livelock chaos  [--seed S] [--rate PPS] [--packets N] [--intensity F] [--priority]
-//! livelock observe [--rate PPS] [--packets N] [--seed S]
-//! ```
+//! `livelock <subcommand> [--flag value]...`; run it bare, or with a bad
+//! flag, for the usage — one line per subcommand, generated from the
+//! flag lists [`subcommand`] parses against. `configs` lists the kernel
+//! configurations `--config` names.
 //!
 //! `trial` runs one paper-style measurement and prints the full breakdown,
 //! including the conserved CPU-cycle ledger's per-class shares
@@ -50,14 +43,13 @@ use livelock_core::analysis::{
     classify, mlfrr_multisection, multisection_rounds, overload_stability, SweepPoint,
 };
 use livelock_core::poller::Quota;
-use livelock_kernel::config::{FeedbackConfig, KernelConfig, LocalDeliveryConfig};
+use livelock_kernel::config::{KernelConfig, LocalDeliveryConfig};
 use livelock_kernel::experiment::{
     paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec,
 };
 use livelock_kernel::experiment::sweep;
 use livelock_kernel::par::{default_jobs, par_map, Parallelism};
 use livelock_kernel::stats::{DropReason, Stage};
-use livelock_kernel::telemetry::{ObserveConfig, TelemetryConfig};
 use livelock_machine::CpuClass;
 use livelock_sim::Nanos;
 
@@ -67,10 +59,7 @@ fn configs() -> Vec<(&'static str, &'static str, KernelConfig)> {
     let b = KernelConfig::builder;
     let polled = |q| b().polled(q);
     let polled_screend = |q| polled(Quota::Limited(q)).screend(Default::default());
-    let end_system = LocalDeliveryConfig {
-        feedback: Some(FeedbackConfig::default()),
-        ..LocalDeliveryConfig::default()
-    };
+    let end_system = LocalDeliveryConfig { feedback: true };
     vec![
         ("unmodified", "4.2BSD interrupt-driven path (Figure 6-1)", b().build()),
         ("screend", "unmodified + user-mode screend filter", b().screend(Default::default()).build()),
@@ -99,45 +88,71 @@ struct Args {
 /// A subcommand's body: its exit status, or a usage error.
 type Handler = fn(&Args) -> Result<i32, String>;
 
-/// Each subcommand's known flags and body (`None`: no such subcommand).
+/// The longest offered load a trial spec may describe: one simulated
+/// day. Idle clock ticks still cost host time (~0.25 ms per simulated
+/// second), so a tiny positive rate would run for hours; the longest
+/// canonical trial spans 20 s (10 000 packets at 500 pkts/s).
+const MAX_SPAN_SECS: f64 = 86_400.0;
+
+/// Rejects a spec whose offered load — `n_packets` at the slowest of
+/// `rates` — spans more than [`MAX_SPAN_SECS`] of simulated time. The
+/// message names `--{flag}`, the flag that set the rates.
+fn check_span(flag: &str, rates: &[f64], n_packets: usize) -> Result<(), String> {
+    let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
+    let secs = n_packets as f64 / slowest;
+    if secs > MAX_SPAN_SECS {
+        return Err(format!(
+            "--{flag}: {n_packets} packets at {slowest} pkts/s span {secs:.0} s, \
+             over the {MAX_SPAN_SECS:.0} s a trial may simulate"
+        ));
+    }
+    Ok(())
+}
+
+/// Every subcommand, in usage order: its name, known flags and body.
+#[rustfmt::skip]
+const SUBCOMMANDS: [(&str, &[&str], Handler); 6] = [
+    ("configs", &[], |_| {
+        cmd_configs();
+        Ok(0)
+    }),
+    ("trial", &[
+        "config", "rate", "packets", "seed", "latency", "ncpus", "steal", "timeline",
+        "chrome-trace", "events", "flamegraph",
+    ], |args| cmd_trial(args).map(|()| 0)),
+    ("sweep", &["config", "rates", "packets", "jobs", "latency", "ncpus", "steal"], |args| {
+        cmd_sweep(args).map(|()| 0)
+    }),
+    ("mlfrr", &["config", "loss-free", "packets", "jobs"], |args| cmd_mlfrr(args).map(|()| 0)),
+    ("chaos", &["seed", "rate", "packets", "intensity", "priority"], cmd_chaos),
+    ("observe", &["rate", "packets", "seed"], cmd_observe),
+];
+
+/// A subcommand's known flags and body (`None`: no such subcommand).
 fn subcommand(cmd: &str) -> Option<(&'static [&'static str], Handler)> {
-    Some(match cmd {
-        "configs" => (&[], |_| {
-            cmd_configs();
-            Ok(0)
-        }),
-        "trial" => (
-            &[
-                "config",
-                "rate",
-                "packets",
-                "seed",
-                "latency",
-                "ncpus",
-                "steal",
-                "timeline",
-                "chrome-trace",
-                "events",
-                "flamegraph",
-            ],
-            |args| cmd_trial(args).map(|()| 0),
-        ),
-        "sweep" => (
-            &[
-                "config", "rates", "packets", "jobs", "latency", "ncpus", "steal",
-            ],
-            |args| cmd_sweep(args).map(|()| 0),
-        ),
-        "mlfrr" => (&["config", "loss-free", "packets", "jobs"], |args| {
-            cmd_mlfrr(args).map(|()| 0)
-        }),
-        "chaos" => (
-            &["seed", "rate", "packets", "intensity", "priority"],
-            cmd_chaos,
-        ),
-        "observe" => (&["rate", "packets", "seed"], cmd_observe),
-        _ => return None,
-    })
+    SUBCOMMANDS
+        .iter()
+        .find(|&&(name, ..)| name == cmd)
+        .map(|&(_, flags, run)| (flags, run))
+}
+
+/// The usage text: one line per subcommand, generated from the flag
+/// lists [`subcommand`] parses against so it cannot drift from them.
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for (cmd, flags, _) in SUBCOMMANDS {
+        out.push_str("\n  livelock ");
+        out.push_str(cmd);
+        for flag in flags {
+            let value = if Args::BOOL_FLAGS.contains(flag) {
+                ""
+            } else {
+                " V"
+            };
+            out.push_str(&format!(" [--{flag}{value}]"));
+        }
+    }
+    out
 }
 
 impl Args {
@@ -275,12 +290,8 @@ fn cmd_trial(args: &Args) -> Result<(), String> {
     let trace_path = args.get("chrome-trace");
     let events_path = args.get("events");
     let flamegraph_path = args.get("flamegraph");
-    if timeline_path.is_some() {
-        cfg.telemetry = Some(TelemetryConfig::default());
-    }
-    if events_path.is_some() || flamegraph_path.is_some() {
-        cfg.observe = Some(ObserveConfig::default());
-    }
+    cfg.telemetry = timeline_path.is_some();
+    cfg.observe = events_path.is_some() || flamegraph_path.is_some();
     let freq = cfg.cost.freq;
     let spec = TrialSpec {
         rate_pps: args.num::<f64>("rate", 8_000.0)?,
@@ -288,6 +299,7 @@ fn cmd_trial(args: &Args) -> Result<(), String> {
         seed: args.num::<u64>("seed", 1)?,
         ..TrialSpec::new(cfg)
     };
+    check_span("rate", &[spec.rate_pps], spec.n_packets)?;
     let (r, chrome_json) = match trace_path {
         Some(_) => {
             let (r, json) = run_trial_traced(&spec, TRACE_CAPACITY);
@@ -420,6 +432,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         Some(s) => Args::parse_rates("rates", s)?,
     };
     let n_packets = args.num::<usize>("packets", 3_000)?;
+    check_span("rates", &rates, n_packets)?;
     let jobs = args.num::<usize>("jobs", default_jobs())?;
     let latency = args.has("latency");
 
@@ -476,6 +489,9 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
     let loss_free = args.num::<f64>("loss-free", 0.98)?;
     let n_packets = args.num::<usize>("packets", 3_000)?;
     let jobs = args.num::<usize>("jobs", default_jobs())?;
+    let lo = 100.0f64;
+    let hi = 14_000.0f64;
+    check_span("packets", &[lo], n_packets)?;
 
     // Multisection on the offered rate for the highest loss-free point:
     // each round probes `jobs` bracketing rates concurrently, shrinking
@@ -498,8 +514,6 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
         }
         pts
     };
-    let lo = 100.0f64;
-    let hi = 14_000.0f64;
     // Ensure the bracket is valid.
     let p = &probe(&[lo])[0];
     if p.delivered < loss_free * p.offered {
@@ -539,6 +553,7 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
     if !(0.0..=MAX_INTENSITY).contains(&intensity) {
         return Err(format!("--intensity: want 0..={MAX_INTENSITY}, got {intensity}"));
     }
+    check_span("rate", &[rate], n_packets)?;
 
     // Both kernels route through screend and face the identical storm:
     // the middle 80% of the trial, clear of warm-up and tail.
@@ -558,8 +573,8 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
         classes.slo_p99 = Nanos::from_millis(25);
         polled_cfg.classes = Some(classes.clone());
         unmod_cfg.classes = Some(classes);
-        polled_cfg.observe = Some(ObserveConfig::default());
-        unmod_cfg.observe = Some(ObserveConfig::default());
+        polled_cfg.observe = true;
+        unmod_cfg.observe = true;
     }
     let plan = livelock_bench::storm_plan(seed, intensity, polled_cfg.cost.freq, rate, n_packets)
         .ok_or_else(|| {
@@ -680,12 +695,13 @@ fn cmd_observe(args: &Args) -> Result<i32, String> {
     // plateau — the separation the detector exists to time-stamp.
     let rate = args.num::<f64>("rate", 12_000.0)?;
     let n_packets = args.num::<usize>("packets", 6_000)?;
+    check_span("rate", &[rate], n_packets)?;
     let seed = args.num::<u64>("seed", 1)?;
 
     let flows = livelock_bench::o1_flows();
     let run = |name: &str| -> Result<TrialResult, String> {
         let mut cfg = config_by_name(name).ok_or_else(|| format!("missing {name} config"))?;
-        cfg.observe = Some(ObserveConfig::default());
+        cfg.observe = true;
         // The drained chaos-trial harness, fault-free: after its drain
         // window every accepted packet has either been delivered or
         // attributed to a drop, so the per-flow ledgers close exactly.
@@ -756,7 +772,7 @@ fn main() {
     let (cmd, rest) = match argv.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => {
-            eprintln!("usage: livelock <configs|trial|sweep|mlfrr|chaos|observe> [--flag value]...");
+            eprintln!("{}", usage());
             std::process::exit(codes::LIVELOCK_USAGE);
         }
     };
@@ -769,6 +785,7 @@ fn main() {
         Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("error: {e}");
+            eprintln!("{}", usage());
             std::process::exit(codes::LIVELOCK_USAGE);
         }
     }
@@ -817,6 +834,11 @@ mod tests {
             ("mlfrr", ["--loss-free", "-1"], "--loss-free"),
             ("mlfrr", ["--loss-free", "0"], "--loss-free"),
             ("mlfrr", ["--loss-free", "2"], "--loss-free"),
+            // Positive but so slow the offered load outlasts a simulated
+            // day: each used to run for minutes to hours.
+            ("trial", ["--rate", "1e-6"], "--rate"),
+            ("sweep", ["--rates", "1000,0.01"], "--rates"),
+            ("chaos", ["--rate", "0.001"], "--rate"),
         ] {
             // Parse, then the subcommand's own checks: every row is
             // refused before a trial runs.
@@ -832,6 +854,17 @@ mod tests {
         );
         let args = parse("sweep", &["--rates", "1000,2500.5", "--packets", "1"]).expect("fine");
         assert_eq!(args.get("rates"), Some("1000,2500.5"));
+    }
+
+    #[test]
+    fn usage_is_one_line_per_subcommand_with_its_flags() {
+        let usage = usage();
+        assert_eq!(usage.lines().count(), 1 + SUBCOMMANDS.len());
+        assert!(usage.contains("\n  livelock sweep [--config V] [--rates V] [--packets V]"));
+        assert!(
+            usage.contains(" [--steal] [--timeline V] "),
+            "bare boolean flags"
+        );
     }
 
     #[test]

@@ -504,7 +504,7 @@ pub fn o1_flows() -> Vec<u16> {
 /// overload, so the onset curve shows livelock arriving earlier as load
 /// climbs past the knee.
 fn fig_o1() -> Figure {
-    let observed = |b: KernelConfigBuilder| b.observe(ObserveConfig::default()).build();
+    let observed = |b: KernelConfigBuilder| b.observe(ObserveConfig).build();
     let unmod = observed(unmodified_screend());
     let polled = observed(polled_feedback(Quota::Limited(10)));
     Figure {
@@ -541,24 +541,12 @@ pub fn p1_flows() -> Vec<u16> {
 /// The classification policy figure P-1 (and `chaos --priority`) runs:
 /// source port 7000 is `Control`, 7100 is `Realtime`, everything else
 /// falls to the default `Bulk` class.
-///
-/// The shed hysteresis is tighter than the config default because the
-/// screend queue — the bottleneck the controller watches — is FIFO:
-/// every packet already admitted ahead of a `Control` packet adds a
-/// full service time (~hundreds of microseconds) to its sojourn, so
-/// meeting a single-digit-millisecond SLO means shedding early enough
-/// that the queue stays shallow, not just short of overflow.
 pub fn p1_classify_config() -> ClassifyConfig {
     ClassifyConfig {
         rules: vec![
             MatchRule::src_port(7_000, TrafficClass::Control),
             MatchRule::src_port(7_100, TrafficClass::Realtime),
         ],
-        shed: livelock_kernel::config::ShedConfig {
-            shed_hi_frac: 0.125,
-            restore_lo_frac: 0.0,
-            min_hold_ticks: 2,
-        },
         slo_p99: Nanos::from_millis(5),
         ..ClassifyConfig::default()
     }

@@ -73,10 +73,18 @@ impl WatermarkFeedback {
         }
     }
 
-    /// The paper's screend configuration: 32-entry queue, inhibit at 75%,
-    /// resume at 25%, one-clock-tick timeout.
+    /// The paper's controller for a queue of `capacity` items: inhibit at
+    /// 75% full, resume at 25%, one-clock-tick timeout. The kernel builds
+    /// every queue-state feedback loop through this — the screend queue's
+    /// and the end-system socket buffer's.
+    pub fn paper(capacity: usize) -> Self {
+        WatermarkFeedback::new(capacity, 0.75, 0.25, 1)
+    }
+
+    /// The paper's screend configuration: [`paper`](Self::paper) over the
+    /// 32-entry screening queue.
     pub fn paper_screend() -> Self {
-        WatermarkFeedback::new(32, 0.75, 0.25, 1)
+        WatermarkFeedback::paper(32)
     }
 
     /// Returns the high-water mark in items.
@@ -144,6 +152,27 @@ mod tests {
         assert_eq!(fb.high_water(), 24);
         assert_eq!(fb.lo, 8);
         assert!(!fb.is_inhibited());
+    }
+
+    #[test]
+    fn paper_screend_is_paper_over_32() {
+        let (a, b) = (
+            WatermarkFeedback::paper(32),
+            WatermarkFeedback::paper_screend(),
+        );
+        assert_eq!((a.hi, a.lo, a.timeout_ticks), (b.hi, b.lo, b.timeout_ticks));
+    }
+
+    #[test]
+    fn paper_socket_marks() {
+        // The end-system socket buffer: 64 slots, inhibit at 48, resume
+        // at 16, one-tick timeout.
+        let mut fb = WatermarkFeedback::paper(64);
+        assert_eq!((fb.high_water(), fb.lo, fb.timeout_ticks), (48, 16, 1));
+        assert_eq!(fb.on_depth(47), None);
+        assert_eq!(fb.on_depth(48), Some(FeedbackSignal::Inhibit));
+        assert_eq!(fb.on_depth(17), None);
+        assert_eq!(fb.on_depth(16), Some(FeedbackSignal::Resume));
     }
 
     #[test]
@@ -251,7 +280,7 @@ mod tests {
         // Race, order A: the drain crosses the low-water mark and the
         // clock tick that would have fired the timeout lands right after.
         // Exactly one Resume; the tick must not double-fire or re-wedge.
-        let mut fb = WatermarkFeedback::new(32, 0.75, 0.25, 1);
+        let mut fb = WatermarkFeedback::paper_screend();
         fb.on_depth(24);
         assert_eq!(fb.on_depth(8), Some(FeedbackSignal::Resume));
         assert_eq!(fb.on_tick(), None, "timeout races the drain and loses");
@@ -264,7 +293,7 @@ mod tests {
         // Race, order B: the tick fires the timeout first, then the
         // in-flight dequeue reports a low depth. The depth report must
         // see an already-open controller and stay silent.
-        let mut fb = WatermarkFeedback::new(32, 0.75, 0.25, 1);
+        let mut fb = WatermarkFeedback::paper_screend();
         fb.on_depth(24);
         assert_eq!(fb.on_tick(), Some(FeedbackSignal::Resume));
         assert_eq!(fb.on_depth(8), None, "already resumed by the timeout");

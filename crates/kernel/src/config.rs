@@ -29,13 +29,13 @@ pub enum Mode {
 /// Configuration of the modified (polling) kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct PolledConfig {
-    /// Packet quota per received-packet callback (§6.6.2).
+    /// Packet quota per received-packet and per transmit-done callback
+    /// (§6.6.2).
     pub rx_quota: Quota,
-    /// Packet quota per transmit-done callback.
-    pub tx_quota: Quota,
-    /// Queue-state feedback around the screend queue (§6.6.1); `None`
-    /// reproduces the "polling, no feedback" curve of Figure 6-4.
-    pub feedback: Option<FeedbackConfig>,
+    /// The paper's queue-state feedback around the screend queue
+    /// (§6.6.1, `WatermarkFeedback::paper`); `false` reproduces the
+    /// "polling, no feedback" curve of Figure 6-4.
+    pub feedback: bool,
     /// CPU-cycle limit for packet processing as a fraction of each period
     /// (§7); `None` disables the limiter.
     pub cycle_limit_frac: Option<f64>,
@@ -48,37 +48,18 @@ impl Default for PolledConfig {
             // used for the feedback experiments and inside the recommended
             // 10..20 band.
             rx_quota: Quota::Limited(10),
-            tx_quota: Quota::Limited(10),
-            feedback: None,
+            feedback: false,
             cycle_limit_frac: None,
         }
     }
 }
 
-/// Queue-state feedback parameters (§6.6.1).
-#[derive(Clone, Copy, Debug)]
-pub struct FeedbackConfig {
-    /// Inhibit input when the screend queue reaches this fraction full.
-    pub hi_frac: f64,
-    /// Resume input when it drains to this fraction.
-    pub lo_frac: f64,
-    /// Re-enable input after this many clock ticks regardless (the paper
-    /// used one tick, ~1 ms, in case screend hangs).
-    pub timeout_ticks: u32,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        // "the screening queue was limited to 32 packets, and we inhibited
-        // input processing when the queue was 75% full ... re-enabled when
-        // the screening queue becomes 25% full."
-        FeedbackConfig {
-            hi_frac: 0.75,
-            lo_frac: 0.25,
-            timeout_ticks: 1,
-        }
-    }
-}
+/// The argument of [`KernelConfigBuilder::feedback`]. It has no fields:
+/// the paper fixes its watermarks and timeout (§6.6.1), which live in
+/// `livelock_core::feedback::WatermarkFeedback::paper`. The type remains
+/// only because `benchmark/` names it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FeedbackConfig;
 
 /// The machine shape: how many CPUs the kernel runs on and whether idle
 /// CPUs steal receive work from overloaded siblings.
@@ -125,29 +106,15 @@ pub struct IntrRateLimitConfig {
 
 /// Configuration of local (end-system) delivery: packets addressed to the
 /// host itself are queued on a bounded socket buffer and consumed by a
-/// user-mode application process — the paper's NFS/RPC-server motivating
-/// application (§2, §7.1).
-#[derive(Clone, Copy, Debug)]
+/// user-mode application process that sends an RPC-style UDP reply to
+/// every request — the paper's NFS/RPC-server motivating application
+/// (§2, §7.1).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LocalDeliveryConfig {
-    /// Socket receive buffer capacity, in packets.
-    pub socket_cap: usize,
-    /// Queue-state feedback on the socket buffer (polled mode only) — the
-    /// paper suggests applying the §6.6.1 technique "to other queues in
-    /// the system".
-    pub feedback: Option<FeedbackConfig>,
-    /// Send an RPC-style UDP reply for every delivered request (exercises
-    /// the transmit path like an NFS server would).
-    pub reply: bool,
-}
-
-impl Default for LocalDeliveryConfig {
-    fn default() -> Self {
-        LocalDeliveryConfig {
-            socket_cap: 64,
-            feedback: None,
-            reply: true,
-        }
-    }
+    /// The paper's queue-state feedback on the socket buffer (polled
+    /// mode only) — the paper suggests applying the §6.6.1 technique "to
+    /// other queues in the system".
+    pub feedback: bool,
 }
 
 /// Configuration of the user-mode screend process.
@@ -188,8 +155,6 @@ pub struct ClassifyConfig {
     pub rules: Vec<MatchRule>,
     /// Class assigned to unmatched flows and unparseable frames.
     pub default_class: TrafficClass,
-    /// The shed controller's hysteresis parameters.
-    pub shed: ShedConfig,
     /// The `Control` class's p99 latency SLO, judged over the livelock
     /// detector's sliding window. The upgraded `PriorityInversion`
     /// detector fires when this is violated (or `Control` arrivals see
@@ -202,38 +167,7 @@ impl Default for ClassifyConfig {
         ClassifyConfig {
             rules: Vec::new(),
             default_class: TrafficClass::Bulk,
-            shed: ShedConfig::default(),
             slo_p99: Nanos::from_millis(2),
-        }
-    }
-}
-
-/// Hysteresis parameters for the class-aware admission gate.
-///
-/// The gate watches the downstream bottleneck queue (screend's, when
-/// present, else the output queue on the busiest interface) as a
-/// fraction of its capacity, plus the livelock detector's verdict. Shed
-/// level 1 drops `Bulk` at admission; level 2 also drops `Realtime`;
-/// `Control` is never shed. Levels move one step at a time, and only
-/// after `min_hold_ticks` clock ticks at the current level, so the
-/// controller cannot oscillate within a tick window.
-#[derive(Clone, Copy, Debug)]
-pub struct ShedConfig {
-    /// Queue fill fraction at/above which the shed level escalates
-    /// (level 0 → 1, and 1 → 2 when still above after the hold).
-    pub shed_hi_frac: f64,
-    /// Fill fraction at/below which the shed level de-escalates.
-    pub restore_lo_frac: f64,
-    /// Minimum clock ticks a shed level holds before it may change.
-    pub min_hold_ticks: u64,
-}
-
-impl Default for ShedConfig {
-    fn default() -> Self {
-        ShedConfig {
-            shed_hi_frac: 0.75,
-            restore_lo_frac: 0.25,
-            min_hold_ticks: 2,
         }
     }
 }
@@ -278,15 +212,15 @@ pub struct KernelConfig {
     /// per-stage residencies)? Costs a handful of histogram increments per
     /// delivered packet; timestamps are stamped either way.
     pub latency_tracking: bool,
-    /// Periodic telemetry sampling (`None` = off, the default: no timeline
-    /// is recorded and the clock-tick path pays nothing).
-    pub telemetry: Option<TelemetryConfig>,
+    /// Periodic telemetry sampling (off by default: no timeline is
+    /// recorded and the clock-tick path pays nothing).
+    pub telemetry: bool,
     /// Per-flow observability: the flow metrics registry, the online
-    /// livelock detector, and the cycle-ledger flamegraph fold (`None` =
-    /// off, the default: no registry is allocated, packets carry no flow
-    /// key, the clock tick runs no detector, and the run is
-    /// bit-identical to one without the observability subsystem).
-    pub observe: Option<ObserveConfig>,
+    /// livelock detector, and the cycle-ledger flamegraph fold (off by
+    /// default: no registry is allocated, packets carry no flow key, the
+    /// clock tick runs no detector, and the run is bit-identical to one
+    /// without the observability subsystem).
+    pub observe: bool,
     /// Scheduled fault injection (`None` or an empty plan = off, the
     /// default: no fault events are scheduled, no recovery machinery is
     /// armed, and the run is byte-identical to one without the fault
@@ -330,8 +264,8 @@ impl KernelConfig {
             num_ifaces: 2,
             topology: Topology::default(),
             latency_tracking: true,
-            telemetry: None,
-            observe: None,
+            telemetry: false,
+            observe: false,
             faults: None,
             classes: None,
             scheduler: SchedulerKind::default(),
@@ -350,16 +284,16 @@ impl KernelConfig {
     /// let cfg = KernelConfig::builder()
     ///     .polled(Quota::Limited(10))
     ///     .screend(ScreendConfig::default())
-    ///     .feedback(FeedbackConfig::default())
+    ///     .feedback(FeedbackConfig)
     ///     .build();
-    /// assert!(cfg.polled_config().unwrap().feedback.is_some());
+    /// assert!(cfg.polled_config().unwrap().feedback);
     /// ```
     pub fn builder() -> KernelConfigBuilder {
         KernelConfigBuilder {
             cfg: KernelConfig::base(Mode::Unmodified {
                 emulate_modified_structure: false,
             }),
-            feedback: None,
+            feedback: false,
             cycle_limit: None,
         }
     }
@@ -396,7 +330,7 @@ impl KernelConfig {
 #[derive(Clone, Debug)]
 pub struct KernelConfigBuilder {
     cfg: KernelConfig,
-    feedback: Option<FeedbackConfig>,
+    feedback: bool,
     cycle_limit: Option<f64>,
 }
 
@@ -420,7 +354,6 @@ impl KernelConfigBuilder {
     pub fn polled(self, rx_quota: Quota) -> Self {
         self.mode(Mode::Polled(PolledConfig {
             rx_quota,
-            tx_quota: rx_quota,
             ..PolledConfig::default()
         }))
     }
@@ -431,10 +364,10 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// Enables queue-state feedback (§6.6.1) on the screend queue.
-    /// Applied at [`build`](Self::build) when the mode is polled.
-    pub fn feedback(mut self, feedback: FeedbackConfig) -> Self {
-        self.feedback = Some(feedback);
+    /// Enables the paper's queue-state feedback (§6.6.1) on the screend
+    /// queue. Applied at [`build`](Self::build) when the mode is polled.
+    pub fn feedback(mut self, _: FeedbackConfig) -> Self {
+        self.feedback = true;
         self
     }
 
@@ -483,16 +416,16 @@ impl KernelConfigBuilder {
     }
 
     /// Enables the periodic telemetry sampler (off by default).
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
-        self.cfg.telemetry = Some(cfg);
+    pub fn telemetry(mut self, _: TelemetryConfig) -> Self {
+        self.cfg.telemetry = true;
         self
     }
 
     /// Enables the per-flow observability layer (off by default): the
     /// flow metrics registry, the online livelock detector, and the
     /// cycle-ledger flamegraph fold.
-    pub fn observe(mut self, cfg: ObserveConfig) -> Self {
-        self.cfg.observe = Some(cfg);
+    pub fn observe(mut self, _: ObserveConfig) -> Self {
+        self.cfg.observe = true;
         self
     }
 
@@ -541,9 +474,7 @@ impl KernelConfigBuilder {
     /// settings into the polled mode.
     pub fn build(mut self) -> KernelConfig {
         if let Mode::Polled(p) = &mut self.cfg.mode {
-            if self.feedback.is_some() {
-                p.feedback = self.feedback;
-            }
+            p.feedback = self.feedback;
             if self.cycle_limit.is_some() {
                 p.cycle_limit_frac = self.cycle_limit;
             }
@@ -575,17 +506,14 @@ mod tests {
         let p = KernelConfig::builder().polled(Quota::Limited(5)).build();
         let pc = p.polled_config().unwrap();
         assert_eq!(pc.rx_quota, Quota::Limited(5));
-        assert!(pc.feedback.is_none());
+        assert!(!pc.feedback);
 
         let f = KernelConfig::builder()
             .polled(Quota::Limited(10))
             .screend(Default::default())
             .feedback(Default::default())
             .build();
-        let fb = f.polled_config().unwrap().feedback.unwrap();
-        assert_eq!(fb.hi_frac, 0.75);
-        assert_eq!(fb.lo_frac, 0.25);
-        assert_eq!(fb.timeout_ticks, 1);
+        assert!(f.polled_config().unwrap().feedback);
         assert!(f.screend.is_some());
 
         let c = KernelConfig::builder()
@@ -602,7 +530,7 @@ mod tests {
     #[test]
     fn builder_is_order_independent() {
         let a = KernelConfig::builder()
-            .feedback(FeedbackConfig::default())
+            .feedback(FeedbackConfig)
             .cycle_limit(0.5)
             .screend(ScreendConfig::default())
             .polled(Quota::Limited(10))
@@ -610,13 +538,13 @@ mod tests {
         let b = KernelConfig::builder()
             .polled(Quota::Limited(10))
             .screend(ScreendConfig::default())
-            .feedback(FeedbackConfig::default())
+            .feedback(FeedbackConfig)
             .cycle_limit(0.5)
             .build();
         let (pa, pb) = (a.polled_config().unwrap(), b.polled_config().unwrap());
         assert_eq!(pa.rx_quota, pb.rx_quota);
         assert_eq!(pa.cycle_limit_frac, pb.cycle_limit_frac);
-        assert_eq!(pa.feedback.is_some(), pb.feedback.is_some());
+        assert_eq!(pa.feedback, pb.feedback);
     }
 
     #[test]
@@ -645,11 +573,5 @@ mod tests {
     #[should_panic(expected = "at least one CPU")]
     fn zero_cpus_is_rejected() {
         let _ = KernelConfig::builder().ncpus(0);
-    }
-
-    #[test]
-    fn default_feedback_is_papers() {
-        let fb = FeedbackConfig::default();
-        assert_eq!((fb.hi_frac, fb.lo_frac, fb.timeout_ticks), (0.75, 0.25, 1));
     }
 }

@@ -43,9 +43,13 @@ use livelock_sim::Freq;
 use crate::config::KernelConfig;
 use crate::flows::{FlowRegistry, FlowStats};
 use crate::par::Parallelism;
-use crate::router::{CpuLink, Event, RouterKernel, STEAL_BUF_CAP};
+use crate::router::{CpuLink, Event, RouterKernel, SOCKET_CAP, STEAL_BUF_CAP};
 use crate::stats::{ClassStats, DropReason, DropStats, FaultStats, KernelStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
+
+/// Fraction of every trial treated as warm-up and excluded from the
+/// measurement window.
+pub const WARMUP_FRAC: f64 = 0.1;
 
 /// One trial's parameters.
 #[derive(Clone, Debug)]
@@ -56,9 +60,6 @@ pub struct TrialSpec {
     pub n_packets: usize,
     /// RNG seed for arrival jitter.
     pub seed: u64,
-    /// Fraction of the trial treated as warm-up and excluded from the
-    /// measurement window.
-    pub warmup_frac: f64,
     /// UDP source ports to cycle packets through (packet *i* carries
     /// port `i % len`), making each port one flow for per-flow
     /// accounting and for steering to a CPU's receive queue — at any CPU
@@ -78,7 +79,6 @@ impl TrialSpec {
             rate_pps: 1000.0,
             n_packets: 10_000,
             seed: 1,
-            warmup_frac: 0.1,
             flows: None,
             config,
         }
@@ -449,7 +449,7 @@ fn plan(spec: &TrialSpec) -> Plan {
     let last = queue_times.iter().filter_map(|q| q.last()).max();
     let last = last.copied().unwrap_or(Cycles::ZERO);
     let span = last - first;
-    let window_start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
+    let window_start = first + Cycles::new((span.raw() as f64 * WARMUP_FRAC) as u64);
     Plan {
         flows,
         queue_times,
@@ -594,7 +594,7 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     let mut per_cpu = Vec::with_capacity(ncpus);
     let mut events: Vec<ObsEvent> = Vec::new();
     let mut tracks = Vec::new();
-    let mut fold = spec.config.observe.map(|_| CycleFold::new());
+    let mut fold = spec.config.observe.then(CycleFold::new);
     let mut timeline: Option<Timeline> = None;
     let mut flows: Option<FlowRegistry> = None;
     let mut classes: Option<ClassStats> = None;
@@ -820,7 +820,7 @@ fn pool_prealloc(cfg: &KernelConfig) -> usize {
     // Receive rings, transmit ring, output queue, the frame on the wire.
     let per_iface = cfg.nic.rx_ring * cfg.rx_rings() + cfg.nic.tx_ring + cfg.ifq_cap + 1;
     let screend = cfg.screend.as_ref().map_or(0, |s| s.queue_cap);
-    let socket = cfg.local.as_ref().map_or(0, |l| l.socket_cap);
+    let socket = if cfg.local.is_some() { SOCKET_CAP } else { 0 };
     let steal = if CpuLink::stealing(&cfg.topology) {
         STEAL_BUF_CAP
     } else {
@@ -1187,8 +1187,8 @@ mod tests {
         }
         assert!(moved > 0, "the oracle slices: some high-water mark moves");
         let watched = KernelConfig::builder()
-            .observe(ObserveConfig::default())
-            .telemetry(TelemetryConfig::default());
+            .observe(ObserveConfig)
+            .telemetry(TelemetryConfig);
         let s = spec(4, 16_000.0, watched);
         assert_matches_slicing_oracle(&s, false, "observe + telemetry");
         let s = spec(4, 16_000.0, KernelConfig::builder());
@@ -1308,18 +1308,13 @@ mod tests {
         // idles. The steal question is per frame — is *this* frame's
         // ring full? — so the Bulk overflow is published even though
         // CPU 2's other two rings stay empty.
-        use crate::config::{ClassifyConfig, ShedConfig};
+        use crate::config::ClassifyConfig;
         use livelock_net::classify::MatchRule;
         let classes = ClassifyConfig {
             rules: vec![
                 MatchRule::src_port(7_000, TrafficClass::Control),
                 MatchRule::src_port(7_100, TrafficClass::Realtime),
             ],
-            shed: ShedConfig {
-                shed_hi_frac: 0.125,
-                restore_lo_frac: 0.0,
-                min_hold_ticks: 2,
-            },
             slo_p99: Nanos::from_millis(5),
             ..ClassifyConfig::default()
         };
@@ -1792,7 +1787,7 @@ mod tests {
         assert!(r.timeline.is_none(), "telemetry must be opt-in");
 
         let cfg = KernelConfig::builder()
-            .telemetry(crate::telemetry::TelemetryConfig::default())
+            .telemetry(crate::telemetry::TelemetryConfig)
             .build();
         let r = quick(cfg, 2_000.0, 500);
         let tl = r.timeline.expect("sampler enabled");
@@ -1803,7 +1798,7 @@ mod tests {
 
     #[test]
     fn a_multi_cpu_timeline_carries_every_cpu() {
-        let telemetry = crate::telemetry::TelemetryConfig::default();
+        let telemetry = crate::telemetry::TelemetryConfig;
         let freq = unmodified().cost.freq;
         let two = KernelConfig::builder()
             .polled(Quota::Limited(10))
@@ -1891,10 +1886,10 @@ mod tests {
                     b = b.polled(Quota::Limited(10)).feedback(Default::default());
                 }
                 if telemetry {
-                    b = b.telemetry(TelemetryConfig::default());
+                    b = b.telemetry(TelemetryConfig);
                 }
                 if observe {
-                    b = b.observe(ObserveConfig::default());
+                    b = b.observe(ObserveConfig);
                 }
                 quick(b.build(), 9_000.0, 1_500)
             };
@@ -1960,7 +1955,7 @@ mod tests {
                     b = b.polled(Quota::Limited(10)).feedback(Default::default());
                 }
                 if observe {
-                    b = b.observe(ObserveConfig::default());
+                    b = b.observe(ObserveConfig);
                 }
                 run_trial(&TrialSpec {
                     rate_pps: 9_000.0,
@@ -1995,7 +1990,7 @@ mod tests {
             flows: Some(vec![7001, 7002, 7003, 7004]),
             ..TrialSpec::new(
                 KernelConfig::builder()
-                    .observe(ObserveConfig::default())
+                    .observe(ObserveConfig)
                     .build(),
             )
         };
@@ -2037,7 +2032,7 @@ mod tests {
                 KernelConfig::builder()
                     .polled(Quota::Limited(10))
                     .ncpus(2)
-                    .observe(ObserveConfig::default())
+                    .observe(ObserveConfig)
                     .build(),
             )
         };
@@ -2082,7 +2077,7 @@ mod tests {
         let run = |polled_mode: bool| {
             let mut b = KernelConfig::builder()
                 .screend(ScreendConfig::default())
-                .observe(ObserveConfig::default());
+                .observe(ObserveConfig);
             if polled_mode {
                 b = b.polled(Quota::Limited(10)).feedback(Default::default());
             }
@@ -2115,7 +2110,7 @@ mod tests {
         use crate::telemetry::ObserveConfig;
         let r = quick(
             KernelConfig::builder()
-                .observe(ObserveConfig::default())
+                .observe(ObserveConfig)
                 .build(),
             6_000.0,
             1_000,
@@ -2136,7 +2131,7 @@ mod tests {
         // 4-tick sampling interval — so without the drain-time fallback
         // the requested timeline would come back empty.
         let cfg = KernelConfig::builder()
-            .telemetry(crate::telemetry::TelemetryConfig::default())
+            .telemetry(crate::telemetry::TelemetryConfig)
             .build();
         let r = quick(cfg, 10_000.0, 10);
         let tl = r.timeline.expect("sampler enabled");

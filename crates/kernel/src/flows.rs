@@ -108,6 +108,11 @@ fn memo_index(key: FlowKey) -> usize {
     (x ^ (x >> 8)) as usize & (MEMO_ENTRIES - 1)
 }
 
+/// Distinct flows a kernel's registry — and its livelock detector's
+/// starvation watch — tracks; later flows count as overflow instead of
+/// growing the table.
+pub(crate) const FLOW_SLOTS: usize = 128;
+
 /// Fixed-size per-flow metrics table, keyed by 5-tuple via the NIC's RSS
 /// hash with linear probing. All storage is allocated in
 /// [`FlowRegistry::new`]; recording never allocates.

@@ -47,7 +47,7 @@ pub mod telemetry;
 
 pub use config::{
     ClassifyConfig, FeedbackConfig, KernelConfig, KernelConfigBuilder, Mode, PolledConfig,
-    ScreendConfig, ShedConfig, Topology,
+    ScreendConfig, Topology,
 };
 pub use experiment::{
     run_chaos_trial, run_trial, run_trial_traced, sweep, ChaosReport, ClassSummary, CpuStats,

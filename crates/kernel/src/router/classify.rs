@@ -14,13 +14,13 @@
 //!
 //! The shed controller is hysteretic and asymmetric: escalation is
 //! event-driven — every admission checks the instantaneous bottleneck
-//! fill against [`ShedConfig::shed_hi_frac`] and raises the level the
+//! fill against [`SHED_HI_FRAC`] and raises the level the
 //! moment it crosses (the §6.5 discipline: feedback acts when the
 //! screend queue fills, not when a timer fires), and the clock tick
 //! escalates too when the online detector reports livelock —  while
-//! de-escalation is tick-driven only, requires the fill below
-//! [`ShedConfig::restore_lo_frac`] with the detector quiet, and holds
-//! every level for at least [`ShedConfig::min_hold_ticks`] clock ticks.
+//! de-escalation is tick-driven only, requires the fill down to
+//! [`RESTORE_LO_FRAC`] with the detector quiet, and holds every level
+//! for at least [`MIN_HOLD_TICKS`] clock ticks.
 //! The asymmetry is deliberate: raising the gate early costs a few
 //! shed `Bulk` packets, raising it late costs a queue full of them in
 //! front of every `Control` packet for milliseconds.
@@ -32,15 +32,30 @@
 //! reads the stamp.
 
 use super::*;
-use crate::config::{ClassifyConfig, ShedConfig};
+use crate::config::ClassifyConfig;
 use livelock_net::classify::{Classifier, TrafficClass};
+
+/// Bottleneck fill fraction at/above which the shed level escalates
+/// (level 0 → 1, and 1 → 2 when still above after the hold).
+///
+/// Tight, because the screend queue — the bottleneck the controller
+/// watches — is FIFO: every packet already admitted ahead of a `Control`
+/// packet adds a full service time (~hundreds of microseconds) to its
+/// sojourn, so meeting a single-digit-millisecond SLO means shedding
+/// early enough that the queue stays shallow, not just short of
+/// overflow.
+const SHED_HI_FRAC: f64 = 0.125;
+/// Fill fraction at/below which the shed level de-escalates: only an
+/// empty bottleneck restores a level.
+const RESTORE_LO_FRAC: f64 = 0.0;
+/// Minimum clock ticks a shed level holds before a tick may change it.
+const MIN_HOLD_TICKS: u64 = 2;
 
 /// The hysteretic shed controller: a small state machine over shed
 /// levels 0 (admit everything), 1 (shed `Bulk`) and 2 (shed `Bulk` and
 /// `Realtime`). `Control` is never shed — protecting it is the point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct ShedController {
-    cfg: ShedConfig,
     /// The current shed level (0 = admit everything).
     level: u8,
     ticks: u64,
@@ -48,15 +63,6 @@ pub(crate) struct ShedController {
 }
 
 impl ShedController {
-    pub(crate) fn new(cfg: ShedConfig) -> Self {
-        ShedController {
-            cfg,
-            level: 0,
-            ticks: 0,
-            level_since: 0,
-        }
-    }
-
     /// Whether class `c` is shed at the current level.
     pub(crate) fn sheds(&self, c: TrafficClass) -> bool {
         match c {
@@ -73,7 +79,7 @@ impl ShedController {
     /// gap before the first clock tick, and every `Control` packet for
     /// the next several milliseconds waits behind them.
     pub(crate) fn note_pressure(&mut self, fill_frac: f64) {
-        if fill_frac >= self.cfg.shed_hi_frac && self.level < 2 {
+        if fill_frac >= SHED_HI_FRAC && self.level < 2 {
             self.level += 1;
             self.level_since = self.ticks;
         }
@@ -85,11 +91,11 @@ impl ShedController {
     /// been held for the minimum-hold window.
     pub(crate) fn on_tick(&mut self, fill_frac: f64, livelocked: bool) {
         self.ticks += 1;
-        if self.ticks - self.level_since < self.cfg.min_hold_ticks.max(1) {
+        if self.ticks - self.level_since < MIN_HOLD_TICKS {
             return;
         }
-        let pressure = livelocked || fill_frac >= self.cfg.shed_hi_frac;
-        let calm = !livelocked && fill_frac <= self.cfg.restore_lo_frac;
+        let pressure = livelocked || fill_frac >= SHED_HI_FRAC;
+        let calm = !livelocked && fill_frac <= RESTORE_LO_FRAC;
         if pressure && self.level < 2 {
             self.level += 1;
             self.level_since = self.ticks;
@@ -124,7 +130,7 @@ impl ClassEngine {
         ClassEngine {
             classifier: Classifier::new(cfg.rules.clone(), cfg.default_class),
             taken_in_round: [0; TrafficClass::COUNT],
-            shed: ShedController::new(cfg.shed),
+            shed: ShedController::default(),
             slo_p99: cfg.slo_p99,
         }
     }
@@ -249,55 +255,56 @@ impl RouterKernel {
 mod tests {
     use super::*;
 
-    fn controller(min_hold: u64) -> ShedController {
-        ShedController::new(ShedConfig {
-            shed_hi_frac: 0.75,
-            restore_lo_frac: 0.25,
-            min_hold_ticks: min_hold,
-        })
+    /// Ticks the controller through one minimum-hold window at a
+    /// constant reading: the first tick on which a level may move.
+    fn hold(s: &mut ShedController, fill_frac: f64, livelocked: bool) {
+        for _ in 0..MIN_HOLD_TICKS {
+            s.on_tick(fill_frac, livelocked);
+        }
     }
 
     #[test]
     fn shed_controller_escalates_one_level_at_a_time() {
-        let mut s = controller(1);
+        let mut s = ShedController::default();
         assert_eq!(s.level, 0);
-        s.on_tick(0.9, false);
-        assert_eq!(s.level, 1, "first pressure tick sheds Bulk only");
+        hold(&mut s, 0.125, false);
+        assert_eq!(s.level, 1, "first pressure window sheds Bulk only");
         assert!(s.sheds(TrafficClass::Bulk));
         assert!(!s.sheds(TrafficClass::Realtime));
-        s.on_tick(0.9, false);
+        hold(&mut s, 0.9, false);
         assert_eq!(s.level, 2);
         assert!(s.sheds(TrafficClass::Realtime));
         assert!(!s.sheds(TrafficClass::Control), "Control is never shed");
-        s.on_tick(0.9, false);
+        hold(&mut s, 0.9, false);
         assert_eq!(s.level, 2, "level 2 is the ceiling");
     }
 
     #[test]
     fn shed_controller_hysteresis_band_holds_level() {
-        let mut s = controller(1);
-        s.on_tick(0.9, false);
+        let mut s = ShedController::default();
+        hold(&mut s, 0.9, false);
         assert_eq!(s.level, 1);
-        // Mid-band fill: neither pressure nor calm — the level holds.
+        // Fill between empty and an eighth: neither pressure nor calm —
+        // the level holds.
         for _ in 0..10 {
-            s.on_tick(0.5, false);
+            s.on_tick(0.1, false);
         }
         assert_eq!(s.level, 1);
-        s.on_tick(0.1, false);
-        assert_eq!(s.level, 0, "calm below the restore threshold");
+        hold(&mut s, 0.0, false);
+        assert_eq!(s.level, 0, "calm only at an empty bottleneck");
     }
 
     #[test]
     fn shed_controller_min_hold_blocks_flapping() {
-        let mut s = controller(4);
-        for _ in 0..3 {
+        let mut s = ShedController::default();
+        for _ in 1..MIN_HOLD_TICKS {
             s.on_tick(0.9, false);
             assert_eq!(s.level, 0, "held until the minimum-hold window");
         }
         s.on_tick(0.9, false);
         assert_eq!(s.level, 1);
         // Immediately calm: the new level must also be held.
-        for _ in 0..3 {
+        for _ in 1..MIN_HOLD_TICKS {
             s.on_tick(0.0, false);
             assert_eq!(s.level, 1);
         }
@@ -307,7 +314,7 @@ mod tests {
 
     #[test]
     fn note_pressure_escalates_immediately_but_never_de_escalates() {
-        let mut s = controller(4);
+        let mut s = ShedController::default();
         // No ticks have elapsed: the tick path would hold level 0, but
         // the admission-time path reacts to instantaneous fill at once.
         s.note_pressure(0.9);
@@ -320,7 +327,7 @@ mod tests {
         // tick-driven only, and still honours the minimum hold.
         s.note_pressure(0.0);
         assert_eq!(s.level, 2);
-        for _ in 0..3 {
+        for _ in 1..MIN_HOLD_TICKS {
             s.on_tick(0.0, false);
             assert_eq!(s.level, 2);
         }
@@ -330,10 +337,10 @@ mod tests {
 
     #[test]
     fn detector_verdict_is_pressure_regardless_of_fill() {
-        let mut s = controller(1);
-        s.on_tick(0.0, true);
+        let mut s = ShedController::default();
+        hold(&mut s, 0.0, true);
         assert_eq!(s.level, 1, "livelock verdict alone escalates");
-        s.on_tick(0.0, false);
+        hold(&mut s, 0.0, false);
         assert_eq!(s.level, 0);
     }
 

@@ -69,11 +69,14 @@ use livelock_net::classify::TrafficClass;
 pub(crate) use smp::{CpuLink, STEAL_BUF_CAP};
 
 use crate::config::{KernelConfig, Mode};
-use crate::flows::FlowRegistry;
+use crate::flows::{FlowRegistry, FLOW_SLOTS};
 use crate::stats::{DropReason, KernelStats};
 use crate::telemetry::{LivelockDetector, ObsEvent, QueueDepths, Timeline};
 
 use livelock_machine::ledger::CycleLedger;
+
+/// The end-system socket receive buffer's capacity, in packets.
+pub(crate) const SOCKET_CAP: usize = 64;
 
 /// External events the router kernel reacts to.
 #[derive(Debug)]
@@ -342,10 +345,8 @@ impl RouterKernel {
         let mut src_roles = vec![SrcRole::Clock, SrcRole::Softclock, SrcRole::Softnet];
 
         let polled = cfg.polled_config().copied();
-        let mut poller = Poller::new(
-            polled.map_or(Quota::Unlimited, |p| p.rx_quota),
-            polled.map_or(Quota::Unlimited, |p| p.tx_quota),
-        );
+        let quota = polled.map_or(Quota::Unlimited, |p| p.rx_quota);
+        let mut poller = Poller::new(quota, quota);
 
         let mut ifaces = Vec::with_capacity(cfg.num_ifaces);
         let mut routes = RouteTable::new();
@@ -441,24 +442,14 @@ impl RouterKernel {
             }
         }
 
-        let feedback = polled.and_then(|p| p.feedback).map(|f| {
-            WatermarkFeedback::new(
-                cfg.screend.as_ref().map_or(32, |s| s.queue_cap),
-                f.hi_frac,
-                f.lo_frac,
-                f.timeout_ticks,
-            )
-        });
+        let feedback = polled
+            .is_some_and(|p| p.feedback)
+            .then(|| WatermarkFeedback::paper(cfg.screend.as_ref().map_or(32, |s| s.queue_cap)));
         let limiter = polled
             .and_then(|p| p.cycle_limit_frac)
             .map(|frac| CycleLimiter::new(cost.cycle_limit_period().raw(), frac));
-        let socket_feedback = match (&polled, &cfg.local) {
-            (Some(_), Some(l)) => l.feedback.map(|f| {
-                WatermarkFeedback::new(l.socket_cap, f.hi_frac, f.lo_frac, f.timeout_ticks)
-            }),
-            _ => None,
-        };
-        let socket_cap = cfg.local.map_or(1, |l| l.socket_cap);
+        let socket_feedback = (polled.is_some() && cfg.local.is_some_and(|l| l.feedback))
+            .then(|| WatermarkFeedback::paper(SOCKET_CAP));
         let rx_rate_limiter = cfg
             .intr_rate_limit
             .map(|r| IntrRateLimiter::per_second(r.max_rate_hz, cost.freq.as_hz(), r.burst));
@@ -493,18 +484,18 @@ impl RouterKernel {
 
         let mut stats = KernelStats::new();
         stats.class = classes.is_some().then(crate::stats::ClassStats::new);
-        stats.timeline = cfg.telemetry.map(|t| Timeline::new(t, cpu));
+        stats.timeline = cfg.telemetry.then(|| Timeline::new(cpu));
         // The observability layer: per-flow registry and online livelock
         // detector (the trial also reads the machine's cycle fold at
         // collect). Both are pure bookkeeping — when absent nothing is
         // allocated and the run is bit-identical; when present the run
         // is *still* bit-identical, just observed.
-        stats.flows = cfg.observe.map(|o| FlowRegistry::new(o.flow_slots));
-        let detector = cfg.observe.map(|o| LivelockDetector::new(o, cpu));
+        stats.flows = cfg.observe.then(|| FlowRegistry::new(FLOW_SLOTS));
+        let detector = cfg.observe.then(|| LivelockDetector::new(cpu));
 
         let kernel = RouterKernel {
             screend_q: DropTailQueue::new("screendq", screend_cap),
-            socket_q: DropTailQueue::new("socketq", socket_cap),
+            socket_q: DropTailQueue::new("socketq", SOCKET_CAP),
             socket_feedback,
             reply_seq: 0,
             rx_rate_limiter,
@@ -1167,6 +1158,24 @@ mod tests {
         let s = e.workload().stats();
         assert_eq!(s.transmitted, 1, "stats: {s:?}");
         assert!(s.latency.count() == 1);
+    }
+
+    /// Both queue-state feedback loops are the paper's controller over
+    /// their own queue: screend's 32 slots inhibit at 24, the socket
+    /// buffer's 64 at 48.
+    #[test]
+    fn default_feedback_is_papers() {
+        let polled = || KernelConfig::builder().polled(Quota::Limited(10));
+        let cfg = polled()
+            .screend(Default::default())
+            .feedback(Default::default())
+            .build();
+        let (_, k) = RouterKernel::build(cfg);
+        assert_eq!(k.feedback.map(|f| f.high_water()), Some(24));
+        let local = crate::config::LocalDeliveryConfig { feedback: true };
+        let (_, k) = RouterKernel::build(polled().local_delivery(local).build());
+        assert_eq!(k.socket_feedback.map(|f| f.high_water()), Some(48));
+        assert!(k.feedback.is_none(), "no screend feedback asked for");
     }
 
     #[test]

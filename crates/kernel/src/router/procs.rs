@@ -53,11 +53,8 @@ impl RouterKernel {
             }
             return None;
         }
-        let reply = self.cfg.local.is_some_and(|l| l.reply);
-        let mut cost = self.cost.app_per_pkt;
-        if reply {
-            cost += self.cost.tx_start_per_pkt;
-        }
+        // Consuming a request includes starting its reply's transmit.
+        let cost = self.cost.app_per_pkt + self.cost.tx_start_per_pkt;
         Some(Chunk::new(cost, tag::APP_PKT))
     }
 
@@ -82,9 +79,7 @@ impl RouterKernel {
                 None => {}
             }
         }
-        if self.cfg.local.is_some_and(|l| l.reply) {
-            self.send_reply(env, &pkt);
-        }
+        self.send_reply(env, &pkt);
     }
 
     /// Builds and transmits the RPC-style reply to a delivered request:

@@ -8,11 +8,10 @@
 //! one [`Sample`] row of a [`Timeline`], which exports as CSV
 //! ([`Timeline::to_csv`]).
 //!
-//! Memory is bounded: when a timeline reaches
-//! [`TelemetryConfig::max_samples`] rows it is decimated (every second
-//! row dropped) and the sampling interval doubles, so an
-//! arbitrarily long run keeps a uniform grid at whatever resolution fits
-//! the budget. Sampling is off unless
+//! Memory is bounded: when a timeline reaches [`MAX_SAMPLES`] rows it is
+//! decimated (every second row dropped) and the sampling interval
+//! doubles, so an arbitrarily long run keeps a uniform grid at whatever
+//! resolution fits the budget. Sampling is off unless
 //! [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry)
 //! is set, and costs nothing when off.
 //!
@@ -29,76 +28,44 @@
 use livelock_machine::{CpuClass, CpuId, CycleLedger};
 use livelock_sim::{Cycles, Freq, Nanos};
 
-use crate::flows::FlowRegistry;
+use crate::flows::{FlowRegistry, FLOW_SLOTS};
 
-/// Sampler knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Clock ticks between samples (1 = every tick, i.e. every simulated
-    /// millisecond with the calibrated cost model). At the default of 4
-    /// a canonical 10,000-packet overload trial still records a few
-    /// hundred samples; what the sampler costs the host is the
-    /// benchmark's `kernel.telemetry.overhead_frac`.
-    pub interval_ticks: u32,
-    /// Sample budget per CPU; reaching it drops every other row and
-    /// doubles the effective interval.
-    pub max_samples: usize,
-}
+/// The argument of
+/// [`KernelConfigBuilder::telemetry`](crate::config::KernelConfigBuilder::telemetry).
+/// It has no fields — the sampler's settings are [`INTERVAL_TICKS`] and
+/// [`MAX_SAMPLES`] — and remains only because `benchmark/` names it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TelemetryConfig;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            interval_ticks: 4,
-            max_samples: 4096,
-        }
-    }
-}
+/// The argument of
+/// [`KernelConfigBuilder::observe`](crate::config::KernelConfigBuilder::observe),
+/// which turns on the per-flow registry ([`FlowRegistry`]), the online
+/// livelock detector ([`LivelockDetector`]) and the machine's
+/// cycle-ledger flamegraph fold. It has no fields — the detector's
+/// settings are the constants beside it — and remains only because
+/// `benchmark/` names it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ObserveConfig;
 
-/// Knobs for the per-flow observability layer: the flow metrics registry
-/// ([`FlowRegistry`]), the online livelock detector
-/// ([`LivelockDetector`]), and the machine's cycle-ledger flamegraph
-/// fold. `None` in
-/// [`KernelConfig::observe`](crate::config::KernelConfig::observe) (the
-/// default) allocates none of it and perturbs nothing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ObserveConfig {
-    /// Distinct flows the registry can track; later flows count as
-    /// overflow instead of growing the table.
-    pub flow_slots: usize,
-    /// Clock ticks per detector window (with the calibrated cost model,
-    /// one tick is one simulated millisecond).
-    pub window_ticks: u32,
-    /// Minimum arrivals in a window before the detector judges it —
-    /// idle or trickle windows carry no livelock signal.
-    pub min_window_arrivals: u64,
-    /// Livelock onset: delivered/arrived in a window falls below this.
-    pub onset_frac: f64,
-    /// Recovery: delivered/arrived in a window rises back above this
-    /// (above `onset_frac` for hysteresis, so jitter at the threshold
-    /// does not flap events).
-    pub recovery_frac: f64,
-    /// Consecutive windows a flow must see arrivals but zero deliveries
-    /// before a `FlowStarved` event fires (once per flow).
-    pub starve_windows: u32,
-    /// Consecutive violated windows (`Bulk` served while `Control`
-    /// misses its SLO or starves) before a `PriorityInversion` event
-    /// fires — a single window is fault noise, a streak is inversion.
-    pub inversion_windows: u32,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            flow_slots: 128,
-            window_ticks: 8,
-            min_window_arrivals: 16,
-            onset_frac: 0.05,
-            recovery_frac: 0.25,
-            starve_windows: 4,
-            inversion_windows: 2,
-        }
-    }
-}
+/// Clock ticks per detector window (with the calibrated cost model, one
+/// tick is one simulated millisecond).
+pub const WINDOW_TICKS: u32 = 8;
+/// Minimum arrivals in a window before the detector judges it — idle or
+/// trickle windows carry no livelock signal.
+pub const MIN_WINDOW_ARRIVALS: u64 = 16;
+/// Livelock onset: delivered/arrived in a window falls below this.
+pub const ONSET_FRAC: f64 = 0.05;
+/// Recovery: delivered/arrived in a window rises back above this (above
+/// [`ONSET_FRAC`] for hysteresis, so jitter at the threshold does not
+/// flap events).
+pub const RECOVERY_FRAC: f64 = 0.25;
+/// Consecutive windows a flow must see arrivals but zero deliveries
+/// before a `FlowStarved` event fires (once per flow).
+pub const STARVE_WINDOWS: u32 = 4;
+/// Consecutive violated windows (`Bulk` served while `Control` misses
+/// its SLO or starves) before a `PriorityInversion` event fires — a
+/// single window is fault noise, a streak is inversion.
+pub const INVERSION_WINDOWS: u32 = 2;
 
 /// What the online detector observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +87,7 @@ pub enum ObsEventKind {
         delivered: u64,
     },
     /// One flow kept arriving but was served nothing for
-    /// [`ObserveConfig::starve_windows`] consecutive windows (fires once
-    /// per flow).
+    /// [`STARVE_WINDOWS`] consecutive windows (fires once per flow).
     FlowStarved {
         /// The starved flow's RSS hash
         /// ([`flow_hash`](crate::flows::flow_hash)).
@@ -199,7 +165,6 @@ impl ObsEvent {
 /// run a disabled one would have produced.
 #[derive(Clone, Debug)]
 pub struct LivelockDetector {
-    cfg: ObserveConfig,
     cpu: CpuId,
     ticks_in_window: u32,
     last_arrived: u64,
@@ -222,10 +187,8 @@ pub struct LivelockDetector {
 impl LivelockDetector {
     /// Creates a detector for the kernel of `cpu`, with all per-flow
     /// watch state preallocated.
-    pub fn new(cfg: ObserveConfig, cpu: CpuId) -> Self {
-        let slots = cfg.flow_slots.max(1);
+    pub fn new(cpu: CpuId) -> Self {
         LivelockDetector {
-            cfg,
             cpu,
             ticks_in_window: 0,
             last_arrived: 0,
@@ -238,10 +201,10 @@ impl LivelockDetector {
             class_last_control_arrived: 0,
             class_last_control_delivered: 0,
             class_last_bulk_delivered: 0,
-            slot_arrived: vec![0; slots],
-            slot_delivered: vec![0; slots],
-            slot_starved: vec![0; slots],
-            slot_fired: vec![false; slots],
+            slot_arrived: vec![0; FLOW_SLOTS],
+            slot_delivered: vec![0; FLOW_SLOTS],
+            slot_starved: vec![0; FLOW_SLOTS],
+            slot_fired: vec![false; FLOW_SLOTS],
             events: Vec::new(),
         }
     }
@@ -278,7 +241,7 @@ impl LivelockDetector {
         flows: Option<&FlowRegistry>,
     ) -> bool {
         self.ticks_in_window += 1;
-        if self.ticks_in_window < self.cfg.window_ticks.max(1) {
+        if self.ticks_in_window < WINDOW_TICKS {
             return false;
         }
         self.ticks_in_window = 0;
@@ -290,9 +253,9 @@ impl LivelockDetector {
         self.last_delivered = delivered;
         self.last_user_chunks = user_chunks;
 
-        let loaded = arr >= self.cfg.min_window_arrivals.max(1);
+        let loaded = arr >= MIN_WINDOW_ARRIVALS;
         let frac_below = |frac: f64| (del as f64) < frac * (arr as f64);
-        if !self.livelocked && loaded && frac_below(self.cfg.onset_frac) {
+        if !self.livelocked && loaded && frac_below(ONSET_FRAC) {
             self.livelocked = true;
             self.events.push(ObsEvent {
                 at: now,
@@ -302,7 +265,7 @@ impl LivelockDetector {
                     delivered: del,
                 },
             });
-        } else if self.livelocked && (!loaded || !frac_below(self.cfg.recovery_frac)) {
+        } else if self.livelocked && (!loaded || !frac_below(RECOVERY_FRAC)) {
             self.livelocked = false;
             self.events.push(ObsEvent {
                 at: now,
@@ -346,7 +309,7 @@ impl LivelockDetector {
     /// cross-class priority inversion when `Bulk` traffic was still
     /// being served while `Control` either blew its p99 SLO or, despite
     /// arrivals, was served nothing at all; the event fires only after
-    /// [`ObserveConfig::inversion_windows`] *consecutive* such windows
+    /// [`INVERSION_WINDOWS`] *consecutive* such windows
     /// (a single window is fault noise — a lost interrupt or a consumer
     /// restart — a streak is inversion). Fires one
     /// [`ObsEventKind::PriorityInversion`] per episode: the latch
@@ -373,9 +336,7 @@ impl LivelockDetector {
         let violated = c_del == 0 || control_p99 > slo;
         if b_del > 0 && violated {
             self.class_violation_streak = self.class_violation_streak.saturating_add(1);
-            if self.class_violation_streak >= self.cfg.inversion_windows.max(1)
-                && !self.class_inversion_latched
-            {
+            if self.class_violation_streak >= INVERSION_WINDOWS && !self.class_inversion_latched {
                 self.class_inversion_latched = true;
                 self.events.push(ObsEvent {
                     at: now,
@@ -395,7 +356,7 @@ impl LivelockDetector {
     }
 
     /// Per-flow starvation watch: a flow with arrivals but zero
-    /// deliveries across [`ObserveConfig::starve_windows`] consecutive
+    /// deliveries across [`STARVE_WINDOWS`] consecutive
     /// windows fires one `FlowStarved` event (latched per flow).
     fn watch_flows(&mut self, now: Cycles, reg: &FlowRegistry) {
         let n = self.slot_arrived.len().min(reg.capacity());
@@ -413,7 +374,7 @@ impl LivelockDetector {
                 continue;
             }
             self.slot_starved[i] = self.slot_starved[i].saturating_add(1);
-            if self.slot_starved[i] >= self.cfg.starve_windows.max(1) && !self.slot_fired[i] {
+            if self.slot_starved[i] >= STARVE_WINDOWS && !self.slot_fired[i] {
                 self.slot_fired[i] = true;
                 self.events.push(ObsEvent {
                     at: now,
@@ -470,6 +431,16 @@ pub struct Sample {
     pub class_delivered: [u64; 3],
 }
 
+/// Clock ticks between samples (every tick is every simulated
+/// millisecond with the calibrated cost model). A canonical
+/// 10,000-packet overload trial still records a few hundred samples;
+/// what the sampler costs the host is the benchmark's
+/// `kernel.telemetry.overhead_frac`.
+pub const INTERVAL_TICKS: u32 = 4;
+/// Sample budget per CPU; reaching it drops every other row and doubles
+/// the effective interval.
+pub const MAX_SAMPLES: usize = 4096;
+
 /// The recorded telemetry: one [`Sample`] row per sampling instant per
 /// CPU. A kernel records its own CPU's rows; a trial's result holds every
 /// CPU's, [merged](Timeline::merge) in `(time, cpu)` order.
@@ -478,7 +449,6 @@ pub struct Timeline {
     /// The CPU whose kernel samples into this timeline.
     cpu: CpuId,
     interval_ticks: u32,
-    max_samples: usize,
     ticks_since_sample: u32,
     last_ledger: CycleLedger,
     last_taken: u64,
@@ -488,13 +458,11 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Creates an empty timeline, recorded by the kernel of `cpu`, for
-    /// the given sampler configuration.
-    pub fn new(cfg: TelemetryConfig, cpu: CpuId) -> Self {
+    /// Creates an empty timeline, recorded by the kernel of `cpu`.
+    pub fn new(cpu: CpuId) -> Self {
         Timeline {
             cpu,
-            interval_ticks: cfg.interval_ticks.max(1),
-            max_samples: cfg.max_samples.max(2),
+            interval_ticks: INTERVAL_TICKS,
             ticks_since_sample: 0,
             last_ledger: CycleLedger::new(),
             last_taken: 0,
@@ -573,7 +541,7 @@ impl Timeline {
         self.last_taken = taken;
         self.last_class_delivered = class_delivered;
         self.last_at = now;
-        if self.len() >= self.max_samples {
+        if self.len() >= MAX_SAMPLES {
             // Bounded memory for unbounded runs: keep every other row
             // and sample half as often from here on.
             let mut keep = false;
@@ -641,23 +609,39 @@ mod tests {
         CycleLedger::from_totals(by_class)
     }
 
+    /// Closes one detector window at `now`: [`WINDOW_TICKS`] clock ticks
+    /// reporting the same cumulative counters (only the closing tick
+    /// reads them).
+    fn window(
+        d: &mut LivelockDetector,
+        now: u64,
+        arrived: u64,
+        delivered: u64,
+        user_chunks: u64,
+        user_present: bool,
+        flows: Option<&FlowRegistry>,
+    ) {
+        let mut tick = || {
+            let at = Cycles::new(now);
+            d.on_tick(at, arrived, delivered, user_chunks, user_present, flows)
+        };
+        for _ in 1..WINDOW_TICKS {
+            assert!(!tick(), "the window is {WINDOW_TICKS} ticks");
+        }
+        assert!(tick(), "the window closes on tick {WINDOW_TICKS}");
+    }
+
     #[test]
     fn on_tick_respects_interval() {
-        let mut tl = Timeline::new(
-            TelemetryConfig {
-                interval_ticks: 3,
-                max_samples: 64,
-            },
-            CpuId(0),
-        );
-        let due: Vec<bool> = (0..6).map(|_| tl.on_tick()).collect();
-        assert_eq!(due, [false, false, true, false, false, true]);
+        let mut tl = Timeline::new(CpuId(0));
+        let due: Vec<bool> = (0..8).map(|_| tl.on_tick()).collect();
+        assert_eq!(due, [false, false, false, true, false, false, false, true]);
     }
 
     #[test]
     fn shares_cover_each_interval_exactly() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(TelemetryConfig::default(), CpuId(0));
+        let mut tl = Timeline::new(CpuId(0));
         tl.sample(
             Cycles::new(1_000),
             ledger_at(600, 400),
@@ -695,14 +679,10 @@ mod tests {
     #[test]
     fn decimation_bounds_memory_and_doubles_interval() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(
-            TelemetryConfig {
-                interval_ticks: 1,
-                max_samples: 8,
-            },
-            CpuId(0),
-        );
-        for i in 1..=40u64 {
+        let mut tl = Timeline::new(CpuId(0));
+        // Two budgets' worth: the first decimation at 4096 rows, the
+        // second when the 2048 survivors are joined by 2048 more.
+        for i in 1..=6_144u64 {
             tl.sample(
                 Cycles::new(i * 1_000),
                 ledger_at(i * 1_000, 0),
@@ -713,35 +693,37 @@ mod tests {
                 freq,
             );
         }
-        assert!(tl.len() <= 8, "bounded: {} samples", tl.len());
-        assert!(tl.interval_ticks() > 1, "interval doubled");
-        // Each decimation kept the first, third, ... rows: 1..=8 → 1 3 5 7,
-        // then 1 3 5 7 9 10 11 12 → 1 5 9 11, and so on.
-        let times: Vec<u64> = tl.rows().iter().map(|row| row.at.raw()).collect();
-        assert_eq!(times, [1_000, 33_000, 37_000, 39_000]);
+        assert_eq!(tl.len(), MAX_SAMPLES / 2, "bounded");
+        assert_eq!(
+            tl.interval_ticks(),
+            4 * INTERVAL_TICKS,
+            "interval doubled twice"
+        );
+        // Each decimation kept the first, third, ... rows: 1..=4096 → 1 3
+        // .. 4095, then those plus 4097..=6144 → 1 5 .. 4093 4097 4099 ..
+        // 6143.
+        let times: Vec<u64> = tl.rows().iter().map(|row| row.at.raw() / 1_000).collect();
+        assert_eq!(times[..3], [1, 5, 9]);
+        assert_eq!(times[1_023..1_026], [4_093, 4_097, 4_099]);
+        assert_eq!(times.last(), Some(&6_143));
     }
 
     #[test]
     fn detector_onset_and_recovery_with_hysteresis() {
-        let cfg = ObserveConfig {
-            window_ticks: 1,
-            min_window_arrivals: 10,
-            ..Default::default()
-        };
-        let mut d = LivelockDetector::new(cfg, CpuId(0));
+        let mut d = LivelockDetector::new(CpuId(0));
         // Healthy loaded window: no event.
-        d.on_tick(Cycles::new(1), 100, 90, 0, false, None);
+        window(&mut d, 1, 100, 90, 0, false, None);
         assert!(d.events().is_empty());
         // Collapse: 2 of 200 delivered (1% < 5%) -> onset.
-        d.on_tick(Cycles::new(2), 300, 92, 0, false, None);
+        window(&mut d, 2, 300, 92, 0, false, None);
         assert!(d.is_livelocked());
         // Partial improvement (10%, still under the 25% recovery bar):
         // hysteresis holds the livelocked state, no event flapping.
-        d.on_tick(Cycles::new(3), 500, 112, 0, false, None);
+        window(&mut d, 3, 500, 112, 0, false, None);
         assert!(d.is_livelocked());
         assert_eq!(d.events().len(), 1);
         // Real recovery (50%).
-        d.on_tick(Cycles::new(4), 700, 212, 0, false, None);
+        window(&mut d, 4, 700, 212, 0, false, None);
         assert!(!d.is_livelocked());
         let evs = d.take_events();
         assert_eq!(evs.len(), 2);
@@ -759,36 +741,26 @@ mod tests {
 
     #[test]
     fn detector_idle_windows_carry_no_signal_and_end_episodes() {
-        let cfg = ObserveConfig {
-            window_ticks: 1,
-            min_window_arrivals: 10,
-            ..Default::default()
-        };
-        let mut d = LivelockDetector::new(cfg, CpuId(0));
+        let mut d = LivelockDetector::new(CpuId(0));
         // Idle window: never an onset.
-        d.on_tick(Cycles::new(1), 5, 0, 0, false, None);
+        window(&mut d, 1, 5, 0, 0, false, None);
         assert!(!d.is_livelocked());
         // Livelock, then arrivals stop: the drained window recovers.
-        d.on_tick(Cycles::new(2), 300, 1, 0, false, None);
+        window(&mut d, 2, 300, 1, 0, false, None);
         assert!(d.is_livelocked());
-        d.on_tick(Cycles::new(3), 301, 1, 0, false, None);
+        window(&mut d, 3, 301, 1, 0, false, None);
         assert!(!d.is_livelocked(), "no input pressure means no livelock");
     }
 
     #[test]
     fn detector_priority_inversion_latches_per_episode() {
-        let cfg = ObserveConfig {
-            window_ticks: 1,
-            min_window_arrivals: 10,
-            ..Default::default()
-        };
-        let mut d = LivelockDetector::new(cfg, CpuId(0));
+        let mut d = LivelockDetector::new(CpuId(0));
         // User starved two loaded windows running: one event.
-        d.on_tick(Cycles::new(1), 100, 90, 0, true, None);
-        d.on_tick(Cycles::new(2), 200, 180, 0, true, None);
+        window(&mut d, 1, 100, 90, 0, true, None);
+        window(&mut d, 2, 200, 180, 0, true, None);
         // Progress resumes, then stalls again: a second episode.
-        d.on_tick(Cycles::new(3), 300, 270, 7, true, None);
-        d.on_tick(Cycles::new(4), 400, 360, 7, true, None);
+        window(&mut d, 3, 300, 270, 7, true, None);
+        window(&mut d, 4, 400, 360, 7, true, None);
         let inv: Vec<_> = d
             .events()
             .iter()
@@ -798,29 +770,24 @@ mod tests {
         assert_eq!(inv[0].at, Cycles::new(1));
         assert_eq!(inv[1].at, Cycles::new(4));
         // Without a configured user process the signal is meaningless.
-        let mut d2 = LivelockDetector::new(cfg, CpuId(0));
-        d2.on_tick(Cycles::new(1), 100, 90, 0, false, None);
+        let mut d2 = LivelockDetector::new(CpuId(0));
+        window(&mut d2, 1, 100, 90, 0, false, None);
         assert!(d2.events().is_empty());
     }
 
     #[test]
     fn user_inversion_latch_edge_progress_resuming_exactly_at_a_tick() {
-        let cfg = ObserveConfig {
-            window_ticks: 1,
-            min_window_arrivals: 10,
-            ..Default::default()
-        };
-        let mut d = LivelockDetector::new(cfg, CpuId(0));
+        let mut d = LivelockDetector::new(CpuId(0));
         // Loaded, user starved: episode opens, one event.
-        d.on_tick(Cycles::new(1), 100, 90, 0, true, None);
+        window(&mut d, 1, 100, 90, 0, true, None);
         // An *idle* starved window holds the latch: it neither clears
         // the episode nor fires a second event.
-        d.on_tick(Cycles::new(2), 105, 95, 0, true, None);
+        window(&mut d, 2, 105, 95, 0, true, None);
         // User progress lands exactly on the window-closing tick: that
         // single chunk is enough to end the episode at this boundary.
-        d.on_tick(Cycles::new(3), 205, 185, 1, true, None);
+        window(&mut d, 3, 205, 185, 1, true, None);
         // The very next starved loaded window is a fresh episode.
-        d.on_tick(Cycles::new(4), 305, 275, 1, true, None);
+        window(&mut d, 4, 305, 275, 1, true, None);
         let inv: Vec<_> = d
             .events()
             .iter()
@@ -844,7 +811,7 @@ mod tests {
     impl ClassJudge {
         fn new() -> Self {
             ClassJudge {
-                d: LivelockDetector::new(ObserveConfig::default(), CpuId(0)),
+                d: LivelockDetector::new(CpuId(0)),
                 arr: 0,
                 c_del: 0,
                 b_del: 0,
@@ -942,7 +909,6 @@ mod tests {
 
     #[test]
     fn detector_flow_starvation_fires_once_per_flow() {
-        use crate::flows::FlowRegistry;
         use livelock_net::FlowKey;
         let key = |p: u16| FlowKey {
             src_ip: 1,
@@ -951,22 +917,15 @@ mod tests {
             src_port: p,
             dst_port: 9,
         };
-        let cfg = ObserveConfig {
-            window_ticks: 1,
-            min_window_arrivals: 1,
-            starve_windows: 2,
-            flow_slots: 8,
-            ..Default::default()
-        };
-        let mut d = LivelockDetector::new(cfg, CpuId(0));
-        let mut reg = FlowRegistry::new(8);
+        let mut d = LivelockDetector::new(CpuId(0));
+        let mut reg = FlowRegistry::new(FLOW_SLOTS);
         let freq = Freq::mhz(100);
-        for w in 1..=4u64 {
+        for w in 1..=u64::from(STARVE_WINDOWS) + 2 {
             // Flow 1 arrives and is served; flow 2 arrives and never is.
             reg.record_arrival(Some(key(1)));
             reg.record_delivery(Some(key(1)), Cycles::ZERO, Cycles::new(w), freq);
             reg.record_arrival(Some(key(2)));
-            d.on_tick(Cycles::new(w * 100), w * 2, w, 0, false, Some(&reg));
+            window(&mut d, w * 100, w * 2, w, 0, false, Some(&reg));
         }
         let starved: Vec<_> = d
             .events()
@@ -978,7 +937,7 @@ mod tests {
             .collect();
         assert_eq!(starved.len(), 1, "one event per starved flow");
         assert_eq!(starved[0].0, crate::flows::flow_hash(key(2)));
-        assert_eq!(starved[0].1, 2);
+        assert_eq!(starved[0].1, STARVE_WINDOWS);
     }
 
     #[test]
@@ -1011,7 +970,7 @@ mod tests {
     #[test]
     fn csv_has_header_and_one_row_per_sample() {
         let freq = Freq::mhz(100);
-        let mut tl = Timeline::new(TelemetryConfig::default(), CpuId(0));
+        let mut tl = Timeline::new(CpuId(0));
         tl.sample(
             Cycles::new(100_000),
             ledger_at(50_000, 50_000),

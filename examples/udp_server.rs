@@ -17,8 +17,8 @@
 use std::net::Ipv4Addr;
 
 use livelock_core::poller::Quota;
-use livelock_kernel::config::{FeedbackConfig, KernelConfig, LocalDeliveryConfig};
-use livelock_kernel::experiment::TrialSpec;
+use livelock_kernel::config::{KernelConfig, LocalDeliveryConfig};
+use livelock_kernel::experiment::{TrialSpec, WARMUP_FRAC};
 use livelock_net::gen::PacketFactory;
 
 fn main() {
@@ -37,10 +37,7 @@ fn main() {
                 .build(),
             KernelConfig::builder()
                 .polled(Quota::Limited(10))
-                .local_delivery(LocalDeliveryConfig {
-                    feedback: Some(FeedbackConfig::default()),
-                    ..LocalDeliveryConfig::default()
-                })
+                .local_delivery(LocalDeliveryConfig { feedback: true })
                 .ip_forwarding(false)
                 .build(),
         ] {
@@ -92,7 +89,7 @@ fn run_with_local_dst(spec: &TrialSpec) -> f64 {
     let first = times[0];
     let last = *times.last().expect("nonempty");
     let span = last - first;
-    let start = first + Cycles::new((span.raw() as f64 * spec.warmup_frac) as u64);
+    let start = first + Cycles::new((span.raw() as f64 * WARMUP_FRAC) as u64);
     engine.workload_mut().stats_mut().set_window(start, last);
     engine.run_until(last);
     engine.workload().stats().app_delivered_pps(freq)

@@ -49,13 +49,24 @@ case "$jobs" in
 '' | *[!0-9]* | 0) echo "ci: --jobs: bad thread count '$jobs'" >&2; usage ;;
 esac
 
-echo "== tier 1: cargo build --release =="
+# Opens a step: prints the wall time of the one before it (printed,
+# never gated) and this one's banner. `step ""` closes the last step.
+step_name=
+step_start=$SECONDS
+step() {
+    [ -z "$step_name" ] || echo "ci: $((SECONDS - step_start)) s — $step_name"
+    step_name=$1
+    step_start=$SECONDS
+    [ -z "$step_name" ] || echo "== $step_name =="
+}
+
+step "tier 1: cargo build --release"
 cargo build --release || exit 1
 
-echo "== tier 1: cargo test -q =="
+step "tier 1: cargo test -q"
 cargo test -q || exit 1
 
-echo "== property tests: --features proptest =="
+step "property tests: --features proptest"
 # The property suites are opt-in per crate, so tier 1 compiles them out.
 # They hold the scheduler-equivalence properties (heap == calendar, and
 # streamed arrivals == arrivals scheduled up front) that the default-heap
@@ -65,7 +76,7 @@ cargo test -q --offline --features proptest \
     -p livelock-sim -p livelock-net -p livelock-machine \
     -p livelock-core -p livelock-kernel || exit 1
 
-echo "== benchmark crate: build + test =="
+step "benchmark crate: build + test"
 # benchmark/ is a package of its own (outside the workspace, so tier 1
 # never sees it) that links the simulator's public types and the figure
 # table's entry points. Build and test it here so a change to those
@@ -77,14 +88,14 @@ repo=$(pwd)
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-echo "== counted lines under crates/ (printed, never gated) =="
+step "counted lines under crates/ (printed, never gated)"
 # ROADMAP 4's measure, so each PR's number is reproduced, not hand-counted:
 # non-blank, non-comment lines before a file's first top-level
 # #[cfg(test)], with crates/**/tests and the lint fixtures left out.
 find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
 
-echo "== simlint: determinism / panic-freedom / unit-discipline / exit-code registry =="
+step "simlint: determinism / panic-freedom / unit-discipline / exit-code registry"
 # The workspace's own static-analysis pass (crates/lint). It enforces the
 # conventions the compiler cannot see: no wall-clock time or hash-ordered
 # maps in deterministic crates, panic-free library code, no unit-named
@@ -101,7 +112,7 @@ else
     exit 7
 fi
 
-echo "== clippy (advisory) =="
+step "clippy (advisory)"
 # Advisory only: clippy versions drift and this container may not ship
 # it; a finding here never gates, it just surfaces in the log.
 if cargo clippy --version > /dev/null 2>&1; then
@@ -136,7 +147,7 @@ quick_figures() {
     esac
 }
 
-echo "== figures --quick: every claim, byte-identical across job counts =="
+step "figures --quick: every claim, byte-identical across job counts"
 # Every trial is independently seeded, so no CSV may depend on how trials
 # were fanned out — fault storms, SMP slice interleaving, the observe
 # layer and the class dimension included. Render the whole table serially
@@ -160,7 +171,8 @@ else
 fi
 # A degenerate trial or storm spec is a usage error, not a panic (exit
 # 101) or a hang (hence the timeout: an unbounded storm never returns).
-for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" "chaos --packets 5"; do
+for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" \
+    "chaos --packets 5" "trial --rate 1e-6 --packets 2"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
     if [ "$rc" -eq 2 ]; then
@@ -171,7 +183,7 @@ for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity i
     fi
 done
 
-echo "== SMP trace smoke: --chrome-trace honours --ncpus, deterministically =="
+step "SMP trace smoke: --chrome-trace honours --ncpus, deterministically"
 # One trial pipeline serves every entry point, so tracing a 4-CPU trial
 # must measure the same 4-CPU trial (it used to silently run one CPU),
 # export one Chrome-trace process group per CPU, and — like every other
@@ -215,7 +227,7 @@ PYEOF
     fi
 done
 
-echo "== determinism: event stream and flamegraph byte-identical across runs =="
+step "determinism: event stream and flamegraph byte-identical across runs"
 # The observability artifacts themselves are part of the determinism
 # contract: the JSONL event stream and the folded flamegraph from two
 # fresh processes of the same trial must match byte for byte. The same
@@ -256,7 +268,7 @@ else
     exit 10
 fi
 
-echo "== committed results: full-fidelity figures byte-identical =="
+step "committed results: full-fidelity figures byte-identical"
 # The committed results/*.csv are the paper artifact; the engine (default
 # heap scheduler, arrivals streamed from the arrival source) must
 # reproduce every byte. Regenerate the full-fidelity set in scratch and
@@ -274,7 +286,7 @@ done
 [ "$results_ok" -eq 1 ] || exit 1
 echo "ci: all committed results/*.csv byte-identical to a fresh render"
 
-echo "== benchmark smoke: every unit checked, sim_digests as committed =="
+step "benchmark smoke: every unit checked, sim_digests as committed"
 # One second per workload of the repo's benchmark: every unit it runs is
 # checked (conservation, full-fidelity CSV identity, rerun bit-identity),
 # and each workload's sim_digest — a hash of what was simulated,
@@ -311,7 +323,7 @@ else
     exit 8
 fi
 
-echo "== observe smoke: online detection exit codes =="
+step "observe smoke: online detection exit codes"
 # The observe subcommand's contract is its exit code: 0 when every
 # `livelock observe` claim holds (README's claims table), the violated
 # claim's code otherwise, 2 on bad arguments.
@@ -331,7 +343,7 @@ else
     exit 11
 fi
 
-echo "== chaos smoke: seeded fault storm, graceful-degradation invariants =="
+step "chaos smoke: seeded fault storm, graceful-degradation invariants"
 # A fixed-seed storm against both kernels: the polled kernel must keep
 # delivering, un-wedge every injected stall, and conserve the ledger,
 # while the unmodified kernel livelocks under the identical plan. The
@@ -345,7 +357,7 @@ else
     exit 6
 fi
 
-echo "== chaos --priority smoke: inversion storm, per-invariant exit codes =="
+step "chaos --priority smoke: inversion storm, per-invariant exit codes"
 # The priority storm variant: under the same seeded fault storm the
 # classified polled kernel must produce no priority-inversion event
 # (exit 9 if it does) while the single-class unmodified kernel must
@@ -368,4 +380,5 @@ else
     exit 6
 fi
 
-echo "ci: OK"
+step ""
+echo "ci: OK (${SECONDS} s)"

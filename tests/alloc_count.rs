@@ -120,7 +120,7 @@ fn observed_and_classified() {
         .polled(Quota::Limited(10))
         .screend(Default::default())
         .feedback(Default::default())
-        .observe(ObserveConfig::default())
+        .observe(ObserveConfig)
         .classes(ClassifyConfig {
             rules: vec![
                 MatchRule::src_port(7_000, TrafficClass::Control),

@@ -1016,10 +1016,7 @@ fn timeline_csv_is_identical_at_any_job_count() {
 
     let cfg = KernelConfig::builder()
         .polled(Quota::Limited(10))
-        .telemetry(TelemetryConfig {
-            interval_ticks: 2,
-            max_samples: 4096,
-        })
+        .telemetry(TelemetryConfig)
         .build();
     let base = TrialSpec {
         n_packets: 800,

@@ -4,7 +4,7 @@
 use std::net::Ipv4Addr;
 
 use livelock_core::poller::Quota;
-use livelock_kernel::config::{FeedbackConfig, KernelConfig, LocalDeliveryConfig};
+use livelock_kernel::config::{KernelConfig, LocalDeliveryConfig};
 use livelock_kernel::router::{Event, RouterKernel};
 use livelock_kernel::stats::KernelStats;
 use livelock_machine::cpu::Engine;
@@ -50,7 +50,7 @@ fn serve(cfg: KernelConfig, rate: f64, n: usize) -> (KernelStats, f64) {
 fn light_load_serves_and_replies() {
     for cfg in [
         KernelConfig::builder().local_delivery(Default::default()).ip_forwarding(false).build(),
-        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..Default::default() }).ip_forwarding(false).build(),
+        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: true }).ip_forwarding(false).build(),
     ] {
         let (s, goodput) = serve(cfg, 800.0, 800);
         assert_eq!(s.app_delivered, 800, "stats: {s:?}");
@@ -88,7 +88,7 @@ fn unmodified_end_system_starves_application() {
 #[test]
 fn polled_end_system_sustains_goodput() {
     let (s, high) = serve(
-        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..Default::default() }).ip_forwarding(false).build(),
+        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: true }).ip_forwarding(false).build(),
         9_000.0,
         4_000,
     );
@@ -104,7 +104,7 @@ fn polled_end_system_sustains_goodput() {
 #[test]
 fn replies_are_well_formed() {
     let (s, _) = serve(
-        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..Default::default() }).ip_forwarding(false).build(),
+        KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: true }).ip_forwarding(false).build(),
         500.0,
         300,
     );
@@ -127,11 +127,7 @@ fn no_listener_counts_errors() {
 /// application consumption).
 #[test]
 fn app_latency_recorded() {
-    let mut cfg = KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..Default::default() }).ip_forwarding(false).build();
-    cfg.local = Some(LocalDeliveryConfig {
-        reply: false,
-        ..LocalDeliveryConfig::default()
-    });
+    let cfg = KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig::default()).ip_forwarding(false).build();
     let (s, _) = serve(cfg, 500.0, 200);
     assert_eq!(s.latency.count(), 200);
     assert!(s.latency.mean().raw() > 100_000, "sub-0.1ms is implausible");
@@ -201,7 +197,7 @@ fn bystander_flood_starves_the_unprotected_application() {
     // serving several times more of its load, and (b) most of the storm is
     // shed for free at the interface instead of being processed and then
     // discarded.
-    let mut protected = KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: Some(FeedbackConfig::default()), ..Default::default() }).ip_forwarding(false).build();
+    let mut protected = KernelConfig::builder().polled(Quota::Limited(10)).local_delivery(LocalDeliveryConfig { feedback: true }).ip_forwarding(false).build();
     if let livelock_kernel::config::Mode::Polled(p) = &mut protected.mode {
         p.cycle_limit_frac = Some(0.5);
     }
