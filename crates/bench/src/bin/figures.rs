@@ -86,7 +86,7 @@ fn main() {
         io_errors.push(format!("cannot create {}: {e}", out_dir.display()));
     }
     let mut violations = Vec::new();
-    for fig in table.iter().filter(|f| args.only.as_deref().map_or(true, |id| id == f.id)) {
+    for fig in table.iter().filter(|f| args.only.as_deref().is_none_or(|id| id == f.id)) {
         eprintln!(
             "rendering figure {} ({n_packets} packets/trial, {jobs} jobs)...",
             fig.id

@@ -843,7 +843,7 @@ mod tests {
             // Parse, then the subcommand's own checks: every row is
             // refused before a trial runs.
             let run = subcommand(cmd).expect("a subcommand").1;
-            let err = parse(cmd, &raw).and_then(|a| run(&a)).err().expect("a degenerate spec");
+            let err = parse(cmd, &raw).and_then(|a| run(&a)).expect_err("a degenerate spec");
             assert!(err.starts_with(flag), "{cmd} {raw:?}: {err}");
             assert!(!err.contains('\n'), "one line: {err}");
         }

@@ -334,7 +334,7 @@ fn ledger_conserved(e: &Evidence) -> Option<String> {
 }
 
 fn polled_delivers(e: &Evidence) -> Option<String> {
-    let stormed = e.drained.map_or(true, |d| d.scheduled_faults > 0);
+    let stormed = e.drained.is_none_or(|d| d.scheduled_faults > 0);
     (stormed && e.polled.delivered_pps <= 0.0)
         .then(|| "polled kernel delivers nothing (fault-induced livelock)".to_string())
 }

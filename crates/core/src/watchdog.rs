@@ -75,7 +75,9 @@ impl GateWatchdog {
 #[cfg(test)]
 mod gate_watchdog_tests {
     use super::*;
-    use crate::gate::{InhibitReason, IntrGate};
+    use crate::gate::InhibitReason;
+    #[cfg(feature = "proptest")]
+    use crate::gate::IntrGate;
     #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 

@@ -60,5 +60,6 @@ pub use stats::{
     ClassCounters, ClassStats, DropReason, DropStats, FaultStats, KernelStats, LatencyStats, Stage,
 };
 pub use telemetry::{
-    LivelockDetector, ObsEvent, ObsEventKind, ObserveConfig, QueueDepths, TelemetryConfig, Timeline,
+    LivelockDetector, ObsEvent, ObsEventKind, ObserveConfig, QueueDepths, TelemetryConfig,
+    Timeline, Totals,
 };

@@ -69,6 +69,10 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned worker pool: results are restored to input order below"
+    )]
     let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
@@ -121,6 +125,10 @@ mod tests {
     fn uneven_work_still_ordered() {
         // Later items finish first; order must still be the input's.
         let items: Vec<u64> = (0..20).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sleep reorders completion on purpose, to show the output order does not follow it"
+        )]
         let out = par_map(&items, 4, |&x| {
             std::thread::sleep(std::time::Duration::from_micros(200 * (20 - x)));
             x

@@ -354,7 +354,7 @@ mod tests {
             .collect();
         let mut want = Vec::new();
         for (c, &budget) in BURST.iter().enumerate() {
-            want.extend(std::iter::repeat(c).take(budget as usize));
+            want.extend(std::iter::repeat_n(c, budget as usize));
         }
         want.push(0);
         assert_eq!(picks, want);

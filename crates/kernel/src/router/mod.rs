@@ -71,7 +71,7 @@ pub(crate) use smp::{CpuLink, STEAL_BUF_CAP};
 use crate::config::{KernelConfig, Mode};
 use crate::flows::{FlowRegistry, FLOW_SLOTS};
 use crate::stats::{DropReason, KernelStats};
-use crate::telemetry::{LivelockDetector, ObsEvent, QueueDepths, Timeline};
+use crate::telemetry::{LivelockDetector, ObsEvent, QueueDepths, Timeline, Totals};
 
 use livelock_machine::ledger::CycleLedger;
 
@@ -565,23 +565,24 @@ impl RouterKernel {
     /// cycle ledger), every queue depth along the forwarding path, the
     /// interrupt gate's inhibit bitmask, and the interrupt rate.
     fn sample_telemetry(&mut self, env: &mut Env<'_, Event>) {
-        if !self.stats.timeline.as_mut().is_some_and(Timeline::on_tick) {
-            return;
+        if self.stats.timeline.as_mut().is_some_and(Timeline::on_tick) {
+            self.record_sample(env.now(), env.ledger(), env.intr_total_taken());
         }
-        let depths = self.queue_depths();
-        let class_delivered = self.class_delivered_cum();
-        let Some(tl) = &mut self.stats.timeline else {
-            return;
+    }
+
+    /// Records one timeline sample at `now` from the machine's cumulative
+    /// `ledger` and interrupt count `intr_taken` and the kernel's own
+    /// counters, queues and gate.
+    fn record_sample(&mut self, now: Cycles, ledger: CycleLedger, intr_taken: u64) {
+        let totals = Totals {
+            ledger,
+            intr_taken,
+            class_delivered: self.class_delivered_cum(),
         };
-        tl.sample(
-            env.now(),
-            env.ledger(),
-            env.intr_total_taken(),
-            depths,
-            self.gate.bits(),
-            class_delivered,
-            self.cost.freq,
-        );
+        let (depths, gate_bits, freq) = (self.queue_depths(), self.gate.bits(), self.cost.freq);
+        if let Some(tl) = &mut self.stats.timeline {
+            tl.sample(now, totals, depths, gate_bits, freq);
+        }
     }
 
     /// Cumulative per-traffic-class delivery counters for the timeline
@@ -618,17 +619,9 @@ impl RouterKernel {
     /// got a tick-aligned sample, record one final sample at drain so
     /// the series always has at least one point.
     pub(crate) fn finalize_timeline(&mut self, now: Cycles, ledger: CycleLedger, taken: u64) {
-        let depths = self.queue_depths();
-        let gate = self.gate.bits();
-        let freq = self.cost.freq;
-        let class_delivered = self.class_delivered_cum();
-        let Some(tl) = &mut self.stats.timeline else {
-            return;
-        };
-        if !tl.is_empty() {
-            return;
+        if self.stats.timeline.as_ref().is_some_and(Timeline::is_empty) {
+            self.record_sample(now, ledger, taken);
         }
-        tl.sample(now, ledger, taken, depths, gate, class_delivered, freq);
     }
 
     /// Clock-tick observability hook: feeds the windowed livelock

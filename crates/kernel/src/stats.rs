@@ -877,6 +877,10 @@ impl KernelStats {
     /// # Panics
     ///
     /// Panics if more packets left the cluster than entered it.
+    #[expect(
+        clippy::expect_used,
+        reason = "conservation is the delivered-throughput honesty gate; violating it must abort loudly"
+    )]
     pub(crate) fn in_flight_of<'a>(kernels: impl Iterator<Item = &'a KernelStats>) -> u64 {
         let (mut entered, mut gone) = (0u64, 0u64);
         for s in kernels {
@@ -885,7 +889,6 @@ impl KernelStats {
         }
         entered
             .checked_sub(gone)
-            // simlint: allow(panic-freedom): conservation is the delivered-throughput honesty gate; violating it must abort loudly
             .expect("packet conservation violated")
     }
 }

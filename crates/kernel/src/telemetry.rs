@@ -404,6 +404,20 @@ pub struct QueueDepths {
     pub socket_q: usize,
 }
 
+/// The cumulative counters a [`Timeline`] reads at each sample and
+/// differences against the previous sample's.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Totals {
+    /// The CPU's conserved cycle ledger.
+    pub ledger: CycleLedger,
+    /// Hardware interrupts taken.
+    pub intr_taken: u64,
+    /// Deliveries per traffic class, indexed by
+    /// [`TrafficClass::index`](livelock_net::TrafficClass::index);
+    /// all-zero when flow classification is off.
+    pub class_delivered: [u64; 3],
+}
+
 /// One telemetry sample: what one CPU's kernel saw at one instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
@@ -450,10 +464,8 @@ pub struct Timeline {
     cpu: CpuId,
     interval_ticks: u32,
     ticks_since_sample: u32,
-    last_ledger: CycleLedger,
-    last_taken: u64,
+    last: Totals,
     last_at: Cycles,
-    last_class_delivered: [u64; 3],
     rows: Vec<Sample>,
 }
 
@@ -464,10 +476,8 @@ impl Timeline {
             cpu,
             interval_ticks: INTERVAL_TICKS,
             ticks_since_sample: 0,
-            last_ledger: CycleLedger::new(),
-            last_taken: 0,
+            last: Totals::default(),
             last_at: Cycles::ZERO,
-            last_class_delivered: [0; 3],
             rows: Vec::new(),
         }
     }
@@ -504,42 +514,36 @@ impl Timeline {
         self.rows.is_empty()
     }
 
-    /// Records one sample at time `now`: per-class CPU shares over the
-    /// interval since the previous sample (from the conserved `ledger`),
-    /// queue depths, gate state, the interrupt rate derived from the
-    /// controller's cumulative `taken` count, and per-traffic-class
-    /// delivery deltas from the cumulative `class_delivered` counters
-    /// (all-zero when classification is off).
+    /// Records one sample at time `now`: per-class CPU shares, the
+    /// interrupt rate and per-traffic-class deliveries over the interval
+    /// since the previous sample (from the cumulative `totals`), plus the
+    /// queue depths and gate state at `now`.
     pub fn sample(
         &mut self,
         now: Cycles,
-        ledger: CycleLedger,
-        taken: u64,
+        totals: Totals,
         depths: QueueDepths,
         gate_bits: u8,
-        class_delivered: [u64; 3],
         freq: Freq,
     ) {
         let span_secs = freq.secs_from_cycles(now - self.last_at);
         self.rows.push(Sample {
             at: now,
             cpu: self.cpu,
-            cpu_share: ledger.since(&self.last_ledger).shares(),
+            cpu_share: totals.ledger.since(&self.last.ledger).shares(),
             depths,
             gate_bits,
             intr_rate: if span_secs > 0.0 {
-                (taken - self.last_taken) as f64 / span_secs
+                (totals.intr_taken - self.last.intr_taken) as f64 / span_secs
             } else {
                 0.0
             },
             class_delivered: std::array::from_fn(|i| {
-                class_delivered[i].saturating_sub(self.last_class_delivered[i])
+                totals.class_delivered[i].saturating_sub(self.last.class_delivered[i])
             }),
         });
 
-        self.last_ledger = ledger;
-        self.last_taken = taken;
-        self.last_class_delivered = class_delivered;
+        self.last = totals;
         self.last_at = now;
         if self.len() >= MAX_SAMPLES {
             // Bounded memory for unbounded runs: keep every other row
@@ -609,6 +613,14 @@ mod tests {
         CycleLedger::from_totals(by_class)
     }
 
+    fn totals(ledger: CycleLedger, intr_taken: u64) -> Totals {
+        Totals {
+            ledger,
+            intr_taken,
+            class_delivered: [0; 3],
+        }
+    }
+
     /// Closes one detector window at `now`: [`WINDOW_TICKS`] clock ticks
     /// reporting the same cumulative counters (only the closing tick
     /// reads them).
@@ -644,21 +656,17 @@ mod tests {
         let mut tl = Timeline::new(CpuId(0));
         tl.sample(
             Cycles::new(1_000),
-            ledger_at(600, 400),
-            10,
+            totals(ledger_at(600, 400), 10),
             QueueDepths::default(),
             0,
-            [0; 3],
             freq,
         );
         // Second interval: 1000 more cycles, all rx.
         tl.sample(
             Cycles::new(2_000),
-            ledger_at(1_600, 400),
-            30,
+            totals(ledger_at(1_600, 400), 30),
             QueueDepths::default(),
             0b101,
-            [0; 3],
             freq,
         );
         let rows = tl.rows();
@@ -685,11 +693,9 @@ mod tests {
         for i in 1..=6_144u64 {
             tl.sample(
                 Cycles::new(i * 1_000),
-                ledger_at(i * 1_000, 0),
-                i,
+                totals(ledger_at(i * 1_000, 0), i),
                 QueueDepths::default(),
                 0,
-                [0; 3],
                 freq,
             );
         }
@@ -973,14 +979,12 @@ mod tests {
         let mut tl = Timeline::new(CpuId(0));
         tl.sample(
             Cycles::new(100_000),
-            ledger_at(50_000, 50_000),
-            5,
+            totals(ledger_at(50_000, 50_000), 5),
             QueueDepths {
                 rx_ring: 3,
                 ..QueueDepths::default()
             },
             1,
-            [0; 3],
             freq,
         );
         let csv = tl.to_csv(freq);

@@ -2,21 +2,20 @@
 // comments, strings, and doc examples — a lexical matcher that is not
 // comment/string-aware would drown in false positives on this file.
 //
-// HashMap Instant::now() std::thread::spawn .unwrap() panic!("no")
-// stats.rx_ring_drops += 1; ledger.charge(ctx, c); KernelConfig::unmodified()
+// fn f(t_ns: u64) {} struct S { deadline_cycles: u64 }
+// std::process::exit(42); ExitCode::from(9)
 
 /// Doc example, never compiled by simlint:
 /// ```
-/// let m = std::collections::HashMap::new();
-/// let t = std::time::Instant::now();
-/// q.pop().unwrap();
+/// let delay_us: f64 = 1.0;
+/// std::process::exit(3);
 /// ```
 fn clean() -> &'static str {
-    let a = "HashMap::new() and Instant::now() in a string";
-    let b = r#"stats.ipintrq_drops += 1; KernelConfig::polled()"#;
-    let c = "ledger.charge(ctx, cycles); panic!(\"quoted\")";
+    let a = "fn f(t_ns: u64) and std::process::exit(42) in a string";
+    let b = r#"struct S { x_ms: u32 } ExitCode::from(9)"#;
+    let c = "let d_us: f64 = 1.0; process::exit(\"quoted\")";
     let _ = (a, b, c);
-    /* block comment: x.unwrap(); y.expect("msg"); todo!();
-       nested /* std::thread::sleep */ still a comment */
+    /* block comment: fn g(t_cycles: u64) {} std::process::exit(5);
+       nested /* ExitCode::from(7) */ still a comment */
     "ok"
 }

@@ -1,14 +1,19 @@
-// Fixture: one well-formed suppression (silences the next line) and two
-// malformed ones (missing reason / unknown rule), which are findings in
-// their own right.
-fn suppressed(o: Option<u8>) -> u8 {
-    // simlint: allow(panic-freedom): fixture demonstrates a justified invariant
-    o.unwrap()
+// Fixture: two well-formed suppressions (each silences the next line)
+// and two malformed ones (missing reason / unknown rule), which are
+// findings in their own right.
+struct Suppressed {
+    // simlint: allow(unit-discipline): fixture demonstrates a justified exception
+    skew_cycles: i64,
 }
 
-// simlint: allow(panic-freedom)
-fn missing_reason(o: Option<u8>) -> u8 {
-    o.unwrap()
+fn suppressed_exit() {
+    // simlint: allow(exit-code-registry): fixture demonstrates a justified exception
+    std::process::exit(42);
+}
+
+// simlint: allow(unit-discipline)
+fn missing_reason(t_ns: u64) -> u64 {
+    t_ns
 }
 
 // simlint: allow(no-such-rule): the rule name is wrong

@@ -1,196 +1,23 @@
-//! The checked-in baseline of grandfathered findings.
+//! The baseline that is no longer there.
 //!
-//! New rules land against an existing codebase; the baseline records the
-//! findings that predate the rule so the gate can hold the line at "no
-//! *new* violations" while the backlog is burned down. Entries are keyed
-//! by `(rule, file, snippet)` rather than line number, so unrelated edits
-//! to a file do not invalidate the baseline; each entry absorbs one
-//! finding with that key, so *adding* a second identical violation to the
-//! same file still fails the gate.
+//! simlint once grandfathered pre-existing findings in a checked-in
+//! baseline file. The file held no entry for many releases and is gone,
+//! with its format, its writer and the rule that failed on stale
+//! entries. [`Baseline`] survives as a field-less type only because the
+//! standalone `benchmark/` crate calls [`Baseline::load`] and passes the
+//! result to [`crate::lint_workspace`]; `TelemetryConfig` is kept the
+//! same way.
 
-use std::collections::BTreeMap;
-use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::Finding;
-
-/// A multiset of baseline keys.
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    counts: BTreeMap<String, usize>,
-}
-
-fn key(rule: &str, file: &str, snippet: &str) -> String {
-    format!("{rule}\t{file}\t{snippet}")
-}
+/// An empty baseline: it absorbs no finding.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Baseline;
 
 impl Baseline {
-    /// Loads a baseline file; a missing file is an empty baseline.
-    pub fn load(path: &Path) -> io::Result<Baseline> {
-        match fs::read_to_string(path) {
-            Ok(text) => Ok(Baseline::parse(&text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Baseline::default()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Parses the line-oriented format: `rule<TAB>file<TAB>snippet`,
-    /// `#`-comments and blank lines ignored. Duplicate lines accumulate.
-    pub fn parse(text: &str) -> Baseline {
-        let mut counts = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim_end();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            *counts.entry(line.to_string()).or_insert(0) += 1;
-        }
-        Baseline { counts }
-    }
-
-    /// Splits findings into (fresh, baselined). Each baseline entry
-    /// absorbs at most one finding with its key; order is the engine's
-    /// deterministic (file, line) order.
-    pub fn partition(&self, findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>) {
-        let (fresh, grandfathered, _) = self.partition_stale(findings);
-        (fresh, grandfathered)
-    }
-
-    /// Like [`Baseline::partition`], but also returns the *stale* keys:
-    /// baseline entries that absorbed nothing because the tree no longer
-    /// produces a matching finding (one key per unspent entry). Stale
-    /// entries are a gate failure in their own right (`stale-baseline`,
-    /// exit 22) — a burned-down finding must leave the baseline, or it
-    /// could silently resurrect later.
-    pub fn partition_stale(
-        &self,
-        findings: Vec<Finding>,
-    ) -> (Vec<Finding>, Vec<Finding>, Vec<String>) {
-        let mut budget = self.counts.clone();
-        let mut fresh = Vec::new();
-        let mut grandfathered = Vec::new();
-        for f in findings {
-            let k = key(&f.rule, &f.file, &f.snippet);
-            match budget.get_mut(&k) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    grandfathered.push(f);
-                }
-                _ => fresh.push(f),
-            }
-        }
-        let mut stale = Vec::new();
-        for (k, n) in &budget {
-            for _ in 0..*n {
-                stale.push(k.clone());
-            }
-        }
-        (fresh, grandfathered, stale)
-    }
-
-    /// Renders findings as baseline-file content (sorted, with a header).
-    pub fn render(findings: &[Finding]) -> String {
-        let mut lines: Vec<String> = findings
-            .iter()
-            .map(|f| key(&f.rule, &f.file, &f.snippet))
-            .collect();
-        lines.sort();
-        let mut out = String::from(
-            "# simlint baseline: grandfathered findings, one per line as\n\
-             # rule<TAB>file<TAB>snippet. Regenerate with `cargo run -p lint -- --write-baseline`.\n\
-             # Entries absorb exactly one matching finding each; burn this file down, never grow it.\n",
-        );
-        for l in lines {
-            out.push_str(&l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Total number of entries.
-    pub fn len(&self) -> usize {
-        self.counts.values().sum()
-    }
-
-    /// Returns `true` when the baseline has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn finding(rule: &str, file: &str, line: u32, snippet: &str) -> Finding {
-        Finding {
-            rule: rule.to_string(),
-            file: file.to_string(),
-            line,
-            snippet: snippet.to_string(),
-            message: String::from("m"),
-        }
-    }
-
-    #[test]
-    fn matching_ignores_line_numbers() {
-        let b = Baseline::parse("panic-freedom\tcrates/net/src/a.rs\t.expect(\n");
-        let (fresh, old) = b.partition(vec![finding(
-            "panic-freedom",
-            "crates/net/src/a.rs",
-            999,
-            ".expect(",
-        )]);
-        assert!(fresh.is_empty());
-        assert_eq!(old.len(), 1);
-    }
-
-    #[test]
-    fn each_entry_absorbs_one_finding() {
-        let b = Baseline::parse("panic-freedom\tf.rs\t.unwrap(\n");
-        let (fresh, old) = b.partition(vec![
-            finding("panic-freedom", "f.rs", 1, ".unwrap("),
-            finding("panic-freedom", "f.rs", 2, ".unwrap("),
-        ]);
-        assert_eq!(old.len(), 1, "first occurrence grandfathered");
-        assert_eq!(fresh.len(), 1, "the second is a fresh violation");
-    }
-
-    #[test]
-    fn duplicate_lines_accumulate() {
-        let b = Baseline::parse("r\tf.rs\ts\nr\tf.rs\ts\n");
-        assert_eq!(b.len(), 2);
-        let (fresh, old) = b.partition(vec![
-            finding("r", "f.rs", 1, "s"),
-            finding("r", "f.rs", 2, "s"),
-        ]);
-        assert!(fresh.is_empty());
-        assert_eq!(old.len(), 2);
-    }
-
-    #[test]
-    fn comments_and_blanks_ignored() {
-        let b = Baseline::parse("# header\n\nr\tf.rs\ts\n");
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn render_round_trips() {
-        let fs = vec![finding("r", "b.rs", 1, "s2"), finding("r", "a.rs", 2, "s1")];
-        let text = Baseline::render(&fs);
-        let b = Baseline::parse(&text);
-        assert_eq!(b.len(), 2);
-        let (fresh, _) = b.partition(fs);
-        assert!(fresh.is_empty());
-    }
-
-    #[test]
-    fn other_rule_or_file_does_not_match() {
-        let b = Baseline::parse("r\tf.rs\ts\n");
-        let (fresh, _) = b.partition(vec![finding("other", "f.rs", 1, "s")]);
-        assert_eq!(fresh.len(), 1);
-        let (fresh, _) = b.partition(vec![finding("r", "g.rs", 1, "s")]);
-        assert_eq!(fresh.len(), 1);
+    /// Returns the empty baseline. `path` is not read.
+    pub fn load(_path: &Path) -> io::Result<Baseline> {
+        Ok(Baseline)
     }
 }

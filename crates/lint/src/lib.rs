@@ -1,24 +1,23 @@
 //! simlint — the workspace's static-analysis layer.
 //!
-//! The reproduction rests on discipline the compiler cannot see: the
-//! whole simulation replays byte-identically, library code does not
-//! panic, unit-named values carry their newtype, and every exit code is
-//! registered. simlint turns those conventions into
-//! checked invariants: it lexes the workspace's Rust sources with a
-//! comment/string-aware tokenizer, classifies each file by crate and
-//! target kind, and runs a rule engine over the token streams.
+//! The reproduction rests on discipline the compiler cannot see. Two
+//! parts of it are clippy lints (`clippy.toml` and `scripts/ci.sh`): the
+//! simulation replays byte-identically, and library code does not panic.
+//! simlint checks the two that clippy cannot: unit-named values carry
+//! their newtype, and every exit code is registered. It lexes the
+//! workspace's Rust sources with a comment/string-aware tokenizer,
+//! classifies each file by crate and target kind, and runs a rule engine
+//! over the token streams.
 //!
 //! The pipeline per file:
 //!
 //! 1. [`tokenizer`] lexes the source (literals and comments can never
 //!    trigger rules);
-//! 2. [`regions`] marks `#[cfg(test)]` spans, which some rules exempt;
+//! 2. [`regions`] marks `#[cfg(test)]` spans, which every rule exempts;
 //! 3. each [`rules::Rule`] scans the tokens, scoped by the file's place
 //!    in the workspace ([`files::FileInfo`]);
 //! 4. [`suppress`] applies inline `// simlint: allow(rule): reason`
-//!    directives (reason mandatory);
-//! 5. [`baseline`] absorbs grandfathered findings so the gate holds the
-//!    line at "no new violations".
+//!    directives (reason mandatory).
 //!
 //! See `DESIGN.md` ("The static-analysis layer") for the rule-by-rule
 //! rationale and `scripts/ci.sh` for the gate (exit 7).
@@ -42,19 +41,19 @@ use rules::{Rule, BAD_SUPPRESSION_RULE};
 /// One finished finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`panic-freedom`, …).
+    /// Rule id (`unit-discipline`, …).
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Matched tokens, normalized; also the baseline key.
+    /// Matched tokens, normalized.
     pub snippet: String,
     /// Human explanation.
     pub message: String,
 }
 
-/// The findings of one file, before baseline filtering.
+/// The findings of one file.
 #[derive(Debug, Default)]
 pub struct FileLint {
     /// Findings that stand.
@@ -84,7 +83,7 @@ pub fn lint_source(info: &FileInfo, src: &str, rules: &[Box<dyn Rule>]) -> FileL
     }
     for rule in rules {
         for rf in rule.check(info, &lexed.toks) {
-            if rule.exempt_test_code() && test_regions.contains(rf.tok) {
+            if test_regions.contains(rf.tok) {
                 continue;
             }
             let finding = Finding {
@@ -107,58 +106,34 @@ pub fn lint_source(info: &FileInfo, src: &str, rules: &[Box<dyn Rule>]) -> FileL
 /// The result of linting the whole workspace.
 #[derive(Debug, Default)]
 pub struct WorkspaceLint {
-    /// Findings that fail the gate (not suppressed, not baselined).
+    /// Findings that fail the gate (not suppressed).
     pub fresh: Vec<Finding>,
-    /// Findings absorbed by the baseline.
-    pub baselined: Vec<Finding>,
     /// Findings silenced by inline suppressions.
     pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-/// Lints every scanned file under `root` and applies the baseline.
-pub fn lint_workspace(root: &Path, baseline: &Baseline) -> io::Result<WorkspaceLint> {
+/// Lints every scanned file under `root`. The [`Baseline`] is empty and
+/// absorbs nothing (see its module).
+pub fn lint_workspace(root: &Path, _baseline: &Baseline) -> io::Result<WorkspaceLint> {
     let sources = files::scan_workspace(root)?;
     let rules = rules::all_rules();
-    let mut all_active = Vec::new();
+    let mut fresh = Vec::new();
     let mut suppressed = Vec::new();
-    let files_scanned = sources.len();
     for (info, src) in &sources {
         let mut fl = lint_source(info, src, &rules);
-        all_active.append(&mut fl.active);
+        fresh.append(&mut fl.active);
         suppressed.append(&mut fl.suppressed);
     }
-    sort_findings(&mut all_active);
-    sort_findings(&mut suppressed);
-    let (mut fresh, baselined, stale) = baseline.partition_stale(all_active);
-    // Unspent baseline entries are findings of their own (exit 22): a
-    // burned-down violation must leave the baseline or it could silently
-    // absorb a reintroduction. Key format: rule<TAB>file<TAB>snippet.
-    for k in stale {
-        let mut parts = k.splitn(3, '\t');
-        let rule = parts.next().unwrap_or("").to_string();
-        let file = parts.next().unwrap_or("").to_string();
-        let snippet = parts.next().unwrap_or("").to_string();
-        fresh.push(Finding {
-            rule: rules::STALE_BASELINE_RULE.to_string(),
-            file,
-            line: 0,
-            snippet: format!("{rule}\t{snippet}"),
-            message: format!(
-                "stale baseline entry: no `{rule}` finding with snippet `{snippet}` exists any more — delete the line from crates/lint/baseline.txt"
-            ),
-        });
-    }
-    // Workspace-level registry cross-checks land here, also past the
-    // baseline: exit-code drift is never grandfathered.
+    // Workspace-level registry cross-checks: never suppressible.
     fresh.extend(registry::check_workspace(root, &sources));
     sort_findings(&mut fresh);
+    sort_findings(&mut suppressed);
     Ok(WorkspaceLint {
         fresh,
-        baselined,
         suppressed,
-        files_scanned,
+        files_scanned: sources.len(),
     })
 }
 
@@ -179,35 +154,40 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_silences_one_line() {
-        let src = "fn f(o: Option<u8>) -> u8 {\n    // simlint: allow(panic-freedom): fixture invariant\n    o.unwrap()\n}\nfn g(o: Option<u8>) -> u8 { o.unwrap() }";
+        let src = "struct S {\n    // simlint: allow(unit-discipline): fixture invariant\n    a_ns: u64,\n}\nstruct T { b_ns: u64 }";
         let fl = lint_source(&info("crates/net/src/filter.rs"), src, &rules::all_rules());
         assert_eq!(fl.suppressed.len(), 1);
         assert_eq!(fl.suppressed[0].line, 3);
-        assert_eq!(fl.active.len(), 1, "the unsuppressed unwrap stands");
+        assert_eq!(fl.active.len(), 1, "the unsuppressed declaration stands");
         assert_eq!(fl.active[0].line, 5);
     }
 
     #[test]
     fn suppression_without_reason_is_its_own_finding() {
-        let src = "// simlint: allow(panic-freedom)\nfn f(o: Option<u8>) -> u8 { o.unwrap() }";
+        let src = "// simlint: allow(unit-discipline)\nfn f(t_ns: u64) -> u64 { t_ns }";
         let fl = lint_source(&info("crates/net/src/filter.rs"), src, &rules::all_rules());
         let rules_hit: Vec<&str> = fl.active.iter().map(|f| f.rule.as_str()).collect();
         assert!(rules_hit.contains(&"bad-suppression"));
         assert!(
-            rules_hit.contains(&"panic-freedom"),
+            rules_hit.contains(&"unit-discipline"),
             "a malformed allow suppresses nothing"
         );
     }
 
     #[test]
-    fn test_region_exemption_honors_per_rule_flag() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { o.unwrap(); }\n}";
-        let fl = lint_source(&info("crates/kernel/src/telemetry.rs"), src, &rules::all_rules());
-        assert!(
-            fl.active.is_empty(),
-            "the panic rule exempts test code: {:?}",
-            fl.active
-        );
+    fn test_regions_are_exempt() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn f(t_ns: u64) { std::process::exit(42); }\n}";
+        for path in [
+            "crates/kernel/src/telemetry.rs",
+            "crates/bench/src/bin/figures.rs",
+        ] {
+            let fl = lint_source(&info(path), src, &rules::all_rules());
+            assert!(
+                fl.active.is_empty(),
+                "{path}: every rule exempts test code: {:?}",
+                fl.active
+            );
+        }
     }
 
     #[test]

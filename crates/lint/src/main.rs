@@ -19,10 +19,6 @@ USAGE:
 OPTIONS:
     --json              emit the machine-readable JSON report instead of
                         the human one
-    --write-baseline    rewrite the baseline file to absorb all current
-                        findings (then exit 0); review the diff before
-                        committing — the baseline should only shrink
-    --baseline <PATH>   baseline file (default: crates/lint/baseline.txt)
     --root <PATH>       workspace root (default: walk up from the cwd)
     --list-rules        print every rule with its exit code and exit
     --exit-codes        print the workspace exit-code registry as the
@@ -30,15 +26,13 @@ OPTIONS:
 
 EXIT CODES:
     0 clean   2 usage   3 I/O error
-    9 multiple rules   10..22 one code per rule (see --list-rules);
+    9 multiple rules   16, 20, 21 one code per rule (see --list-rules);
     the full cross-binary registry is `--exit-codes`
 ";
 
 #[derive(Default)]
 struct Opts {
     json: bool,
-    write_baseline: bool,
-    baseline: Option<PathBuf>,
     root: Option<PathBuf>,
     list_rules: bool,
     exit_codes: bool,
@@ -50,12 +44,8 @@ fn parse_args() -> Result<Opts, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--exit-codes" => opts.exit_codes = true,
-            "--baseline" => {
-                opts.baseline = Some(args.next().ok_or("--baseline needs a path")?.into());
-            }
             "--root" => opts.root = Some(args.next().ok_or("--root needs a path")?.into()),
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -114,41 +104,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("crates/lint/baseline.txt"));
-
-    if opts.write_baseline {
-        // Lint against an empty baseline, then absorb everything active.
-        let result = match lint::lint_workspace(&root, &Baseline::default()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("simlint: scan failed: {e}");
-                return to_exit(codes::SIMLINT_IO);
-            }
-        };
-        let text = Baseline::render(&result.fresh);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("simlint: cannot write {}: {e}", baseline_path.display());
-            return to_exit(codes::SIMLINT_IO);
-        }
-        println!(
-            "simlint: wrote {} entr{} to {}",
-            result.fresh.len(),
-            if result.fresh.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("simlint: cannot read {}: {e}", baseline_path.display());
-            return to_exit(codes::SIMLINT_IO);
-        }
-    };
-    let result = match lint::lint_workspace(&root, &baseline) {
+    let result = match lint::lint_workspace(&root, &Baseline) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: scan failed: {e}");

@@ -1,8 +1,7 @@
 //! Detection of `#[cfg(test)]` / `#[test]` regions in a token stream.
 //!
-//! Several rules (panic-freedom, unit-discipline, exit-code-registry)
-//! exempt test code: a test may construct fixtures in ways production
-//! code must not. A "test region" is the token span of any item carrying
+//! Every rule exempts test code: a test may construct fixtures in ways
+//! production code must not. A "test region" is the token span of any item carrying
 //! a `#[cfg(test)]`-style or `#[test]` attribute — usually a whole
 //! `mod tests { … }` block.
 

@@ -83,7 +83,7 @@ pub mod codes {
 
     /// simlint: usage error (unknown flag).
     pub const SIMLINT_USAGE: i32 = 2;
-    /// simlint: I/O error (unreadable workspace or baseline).
+    /// simlint: I/O error (unreadable workspace).
     pub const SIMLINT_IO: i32 = 3;
 }
 
@@ -130,7 +130,7 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     e("ci.sh", "cpu-share-gate", 4, "figure C-1 CPU-share gate failed (cycle-ledger shares off-claim)", None),
     e("ci.sh", "fault-gate", 5, "figure R-1 fault gate failed (graceful-degradation claim violated)", None),
     e("ci.sh", "chaos-smoke", 6, "the chaos smoke run failed (see `livelock chaos` codes)", None),
-    e("ci.sh", "simlint-gate", 7, "simlint found a non-baselined finding (run `cargo run -p lint` for the per-rule code)", None),
+    e("ci.sh", "static-analysis", 7, "static analysis: simlint or clippy (a finding, clippy missing, or the seeded violations not caught)", None),
     e("ci.sh", "bench-smoke", 8, "the benchmark smoke failed (a checked unit failed, or a workload's sim_digest differs from the committed BENCH_PR<N>.json)", None),
     e("ci.sh", "smp-gate", 9, "figure S-1 SMP gate failed (MLFRR scaling or per-CPU ledger conservation), or the 4-CPU chrome-trace smoke did", None),
     e("ci.sh", "observe-gate", 10, "figure O-1 online-detection gate failed (onset/starvation claims), or the event-stream/flamegraph rerun smoke (byte-identical reruns, same table as unobserved) did", None),
@@ -163,7 +163,7 @@ pub const STATIC_ENTRIES: &[ExitEntry] = &[
     e("livelock observe", "flow-ledger", codes::OBSERVE_FLOW_LEDGER, "per-flow ledger leaked arrivals or did not close", Some("OBSERVE_FLOW_LEDGER")),
     // simlint's non-rule codes (the rule codes are generated below).
     e("simlint", "usage", codes::SIMLINT_USAGE, "usage error (unknown flag)", Some("SIMLINT_USAGE")),
-    e("simlint", "io", codes::SIMLINT_IO, "I/O error (unreadable workspace or baseline)", Some("SIMLINT_IO")),
+    e("simlint", "io", codes::SIMLINT_IO, "I/O error (unreadable workspace)", Some("SIMLINT_IO")),
 ];
 
 /// Owned form of an entry, for the generated simlint rule codes.
@@ -271,8 +271,8 @@ pub fn consistency_problems() -> Vec<String> {
 pub const REGISTRY_PATH: &str = "crates/lint/src/registry.rs";
 
 /// The workspace half of the `exit-code-registry` rule. Runs once per
-/// workspace lint, after baseline partitioning — registry drift is
-/// never baselineable or suppressible:
+/// workspace lint, after the per-file rules — registry drift is never
+/// suppressible:
 ///
 /// * registry self-consistency ([`consistency_problems`]);
 /// * constant liveness: every entry backed by a [`codes`] constant must

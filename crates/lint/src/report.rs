@@ -5,16 +5,13 @@
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | 0    | clean (all findings suppressed or baselined) |
+//! | 0    | clean (every finding suppressed) |
 //! | 2    | usage error |
-//! | 3    | I/O error (unreadable workspace or baseline) |
+//! | 3    | I/O error (unreadable workspace) |
 //! | 9    | fresh findings across multiple rules |
-//! | 10   | determinism |
-//! | 14   | panic-freedom |
 //! | 16   | bad-suppression |
 //! | 20   | unit-discipline |
 //! | 21   | exit-code-registry |
-//! | 22   | stale-baseline |
 //!
 //! `scripts/ci.sh` collapses any non-zero simlint exit into its own
 //! exit 7; the per-rule codes are for humans and tooling running the
@@ -57,17 +54,15 @@ pub fn human(result: &WorkspaceLint) -> String {
     }
     if result.fresh.is_empty() {
         out.push_str(&format!(
-            "simlint: clean — {} files scanned, {} baselined finding(s), {} suppressed\n",
+            "simlint: clean — {} files scanned, {} suppressed\n",
             result.files_scanned,
-            result.baselined.len(),
             result.suppressed.len()
         ));
     } else {
         out.push_str(&format!(
-            "simlint: {} fresh finding(s) in {} files scanned ({} baselined, {} suppressed):\n",
+            "simlint: {} fresh finding(s) in {} files scanned ({} suppressed):\n",
             result.fresh.len(),
             result.files_scanned,
-            result.baselined.len(),
             result.suppressed.len()
         ));
         for (rule, n) in counts_by_rule(&result.fresh) {
@@ -104,9 +99,8 @@ pub fn json(result: &WorkspaceLint) -> String {
         out.push_str(&format!("{}: {}", quote(rule), n));
     }
     out.push_str(&format!(
-        "}},\n  \"files_scanned\": {},\n  \"baselined\": {},\n  \"suppressed\": {},\n  \"exit_code\": {}\n}}\n",
+        "}},\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"exit_code\": {}\n}}\n",
         result.files_scanned,
-        result.baselined.len(),
         result.suppressed.len(),
         exit_code(result)
     ));
@@ -141,7 +135,7 @@ mod tests {
             rule: rule.to_string(),
             file: "crates/net/src/x.rs".to_string(),
             line: 3,
-            snippet: ".unwrap(".to_string(),
+            snippet: "t_ns: u64".to_string(),
             message: "a \"quoted\" message".to_string(),
         }
     }
@@ -149,7 +143,6 @@ mod tests {
     fn result(rules: &[&str]) -> WorkspaceLint {
         WorkspaceLint {
             fresh: rules.iter().map(|r| finding(r)).collect(),
-            baselined: vec![],
             suppressed: vec![],
             files_scanned: 10,
         }
@@ -158,27 +151,30 @@ mod tests {
     #[test]
     fn exit_codes_follow_the_contract() {
         assert_eq!(exit_code(&result(&[])), 0);
-        assert_eq!(exit_code(&result(&["panic-freedom"])), 14);
-        assert_eq!(exit_code(&result(&["determinism"])), 10);
-        assert_eq!(exit_code(&result(&["determinism", "panic-freedom"])), 9);
+        assert_eq!(exit_code(&result(&["unit-discipline"])), 20);
+        assert_eq!(exit_code(&result(&["exit-code-registry"])), 21);
+        assert_eq!(
+            exit_code(&result(&["exit-code-registry", "unit-discipline"])),
+            9
+        );
         assert_eq!(exit_code(&result(&["bad-suppression"])), 16);
     }
 
     #[test]
     fn human_report_lists_findings_and_counts() {
-        let r = result(&["panic-freedom", "panic-freedom"]);
+        let r = result(&["unit-discipline", "unit-discipline"]);
         let h = human(&r);
-        assert!(h.contains("crates/net/src/x.rs:3: [panic-freedom]"));
-        assert!(h.contains("panic-freedom: 2"));
+        assert!(h.contains("crates/net/src/x.rs:3: [unit-discipline]"));
+        assert!(h.contains("unit-discipline: 2"));
         let clean = human(&result(&[]));
         assert!(clean.contains("clean"));
     }
 
     #[test]
     fn json_is_escaped_and_self_describing() {
-        let j = json(&result(&["determinism"]));
+        let j = json(&result(&["exit-code-registry"]));
         assert!(j.contains("\"a \\\"quoted\\\" message\""));
-        assert!(j.contains("\"exit_code\": 10"));
+        assert!(j.contains("\"exit_code\": 21"));
         assert!(j.contains("\"files_scanned\": 10"));
         let empty = json(&result(&[]));
         assert!(empty.contains("\"findings\": []"));

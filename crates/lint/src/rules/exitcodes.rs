@@ -35,10 +35,6 @@ impl Rule for ExitCodeRegistry {
         EXIT_CODE_REGISTRY
     }
 
-    fn exempt_test_code(&self) -> bool {
-        true
-    }
-
     fn describe(&self) -> &'static str {
         "process exit codes go through registry constants, never raw literals"
     }

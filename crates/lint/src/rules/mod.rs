@@ -1,22 +1,19 @@
 //! The rule registry and the token-matching helpers rules share.
 //!
-//! Every rule encodes one invariant the paper's design depends on but the
-//! compiler cannot check. Rules work on the lexed token stream of one
-//! file plus that file's place in the workspace; they return raw
-//! findings which the engine then filters through `#[cfg(test)]` regions,
-//! inline suppressions, and the baseline.
+//! Every rule encodes one invariant the paper's design depends on that
+//! neither rustc nor clippy can check (determinism and panic-freedom are
+//! clippy lints, configured in `clippy.toml` and `scripts/ci.sh`). Rules
+//! work on the lexed token stream of one file plus that file's place in
+//! the workspace; they return raw findings which the engine then filters
+//! through `#[cfg(test)]` regions and inline suppressions.
 
 use crate::files::FileInfo;
 use crate::tokenizer::Tok;
 
-mod determinism;
 mod exitcodes;
-mod panics;
-mod stale;
 mod units;
 
 pub use exitcodes::{EXIT_CODE_REGISTRY, EXIT_CODE_REGISTRY_RULE};
-pub use stale::{EXIT_STALE_BASELINE, STALE_BASELINE_RULE};
 pub use units::EXIT_UNIT_DISCIPLINE;
 
 /// A match a rule reported, before exemption filtering.
@@ -26,7 +23,7 @@ pub struct RawFinding {
     pub tok: usize,
     /// 1-based source line.
     pub line: u32,
-    /// The matched tokens, normalized — also the baseline key.
+    /// The matched tokens, normalized.
     pub snippet: String,
     /// Human explanation tying the finding to the invariant.
     pub message: String,
@@ -34,21 +31,16 @@ pub struct RawFinding {
 
 /// One checked invariant.
 pub trait Rule {
-    /// Stable kebab-case identifier (used in `allow(...)` and baselines).
+    /// Stable kebab-case identifier (used in `allow(...)`).
     fn id(&self) -> &'static str;
     /// Process exit code when this rule (alone) has fresh findings.
     fn exit_code(&self) -> i32;
-    /// Whether `#[cfg(test)]` regions are exempt from this rule.
-    fn exempt_test_code(&self) -> bool;
     /// One-line description for `--list-rules` and docs.
     fn describe(&self) -> &'static str;
     /// Scans one file. Rules scope themselves: out-of-scope files simply
     /// return no findings.
     fn check(&self, file: &FileInfo, toks: &[Tok]) -> Vec<RawFinding>;
 }
-
-/// The five crates whose behavior must replay bit-identically.
-pub const DETERMINISTIC_CRATES: &[&str] = &["sim", "net", "machine", "core", "kernel"];
 
 /// Exit code when fresh findings span several rules.
 pub const EXIT_MULTIPLE_RULES: i32 = 9;
@@ -60,11 +52,8 @@ pub const BAD_SUPPRESSION_RULE: &str = "bad-suppression";
 /// Instantiates every rule, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(determinism::Determinism),
-        Box::new(panics::PanicFreedom),
         Box::new(units::UnitDiscipline),
         Box::new(exitcodes::ExitCodeRegistry),
-        Box::new(stale::StaleBaseline),
     ]
 }
 
@@ -110,18 +99,6 @@ pub(crate) fn path_match(toks: &[Tok], i: usize, segs: &[&str]) -> Option<usize>
     Some(at)
 }
 
-/// Matches a method call `.name(` at token `i` (the `.`).
-pub(crate) fn method_call(toks: &[Tok], i: usize, name: &str) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct('.'))
-        && toks.get(i + 1).is_some_and(|t| t.is_ident(name))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
-}
-
-/// Matches a bang macro `name!` at token `i`.
-pub(crate) fn bang_macro(toks: &[Tok], i: usize, name: &str) -> bool {
-    toks.get(i).is_some_and(|t| t.is_ident(name)) && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-}
-
 /// Builds a finding at token index `i`.
 pub(crate) fn raw(toks: &[Tok], i: usize, snippet: impl Into<String>, message: impl Into<String>) -> RawFinding {
     RawFinding {
@@ -145,18 +122,6 @@ mod tests {
         let at = toks.iter().position(|t| t.is_ident("Instant")).unwrap();
         assert!(path_match(&toks, at, &["Instant", "now"]).is_some());
         assert!(path_match(&toks, 0, &["std", "thread"]).is_none());
-    }
-
-    #[test]
-    fn method_call_requires_dot_and_paren() {
-        let toks = tokenize("x.unwrap(); unwrap(); x.unwrap_or(1)").toks;
-        assert!(method_call(&toks, 1, "unwrap"));
-        let bare = toks.iter().position(|t| t.is_punct(';')).unwrap();
-        assert!(!method_call(&toks, bare + 1, "unwrap"), "free fn is not a method");
-        // `unwrap_or` is a different identifier entirely.
-        assert!(!toks.iter().enumerate().any(|(i, _)| {
-            method_call(&toks, i, "unwrap") && toks[i + 1].text == "unwrap_or"
-        }));
     }
 
     #[test]

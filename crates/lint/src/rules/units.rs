@@ -52,10 +52,6 @@ impl Rule for UnitDiscipline {
         EXIT_UNIT_DISCIPLINE
     }
 
-    fn exempt_test_code(&self) -> bool {
-        true
-    }
-
     fn describe(&self) -> &'static str {
         "a binding named for a time unit (_cycles/_ns/_us/_ms) is declared Cycles/Nanos, not a bare number"
     }

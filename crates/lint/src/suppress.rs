@@ -117,7 +117,7 @@ fn parse_directive(body: &str, known_rules: &[&str]) -> Result<(String, String),
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["panic-freedom", "determinism"];
+    const RULES: &[&str] = &["unit-discipline", "exit-code-registry"];
 
     fn comment(text: &str, line: u32) -> LintComment {
         LintComment {
@@ -129,33 +129,33 @@ mod tests {
     #[test]
     fn well_formed_directive_parses() {
         let s = parse(
-            &[comment(" simlint: allow(panic-freedom): invariant upheld by caller", 7)],
+            &[comment(" simlint: allow(unit-discipline): invariant upheld by caller", 7)],
             RULES,
         );
         assert!(s.bad.is_empty());
         assert_eq!(s.allows.len(), 1);
-        assert_eq!(s.allows[0].rule, "panic-freedom");
+        assert_eq!(s.allows[0].rule, "unit-discipline");
         assert_eq!(s.allows[0].reason, "invariant upheld by caller");
-        assert!(s.covers("panic-freedom", 7), "own line");
-        assert!(s.covers("panic-freedom", 8), "next line");
-        assert!(!s.covers("panic-freedom", 9));
-        assert!(!s.covers("determinism", 7), "other rules unaffected");
+        assert!(s.covers("unit-discipline", 7), "own line");
+        assert!(s.covers("unit-discipline", 8), "next line");
+        assert!(!s.covers("unit-discipline", 9));
+        assert!(!s.covers("exit-code-registry", 7), "other rules unaffected");
     }
 
     #[test]
     fn missing_reason_is_rejected() {
-        let s = parse(&[comment(" simlint: allow(panic-freedom)", 3)], RULES);
+        let s = parse(&[comment(" simlint: allow(unit-discipline)", 3)], RULES);
         assert!(s.allows.is_empty());
         assert_eq!(s.bad.len(), 1);
         assert!(s.bad[0].problem.contains("reason"));
 
-        let s = parse(&[comment(" simlint: allow(panic-freedom):   ", 3)], RULES);
+        let s = parse(&[comment(" simlint: allow(unit-discipline):   ", 3)], RULES);
         assert_eq!(s.bad.len(), 1, "blank reason is still missing");
     }
 
     #[test]
     fn unknown_rule_is_rejected() {
-        let s = parse(&[comment(" simlint: allow(panics): oops", 3)], RULES);
+        let s = parse(&[comment(" simlint: allow(units): oops", 3)], RULES);
         assert_eq!(s.bad.len(), 1);
         assert!(s.bad[0].problem.contains("unknown rule"));
     }
@@ -176,7 +176,7 @@ mod tests {
         let s = parse(&[comment("! quote `// simlint: allow(rule): reason` here", 3)], RULES);
         assert!(s.bad.is_empty());
         // A doc comment cannot suppress either.
-        let s = parse(&[comment("/ simlint: allow(panic-freedom): not a directive", 3)], RULES);
+        let s = parse(&[comment("/ simlint: allow(unit-discipline): not a directive", 3)], RULES);
         assert!(s.allows.is_empty());
     }
 

@@ -390,11 +390,13 @@ mod tests {
 
     #[test]
     fn collects_simlint_comments_only() {
-        let src = "// simlint: allow(panic-freedom): fixture\n// plain comment\nfn f() {}";
+        let src = "// simlint: allow(unit-discipline): fixture\n// plain comment\nfn f() {}";
         let lexed = tokenize(src);
         assert_eq!(lexed.lint_comments.len(), 1);
         assert_eq!(lexed.lint_comments[0].line, 1);
-        assert!(lexed.lint_comments[0].text.contains("allow(panic-freedom)"));
+        assert!(lexed.lint_comments[0]
+            .text
+            .contains("allow(unit-discipline)"));
     }
 
     #[test]

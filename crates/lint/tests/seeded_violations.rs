@@ -1,5 +1,5 @@
-//! Seed-and-verify: each of the new rules (20, 21, 22) fires its exact
-//! exit code on a planted violation, and a pristine copy exits 0.
+//! Seed-and-verify: each rule (20, 21) fires its exact exit code on a
+//! planted violation, and a pristine copy exits 0.
 //!
 //! The harness copies the real workspace's sources into a scratch tree
 //! under the system temp dir, plants exactly one violation, lints the
@@ -24,8 +24,8 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Copies everything the linter scans (plus `scripts/ci.sh` and the
-/// baseline) into a fresh scratch tree and returns its path.
+/// Copies everything the linter scans (plus `scripts/ci.sh`) into a
+/// fresh scratch tree and returns its path.
 fn scratch_copy(tag: &str) -> PathBuf {
     let root = repo_root();
     let dst = std::env::temp_dir().join(format!(
@@ -53,11 +53,6 @@ fn scratch_copy(tag: &str) -> PathBuf {
     copy_rs_tree(&root.join("examples"), &dst.join("examples"));
     fs::create_dir_all(dst.join("scripts")).expect("scripts dir");
     fs::copy(root.join("scripts/ci.sh"), dst.join("scripts/ci.sh")).expect("ci.sh copied");
-    fs::copy(
-        root.join("crates/lint/baseline.txt"),
-        dst.join("crates/lint/baseline.txt"),
-    )
-    .expect("baseline copied");
     dst
 }
 
@@ -71,7 +66,7 @@ fn copy_rs_tree(src: &Path, dst: &Path) {
         let name = p.file_name().unwrap_or_default().to_owned();
         if p.is_dir() {
             copy_rs_tree(&p, &dst.join(name));
-        } else if p.extension().is_some_and(|e| e == "rs" || e == "txt") {
+        } else if p.extension().is_some_and(|e| e == "rs") {
             fs::copy(&p, dst.join(name)).expect("file copied");
         }
     }
@@ -79,9 +74,7 @@ fn copy_rs_tree(src: &Path, dst: &Path) {
 
 /// Lints a scratch tree and returns the process exit code it maps to.
 fn lint_exit(root: &Path) -> (i32, Vec<String>) {
-    let baseline =
-        Baseline::load(&root.join("crates/lint/baseline.txt")).expect("baseline loads");
-    let result = lint::lint_workspace(root, &baseline).expect("scan succeeds");
+    let result = lint::lint_workspace(root, &Baseline).expect("scan succeeds");
     let rules_hit: Vec<String> = result.fresh.iter().map(|f| f.rule.clone()).collect();
     (report::exit_code(&result), rules_hit)
 }
@@ -142,19 +135,5 @@ fn unregistered_ci_exit_also_exits_21() {
     let (code, rules_hit) = lint_exit(&dir);
     assert_eq!(rules_hit, vec!["exit-code-registry".to_string()]);
     assert_eq!(code, 21);
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn seeded_stale_baseline_exits_22() {
-    let dir = scratch_copy("stale");
-    append(
-        &dir.join("crates/lint/baseline.txt"),
-        "panic-freedom\tcrates/sim/src/lib.rs\t.unwrap(\n",
-    );
-    let (code, rules_hit) = lint_exit(&dir);
-    assert_eq!(rules_hit, vec!["stale-baseline".to_string()], "exactly the seeded finding");
-    assert_eq!(code, rules::EXIT_STALE_BASELINE);
-    assert_eq!(code, 22);
     fs::remove_dir_all(&dir).ok();
 }

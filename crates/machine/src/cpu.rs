@@ -430,7 +430,7 @@ impl<E> EnvState<E> {
 
     fn schedule(&mut self, at: Cycles, event: E) {
         self.evq.schedule(at, event);
-        if self.head.map_or(true, |h| at < h) {
+        if self.head.is_none_or(|h| at < h) {
             self.head = Some(at);
         }
     }
@@ -951,7 +951,7 @@ impl<W: Workload> Engine<W> {
             // A chunk-issue boundary: either `next_chunk` is about to be
             // asked, or a re-armed burst repetition is about to start.
             // Both get exactly the same preemption check.
-            let at_issue = progress.map_or(true, |p| p.fresh);
+            let at_issue = progress.is_none_or(|p| p.fresh);
             if at_issue && self.st.sched.should_preempt() {
                 self.st.sched.yield_current();
                 self.cur_thread = None;

@@ -178,7 +178,10 @@ impl Scheduler {
             "pick() with a thread still running; yield or sleep it first"
         );
         let prio = self.top_queued()?;
-        // simlint: allow(panic-freedom): top_queued returned prio, so its occupancy bit is set and sync_mark keeps bits in lockstep with queue emptiness
+        #[expect(
+            clippy::expect_used,
+            reason = "top_queued returned prio, so its occupancy bit is set and sync_mark keeps bits in lockstep with queue emptiness"
+        )]
         let tid = self.queues[prio].pop_front().expect("bit set, queue empty");
         self.sync_mark(prio);
         self.threads[tid.0].state = ThreadState::Running;

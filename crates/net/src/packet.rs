@@ -302,7 +302,10 @@ impl Packet {
     ///
     /// This is the datagram shape the paper's source host generated:
     /// `udp_ipv4(.., payload = &[0; 4])` yields a minimum-size frame.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per header field the frame carries"
+    )]
     pub fn udp_ipv4(
         id: PacketId,
         src_mac: MacAddr,
@@ -322,7 +325,10 @@ impl Packet {
 
     /// Like [`Packet::udp_ipv4`], but the frame buffer comes from `pool`
     /// (and returns to it when the packet dies).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per header field the frame carries"
+    )]
     pub fn udp_ipv4_in(
         pool: &FramePool,
         id: PacketId,
@@ -348,6 +354,10 @@ impl Packet {
     /// Builds a complete ICMP/IPv4/Ethernet frame with valid checksums
     /// in a buffer from `pool` (used by the router to originate Time
     /// Exceeded / Destination Unreachable errors).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per header field the frame carries"
+    )]
     pub fn icmp_ipv4_in(
         pool: &FramePool,
         id: PacketId,
@@ -458,7 +468,10 @@ impl Packet {
 /// The wire bytes [`Packet::udp_ipv4`] wraps, padded to the Ethernet
 /// minimum: one allocation and no packet slot, for callers that keep the
 /// bytes (the generator's frame templates).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per header field the frame carries"
+)]
 pub(crate) fn udp_frame(
     src_mac: MacAddr,
     dst_mac: MacAddr,
@@ -483,7 +496,10 @@ pub(crate) fn udp_frame(
 /// size the buffer from the same arithmetic, so the error arm is
 /// unreachable there — but the codecs report honestly instead of
 /// panicking, and the callers debug-assert success.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per header field the frame carries"
+)]
 fn encode_udp_frame(
     frame: &mut [u8],
     src_mac: MacAddr,
@@ -517,7 +533,10 @@ fn encode_udp_frame(
 }
 
 /// ICMP sibling of [`encode_udp_frame`]; same contract.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per header field the frame carries"
+)]
 fn encode_icmp_frame(
     frame: &mut [u8],
     src_mac: MacAddr,
@@ -748,13 +767,11 @@ mod tests {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "proptest"))]
 mod robustness {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// Parsing arbitrary bytes as a frame never panics — every layer
         /// returns an error instead. (The router feeds whatever the wire

@@ -55,6 +55,10 @@ pub struct PoolStats {
 }
 
 struct PoolInner {
+    #[expect(
+        clippy::vec_box,
+        reason = "a slot moves between the freelist and its FrameBuf handle as the same Box, never re-allocated"
+    )]
     free: Vec<Box<PacketBody>>,
     buf_capacity: usize,
     stats: PoolStats,

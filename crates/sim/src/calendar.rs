@@ -293,7 +293,7 @@ impl<E> CalendarQueue<E> {
             }
             self.nonempty[w] = 0;
         }
-        all.extend(self.overflow.drain(..));
+        all.append(&mut self.overflow);
         debug_assert!(new_size.is_power_of_two());
         if new_size != self.buckets.len() {
             self.mask = new_size as u64 - 1;
@@ -348,7 +348,10 @@ impl<E> CalendarQueue<E> {
             while bits != 0 {
                 let b = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                // simlint: allow(panic-freedom): b was derived from a set occupancy bit, and push/pop keep bits in lockstep with bucket emptiness
+                #[expect(
+                    clippy::expect_used,
+                    reason = "b was derived from a set occupancy bit, and push/pop keep bits in lockstep with bucket emptiness"
+                )]
                 let t = self.buckets[b].front().expect("occupancy bit set").at;
                 min = Some(min.map_or(t, |m| m.min(t)));
             }
@@ -412,7 +415,10 @@ impl<E> CalendarQueue<E> {
                 time = time.saturating_add((nb - bucket) as u64 * self.width);
                 bucket = nb;
                 let window_end = time.saturating_add(self.width);
-                // simlint: allow(panic-freedom): next_nonempty only returns buckets whose occupancy bit is set
+                #[expect(
+                    clippy::expect_used,
+                    reason = "next_nonempty only returns buckets whose occupancy bit is set"
+                )]
                 let first = self.buckets[bucket].front().expect("occupancy bit set");
                 if first.at.raw() < window_end {
                     let hit = (bucket, first.at);
@@ -465,9 +471,12 @@ impl<E> CalendarQueue<E> {
             return None;
         }
         let (bucket, _) = self.locate();
+        #[expect(
+            clippy::expect_used,
+            reason = "locate() only caches (bucket, at) pairs it just observed via front(), and the cache is invalidated on every mutation"
+        )]
         let e = self.buckets[bucket]
             .pop_front()
-            // simlint: allow(panic-freedom): locate() only caches (bucket, at) pairs it just observed via front(), and the cache is invalidated on every mutation
             .expect("cached bucket is nonempty");
         self.len -= 1;
         self.cursor_bucket = bucket;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification, the static-analysis pass, every figure's
-# claims and byte-identity, the benchmark smoke and the CLI smokes.
+# CI gate: tier-1 verification, static analysis (simlint and clippy),
+# every figure's claims and byte-identity, the benchmark smoke and the
+# CLI smokes. Needs cargo with clippy; without clippy it fails (exit 7).
 #
 # Exit status is the first failing step's code, 0 when everything
 # passed. Every code is registered with its meaning in
@@ -95,14 +96,16 @@ step "counted lines under crates/ (printed, never gated)"
 find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
 
-step "simlint: determinism / panic-freedom / unit-discipline / exit-code registry"
-# The workspace's own static-analysis pass (crates/lint). It enforces the
-# conventions the compiler cannot see: no wall-clock time or hash-ordered
-# maps in deterministic crates, panic-free library code, no unit-named
-# binding declared as a bare number, and every process exit code
-# registered in crates/lint/src/registry.rs. Inline
-# `// simlint: allow(rule): reason` and crates/lint/baseline.txt cover the
-# sanctioned exceptions; anything fresh gates hard here.
+step "static analysis: simlint, clippy, and a seeded crate clippy must reject"
+# One gate, exit 7. simlint (crates/lint) checks what clippy cannot: no
+# unit-named binding declared as a bare number, and every process exit
+# code registered in crates/lint/src/registry.rs. Clippy checks the rest:
+# the determinism contract (no wall clock, hash-ordered container or
+# host thread; clippy.toml's disallowed lists) on every target, and
+# panic-freedom on the simulator's library targets. Sanctioned exceptions
+# carry `// simlint: allow(rule): reason` or
+# `#[expect(clippy::lint, reason = "...")]`; an `#[expect]` that no
+# longer fires is itself a warning, so a stale one fails here too.
 if "$repo/target/release/simlint" --root "$repo"; then
     echo "ci: simlint clean"
 else
@@ -111,18 +114,121 @@ else
     "$repo/target/release/simlint" --root "$repo" --json >&2 || true
     exit 7
 fi
-
-step "clippy (advisory)"
-# Advisory only: clippy versions drift and this container may not ship
-# it; a finding here never gates, it just surfaces in the log.
-if cargo clippy --version > /dev/null 2>&1; then
-    if cargo clippy --workspace --all-targets -- -D warnings; then
-        echo "ci: clippy clean"
-    else
-        echo "ci: WARN — clippy reported findings (advisory, not gating)" >&2
-    fi
+if ! cargo clippy --version > /dev/null 2>&1; then
+    echo "ci: FAIL — cargo clippy is not installed; the determinism and panic-freedom checks cannot run" >&2
+    exit 7
+fi
+# Runs both clippy passes on the cargo project whose manifest is $1, with
+# the repo's clippy.toml: every target of every package with warnings
+# denied, then the library targets of the packages named by the
+# remaining arguments (`-p crate ...`) with the panic lints denied too.
+# Library code only: a test, example or binary may panic as its failure
+# report. Both passes always run; fails if either found anything.
+clippy_gate() {
+    local manifest=$1 rc=0
+    shift
+    CLIPPY_CONF_DIR="$repo" cargo clippy --offline --quiet --manifest-path "$manifest" \
+        --workspace --all-targets -- -D warnings || rc=1
+    CLIPPY_CONF_DIR="$repo" cargo clippy --offline --quiet --manifest-path "$manifest" \
+        --lib "$@" -- -D warnings -D clippy::unwrap_used -D clippy::expect_used \
+        -D clippy::panic -D clippy::todo -D clippy::unimplemented || rc=1
+    return $rc
+}
+if clippy_gate "$repo/Cargo.toml" -p livelock-sim -p livelock-net -p livelock-machine \
+    -p livelock-core -p livelock-kernel -p lint; then
+    echo "ci: clippy clean (all targets; panic lints on the library targets)"
 else
-    echo "ci: clippy not installed; skipping advisory pass"
+    echo "ci: FAIL — clippy reported findings (see above)" >&2
+    exit 7
+fi
+# The gate must bite: a scratch library with one violation of each kind
+# fails it naming every one, and a twin with the same panics only in
+# test code and an example passes it.
+seeded="$scratch/seeded"
+mkdir -p "$seeded/bad/src" "$seeded/clean/src" "$seeded/clean/examples"
+for kind in bad clean; do
+    printf '[package]\nname = "seeded-%s"\nversion = "0.1.0"\nedition = "2021"\n\n[workspace]\n' \
+        "$kind" > "$seeded/$kind/Cargo.toml"
+done
+cat > "$seeded/bad/src/lib.rs" <<'RSEOF'
+use std::collections::{HashMap, HashSet};
+use std::time::{Instant, SystemTime};
+
+pub fn wall_clock() -> (Instant, SystemTime) {
+    (Instant::now(), SystemTime::now())
+}
+
+pub fn hashed() -> (HashMap<u8, u8>, HashSet<u8>) {
+    (HashMap::new(), HashSet::new())
+}
+
+pub fn threads() {
+    let _ = std::thread::spawn(|| {});
+}
+
+pub fn panics(o: Option<u8>, r: Result<u8, ()>) -> u8 {
+    if o.is_none() {
+        panic!("none");
+    }
+    if r.is_err() {
+        todo!();
+    }
+    if o == Some(0) {
+        unimplemented!();
+    }
+    o.unwrap() + r.expect("ok")
+}
+RSEOF
+cat > "$seeded/clean/src/lib.rs" <<'RSEOF'
+pub fn add(a: u8, b: u8) -> Option<u8> {
+    a.checked_add(b)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn panics_are_a_test_failure_report() {
+        let o = super::add(1, 2);
+        if o.is_none() {
+            panic!("none");
+        }
+        if o == Some(0) {
+            todo!();
+        }
+        if o == Some(1) {
+            unimplemented!();
+        }
+        assert_eq!(o.unwrap(), o.expect("some"));
+    }
+}
+RSEOF
+cat > "$seeded/clean/examples/demo.rs" <<'RSEOF'
+fn main() {
+    println!("{}", seeded_clean::add(1, 2).unwrap());
+}
+RSEOF
+clippy_gate "$seeded/bad/Cargo.toml" -p seeded-bad > "$seeded/bad.log" 2>&1
+rc=$?
+missing=()
+for want in 'disallowed type `std::time::Instant`' 'disallowed type `std::time::SystemTime`' \
+    'disallowed type `std::collections::HashMap`' 'disallowed type `std::collections::HashSet`' \
+    'disallowed method `std::thread::spawn`' '`-D clippy::unwrap-used`' '`-D clippy::expect-used`' \
+    '`-D clippy::panic`' '`-D clippy::todo`' '`-D clippy::unimplemented`'; do
+    grep -qF -- "$want" "$seeded/bad.log" || missing+=("$want")
+done
+if [ "$rc" -ne 0 ] && [ ${#missing[@]} -eq 0 ]; then
+    echo "ci: clippy gate rejects each seeded determinism and panic violation"
+else
+    cat "$seeded/bad.log" >&2
+    echo "ci: FAIL — clippy gate exited $rc on the seeded crate; not reported: ${missing[*]:-none}" >&2
+    exit 7
+fi
+if clippy_gate "$seeded/clean/Cargo.toml" -p seeded-clean > "$seeded/clean.log" 2>&1; then
+    echo "ci: clippy gate passes the same panics in test code and an example"
+else
+    cat "$seeded/clean.log" >&2
+    echo "ci: FAIL — clippy gate flagged panics in test code or an example" >&2
+    exit 7
 fi
 
 # Renders the quick figure set into directory $1 at job count $2 (from a

@@ -893,7 +893,7 @@ fn chrome_trace_export_is_well_formed() {
         .expect("top-level traceEvents array");
     assert!(events.len() > 100, "a real trial traces many events");
 
-    let mut names = std::collections::HashSet::new();
+    let mut names = std::collections::BTreeSet::new();
     let (mut begins, mut ends, mut last_ts) = (0usize, 0usize, f64::NEG_INFINITY);
     for ev in events {
         let name = ev.get("name").and_then(json::Value::as_str).expect("name");
