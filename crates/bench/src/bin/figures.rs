@@ -12,17 +12,17 @@
 //! output is byte-identical for every job count.
 //!
 //! The binary is one loop over `livelock_bench::figure_table()`: render,
-//! print, write the CSV, evaluate the row's claims. Exit status: 0 on
-//! success; when claims failed, the smallest failing claim's exit (the
-//! README claims table lists each; `simlint --exit-codes` prints every
-//! code's meaning); otherwise 1 when the arguments are bad or a CSV could
-//! not be written.
+//! print, write the CSV, evaluate the row's claims. Exit status
+//! (`livelock_bench::exit::FiguresExit`): 0 on success; when claims
+//! failed, the smallest failing claim's exit (README's claims table lists
+//! the rows behind each code); otherwise 1 when the arguments are bad or
+//! a CSV could not be written.
 
 use std::fs;
 use std::path::Path;
 
-use lint::registry::codes;
 use livelock_bench::claims::{self, Run};
+use livelock_bench::exit::{Exit, FiguresExit};
 use livelock_bench::{figure_table, render_figure, PAPER_TRIAL_PACKETS};
 use livelock_kernel::par::{default_jobs, Parallelism};
 
@@ -67,14 +67,17 @@ fn parse_args(argv: &[String], ids: &[&str]) -> Result<Args, String> {
     Ok(args)
 }
 
-fn main() {
+fn main() -> Exit {
     let table = figure_table();
     let ids: Vec<&str> = table.iter().map(|f| f.id).collect();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv, &ids).unwrap_or_else(|e| {
-        eprintln!("figures: {e}");
-        std::process::exit(codes::FIGURES_IO);
-    });
+    let args = match parse_args(&argv, &ids) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            return FiguresExit::Io.into();
+        }
+    };
     let jobs = args.jobs.unwrap_or_else(default_jobs);
     let n_packets = if args.quick { 2_000 } else { PAPER_TRIAL_PACKETS };
 
@@ -109,12 +112,14 @@ fn main() {
             eprintln!("  {w}");
         }
     }
-    match claims::report(&violations) {
-        0 => eprintln!("every rendered figure meets its claims"),
-        code => std::process::exit(code),
+    if let Some(exit) = claims::report(&violations) {
+        return exit.into();
     }
-    if !io_errors.is_empty() {
-        std::process::exit(codes::FIGURES_IO);
+    eprintln!("every rendered figure meets its claims");
+    if io_errors.is_empty() {
+        Exit::SUCCESS
+    } else {
+        FiguresExit::Io.into()
     }
 }
 

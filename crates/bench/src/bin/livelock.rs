@@ -34,11 +34,11 @@
 //! against both kernels at one overload rate (an eight-flow flood through
 //! screend) and evaluates the detection claims. Both exit with the
 //! smallest violated claim's code (`livelock_bench::claims`; README's
-//! claims table lists them, `simlint --exit-codes` prints each meaning),
-//! or 2 on bad arguments.
+//! claims table lists the rows behind each), or 2
+//! (`livelock_bench::exit::LivelockExit::Usage`) on bad arguments.
 
-use lint::registry::codes;
-use livelock_bench::claims::{self, Drained, Evidence, Run};
+use livelock_bench::claims::{self, ClaimExit, Drained, Evidence, Run};
+use livelock_bench::exit::{Exit, LivelockExit};
 use livelock_core::analysis::{
     classify, mlfrr_multisection, multisection_rounds, overload_stability, SweepPoint,
 };
@@ -86,7 +86,7 @@ struct Args {
 }
 
 /// A subcommand's body: its exit status, or a usage error.
-type Handler = fn(&Args) -> Result<i32, String>;
+type Handler = fn(&Args) -> Result<Exit, String>;
 
 /// The longest offered load a trial spec may describe: one simulated
 /// day. Idle clock ticks still cost host time (~0.25 ms per simulated
@@ -114,16 +114,16 @@ fn check_span(flag: &str, rates: &[f64], n_packets: usize) -> Result<(), String>
 const SUBCOMMANDS: [(&str, &[&str], Handler); 6] = [
     ("configs", &[], |_| {
         cmd_configs();
-        Ok(0)
+        Ok(Exit::SUCCESS)
     }),
     ("trial", &[
         "config", "rate", "packets", "seed", "latency", "ncpus", "steal", "timeline",
         "chrome-trace", "events", "flamegraph",
-    ], |args| cmd_trial(args).map(|()| 0)),
+    ], |args| cmd_trial(args).map(|()| Exit::SUCCESS)),
     ("sweep", &["config", "rates", "packets", "jobs", "latency", "ncpus", "steal"], |args| {
-        cmd_sweep(args).map(|()| 0)
+        cmd_sweep(args).map(|()| Exit::SUCCESS)
     }),
-    ("mlfrr", &["config", "loss-free", "packets", "jobs"], |args| cmd_mlfrr(args).map(|()| 0)),
+    ("mlfrr", &["config", "loss-free", "packets", "jobs"], |args| cmd_mlfrr(args).map(|()| Exit::SUCCESS)),
     ("chaos", &["seed", "rate", "packets", "intensity", "priority"], cmd_chaos),
     ("observe", &["rate", "packets", "seed"], cmd_observe),
 ];
@@ -537,7 +537,7 @@ const MAX_INTENSITY: f64 = 1_000.0;
 
 /// The seeded fault-storm run: both kernels face the identical storm and
 /// the `livelock chaos` claims judge the pair.
-fn cmd_chaos(args: &Args) -> Result<i32, String> {
+fn cmd_chaos(args: &Args) -> Result<Exit, String> {
     let seed = args.num::<u64>("seed", 0xC4A05)?;
     let priority = args.has("priority");
     // The default rate sits deep in the unmodified kernel's livelock
@@ -669,7 +669,7 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
             scheduled_faults: n_faults,
         }),
     };
-    let violations = claims::evaluate(|c| c.owner == claims::CHAOS, Run::Pair(evidence));
+    let violations = claims::evaluate(|c| matches!(c.exit, ClaimExit::Chaos(_)), Run::Pair(evidence));
     if violations.is_empty() {
         println!(
             "all graceful-degradation invariants hold: delivery sustained, \
@@ -682,14 +682,14 @@ fn cmd_chaos(args: &Args) -> Result<i32, String> {
             }
         );
     }
-    Ok(claims::report(&violations))
+    Ok(claims::report(&violations).map_or(Exit::SUCCESS, Exit::from))
 }
 
 /// The online-detection run: both kernels face the identical eight-flow
 /// overload through screend with the observability layer on, the typed
 /// event streams and per-flow ledgers are printed, and the `livelock
 /// observe` claims judge the pair.
-fn cmd_observe(args: &Args) -> Result<i32, String> {
+fn cmd_observe(args: &Args) -> Result<Exit, String> {
     // The default rate sits past the screend path's MLFRR, where the
     // unmodified kernel livelocks and the polled kernel holds its
     // plateau — the separation the detector exists to time-stamp.
@@ -757,38 +757,31 @@ fn cmd_observe(args: &Args) -> Result<i32, String> {
         polled: &polled,
         drained: None,
     };
-    let violations = claims::evaluate(|c| c.owner == claims::OBSERVE, Run::Pair(evidence));
+    let violations = claims::evaluate(|c| matches!(c.exit, ClaimExit::Observe(_)), Run::Pair(evidence));
     if violations.is_empty() {
         println!(
             "all online-detection claims hold: onset timed on the unmodified kernel, \
              none on the polled kernel, starvation contained, per-flow ledgers closed"
         );
     }
-    Ok(claims::report(&violations))
+    Ok(claims::report(&violations).map_or(Exit::SUCCESS, Exit::from))
 }
 
-fn main() {
+fn main() -> Exit {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match argv.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => {
-            eprintln!("{}", usage());
-            std::process::exit(codes::LIVELOCK_USAGE);
-        }
+    let Some((cmd, rest)) = argv.split_first() else {
+        eprintln!("{}", usage());
+        return LivelockExit::Usage.into();
     };
     let result = match subcommand(cmd) {
         None => Err(format!("unknown command {cmd:?}")),
         Some((known, run)) => Args::parse(rest, known).and_then(|args| run(&args)),
     };
-    match result {
-        Ok(0) => {}
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", usage());
-            std::process::exit(codes::LIVELOCK_USAGE);
-        }
-    }
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("{}", usage());
+        LivelockExit::Usage.into()
+    })
 }
 
 #[cfg(test)]

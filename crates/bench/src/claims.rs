@@ -1,38 +1,75 @@
 //! The paper's claims as one table.
 //!
 //! Every claim the reproduction checks is one [`Claim`] row of
-//! [`CLAIMS`]: an id, the paper section it comes from, the process that
-//! exits with its code, and its check. A check reads one kind of
+//! [`CLAIMS`]: an id, the paper section it comes from, the typed exit of
+//! the process that checks it, and its check. A check reads one kind of
 //! evidence: an (unmodified, polled) pair of trials at one x, plus the
 //! polled kernel's drained end state when the run has one
 //! ([`Evidence`]). Only the claims that need a whole sweep — the paper's
-//! 6-x verdicts, S-1's MLFRR scaling, O-1's monotone onset and a few
-//! baseline comparisons — read the rendered figure instead.
+//! 6-x verdicts and calibration, S-1's MLFRR scaling, O-1's monotone
+//! onset and a few baseline comparisons — read the rendered figure
+//! instead.
 //!
 //! `figures` evaluates the rows each [`Figure`](crate::Figure) lists;
 //! `livelock chaos` and `livelock observe` evaluate every row they own.
 //! All three go through [`evaluate`] and [`report`], and the exit code
-//! is the smallest violated row's. `simlint --exit-codes` prints what
-//! each code means; README embeds [`markdown_table`].
+//! is the smallest violated row's. A code means the rows that carry it:
+//! README embeds [`markdown_table`].
 
-use lint::registry::codes;
-use livelock_core::analysis::{classify, mlfrr, LivelockVerdict};
+use livelock_core::analysis::{classify, mlfrr, peak_delivered, LivelockVerdict, SweepPoint};
 use livelock_kernel::experiment::{ChaosReport, ClassSummary, TrialResult};
 use livelock_kernel::telemetry::ObsEvent;
 use livelock_machine::CpuClass;
 use livelock_net::classify::TrafficClass;
 use livelock_sim::{Cycles, Nanos};
 
+use crate::exit::{ChaosExit as C, Exit, FiguresExit as F, ObserveExit as O};
 use crate::{fmt_x, o1_flows, p1_classify_config, p1_flows, RenderedFigure};
 use Check::{Every, Last, Sweep};
+use ClaimExit::{Chaos, Figures, Observe};
 use TrafficClass::{Bulk, Control, Realtime};
 
-/// The owner of the figure claims (a registry owner).
-pub const FIGURES: &str = "figures";
-/// The owner of the fault-storm claims.
-pub const CHAOS: &str = "livelock chaos";
-/// The owner of the online-detection claims.
-pub const OBSERVE: &str = "livelock observe";
+/// The process that checks a claim, and the code it exits with when the
+/// claim fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClaimExit {
+    /// A `figures` claim, listed by the figure that renders its evidence.
+    Figures(F),
+    /// A `livelock chaos` claim.
+    Chaos(C),
+    /// A `livelock observe` claim.
+    Observe(O),
+}
+
+impl ClaimExit {
+    /// The process (or subcommand) that exits with [`ClaimExit::code`].
+    pub fn owner(self) -> &'static str {
+        match self {
+            Figures(_) => "figures",
+            Chaos(_) => "livelock chaos",
+            Observe(_) => "livelock observe",
+        }
+    }
+
+    /// The process exit status.
+    pub fn code(self) -> u8 {
+        match self {
+            Figures(e) => e.code(),
+            Chaos(e) => e.code(),
+            Observe(e) => e.code(),
+        }
+    }
+}
+
+impl From<ClaimExit> for Exit {
+    fn from(e: ClaimExit) -> Exit {
+        match e {
+            Figures(e) => e.into(),
+            Chaos(e) => e.into(),
+            Observe(e) => e.into(),
+        }
+    }
+}
 
 /// What a claim is checked against at one x: the unmodified and the
 /// polled kernel's trials, and the polled kernel's drained end state
@@ -65,7 +102,8 @@ pub enum Check {
     Every(fn(&Evidence) -> Option<String>),
     /// The last x of every pair.
     Last(fn(&Evidence) -> Option<String>),
-    /// The whole rendered sweep (figures only).
+    /// The whole rendered sweep: only a [`ClaimExit::Figures`] row may
+    /// carry one, since only `figures` renders a sweep.
     Sweep(fn(&RenderedFigure) -> Vec<String>),
 }
 
@@ -75,22 +113,20 @@ pub struct Claim {
     pub id: &'static str,
     /// The paper section the claim comes from.
     pub section: &'static str,
-    /// The process that exits with [`Claim::exit`] when the claim fails.
-    pub owner: &'static str,
-    /// The exit code, registered under `owner`.
-    pub exit: i32,
+    /// Who checks the claim, and the code it exits with on a violation.
+    pub exit: ClaimExit,
     /// The check.
     pub check: Check,
 }
 
-const fn claim(
-    id: &'static str,
-    section: &'static str,
-    owner: &'static str,
-    exit: i32,
-    check: Check,
-) -> Claim {
-    Claim { id, section, owner, exit, check }
+/// A row. A [`Sweep`] check on a `chaos` or `observe` row could never
+/// fire, so it does not compile.
+const fn claim(id: &'static str, section: &'static str, exit: ClaimExit, check: Check) -> Claim {
+    assert!(
+        matches!(exit, Figures(_)) || !matches!(check, Sweep(_)),
+        "a Sweep check reads a rendered figure: only a figures row may carry one"
+    );
+    Claim { id, section, exit, check }
 }
 
 /// The evidence a claim set runs over.
@@ -113,66 +149,68 @@ pub struct Violation {
 /// Every claim, in precedence order: per owner, ascending exit code.
 #[rustfmt::skip]
 pub static CLAIMS: &[Claim] = &[
-    claim("6-x shape-verdicts", "§6", FIGURES, codes::FIGURES_SHAPE, Sweep(shape_verdicts)),
-    claim("L-1 polled-p99-under-half", "§4.3", FIGURES, codes::FIGURES_LATENCY, Last(|e| at_most("polled p99 us (half the unmodified p99)", us(e.polled.latency_p99), us(e.unmod.latency_p99) / 2.0))),
-    claim("C-1 ledger-conserved", "§3", FIGURES, codes::FIGURES_CPU, Every(ledger_conserved)),
-    claim("C-1 unmod-rx-intr-over-90pct", "§3", FIGURES, codes::FIGURES_CPU, Last(|e| at_least("unmodified rx-intr %", share(e.unmod, RX), 90.0))),
-    claim("C-1 unmod-delivery-collapses", "§3", FIGURES, codes::FIGURES_CPU, Last(|e| at_most("unmodified pkts/s (1% of offered)", e.unmod.delivered_pps, 0.01 * e.unmod.offered_pps))),
-    claim("C-1 unmod-user-idle-under-5pct", "§3", FIGURES, codes::FIGURES_CPU, Last(|e| at_most("unmodified user+idle %", share(e.unmod, USER_IDLE), 5.0))),
-    claim("C-1 polled-user-idle-over-35pct", "§7", FIGURES, codes::FIGURES_CPU, Last(|e| at_least("polled user+idle % (the 50% cycle limit's floor)", share(e.polled, USER_IDLE), 35.0))),
-    claim("C-1 polled-rx-intr-under-5pct", "§6.2", FIGURES, codes::FIGURES_CPU, Every(|e| at_most("polled rx-intr % (interrupts only initiate polling)", share(e.polled, RX), 5.0))),
-    claim("R-1 polled-keeps-delivering", "§6.6.1", FIGURES, codes::FIGURES_FAULT, Every(polled_delivers)),
-    claim("R-1 polled-fault-free-plateau", "§6.6.1", FIGURES, codes::FIGURES_FAULT, Sweep(|r| at_least("fault-free polled pkts/s", r.series()[0][0].polled.delivered_pps, 1_500.0).into_iter().collect())),
-    claim("R-1 polled-degrades-gracefully", "§6.6.1", FIGURES, codes::FIGURES_FAULT, Sweep(|r| {
+    claim("6-x shape-verdicts", "§6", Figures(F::Shape), Sweep(shape_verdicts)),
+    claim("6-1 mlfrr-near-paper", "§6", Figures(F::Shape), Sweep(|r| near_paper(r, "Without screend", "MLFRR", 4_700.0, |p| mlfrr(p, 0.95).unwrap_or(0.0)))),
+    claim("6-1 screend-peak-near-paper", "§6", Figures(F::Shape), Sweep(|r| near_paper(r, "With screend", "peak pkts/s", 2_000.0, peak_delivered))),
+    claim("L-1 polled-p99-under-half", "§4.3", Figures(F::Latency), Last(|e| at_most("polled p99 us (half the unmodified p99)", us(e.polled.latency_p99), us(e.unmod.latency_p99) / 2.0))),
+    claim("C-1 ledger-conserved", "§3", Figures(F::Cpu), Every(ledger_conserved)),
+    claim("C-1 unmod-rx-intr-over-90pct", "§3", Figures(F::Cpu), Last(|e| at_least("unmodified rx-intr %", share(e.unmod, RX), 90.0))),
+    claim("C-1 unmod-delivery-collapses", "§3", Figures(F::Cpu), Last(|e| at_most("unmodified pkts/s (1% of offered)", e.unmod.delivered_pps, 0.01 * e.unmod.offered_pps))),
+    claim("C-1 unmod-user-idle-under-5pct", "§3", Figures(F::Cpu), Last(|e| at_most("unmodified user+idle %", share(e.unmod, USER_IDLE), 5.0))),
+    claim("C-1 polled-user-idle-over-35pct", "§7", Figures(F::Cpu), Last(|e| at_least("polled user+idle % (the 50% cycle limit's floor)", share(e.polled, USER_IDLE), 35.0))),
+    claim("C-1 polled-rx-intr-under-5pct", "§6.2", Figures(F::Cpu), Every(|e| at_most("polled rx-intr % (interrupts only initiate polling)", share(e.polled, RX), 5.0))),
+    claim("R-1 polled-keeps-delivering", "§6.6.1", Figures(F::Fault), Every(polled_delivers)),
+    claim("R-1 polled-fault-free-plateau", "§6.6.1", Figures(F::Fault), Sweep(|r| at_least("fault-free polled pkts/s", r.series()[0][0].polled.delivered_pps, 1_500.0).into_iter().collect())),
+    claim("R-1 polled-degrades-gracefully", "§6.6.1", Figures(F::Fault), Sweep(|r| {
         let s = &r.series()[0];
         at_least("polled pkts/s at the heaviest storm (half the fault-free)", s[s.len() - 1].polled.delivered_pps, 0.5 * s[0].polled.delivered_pps).into_iter().collect()
     })),
-    claim("R-1 polled-beats-unmod", "§6.6.1", FIGURES, codes::FIGURES_FAULT, Last(|e| at_most("unmodified pkts/s (the polled)", e.unmod.delivered_pps, e.polled.delivered_pps))),
-    claim("S-1 ledger-conserved", "§3", FIGURES, codes::FIGURES_SMP, Every(ledger_conserved)),
-    claim("S-1 mlfrr-scaling", "§8", FIGURES, codes::FIGURES_SMP, Sweep(mlfrr_scaling)),
-    claim("O-1 onset-monotone", "§4", FIGURES, codes::FIGURES_OBSERVE, Sweep(onset_monotone)),
-    claim("O-1 unmod-onset", "§4", FIGURES, codes::FIGURES_OBSERVE, Last(unmod_onset)),
-    claim("O-1 no-polled-onset", "§6.6.1", FIGURES, codes::FIGURES_OBSERVE, Every(no_polled_onset)),
-    claim("O-1 starvation-bounded", "§6.6.1", FIGURES, codes::FIGURES_OBSERVE, Every(|e| at_most("polled starved flows (the unmodified)", starved(e.polled) as f64, starved(e.unmod) as f64))),
-    claim("O-1 starvation-contrast", "§4", FIGURES, codes::FIGURES_OBSERVE, Last(starvation_contrast)),
-    claim("P-1 control-slo", "§8", FIGURES, codes::FIGURES_PRIORITY, Every(|e| at_most("Control p99 us (the SLO)", us(class(e.polled, Control).latency_p99), us(p1_classify_config().slo_p99)))),
-    claim("P-1 class-books", "§8", FIGURES, codes::FIGURES_PRIORITY, Every(|e| {
+    claim("R-1 polled-beats-unmod", "§6.6.1", Figures(F::Fault), Last(|e| at_most("unmodified pkts/s (the polled)", e.unmod.delivered_pps, e.polled.delivered_pps))),
+    claim("S-1 ledger-conserved", "§3", Figures(F::Smp), Every(ledger_conserved)),
+    claim("S-1 mlfrr-scaling", "§8", Figures(F::Smp), Sweep(mlfrr_scaling)),
+    claim("O-1 onset-monotone", "§4", Figures(F::Observe), Sweep(onset_monotone)),
+    claim("O-1 unmod-onset", "§4", Figures(F::Observe), Last(unmod_onset)),
+    claim("O-1 no-polled-onset", "§6.6.1", Figures(F::Observe), Every(no_polled_onset)),
+    claim("O-1 starvation-bounded", "§6.6.1", Figures(F::Observe), Every(|e| at_most("polled starved flows (the unmodified)", starved(e.polled) as f64, starved(e.unmod) as f64))),
+    claim("O-1 starvation-contrast", "§4", Figures(F::Observe), Last(starvation_contrast)),
+    claim("P-1 control-slo", "§8", Figures(F::Priority), Every(|e| at_most("Control p99 us (the SLO)", us(class(e.polled, Control).latency_p99), us(p1_classify_config().slo_p99)))),
+    claim("P-1 class-books", "§8", Figures(F::Priority), Every(|e| {
         let bad = e.polled.per_class().iter().find(|s| s.shed + s.delivered > s.arrived)?;
         Some(format!("class {} shed {} + delivered {} exceeds arrived {}", bad.class.label(), bad.shed, bad.delivered, bad.arrived))
     })),
-    claim("P-1 control-never-shed", "§8", FIGURES, codes::FIGURES_PRIORITY, Every(|e| at_most("Control packets shed", class(e.polled, Control).shed as f64, 0.0))),
-    claim("P-1 unmod-collapses", "§8", FIGURES, codes::FIGURES_PRIORITY, Last(|e| at_most("unmodified pkts/s (10% of offered)", e.unmod.delivered_pps, 0.10 * e.x))),
-    claim("P-1 control-share", "§8", FIGURES, codes::FIGURES_PRIORITY, Last(|e| at_least("Control pkts/s (90% of its share)", class(e.polled, Control).delivered_pps, 0.9 * e.x / p1_flows().len() as f64))),
-    claim("P-1 p99-contrast", "§8", FIGURES, codes::FIGURES_PRIORITY, Sweep(|r| {
+    claim("P-1 control-never-shed", "§8", Figures(F::Priority), Every(|e| at_most("Control packets shed", class(e.polled, Control).shed as f64, 0.0))),
+    claim("P-1 unmod-collapses", "§8", Figures(F::Priority), Last(|e| at_most("unmodified pkts/s (10% of offered)", e.unmod.delivered_pps, 0.10 * e.x))),
+    claim("P-1 control-share", "§8", Figures(F::Priority), Last(|e| at_least("Control pkts/s (90% of its share)", class(e.polled, Control).delivered_pps, 0.9 * e.x / p1_flows().len() as f64))),
+    claim("P-1 p99-contrast", "§8", Figures(F::Priority), Sweep(|r| {
         // Once livelocked the unmodified kernel delivers nothing and its
         // p99 reads 0, so each kernel is judged by its worst point.
         let worst = |f: fn(&Evidence) -> Nanos| r.series()[0].iter().map(|e| us(f(e))).fold(0.0, f64::max);
         let control = worst(|e| class(e.polled, Control).latency_p99);
         at_least("worst unmodified p99 us (twice the worst Control p99)", worst(|e| e.unmod.latency_p99), 2.0 * control.max(1.0)).into_iter().collect()
     })),
-    claim("P-1 bulk-sheds", "§8", FIGURES, codes::FIGURES_PRIORITY, Last(|e| at_least("Bulk packets shed", class(e.polled, Bulk).shed as f64, 1.0))),
-    claim("P-1 shed-order", "§8", FIGURES, codes::FIGURES_PRIORITY, Last(|e| at_most("Realtime packets shed (the Bulk)", class(e.polled, Realtime).shed as f64, class(e.polled, Bulk).shed as f64))),
-    claim("chaos polled-keeps-delivering", "§6.6.1", CHAOS, codes::CHAOS_NO_DELIVERY, Every(polled_delivers)),
-    claim("chaos gate-open", "§6.6.1", CHAOS, codes::CHAOS_GATE_INHIBITED, Every(|e| e.drained.filter(|d| !d.polled.gate_open_at_end).map(|d| format!("polled interrupt gate ended the run inhibited (bits {:#04x})", d.polled.gate_bits)))),
-    claim("chaos screend-drained", "§6.6.1", CHAOS, codes::CHAOS_SCREEND_BACKLOG, Every(|e| at_most("packets in the screend queue after the drain", e.drained?.polled.screend_q_len as f64, 0.0))),
-    claim("chaos ledger-closed", "§3", CHAOS, codes::CHAOS_LEDGER_LEAK, Every(|e| at_most("packets the ledger leaves unaccounted", e.drained?.polled.in_flight as f64, 0.0))),
-    claim("chaos faults-fired", "§6.6.1", CHAOS, codes::CHAOS_FAULTS_MISSING, Every(|e| {
+    claim("P-1 bulk-sheds", "§8", Figures(F::Priority), Last(|e| at_least("Bulk packets shed", class(e.polled, Bulk).shed as f64, 1.0))),
+    claim("P-1 shed-order", "§8", Figures(F::Priority), Last(|e| at_most("Realtime packets shed (the Bulk)", class(e.polled, Realtime).shed as f64, class(e.polled, Bulk).shed as f64))),
+    claim("chaos polled-keeps-delivering", "§6.6.1", Chaos(C::NoDelivery), Every(polled_delivers)),
+    claim("chaos gate-open", "§6.6.1", Chaos(C::GateInhibited), Every(|e| e.drained.filter(|d| !d.polled.gate_open_at_end).map(|d| format!("polled interrupt gate ended the run inhibited (bits {:#04x})", d.polled.gate_bits)))),
+    claim("chaos screend-drained", "§6.6.1", Chaos(C::ScreendBacklog), Every(|e| at_most("packets in the screend queue after the drain", e.drained?.polled.screend_q_len as f64, 0.0))),
+    claim("chaos ledger-closed", "§3", Chaos(C::LedgerLeak), Every(|e| at_most("packets the ledger leaves unaccounted", e.drained?.polled.in_flight as f64, 0.0))),
+    claim("chaos faults-fired", "§6.6.1", Chaos(C::FaultsMissing), Every(|e| {
         let (fired, scheduled) = (e.polled.fault.injected, e.drained?.scheduled_faults);
         (fired != scheduled).then(|| format!("only {fired} of {scheduled} scheduled faults fired"))
     })),
-    claim("chaos unmod-livelocks", "§4", CHAOS, codes::CHAOS_NOT_LIVELOCKED, Every(|e| {
+    claim("chaos unmod-livelocks", "§4", Chaos(C::NotLivelocked), Every(|e| {
         let (u, p) = (e.unmod.delivered_pps, e.polled.delivered_pps);
         (u >= 0.05 * p.max(1.0)).then(|| format!("unmodified kernel is not livelocked under the storm ({u:.0} vs polled {p:.0} pkts/s) — is --rate below its collapse point?"))
     })),
-    claim("chaos no-polled-inversion", "§8", CHAOS, codes::CHAOS_PRIORITY_INVERSION, Every(|e| at_most("polled priority-inversion events", inversions(e.polled) as f64, 0.0))),
-    claim("chaos unmod-inversion", "§8", CHAOS, codes::CHAOS_NO_INVERSION_CONTRAST, Every(|e| {
+    claim("chaos no-polled-inversion", "§8", Chaos(C::PriorityInversion), Every(|e| at_most("polled priority-inversion events", inversions(e.polled) as f64, 0.0))),
+    claim("chaos unmod-inversion", "§8", Chaos(C::NoInversionContrast), Every(|e| {
         // Only a classified run can show inversion.
         (!e.unmod.per_class().is_empty() && inversions(e.unmod) == 0).then(|| "unmodified kernel produced no priority-inversion event — is --rate below its collapse point?".to_string())
     })),
-    claim("observe unmod-onset", "§4", OBSERVE, codes::OBSERVE_NO_ONSET, Every(unmod_onset)),
-    claim("observe no-polled-onset", "§6.6.1", OBSERVE, codes::OBSERVE_FALSE_ONSET, Every(no_polled_onset)),
-    claim("observe starvation-contrast", "§4", OBSERVE, codes::OBSERVE_STARVATION, Every(starvation_contrast)),
-    claim("observe flow-ledgers-close", "§3", OBSERVE, codes::OBSERVE_FLOW_LEDGER, Every(flow_ledgers_close)),
+    claim("observe unmod-onset", "§4", Observe(O::NoOnset), Every(unmod_onset)),
+    claim("observe no-polled-onset", "§6.6.1", Observe(O::FalseOnset), Every(no_polled_onset)),
+    claim("observe starvation-contrast", "§4", Observe(O::Starvation), Every(starvation_contrast)),
+    claim("observe flow-ledgers-close", "§3", Observe(O::FlowLedger), Every(flow_ledgers_close)),
 ];
 
 /// Evaluates every row `select` keeps, in table order, over `run`.
@@ -190,6 +228,8 @@ pub fn evaluate(select: impl Fn(&Claim) -> bool, run: Run) -> Vec<Violation> {
             (Every(f), _) => series.iter().flatten().filter_map(at(f)).collect(),
             (Last(f), _) => series.iter().filter_map(|s| s.last()).filter_map(at(f)).collect(),
             (Sweep(f), Run::Figure(r)) => f(r),
+            // `claim` keeps Sweep checks on `figures` rows, which only
+            // `figures` evaluates, and it always passes a figure.
             (Sweep(_), Run::Pair(_)) => Vec::new(),
         };
         out.extend(found.into_iter().map(|message| Violation { claim, message }));
@@ -197,13 +237,13 @@ pub fn evaluate(select: impl Fn(&Claim) -> bool, run: Run) -> Vec<Violation> {
     out
 }
 
-/// Prints each violation to stderr and returns the exit code a run ends
-/// with: the smallest violated row's, or 0 when every claim held.
-pub fn report(violations: &[Violation]) -> i32 {
+/// Prints each violation to stderr and returns the exit a run ends with:
+/// the smallest violated row's, or `None` when every claim held.
+pub fn report(violations: &[Violation]) -> Option<ClaimExit> {
     for v in violations {
-        eprintln!("claim {} (exit {}) violated: {}", v.claim.id, v.claim.exit, v.message);
+        eprintln!("claim {} (exit {}) violated: {}", v.claim.id, v.claim.exit.code(), v.message);
     }
-    violations.iter().map(|v| v.claim.exit).min().unwrap_or(0)
+    violations.iter().map(|v| v.claim.exit).min_by_key(|e| e.code())
 }
 
 /// The table as the markdown block README embeds between its
@@ -211,7 +251,8 @@ pub fn report(violations: &[Violation]) -> i32 {
 pub fn markdown_table() -> String {
     let mut out = String::from("| claim | paper | owner | exit |\n|---|---|---|---|\n");
     for c in CLAIMS {
-        out.push_str(&format!("| {} | {} | `{}` | {} |\n", c.id, c.section, c.owner, c.exit));
+        let (owner, code) = (c.exit.owner(), c.exit.code());
+        out.push_str(&format!("| {} | {} | `{owner}` | {code} |\n", c.id, c.section));
     }
     out
 }
@@ -320,6 +361,26 @@ fn shape_verdicts(r: &RenderedFigure) -> Vec<String> {
         }
     }
     v
+}
+
+/// Figure 6-1's calibration: `what`, read from curve `label`'s points,
+/// lies within ±25 % of the paper's value.
+fn near_paper(
+    r: &RenderedFigure,
+    label: &str,
+    what: &str,
+    paper: f64,
+    read: fn(&[SweepPoint]) -> f64,
+) -> Vec<String> {
+    let Some(c) = r.curves.iter().find(|c| c.label == label) else {
+        return vec![format!("fig {} has no curve {label:?}", r.id)];
+    };
+    let got = read(&c.points());
+    let (lo, hi) = (0.75 * paper, 1.25 * paper);
+    let v = (!(lo..=hi).contains(&got)).then(|| {
+        format!("{label} {what} is {got:.0}, expected within 25% of the paper's {paper:.0} ({lo:.0}..={hi:.0})")
+    });
+    v.into_iter().collect()
 }
 
 fn ledger_conserved(e: &Evidence) -> Option<String> {
@@ -554,12 +615,13 @@ mod tests {
     }
 
     /// Delivered rate of a throughput curve at `x`: a plateau at 4 000
-    /// pkts/s, or a collapse past it.
+    /// pkts/s, or a 2 000 pkts/s peak that collapses past 4 000 (figure
+    /// 6-1's calibration: MLFRR 4 000, screend peak 2 000).
     fn shaped(x: f64, livelock: bool) -> f64 {
-        if livelock && x > 4_000.0 {
-            0.0
-        } else {
-            x.min(4_000.0)
+        match livelock {
+            true if x > 4_000.0 => 0.0,
+            true => x.min(2_000.0),
+            false => x.min(4_000.0),
         }
     }
 
@@ -652,17 +714,27 @@ mod tests {
     /// Breaks exactly claim `id` in `r` (and, for chaos claims, `d`).
     fn seed(id: &str, r: &mut RenderedFigure, d: &mut Drain) {
         use CpuClass::{Idle, KernelOther, PollThread, RxIntr, UserProc};
+        let mut set_curve = |label: &str, f: fn(f64) -> f64| {
+            let c = r.curves.iter_mut().find(|c| c.label == label).expect("a 6-1 curve");
+            c.trials.iter_mut().for_each(|t| t.delivered_pps = f(t.offered_pps));
+        };
         match id {
             "6-x shape-verdicts" => {
+                // Flip a judged curve's verdict at its heaviest load,
+                // keeping its peak.
                 let c = (r.curves.iter())
                     .position(|c| expected_verdict(r.id, &c.label).is_some())
                     .expect("a curve with a verdict");
                 let livelock =
-                    expected_verdict(r.id, &r.curves[c].label) != Some(LivelockVerdict::Livelock);
-                let xs = r.xs.clone();
-                for (t, x) in r.curves[c].trials.iter_mut().zip(xs) {
-                    t.delivered_pps = shaped(x, livelock);
-                }
+                    expected_verdict(r.id, &r.curves[c].label) == Some(LivelockVerdict::Livelock);
+                let trials = &mut r.curves[c].trials;
+                let peak = trials.iter().map(|t| t.delivered_pps).fold(0.0, f64::max);
+                let tail = trials.last_mut().expect("a point");
+                tail.delivered_pps = if livelock { peak } else { 0.0 };
+            }
+            "6-1 mlfrr-near-paper" => set_curve("Without screend", |x| x.min(3_000.0)),
+            "6-1 screend-peak-near-paper" => {
+                set_curve("With screend", |x| if x > 4_000.0 { 0.0 } else { x.min(3_000.0) })
             }
             "L-1 polled-p99-under-half" => {
                 edit(r, true, last, |t| t.latency_p99 = Nanos::from_millis(50))
@@ -746,15 +818,16 @@ mod tests {
         }) {
             // A figure judges the claims it lists; `chaos` and `observe`
             // every claim they own.
+            let owner = claim.exit.owner();
             let select = |c: &Claim| {
-                fig.claims.contains(&c.id) || (fig.claims.is_empty() && c.owner == claim.owner)
+                fig.claims.contains(&c.id) || (fig.claims.is_empty() && c.exit.owner() == owner)
             };
             let judge = |r: &RenderedFigure, d: &Drain| {
-                if claim.owner == FIGURES {
+                if let Figures(_) = claim.exit {
                     return evaluate(select, Run::Figure(r));
                 }
                 let mut e = r.series()[0][0];
-                if claim.owner == CHAOS {
+                if let Chaos(_) = claim.exit {
                     e.drained = Some(Drained { polled: &d.report, scheduled_faults: d.scheduled });
                 }
                 evaluate(select, Run::Pair(e))
@@ -788,57 +861,30 @@ mod tests {
                 fig.id,
                 ids(&found)
             );
-            assert_eq!(report(&found), claim.exit, "{}", claim.id);
+            assert_eq!(report(&found), Some(claim.exit), "{}", claim.id);
         }
     }
 
-    /// Table ↔ registry, both ways: every row's exit is registered under
-    /// its owner, and every code `figures`, `livelock chaos` and
-    /// `livelock observe` exit with on a failed claim is some row's exit.
-    /// Every figure claim is listed by a figure, and no other claim is.
+    /// Ids are unique, exactly the `figures` rows are listed by a figure,
+    /// every claim-group variant is some row's exit (no variant is dead),
+    /// and per owner the table runs in ascending exit order.
     #[test]
-    fn claims_and_registry_agree() {
-        let registered = |owner: &str, code: i32| {
-            lint::registry::STATIC_ENTRIES.iter().any(|e| e.owner == owner && e.code == code)
-        };
+    fn claims_and_exit_enums_agree() {
         for (i, c) in CLAIMS.iter().enumerate() {
-            assert!(
-                registered(c.owner, c.exit),
-                "{}: exit {} is not registered under `{}`",
-                c.id,
-                c.exit,
-                c.owner
-            );
             assert!(CLAIMS[..i].iter().all(|d| d.id != c.id), "{} appears twice", c.id);
             let listed = figure_table().iter().any(|f| f.claims.contains(&c.id));
-            assert_eq!(
-                listed,
-                c.owner == FIGURES,
-                "{}: only figure claims are listed, and each is",
-                c.id
-            );
+            let figures = matches!(c.exit, Figures(_));
+            assert_eq!(listed, figures, "{}: only figure claims are listed, and each is", c.id);
         }
-        for e in lint::registry::STATIC_ENTRIES
-            .iter()
-            .filter(|e| [FIGURES, CHAOS, OBSERVE].contains(&e.owner))
-        {
-            if e.code != codes::FIGURES_IO {
-                assert!(
-                    CLAIMS.iter().any(|c| c.owner == e.owner && c.exit == e.code),
-                    "`{}` exit {} has no claim",
-                    e.owner,
-                    e.code
-                );
-            }
+        let figures = F::ALL.iter().filter(|&&e| e != F::Io).map(|&e| Figures(e));
+        let chaos = C::ALL.iter().map(|&e| Chaos(e));
+        for e in figures.chain(chaos).chain(O::ALL.iter().map(|&e| Observe(e))) {
+            assert!(CLAIMS.iter().any(|c| c.exit == e), "{e:?} has no claim");
         }
-        // Precedence: per owner, the table runs in ascending exit order.
         for w in CLAIMS.windows(2) {
-            assert!(
-                w[0].owner != w[1].owner || w[0].exit <= w[1].exit,
-                "{} before {}",
-                w[0].id,
-                w[1].id
-            );
+            let (a, b) = (w[0].exit, w[1].exit);
+            let ordered = a.owner() != b.owner() || a.code() <= b.code();
+            assert!(ordered, "{} before {}", w[0].id, w[1].id);
         }
     }
 

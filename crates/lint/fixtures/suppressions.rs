@@ -1,14 +1,15 @@
-// Fixture: two well-formed suppressions (each silences the next line)
-// and two malformed ones (missing reason / unknown rule), which are
+// Fixture: two well-formed suppressions (each silences its own or the
+// next line) and two malformed ones (missing reason / unknown rule), which are
 // findings in their own right.
 struct Suppressed {
     // simlint: allow(unit-discipline): fixture demonstrates a justified exception
     skew_cycles: i64,
 }
 
-fn suppressed_exit() {
-    // simlint: allow(exit-code-registry): fixture demonstrates a justified exception
-    std::process::exit(42);
+fn suppressed_param(
+    skew_ns: i64, // simlint: allow(unit-discipline): a trailing allow covers its own line
+) -> i64 {
+    skew_ns
 }
 
 // simlint: allow(unit-discipline)

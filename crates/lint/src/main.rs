@@ -7,8 +7,12 @@ use std::process::ExitCode;
 
 use lint::baseline::Baseline;
 use lint::files::find_workspace_root;
-use lint::registry::codes;
-use lint::{registry, report, rules};
+use lint::{report, rules};
+
+/// Exit code for a usage error (unknown flag).
+const EXIT_USAGE: i32 = 2;
+/// Exit code for an unreadable workspace.
+const EXIT_IO: i32 = 3;
 
 const USAGE: &str = "\
 simlint — static-analysis gate for the receive-livelock workspace
@@ -21,13 +25,10 @@ OPTIONS:
                         the human one
     --root <PATH>       workspace root (default: walk up from the cwd)
     --list-rules        print every rule with its exit code and exit
-    --exit-codes        print the workspace exit-code registry as the
-                        markdown table embedded in README.md and exit
 
 EXIT CODES:
     0 clean   2 usage   3 I/O error
-    9 multiple rules   16, 20, 21 one code per rule (see --list-rules);
-    the full cross-binary registry is `--exit-codes`
+    9 multiple rules   16, 20 one code per rule (see --list-rules)
 ";
 
 #[derive(Default)]
@@ -35,7 +36,7 @@ struct Opts {
     json: bool,
     root: Option<PathBuf>,
     list_rules: bool,
-    exit_codes: bool,
+    help: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -45,12 +46,8 @@ fn parse_args() -> Result<Opts, String> {
         match a.as_str() {
             "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
-            "--exit-codes" => opts.exit_codes = true,
             "--root" => opts.root = Some(args.next().ok_or("--root needs a path")?.into()),
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
+            "-h" | "--help" => opts.help = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -71,9 +68,14 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("simlint: {e}\n\n{USAGE}");
-            return to_exit(codes::SIMLINT_USAGE);
+            return to_exit(EXIT_USAGE);
         }
     };
+
+    if opts.help {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
 
     if opts.list_rules {
         for r in rules::all_rules() {
@@ -87,11 +89,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if opts.exit_codes {
-        print!("{}", registry::markdown_table());
-        return ExitCode::SUCCESS;
-    }
-
     let root = match opts.root.or_else(|| {
         std::env::current_dir()
             .ok()
@@ -100,7 +97,7 @@ fn main() -> ExitCode {
         Some(r) => r,
         None => {
             eprintln!("simlint: could not find a workspace root (pass --root)");
-            return to_exit(codes::SIMLINT_IO);
+            return to_exit(EXIT_IO);
         }
     };
 
@@ -108,7 +105,7 @@ fn main() -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("simlint: scan failed: {e}");
-            return to_exit(codes::SIMLINT_IO);
+            return to_exit(EXIT_IO);
         }
     };
 

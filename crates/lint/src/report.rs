@@ -1,7 +1,6 @@
 //! Human and JSON reporting, and the exit-code contract.
 //!
-//! Exit codes (authoritative table: `crates/lint/src/registry.rs`, or
-//! `simlint --exit-codes`):
+//! Exit codes (`simlint --list-rules` prints the rule codes):
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -11,7 +10,6 @@
 //! | 9    | fresh findings across multiple rules |
 //! | 16   | bad-suppression |
 //! | 20   | unit-discipline |
-//! | 21   | exit-code-registry |
 //!
 //! `scripts/ci.sh` collapses any non-zero simlint exit into its own
 //! exit 7; the per-rule codes are for humans and tooling running the
@@ -152,12 +150,11 @@ mod tests {
     fn exit_codes_follow_the_contract() {
         assert_eq!(exit_code(&result(&[])), 0);
         assert_eq!(exit_code(&result(&["unit-discipline"])), 20);
-        assert_eq!(exit_code(&result(&["exit-code-registry"])), 21);
+        assert_eq!(exit_code(&result(&["bad-suppression"])), 16);
         assert_eq!(
-            exit_code(&result(&["exit-code-registry", "unit-discipline"])),
+            exit_code(&result(&["bad-suppression", "unit-discipline"])),
             9
         );
-        assert_eq!(exit_code(&result(&["bad-suppression"])), 16);
     }
 
     #[test]
@@ -172,9 +169,9 @@ mod tests {
 
     #[test]
     fn json_is_escaped_and_self_describing() {
-        let j = json(&result(&["exit-code-registry"]));
+        let j = json(&result(&["unit-discipline"]));
         assert!(j.contains("\"a \\\"quoted\\\" message\""));
-        assert!(j.contains("\"exit_code\": 21"));
+        assert!(j.contains("\"exit_code\": 20"));
         assert!(j.contains("\"files_scanned\": 10"));
         let empty = json(&result(&[]));
         assert!(empty.contains("\"findings\": []"));

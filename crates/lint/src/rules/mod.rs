@@ -10,10 +10,8 @@
 use crate::files::FileInfo;
 use crate::tokenizer::Tok;
 
-mod exitcodes;
 mod units;
 
-pub use exitcodes::{EXIT_CODE_REGISTRY, EXIT_CODE_REGISTRY_RULE};
 pub use units::EXIT_UNIT_DISCIPLINE;
 
 /// A match a rule reported, before exemption filtering.
@@ -51,10 +49,7 @@ pub const BAD_SUPPRESSION_RULE: &str = "bad-suppression";
 
 /// Instantiates every rule, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(units::UnitDiscipline),
-        Box::new(exitcodes::ExitCodeRegistry),
-    ]
+    vec![Box::new(units::UnitDiscipline)]
 }
 
 /// Every suppressible rule id (the `allow(...)` vocabulary).
@@ -80,25 +75,6 @@ pub(crate) fn is_path_sep(toks: &[Tok], i: usize) -> bool {
     toks.get(i).is_some_and(|t| t.is_punct(':')) && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
 }
 
-/// Matches `segs[0] :: segs[1] :: …` starting at token `i`. Returns the
-/// index one past the match.
-pub(crate) fn path_match(toks: &[Tok], i: usize, segs: &[&str]) -> Option<usize> {
-    let mut at = i;
-    for (n, seg) in segs.iter().enumerate() {
-        if n > 0 {
-            if !is_path_sep(toks, at) {
-                return None;
-            }
-            at += 2;
-        }
-        if !toks.get(at).is_some_and(|t| t.is_ident(seg)) {
-            return None;
-        }
-        at += 1;
-    }
-    Some(at)
-}
-
 /// Builds a finding at token index `i`.
 pub(crate) fn raw(toks: &[Tok], i: usize, snippet: impl Into<String>, message: impl Into<String>) -> RawFinding {
     RawFinding {
@@ -112,17 +88,6 @@ pub(crate) fn raw(toks: &[Tok], i: usize, snippet: impl Into<String>, message: i
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::tokenize;
-
-    #[test]
-    fn path_match_walks_separators() {
-        let toks = tokenize("std::time::Instant::now()").toks;
-        assert_eq!(path_match(&toks, 0, &["std", "time", "Instant", "now"]), Some(10));
-        // Suffix match starting at `Instant`.
-        let at = toks.iter().position(|t| t.is_ident("Instant")).unwrap();
-        assert!(path_match(&toks, at, &["Instant", "now"]).is_some());
-        assert!(path_match(&toks, 0, &["std", "thread"]).is_none());
-    }
 
     #[test]
     fn exit_codes_are_distinct() {

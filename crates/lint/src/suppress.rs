@@ -117,7 +117,7 @@ fn parse_directive(body: &str, known_rules: &[&str]) -> Result<(String, String),
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["unit-discipline", "exit-code-registry"];
+    const RULES: &[&str] = &["unit-discipline", "other-rule"];
 
     fn comment(text: &str, line: u32) -> LintComment {
         LintComment {
@@ -139,7 +139,7 @@ mod tests {
         assert!(s.covers("unit-discipline", 7), "own line");
         assert!(s.covers("unit-discipline", 8), "next line");
         assert!(!s.covers("unit-discipline", 9));
-        assert!(!s.covers("exit-code-registry", 7), "other rules unaffected");
+        assert!(!s.covers("other-rule", 7), "other rules unaffected");
     }
 
     #[test]

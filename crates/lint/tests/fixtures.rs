@@ -24,7 +24,7 @@ fn rules_hit(fl: &FileLint) -> Vec<&str> {
 const SUPPRESSIONS: &str = include_str!("../fixtures/suppressions.rs");
 const STRINGS_AND_COMMENTS: &str = include_str!("../fixtures/strings_and_comments.rs");
 
-/// A bench binary: every rule is in scope there.
+/// A bench binary: the rule is in scope there.
 const BIN: &str = "crates/bench/src/bin/fixture.rs";
 
 #[test]
@@ -33,7 +33,7 @@ fn suppressions_silence_with_reason_and_fail_without() {
     let suppressed: Vec<&str> = fl.suppressed.iter().map(|f| f.rule.as_str()).collect();
     assert_eq!(
         suppressed,
-        vec!["unit-discipline", "exit-code-registry"],
+        vec!["unit-discipline", "unit-discipline"],
         "{:?}",
         fl.suppressed
     );
@@ -57,7 +57,7 @@ fn suppressions_silence_with_reason_and_fail_without() {
 
 #[test]
 fn trigger_text_in_strings_and_comments_is_invisible() {
-    // Linted as a binary, where every per-file rule is in scope.
+    // Linted as a binary, where the rule is in scope.
     let fl = lint_at(BIN, STRINGS_AND_COMMENTS);
     assert!(fl.active.is_empty(), "{:?}", fl.active);
     assert!(fl.suppressed.is_empty(), "{:?}", fl.suppressed);

@@ -1,13 +1,12 @@
-//! Seed-and-verify: each rule (20, 21) fires its exact exit code on a
-//! planted violation, and a pristine copy exits 0.
+//! Seed-and-verify: the rule fires its exact exit code (20) on a planted
+//! violation, and a pristine copy exits 0.
 //!
 //! The harness copies the real workspace's sources into a scratch tree
 //! under the system temp dir, plants exactly one violation, lints the
 //! scratch tree through the library API, and asserts on
 //! `report::exit_code` — the same value the `simlint` process exits
-//! with. Copying the live tree (rather than a synthetic fixture) keeps
-//! the exit-code registry's liveness cross-checks satisfied, so a
-//! seeded run fails for the seeded reason and nothing else.
+//! with. Copying the live tree (rather than a synthetic fixture) shows
+//! that a seeded run fails for the seeded reason and nothing else.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,8 +23,8 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Copies everything the linter scans (plus `scripts/ci.sh`) into a
-/// fresh scratch tree and returns its path.
+/// Copies everything the linter scans into a fresh scratch tree and
+/// returns its path.
 fn scratch_copy(tag: &str) -> PathBuf {
     let root = repo_root();
     let dst = std::env::temp_dir().join(format!(
@@ -51,8 +50,6 @@ fn scratch_copy(tag: &str) -> PathBuf {
     }
     copy_rs_tree(&root.join("tests"), &dst.join("tests"));
     copy_rs_tree(&root.join("examples"), &dst.join("examples"));
-    fs::create_dir_all(dst.join("scripts")).expect("scripts dir");
-    fs::copy(root.join("scripts/ci.sh"), dst.join("scripts/ci.sh")).expect("ci.sh copied");
     dst
 }
 
@@ -104,36 +101,5 @@ fn seeded_unit_violation_exits_20() {
     assert_eq!(rules_hit, vec!["unit-discipline".to_string()], "exactly the seeded finding");
     assert_eq!(code, rules::EXIT_UNIT_DISCIPLINE);
     assert_eq!(code, 20);
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn seeded_raw_exit_code_exits_21() {
-    let dir = scratch_copy("exitcodes");
-    append(
-        &dir.join("crates/bench/src/bin/figures.rs"),
-        "\nfn seeded_raw_exit() { std::process::exit(42); }\n",
-    );
-    let (code, rules_hit) = lint_exit(&dir);
-    assert_eq!(
-        rules_hit,
-        vec!["exit-code-registry".to_string()],
-        "exactly the seeded finding"
-    );
-    assert_eq!(code, rules::EXIT_CODE_REGISTRY);
-    assert_eq!(code, 21);
-    fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn unregistered_ci_exit_also_exits_21() {
-    let dir = scratch_copy("cish");
-    let ci = dir.join("scripts/ci.sh");
-    let mut text = fs::read_to_string(&ci).expect("ci.sh readable");
-    text.push_str("\nfalse || exit 99\n");
-    fs::write(&ci, text).expect("ci.sh seeded");
-    let (code, rules_hit) = lint_exit(&dir);
-    assert_eq!(rules_hit, vec!["exit-code-registry".to_string()]);
-    assert_eq!(code, 21);
     fs::remove_dir_all(&dir).ok();
 }

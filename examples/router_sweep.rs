@@ -12,6 +12,8 @@
 //! Configs: `unmodified`, `screend`, `polled`, `no-quota`, `feedback`
 //! (default: `unmodified polled`).
 
+use std::process::ExitCode;
+
 use livelock_core::analysis::{classify, mlfrr};
 use livelock_core::poller::Quota;
 use livelock_kernel::config::KernelConfig;
@@ -29,7 +31,7 @@ fn config_by_name(name: &str) -> Option<KernelConfig> {
     })
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut names: Vec<String> = std::env::args().skip(1).collect();
     if names.is_empty() {
         names = vec!["unmodified".into(), "polled".into()];
@@ -39,7 +41,7 @@ fn main() {
     for name in &names {
         let Some(cfg) = config_by_name(name) else {
             eprintln!("unknown config {name:?}; try unmodified|screend|polled|no-quota|feedback");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         };
         eprintln!("sweeping {name}...");
         let base = TrialSpec {
@@ -72,4 +74,5 @@ fn main() {
             classify(&pts, 0.10, 0.80),
         );
     }
+    ExitCode::SUCCESS
 }

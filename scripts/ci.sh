@@ -4,16 +4,27 @@
 # CLI smokes. Needs cargo with clippy; without clippy it fails (exit 7).
 #
 # Exit status is the first failing step's code, 0 when everything
-# passed. Every code is registered with its meaning in
-# crates/lint/src/registry.rs (owner `ci.sh`): `simlint --exit-codes`
-# prints the table, README embeds it, and the exit-code-registry rule
-# cross-checks the literal `exit N`s below against it both ways.
+# passed. These rows are the only list of the codes: a test in
+# crates/bench/tests/exit_codes.rs checks them both ways against every
+# `exit N` below, and README's exit-code table is generated from them.
+# exit 1 — build-test-io — build or test failure, a figure CSV differing from its committed copy, figures exiting 1, or bad arguments
+# exit 2 — figure-shape — a paper figure's shape or calibration claim failed (figures exit 2)
+# exit 3 — latency-gate — an L-1 latency claim failed (figures exit 3)
+# exit 4 — cpu-share-gate — a C-1 CPU-share claim failed (figures exit 4)
+# exit 5 — fault-gate — an R-1 fault-storm claim failed (figures exit 5)
+# exit 6 — chaos-smoke — a `livelock chaos` smoke run failed
+# exit 7 — static-analysis — simlint or clippy found something, clippy is missing, or the seeded violations were not caught
+# exit 8 — bench-smoke — a benchmark unit failed, or a sim_digest differs from the newest BENCH_PR<N>.json
+# exit 9 — smp-gate — an S-1 SMP claim failed (figures exit 6), or the 4-CPU chrome-trace smoke did
+# exit 10 — observe-gate — an O-1 online-detection claim failed (figures exit 7), or the event-stream/flamegraph rerun smoke did
+# exit 11 — observe-smoke — the `livelock observe` smoke failed
+# exit 12 — priority-gate — a P-1 priority-isolation claim failed (figures exit 8)
 #
 # Usage: scripts/ci.sh [--jobs N] [other flags...]
-#   --jobs N is validated here and sets the job count the quick figure
-#   set is re-rendered at (default 4) for the byte-identity comparison
-#   against --jobs 1; any other flag is passed through to the figures
-#   binary, which rejects what it does not know.
+#   --jobs N is validated here and sets the job count the full-fidelity
+#   figure set renders at (default 4); any other flag is passed through
+#   to the quick render's figures binary, which rejects what it does not
+#   know.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -98,10 +109,10 @@ find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print
 
 step "static analysis: simlint, clippy, and a seeded crate clippy must reject"
 # One gate, exit 7. simlint (crates/lint) checks what clippy cannot: no
-# unit-named binding declared as a bare number, and every process exit
-# code registered in crates/lint/src/registry.rs. Clippy checks the rest:
+# unit-named binding declared as a bare number. Clippy checks the rest:
 # the determinism contract (no wall clock, hash-ordered container or
-# host thread; clippy.toml's disallowed lists) on every target, and
+# host thread) and no `process::exit` (a bin returns its exit enum) on
+# every target, both from clippy.toml's disallowed lists, and
 # panic-freedom on the simulator's library targets. Sanctioned exceptions
 # carry `// simlint: allow(rule): reason` or
 # `#[expect(clippy::lint, reason = "...")]`; an `#[expect]` that no
@@ -166,6 +177,10 @@ pub fn threads() {
     let _ = std::thread::spawn(|| {});
 }
 
+pub fn raw_exit() {
+    std::process::exit(3);
+}
+
 pub fn panics(o: Option<u8>, r: Result<u8, ()>) -> u8 {
     if o.is_none() {
         panic!("none");
@@ -212,12 +227,13 @@ rc=$?
 missing=()
 for want in 'disallowed type `std::time::Instant`' 'disallowed type `std::time::SystemTime`' \
     'disallowed type `std::collections::HashMap`' 'disallowed type `std::collections::HashSet`' \
-    'disallowed method `std::thread::spawn`' '`-D clippy::unwrap-used`' '`-D clippy::expect-used`' \
+    'disallowed method `std::thread::spawn`' 'disallowed method `std::process::exit`' \
+    '`-D clippy::unwrap-used`' '`-D clippy::expect-used`' \
     '`-D clippy::panic`' '`-D clippy::todo`' '`-D clippy::unimplemented`'; do
     grep -qF -- "$want" "$seeded/bad.log" || missing+=("$want")
 done
 if [ "$rc" -ne 0 ] && [ ${#missing[@]} -eq 0 ]; then
-    echo "ci: clippy gate rejects each seeded determinism and panic violation"
+    echo "ci: clippy gate rejects each seeded determinism, exit and panic violation"
 else
     cat "$seeded/bad.log" >&2
     echo "ci: FAIL — clippy gate exited $rc on the seeded crate; not reported: ${missing[*]:-none}" >&2
@@ -231,14 +247,15 @@ else
     exit 7
 fi
 
-# Renders the quick figure set into directory $1 at job count $2 (from a
-# scratch directory: quick-mode CSVs must not overwrite the committed
-# full-fidelity results/) and maps a failed claim's figures exit to this
-# script's code. A figures exit code without an arm here fails as 1.
-quick_figures() {
+# Renders the figure table from directory $1 (a scratch directory, so
+# the committed full-fidelity results/ are never overwritten) with the
+# figures flags that follow, and maps a failed claim's figures exit to
+# this script's code. A figures exit code without an arm here fails as 1.
+figures_gate() {
     mkdir -p "$1"
-    (cd "$1" && "$repo/target/release/figures" --quick --jobs "$2" \
-        ${fig_args[0]+"${fig_args[@]}"})
+    local dir=$1
+    shift
+    (cd "$dir" && "$repo/target/release/figures" "$@")
     rc=$?
     case "$rc" in
     0) ;;
@@ -253,19 +270,12 @@ quick_figures() {
     esac
 }
 
-step "figures --quick: every claim, byte-identical across job counts"
-# Every trial is independently seeded, so no CSV may depend on how trials
-# were fanned out — fault storms, SMP slice interleaving, the observe
-# layer and the class dimension included. Render the whole table serially
-# and in parallel and compare the two result directories.
-quick_figures "$scratch/j1" 1
-quick_figures "$scratch/jN" "$jobs"
-if diff -r "$scratch/j1/results" "$scratch/jN/results"; then
-    echo "ci: every quick CSV byte-identical at --jobs 1 and --jobs $jobs"
-else
-    echo "ci: FAIL — figure CSVs differ between --jobs 1 and --jobs $jobs" >&2
-    exit 1
-fi
+step "figures --quick: every claim"
+# The claims a --quick user sees, rendered serially. That no CSV depends
+# on the job count is shown at full fidelity below, against the
+# committed CSVs (and the benchmark smoke renders every figure serially
+# against the same CSVs).
+figures_gate "$scratch/quick" --quick --jobs 1 ${fig_args[0]+"${fig_args[@]}"}
 # An id outside the table renders nothing, so it must not pass as "ok".
 (cd "$scratch" && "$repo/target/release/figures" --fig 9-9 > /dev/null 2>&1)
 rc=$?
@@ -377,10 +387,10 @@ fi
 step "committed results: full-fidelity figures byte-identical"
 # The committed results/*.csv are the paper artifact; the engine (default
 # heap scheduler, arrivals streamed from the arrival source) must
-# reproduce every byte. Regenerate the full-fidelity set in scratch and
+# reproduce every byte, at any job count. Regenerate the full-fidelity
+# set in scratch at --jobs N (its claims gate like the quick set's) and
 # compare file by file.
-mkdir -p "$scratch/full"
-(cd "$scratch/full" && "$repo/target/release/figures") || exit 1
+figures_gate "$scratch/full" --jobs "$jobs"
 results_ok=1
 for f in "$repo"/results/*.csv; do
     base=$(basename "$f")
