@@ -7,8 +7,8 @@
 //!
 //! `--quick` uses 2,000-packet trials instead of the paper's 10,000 (about
 //! 5x faster, slightly noisier). `--fig <id>` renders a single figure.
-//! `--jobs N` fans trials across N worker threads (default: the host's
-//! available parallelism); every trial is independently seeded, so the
+//! `--jobs N` fans trials across N worker threads, 1 to 64 (default: the
+//! host's available parallelism); every trial is independently seeded, so the
 //! output is byte-identical for every job count.
 //!
 //! The binary is one loop over `livelock_bench::figure_table()`: render,
@@ -24,7 +24,7 @@ use std::path::Path;
 use livelock_bench::claims::{self, Run};
 use livelock_bench::exit::{Exit, FiguresExit};
 use livelock_bench::{figure_table, render_figure, PAPER_TRIAL_PACKETS};
-use livelock_kernel::par::{default_jobs, Parallelism};
+use livelock_kernel::par::{default_jobs, Parallelism, MAX_JOBS};
 
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq)]
@@ -53,8 +53,12 @@ fn parse_args(argv: &[String], ids: &[&str]) -> Result<Args, String> {
             "--jobs" => {
                 let given = it.next().map_or("", String::as_str);
                 match given.parse() {
-                    Ok(n) if n >= 1 => args.jobs = Some(n),
-                    _ => return Err(format!("--jobs: bad thread count {given:?}")),
+                    Ok(n) if (1..=MAX_JOBS).contains(&n) => args.jobs = Some(n),
+                    _ => {
+                        return Err(format!(
+                            "--jobs: want a thread count in 1..={MAX_JOBS}, got {given:?}"
+                        ))
+                    }
                 }
             }
             other => {
@@ -146,8 +150,13 @@ mod tests {
     fn a_mistyped_flag_is_an_error_naming_it() {
         let err = parse(&["--figg", "6-1"]).unwrap_err();
         assert!(err.contains("--figg") && err.contains("--fig <id>"), "{err}");
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--jobs", "four"]).is_err());
+        // Every job is a worker thread; never test a larger count.
+        for bad in ["0", "65", "four"] {
+            let err = parse(&["--jobs", bad]).unwrap_err();
+            assert!(err.starts_with("--jobs"), "{err}");
+        }
+        assert_eq!(MAX_JOBS, 64, "the rows above test MAX_JOBS + 1");
+        assert_eq!(parse(&["--jobs", "64"]).unwrap().jobs, Some(MAX_JOBS));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! plot (`--latency` adds a p99-latency column per config); `mlfrr`
 //! searches for the Maximum Loss Free Receive Rate by
 //! multisection (with `--jobs N`, each round probes N rates concurrently).
-//! `--jobs` defaults to the host's available parallelism; results are
-//! identical for every job count.
+//! `--jobs` takes 1 to 64 worker threads and defaults to the host's
+//! available parallelism; results are identical for every job count.
 //!
 //! `chaos` runs a deterministic seeded fault storm (lost and spurious
 //! interrupts, packet corruption, overrun bursts, link flaps, screend
@@ -48,7 +48,7 @@ use livelock_kernel::experiment::{
     paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec,
 };
 use livelock_kernel::experiment::sweep;
-use livelock_kernel::par::{default_jobs, par_map, Parallelism};
+use livelock_kernel::par::{default_jobs, par_map, Parallelism, MAX_JOBS};
 use livelock_kernel::stats::{DropReason, Stage};
 use livelock_machine::CpuClass;
 use livelock_sim::Nanos;
@@ -83,6 +83,8 @@ fn config_by_name(name: &str) -> Option<KernelConfig> {
 
 struct Args {
     flags: Vec<(String, String)>,
+    /// `--rates`, parsed once, by [`Args::parse`].
+    rates: Option<Vec<f64>>,
 }
 
 /// A subcommand's body: its exit status, or a usage error.
@@ -164,6 +166,7 @@ impl Args {
     /// a silently ignored default.
     fn parse(raw: &[String], known: &[&str]) -> Result<Args, String> {
         let mut flags = Vec::new();
+        let mut rates = None;
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
@@ -185,20 +188,32 @@ impl Args {
                 continue;
             }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            Self::check_spec_value(name, value)?;
+            if name == "rates" {
+                let parsed = value.split(',').map(|v| Self::parse_rate(name, v));
+                rates = Some(parsed.collect::<Result<_, _>>()?);
+            } else {
+                Self::check_spec_value(name, value)?;
+            }
             flags.push((name.to_string(), value.clone()));
         }
-        Ok(Args { flags })
+        Ok(Args { flags, rates })
     }
 
     /// The trial-spec flags every subcommand shares must describe a trial
     /// that can run: a degenerate rate or packet count is a usage error
-    /// here, not a panic inside the trial pipeline.
+    /// here, not a panic inside the trial pipeline, and a job count is
+    /// checked before any worker thread starts.
     fn check_spec_value(name: &str, value: &str) -> Result<(), String> {
         let bad = |v: &str| format!("--{name}: bad number {v:?}");
         match name {
-            "rate" | "rates" => {
-                Self::parse_rates(name, value)?;
+            "rate" => {
+                Self::parse_rate(name, value)?;
+            }
+            "jobs" => {
+                let n: usize = value.parse().map_err(|_| bad(value))?;
+                if !(1..=MAX_JOBS).contains(&n) {
+                    return Err(format!("--jobs: want 1..={MAX_JOBS}, got {n}"));
+                }
             }
             "packets" => {
                 let n: usize = value.parse().map_err(|_| bad(value))?;
@@ -219,24 +234,18 @@ impl Args {
         Ok(())
     }
 
-    /// The comma-separated offered rates of `--rate` / `--rates`, each
-    /// finite and positive.
-    fn parse_rates(name: &str, value: &str) -> Result<Vec<f64>, String> {
-        value
-            .split(',')
-            .map(|v| {
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--{name}: bad number {v:?}"))?;
-                if rate.is_nan() || rate <= 0.0 {
-                    return Err(format!("--{name}: must be positive, got {rate}"));
-                }
-                if rate.is_infinite() {
-                    return Err(format!("--{name}: must be finite, got {rate}"));
-                }
-                Ok(rate)
-            })
-            .collect()
+    /// One offered rate of `--rate` / `--rates`: finite and positive.
+    fn parse_rate(name: &str, v: &str) -> Result<f64, String> {
+        let rate: f64 = v
+            .parse()
+            .map_err(|_| format!("--{name}: bad number {v:?}"))?;
+        if rate.is_nan() || rate <= 0.0 {
+            return Err(format!("--{name}: must be positive, got {rate}"));
+        }
+        if rate.is_infinite() {
+            return Err(format!("--{name}: must be finite, got {rate}"));
+        }
+        Ok(rate)
     }
 
     fn has(&self, name: &str) -> bool {
@@ -427,10 +436,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         .unwrap_or("unmodified,polled")
         .split(',')
         .collect();
-    let rates = match args.get("rates") {
-        None => paper_rates(),
-        Some(s) => Args::parse_rates("rates", s)?,
-    };
+    let rates = args.rates.clone().unwrap_or_else(paper_rates);
     let n_packets = args.num::<usize>("packets", 3_000)?;
     check_span("rates", &rates, n_packets)?;
     let jobs = args.num::<usize>("jobs", default_jobs())?;
@@ -827,6 +833,11 @@ mod tests {
             ("mlfrr", ["--loss-free", "-1"], "--loss-free"),
             ("mlfrr", ["--loss-free", "0"], "--loss-free"),
             ("mlfrr", ["--loss-free", "2"], "--loss-free"),
+            // Every job is a worker thread; never test a larger count.
+            ("sweep", ["--jobs", "0"], "--jobs"),
+            ("mlfrr", ["--jobs", "0"], "--jobs"),
+            ("sweep", ["--jobs", "65"], "--jobs"),
+            ("mlfrr", ["--jobs", "65"], "--jobs"),
             // Positive but so slow the offered load outlasts a simulated
             // day: each used to run for minutes to hours.
             ("trial", ["--rate", "1e-6"], "--rate"),
@@ -845,8 +856,11 @@ mod tests {
             Some("--rate: must be positive, got 0"),
             "the message observe always gave"
         );
+        assert_eq!(MAX_JOBS, 64, "the rows above test MAX_JOBS + 1");
         let args = parse("sweep", &["--rates", "1000,2500.5", "--packets", "1"]).expect("fine");
-        assert_eq!(args.get("rates"), Some("1000,2500.5"));
+        assert_eq!(args.rates, Some(vec![1000.0, 2500.5]));
+        let args = parse("mlfrr", &["--jobs", "64"]).expect("MAX_JOBS is allowed");
+        assert_eq!(args.get("jobs"), Some("64"));
     }
 
     #[test]

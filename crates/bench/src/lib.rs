@@ -824,22 +824,16 @@ pub fn render_figure(fig: &Figure, n_packets: usize, par: Parallelism) -> Render
     }
 }
 
-/// [`render_figure`] with every kernel's event-scheduler backend forced
-/// to `scheduler` (`None` keeps the configured one — the heap default).
-/// An entry point the frozen `benchmark/` links to time heap vs calendar
-/// on the same trials; both dispatch identically, so no number moves.
+/// [`render_figure`], under the name and signature the frozen
+/// `benchmark/` links: the engine has one event queue, so the last
+/// argument selects nothing.
 pub fn render_figure_with_scheduler(
     fig: &Figure,
     n_packets: usize,
     par: Parallelism,
-    scheduler: Option<SchedulerKind>,
+    _scheduler: Option<SchedulerKind>,
 ) -> RenderedFigure {
-    let Some(kind) = scheduler else {
-        return render_figure(fig, n_packets, par);
-    };
-    let mut forced = fig.clone();
-    forced.kernels.iter_mut().for_each(|k| k.scheduler = kind);
-    render_figure(&forced, n_packets, par)
+    render_figure(fig, n_packets, par)
 }
 
 /// Figure R-1 by name: an entry point the frozen `benchmark/` links;
@@ -1025,12 +1019,12 @@ mod tests {
             }
             assert_eq!(par.to_csv(), serial.to_csv(), "jobs={jobs}");
         }
-        // The benchmark's entry point: a forced backend renders the same
-        // trials (both schedulers dispatch identically).
-        let forced = Some(SchedulerKind::Calendar);
-        let calendar = render_figure_with_scheduler(&fig, 300, Parallelism::Serial, forced);
-        for (c, s) in calendar.curves.iter().zip(&serial.curves) {
-            assert_eq!(c.trials, s.trials, "calendar backend");
+        // The benchmark's entry point renders the same trials.
+        let forced = Some(SchedulerKind::Heap);
+        let heap = render_figure_with_scheduler(&fig, 300, Parallelism::Serial, forced);
+        assert_eq!(heap.curves.len(), serial.curves.len());
+        for (h, s) in heap.curves.iter().zip(&serial.curves) {
+            assert_eq!(h.trials, s.trials, "the benchmark's entry point");
         }
     }
 

@@ -192,7 +192,6 @@ pub fn overload_stability(points: &[SweepPoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn sweep(pairs: &[(f64, f64)]) -> Vec<SweepPoint> {
@@ -347,7 +346,6 @@ mod tests {
         assert_eq!(delivered_at_max_load(&[]), 0.0);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn stability_is_bounded(

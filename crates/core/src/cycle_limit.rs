@@ -129,7 +129,6 @@ impl CycleLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -212,7 +211,6 @@ mod tests {
         let _ = CycleLimiter::new(100, 1.5);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The limiter inhibits iff cumulative usage exceeds the budget
         /// (when the threshold is below 100%), and the total overshoot is at

@@ -143,7 +143,6 @@ impl WatermarkFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -316,7 +315,6 @@ mod tests {
         assert_eq!(fb.on_depth(0), Some(FeedbackSignal::Resume));
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// Signals strictly alternate Inhibit/Resume and the controller's
         /// state always matches the last signal emitted.

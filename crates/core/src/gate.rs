@@ -153,7 +153,6 @@ impl IntrGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -210,7 +209,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The central safety property: after any sequence of operations,
         /// the gate is open iff the model set of standing reasons is empty,

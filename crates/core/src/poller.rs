@@ -234,7 +234,6 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn poller_with(n: usize) -> (Poller, Vec<SourceId>) {
@@ -329,7 +328,6 @@ mod tests {
         assert_eq!(p.next_action(), None, "double request != double service");
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// Fairness: with every slot always pending, over S*k consecutive
         /// actions every (source, direction) slot is served exactly k times,

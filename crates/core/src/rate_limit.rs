@@ -110,7 +110,6 @@ impl IntrRateLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -160,7 +159,6 @@ mod tests {
         let _ = IntrRateLimiter::new(0, 1);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The sustained rate never exceeds the configured one: over any
         /// request trace, allowed ≤ burst + elapsed/interval.

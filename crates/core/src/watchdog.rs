@@ -76,9 +76,7 @@ impl GateWatchdog {
 mod gate_watchdog_tests {
     use super::*;
     use crate::gate::InhibitReason;
-    #[cfg(feature = "proptest")]
     use crate::gate::IntrGate;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     /// Everything but `PollingActive` (bit 0), as the kernel configures it.
@@ -141,7 +139,6 @@ mod gate_watchdog_tests {
 
     /// Applies a stuck mask to a gate the way the kernel does: force-clear
     /// every reported reason.
-    #[cfg(feature = "proptest")]
     fn force_clear(g: &mut IntrGate, stuck: u8) {
         for r in InhibitReason::ALL {
             if stuck & (1 << r.bit_index()) != 0 {
@@ -150,7 +147,6 @@ mod gate_watchdog_tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The tentpole recovery guarantee: from ANY reachable inhibit set
         /// whose owners then die (no further inhibit/allow calls), a gate

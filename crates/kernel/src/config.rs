@@ -238,10 +238,8 @@ pub struct KernelConfig {
     /// has no admission gate to protect anything, which is exactly the
     /// contrast `chaos --priority` demonstrates.
     pub classes: Option<ClassifyConfig>,
-    /// Event-scheduler backend for the machine engine. Both backends
-    /// dispatch in bit-identical order; [`SchedulerKind::Heap`] (the
-    /// default) is the faster one on the dozen events a trial keeps
-    /// pending, [`SchedulerKind::Calendar`] on thousands.
+    /// Written by the frozen `benchmark/` and read by nothing: the
+    /// engine has one event queue, [`SchedulerKind::Heap`].
     pub scheduler: SchedulerKind,
     /// The cycle cost model.
     pub cost: CostModel,
@@ -441,14 +439,6 @@ impl KernelConfigBuilder {
     /// strict-priority drain and the SLO-guarded shed controller.
     pub fn classes(mut self, cfg: ClassifyConfig) -> Self {
         self.cfg.classes = Some(cfg);
-        self
-    }
-
-    /// Selects the event-scheduler backend (default:
-    /// [`SchedulerKind::Heap`]), e.g. to check the two backends against
-    /// each other.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.cfg.scheduler = kind;
         self
     }
 

@@ -1024,75 +1024,32 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_calendar_backends_produce_identical_trials() {
-        use livelock_machine::cpu::SchedulerKind;
-        // Overloaded rate: drops, deferred interrupts and queue churn give
-        // the schedulers a dense, tie-heavy event stream to disagree on.
-        for (name, cfg) in [
-            ("unmodified", unmodified()),
-            ("polled", polled(Quota::Limited(10))),
-        ] {
-            let run = |kind| {
-                let mut c = cfg.clone();
-                c.scheduler = kind;
-                quick(c, 9_000.0, 1_200)
-            };
-            let h = run(SchedulerKind::Heap);
-            let c = run(SchedulerKind::Calendar);
-            assert_eq!(h.transmitted, c.transmitted, "{name}");
-            assert_eq!(
-                h.offered_pps.to_bits(),
-                c.offered_pps.to_bits(),
-                "{name}: offered rate must be bit-identical"
-            );
-            assert_eq!(
-                h.delivered_pps.to_bits(),
-                c.delivered_pps.to_bits(),
-                "{name}: delivered rate must be bit-identical"
-            );
-            assert_eq!(h.latency_mean, c.latency_mean, "{name}");
-            assert_eq!(h.latency_p99, c.latency_p99, "{name}");
-            assert_eq!(h.latency_jitter, c.latency_jitter, "{name}");
-            assert_eq!(h.drops, c.drops, "{name}");
-            assert_eq!(h.per_cpu, c.per_cpu, "{name}");
-            assert!(
-                h.aggregate().events_dispatched > 0,
-                "{name}: trial dispatched events"
-            );
-        }
-    }
-
-    #[test]
-    fn smp_trials_are_backend_and_rerun_identical() {
-        use livelock_machine::cpu::SchedulerKind;
+    fn smp_trials_are_rerun_identical() {
         // The determinism claim: a trial is a pure function of (config,
-        // seed) — same numbers on every scheduler backend and every
-        // rerun, at every CPU count, from every entry point.
+        // seed) — same numbers on every rerun, at every CPU count, from
+        // every entry point.
         for ncpus in [1, 2, 4] {
-            let spec = |kind| TrialSpec {
+            let spec = TrialSpec {
                 rate_pps: 9_000.0,
                 n_packets: 1_200,
-                ..TrialSpec::new(KernelConfig::builder().ncpus(ncpus).scheduler(kind).build())
+                ..TrialSpec::new(KernelConfig::builder().ncpus(ncpus).build())
             };
-            let h = run_trial(&spec(SchedulerKind::Heap));
-            let c = run_trial(&spec(SchedulerKind::Calendar));
-            let h2 = run_trial(&spec(SchedulerKind::Heap));
-            assert_eq!(h, c, "ncpus={ncpus}: backends disagree");
-            assert_eq!(h, h2, "ncpus={ncpus}: rerun disagrees");
+            let h = run_trial(&spec);
+            assert_eq!(h, run_trial(&spec), "ncpus={ncpus}: rerun disagrees");
             assert_eq!(h.per_cpu().len(), ncpus);
 
-            let chaos = |kind| run_chaos_trial(&spec(kind));
-            let (dh, dc) = (chaos(SchedulerKind::Heap), chaos(SchedulerKind::Calendar));
+            let drained = run_chaos_trial(&spec);
             assert_eq!(
-                dh.result, dc.result,
-                "ncpus={ncpus}: drained backends disagree"
+                drained.result,
+                run_chaos_trial(&spec).result,
+                "ncpus={ncpus}: drained rerun disagrees"
             );
-            assert_eq!(dh.result.per_cpu().len(), ncpus);
+            assert_eq!(drained.result.per_cpu().len(), ncpus);
             assert_eq!(
-                dh.in_flight, 0,
+                drained.in_flight, 0,
                 "ncpus={ncpus}: the drain empties the machine"
             );
-            assert!(dh.gate_open_at_end && dh.screend_q_len == 0);
+            assert!(drained.gate_open_at_end && drained.screend_q_len == 0);
         }
     }
 
@@ -1378,7 +1335,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     proptest::proptest! {
         /// RSS steering never loses or invents packets: at any CPU count,
         /// rate and packet count, with or without stealing, delivered +
@@ -1590,38 +1546,34 @@ mod tests {
 
     #[test]
     fn streamed_arrivals_match_the_preloading_oracle() {
-        use livelock_machine::cpu::SchedulerKind;
         use livelock_machine::fault::FaultPlan;
         let freq = unmodified().cost.freq;
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            for ncpus in [1, 4] {
-                for storm in [false, true] {
-                    // Overloaded, so rings overflow, feedback gates, and
-                    // (on 4 CPUs) the steal path and its IPIs all run.
-                    let mut b = KernelConfig::builder()
-                        .polled(Quota::Limited(10))
-                        .screend(Default::default())
-                        .feedback(Default::default())
-                        .scheduler(kind);
-                    if ncpus > 1 {
-                        b = b.ncpus(ncpus).steal(true);
-                    }
-                    if storm {
-                        b = b.faults(FaultPlan::storm(
-                            7,
-                            1.0,
-                            Cycles::ZERO,
-                            freq.cycles_from_millis(150),
-                        ));
-                    }
-                    let spec = TrialSpec {
-                        rate_pps: 11_000.0 * ncpus as f64,
-                        n_packets: 1_500 * ncpus,
-                        ..TrialSpec::new(b.build())
-                    };
-                    let what = format!("{kind:?} ncpus={ncpus} storm={storm}");
-                    assert_matches_preloading_oracle(&spec, &what);
+        for ncpus in [1, 4] {
+            for storm in [false, true] {
+                // Overloaded, so rings overflow, feedback gates, and
+                // (on 4 CPUs) the steal path and its IPIs all run.
+                let mut b = KernelConfig::builder()
+                    .polled(Quota::Limited(10))
+                    .screend(Default::default())
+                    .feedback(Default::default());
+                if ncpus > 1 {
+                    b = b.ncpus(ncpus).steal(true);
                 }
+                if storm {
+                    b = b.faults(FaultPlan::storm(
+                        7,
+                        1.0,
+                        Cycles::ZERO,
+                        freq.cycles_from_millis(150),
+                    ));
+                }
+                let spec = TrialSpec {
+                    rate_pps: 11_000.0 * ncpus as f64,
+                    n_packets: 1_500 * ncpus,
+                    ..TrialSpec::new(b.build())
+                };
+                let what = format!("ncpus={ncpus} storm={storm}");
+                assert_matches_preloading_oracle(&spec, &what);
             }
         }
         // The unmodified path (shared ipintrq on SMP) and explicit flows.

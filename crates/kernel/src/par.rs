@@ -14,10 +14,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The most worker threads a command line may ask for. A fixed bound,
+/// not the host's CPU count: asking for more workers than CPUs is a
+/// legitimate way to check that output does not depend on the job count,
+/// but every job is an OS thread (and `mlfrr` probes one rate per job per
+/// round), so an unchecked count would start that many.
+pub const MAX_JOBS: usize = 64;
+
 /// The number of worker threads to use when the caller does not say:
-/// the host's available parallelism, or 1 when that cannot be determined.
+/// the host's available parallelism (at most [`MAX_JOBS`]), or 1 when
+/// that cannot be determined.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_JOBS))
 }
 
 /// How much parallelism an experiment-layer entry point may use.
@@ -138,7 +146,7 @@ mod tests {
 
     #[test]
     fn default_jobs_is_positive() {
-        assert!(default_jobs() >= 1);
+        assert!((1..=MAX_JOBS).contains(&default_jobs()));
     }
 
     #[test]

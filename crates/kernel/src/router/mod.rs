@@ -336,7 +336,7 @@ impl RouterKernel {
     ) -> (EnvState<Event>, RouterKernel) {
         let cost = cfg.cost;
         let cpu = link.cpu();
-        let mut st = EnvState::with_scheduler(cost.quantum(), cfg.scheduler);
+        let mut st = EnvState::new(cost.quantum());
         st.set_cpu(cpu);
 
         let clock_src = st.intr.register("clock", Ipl::CLOCK);

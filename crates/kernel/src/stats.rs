@@ -897,7 +897,6 @@ impl KernelStats {
 mod tests {
     use super::*;
     use livelock_sim::Nanos;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -1035,7 +1034,6 @@ mod tests {
         assert_eq!(res[5], Cycles::ZERO, "wire: local delivery ends at sq_deq");
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The telescoping invariant the whole latency layer rests on:
         /// for ANY subset of boundary stamps (any delivery path — forward,

@@ -158,9 +158,9 @@ mod tests {
 
     #[test]
     fn cfg_feature_is_not_a_region() {
-        // `feature = "proptest"` must not register: the string "test"
+        // `feature = "smoketest"` must not register: the string "test"
         // inside a literal never lexes into a token.
-        let src = "#[cfg(feature = \"proptest\")] mod m { inner(); }";
+        let src = "#[cfg(feature = \"smoketest\")] mod m { inner(); }";
         let (_, r) = regions_of(src);
         assert!(r.ranges.is_empty());
     }

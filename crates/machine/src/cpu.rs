@@ -33,7 +33,7 @@
 //! user process received) and the [`CycleFold`] are reads of that one
 //! book.
 
-use livelock_sim::{CalendarQueue, Cycles, EventQueue, Scheduler as EventScheduler};
+use livelock_sim::{Cycles, EventQueue};
 
 use crate::fold::CycleFold;
 use crate::intr::{IntrController, IntrSrc};
@@ -173,76 +173,16 @@ pub trait ArrivalSource<E> {
     fn pop(&mut self) -> Option<E>;
 }
 
-/// Which event-scheduler backend an [`EnvState`] runs on.
-///
-/// Both backends dispatch in bit-identical order (ascending time, FIFO at
-/// equal times); they differ only in speed. [`Heap`](Self::Heap) is the
-/// default: with arrivals streamed from an [`ArrivalSource`] a trial keeps
-/// about a dozen events pending, where the binary heap's O(log n) is a
-/// couple of compares and beats the calendar's bucket bookkeeping on
-/// every benchmark workload (DESIGN §11 has the numbers).
-/// [`Calendar`](Self::Calendar) is amortized O(1) and wins only on
-/// populations of thousands of pending events.
+/// Which event queue the engine runs on. The engine runs on the
+/// binary-heap [`EventQueue`] alone; this one-variant type stays because
+/// the frozen `benchmark/` names it. With arrivals streamed from an
+/// [`ArrivalSource`] a trial keeps at most 8 events pending, where the
+/// heap's O(log n) is a couple of compares (DESIGN §11 has the numbers).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The binary-heap [`EventQueue`], the engine default.
+    /// The binary-heap [`EventQueue`].
     #[default]
     Heap,
-    /// The [`CalendarQueue`].
-    Calendar,
-}
-
-/// The event queue behind [`EnvState`]: one of the two [`SchedulerKind`]
-/// backends, dispatched through the sim crate's
-/// [`Scheduler`](livelock_sim::Scheduler) trait.
-enum EvBackend<E> {
-    Heap(EventQueue<E>),
-    Calendar(CalendarQueue<E>),
-}
-
-/// Initial bucket width handed to a fresh calendar backend. Any positive
-/// value is correct; the queue re-derives the width from the observed
-/// median event spacing at its first resize (64 pending events), so this
-/// only has to be in the right galaxy.
-const CALENDAR_INITIAL_SPACING: Cycles = Cycles::new(1_024);
-
-impl<E> EvBackend<E> {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => EvBackend::Heap(EventQueue::new()),
-            SchedulerKind::Calendar => {
-                EvBackend::Calendar(CalendarQueue::new(CALENDAR_INITIAL_SPACING))
-            }
-        }
-    }
-
-    fn schedule(&mut self, at: Cycles, payload: E) {
-        match self {
-            EvBackend::Heap(q) => q.schedule(at, payload),
-            EvBackend::Calendar(q) => q.schedule(at, payload),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<Cycles> {
-        match self {
-            EvBackend::Heap(q) => EventScheduler::peek_time(q),
-            EvBackend::Calendar(q) => EventScheduler::peek_time(q),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycles, E)> {
-        match self {
-            EvBackend::Heap(q) => q.pop(),
-            EvBackend::Calendar(q) => q.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EvBackend::Heap(q) => q.len(),
-            EvBackend::Calendar(q) => q.len(),
-        }
-    }
 }
 
 /// Mutable machine state shared between the engine and the workload.
@@ -256,10 +196,10 @@ pub struct EnvState<E> {
     /// The thread scheduler.
     pub sched: Scheduler,
     now: Cycles,
-    evq: EvBackend<E>,
+    evq: EventQueue<E>,
     /// Time of the queue's earliest event, kept by every schedule and
     /// every pop, so the executor's due check, step stop and idle advance
-    /// read a field instead of the backend.
+    /// read a field instead of the queue.
     head: Option<Cycles>,
     events_dispatched: u64,
     book: CycleBook,
@@ -355,19 +295,13 @@ impl CycleBook {
 }
 
 impl<E> EnvState<E> {
-    /// Creates machine state with the given scheduler quantum, on the
-    /// default (heap) event-queue backend.
+    /// Creates machine state with the given scheduler quantum.
     pub fn new(quantum: Cycles) -> Self {
-        Self::with_scheduler(quantum, SchedulerKind::default())
-    }
-
-    /// Creates machine state on an explicit event-queue backend.
-    pub fn with_scheduler(quantum: Cycles, kind: SchedulerKind) -> Self {
         EnvState {
             intr: IntrController::new(),
             sched: Scheduler::new(quantum),
             now: Cycles::ZERO,
-            evq: EvBackend::new(kind),
+            evq: EventQueue::new(),
             head: None,
             events_dispatched: 0,
             book: CycleBook::new(),
@@ -1586,49 +1520,46 @@ mod tests {
 
     #[test]
     fn source_event_dispatches_before_queued_event_at_equal_time() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut st = EnvState::with_scheduler(cy(1_000_000), kind);
-            // Queued first, so it carries the lowest sequence number the
-            // queue will ever hand out — and still loses the tie.
-            st.schedule_at(cy(100), Ev::Note("queued"));
-            st.schedule_at(cy(50), Ev::Note("queued-early"));
-            let mut e = Engine::new(st, Script::default(), cy(0));
-            e.enable_trace(64);
-            let (source, built) = ListSource::boxed(vec![
-                (100, Ev::Note("source-a")),
-                (100, Ev::Note("source-b")),
-                (200, Ev::Note("source-late")),
-            ]);
-            e.set_arrival_source(source);
-            assert_eq!(e.run_until(cy(150)), Exit::HitLimit);
-            assert_eq!(built.get(), 2, "the late event is not built early");
-            assert_eq!(e.run_to_quiescence(), Exit::Quiescent);
-            let order: Vec<_> = e
-                .workload()
-                .log
-                .iter()
-                .map(|(t, s)| (*t, s.as_str()))
-                .collect();
-            assert_eq!(
-                order,
-                [
-                    (50, "queued-early"),
-                    (100, "source-a"),
-                    (100, "source-b"),
-                    (100, "queued"),
-                    (200, "source-late"),
-                ],
-                "{kind:?}"
-            );
-            assert_eq!(e.st.events_dispatched, 5, "source events count");
-            let externals = e
-                .trace()
-                .expect("tracing on")
-                .records()
-                .filter(|r| r.event == TraceEvent::External)
-                .count();
-            assert_eq!(externals, 5, "source events are traced");
-        }
+        let mut st = EnvState::new(cy(1_000_000));
+        // Queued first, so it carries the lowest sequence number the
+        // queue will ever hand out — and still loses the tie.
+        st.schedule_at(cy(100), Ev::Note("queued"));
+        st.schedule_at(cy(50), Ev::Note("queued-early"));
+        let mut e = Engine::new(st, Script::default(), cy(0));
+        e.enable_trace(64);
+        let (source, built) = ListSource::boxed(vec![
+            (100, Ev::Note("source-a")),
+            (100, Ev::Note("source-b")),
+            (200, Ev::Note("source-late")),
+        ]);
+        e.set_arrival_source(source);
+        assert_eq!(e.run_until(cy(150)), Exit::HitLimit);
+        assert_eq!(built.get(), 2, "the late event is not built early");
+        assert_eq!(e.run_to_quiescence(), Exit::Quiescent);
+        let order: Vec<_> = e
+            .workload()
+            .log
+            .iter()
+            .map(|(t, s)| (*t, s.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (50, "queued-early"),
+                (100, "source-a"),
+                (100, "source-b"),
+                (100, "queued"),
+                (200, "source-late"),
+            ]
+        );
+        assert_eq!(e.st.events_dispatched, 5, "source events count");
+        let externals = e
+            .trace()
+            .expect("tracing on")
+            .records()
+            .filter(|r| r.event == TraceEvent::External)
+            .count();
+        assert_eq!(externals, 5, "source events are traced");
     }
 
     #[test]

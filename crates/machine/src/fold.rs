@@ -12,7 +12,7 @@
 //!
 //! Stacks are keyed `(cpu, class, stage)` in an ordered map, so
 //! iteration order — and therefore the folded text — is deterministic
-//! and byte-identical across `--jobs` counts and scheduler backends.
+//! and byte-identical across `--jobs` counts and reruns.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

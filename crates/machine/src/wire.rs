@@ -93,7 +93,6 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     const FREQ: Freq = Freq::mhz(100);
@@ -179,7 +178,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn paced_schedule_is_feasible_and_no_earlier(

@@ -10,14 +10,11 @@
 //! - **Liveness**: with all sources enabled, quiescence implies no latched
 //!   interrupt remains.
 //! - **Source equivalence**: streaming arrivals from an `ArrivalSource`
-//!   dispatches exactly what scheduling them all up front did, on both
-//!   scheduler backends, wherever the run limits fall.
-
-// Property tests are opt-in: `cargo test -p livelock-machine --features proptest`.
-#![cfg(feature = "proptest")]
+//!   dispatches exactly what scheduling them all up front did, wherever
+//!   the run limits fall.
 
 use livelock_machine::cpu::{
-    ArrivalSource, Chunk, CtxKind, Engine, Env, EnvState, SchedulerKind, Workload,
+    ArrivalSource, Chunk, CtxKind, Engine, Env, EnvState, Workload,
 };
 use livelock_machine::intr::IntrSrc;
 use livelock_machine::ipl::Ipl;
@@ -387,7 +384,6 @@ fn run_script(script: &Script, end: u64, chopped: bool) -> Seen {
 type Observed = (Vec<(u64, u32)>, u64, usize, Cycles);
 
 fn run_breeder(
-    kind: SchedulerKind,
     streamed: bool,
     arrivals: &[u64],
     timers: &[u64],
@@ -395,7 +391,7 @@ fn run_breeder(
     handler_cost: u64,
     stops: &[u64],
 ) -> Observed {
-    let mut st = EnvState::with_scheduler(Cycles::new(1_000_000), kind);
+    let mut st = EnvState::new(Cycles::new(1_000_000));
     let src = st.intr.register("tick", Ipl::IMP);
     let wl = Breeder {
         src,
@@ -498,9 +494,9 @@ proptest! {
 
     /// Streaming arrivals from a source is indistinguishable from having
     /// scheduled them all before the run: same events at the same times
-    /// in the same order, same counts, on both backends — including
-    /// same-cycle ties between arrivals, queued timers and zero-delay
-    /// follow-ups, and run limits that land exactly on an arrival.
+    /// in the same order, same counts — including same-cycle ties
+    /// between arrivals, queued timers and zero-delay follow-ups, and run
+    /// limits that land exactly on an arrival.
     #[test]
     fn source_is_equivalent_to_preloading(
         gaps in proptest::collection::vec(0u64..400, 1..80),
@@ -535,21 +531,14 @@ proptest! {
             .map(|&(i, off)| arrivals[i % arrivals.len()] + off)
             .collect();
         stops.sort_unstable();
-        let run = |kind, streamed| {
-            run_breeder(kind, streamed, &arrivals, &timers, &delays, handler_cost, &stops)
+        let run = |streamed| {
+            run_breeder(streamed, &arrivals, &timers, &delays, handler_cost, &stops)
         };
-        let oracle = run(SchedulerKind::Heap, false);
+        let oracle = run(false);
         prop_assert_eq!(
             oracle.1 as usize, oracle.0.len(), "every dispatch is logged");
         prop_assert_eq!(oracle.2, oracle.0.len(), "every dispatch is traced");
-        for (kind, streamed) in [
-            (SchedulerKind::Heap, true),
-            (SchedulerKind::Calendar, true),
-            (SchedulerKind::Calendar, false),
-        ] {
-            let got = run(kind, streamed);
-            prop_assert_eq!(&got, &oracle, "{:?} streamed={}", kind, streamed);
-        }
+        prop_assert_eq!(&run(true), &oracle, "streamed");
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub fn incremental_update(old_checksum: u16, old: u16, new: u16) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -133,7 +132,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn filled_checksum_always_verifies(data in proptest::collection::vec(any::<u8>(), 1..128)) {

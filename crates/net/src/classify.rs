@@ -270,7 +270,6 @@ mod tests {
         assert_eq!(r.specificity(), 1);
     }
 
-    #[cfg(feature = "proptest")]
     mod properties {
         use super::*;
         use proptest::prelude::*;

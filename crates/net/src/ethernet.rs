@@ -146,7 +146,6 @@ impl EthernetHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -197,7 +196,6 @@ mod tests {
         assert_eq!(EthernetHeader::parse(&small), Err(NetError::Truncated));
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn round_trip_any_header(dst in any::<[u8; 6]>(), src in any::<[u8; 6]>(), et in any::<u16>()) {

@@ -419,7 +419,6 @@ mod tests {
     use super::*;
     use crate::packet::{Packet, PacketId};
     use crate::MacAddr;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn udp_dgram(src: Ipv4Addr, dst: Ipv4Addr, sp: u16, dp: u16) -> Vec<u8> {
@@ -596,7 +595,6 @@ mod tests {
         assert_eq!(f.evaluate_meta(&ospf), Action::Accept);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn accept_all_never_denies_valid_udp(

@@ -296,7 +296,6 @@ impl TraceReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     const FREQ: Freq = Freq::mhz(100);
@@ -484,7 +483,6 @@ mod tests {
         let _ = TraceReplay::new(vec![Cycles::new(5), Cycles::new(1)]);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn intervals_are_always_positive(rate in 1.0f64..100_000.0, seed in any::<u64>()) {

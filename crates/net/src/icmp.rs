@@ -149,7 +149,6 @@ impl IcmpMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn echo_request(ident: u16, seq: u16, payload: &[u8]) -> IcmpMessage {
@@ -210,7 +209,6 @@ mod tests {
         assert_eq!(IcmpMessage::parse(&buf), Err(NetError::Malformed));
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn round_trip_any_echo(ident in any::<u16>(), seq in any::<u16>(),

@@ -181,7 +181,6 @@ pub fn decrement_ttl(buf: &mut [u8]) -> Result<(), NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn sample() -> Ipv4Header {
@@ -267,7 +266,6 @@ mod tests {
         assert_eq!(decrement_ttl(&mut buf), Err(NetError::TtlExpired));
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn round_trip_any(

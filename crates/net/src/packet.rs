@@ -767,7 +767,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod robustness {
     use super::*;
     use proptest::prelude::*;

@@ -475,7 +475,6 @@ mod tests {
         assert_eq!(b.len(), 100);
     }
 
-    #[cfg(feature = "proptest")]
     proptest::proptest! {
         /// Any interleaving of take / stamp / clone / drop keeps the
         /// pool's books equal to a model's, hands out only pristine

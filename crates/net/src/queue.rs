@@ -140,7 +140,6 @@ impl<T> DropTailQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -200,7 +199,6 @@ mod tests {
         assert_eq!(q.high_water_len, 2);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn never_exceeds_capacity(cap in 1usize..64, ops in proptest::collection::vec(any::<bool>(), 0..500)) {

@@ -109,7 +109,6 @@ impl Red {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -173,7 +172,6 @@ mod tests {
         let _ = Red::new(10.0, 5.0, 0.1, 0.002, 1);
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// Below min threshold RED never drops, regardless of history.
         #[test]

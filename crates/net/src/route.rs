@@ -112,7 +112,6 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     fn hop(iface: IfaceId) -> NextHop {
@@ -196,7 +195,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn trie_agrees_with_linear_scan(

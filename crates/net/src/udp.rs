@@ -141,7 +141,6 @@ pub fn verify_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -202,7 +201,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn any_payload_verifies_after_fill(

@@ -6,20 +6,21 @@
 //! "year" and dequeues in O(1) amortized when the event-density assumption
 //! holds, degrading gracefully (by resizing) when it does not.
 //!
-//! The API mirrors [`EventQueue`](crate::event::EventQueue) — including the
-//! FIFO tie-break — and a property test in this module proves the two
-//! dequeue in exactly the same order, so either can back the engine.
+//! The engine runs on [`EventQueue`](crate::event::EventQueue) alone; this
+//! queue stays for the benchmark's queue micro-loops, which drive both
+//! through [`Scheduler`](crate::sched::Scheduler)'s `schedule` and `pop`.
+//! It honours the same FIFO tie-break, and property tests in this module
+//! prove the two dequeue in exactly the same order.
 //!
-//! Three hot-path properties matter for the engine (which peeks every
-//! executor step and pops tens of thousands of events per trial):
+//! Three hot-path properties matter:
 //!
 //! * buckets are [`VecDeque`]s, so dequeuing the head of a bucket is O(1)
 //!   rather than `Vec::remove(0)`'s O(bucket);
 //! * the location of the earliest pending event is cached (`next_cache`),
-//!   maintained in O(1) on [`schedule`](CalendarQueue::schedule) and
-//!   invalidated on [`pop`](CalendarQueue::pop), so repeated
-//!   [`peek_time`](CalendarQueue::peek_time) calls between pops cost O(1)
-//!   instead of an O(buckets) rescan;
+//!   maintained in O(1) on [`schedule`](CalendarQueue::schedule) and kept
+//!   across a [`pop`](CalendarQueue::pop) whenever the popped bucket's
+//!   new front is provably the minimum, so a same-cycle burst pops
+//!   without an O(buckets) rescan;
 //! * [`resize`](CalendarQueue::schedule) re-derives the bucket width from
 //!   the *median* consecutive spacing of the pending events, so a single
 //!   far-future outlier (a clock tick scheduled a full period ahead of a
@@ -109,11 +110,6 @@ impl<E> CalendarQueue<E> {
             len: 0,
             next_seq: 0,
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Returns `true` when no events are pending.
@@ -395,8 +391,7 @@ impl<E> CalendarQueue<E> {
     /// Locates the bucket whose front is the earliest pending `(at, seq)`
     /// and caches the answer. Runs the calendar year scan with *local*
     /// cursor variables: the real cursor only ever advances in
-    /// [`pop`](CalendarQueue::pop), so peeking never changes what
-    /// [`schedule`](CalendarQueue::schedule) will accept.
+    /// [`pop`](CalendarQueue::pop), once the event is removed.
     fn locate(&mut self) -> (usize, Cycles) {
         debug_assert!(self.len > 0, "locate() on an empty queue");
         if let Some(hit) = self.next_cache {
@@ -453,18 +448,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Returns the time of the earliest pending event.
-    ///
-    /// Amortized O(1): answered from the maintained min cache when valid,
-    /// otherwise one year scan primes the cache for every following call
-    /// until the next [`pop`](CalendarQueue::pop).
-    pub fn peek_time(&mut self) -> Option<Cycles> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.locate().1)
-    }
-
     /// Removes and returns the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
         if self.is_empty() {
@@ -498,22 +481,12 @@ impl<E> CalendarQueue<E> {
         };
         Some((e.at, e.payload))
     }
-
-    /// Removes the earliest event only if due at or before `now`.
-    pub fn pop_due(&mut self, now: Cycles) -> Option<(Cycles, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use crate::event::EventQueue;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -568,7 +541,6 @@ mod tests {
         for i in 0..1000u64 {
             q.schedule(Cycles::new(i * 13 % 997), i);
         }
-        assert_eq!(q.len(), 1000);
         let mut last = (Cycles::ZERO, 0u64);
         let mut count = 0;
         let mut prev_at = Cycles::ZERO;
@@ -586,41 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        let mut q = CalendarQueue::new(Cycles::new(10));
-        q.schedule(Cycles::new(50), 'x');
-        assert_eq!(q.pop_due(Cycles::new(49)), None);
-        assert_eq!(q.pop_due(Cycles::new(50)), Some((Cycles::new(50), 'x')));
-    }
-
-    #[test]
-    fn peek_is_stable_and_does_not_move_the_cursor() {
-        let mut q = CalendarQueue::new(Cycles::new(10));
-        q.schedule(Cycles::new(900), 'z');
-        // Peeking scans far ahead to find 'z', but must not advance the
-        // cursor: scheduling an earlier event afterwards stays legal and
-        // becomes the new head.
-        assert_eq!(q.peek_time(), Some(Cycles::new(900)));
-        q.schedule(Cycles::new(40), 'a');
-        assert_eq!(q.peek_time(), Some(Cycles::new(40)));
-        assert_eq!(q.pop(), Some((Cycles::new(40), 'a')));
-        assert_eq!(q.peek_time(), Some(Cycles::new(900)));
-        assert_eq!(q.pop(), Some((Cycles::new(900), 'z')));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn min_cache_survives_equal_time_inserts() {
         let mut q = CalendarQueue::new(Cycles::new(10));
+        // The first event into an empty queue primes the cache.
         q.schedule(Cycles::new(25), 0);
-        assert_eq!(q.peek_time(), Some(Cycles::new(25)));
         // Same-time insert must not displace the cached head (FIFO).
         q.schedule(Cycles::new(25), 1);
         assert_eq!(q.pop(), Some((Cycles::new(25), 0)));
         assert_eq!(q.pop(), Some((Cycles::new(25), 1)));
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         /// The calendar queue dequeues in exactly the order of the
         /// reference binary-heap queue, including FIFO tie-breaks.
@@ -674,11 +621,11 @@ mod tests {
             }
         }
 
-        /// The engine's real access pattern: a virtual clock advances via
-        /// `peek_time` (idle jumps), events are drained with `pop_due(now)`
-        /// (a same-cycle burst one after another), and handlers schedule new
-        /// events relative to `now` — never into the past. Both backends
-        /// must agree on every intermediate peek and every dequeued event.
+        /// The engine's access pattern: a virtual clock advances in
+        /// jumps, every event due by then is drained (a same-cycle burst
+        /// one after another), and handlers schedule new events relative
+        /// to `now` — never into the past. Both queues must agree on
+        /// every dequeued event.
         #[test]
         fn equivalent_under_engine_interleaving(
             steps in proptest::collection::vec(
@@ -700,20 +647,21 @@ mod tests {
                     next_id += 1;
                 }
                 // The executor advances either to a deadline or to the
-                // next event time, whichever it likes — peeks must agree.
-                prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                // next event time, whichever it likes.
                 now += advance;
                 if let Some(t) = heap.peek_time() {
                     now = now.max(t.raw());
                 }
                 // Drain everything due, like the engine's step 1.
-                loop {
-                    let a = cal.pop_due(Cycles::new(now));
-                    let b = heap.pop_due(Cycles::new(now));
-                    prop_assert_eq!(&a, &b);
-                    if a.is_none() {
-                        break;
-                    }
+                while heap.peek_time().is_some_and(|t| t.raw() <= now) {
+                    prop_assert_eq!(cal.pop(), heap.pop());
+                }
+            }
+            loop {
+                let a = cal.pop();
+                prop_assert_eq!(&a, &heap.pop());
+                if a.is_none() {
+                    break;
                 }
             }
         }

@@ -82,14 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.payload))
     }
 
-    /// Removes the earliest event only if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: Cycles) -> Option<(Cycles, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -137,15 +129,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((Cycles::new(7), i)));
         }
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycles::new(10), 'x');
-        assert_eq!(q.pop_due(Cycles::new(9)), None);
-        assert_eq!(q.pop_due(Cycles::new(10)), Some((Cycles::new(10), 'x')));
-        assert!(q.is_empty());
     }
 
     #[test]

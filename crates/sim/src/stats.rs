@@ -373,7 +373,6 @@ impl RateWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
     use proptest::prelude::*;
 
     #[test]
@@ -705,7 +704,6 @@ mod tests {
         assert_eq!(h, HdrHistogram::new(), "a saturated reset is new");
     }
 
-    #[cfg(feature = "proptest")]
     proptest! {
         #[test]
         fn hdr_quantile_bound_stays_close_above_oracle(
