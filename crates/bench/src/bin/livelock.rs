@@ -520,9 +520,13 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
         }
         pts
     };
-    // Ensure the bracket is valid.
+    // Ensure the bracket is valid: its low end measured something, and
+    // measured it loss-free.
     let p = &probe(&[lo])[0];
-    if p.delivered < loss_free * p.offered {
+    if p.offered <= 0.0 {
+        return Err(format!("--packets: {n_packets} packets leave the measurement window empty"));
+    }
+    if !p.is_loss_free(loss_free) {
         return Err(format!("lossy even at {lo} pkts/s; nothing to search"));
     }
     // Match classic 12-round bisection precision (~3.4 pkts/s here).
@@ -816,38 +820,43 @@ mod tests {
 
     #[test]
     fn a_degenerate_trial_spec_is_an_error_naming_the_flag() {
-        for (cmd, raw, flag) in [
-            ("trial", ["--packets", "0"], "--packets"),
-            ("chaos", ["--packets", "0"], "--packets"),
-            ("mlfrr", ["--packets", "-3"], "--packets"),
-            ("trial", ["--rate", "0"], "--rate"),
-            ("trial", ["--rate", "nan"], "--rate"),
-            ("chaos", ["--rate", "inf"], "--rate"),
-            ("observe", ["--rate", "-1"], "--rate"),
-            ("sweep", ["--rates", "0"], "--rates"),
-            ("sweep", ["--rates", "1000,x"], "--rates"),
-            ("chaos", ["--intensity", "inf"], "--intensity"),
-            ("chaos", ["--intensity", "nan"], "--intensity"),
-            ("chaos", ["--packets", "5"], "--packets"),
-            ("mlfrr", ["--loss-free", "nan"], "--loss-free"),
-            ("mlfrr", ["--loss-free", "-1"], "--loss-free"),
-            ("mlfrr", ["--loss-free", "0"], "--loss-free"),
-            ("mlfrr", ["--loss-free", "2"], "--loss-free"),
+        let rows: &[(&str, &[&str], &str)] = &[
+            ("trial", &["--packets", "0"], "--packets"),
+            ("chaos", &["--packets", "0"], "--packets"),
+            ("mlfrr", &["--packets", "-3"], "--packets"),
+            ("trial", &["--rate", "0"], "--rate"),
+            ("trial", &["--rate", "nan"], "--rate"),
+            ("chaos", &["--rate", "inf"], "--rate"),
+            ("observe", &["--rate", "-1"], "--rate"),
+            ("sweep", &["--rates", "0"], "--rates"),
+            ("sweep", &["--rates", "1000,x"], "--rates"),
+            ("chaos", &["--intensity", "inf"], "--intensity"),
+            ("chaos", &["--intensity", "nan"], "--intensity"),
+            ("chaos", &["--packets", "5"], "--packets"),
+            ("mlfrr", &["--loss-free", "nan"], "--loss-free"),
+            ("mlfrr", &["--loss-free", "-1"], "--loss-free"),
+            ("mlfrr", &["--loss-free", "0"], "--loss-free"),
+            ("mlfrr", &["--loss-free", "2"], "--loss-free"),
             // Every job is a worker thread; never test a larger count.
-            ("sweep", ["--jobs", "0"], "--jobs"),
-            ("mlfrr", ["--jobs", "0"], "--jobs"),
-            ("sweep", ["--jobs", "65"], "--jobs"),
-            ("mlfrr", ["--jobs", "65"], "--jobs"),
+            ("sweep", &["--jobs", "0"], "--jobs"),
+            ("mlfrr", &["--jobs", "0"], "--jobs"),
+            ("sweep", &["--jobs", "65"], "--jobs"),
+            ("mlfrr", &["--jobs", "65"], "--jobs"),
             // Positive but so slow the offered load outlasts a simulated
             // day: each used to run for minutes to hours.
-            ("trial", ["--rate", "1e-6"], "--rate"),
-            ("sweep", ["--rates", "1000,0.01"], "--rates"),
-            ("chaos", ["--rate", "0.001"], "--rate"),
-        ] {
+            ("trial", &["--rate", "1e-6"], "--rate"),
+            ("sweep", &["--rates", "1000,0.01"], "--rates"),
+            ("chaos", &["--rate", "0.001"], "--rate"),
+            // One or two packets leave the window empty: each probe read
+            // 0 of 0 offered, which used to pass as loss-free.
+            ("mlfrr", &["--packets", "1", "--jobs", "1"], "--packets"),
+            ("mlfrr", &["--packets", "2", "--jobs", "1"], "--packets"),
+        ];
+        for &(cmd, raw, flag) in rows {
             // Parse, then the subcommand's own checks: every row is
-            // refused before a trial runs.
+            // refused before a search or a full-length trial runs.
             let run = subcommand(cmd).expect("a subcommand").1;
-            let err = parse(cmd, &raw).and_then(|a| run(&a)).expect_err("a degenerate spec");
+            let err = parse(cmd, raw).and_then(|a| run(&a)).expect_err("a degenerate spec");
             assert!(err.starts_with(flag), "{cmd} {raw:?}: {err}");
             assert!(!err.contains('\n'), "one line: {err}");
         }
@@ -872,6 +881,12 @@ mod tests {
             usage.contains(" [--steal] [--timeline V] "),
             "bare boolean flags"
         );
+    }
+
+    #[test]
+    fn readme_embeds_the_usage() {
+        let block = format!("```text\n{}\n```\n", usage());
+        livelock_bench::check_doc_block("README.md", "usage", &block).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! the process that checks it, and its check. A check reads one kind of
 //! evidence: an (unmodified, polled) pair of trials at one x, plus the
 //! polled kernel's drained end state when the run has one
-//! ([`Evidence`]). Only the claims that need a whole sweep — the paper's
-//! 6-x verdicts and calibration, S-1's MLFRR scaling, O-1's monotone
-//! onset and a few baseline comparisons — read the rendered figure
-//! instead.
+//! ([`Evidence`]). The claims that need a whole sweep — the paper's 6-x
+//! verdicts, S-1's MLFRR scaling, O-1's monotone onset and a few baseline
+//! comparisons — read the rendered figure instead, and the claims that
+//! tie a figure to a number the paper prints read its CSV ([`Anchor`]):
+//! `figures` passes the CSV it writes, and the docs test passes the
+//! committed `results/*.csv`, so the gate and EXPERIMENTS.md's Measured
+//! column run the same code on the same bytes.
 //!
 //! `figures` evaluates the rows each [`Figure`](crate::Figure) lists;
 //! `livelock chaos` and `livelock observe` evaluate every row they own.
@@ -16,7 +19,7 @@
 //! is the smallest violated row's. A code means the rows that carry it:
 //! README embeds [`markdown_table`].
 
-use livelock_core::analysis::{classify, mlfrr, peak_delivered, LivelockVerdict, SweepPoint};
+use livelock_core::analysis::{classify, mlfrr, LivelockVerdict, SweepPoint};
 use livelock_kernel::experiment::{ChaosReport, ClassSummary, TrialResult};
 use livelock_kernel::telemetry::ObsEvent;
 use livelock_machine::CpuClass;
@@ -25,8 +28,9 @@ use livelock_sim::{Cycles, Nanos};
 
 use crate::exit::{ChaosExit as C, Exit, FiguresExit as F, ObserveExit as O};
 use crate::{fmt_x, o1_flows, p1_classify_config, p1_flows, RenderedFigure};
-use Check::{Every, Last, Sweep};
+use Check::{Csv, Every, Last, Sweep};
 use ClaimExit::{Chaos, Figures, Observe};
+use Stat::{At, Collapse, Mlfrr, Peak, Tail};
 use TrafficClass::{Bulk, Control, Realtime};
 
 /// The process that checks a claim, and the code it exits with when the
@@ -105,6 +109,98 @@ pub enum Check {
     /// The whole rendered sweep: only a [`ClaimExit::Figures`] row may
     /// carry one, since only `figures` renders a sweep.
     Sweep(fn(&RenderedFigure) -> Vec<String>),
+    /// A number the paper prints, against the figure's CSV: a
+    /// [`ClaimExit::Figures`] row too.
+    Csv(Anchor),
+}
+
+/// A statistic of one figure-CSV column, over its (x, value) rows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Stat {
+    /// The highest x whose value is at least 95 % of x.
+    Mlfrr,
+    /// The largest value.
+    Peak,
+    /// The value at this x.
+    At(f64),
+    /// The value at the last x.
+    Tail,
+    /// The first x whose value is below 1 % of x: where delivery collapses.
+    Collapse,
+}
+
+impl Stat {
+    fn of(self, rows: &[(f64, f64)]) -> Option<f64> {
+        match self {
+            Mlfrr => mlfrr(&rows.iter().map(|&(x, v)| SweepPoint::new(x, v)).collect::<Vec<_>>(), 0.95),
+            Peak => rows.iter().map(|r| r.1).reduce(f64::max),
+            At(x) => rows.iter().find(|r| r.0 == x).map(|r| r.1),
+            Tail => rows.last().map(|r| r.1),
+            Collapse => rows.iter().find(|r| r.1 < 0.01 * r.0).map(|r| r.0),
+        }
+    }
+}
+
+/// What an anchored statistic is measured against.
+#[derive(Clone, Copy, Debug)]
+pub enum Vs {
+    /// The paper's number.
+    Paper(f64),
+    /// A statistic of a column of the same figure.
+    Col(&'static str, Stat),
+}
+
+/// A claim anchored in the paper: statistic `stat` of CSV column
+/// `column` lies within `band` times its reference `vs`.
+#[derive(Clone, Copy, Debug)]
+pub struct Anchor {
+    /// What the paper says; its own words are in quotation marks.
+    pub quote: &'static str,
+    /// The CSV column header.
+    pub column: &'static str,
+    /// What is read from the column.
+    pub stat: Stat,
+    /// What it is measured against.
+    pub vs: Vs,
+    /// The allowed statistic / reference ratio, both ends inclusive.
+    pub band: (f64, f64),
+}
+
+impl Anchor {
+    /// The statistic and its reference, read from a figure's CSV text.
+    pub fn read(&self, csv: &str) -> Result<(f64, f64), String> {
+        let stat = |column: &str, s: Stat| {
+            s.of(&csv_column(csv, column)?).ok_or_else(|| format!("{column} has no {s:?}"))
+        };
+        let reference = match self.vs {
+            Vs::Paper(v) => v,
+            Vs::Col(c, s) => stat(c, s)?,
+        };
+        Ok((stat(self.column, self.stat)?, reference))
+    }
+
+    fn check(&self, csv: &str) -> Option<String> {
+        let (got, reference) = match self.read(csv) {
+            Ok(r) => r,
+            Err(e) => return Some(e),
+        };
+        let (lo, hi) = (self.band.0 * reference, self.band.1 * reference);
+        let expected = format!("expected {lo:.1}..={hi:.1}: {:?} x {:?} = {reference:.1}", self.band, self.vs);
+        (!(lo..=hi).contains(&got)).then(|| format!("{} {:?} is {got:.1}, {expected}", self.column, self.stat))
+    }
+}
+
+/// Column `label` of figure-CSV text, as (x, value) rows.
+fn csv_column(csv: &str, label: &str) -> Result<Vec<(f64, f64)>, String> {
+    let mut lines = csv.lines();
+    let header = lines.next().unwrap_or_default();
+    let k = (header.split(',').position(|h| h == label)).ok_or_else(|| format!("no column {label:?}"))?;
+    let row = |l: &str| {
+        let cells: Vec<&str> = l.split(',').collect();
+        let num = |i: usize| cells.get(i).and_then(|c| c.parse().ok());
+        num(0).zip(num(k)).ok_or_else(|| format!("bad CSV row {l:?}"))
+    };
+    lines.map(row).collect()
 }
 
 /// One row of [`CLAIMS`].
@@ -119,14 +215,19 @@ pub struct Claim {
     pub check: Check,
 }
 
-/// A row. A [`Sweep`] check on a `chaos` or `observe` row could never
-/// fire, so it does not compile.
+/// A row. A [`Sweep`] or [`Csv`] check on a `chaos` or `observe` row
+/// could never fire, so it does not compile.
 const fn claim(id: &'static str, section: &'static str, exit: ClaimExit, check: Check) -> Claim {
     assert!(
-        matches!(exit, Figures(_)) || !matches!(check, Sweep(_)),
-        "a Sweep check reads a rendered figure: only a figures row may carry one"
+        matches!(exit, Figures(_)) || matches!(check, Every(_) | Last(_)),
+        "a Sweep or Csv check reads a rendered figure: only a figures row may carry one"
     );
     Claim { id, section, exit, check }
+}
+
+/// An [`Anchor`] check.
+const fn paper(quote: &'static str, column: &'static str, stat: Stat, vs: Vs, band: (f64, f64)) -> Check {
+    Csv(Anchor { quote, column, stat, vs, band })
 }
 
 /// The evidence a claim set runs over.
@@ -150,10 +251,22 @@ pub struct Violation {
 #[rustfmt::skip]
 pub static CLAIMS: &[Claim] = &[
     claim("6-x shape-verdicts", "§6", Figures(F::Shape), Sweep(shape_verdicts)),
-    claim("6-1 mlfrr-near-paper", "§6", Figures(F::Shape), Sweep(|r| near_paper(r, "Without screend", "MLFRR", 4_700.0, |p| mlfrr(p, 0.95).unwrap_or(0.0)))),
-    claim("6-1 screend-peak-near-paper", "§6", Figures(F::Shape), Sweep(|r| near_paper(r, "With screend", "peak pkts/s", 2_000.0, peak_delivered))),
+    claim("6-1 mlfrr-near-paper", "§6", Figures(F::Shape), paper("an MLFRR of about 4700 pkts/s without screend", "Without screend", Mlfrr, Vs::Paper(4_700.0), (0.75, 1.25))),
+    claim("6-1 unmod-declines", "§6", Figures(F::Shape), paper("past the MLFRR, throughput declines as the input rate grows", "Without screend", Tail, Vs::Col("Without screend", Peak), (0.0, 0.5))),
+    claim("6-1 screend-peak-near-paper", "§6", Figures(F::Shape), paper("with screend, a peak of about 2000 pkts/s", "With screend", Peak, Vs::Paper(2_000.0), (0.75, 1.25))),
+    claim("6-1 screend-collapse-near-paper", "§6", Figures(F::Shape), paper("\"complete livelock ... at about 6000 pkts/s\"", "With screend", Collapse, Vs::Paper(6_000.0), (0.75, 1.25))),
+    claim("6-3 plateau-over-unmod-peak", "§6", Figures(F::Shape), paper("polling with a quota \"slightly improves the MLFRR\"", "Polling (quota = 5)", Tail, Vs::Col("Unmodified", Peak), (1.0, 1.25))),
+    claim("6-3 no-polling-below-unmod", "§6", Figures(F::Shape), paper("the \"no polling\" kernel does slightly worse than the unmodified one", "No polling", At(4_000.0), Vs::Col("Unmodified", At(4_000.0)), (0.8, 0.99))),
+    claim("6-5 quota-100-below-quota-20", "§6", Figures(F::Shape), paper("\"a quota of between 10 and 20 packets yields stable and near-optimum behavior\"", "quota = 100 packets", Tail, Vs::Col("quota = 20 packets", Tail), (0.0, 0.95))),
+    claim("7-1 no-limit-starves-user", "§7", Figures(F::Shape), paper("with no limit, a flooded router leaves the user process \"no measurable progress\"", "threshold 100 %", Tail, Vs::Col("threshold 100 %", Peak), (0.0, 0.01))),
+    claim("7-1 user-under-25pct-limit", "§7", Figures(F::Shape), paper("\"the user process does not get as much CPU time as the threshold setting would imply\": under 94 % - 25 %", "threshold 25 %", Tail, Vs::Paper(69.0), (0.5, 1.0))),
+    claim("7-1 user-under-50pct-limit", "§7", Figures(F::Shape), paper("as above: under 94 % - 50 %", "threshold 50 %", Tail, Vs::Paper(44.0), (0.5, 1.0))),
+    claim("7-1 user-under-75pct-limit", "§7", Figures(F::Shape), paper("as above: under 94 % - 75 %", "threshold 75 %", Tail, Vs::Paper(19.0), (0.5, 1.0))),
+    claim("7-1 stable-25pct", "§7", Figures(F::Shape), paper("the curves are \"fairly stable as the input rate increases\"", "threshold 25 %", Tail, Vs::Col("threshold 25 %", At(3_000.0)), (0.9, 1.1))),
+    claim("7-1 stable-50pct", "§7", Figures(F::Shape), paper("as above", "threshold 50 %", Tail, Vs::Col("threshold 50 %", At(3_000.0)), (0.9, 1.1))),
+    claim("7-1 stable-75pct", "§7", Figures(F::Shape), paper("as above", "threshold 75 %", Tail, Vs::Col("threshold 75 %", At(3_000.0)), (0.9, 1.1))),
+    claim("7-1 initial-dip", "§7", Figures(F::Shape), paper("\"initial dips ... reflect the cost of handling the actual interrupts\"", "threshold 50 %", At(2_000.0), Vs::Col("threshold 50 %", Tail), (0.0, 0.99))),
     claim("L-1 polled-p99-under-half", "§4.3", Figures(F::Latency), Last(|e| at_most("polled p99 us (half the unmodified p99)", us(e.polled.latency_p99), us(e.unmod.latency_p99) / 2.0))),
-    claim("C-1 ledger-conserved", "§3", Figures(F::Cpu), Every(ledger_conserved)),
     claim("C-1 unmod-rx-intr-over-90pct", "§3", Figures(F::Cpu), Last(|e| at_least("unmodified rx-intr %", share(e.unmod, RX), 90.0))),
     claim("C-1 unmod-delivery-collapses", "§3", Figures(F::Cpu), Last(|e| at_most("unmodified pkts/s (1% of offered)", e.unmod.delivered_pps, 0.01 * e.unmod.offered_pps))),
     claim("C-1 unmod-user-idle-under-5pct", "§3", Figures(F::Cpu), Last(|e| at_most("unmodified user+idle %", share(e.unmod, USER_IDLE), 5.0))),
@@ -166,7 +279,6 @@ pub static CLAIMS: &[Claim] = &[
         at_least("polled pkts/s at the heaviest storm (half the fault-free)", s[s.len() - 1].polled.delivered_pps, 0.5 * s[0].polled.delivered_pps).into_iter().collect()
     })),
     claim("R-1 polled-beats-unmod", "§6.6.1", Figures(F::Fault), Last(|e| at_most("unmodified pkts/s (the polled)", e.unmod.delivered_pps, e.polled.delivered_pps))),
-    claim("S-1 ledger-conserved", "§3", Figures(F::Smp), Every(ledger_conserved)),
     claim("S-1 mlfrr-scaling", "§8", Figures(F::Smp), Sweep(mlfrr_scaling)),
     claim("O-1 onset-monotone", "§4", Figures(F::Observe), Sweep(onset_monotone)),
     claim("O-1 unmod-onset", "§4", Figures(F::Observe), Last(unmod_onset)),
@@ -228,9 +340,10 @@ pub fn evaluate(select: impl Fn(&Claim) -> bool, run: Run) -> Vec<Violation> {
             (Every(f), _) => series.iter().flatten().filter_map(at(f)).collect(),
             (Last(f), _) => series.iter().filter_map(|s| s.last()).filter_map(at(f)).collect(),
             (Sweep(f), Run::Figure(r)) => f(r),
-            // `claim` keeps Sweep checks on `figures` rows, which only
-            // `figures` evaluates, and it always passes a figure.
-            (Sweep(_), Run::Pair(_)) => Vec::new(),
+            (Csv(a), Run::Figure(r)) => a.check(&r.to_csv()).into_iter().collect(),
+            // `claim` keeps Sweep and Csv checks on `figures` rows, which
+            // only `figures` evaluates, and it always passes a figure.
+            (Sweep(_) | Csv(_), Run::Pair(_)) => Vec::new(),
         };
         out.extend(found.into_iter().map(|message| Violation { claim, message }));
     }
@@ -363,37 +476,6 @@ fn shape_verdicts(r: &RenderedFigure) -> Vec<String> {
     v
 }
 
-/// Figure 6-1's calibration: `what`, read from curve `label`'s points,
-/// lies within ±25 % of the paper's value.
-fn near_paper(
-    r: &RenderedFigure,
-    label: &str,
-    what: &str,
-    paper: f64,
-    read: fn(&[SweepPoint]) -> f64,
-) -> Vec<String> {
-    let Some(c) = r.curves.iter().find(|c| c.label == label) else {
-        return vec![format!("fig {} has no curve {label:?}", r.id)];
-    };
-    let got = read(&c.points());
-    let (lo, hi) = (0.75 * paper, 1.25 * paper);
-    let v = (!(lo..=hi).contains(&got)).then(|| {
-        format!("{label} {what} is {got:.0}, expected within 25% of the paper's {paper:.0} ({lo:.0}..={hi:.0})")
-    });
-    v.into_iter().collect()
-}
-
-fn ledger_conserved(e: &Evidence) -> Option<String> {
-    let cpus = [e.unmod, e.polled].into_iter().flat_map(TrialResult::per_cpu);
-    let bad: Vec<String> = cpus
-        .filter_map(|c| {
-            let sum: f64 = c.cpu_share.iter().sum();
-            ((sum - 1.0).abs() > 1e-9).then(|| format!("cpu {:?} shares sum to {sum}", c.cpu))
-        })
-        .collect();
-    (!bad.is_empty()).then(|| format!("cycle ledger not conserved: {}", bad.join(", ")))
-}
-
 fn polled_delivers(e: &Evidence) -> Option<String> {
     let stormed = e.drained.is_none_or(|d| d.scheduled_faults > 0);
     (stormed && e.polled.delivered_pps <= 0.0)
@@ -509,7 +591,7 @@ fn flow_ledgers_close(e: &Evidence) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{figure_table, Figure, Sweep};
+    use crate::{check_doc_block, figure_table, Axis, Figure, Sweep};
     use livelock_kernel::experiment::{CpuStats, SweepResult};
     use livelock_kernel::flows::FlowRegistry;
     use livelock_kernel::telemetry::ObsEventKind;
@@ -614,35 +696,51 @@ mod tests {
         t
     }
 
-    /// Delivered rate of a throughput curve at `x`: a plateau at 4 000
-    /// pkts/s, or a 2 000 pkts/s peak that collapses past 4 000 (figure
-    /// 6-1's calibration: MLFRR 4 000, screend peak 2 000).
-    fn shaped(x: f64, livelock: bool) -> f64 {
-        match livelock {
-            true if x > 4_000.0 => 0.0,
-            true => x.min(2_000.0),
-            false => x.min(4_000.0),
+    /// The committed CSV of figure `id`.
+    fn committed(id: &str) -> String {
+        let name = format!("results/fig{}.csv", id.replace('-', "_"));
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_owned() + &name)
+            .expect("committed CSV")
+    }
+
+    /// The value a delivered-rate or user-CPU curve plots for `t`.
+    fn plotted(t: &TrialResult, axis: Axis) -> f64 {
+        match axis {
+            Axis::UserCpuPercent => t.per_cpu[0].user_cpu_frac * 100.0,
+            _ => t.delivered_pps,
+        }
+    }
+
+    fn set_plotted(t: &mut TrialResult, axis: Axis, v: f64) {
+        match axis {
+            Axis::UserCpuPercent => t.per_cpu[0].user_cpu_frac = v / 100.0,
+            _ => t.delivered_pps = v,
         }
     }
 
     /// Evidence every claim of `fig` holds on: each pair's curves get the
     /// kernels above (the k-th pair's polled plateau at 4 000·2^k, so
-    /// S-1's pairs scale), every other curve the shape its row expects.
+    /// S-1's pairs scale), every other curve its committed CSV column.
     fn world(fig: &Figure) -> RenderedFigure {
         let rate = |x: f64| match fig.sweep {
             Sweep::Rate => x,
             Sweep::Storm { rate_pps } => rate_pps,
         };
+        let csv = committed(fig.id);
         let curves = (fig.curves.iter().enumerate())
             .map(|(c, curve)| {
                 let unmod_of = fig.pairs.iter().position(|p| p.0 == c);
                 let polled_of = fig.pairs.iter().position(|p| p.1 == c);
-                let expect = expected_verdict(fig.id, &curve.label);
-                let trials = (fig.xs.iter())
-                    .map(|&x| match (unmod_of, polled_of) {
+                let column = csv_column(&csv, &curve.label.replace(',', ";")).expect("a column");
+                let trials = (fig.xs.iter().zip(column))
+                    .map(|(&x, (_, v))| match (unmod_of, polled_of) {
                         (Some(_), _) => unmod(rate(x)),
                         (_, Some(k)) => polled(rate(x), 4_000.0 * f64::from(1 << k)),
-                        _ => trial(x, shaped(x, expect == Some(LivelockVerdict::Livelock)), &[]),
+                        _ => {
+                            let mut t = trial(x, 0.0, &[]);
+                            set_plotted(&mut t, curve.axis, v);
+                            t
+                        }
                     })
                     .collect();
                 SweepResult { label: curve.label.clone(), trials }
@@ -714,16 +812,20 @@ mod tests {
     /// Breaks exactly claim `id` in `r` (and, for chaos claims, `d`).
     fn seed(id: &str, r: &mut RenderedFigure, d: &mut Drain) {
         use CpuClass::{Idle, KernelOther, PollThread, RxIntr, UserProc};
-        let mut set_curve = |label: &str, f: fn(f64) -> f64| {
-            let c = r.curves.iter_mut().find(|c| c.label == label).expect("a 6-1 curve");
-            c.trials.iter_mut().for_each(|t| t.delivered_pps = f(t.offered_pps));
+        // Maps curve `label`'s plotted value v at each x to f(x, v).
+        let mut set_curve = |label: &str, f: fn(f64, f64) -> f64| {
+            let c = r.curves.iter().position(|c| c.label == label).expect("a curve");
+            let axis = r.axes[c];
+            for (t, &x) in r.curves[c].trials.iter_mut().zip(&r.xs) {
+                set_plotted(t, axis, f(x, plotted(t, axis)));
+            }
         };
         match id {
             "6-x shape-verdicts" => {
-                // Flip a judged curve's verdict at its heaviest load,
-                // keeping its peak.
+                // Flip the last judged curve's verdict at its heaviest
+                // load, keeping its peak (no anchored row reads its tail).
                 let c = (r.curves.iter())
-                    .position(|c| expected_verdict(r.id, &c.label).is_some())
+                    .rposition(|c| expected_verdict(r.id, &c.label).is_some())
                     .expect("a curve with a verdict");
                 let livelock =
                     expected_verdict(r.id, &r.curves[c].label) == Some(LivelockVerdict::Livelock);
@@ -732,15 +834,55 @@ mod tests {
                 let tail = trials.last_mut().expect("a point");
                 tail.delivered_pps = if livelock { peak } else { 0.0 };
             }
-            "6-1 mlfrr-near-paper" => set_curve("Without screend", |x| x.min(3_000.0)),
+            // Lossy from 4 000 pkts/s on: an MLFRR of 3 000, still declining.
+            "6-1 mlfrr-near-paper" => {
+                set_curve("Without screend", |x, v| if x >= 4_000.0 { 0.9 * v } else { v })
+            }
+            "6-1 unmod-declines" => {
+                set_curve("Without screend", |x, v| if x > 4_000.0 { 4_000.0 } else { v })
+            }
             "6-1 screend-peak-near-paper" => {
-                set_curve("With screend", |x| if x > 4_000.0 { 0.0 } else { x.min(3_000.0) })
+                set_curve("With screend", |x, v| if x <= 3_000.0 { x } else { v })
+            }
+            "6-1 screend-collapse-near-paper" => {
+                set_curve("With screend", |x, v| if x >= 3_000.0 { 0.0 } else { v })
+            }
+            "6-3 plateau-over-unmod-peak" => {
+                set_curve("Polling (quota = 5)", |x, v| if x >= 4_500.0 { 3_900.0 } else { v })
+            }
+            "6-3 no-polling-below-unmod" => {
+                set_curve("No polling", |x, v| if x == 4_000.0 { 4_100.0 } else { v })
+            }
+            "6-5 quota-100-below-quota-20" => {
+                set_curve("quota = 100 packets", |x, v| if x >= 5_000.0 { 4_600.0 } else { v })
+            }
+            "7-1 no-limit-starves-user" => {
+                set_curve("threshold 100 %", |x, v| if x == 10_000.0 { 5.0 } else { v })
+            }
+            // The whole plateau above the paper's bound, so it stays flat.
+            "7-1 user-under-25pct-limit" => {
+                set_curve("threshold 25 %", |x, v| if x >= 3_000.0 { 70.0 } else { v })
+            }
+            "7-1 user-under-50pct-limit" => {
+                set_curve("threshold 50 %", |x, v| if x >= 3_000.0 { 45.0 } else { v })
+            }
+            "7-1 user-under-75pct-limit" => {
+                set_curve("threshold 75 %", |x, v| if x >= 3_000.0 { 20.0 } else { v })
+            }
+            "7-1 stable-25pct" => {
+                set_curve("threshold 25 %", |x, v| if x == 3_000.0 { 2.0 * v } else { v })
+            }
+            "7-1 stable-50pct" => {
+                set_curve("threshold 50 %", |x, v| if x == 3_000.0 { 2.0 * v } else { v })
+            }
+            "7-1 stable-75pct" => {
+                set_curve("threshold 75 %", |x, v| if x == 3_000.0 { 2.0 * v } else { v })
+            }
+            "7-1 initial-dip" => {
+                set_curve("threshold 50 %", |x, v| if x == 2_000.0 { 45.0 } else { v })
             }
             "L-1 polled-p99-under-half" => {
                 edit(r, true, last, |t| t.latency_p99 = Nanos::from_millis(50))
-            }
-            "C-1 ledger-conserved" | "S-1 ledger-conserved" => {
-                edit(r, true, all, |t| t.per_cpu[0].cpu_share[Idle.index()] += 0.5)
             }
             "C-1 unmod-rx-intr-over-90pct" => {
                 edit(r, false, last, |t| moved(t, RxIntr, KernelOther, 0.5))
@@ -890,18 +1032,81 @@ mod tests {
 
     #[test]
     fn readme_embeds_the_claims_table() {
-        let readme =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-                .expect("README readable");
-        let begin = readme
-            .find("<!-- claims:begin")
-            .and_then(|i| readme[i..].find("-->\n").map(|j| i + j + 4))
-            .expect("claims begin marker");
-        let end = readme.find("<!-- claims:end -->").expect("claims end marker");
-        let table = markdown_table();
-        assert!(
-            readme[begin..end] == table,
-            "README claims table is stale; replace the block with:\n{table}"
-        );
+        check_doc_block("README.md", "claims", &markdown_table()).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn stat_name(s: Stat) -> String {
+        match s {
+            Mlfrr => "MLFRR".into(),
+            Peak => "peak".into(),
+            At(x) => format!("at {}", fmt_x(x)),
+            Tail => "tail".into(),
+            Collapse => "collapse x".into(),
+        }
+    }
+
+    /// Figure `fig`'s verdict table, measured from its CSV text: a line
+    /// per anchored row it lists, and one for its shape verdicts.
+    fn verdict_table(fig: &Figure, csv: &str) -> String {
+        let mut out =
+            String::from("| claim | the paper | paper | measured | verdict |\n|---|---|---|---|---|\n");
+        let tick = |ok: bool| if ok { "✓" } else { "✗" };
+        for c in CLAIMS.iter().filter(|c| fig.claims.contains(&c.id)) {
+            let (paper, measured, ok) = match c.check {
+                Csv(a) => {
+                    let (got, reference) = a.read(csv).expect("the committed CSV holds the columns");
+                    let (lo, hi) = (a.band.0 * reference, a.band.1 * reference);
+                    let band = match a.band {
+                        (0.0, h) => format!("≤ {h}"),
+                        (l, h) => format!("{l}–{h}"),
+                    };
+                    let vs = match a.vs {
+                        Vs::Paper(v) => format!("{v}"),
+                        Vs::Col(col, s) => format!("{col} {} ({reference:.1})", stat_name(s)),
+                    };
+                    let measured = format!("{} {} = {got:.1}", a.column, stat_name(a.stat));
+                    (format!("{} × {vs}", band), measured, (lo..=hi).contains(&got))
+                }
+                Sweep(_) if c.id == "6-x shape-verdicts" => {
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    for label in csv.lines().next().unwrap_or_default().split(',').skip(1) {
+                        if let Some(v) = expected_verdict(fig.id, label) {
+                            let column = csv_column(csv, label).expect("a column");
+                            let points: Vec<SweepPoint> =
+                                column.iter().map(|&(x, v)| SweepPoint::new(x, v)).collect();
+                            want.push(format!("{label}: {v:?}"));
+                            got.push(format!("{label}: {:?}", classify(&points, 0.10, 0.80)));
+                        }
+                    }
+                    (want.join("; "), got.join("; "), want == got)
+                }
+                _ => continue,
+            };
+            let quote = match c.check {
+                Csv(a) => a.quote,
+                _ => "the curve shapes of the figure",
+            };
+            out.push_str(&format!("| `{}` | {quote} | {paper} | {measured} | {} |\n", c.id, tick(ok)));
+        }
+        out
+    }
+
+    /// EXPERIMENTS.md's verdict table for every figure with a paper
+    /// claim, read from the committed CSVs: every verdict is ✓, and the
+    /// embedded block is the generated one.
+    #[test]
+    fn experiments_embeds_each_figures_verdicts() {
+        let mut embedded = Vec::new();
+        for fig in figure_table() {
+            let table = verdict_table(&fig, &committed(fig.id));
+            if table.lines().count() == 2 {
+                continue;
+            }
+            assert!(!table.contains('✗'), "fig {}: a committed CSV fails a claim:\n{table}", fig.id);
+            let block = format!("verdicts:{}", fig.id);
+            check_doc_block("EXPERIMENTS.md", &block, &table).unwrap_or_else(|e| panic!("{e}"));
+            embedded.push(fig.id);
+        }
+        assert_eq!(embedded, ["6-1", "6-3", "6-4", "6-5", "6-6", "7-1"]);
     }
 }

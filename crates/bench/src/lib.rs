@@ -198,7 +198,13 @@ fn fig6_1() -> Figure {
         ],
     );
     Figure {
-        claims: &["6-x shape-verdicts", "6-1 mlfrr-near-paper", "6-1 screend-peak-near-paper"],
+        claims: &[
+            "6-x shape-verdicts",
+            "6-1 mlfrr-near-paper",
+            "6-1 unmod-declines",
+            "6-1 screend-peak-near-paper",
+            "6-1 screend-collapse-near-paper",
+        ],
         ..fig
     }
 }
@@ -206,7 +212,7 @@ fn fig6_1() -> Figure {
 /// Figure 6-3: forwarding performance of the modified kernel, no screend.
 fn fig6_3() -> Figure {
     let polled = |q| KernelConfig::builder().polled(q).build();
-    throughput_figure(
+    let fig = throughput_figure(
         "6-3",
         "Forwarding performance of modified kernel, without using screend",
         vec![
@@ -215,7 +221,11 @@ fn fig6_3() -> Figure {
             ("Polling (quota = 5)", polled(Quota::Limited(5))),
             ("Polling (no quota)", polled(Quota::Unlimited)),
         ],
-    )
+    );
+    Figure {
+        claims: &["6-x shape-verdicts", "6-3 plateau-over-unmod-peak", "6-3 no-polling-below-unmod"],
+        ..fig
+    }
 }
 
 /// Figure 6-4: forwarding performance of the modified kernel with screend.
@@ -252,11 +262,15 @@ fn quota_curves(config: impl Fn(Quota) -> KernelConfig) -> Vec<(&'static str, Ke
 
 /// Figure 6-5: effect of the packet-count quota, no screend.
 fn fig6_5() -> Figure {
-    throughput_figure(
+    let fig = throughput_figure(
         "6-5",
         "Effect of packet-count quota on performance, no screend",
         quota_curves(|q| KernelConfig::builder().polled(q).build()),
-    )
+    );
+    Figure {
+        claims: &["6-x shape-verdicts", "6-5 quota-100-below-quota-20"],
+        ..fig
+    }
 }
 
 /// Figure 6-6: effect of the packet-count quota, with screend (feedback on).
@@ -269,9 +283,9 @@ fn fig6_6() -> Figure {
 }
 
 /// Figure 7-1: available user-mode CPU time under the cycle-limit
-/// mechanism, one curve per threshold. (The y-axis is user CPU %, not
-/// packet rate, so it has no claim rows: `tests/user_progress.rs`
-/// asserts the claim.)
+/// mechanism, one curve per threshold. The y-axis is user CPU %, not
+/// packet rate, so its claims read the CSV; `tests/user_progress.rs`
+/// asserts the zero-load share, which no swept rate shows.
 fn fig7_1() -> Figure {
     let thresholds = [0.25, 0.50, 0.75, 1.00];
     Figure {
@@ -304,7 +318,16 @@ fn fig7_1() -> Figure {
         sweep: Sweep::Rate,
         flows: None,
         pairs: Vec::new(),
-        claims: &[],
+        claims: &[
+            "7-1 no-limit-starves-user",
+            "7-1 user-under-25pct-limit",
+            "7-1 user-under-50pct-limit",
+            "7-1 user-under-75pct-limit",
+            "7-1 stable-25pct",
+            "7-1 stable-50pct",
+            "7-1 stable-75pct",
+            "7-1 initial-dip",
+        ],
     }
 }
 
@@ -366,7 +389,6 @@ fn fig_c1() -> Figure {
         flows: None,
         pairs: vec![(0, 2)],
         claims: &[
-            "C-1 ledger-conserved",
             "C-1 unmod-rx-intr-over-90pct",
             "C-1 unmod-delivery-collapses",
             "C-1 unmod-user-idle-under-5pct",
@@ -423,7 +445,7 @@ fn fig_s1() -> Figure {
         sweep: Sweep::Rate,
         flows: None,
         pairs: vec![(0, 3), (1, 4), (2, 5)],
-        claims: &["S-1 ledger-conserved", "S-1 mlfrr-scaling"],
+        claims: &["S-1 mlfrr-scaling"],
     }
 }
 
@@ -630,6 +652,23 @@ pub fn all_figures() -> Vec<Figure> {
     let mut table = figure_table();
     table.truncate(9);
     table
+}
+
+/// Checks the block of repository file `doc` between its `<!-- name:begin
+/// … -->` line and its `<!-- name:end -->` line against `want`, the block
+/// generated from the code or the committed CSVs. A stale block is an
+/// error that carries the block to paste in.
+pub fn check_doc_block(doc: &str, name: &str, want: &str) -> Result<(), String> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(doc);
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{doc}: {e}"))?;
+    let missing = || format!("{doc} has no {name}:begin/{name}:end markers");
+    let begin = text.find(&format!("<!-- {name}:begin")).ok_or_else(missing)?;
+    let start = begin + text[begin..].find("-->\n").ok_or_else(missing)? + 4;
+    let end = start + text[start..].find(&format!("<!-- {name}:end -->")).ok_or_else(missing)?;
+    match &text[start..end] == want {
+        true => Ok(()),
+        false => Err(format!("{doc}: the {name} block is stale; replace it with:\n{want}")),
+    }
 }
 
 /// Packets per trial at full fidelity (the paper used 10,000); `figures
@@ -904,6 +943,32 @@ mod tests {
         }
     }
 
+    /// The figure index EXPERIMENTS.md embeds: a line per row of the table.
+    fn figure_index() -> String {
+        let mut out = String::from("| id | caption | curves | x | claims | CSV |\n|---|---|---|---|---|---|\n");
+        for f in figure_table() {
+            let labels: Vec<&str> = f.curves.iter().map(|c| c.label.as_str()).collect();
+            let claims: Vec<String> = f.claims.iter().map(|c| format!("`{c}`")).collect();
+            let (first, last) = (fmt_x(f.xs[0]), fmt_x(f.xs[f.xs.len() - 1]));
+            let csv = format!("fig{}.csv", f.id.replace('-', "_"));
+            out.push_str(&format!(
+                "| {} | {} | {} | `{}` {first}–{last} ({} points) | {} | [`{csv}`](results/{csv}) |\n",
+                f.id,
+                f.caption,
+                labels.join(", "),
+                f.sweep.x_label(),
+                f.xs.len(),
+                claims.join(", ")
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn experiments_embeds_the_figure_index() {
+        check_doc_block("EXPERIMENTS.md", "figures", &figure_index()).unwrap_or_else(|e| panic!("{e}"));
+    }
+
     /// The violated claims' messages when `claims` judge `r`.
     fn violations(claims: &[&str], r: &RenderedFigure) -> Vec<String> {
         let found = claims::evaluate(|c| claims.contains(&c.id), claims::Run::Figure(r));
@@ -1108,7 +1173,7 @@ mod tests {
             ..one_curve(fig6_3(), 2) // quota = 5.
         };
         let r = render_figure(&fig, 800, Parallelism::Auto);
-        assert!(violations(fig.claims, &r).is_empty());
+        assert!(violations(&["6-x shape-verdicts"], &r).is_empty());
     }
 
     #[test]

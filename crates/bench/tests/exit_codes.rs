@@ -212,17 +212,6 @@ fn exit_code_table(script: &str) -> String {
 
 #[test]
 fn readme_embeds_the_exit_code_table() {
-    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README readable");
-    let begin = readme
-        .find("<!-- exit-codes:begin")
-        .and_then(|i| readme[i..].find("-->\n").map(|j| i + j + 4))
-        .expect("exit-codes begin marker");
-    let end = readme
-        .find("<!-- exit-codes:end -->")
-        .expect("exit-codes end marker");
     let table = exit_code_table(&ci_script());
-    assert!(
-        readme[begin..end] == table,
-        "README exit-code table is stale; replace the block with:\n{table}"
-    );
+    livelock_bench::check_doc_block("README.md", "exit-codes", &table).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -23,6 +23,13 @@ impl SweepPoint {
     pub fn new(offered: f64, delivered: f64) -> Self {
         SweepPoint { offered, delivered }
     }
+
+    /// Whether the point delivered at least `loss_free_frac` of a positive
+    /// offered load. A point that offered nothing measured nothing, so it
+    /// is never loss-free.
+    pub fn is_loss_free(&self, loss_free_frac: f64) -> bool {
+        self.offered > 0.0 && self.delivered >= loss_free_frac * self.offered
+    }
 }
 
 /// The verdict of [`classify`] on a sweep's overload behaviour, in the
@@ -49,7 +56,7 @@ pub enum LivelockVerdict {
 pub fn mlfrr(points: &[SweepPoint], loss_free_frac: f64) -> Option<f64> {
     points
         .iter()
-        .filter(|p| p.offered > 0.0 && p.delivered >= loss_free_frac * p.offered)
+        .filter(|p| p.is_loss_free(loss_free_frac))
         .map(|p| p.offered)
         .fold(None, |best, x| Some(best.map_or(x, |b: f64| b.max(x))))
 }
@@ -154,7 +161,7 @@ where
             "probe must return one point per rate"
         );
         for (&rate, p) in mids.iter().zip(&pts) {
-            if p.delivered >= loss_free_frac * p.offered {
+            if p.is_loss_free(loss_free_frac) {
                 lo = lo.max(rate);
             } else {
                 hi = hi.min(rate);
@@ -324,6 +331,20 @@ mod tests {
     fn multisection_zero_rounds_returns_lo() {
         let m = mlfrr_multisection((250.0, 9_000.0), 4, 0, 0.98, |_| unreachable!());
         assert_eq!(m, 250.0);
+    }
+
+    #[test]
+    fn a_probe_that_offered_nothing_never_raises_lo() {
+        // A trial too short to hold an arrival in its window reads 0
+        // offered and 0 delivered; 0 >= 0.98 * 0 must not count as
+        // loss-free, or the search climbs to the top of the bracket.
+        let empty = |rates: &[f64]| vec![SweepPoint::new(0.0, 0.0); rates.len()];
+        for k in [1, 4] {
+            let m = mlfrr_multisection((100.0, 14_000.0), k, multisection_rounds(k, 12), 0.98, empty);
+            assert_eq!(m, 100.0, "k={k}");
+        }
+        assert!(!SweepPoint::new(0.0, 0.0).is_loss_free(0.98));
+        assert!(SweepPoint::new(100.0, 98.0).is_loss_free(0.98));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 # passed. These rows are the only list of the codes: a test in
 # crates/bench/tests/exit_codes.rs checks them both ways against every
 # `exit N` below, and README's exit-code table is generated from them.
-# exit 1 — build-test-io — build or test failure, a figure CSV differing from its committed copy, figures exiting 1, or bad arguments
+# exit 1 — build-test-io — build or test failure, a committed figure CSV or figures_full.txt differing from a fresh render, figures exiting 1, or bad arguments
 # exit 2 — figure-shape — a paper figure's shape or calibration claim failed (figures exit 2)
 # exit 3 — latency-gate — an L-1 latency claim failed (figures exit 3)
 # exit 4 — cpu-share-gate — a C-1 CPU-share claim failed (figures exit 4)
@@ -90,12 +90,16 @@ repo=$(pwd)
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-step "counted lines under crates/ (printed, never gated)"
-# ROADMAP 4's measure, so each PR's number is reproduced, not hand-counted:
+step "counted lines under crates/ and in the editable docs (printed, never gated)"
+# The sizes ROADMAP tracks, reproduced rather than hand-counted. Code:
 # non-blank, non-comment lines before a file's first top-level
 # #[cfg(test)], with crates/**/tests and the lint fixtures left out.
+# Docs: every line of the four docs a change may edit (benchmark/README.md
+# belongs to the benchmark).
 find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
+cat README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+    awk 'END{print "ci: editable docs lines (README, DESIGN, EXPERIMENTS, verify skill):", NR}'
 
 step "static analysis: simlint, clippy, and a seeded crate clippy must reject"
 # One gate, exit 7. simlint (crates/lint) checks what clippy cannot: no
@@ -239,13 +243,14 @@ fi
 
 # Renders the figure table from directory $1 (a scratch directory, so
 # the committed full-fidelity results/ are never overwritten) with the
-# figures flags that follow, and maps a failed claim's figures exit to
-# this script's code. A figures exit code without an arm here fails as 1.
+# figures flags that follow, its stdout to $1/stdout.txt, and maps a
+# failed claim's figures exit to this script's code. A figures exit code
+# without an arm here fails as 1.
 figures_gate() {
     mkdir -p "$1"
     local dir=$1
     shift
-    (cd "$dir" && "$repo/target/release/figures" "$@")
+    (cd "$dir" && "$repo/target/release/figures" "$@" > stdout.txt)
     rc=$?
     case "$rc" in
     0) ;;
@@ -277,9 +282,11 @@ else
 fi
 # A degenerate trial or storm spec is a usage error, not a panic (exit
 # 101) or a hang (hence the timeout: an unbounded storm never returns);
-# so is a job count over the bound, refused before any thread starts.
+# so is a job count over the bound, refused before any thread starts,
+# and an MLFRR search whose trials are too short to measure anything.
 for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" \
-    "chaos --packets 5" "trial --rate 1e-6 --packets 2" "mlfrr --jobs 65"; do
+    "chaos --packets 5" "trial --rate 1e-6 --packets 2" "mlfrr --jobs 65" \
+    "mlfrr --packets 2 --jobs 1"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
     if [ "$rc" -eq 2 ]; then
@@ -376,11 +383,11 @@ else
 fi
 
 step "committed results: full-fidelity figures byte-identical"
-# The committed results/*.csv are the paper artifact; the engine (default
-# heap scheduler, arrivals streamed from the arrival source) must
-# reproduce every byte, at any job count. Regenerate the full-fidelity
-# set in scratch at --jobs N (its claims gate like the quick set's) and
-# compare file by file.
+# The committed results/*.csv and results/figures_full.txt (the stdout)
+# are the paper artifact, and the docs' verdict tables are read from the
+# CSVs; the engine must reproduce every byte, at any job count.
+# Regenerate the full-fidelity set in scratch at --jobs N (its claims
+# gate like the quick set's) and compare file by file.
 figures_gate "$scratch/full" --jobs "$jobs"
 results_ok=1
 for f in "$repo"/results/*.csv; do
@@ -390,8 +397,12 @@ for f in "$repo"/results/*.csv; do
         results_ok=0
     fi
 done
+if ! cmp -s "$repo/results/figures_full.txt" "$scratch/full/stdout.txt"; then
+    echo "ci: FAIL — committed results/figures_full.txt differs from a fresh render's stdout" >&2
+    results_ok=0
+fi
 [ "$results_ok" -eq 1 ] || exit 1
-echo "ci: all committed results/*.csv byte-identical to a fresh render"
+echo "ci: all committed results/*.csv and figures_full.txt byte-identical to a fresh render"
 
 step "benchmark smoke: every unit checked, sim_digests as committed"
 # One second per workload of the repo's benchmark: every unit it runs is
