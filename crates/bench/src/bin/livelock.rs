@@ -17,11 +17,15 @@
 //! machine's per-(cpu, class, stage) cycle fold as collapsed-stack text
 //! for `inferno-flamegraph` / `flamegraph.pl`);
 //! `sweep` prints the (input rate, output rate) series a figure would
-//! plot (`--latency` adds a p99-latency column per config); `mlfrr`
+//! plot, with the measured offered rate beside it (`--latency` adds a
+//! p99-latency column per config); `mlfrr`
 //! searches for the Maximum Loss Free Receive Rate by
 //! multisection (with `--jobs N`, each round probes N rates concurrently).
-//! `--jobs` takes 1 to 64 worker threads and defaults to the host's
-//! available parallelism; results are identical for every job count.
+//! `--jobs` takes 1 to 64 threads and defaults to the host's available
+//! parallelism; results are identical for every job count, and a trial
+//! inside a sweep or search runs its CPUs on its job's thread, so no more
+//! than `--jobs` threads ever run. `trial` runs alone, so the CPUs of a
+//! cluster that share no channel run on threads of their own.
 //!
 //! `chaos` runs a deterministic seeded fault storm (lost and spurious
 //! interrupts, packet corruption, overrun bursts, link flaps, screend
@@ -45,7 +49,7 @@ use livelock_core::analysis::{
 use livelock_core::poller::Quota;
 use livelock_kernel::config::{KernelConfig, LocalDeliveryConfig};
 use livelock_kernel::experiment::{
-    paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec,
+    paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec, WARMUP_FRAC,
 };
 use livelock_kernel::experiment::sweep;
 use livelock_kernel::par::{default_jobs, par_map, Parallelism, MAX_JOBS};
@@ -109,6 +113,16 @@ fn check_span(flag: &str, rates: &[f64], n_packets: usize) -> Result<(), String>
         ));
     }
     Ok(())
+}
+
+/// The fewest packets an MLFRR probe may send at `loss_free` below 1:
+/// its measurement window (all but the warm-up) must hold enough packets
+/// that the loss the criterion tolerates is at least one. In a shorter
+/// window one lost packet already fails the criterion, so a probe is
+/// all-or-nothing and the search converges on noise (three packets
+/// "measured" an MLFRR of 6 857 pkts/s).
+fn mlfrr_min_packets(loss_free: f64) -> usize {
+    (1.0 / ((1.0 - loss_free) * (1.0 - WARMUP_FRAC))).ceil() as usize
 }
 
 /// Every subcommand, in usage order: its name, known flags and body.
@@ -458,6 +472,11 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     for s in &results {
         print!("{:>14}", s.label);
     }
+    // The measured offered rate next to the nominal one, as the
+    // figures plot it.
+    for s in &results {
+        print!(" {:>18}", format!("{}_offered", s.label));
+    }
     if latency {
         for s in &results {
             print!("{:>18}", format!("{}_p99us", s.label));
@@ -468,6 +487,9 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         print!("{rate:>10.0}");
         for s in &results {
             print!("{:>14.0}", s.trials[i].delivered_pps);
+        }
+        for s in &results {
+            print!(" {:>18.0}", s.trials[i].offered_pps);
         }
         if latency {
             for s in &results {
@@ -498,6 +520,13 @@ fn cmd_mlfrr(args: &Args) -> Result<(), String> {
     let lo = 100.0f64;
     let hi = 14_000.0f64;
     check_span("packets", &[lo], n_packets)?;
+    // At a loss-free fraction of 1 no loss is tolerated at any length.
+    if loss_free < 1.0 && n_packets < mlfrr_min_packets(loss_free) {
+        return Err(format!(
+            "--packets: an MLFRR at loss-free {loss_free} needs at least {} packets, got {n_packets}",
+            mlfrr_min_packets(loss_free)
+        ));
+    }
 
     // Multisection on the offered rate for the highest loss-free point:
     // each round probes `jobs` bracketing rates concurrently, shrinking
@@ -851,6 +880,10 @@ mod tests {
             // 0 of 0 offered, which used to pass as loss-free.
             ("mlfrr", &["--packets", "1", "--jobs", "1"], "--packets"),
             ("mlfrr", &["--packets", "2", "--jobs", "1"], "--packets"),
+            // Below ⌈1 / ((1 − 0.98) · (1 − WARMUP_FRAC))⌉ = 56 the window
+            // cannot lose one packet and stay loss-free.
+            ("mlfrr", &["--packets", "3", "--jobs", "1"], "--packets"),
+            ("mlfrr", &["--packets", "55", "--jobs", "1"], "--packets"),
         ];
         for &(cmd, raw, flag) in rows {
             // Parse, then the subcommand's own checks: every row is
@@ -866,6 +899,17 @@ mod tests {
             "the message observe always gave"
         );
         assert_eq!(MAX_JOBS, 64, "the rows above test MAX_JOBS + 1");
+        assert_eq!(mlfrr_min_packets(0.98), 56, "the rows above test 55");
+        let err = parse("mlfrr", &["--packets", "55"])
+            .and_then(|a| cmd_mlfrr(&a))
+            .expect_err("55 packets");
+        assert!(
+            err.contains("at least 56"),
+            "the message names the minimum: {err}"
+        );
+        // The minimum itself runs a search.
+        let args = parse("mlfrr", &["--packets", "56", "--jobs", "1"]).expect("56 parses");
+        cmd_mlfrr(&args).expect("56 packets run");
         let args = parse("sweep", &["--rates", "1000,2500.5", "--packets", "1"]).expect("fine");
         assert_eq!(args.rates, Some(vec![1000.0, 2500.5]));
         let args = parse("mlfrr", &["--jobs", "64"]).expect("MAX_JOBS is allowed");

@@ -452,17 +452,33 @@ fn expected_verdict(id: &str, label: &str) -> Option<LivelockVerdict> {
     use LivelockVerdict::{Livelock, StablePlateau};
     let label = label.to_lowercase();
     let has = |s: &str| label.contains(s);
+    let quota = quota_of(&label);
     match id {
         "6-1" if has("with screend") => Some(Livelock),
         "6-3" if has("no quota") => Some(Livelock),
-        "6-3" if has("quota = 5") => Some(StablePlateau),
+        "6-3" if quota == Some(5) => Some(StablePlateau),
         "6-4" if has("unmodified") || has("no feedback") => Some(Livelock),
         "6-4" if has("w/feedback") => Some(StablePlateau),
         "6-5" if has("infinity") => Some(Livelock),
-        "6-5" if ["= 5", "= 10", "= 20"].into_iter().any(has) => Some(StablePlateau),
+        "6-5" if matches!(quota, Some(5 | 10 | 20)) => Some(StablePlateau),
+        // The paper's quota-100 curve heads toward livelock; here the
+        // 32-slot ring cuts each callback short and it stays a degraded
+        // plateau, which EXPERIMENTS reports as a deviation from the
+        // paper. The anchored `6-5 quota-100-below-quota-20` row checks
+        // the ordering the paper does draw.
+        "6-5" if quota == Some(100) => Some(StablePlateau),
         "6-6" => Some(StablePlateau),
         _ => None,
     }
+}
+
+/// The packet-count quota a curve label names ("quota = 10 packets",
+/// "polling (quota = 5)"), as a whole number: `None` for "quota =
+/// infinity" and for a label that names none.
+fn quota_of(label: &str) -> Option<u32> {
+    const KEY: &str = "quota = ";
+    let rest = &label[label.find(KEY)? + KEY.len()..];
+    rest.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
 }
 
 fn shape_verdicts(r: &RenderedFigure) -> Vec<String> {
@@ -941,6 +957,24 @@ mod tests {
             "observe flow-ledgers-close" => edit(r, true, all, |t| t.flows = None),
             other => panic!("no seeded violation for claim {other}"),
         }
+    }
+
+    #[test]
+    fn a_quota_is_matched_as_a_whole_number() {
+        for (label, quota) in [
+            ("quota = 10 packets", Some(10)),
+            ("quota = 100 packets", Some(100)),
+            ("polling (quota = 5)", Some(5)),
+            ("quota = infinity", None),
+            ("polling (no quota)", None),
+        ] {
+            assert_eq!(quota_of(label), quota, "{label}");
+        }
+        // Quota 100 is judged by its own arm, not as quota 10.
+        let plateau = Some(LivelockVerdict::StablePlateau);
+        assert_eq!(expected_verdict("6-5", "quota = 100 packets"), plateau);
+        assert_eq!(expected_verdict("6-5", "quota = 50 packets"), None);
+        assert_eq!(expected_verdict("6-3", "Polling (quota = 50)"), None);
     }
 
     /// One loop over the table: for each row, evidence that holds every

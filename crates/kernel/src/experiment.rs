@@ -14,12 +14,14 @@
 //! trial per input rate, producing the `(input rate, output rate)` series
 //! every figure in the paper plots.
 //!
-//! There is one trial pipeline — *plan* the traffic, *build* one engine
-//! per CPU, *run* them as a [`Cluster`], *collect* the books — and
-//! [`run_trial`], [`run_trial_traced`] and [`run_chaos_trial`] are thin
-//! callers of it that differ only in whether engines trace and how long
-//! the machine drains past the window. The paper's uniprocessor is a
-//! cluster of one, so every capability works at every CPU count.
+//! There is one trial pipeline — *plan* the traffic, then per CPU *build*
+//! an engine, *run* it (in a sliced [`Cluster`] when the CPUs share a
+//! channel, as a parallel job when they do not) and *collect* its books,
+//! then fold the CPUs — and [`run_trial`], [`run_trial_traced`] and
+//! [`run_chaos_trial`] are thin callers of it that differ only in whether
+//! engines trace and how long the machine drains past the window. The
+//! paper's uniprocessor is a cluster of one, so every capability works
+//! at every CPU count.
 
 use livelock_core::analysis::SweepPoint;
 use livelock_machine::chrome_trace_json;
@@ -28,6 +30,7 @@ use livelock_machine::cpu::{ArrivalSource, CpuId, Engine};
 use livelock_machine::fold::CycleFold;
 use livelock_machine::ledger::{CpuClass, CycleLedger};
 use livelock_machine::nic::rss_queue;
+use livelock_machine::thread::ThreadId;
 use livelock_machine::trace::TraceRecord;
 use livelock_machine::wire::Wire;
 use livelock_net::gen::{PacketFactory, TraceReplay, TrafficGen};
@@ -42,7 +45,7 @@ use livelock_sim::Freq;
 
 use crate::config::KernelConfig;
 use crate::flows::{FlowRegistry, FlowStats};
-use crate::par::Parallelism;
+use crate::par::{default_jobs, par_map, Parallelism};
 use crate::router::{CpuLink, Event, RouterKernel, SOCKET_CAP, STEAL_BUF_CAP};
 use crate::stats::{ClassStats, DropReason, DropStats, FaultStats, KernelStats, LatencyStats};
 use crate::telemetry::{ObsEvent, Timeline};
@@ -214,14 +217,13 @@ pub struct TrialResult {
     /// [`KernelConfig::telemetry`](crate::config::KernelConfig::telemetry)
     /// enabled the periodic sampler (`None` otherwise).
     pub timeline: Option<Timeline>,
-    /// Frame-pool counters at trial end: every packet buffer in the trial
-    /// came from one [`FramePool`] preallocated to what the configured
-    /// rings and queues can hold at once — whatever the trial's length —
-    /// so `pool.misses` is the number of per-packet heap allocations (0
-    /// on every fault-free trial). The pool is shared by every CPU, so on
-    /// a multi-CPU trial `pool.high_water` depends on the host order the
-    /// CPUs ran in (slicing moves it; nothing else in this result does)
-    /// and no CSV, CLI line or benchmark digest reads it.
+    /// Frame-pool counters at trial end, [merged](PoolStats::merge)
+    /// over CPUs: every packet buffer in the trial came from its CPU's
+    /// [`FramePool`], preallocated to what the configured rings and
+    /// queues can hold at once — whatever the trial's length — so
+    /// `pool.misses` is the number of per-packet heap allocations (0 on
+    /// every fault-free trial), and `pool.high_water` is the sum of each
+    /// CPU's own high-water mark.
     pub pool: PoolStats,
     /// Fault-injection and recovery counters (all zero when the config
     /// carries no fault plan).
@@ -306,8 +308,10 @@ impl TrialResult {
 /// Runs one trial on `config.topology.ncpus` CPUs (one by default — the
 /// paper's uniprocessor is a cluster of one): one kernel per CPU behind
 /// its own NIC receive queue and wire, flows steered to queues by RSS
-/// hash (by traffic class when the config classifies), all advanced by
-/// the deterministic cluster interleaver.
+/// hash (by traffic class when the config classifies). CPUs that share a
+/// channel advance together through the deterministic cluster
+/// interleaver; CPUs that share none run as parallel jobs. The result is
+/// the same bits on every host at any thread count.
 ///
 /// # Panics
 ///
@@ -341,8 +345,9 @@ struct Plan {
     /// `(source port, receive queue)` per flow; packet *i* of the whole
     /// trial carries flow `i % len`.
     flows: Vec<(u16, usize)>,
-    /// Each receive queue's paced arrival times (queue `k` feeds CPU `k`).
-    queue_times: Vec<Vec<Cycles>>,
+    /// One job per CPU, in [`CpuId`] order: CPU `k` is fed by receive
+    /// queue `k`.
+    jobs: Vec<CpuJob>,
     /// The measurement window: after warm-up, until the last arrival.
     window: (Cycles, Cycles),
     /// How long the machine runs past the window before its books are
@@ -355,7 +360,7 @@ struct Plan {
 /// (so aggregate offered load can exceed a single wire's 14,880 pkts/s),
 /// and the measurement window over the paced schedules.
 ///
-/// Runs before the pool and the kernels exist: the schedule is the
+/// Runs before the pools and the kernels exist: the schedule is the
 /// trial's one allocation that grows with its length, and freed after the
 /// many small ones it would otherwise leave a hole among them that the
 /// next trial's schedule may not fit.
@@ -423,21 +428,22 @@ fn plan(spec: &TrialSpec) -> Plan {
         })
         .collect();
 
-    // Split the aggregate schedule by each packet's queue. Queue 0 keeps
-    // the aggregate's own buffer, so a one-queue trial never copies it.
-    let mut times = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed)
-        .arrival_times(Cycles::ZERO, spec.n_packets);
-    let mut queue_times: Vec<Vec<Cycles>> = vec![Vec::new(); ncpus];
-    let mut index = 0;
-    times.retain(|&t| {
-        let queue = flows[index % flows.len()].1;
-        index += 1;
-        if queue != 0 {
-            queue_times[queue].push(t);
-        }
-        queue == 0
-    });
-    queue_times[0] = times;
+    // One aggregate schedule, drawn packet by packet straight into each
+    // packet's queue. Each queue's buffer is sized exactly up front (flow
+    // `j` carries packets `j`, `j + len`, ...) and moves into the job
+    // that runs its CPU.
+    let mut sizes = vec![0; ncpus];
+    let (per_flow, rest) = (spec.n_packets / flows.len(), spec.n_packets % flows.len());
+    for (j, &(_, queue)) in flows.iter().enumerate() {
+        sizes[queue] += per_flow + usize::from(j < rest);
+    }
+    let mut queue_times: Vec<Vec<Cycles>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    let mut traffic = TrafficGen::paper_default(spec.rate_pps, freq, spec.seed);
+    let mut t = Cycles::ZERO;
+    for i in 0..spec.n_packets {
+        t += traffic.next_interval();
+        queue_times[flows[i % flows.len()].1].push(t);
+    }
     for q in &mut queue_times {
         Wire::ethernet_10m(freq).pace(q, MIN_FRAME_LEN);
     }
@@ -450,68 +456,277 @@ fn plan(spec: &TrialSpec) -> Plan {
     let last = last.copied().unwrap_or(Cycles::ZERO);
     let span = last - first;
     let window_start = first + Cycles::new((span.raw() as f64 * WARMUP_FRAC) as u64);
+    let mut first_id = 0;
+    let jobs = (queue_times.into_iter().enumerate())
+        .map(|(k, times)| {
+            let job = CpuJob {
+                cpu: CpuId(k),
+                first_id,
+                times,
+            };
+            first_id += job.times.len() as u64;
+            job
+        })
+        .collect();
     Plan {
         flows,
-        queue_times,
+        jobs,
         window: (window_start, last),
         settle,
     }
 }
 
-/// Stage 2, *build*: one frame pool for the whole trial, sized to what
-/// the configured kernels can hold in flight (packets are built as they
-/// arrive, so slots recycle and the run performs zero per-packet heap
-/// allocations), and per CPU one kernel, one engine, and that CPU's queue
-/// of the plan as the engine's arrival source, linked to its siblings.
-/// Returns the machine, ready to run: sliced at [`DEFAULT_SLICE`] when
-/// its CPUs share a channel ([`CpuLink::coupled`]), each engine run
-/// straight through otherwise.
-fn build(spec: &TrialSpec, plan: Plan, trace_capacity: Option<usize>) -> Cluster<RouterKernel> {
-    let cfg = &spec.config;
-    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(cfg));
-    let factory = PacketFactory::paper_testbed().with_pool(pool.clone());
-    let links = CpuLink::cluster(&cfg.topology, cfg.ipintrq_cap);
-    let coupled = CpuLink::coupled(cfg);
-    #[cfg(test)]
-    let coupled = coupled || oracle::slicing();
+/// One CPU's part of the plan, moved into the job that runs that CPU.
+struct CpuJob {
+    cpu: CpuId,
+    /// This CPU's receive queue's paced arrival times.
+    times: Vec<Cycles>,
+    /// The trial-wide id of this queue's first packet: packet ids are one
+    /// space across queues, queue `k`'s starting where queue `k - 1`'s
+    /// end.
+    first_id: u64,
+}
 
-    // Packet ids are one space across queues: queue `k`'s start where
-    // queue `k - 1`'s end.
-    let mut first_id = 0;
-    let mut engines = Vec::with_capacity(links.len());
-    for (link, times) in links.into_iter().zip(plan.queue_times) {
-        let cpu = link.cpu();
-        let mut c = cfg.clone();
-        // A fault plan targets one CPU; siblings run clean.
-        if c.faults.as_ref().is_some_and(|plan| plan.target() != cpu) {
-            c.faults = None;
-        }
-        let (st, mut kernel) = RouterKernel::build_linked(c, link, pool.clone());
-        kernel.stats_mut().set_window(plan.window.0, plan.window.1);
-        let mut engine = Engine::new(st, kernel, cfg.cost.ctx_switch);
-        if let Some(capacity) = trace_capacity {
-            engine.enable_trace(capacity);
-        }
-        let queue_factory = factory.clone().starting_at(first_id);
-        first_id += times.len() as u64;
-        inject(
-            &mut engine,
-            WireArrivals::new(times, queue_factory, plan.flows.clone(), cpu.0),
-        );
-        engines.push(engine);
+/// What every CPU of one trial is built and run with. Read once, on the
+/// thread that called the pipeline, and shared by every CPU's job.
+struct Run<'a> {
+    spec: &'a TrialSpec,
+    /// The plan's `(source port, receive queue)` per flow.
+    flows: &'a [(u16, usize)],
+    window: (Cycles, Cycles),
+    /// Where every CPU stops: the window's end plus the post-window run.
+    end: Cycles,
+    /// Trace every engine into a ring this size.
+    trace_capacity: Option<usize>,
+    /// The preloading oracle's switch, read here so that a CPU run on
+    /// another thread obeys it too.
+    #[cfg(test)]
+    preload: bool,
+}
+
+/// Stage 2, *build*, for one CPU: its own frame pool, sized to what the
+/// configured kernel can hold in flight (packets are built as they
+/// arrive, so slots recycle and the run performs zero per-packet heap
+/// allocations), its kernel behind `link`, its engine, and its queue of
+/// the plan as the engine's arrival source.
+fn build(run: &Run<'_>, link: CpuLink, job: CpuJob) -> Engine<RouterKernel> {
+    let cfg = &run.spec.config;
+    let pool = FramePool::new(POOL_BUF_CAPACITY, pool_prealloc(cfg));
+    let factory = PacketFactory::paper_testbed()
+        .with_pool(pool.clone())
+        .starting_at(job.first_id);
+    let mut c = cfg.clone();
+    // A fault plan targets one CPU; siblings run clean.
+    if c.faults
+        .as_ref()
+        .is_some_and(|plan| plan.target() != job.cpu)
+    {
+        c.faults = None;
     }
-    if coupled {
-        Cluster::new(engines, DEFAULT_SLICE)
-    } else {
-        Cluster::uncoupled(engines)
+    let (st, mut kernel) = RouterKernel::build_linked(c, link, pool);
+    kernel.stats_mut().set_window(run.window.0, run.window.1);
+    let mut engine = Engine::new(st, kernel, cfg.cost.ctx_switch);
+    if let Some(capacity) = run.trace_capacity {
+        engine.enable_trace(capacity);
     }
+    let arrivals = WireArrivals::new(job.times, factory, run.flows.to_vec(), job.cpu.0);
+    #[cfg(test)]
+    if run.preload {
+        oracle::preload(&mut engine, arrivals);
+        return engine;
+    }
+    engine.set_arrival_source(Box::new(arrivals));
+    engine
 }
 
 /// One CPU's cumulative user-process cycles and cycle ledger, for
 /// differencing across the measurement window.
-fn snapshot(e: &Engine<RouterKernel>) -> (Option<Cycles>, CycleLedger) {
+type Snapshot = (Option<Cycles>, CycleLedger);
+
+fn snapshot(e: &Engine<RouterKernel>) -> Snapshot {
     let user = e.workload().user_tid().map(|t| e.state().thread_cycles(t));
     (user, e.state().ledger())
+}
+
+/// Stages 3 and 4 for a CPU that shares no channel, as one job: build
+/// it, run it warm-up → window → post-window straight through, collect
+/// it, and drop its engine before the job returns.
+fn run_unshared(run: &Run<'_>, job: CpuJob) -> CpuOutcome {
+    let cfg = &run.spec.config;
+    let link = CpuLink::unshared(job.cpu, &cfg.topology, cfg.ipintrq_cap);
+    let mut engine = build(run, link, job);
+    // Like a cluster's `run_until`, a stop the engine already stands on
+    // runs nothing.
+    let mut advance_to = |limit: Cycles| {
+        if engine.now() < limit {
+            engine.run_until(limit);
+        }
+        snapshot(&engine)
+    };
+    let before = advance_to(run.window.0);
+    let after = advance_to(run.window.1);
+    advance_to(run.end);
+    let pool = engine.workload().pool().stats();
+    collect(run, engine, &before, &after, pool)
+}
+
+/// Stages 3 and 4 for CPUs that share a channel: one [`Cluster`] sliced
+/// at [`DEFAULT_SLICE`] on the calling thread, whose slice hook is the
+/// sole cross-CPU signal path — it drains a CPU's coalesced IPI flag
+/// into one `Event::Ipi` per slice. Every CPU's pool is read before any
+/// engine drops, so a frame one CPU holds of another's pool is still out
+/// when that pool is read.
+fn run_sliced(run: &Run<'_>, jobs: Vec<CpuJob>) -> Vec<CpuOutcome> {
+    let cfg = &run.spec.config;
+    let links = CpuLink::cluster(&cfg.topology, cfg.ipintrq_cap);
+    let engines = links
+        .into_iter()
+        .zip(jobs)
+        .map(|(link, job)| build(run, link, job))
+        .collect();
+    let mut cluster = Cluster::new(engines, DEFAULT_SLICE);
+    let mut deliver_ipi = |_: CpuId, engine: &mut Engine<RouterKernel>| {
+        #[cfg(test)]
+        oracle::count_slice();
+        if engine.workload().link().take_ipi() {
+            engine.state_schedule(engine.now(), Event::Ipi);
+        }
+    };
+    cluster.run_until(run.window.0, &mut deliver_ipi);
+    let before: Vec<_> = cluster.engines().iter().map(snapshot).collect();
+    cluster.run_until(run.window.1, &mut deliver_ipi);
+    let after: Vec<_> = cluster.engines().iter().map(snapshot).collect();
+    cluster.run_until(run.end, &mut deliver_ipi);
+    let engines = cluster.into_engines();
+    let pools: Vec<_> = engines
+        .iter()
+        .map(|e| e.workload().pool().stats())
+        .collect();
+    engines
+        .into_iter()
+        .zip(before.iter().zip(&after).zip(pools))
+        .map(|(e, ((b, a), pool))| collect(run, e, b, a, pool))
+        .collect()
+}
+
+/// One CPU's share of a finished trial: everything the fold reads, owned
+/// and `Send`, so the CPU can be collected on whichever thread ran it.
+struct CpuOutcome {
+    stats: CpuStats,
+    /// The kernel's books, moved out of it.
+    kernel: KernelStats,
+    /// The livelock detector's events.
+    events: Vec<ObsEvent>,
+    /// The cycle fold, when observability is on.
+    fold: Option<CycleFold>,
+    trace: Option<CpuTrace>,
+    pool: PoolStats,
+    /// Frames this CPU's NIC accounted for: DMA'd into its ring, dropped
+    /// at the ring, or shed at admission.
+    nic_accounted: u64,
+    /// Frames still parked in this CPU's steal buffer.
+    steal_parked: usize,
+    end: CpuEnd,
+}
+
+/// One CPU's trace, with the names its records refer to by index.
+struct CpuTrace {
+    records: Vec<TraceRecord>,
+    /// Fault and detector markers, in time order.
+    markers: Vec<(Cycles, String)>,
+    /// Interrupt source `i`'s name is `intr_names[i]`.
+    intr_names: Vec<&'static str>,
+    /// Thread `t`'s name is `thread_names[t]`.
+    thread_names: Vec<&'static str>,
+}
+
+/// One CPU's end state, as [`run_chaos_trial`] reports it.
+struct CpuEnd {
+    gate_bits: u8,
+    screend_q_len: usize,
+    timeout_resumes: u64,
+}
+
+/// Stage 4, *collect*, for one CPU: checks its cycle conservation, gives
+/// a too-short timeline its drain-time sample, and moves its books out
+/// of the engine, which it consumes. `pool` is the CPU's frame-pool
+/// counters at the trial's end.
+fn collect(
+    run: &Run<'_>,
+    mut e: Engine<RouterKernel>,
+    (user_before, ledger_before): &Snapshot,
+    (user_after, ledger_after): &Snapshot,
+    pool: PoolStats,
+) -> CpuOutcome {
+    let cpu = e.state().cpu();
+    let interrupts_taken = e.state().intr.total_taken();
+    let (now, ledger) = (e.state().now(), e.state().ledger());
+    // Cycle conservation, checked on every trial: the ledger is a read of
+    // the executor's one cycle book, so this is the book's total against
+    // the clock.
+    assert_eq!(
+        ledger.total(),
+        now,
+        "cycle conservation violated on cpu{}: the ledger must sum to elapsed time",
+        cpu.0
+    );
+    e.workload_mut()
+        .finalize_timeline(now, ledger, interrupts_taken);
+    // The detector's event stream also feeds the chrome-trace markers,
+    // next to the fault layer's.
+    let events = e.workload_mut().take_obs_events();
+    let trace = e
+        .trace()
+        .map(|trace| trace.records().copied().collect::<Vec<_>>());
+    let trace = trace.map(|records| {
+        let mut markers = e.workload_mut().take_fault_markers();
+        markers.extend(
+            events
+                .iter()
+                .map(|ev| (ev.at, format!("{} (cpu{})", ev.kind.label(), ev.cpu.0))),
+        );
+        markers.sort_by_key(|&(at, _)| at.raw());
+        let sched = &e.state().sched;
+        CpuTrace {
+            records,
+            markers,
+            intr_names: e.state().intr.names().collect(),
+            thread_names: (0..sched.len()).map(|t| sched.name(ThreadId(t))).collect(),
+        }
+    });
+
+    let window = run.window.1 - run.window.0;
+    let (steals_published, steals_taken) = e.workload().link().steals();
+    let events_dispatched = e.state().events_dispatched();
+    let fold = run.spec.config.observe.then(|| e.state().fold());
+    let (_, k) = e.into_parts();
+    let drops = &k.stats().drops;
+    CpuOutcome {
+        stats: CpuStats {
+            cpu,
+            cpu_share: ledger_after.since(ledger_before).shares(),
+            user_cpu_frac: match (user_before, user_after) {
+                (Some(b), Some(a)) if !window.is_zero() => (*a - *b).fraction_of(window),
+                _ => 0.0,
+            },
+            interrupts_taken,
+            events_dispatched,
+            steals_published,
+            steals_taken,
+        },
+        fold,
+        pool,
+        nic_accounted: k.ipkts(0) + drops.rx_ring_drops() + drops.class_shed_drops(),
+        steal_parked: k.link().steal_parked(),
+        end: CpuEnd {
+            gate_bits: k.gate_bits(),
+            screend_q_len: k.screend_q_len(),
+            timeout_resumes: k.feedback_timeout_resumes(),
+        },
+        kernel: k.into_stats(),
+        events,
+        trace,
+    }
 }
 
 /// NIC-boundary packet conservation: every generated packet was DMA'd
@@ -525,17 +740,13 @@ fn snapshot(e: &Engine<RouterKernel>) -> (Option<Cycles>, CycleLedger) {
 /// exactly that cycle) parked in the engine, outside every kernel's
 /// books; and fault plans change the population — link flaps lose frames
 /// on the wire, storms synthesize extras.
-fn audit_nic_boundary(engines: &[Engine<RouterKernel>], steal_residual: u64, n_packets: usize) {
-    let accounted: u64 = engines
+fn audit_nic_boundary(cpus: &[CpuOutcome], n_packets: usize) {
+    let accounted: u64 = cpus
         .iter()
-        .map(|e| {
-            let drops = &e.workload().stats().drops;
-            e.workload().ipkts(0) + drops.rx_ring_drops() + drops.class_shed_drops()
-        })
+        .map(|c| c.nic_accounted + c.steal_parked as u64)
         .sum();
     assert_eq!(
-        accounted + steal_residual,
-        n_packets as u64,
+        accounted, n_packets as u64,
         "NIC-boundary packet conservation violated"
     );
 }
@@ -545,116 +756,100 @@ struct Finished {
     result: TrialResult,
     /// The Chrome trace, when tracing was requested.
     chrome_json: Option<String>,
-    /// The finished engines in [`CpuId`] order, for end-state inspection.
-    engines: Vec<Engine<RouterKernel>>,
+    /// Each CPU's end state and books in [`CpuId`] order (the books'
+    /// timeline, flows and class books moved into `result`).
+    ends: Vec<(CpuEnd, KernelStats)>,
 }
 
 /// The one trial pipeline behind [`run_trial`], [`run_trial_traced`] and
-/// [`run_chaos_trial`] — [`plan`], [`build`], then *run* (warm-up →
-/// window → post-window) and *collect* below. The callers differ only in
-/// `trace_capacity` (trace every engine into a ring that size) and
-/// `drain` (keep simulating that long past the window: measured numbers
-/// are unaffected — the window is closed first — but queues get a chance
-/// to empty, which the chaos invariants assert on).
+/// [`run_chaos_trial`] — [`plan`], then per CPU [`build`], *run*
+/// (warm-up → window → post-window) and [`collect`], then one fold in
+/// [`CpuId`] order. The callers differ only in `trace_capacity` (trace
+/// every engine into a ring that size) and `drain` (keep simulating that
+/// long past the window: measured numbers are unaffected — the window is
+/// closed first — but queues get a chance to empty, which the chaos
+/// invariants assert on).
+///
+/// CPUs that share a channel ([`CpuLink::coupled`]) run as one sliced
+/// [`Cluster`] on the calling thread. CPUs that share none are
+/// independent simulations: each is one job of a [`par_map`] over at most
+/// [`default_jobs`] threads, the caller's among them — inline when the
+/// trial itself runs inside a [`par_map`] — and, since the fold reads the
+/// CPUs in [`CpuId`] order whichever thread ran them, the result is the
+/// same bits either way.
 fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) -> Finished {
-    let freq = spec.config.cost.freq;
     let ncpus = spec.config.topology.ncpus;
-    let plan = plan(spec);
-    let (window_start, window_end) = plan.window;
-    let post_window = drain.max(plan.settle);
-    let mut cluster = build(spec, plan, trace_capacity);
-
-    // Stage 3, *run*. The interleaver's slice hook is the sole cross-CPU
-    // signal path: drain a CPU's coalesced IPI flag into one Event::Ipi
-    // per slice.
-    let mut deliver_ipi = |_: CpuId, engine: &mut Engine<RouterKernel>| {
-        if engine.workload().link().take_ipi() {
-            engine.state_schedule(engine.now(), Event::Ipi);
-        }
+    let Plan {
+        flows,
+        jobs,
+        window,
+        settle,
+    } = plan(spec);
+    let run = Run {
+        spec,
+        flows: &flows,
+        window,
+        end: window.1 + drain.max(settle),
+        trace_capacity,
+        #[cfg(test)]
+        preload: oracle::preloading(),
     };
-    // User CPU share — and the per-class cycle-ledger decomposition — are
-    // measured over the same window as the packet rates.
-    cluster.run_until(window_start, &mut deliver_ipi);
-    let before: Vec<_> = cluster.engines().iter().map(snapshot).collect();
-    cluster.run_until(window_end, &mut deliver_ipi);
-    let after: Vec<_> = cluster.engines().iter().map(snapshot).collect();
-    cluster.run_until(window_end + post_window, &mut deliver_ipi);
-    let mut engines = cluster.into_engines();
-
-    // Stage 4, *collect*.
-    if !post_window.is_zero() && spec.config.faults.is_none() {
-        let steal_residual = engines[0].workload().link().steal_residual();
-        audit_nic_boundary(&engines, steal_residual as u64, spec.n_packets);
+    let coupled = CpuLink::coupled(&spec.config);
+    #[cfg(test)]
+    let coupled = coupled || oracle::slicing();
+    // The result's latency book (the largest allocation that outlives the
+    // trial) is made before any engine: made in the space the freed
+    // engines leave, it splits the hole the next trial's engines would
+    // reuse, and the heap creeps (+1–2 % peak RSS on 1-CPU workloads).
+    let latency = LatencyStats::new();
+    let cpus = if coupled {
+        run_sliced(&run, jobs)
+    } else {
+        let threads = if ncpus > 1 {
+            ncpus.min(default_jobs())
+        } else {
+            1
+        };
+        par_map(jobs, threads, |job| run_unshared(&run, job))
+    };
+    if run.end > run.window.1 && spec.config.faults.is_none() {
+        audit_nic_boundary(&cpus, spec.n_packets);
     }
-    // One pass over the CPUs: per-CPU books out, everything else folded.
-    // Rates are summed per CPU (not recomputed from summed counts), and
-    // every merge is order-independent, so the result is the same no
-    // matter which CPU finished first.
-    let window = window_end - window_start;
-    let mut per_cpu = Vec::with_capacity(ncpus);
+    fold(&run, cpus, latency)
+}
+
+/// The fold: one pass over the CPUs in [`CpuId`] order, per-CPU books
+/// out, everything else merged (latencies into `latency`, empty). Rates
+/// are summed per CPU (not recomputed from summed counts), and every
+/// merge runs in CPU order, so the result does not depend on which CPU
+/// finished first.
+fn fold(run: &Run<'_>, cpus: Vec<CpuOutcome>, mut latency: LatencyStats) -> Finished {
+    let freq = run.spec.config.cost.freq;
+    let mut per_cpu = Vec::with_capacity(cpus.len());
     let mut events: Vec<ObsEvent> = Vec::new();
-    let mut tracks = Vec::new();
-    let mut fold = spec.config.observe.then(CycleFold::new);
+    let mut traces = Vec::new();
+    let mut ends = Vec::with_capacity(cpus.len());
+    let mut fold = run.spec.config.observe.then(CycleFold::new);
     let mut timeline: Option<Timeline> = None;
     let mut flows: Option<FlowRegistry> = None;
     let mut classes: Option<ClassStats> = None;
-    let mut latency = LatencyStats::new();
     let mut drops = DropStats::new();
     let mut fault = FaultStats::default();
+    let mut pool = PoolStats::default();
     let (mut offered_pps, mut delivered_pps, mut app_delivered_pps) = (0.0, 0.0, 0.0);
     let (mut transmitted, mut app_delivered) = (0, 0);
-    for (k, e) in engines.iter_mut().enumerate() {
-        // Observability export: give a too-short timeline its drain-time
-        // sample, then drain the detector's event stream — it also feeds
-        // the chrome-trace markers, next to the fault layer's.
-        let interrupts_taken = e.state().intr.total_taken();
-        let (now, ledger) = (e.state().now(), e.state().ledger());
-        // Cycle conservation, checked on every trial: the ledger is a
-        // read of the executor's one cycle book, so this is the book's
-        // total against the clock.
-        assert_eq!(
-            ledger.total(),
-            now,
-            "cycle conservation violated on cpu{k}: the ledger must sum to elapsed time"
-        );
-        e.workload_mut()
-            .finalize_timeline(now, ledger, interrupts_taken);
-        let cpu_events = e.workload_mut().take_obs_events();
-        if let Some(trace) = e.trace() {
-            let records: Vec<TraceRecord> = trace.records().copied().collect();
-            let mut markers = e.workload_mut().take_fault_markers();
-            markers.extend(
-                cpu_events
-                    .iter()
-                    .map(|ev| (ev.at, format!("{} (cpu{})", ev.kind.label(), ev.cpu.0))),
-            );
-            markers.sort_by_key(|&(at, _)| at.raw());
-            tracks.push((records, markers));
+    for mut c in cpus {
+        per_cpu.push(c.stats);
+        events.extend(c.events);
+        traces.extend(c.trace);
+        if let (Some(fold), Some(one)) = (&mut fold, &c.fold) {
+            fold.merge(one);
         }
-        events.extend(cpu_events);
-
-        let ((user_before, ledger_before), (user_after, ledger_after)) = (&before[k], &after[k]);
-        let (steals_published, steals_taken) = e.workload().link().steals();
-        per_cpu.push(CpuStats {
-            cpu: CpuId(k),
-            cpu_share: ledger_after.since(ledger_before).shares(),
-            user_cpu_frac: match (user_before, user_after) {
-                (Some(b), Some(a)) if !window.is_zero() => (*a - *b).fraction_of(window),
-                _ => 0.0,
-            },
-            interrupts_taken,
-            events_dispatched: e.state().events_dispatched(),
-            steals_published,
-            steals_taken,
-        });
-
-        if let Some(fold) = &mut fold {
-            fold.merge(&e.state().fold());
-        }
-        let s = e.workload().stats();
-        merge_into(&mut timeline, s.timeline.as_ref(), Timeline::merge);
-        merge_into(&mut flows, s.flows.as_ref(), FlowRegistry::merge);
-        merge_into(&mut classes, s.class.as_ref(), ClassStats::merge);
+        pool.merge(&c.pool);
+        let s = &mut c.kernel;
+        merge_into(&mut timeline, s.timeline.take(), Timeline::merge);
+        merge_into(&mut flows, s.flows.take(), FlowRegistry::merge);
+        merge_into(&mut classes, s.class.take(), ClassStats::merge);
         latency.merge(&s.latency);
         drops.merge(&s.drops);
         fault.merge(&s.fault);
@@ -663,19 +858,20 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         app_delivered_pps += s.app_delivered_pps(freq);
         transmitted += s.transmitted;
         app_delivered += s.app_delivered;
+        ends.push((c.end, c.kernel));
     }
     events.sort_by_key(|ev| (ev.at.raw(), ev.cpu.0));
 
-    let chrome_json = trace_capacity.map(|_| {
-        let cpus: Vec<_> = tracks.iter().map(|(r, m)| (&r[..], &m[..])).collect();
+    let chrome_json = run.trace_capacity.map(|_| {
+        let tracks: Vec<_> = traces
+            .iter()
+            .map(|t| (&t.records[..], &t.markers[..]))
+            .collect();
         chrome_trace_json(
-            &cpus,
+            &tracks,
             freq,
-            |cpu, src| {
-                let intr = &engines[cpu.0].state().intr;
-                format!("{} #{}", intr.name_of(src), src.0)
-            },
-            |cpu, tid| engines[cpu.0].state().sched.name(tid).to_string(),
+            |cpu, src| format!("{} #{}", traces[cpu.0].intr_names[src.0], src.0),
+            |cpu, tid| traces[cpu.0].thread_names[tid.0].to_string(),
         )
     });
     let result = TrialResult {
@@ -698,7 +894,7 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
         drops,
         per_cpu,
         timeline,
-        pool: engines[0].workload().pool().stats(),
+        pool,
         fault,
         flows,
         events,
@@ -707,16 +903,16 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     Finished {
         result,
         chrome_json,
-        engines,
+        ends,
     }
 }
 
 /// Folds one CPU's optional book into the cluster's: the first CPU that
 /// has one seeds the accumulator, the rest merge into it.
-fn merge_into<T: Clone>(acc: &mut Option<T>, one: Option<&T>, merge: impl FnOnce(&mut T, &T)) {
+fn merge_into<T>(acc: &mut Option<T>, one: Option<T>, merge: impl FnOnce(&mut T, &T)) {
     match (acc.as_mut(), one) {
-        (Some(acc), Some(one)) => merge(acc, one),
-        (None, Some(one)) => *acc = Some(one.clone()),
+        (Some(acc), Some(one)) => merge(acc, &one),
+        (None, Some(one)) => *acc = Some(one),
         (_, None) => {}
     }
 }
@@ -791,18 +987,18 @@ pub struct ChaosReport {
 pub fn run_chaos_trial(spec: &TrialSpec) -> ChaosReport {
     let drain = spec.config.cost.freq.cycles_from_millis(200);
     let done = run_pipeline(spec, None, drain);
-    let kernels = || done.engines.iter().map(Engine::workload);
+    let ends = || done.ends.iter().map(|(end, _)| end);
     ChaosReport {
-        gate_open_at_end: kernels().all(RouterKernel::gate_is_open),
-        gate_bits: kernels().fold(0, |bits, k| bits | k.gate_bits()),
-        screend_q_len: kernels().map(RouterKernel::screend_q_len).sum(),
-        in_flight: KernelStats::in_flight_of(kernels().map(RouterKernel::stats)),
-        timeout_resumes: kernels().map(RouterKernel::feedback_timeout_resumes).sum(),
+        gate_open_at_end: ends().all(|e| e.gate_bits == 0),
+        gate_bits: ends().fold(0, |bits, e| bits | e.gate_bits),
+        screend_q_len: ends().map(|e| e.screend_q_len).sum(),
+        in_flight: KernelStats::in_flight_of(done.ends.iter().map(|(_, stats)| stats)),
+        timeout_resumes: ends().map(|e| e.timeout_resumes).sum(),
         result: done.result,
     }
 }
 
-/// Per-buffer capacity of a trial's frame pool. The paper's test frames
+/// Per-buffer capacity of a trial's frame pools. The paper's test frames
 /// are minimum-size (60 bytes); ICMP errors quoting them and ARP replies
 /// also fit well under this, so pooled buffers never grow.
 const POOL_BUF_CAPACITY: usize = 128;
@@ -812,10 +1008,11 @@ const POOL_BUF_CAPACITY: usize = 128;
 /// echoes) in flight at once.
 const POOL_HEADROOM: usize = 64;
 
-/// Buffers a trial's frame pool preallocates: every place the configured
-/// kernel can hold a frame, full, on every interface and CPU, plus
+/// Buffers each CPU's frame pool preallocates: every place the
+/// configured kernel can hold a frame, full, on every interface, plus
 /// [`POOL_HEADROOM`]. A function of the configuration alone — a trial's
-/// length never enters it.
+/// length never enters it. A frame a sibling holds (in the shared
+/// `ipintrq`, or stolen) returns to its own CPU's pool.
 fn pool_prealloc(cfg: &KernelConfig) -> usize {
     // Receive rings, transmit ring, output queue, the frame on the wire.
     let per_iface = cfg.nic.rx_ring * cfg.rx_rings() + cfg.nic.tx_ring + cfg.ifq_cap + 1;
@@ -826,9 +1023,7 @@ fn pool_prealloc(cfg: &KernelConfig) -> usize {
     } else {
         0
     };
-    let per_cpu =
-        per_iface * cfg.num_ifaces + cfg.ipintrq_cap + screend + socket + steal + POOL_HEADROOM;
-    per_cpu * cfg.topology.ncpus
+    per_iface * cfg.num_ifaces + cfg.ipintrq_cap + screend + socket + steal + POOL_HEADROOM
 }
 
 /// A trial's traffic as the engine's [`ArrivalSource`]: packet *i* — its
@@ -892,15 +1087,6 @@ impl ArrivalSource<Event> for WireArrivals {
     }
 }
 
-/// Hands a queue's traffic to its engine.
-fn inject(engine: &mut Engine<RouterKernel>, arrivals: WireArrivals) {
-    #[cfg(test)]
-    if oracle::preloading() {
-        return oracle::preload(engine, arrivals);
-    }
-    engine.set_arrival_source(Box::new(arrivals));
-}
-
 /// A labelled rate sweep: the series one figure curve plots.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
@@ -924,7 +1110,7 @@ impl SweepResult {
 /// bit-for-bit identical across every [`Parallelism`] choice — trials
 /// come back in rate order.
 pub fn sweep(label: &str, base: &TrialSpec, rates: &[f64], par: Parallelism) -> SweepResult {
-    let trials = crate::par::par_map(rates, par.jobs(), |&rate_pps| {
+    let trials = par_map(rates, par.jobs(), |&rate_pps| {
         run_trial(&TrialSpec {
             rate_pps,
             ..base.clone()
@@ -947,8 +1133,9 @@ pub fn paper_rates() -> Vec<f64> {
 /// Two superseded behaviours, kept only as the oracles the pipeline is
 /// proved bit-identical to: every arrival built and scheduled through
 /// [`Engine::state_schedule`] before the engine runs (pre-streaming), and
-/// every cluster sliced at [`DEFAULT_SLICE`] whether or not its CPUs are
-/// coupled.
+/// every trial's CPUs sliced as one [`Cluster`] at [`DEFAULT_SLICE`] on
+/// one thread, whether or not they are coupled. The switches are read on
+/// the thread that calls the pipeline, before any CPU fans out.
 #[cfg(test)]
 mod oracle {
     use std::cell::Cell;
@@ -958,6 +1145,20 @@ mod oracle {
     thread_local! {
         static PRELOAD: Cell<bool> = const { Cell::new(false) };
         static SLICE: Cell<bool> = const { Cell::new(false) };
+        /// Slice-hook calls on this thread: the witness that a run was
+        /// sliced.
+        static SLICES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_slice() {
+        SLICES.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Runs `f`, returning its output and the slice-hook calls it made.
+    pub(super) fn counting_slices<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = SLICES.with(Cell::get);
+        let out = f();
+        (out, SLICES.with(Cell::get) - before)
     }
 
     pub(super) fn preloading() -> bool {
@@ -1098,13 +1299,12 @@ mod tests {
         }
     }
 
-    /// Asserts a trial of an uncoupled cluster, run straight through,
-    /// equals the same trial sliced at [`DEFAULT_SLICE`] — every
-    /// `TrialResult` field but `pool.high_water`, which counts frames
-    /// live at once across CPUs in host order — and that tracing it
-    /// writes the same Chrome JSON both ways. Returns whether the
-    /// high-water marks differed (proof the oracle really sliced).
-    fn assert_matches_slicing_oracle(spec: &TrialSpec, traced: bool, what: &str) -> bool {
+    /// Asserts a trial whose CPUs share no channel, each run straight
+    /// through as a job of its own, equals the same trial sliced as one
+    /// cluster at [`DEFAULT_SLICE`] — every `TrialResult` field, pool
+    /// counters included — and that tracing it writes the same Chrome
+    /// JSON both ways.
+    fn assert_matches_slicing_oracle(spec: &TrialSpec, traced: bool, what: &str) {
         assert!(!CpuLink::coupled(&spec.config), "{what}: uncoupled");
         let run = || {
             if traced {
@@ -1114,15 +1314,19 @@ mod tests {
                 (run_trial(spec), None)
             }
         };
-        let (straight, straight_json) = run();
-        let (mut sliced, sliced_json) = oracle::with_every_cluster_sliced(run);
+        let ((straight, straight_json), unsliced) = oracle::counting_slices(run);
+        let ((sliced, sliced_json), slices) =
+            oracle::with_every_cluster_sliced(|| oracle::counting_slices(run));
+        assert_eq!(unsliced, 0, "{what}: no slice hook runs straight through");
+        let ncpus = spec.config.topology.ncpus as u64;
+        assert!(
+            slices > 10 * ncpus,
+            "{what}: the oracle slices ({slices} hook calls)"
+        );
         assert_eq!(straight.pool.misses, 0, "{what}: pool misses");
-        let moved = sliced.pool.high_water != straight.pool.high_water;
-        sliced.pool.high_water = straight.pool.high_water;
-        assert_eq!(straight, sliced, "{what}: every other field");
+        assert_eq!(straight, sliced, "{what}: every field");
         assert_eq!(straight_json, sliced_json, "{what}: chrome trace");
         assert!(straight.transmitted > 0, "{what}: ran");
-        moved
     }
 
     #[test]
@@ -1134,15 +1338,13 @@ mod tests {
             n_packets: 2_000,
             ..TrialSpec::new(b.polled(Quota::Limited(10)).ncpus(ncpus).build())
         };
-        let mut moved = 0;
         for ncpus in [2, 4] {
             for rate in [2_000.0, 16_000.0, 40_000.0] {
                 let what = format!("polled ncpus={ncpus} at {rate} pps");
                 let s = spec(ncpus, rate, KernelConfig::builder());
-                moved += usize::from(assert_matches_slicing_oracle(&s, false, &what));
+                assert_matches_slicing_oracle(&s, false, &what);
             }
         }
-        assert!(moved > 0, "the oracle slices: some high-water mark moves");
         let watched = KernelConfig::builder()
             .observe(ObserveConfig)
             .telemetry(TelemetryConfig);
@@ -1150,6 +1352,114 @@ mod tests {
         assert_matches_slicing_oracle(&s, false, "observe + telemetry");
         let s = spec(4, 16_000.0, KernelConfig::builder());
         assert_matches_slicing_oracle(&s, true, "traced");
+    }
+
+    /// Runs `specs` twice — each trial on its own, where an uncoupled
+    /// cluster fans its CPUs out, and inside a one-job `par_map`, where
+    /// they run inline — and asserts every result, and every Chrome
+    /// trace when `traced`, is identical.
+    fn assert_fan_out_matches_inline(specs: &[TrialSpec], traced: bool) {
+        let run = |spec: &TrialSpec| {
+            if traced {
+                let (r, json) = run_trial_traced(spec, 1 << 16);
+                (r, Some(json))
+            } else {
+                (run_trial(spec), None)
+            }
+        };
+        let fanned: Vec<_> = specs.iter().map(run).collect();
+        let inline = par_map(specs, 1, run);
+        for ((spec, (f, f_json)), (i, i_json)) in specs.iter().zip(&fanned).zip(&inline) {
+            let what = format!("ncpus={} at {}", spec.config.topology.ncpus, spec.rate_pps);
+            assert_eq!(f, i, "{what}: every field");
+            assert_eq!(f_json, i_json, "{what}: chrome trace");
+            assert_eq!(f.per_cpu().len(), spec.config.topology.ncpus, "{what}");
+            assert_eq!(f.pool.misses, 0, "{what}: pool misses");
+        }
+    }
+
+    #[test]
+    fn fanned_out_cpus_match_inline_cpus() {
+        use crate::config::KernelConfigBuilder;
+        use crate::telemetry::{ObserveConfig, TelemetryConfig};
+        let specs = |b: fn() -> KernelConfigBuilder| -> Vec<TrialSpec> {
+            [(2, 9_000.0), (4, 30_000.0)]
+                .into_iter()
+                .map(|(ncpus, rate_pps)| TrialSpec {
+                    rate_pps,
+                    n_packets: 3_000,
+                    ..TrialSpec::new(b().polled(Quota::Limited(10)).ncpus(ncpus).build())
+                })
+                .collect()
+        };
+        assert_fan_out_matches_inline(&specs(KernelConfig::builder), false);
+        let watched = || {
+            KernelConfig::builder()
+                .latency_tracking(true)
+                .observe(ObserveConfig)
+                .telemetry(TelemetryConfig)
+        };
+        assert_fan_out_matches_inline(&specs(watched), false);
+        assert_fan_out_matches_inline(&specs(KernelConfig::builder), true);
+    }
+
+    #[test]
+    fn a_fanned_out_chaos_trial_matches_its_inline_run() {
+        use livelock_machine::fault::FaultPlan;
+        let freq = unmodified().cost.freq;
+        let plan =
+            FaultPlan::storm(7, 1.0, Cycles::ZERO, freq.cycles_from_millis(150)).on_cpu(CpuId(1));
+        let spec = TrialSpec {
+            rate_pps: 20_000.0,
+            n_packets: 3_000,
+            ..TrialSpec::new(
+                KernelConfig::builder()
+                    .polled(Quota::Limited(10))
+                    .screend(Default::default())
+                    .feedback(Default::default())
+                    .ncpus(2)
+                    .faults(plan)
+                    .build(),
+            )
+        };
+        assert!(!CpuLink::coupled(&spec.config));
+        let fanned = run_chaos_trial(&spec);
+        let inline = par_map([&spec], 1, run_chaos_trial).remove(0);
+        assert!(fanned.result.fault.injected > 0, "the storm hit CPU 1");
+        assert_eq!(fanned.result, inline.result);
+        let end = |c: &ChaosReport| {
+            let bits = (c.gate_open_at_end, c.gate_bits);
+            (bits, c.screend_q_len, c.in_flight, c.timeout_resumes)
+        };
+        assert_eq!(end(&fanned), end(&inline));
+    }
+
+    #[test]
+    fn oracle_switches_reach_fanned_out_cpus() {
+        // A switch set on this thread must hold for CPUs another thread
+        // runs: preloaded arrivals draw on the oracle's own pools, so the
+        // trial's pool hands out only kernel-originated frames.
+        let spec = TrialSpec {
+            rate_pps: 16_000.0,
+            n_packets: 2_000,
+            ..TrialSpec::new(
+                KernelConfig::builder()
+                    .polled(Quota::Limited(10))
+                    .ncpus(4)
+                    .build(),
+            )
+        };
+        let streamed = run_trial(&spec);
+        let preloaded = oracle::with_preloaded_arrivals(|| run_trial(&spec));
+        assert!(streamed.pool.acquired >= 2_000);
+        assert!(
+            preloaded.pool.acquired < 100,
+            "every CPU preloaded: {} frames from the trial's pools",
+            preloaded.pool.acquired
+        );
+        let (_, slices) =
+            oracle::with_every_cluster_sliced(|| oracle::counting_slices(|| run_trial(&spec)));
+        assert!(slices > 0, "the slicing switch reached the pipeline");
     }
 
     #[test]
@@ -1636,13 +1946,20 @@ mod tests {
             // Pending scheduler entries, sampled at 16 evenly spaced
             // stops: a clock pulse, a wire completion or two — never the
             // arrival schedule.
-            let plan = plan(&spec);
-            let end = plan.window.1;
-            let mut cluster = build(&spec, plan, None);
+            let mut plan = plan(&spec);
+            let job = plan.jobs.remove(0);
+            let run = Run {
+                spec: &spec,
+                flows: &plan.flows,
+                window: plan.window,
+                end: plan.window.1,
+                trace_capacity: None,
+                preload: false,
+            };
+            let mut engine = build(&run, CpuLink::lone(cfg.ipintrq_cap), job);
             let mut max_pending = 0;
             for stop in 1..=16 {
-                cluster.run_until(Cycles::new(end.raw() / 16 * stop), |_, _| {});
-                let engine = cluster.engine(CpuId(0));
+                engine.run_until(Cycles::new(run.end.raw() / 16 * stop));
                 max_pending = max_pending.max(engine.state().pending_events());
             }
             assert!(

@@ -679,6 +679,11 @@ impl RouterKernel {
         &self.stats
     }
 
+    /// Consumes the kernel, returning its statistics.
+    pub(crate) fn into_stats(self) -> KernelStats {
+        self.stats
+    }
+
     /// Mutable statistics access (to install measurement windows).
     pub fn stats_mut(&mut self) -> &mut KernelStats {
         &mut self.stats

@@ -93,19 +93,28 @@ impl CpuLink {
     /// `ipintrq` (every sibling's enqueue flags CPU 0) or work stealing
     /// (a publish flags every sibling). A polled cluster that does not
     /// steal sets no IPI flag and touches no steal buffer or `ipintrq`,
-    /// so its CPUs share only the frame pool, whose one host-order
-    /// statistic, `PoolStats::high_water`, is all slicing changes there.
+    /// so its CPUs share nothing and each can run on a thread of its own
+    /// ([`CpuLink::unshared`]).
     pub(crate) fn coupled(cfg: &KernelConfig) -> bool {
         cfg.topology.ncpus > 1 && (cfg.polled_config().is_none() || Self::stealing(&cfg.topology))
     }
 
     /// The link of a CPU with no siblings: a cluster of one.
     pub(crate) fn lone(ipintrq_cap: usize) -> CpuLink {
+        Self::unshared(CpuId(0), &Topology::default(), ipintrq_cap)
+    }
+
+    /// The link of CPU `cpu` of a `topology.ncpus`-CPU cluster whose
+    /// CPUs share no channel: the shared state is its own, and no
+    /// sibling's link reaches it. For a configuration that is not
+    /// [`coupled`](CpuLink::coupled) this is the same link
+    /// [`CpuLink::cluster`] would give, minus the `Rc` to its siblings.
+    pub(crate) fn unshared(cpu: CpuId, topology: &Topology, ipintrq_cap: usize) -> CpuLink {
         CpuLink {
-            cpu: CpuId(0),
-            ncpus: 1,
-            steal: false,
-            shared: Shared::new(1, ipintrq_cap),
+            cpu,
+            ncpus: topology.ncpus,
+            steal: Self::stealing(topology),
+            shared: Shared::new(topology.ncpus, ipintrq_cap),
         }
     }
 
@@ -142,10 +151,10 @@ impl CpuLink {
         (sh.steals_published[self.cpu.0], sh.steals_taken[self.cpu.0])
     }
 
-    /// Frames still parked in the cluster's steal buffers (the
-    /// conservation residual).
-    pub(crate) fn steal_residual(&self) -> usize {
-        self.shared.borrow().steal_bufs.iter().map(VecDeque::len).sum()
+    /// Frames still parked in this CPU's steal buffer: summed over a
+    /// cluster's CPUs, the conservation residual.
+    pub(crate) fn steal_parked(&self) -> usize {
+        self.shared.borrow().steal_bufs[self.cpu.0].len()
     }
 
     /// CPUs in the cluster.

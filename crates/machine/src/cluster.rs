@@ -1,12 +1,10 @@
 //! A deterministic SMP cluster: N per-CPU [`Engine`]s advanced in
-//! round-robin time slices — or, when the CPUs share no channel, each
-//! straight to the limit.
+//! round-robin time slices.
 //!
 //! Each CPU is a complete, independent executor — its own run queue,
 //! event scheduler, interrupt controller, and conserved
-//! [`CycleLedger`](crate::ledger::CycleLedger). A *coupled* cluster
-//! ([`Cluster::new`]) advances them through virtual time in fixed-size
-//! slices, always visiting CPUs in ascending [`CpuId`] order within a
+//! [`CycleLedger`](crate::ledger::CycleLedger). A cluster advances them
+//! through virtual time in fixed-size slices, always visiting CPUs in ascending [`CpuId`] order within a
 //! slice. Because the interleaving is a pure function of (slice size, CPU
 //! count) and each engine is itself deterministic, a cluster run is
 //! bit-identical on every host and at any `par_map` job count — the
@@ -21,11 +19,10 @@
 //! interleave within a slice — which is what makes the schedule, and
 //! therefore every counter, reproducible.
 //!
-//! Slices exist only to deliver those signals. An *uncoupled* cluster
-//! ([`Cluster::uncoupled`]) — one CPU, or CPUs that share no channel —
-//! has none to deliver, so it advances each engine to the limit in one
-//! step: the same results, without a hook call and an engine re-entry
-//! per CPU every 10 000 cycles.
+//! Slices exist only to deliver those signals. CPUs that share no
+//! channel have none to deliver, so they need no cluster: each engine
+//! can run to the limit on its own — on a host thread of its own — with
+//! the same results.
 
 use livelock_sim::Cycles;
 
@@ -37,18 +34,16 @@ use crate::cpu::{CpuId, Engine, Workload};
 /// a full trial costs only tens of thousands of slice switches.
 pub const DEFAULT_SLICE: Cycles = Cycles::new(10_000);
 
-/// N per-CPU engines advanced in deterministic round-robin time slices,
-/// or each straight to the limit when uncoupled.
+/// N per-CPU engines advanced in deterministic round-robin time slices.
 pub struct Cluster<W: Workload> {
     engines: Vec<Engine<W>>,
-    /// The interleaving slice; `None` for an uncoupled cluster.
-    slice: Option<Cycles>,
+    slice: Cycles,
     now: Cycles,
 }
 
 impl<W: Workload> Cluster<W> {
-    /// Builds a coupled cluster over pre-constructed engines, interleaved
-    /// in `slice`-sized rounds; `engines[k]` is CPU `k`. Every engine must
+    /// Builds a cluster over pre-constructed engines, interleaved in
+    /// `slice`-sized rounds; `engines[k]` is CPU `k`. Every engine must
     /// start at the same virtual time (normally zero).
     ///
     /// # Panics
@@ -56,22 +51,6 @@ impl<W: Workload> Cluster<W> {
     /// Panics on an empty engine list or a zero slice.
     pub fn new(engines: Vec<Engine<W>>, slice: Cycles) -> Self {
         assert!(!slice.is_zero(), "slice must be positive");
-        Self::with_slice(engines, Some(slice))
-    }
-
-    /// Builds an uncoupled cluster: engines that exchange no signal, so
-    /// [`Cluster::run_until`] advances each straight to its limit in CPU
-    /// order. For a configuration whose CPUs share no channel this
-    /// produces exactly what [`Cluster::new`] would, in one step per CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty engine list.
-    pub fn uncoupled(engines: Vec<Engine<W>>) -> Self {
-        Self::with_slice(engines, None)
-    }
-
-    fn with_slice(engines: Vec<Engine<W>>, slice: Option<Cycles>) -> Self {
         assert!(!engines.is_empty(), "a cluster has at least one CPU");
         let now = engines[0].now();
         assert!(
@@ -92,11 +71,6 @@ impl<W: Workload> Cluster<W> {
         self.now
     }
 
-    /// Read access to one CPU's engine.
-    pub fn engine(&self, cpu: CpuId) -> &Engine<W> {
-        &self.engines[cpu.0]
-    }
-
     /// All engines, in [`CpuId`] order.
     pub fn engines(&self) -> &[Engine<W>] {
         &self.engines
@@ -108,8 +82,7 @@ impl<W: Workload> Cluster<W> {
     }
 
     /// Advances every CPU to exactly `limit`, interleaving them in
-    /// `slice`-sized rounds (one round to `limit` when uncoupled): within
-    /// each round, CPUs run in ascending id order, and
+    /// `slice`-sized rounds: within each round, CPUs run in ascending id order, and
     /// `before_slice(cpu, engine)` runs immediately before each engine's
     /// turn — the hook where pending cross-CPU signals (IPI flags, steal
     /// buffers) become engine events.
@@ -123,7 +96,7 @@ impl<W: Workload> Cluster<W> {
         mut before_slice: impl FnMut(CpuId, &mut Engine<W>),
     ) {
         while self.now < limit {
-            let boundary = self.slice.map_or(limit, |slice| (self.now + slice).min(limit));
+            let boundary = (self.now + self.slice).min(limit);
             for (k, engine) in self.engines.iter_mut().enumerate() {
                 before_slice(CpuId(k), engine);
                 engine.run_until(boundary);
@@ -198,10 +171,9 @@ mod tests {
         solo.run_until(Cycles::new(30_000));
         solo.run_until(Cycles::new(50_000));
 
-        // A cluster of one is uncoupled: the hook runs once per
-        // `run_until` (three slices' worth of time here), seeing the
-        // engine where the previous call left it.
-        let mut c = Cluster::uncoupled(vec![ticker_engine(CpuId(0), 700, 90, 20)]);
+        // The hook runs once per slice, seeing the engine where the
+        // previous slice left it, across `run_until` calls.
+        let mut c = Cluster::new(vec![ticker_engine(CpuId(0), 700, 90, 20)], DEFAULT_SLICE);
         let mut visits = Vec::new();
         for limit in [30_000, 50_000, 50_000] {
             c.run_until(Cycles::new(limit), |cpu, e| {
@@ -210,12 +182,12 @@ mod tests {
         }
         assert_eq!(
             visits,
-            vec![(0, 0), (0, 30_000)],
+            vec![(0, 0), (0, 10_000), (0, 20_000), (0, 30_000), (0, 40_000)],
             "already at the limit: no call"
         );
         assert_eq!(c.now(), Cycles::new(50_000));
 
-        let e = c.engine(CpuId(0));
+        let e = &c.engines()[0];
         assert_eq!(e.workload().done_at, solo.workload().done_at);
         assert_eq!(e.now(), solo.now());
         assert_eq!(e.usage().ledger, solo.usage().ledger);
@@ -223,42 +195,33 @@ mod tests {
 
     #[test]
     fn slice_size_is_invisible_to_independent_cpus() {
-        let run = |slice: Option<u64>| {
-            let engines = vec![
+        let engines = || {
+            vec![
                 ticker_engine(CpuId(0), 700, 90, 30),
                 ticker_engine(CpuId(1), 450, 120, 30),
-            ];
-            let mut c = match slice {
-                Some(slice) => Cluster::new(engines, Cycles::new(slice)),
-                None => Cluster::uncoupled(engines),
-            };
-            c.run_until(Cycles::new(60_000), |_, _| {});
-            c.engines()
+            ]
+        };
+        let done_at = |engines: &[Engine<Ticker>]| {
+            engines
                 .iter()
                 .map(|e| e.workload().done_at.to_vec())
                 .collect::<Vec<_>>()
         };
-        let uncoupled = run(None);
+        let limit = Cycles::new(60_000);
+        // CPUs that exchange no signal need no cluster: each bare engine
+        // runs straight to the limit.
+        let mut bare = engines();
+        for e in &mut bare {
+            e.run_until(limit);
+        }
         for slice in [128, 1_000, 10_000, 50_000] {
-            assert_eq!(run(Some(slice)), uncoupled, "slice {slice}");
+            let mut c = Cluster::new(engines(), Cycles::new(slice));
+            c.run_until(limit, |_, _| {});
+            assert_eq!(done_at(c.engines()), done_at(&bare), "slice {slice}");
+            for (e, b) in c.engines().iter().zip(&bare) {
+                assert_eq!(e.usage().ledger, b.usage().ledger, "slice {slice}");
+            }
         }
-    }
-
-    #[test]
-    fn an_uncoupled_cluster_visits_each_cpu_once_per_call() {
-        let engines = vec![
-            ticker_engine(CpuId(0), 700, 90, 2),
-            ticker_engine(CpuId(1), 450, 120, 2),
-        ];
-        let mut c = Cluster::uncoupled(engines);
-        let mut visits = Vec::new();
-        for limit in [3_000, 3_000, 5_000] {
-            c.run_until(Cycles::new(limit), |cpu, e| {
-                visits.push((cpu.0, e.now().raw()))
-            });
-        }
-        assert_eq!(visits, vec![(0, 0), (1, 0), (0, 3_000), (1, 3_000)]);
-        assert!(c.engines().iter().all(|e| e.now() == Cycles::new(5_000)));
     }
 
     #[test]
@@ -317,7 +280,7 @@ mod tests {
             }
         });
         // CPU 0 saw the injected wakeup on the slice after the flag rose.
-        let done = &c.engine(CpuId(0)).workload().done_at;
+        let done = &c.engines()[0].workload().done_at;
         assert_eq!(done.len(), 1);
         assert!(done[0] >= 3_000, "delivered at the next boundary: {done:?}");
     }

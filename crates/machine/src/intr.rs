@@ -160,6 +160,12 @@ impl IntrController {
         self.sources[src.0].name
     }
 
+    /// Every source's diagnostic name, in registration order: source
+    /// `i`'s is the `i`-th.
+    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.sources.iter().map(|s| s.name)
+    }
+
     /// Number of times the source was delivered to the CPU.
     pub fn taken_count(&self, src: IntrSrc) -> u64 {
         self.sources[src.0].taken.get()

@@ -13,9 +13,9 @@
 //! once the pool has warmed up.
 //!
 //! The pool is a single-threaded `Rc<RefCell<..>>` handle by design: each
-//! simulated trial is one deterministic single-threaded event loop, and
-//! pools never cross threads (the parallel trial executor builds one pool
-//! per worker-local engine). A slot taken from a pool has pristine
+//! simulated CPU is one deterministic single-threaded event loop, and
+//! pools never cross threads (a trial builds one pool per CPU, on the
+//! thread that runs that CPU). A slot taken from a pool has pristine
 //! metadata and zero-filled bytes, so recycling can never leak one
 //! packet's stamps, flow, class or bytes into the next.
 //!
@@ -44,14 +44,26 @@ pub struct PoolStats {
     pub misses: u64,
     /// Slots currently checked out.
     pub outstanding: usize,
-    /// Maximum simultaneous checked-out slots ever observed, in *host*
-    /// order: a pool shared by several simulated CPUs sees them take and
-    /// release in whatever order the host runs them (one CPU's whole
-    /// trial after another's, when they share no channel), so this is not
-    /// a simulated quantity and nothing simulated reads it.
+    /// Maximum simultaneous checked-out slots ever observed. Counters
+    /// [`merge`](PoolStats::merge)d from several pools sum, so this is
+    /// then the sum of each pool's own high-water mark.
     pub high_water: usize,
     /// Slots currently sitting in the freelist.
     pub free: usize,
+}
+
+impl PoolStats {
+    /// Adds another pool's counters to these, field by field: the
+    /// counters of a machine whose CPUs each own a pool.
+    pub fn merge(&mut self, other: &PoolStats) {
+        self.allocated += other.allocated;
+        self.acquired += other.acquired;
+        self.recycled += other.recycled;
+        self.misses += other.misses;
+        self.outstanding += other.outstanding;
+        self.high_water += other.high_water;
+        self.free += other.free;
+    }
 }
 
 struct PoolInner {
@@ -271,6 +283,23 @@ mod tests {
     use super::*;
     use crate::classify::TrafficClass;
     use crate::packet::{FlowKey, Packet, PacketId, StageStamps, MIN_FRAME_LEN};
+
+    #[test]
+    fn merged_stats_sum_every_counter() {
+        let (a, b) = (FramePool::new(64, 2), FramePool::new(64, 1));
+        let held = [a.take(60), a.take(60), a.take(60), b.take(60)];
+        drop(held);
+        let _live = (a.take(60), b.take(60));
+        let mut sum = a.stats();
+        sum.merge(&b.stats());
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(sa.high_water, 3);
+        assert_eq!(sum.high_water, sa.high_water + sb.high_water);
+        assert_eq!(sum.misses, 1, "a's third take");
+        assert_eq!(sum.allocated, sa.allocated + sb.allocated);
+        assert_eq!((sum.acquired, sum.recycled), (6, 4));
+        assert_eq!((sum.outstanding, sum.free), (2, 2));
+    }
 
     #[test]
     fn take_recycles_on_drop() {

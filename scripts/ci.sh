@@ -15,7 +15,7 @@
 # exit 6 — chaos-smoke — a `livelock chaos` smoke run failed
 # exit 7 — static-analysis — simlint or clippy found something, clippy is missing, or the seeded violations were not caught
 # exit 8 — bench-smoke — a benchmark unit failed, or a sim_digest differs from the newest BENCH_PR<N>.json
-# exit 9 — smp-gate — an S-1 SMP claim failed (figures exit 6), or the 4-CPU chrome-trace smoke did
+# exit 9 — smp-gate — an S-1 SMP claim failed (figures exit 6), or the 4-CPU chrome-trace or fan-out smoke did
 # exit 10 — observe-gate — an O-1 online-detection claim failed (figures exit 7), or the event-stream/flamegraph rerun smoke did
 # exit 11 — observe-smoke — the `livelock observe` smoke failed
 # exit 12 — priority-gate — a P-1 priority-isolation claim failed (figures exit 8)
@@ -286,7 +286,7 @@ fi
 # and an MLFRR search whose trials are too short to measure anything.
 for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" \
     "chaos --packets 5" "trial --rate 1e-6 --packets 2" "mlfrr --jobs 65" \
-    "mlfrr --packets 2 --jobs 1"; do
+    "mlfrr --packets 2 --jobs 1" "mlfrr --packets 55 --jobs 1"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
     if [ "$rc" -eq 2 ]; then
@@ -303,8 +303,8 @@ step "SMP trace smoke: --chrome-trace honours --ncpus, deterministically"
 # export one Chrome-trace process group per CPU, and — like every other
 # artifact — come out byte-identical from two fresh processes. Checked on
 # both cluster shapes: polled CPUs share no channel, so each engine runs
-# straight through; unmodified CPUs share the ipintrq, so the cluster is
-# sliced.
+# straight through as a parallel job of its own; unmodified CPUs share
+# the ipintrq, so the cluster is sliced on one thread.
 for shape in polled unmodified; do
     case $shape in
         polled) rate=30000 ;;
@@ -340,6 +340,20 @@ PYEOF
         exit 9
     fi
 done
+
+# A trial whose CPUs share no channel runs them as parallel jobs; the
+# same trial inside a one-job sweep runs them inline on one thread. Both
+# must measure the same offered and delivered rates.
+fanned=$("$repo/target/release/livelock" trial --config polled --ncpus 4 --rate 16000 \
+    --packets 20000 | awk '$1 == "offered" {o = $2} $1 == "delivered" {d = $2} END {print o, d}')
+inline=$("$repo/target/release/livelock" sweep --config polled --ncpus 4 --rates 16000 \
+    --packets 20000 --jobs 1 2> /dev/null | awk '$1 == "16000" {print $3, $2}')
+if [ -n "$inline" ] && [ "$fanned" = "$inline" ]; then
+    echo "ci: 4-CPU polled trial fanned out and run inline measure the same: $fanned (offered, delivered pkts/s)"
+else
+    echo "ci: FAIL — 4-CPU polled trial fanned out measured '$fanned', inline '$inline' (offered, delivered)" >&2
+    exit 9
+fi
 
 step "determinism: event stream and flamegraph byte-identical across runs"
 # The observability artifacts themselves are part of the determinism
