@@ -51,9 +51,10 @@ use livelock_kernel::config::{KernelConfig, LocalDeliveryConfig};
 use livelock_kernel::experiment::{
     paper_rates, run_chaos_trial, run_trial, run_trial_traced, TrialResult, TrialSpec, WARMUP_FRAC,
 };
-use livelock_kernel::experiment::sweep;
+use livelock_kernel::experiment::{sweep, BALANCED_NCPUS};
 use livelock_kernel::par::{default_jobs, par_map, Parallelism, MAX_JOBS};
 use livelock_kernel::stats::{DropReason, Stage};
+use livelock_kernel::telemetry::{STARVE_WINDOWS, WINDOW_TICKS};
 use livelock_machine::CpuClass;
 use livelock_sim::Nanos;
 
@@ -297,8 +298,8 @@ const TRACE_CAPACITY: usize = 1 << 20;
 /// (per-CPU executors fed by a multiqueue RSS NIC, see DESIGN.md §12).
 fn apply_topology(cfg: &mut KernelConfig, args: &Args) -> Result<(), String> {
     let ncpus = args.num::<usize>("ncpus", 1)?;
-    if ncpus == 0 || ncpus > 8 {
-        return Err(format!("--ncpus: want 1..=8, got {ncpus}"));
+    if !BALANCED_NCPUS.contains(&ncpus) {
+        return Err(format!("--ncpus: want one of {BALANCED_NCPUS:?} (the default flows load their queues evenly), got {ncpus}"));
     }
     cfg.topology.ncpus = ncpus;
     cfg.topology.steal = args.has("steal");
@@ -735,6 +736,16 @@ fn cmd_observe(args: &Args) -> Result<Exit, String> {
     let rate = args.num::<f64>("rate", 12_000.0)?;
     let n_packets = args.num::<usize>("packets", 6_000)?;
     check_span("rate", &[rate], n_packets)?;
+    // A flow is reported starved only after arriving in STARVE_WINDOWS
+    // detector windows of WINDOW_TICKS clock ticks. Arrivals that end
+    // within STARVE_WINDOWS − 1 windows cannot starve one, and the
+    // starvation claim would blame the kernel for the spec.
+    let cost = config_by_name("screend").ok_or("missing screend config")?.cost;
+    let span = cost.clock_tick_interval * u64::from((STARVE_WINDOWS - 1) * WINDOW_TICKS);
+    let min = (span.raw() as f64 * rate / cost.freq.as_hz() as f64).floor() as usize + 1;
+    if n_packets < min {
+        return Err(format!("--packets: want at least {min} at {rate} pkts/s, so a flow can starve; got {n_packets}"));
+    }
     let seed = args.num::<u64>("seed", 1)?;
 
     let flows = livelock_bench::o1_flows();
@@ -755,12 +766,11 @@ fn cmd_observe(args: &Args) -> Result<Exit, String> {
     };
     let unmod = run("screend")?;
     let polled = run("feedback")?;
-    let freq = config_by_name("screend").ok_or("missing screend config")?.cost.freq;
 
     for (name, r) in [("unmodified+screend", &unmod), ("polled+feedback", &polled)] {
         println!("{name}: delivered {:.0} pkts/s, {} events", r.delivered_pps, r.events.len());
         for ev in &r.events {
-            println!("  {}", ev.to_json(freq));
+            println!("  {}", ev.to_json(cost.freq));
         }
         println!(
             "  {:<6} {:>8} {:>10} {:>8} {:>12}",
@@ -787,7 +797,7 @@ fn cmd_observe(args: &Args) -> Result<Exit, String> {
         println!(
             "unmodified livelock onset at cycle {} ({:.1} us into the trial)",
             at.raw(),
-            freq.nanos_from_cycles(at).as_micros_f64()
+            cost.freq.nanos_from_cycles(at).as_micros_f64()
         );
     }
     let evidence = Evidence {
@@ -884,6 +894,15 @@ mod tests {
             // cannot lose one packet and stay loss-free.
             ("mlfrr", &["--packets", "3", "--jobs", "1"], "--packets"),
             ("mlfrr", &["--packets", "55", "--jobs", "1"], "--packets"),
+            // The default flow set loads 3, 5, 6 or 7 queues unevenly.
+            ("trial", &["--ncpus", "5"], "--ncpus"),
+            ("sweep", &["--ncpus", "3"], "--ncpus"),
+            ("trial", &["--ncpus", "0"], "--ncpus"),
+            ("trial", &["--ncpus", "9"], "--ncpus"),
+            // Over no more than STARVE_WINDOWS − 1 detector windows (24 ms,
+            // 288 packets at the default 12 000 pkts/s) no flow can starve.
+            ("observe", &["--packets", "100"], "--packets"),
+            ("observe", &["--packets", "288"], "--packets"),
         ];
         for &(cmd, raw, flag) in rows {
             // Parse, then the subcommand's own checks: every row is
@@ -910,6 +929,11 @@ mod tests {
         // The minimum itself runs a search.
         let args = parse("mlfrr", &["--packets", "56", "--jobs", "1"]).expect("56 parses");
         cmd_mlfrr(&args).expect("56 packets run");
+        let err = parse("observe", &["--packets", "100"]).and_then(|a| cmd_observe(&a)).expect_err("100");
+        assert!(err.contains("at least 289"), "the message names the minimum, one above the rows' 288: {err}");
+        let args = parse("observe", &["--packets", "300"]).expect("300 parses");
+        let exit = cmd_observe(&args).expect("300 packets run");
+        assert_eq!(format!("{exit:?}"), format!("{:?}", Exit::SUCCESS), "every observe claim holds at 300");
         let args = parse("sweep", &["--rates", "1000,2500.5", "--packets", "1"]).expect("fine");
         assert_eq!(args.rates, Some(vec![1000.0, 2500.5]));
         let args = parse("mlfrr", &["--jobs", "64"]).expect("MAX_JOBS is allowed");

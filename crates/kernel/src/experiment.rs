@@ -69,7 +69,8 @@ pub struct TrialSpec {
     /// count, so a deliberately imbalanced set (every flow hashing to
     /// CPU 0) is just a spec. `None` picks the default for the topology:
     /// the factory's single fixed port on one CPU, a deterministic
-    /// 64-flow set that fills 2 or 4 queues evenly on more.
+    /// 64-flow set on more, which fills 2, 4 or 8 queues evenly
+    /// ([`BALANCED_NCPUS`]) and 3, 5, 6 or 7 unevenly.
     pub flows: Option<Vec<u16>>,
     /// The kernel under test.
     pub config: KernelConfig,
@@ -917,6 +918,10 @@ fn merge_into<T>(acc: &mut Option<T>, one: Option<T>, merge: impl FnOnce(&mut T,
     }
 }
 
+/// The CPU counts whose receive queues the default flow set of
+/// [`TrialSpec::flows`] loads evenly; the CLI accepts only these.
+pub const BALANCED_NCPUS: [usize; 4] = [1, 2, 4, 8];
+
 /// 64 UDP flows (source ports) whose RSS hashes fill the 4 possible RX
 /// queues with exactly 16 flows each, listed bucket-interleaved so that
 /// cycling through them in order also balances 2-queue (4 | 64 and the
@@ -1627,14 +1632,17 @@ mod tests {
         assert_eq!(flows.len(), 64);
         let f = PacketFactory::paper_testbed();
         let (src, dst) = (u32::from(f.src_ip), u32::from(f.dst_ip));
-        for nq in [1usize, 2, 4] {
+        // Exactly the counts the CLI accepts get equal shares (one CPU
+        // defaults to a single port, which is even too).
+        for nq in 1..=8 {
             let mut counts = vec![0usize; nq];
             for &p in &flows {
                 counts[rss_queue(src, dst, proto::UDP, p, f.dst_port, nq)] += 1;
             }
-            assert!(
+            assert_eq!(
                 counts.iter().all(|&c| c == 64 / nq),
-                "flows must balance {nq} queues, got {counts:?}"
+                BALANCED_NCPUS.contains(&nq),
+                "{nq} queues get {counts:?}; BALANCED_NCPUS = {BALANCED_NCPUS:?}"
             );
         }
         // Bucket-interleaved: consecutive packets land on distinct queues.

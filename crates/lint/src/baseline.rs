@@ -1,12 +1,11 @@
 //! The baseline that is no longer there.
 //!
-//! simlint once grandfathered pre-existing findings in a checked-in
-//! baseline file. The file held no entry for many releases and is gone,
-//! with its format, its writer and the rule that failed on stale
-//! entries. [`Baseline`] survives as a field-less type only because the
-//! standalone `benchmark/` crate calls [`Baseline::load`] and passes the
-//! result to [`crate::lint_workspace`]; `TelemetryConfig` is kept the
-//! same way.
+//! The unit-discipline check once grandfathered pre-existing findings in
+//! a checked-in baseline file. The file held no entry for many releases
+//! and is gone; the one sanctioned exception is an entry of
+//! [`crate::ALLOWED`]. [`Baseline`] survives as a field-less type only
+//! because the standalone `benchmark/` crate calls [`Baseline::load`] and
+//! passes the result to [`crate::lint_workspace`].
 
 use std::io;
 use std::path::Path;

@@ -68,7 +68,8 @@ pub enum FaultKind {
     /// (the feedback timeout and cycle-limit periods run off the tick).
     ClockJitter {
         /// Signed skew applied to the next tick interval.
-        // simlint: allow(unit-discipline): a signed offset, and Cycles is unsigned and saturating
+        // Signed, so not `Cycles` (unsigned, saturating): an exception
+        // on the unit-discipline check's allow-list (`lint::ALLOWED`).
         skew_cycles: i64,
     },
     /// Carrier drops on the interface's wire: arriving frames are lost

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification, static analysis (simlint and clippy),
+# CI gate: tier-1 verification, static analysis (clippy),
 # every figure's claims and byte-identity, the benchmark smoke and the
 # CLI smokes. Needs cargo with clippy; without clippy it fails (exit 7).
 #
@@ -13,7 +13,7 @@
 # exit 4 — cpu-share-gate — a C-1 CPU-share claim failed (figures exit 4)
 # exit 5 — fault-gate — an R-1 fault-storm claim failed (figures exit 5)
 # exit 6 — chaos-smoke — a `livelock chaos` smoke run failed
-# exit 7 — static-analysis — simlint or clippy found something, clippy is missing, or the seeded violations were not caught
+# exit 7 — static-analysis — clippy found something, clippy is missing, or the seeded crate was not rejected
 # exit 8 — bench-smoke — a benchmark unit failed, or a sim_digest differs from the newest BENCH_PR<N>.json
 # exit 9 — smp-gate — an S-1 SMP claim failed (figures exit 6), or the 4-CPU chrome-trace or fan-out smoke did
 # exit 10 — observe-gate — an O-1 online-detection claim failed (figures exit 7), or the event-stream/flamegraph rerun smoke did
@@ -93,32 +93,24 @@ trap 'rm -rf "$scratch"' EXIT
 step "counted lines under crates/ and in the editable docs (printed, never gated)"
 # The sizes ROADMAP tracks, reproduced rather than hand-counted. Code:
 # non-blank, non-comment lines before a file's first top-level
-# #[cfg(test)], with crates/**/tests and the lint fixtures left out.
+# #[cfg(test)], with crates/**/tests left out.
 # Docs: every line of the four docs a change may edit (benchmark/README.md
 # belongs to the benchmark).
-find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/fixtures/*' -print0 |
+find crates -name '*.rs' -not -path '*/tests/*' -print0 |
     xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && !/^[[:space:]]*($|\/\/)/{n++} END{print "ci: crates/ counted lines:", n}'
 cat README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
     awk 'END{print "ci: editable docs lines (README, DESIGN, EXPERIMENTS, verify skill):", NR}'
 
-step "static analysis: simlint, clippy, and a seeded crate clippy must reject"
-# One gate, exit 7. simlint (crates/lint) checks what clippy cannot: no
-# unit-named binding declared as a bare number. Clippy checks the rest:
-# the determinism contract (no wall clock, hash-ordered container or
-# host thread) and no `process::exit` (a bin returns its exit enum) on
-# every target, both from clippy.toml's disallowed lists, and
-# panic-freedom on the simulator's library targets. Sanctioned exceptions
-# carry `// simlint: allow(rule): reason` or
+step "static analysis: clippy, and a seeded crate clippy must reject"
+# One gate, exit 7. Clippy checks the determinism contract (no wall
+# clock, hash-ordered container or host thread) and no `process::exit`
+# (a bin returns its exit enum) on every target, both from clippy.toml's
+# disallowed lists, and panic-freedom on the simulator's library
+# targets. Sanctioned exceptions carry
 # `#[expect(clippy::lint, reason = "...")]`; an `#[expect]` that no
-# longer fires is itself a warning, so a stale one fails here too.
-if "$repo/target/release/simlint" --root "$repo"; then
-    echo "ci: simlint clean"
-else
-    rc=$?
-    echo "ci: FAIL — simlint exited $rc; JSON report follows" >&2
-    "$repo/target/release/simlint" --root "$repo" --json >&2 || true
-    exit 7
-fi
+# longer fires is itself a warning, so a stale one fails here too. The
+# one convention clippy cannot see (no unit-named binding declared as a
+# bare number) is a tier-1 test in crates/lint.
 if ! cargo clippy --version > /dev/null 2>&1; then
     echo "ci: FAIL — cargo clippy is not installed; the determinism and panic-freedom checks cannot run" >&2
     exit 7
@@ -283,10 +275,13 @@ fi
 # A degenerate trial or storm spec is a usage error, not a panic (exit
 # 101) or a hang (hence the timeout: an unbounded storm never returns);
 # so is a job count over the bound, refused before any thread starts,
-# and an MLFRR search whose trials are too short to measure anything.
+# an MLFRR search whose trials are too short to measure anything, an
+# observe run too short for any flow to starve, and a CPU count whose
+# queues the default flow set loads unevenly.
 for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" \
     "chaos --packets 5" "trial --rate 1e-6 --packets 2" "mlfrr --jobs 65" \
-    "mlfrr --packets 2 --jobs 1" "mlfrr --packets 55 --jobs 1"; do
+    "mlfrr --packets 2 --jobs 1" "mlfrr --packets 55 --jobs 1" "observe --packets 100" \
+    "trial --ncpus 5"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
     if [ "$rc" -eq 2 ]; then
@@ -464,6 +459,15 @@ if "$repo/target/release/livelock" observe; then
 else
     rc=$?
     echo "ci: FAIL — livelock observe exited $rc (see invariant list above)" >&2
+    exit 11
+fi
+# Just past the shortest spec it accepts (289 packets at 12 000 pkts/s),
+# observe runs and its claims hold.
+if "$repo/target/release/livelock" observe --packets 300 > /dev/null; then
+    echo "ci: observe --packets 300 runs and every claim holds"
+else
+    rc=$?
+    echo "ci: FAIL — livelock observe --packets 300 exited $rc, want 0" >&2
     exit 11
 fi
 "$repo/target/release/livelock" observe --rate -5 > /dev/null 2>&1
