@@ -12,6 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use livelock_bench::exit::{FiguresExit, LivelockExit};
+use livelock_kernel::telemetry::starve_floor;
+use livelock_machine::cost::CostModel;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -47,6 +49,20 @@ fn every_exit_reaches_the_os() {
         "trial --packets 0"
     );
     assert_eq!(status(livelock, &["bogus"]), usage, "livelock bogus");
+}
+
+/// `livelock observe` refuses a run too short for any flow to starve
+/// (usage, exit 2) and, at the default rate and seed, every claim holds
+/// from the detector's floor on.
+#[test]
+fn observe_accepts_exactly_from_the_starvation_floor() {
+    let livelock = env!("CARGO_BIN_EXE_livelock");
+    let floor = starve_floor(&CostModel::calibrated(), 12_000.0);
+    assert_eq!(floor, 385, "four 8 ms windows at 12 000 pkts/s");
+    let observe = |n: usize| status(livelock, &["observe", "--packets", &n.to_string()]);
+    let usage = Some(i32::from(LivelockExit::Usage.code()));
+    assert_eq!(observe(floor - 1), usage, "observe --packets {}", floor - 1);
+    assert_eq!(observe(floor), Some(0), "observe --packets {floor}");
 }
 
 /// One `# exit N — name — meaning` row of ci.sh's header.

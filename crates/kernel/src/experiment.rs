@@ -403,27 +403,13 @@ fn plan(spec: &TrialSpec) -> Plan {
         .classes
         .as_ref()
         .map(|c| Classifier::new(c.rules.clone(), c.default_class));
-    let (src_ip, dst_ip) = (u32::from(factory.src_ip), u32::from(factory.dst_ip));
     let flows: Vec<(u16, usize)> = ports
         .into_iter()
         .map(|src_port| {
-            let key = FlowKey {
-                src_ip,
-                dst_ip,
-                proto: proto::UDP,
-                src_port,
-                dst_port: factory.dst_port,
-            };
+            let key = udp_key(&factory, src_port);
             let queue = match &classifier {
                 Some(cl) => cl.classify(&key).index() % ncpus,
-                None => rss_queue(
-                    src_ip,
-                    dst_ip,
-                    proto::UDP,
-                    src_port,
-                    factory.dst_port,
-                    ncpus,
-                ),
+                None => rss_queue(&key, ncpus),
             };
             (src_port, queue)
         })
@@ -922,6 +908,17 @@ fn merge_into<T>(acc: &mut Option<T>, one: Option<T>, merge: impl FnOnce(&mut T,
 /// [`TrialSpec::flows`] loads evenly; the CLI accepts only these.
 pub const BALANCED_NCPUS: [usize; 4] = [1, 2, 4, 8];
 
+/// The key of the UDP flow `factory` sends from `src_port`.
+fn udp_key(factory: &PacketFactory, src_port: u16) -> FlowKey {
+    FlowKey {
+        src_ip: factory.src_ip.into(),
+        dst_ip: factory.dst_ip.into(),
+        proto: proto::UDP,
+        src_port,
+        dst_port: factory.dst_port,
+    }
+}
+
 /// 64 UDP flows (source ports) whose RSS hashes fill the 4 possible RX
 /// queues with exactly 16 flows each, listed bucket-interleaved so that
 /// cycling through them in order also balances 2-queue (4 | 64 and the
@@ -931,11 +928,10 @@ pub const BALANCED_NCPUS: [usize; 4] = [1, 2, 4, 8];
 fn balanced_flows() -> Vec<u16> {
     const PER_BUCKET: usize = 16;
     let f = PacketFactory::paper_testbed();
-    let (src, dst) = (u32::from(f.src_ip), u32::from(f.dst_ip));
     let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); 4];
     let mut port = f.src_port;
     while buckets.iter().any(|b| b.len() < PER_BUCKET) {
-        let q = rss_queue(src, dst, proto::UDP, port, f.dst_port, 4);
+        let q = rss_queue(&udp_key(&f, port), 4);
         if buckets[q].len() < PER_BUCKET {
             buckets[q].push(port);
         }
@@ -1528,11 +1524,10 @@ mod tests {
         // the drop path) absorbs the imbalance.
         // Flows all hashing to queue 0 of 2 (deterministic search).
         let f = PacketFactory::paper_testbed();
-        let (src, dst) = (u32::from(f.src_ip), u32::from(f.dst_ip));
         let mut port = f.src_port;
         let mut flows = Vec::new();
         while flows.len() < 8 {
-            if rss_queue(src, dst, proto::UDP, port, f.dst_port, 2) == 0 {
+            if rss_queue(&udp_key(&f, port), 2) == 0 {
                 flows.push(port);
             }
             port = port.wrapping_add(1);
@@ -1631,13 +1626,12 @@ mod tests {
         let flows = balanced_flows();
         assert_eq!(flows.len(), 64);
         let f = PacketFactory::paper_testbed();
-        let (src, dst) = (u32::from(f.src_ip), u32::from(f.dst_ip));
         // Exactly the counts the CLI accepts get equal shares (one CPU
         // defaults to a single port, which is even too).
         for nq in 1..=8 {
             let mut counts = vec![0usize; nq];
             for &p in &flows {
-                counts[rss_queue(src, dst, proto::UDP, p, f.dst_port, nq)] += 1;
+                counts[rss_queue(&udp_key(&f, p), nq)] += 1;
             }
             assert_eq!(
                 counts.iter().all(|&c| c == 64 / nq),
@@ -1647,8 +1641,8 @@ mod tests {
         }
         // Bucket-interleaved: consecutive packets land on distinct queues.
         for w in flows.windows(2) {
-            let a = rss_queue(src, dst, proto::UDP, w[0], f.dst_port, 4);
-            let b = rss_queue(src, dst, proto::UDP, w[1], f.dst_port, 4);
+            let a = rss_queue(&udp_key(&f, w[0]), 4);
+            let b = rss_queue(&udp_key(&f, w[1]), 4);
             assert_ne!(a, b, "adjacent flows share a bucket");
         }
     }

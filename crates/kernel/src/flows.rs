@@ -23,25 +23,13 @@ use livelock_sim::{Cycles, Freq, HdrHistogram};
 
 use crate::stats::{DropReason, DropStats};
 
-/// The RSS hash of a flow key — the registry's bucket function is the
-/// same FNV-1a the multiqueue NIC steers by, so a flow's registry slot
-/// and its RX queue are derived from one number.
-pub fn flow_hash(key: FlowKey) -> u64 {
-    rss_hash(
-        key.src_ip,
-        key.dst_ip,
-        key.proto,
-        key.src_port,
-        key.dst_port,
-    )
-}
-
 /// Everything one flow did in a trial.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowStats {
     /// The flow's 5-tuple.
     pub key: FlowKey,
-    /// The flow's RSS hash ([`flow_hash`]).
+    /// The flow's RSS hash ([`rss_hash`]): the registry buckets by the
+    /// same number the multiqueue NIC steers by.
     pub hash: u64,
     /// Wire arrivals attributed to this flow.
     pub arrived: u64,
@@ -162,7 +150,7 @@ impl FlowRegistry {
                 return Some(i);
             }
         }
-        let hash = flow_hash(key);
+        let hash = rss_hash(&key);
         let i = self.probe(key, hash)?;
         if self.slots[i].is_none() {
             self.slots[i] = Some(FlowStats::new(key, hash));
@@ -300,7 +288,7 @@ impl FlowRegistry {
 
     /// The tracked stats for `key`, if present.
     pub fn get(&self, key: FlowKey) -> Option<&FlowStats> {
-        self.slot(self.probe(key, flow_hash(key))?)
+        self.slot(self.probe(key, rss_hash(&key))?)
     }
 
     /// Every tracked flow, sorted by 5-tuple — a canonical order
@@ -437,7 +425,7 @@ mod tests {
     /// by `%`, inserting at the first empty slot.
     fn reference_slot(table: &mut [Option<FlowKey>], key: FlowKey) -> Option<usize> {
         let cap = table.len();
-        let home = (flow_hash(key) % cap as u64) as usize;
+        let home = (rss_hash(&key) % cap as u64) as usize;
         for probe in 0..cap {
             let i = (home + probe) % cap;
             match table[i] {

@@ -53,7 +53,7 @@ pub use experiment::{
     run_chaos_trial, run_trial, run_trial_traced, sweep, ChaosReport, ClassSummary, CpuStats,
     SweepResult, TrialResult, TrialSpec,
 };
-pub use flows::{flow_hash, FlowRegistry, FlowStats};
+pub use flows::{FlowRegistry, FlowStats};
 pub use par::{default_jobs, par_map, Parallelism};
 pub use router::{tag_label, RouterKernel};
 pub use stats::{

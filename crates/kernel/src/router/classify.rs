@@ -183,16 +183,15 @@ impl RouterKernel {
         if polled {
             ce.shed.note_pressure(fill);
         }
-        let key = pkt.flow.or_else(|| pkt.flow_key());
-        let class = ce.classifier.stamp(pkt, key.as_ref());
+        let class = ce.classifier.stamp(pkt);
         let shed = polled && ce.shed.sheds(class);
         self.stats.class_arrival(Some(class));
         if let Some(reg) = &mut self.stats.flows {
-            reg.note_class(key, class);
+            reg.note_class(pkt.flow, class);
         }
         if shed {
             self.stats
-                .record_drop_for(DropReason::ClassShed { class }, key);
+                .record_drop_for(DropReason::ClassShed { class }, pkt.flow);
             return false;
         }
         true

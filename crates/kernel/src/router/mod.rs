@@ -749,10 +749,10 @@ impl RouterKernel {
                 self.stats.fault.mutated_frames += 1;
             }
         }
-        // The flow key rides the packet from here on. Generated frames
-        // arrive stamped; any other frame is parsed once, here, when the
-        // per-flow registry wants it.
-        if pkt.flow.is_none() && self.stats.flows.is_some() {
+        // The flow key rides the packet from here on: screend's filter,
+        // the class gate and the per-flow books all read it. Generated
+        // frames arrive stamped; any other frame is parsed once, here.
+        if pkt.flow.is_none() {
             pkt.flow = pkt.flow_key();
         }
         self.stats.record_arrival(env.now(), pkt.flow);
@@ -820,11 +820,6 @@ impl RouterKernel {
     /// The interrupt gate's inhibit bitmask (zero = open).
     pub fn gate_bits(&self) -> u8 {
         self.gate.bits()
-    }
-
-    /// Whether the interrupt gate is open (no inhibit reason active).
-    pub fn gate_is_open(&self) -> bool {
-        self.gate.is_open()
     }
 
     /// Current depth of the screend input queue.
@@ -1196,16 +1191,27 @@ mod tests {
         let mut cfg = KernelConfig::builder().screend(Default::default()).build();
         cfg.screend.as_mut().unwrap().rules =
             Filter::parse("deny udp from any to any port 9\naccept ip from any to any").unwrap();
+        assert!(!cfg.observe, "no per-flow books ask for the key");
         let mut e = engine_for(cfg);
         inject(&mut e, 100, 5, 1000);
+        // Two frames that arrive without a key: rx_arrive keys each once,
+        // so the one to port 9 is denied by rule and the one to port 10
+        // is accepted — screend denies a keyless frame either way.
+        let (mut factory, freq) = (PacketFactory::paper_testbed(), e.workload().cost.freq);
+        for (ms, port) in [(10, 9), (11, 10)] {
+            factory.dst_port = port;
+            let mut pkt = factory.next_packet();
+            pkt.flow = None;
+            engine_schedule(&mut e, freq.cycles_from_micros(ms * 1000), pkt);
+        }
         e.run_until(Cycles::new(100_000_000));
         let s = e.workload().stats();
         assert_eq!(
             s.drops.screend_denied(),
-            5,
+            6,
             "the testbed traffic targets port 9"
         );
-        assert_eq!(s.transmitted, 0);
+        assert_eq!(s.transmitted, 1, "the keyless frame to port 10 is accepted");
     }
 
     #[test]

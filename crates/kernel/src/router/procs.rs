@@ -32,11 +32,7 @@ impl RouterKernel {
         pkt.stamps.sq_deq = env.now();
         let depth = self.screend_q.len();
         self.feedback_depth(env, depth);
-        let verdict = match pkt.ip_datagram() {
-            Ok(dgram) => self.filter.evaluate(dgram),
-            Err(_) => Action::Deny,
-        };
-        match verdict {
+        match self.filter.evaluate(pkt.flow.as_ref()) {
             Action::Accept => self.output_enqueue(env, out_iface, pkt),
             Action::Deny => self
                 .stats

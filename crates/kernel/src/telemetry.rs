@@ -25,6 +25,7 @@
 //! set, and like the sampler it is pure bookkeeping: enabled or not, the
 //! simulated run is bit-identical.
 
+use livelock_machine::cost::CostModel;
 use livelock_machine::{CpuClass, CpuId, CycleLedger};
 use livelock_sim::{Cycles, Freq, Nanos};
 
@@ -67,6 +68,15 @@ pub const STARVE_WINDOWS: u32 = 4;
 /// single window is fault noise, a streak is inversion.
 pub const INVERSION_WINDOWS: u32 = 2;
 
+/// The fewest packets a trial at `rate_pps` needs before the detector
+/// can report a flow starved: enough for the arrivals to span
+/// [`STARVE_WINDOWS`] whole windows, so every flow of a round-robin set
+/// arrives in each of them.
+pub fn starve_floor(cost: &CostModel, rate_pps: f64) -> usize {
+    let span = cost.clock_tick_interval * u64::from(STARVE_WINDOWS * WINDOW_TICKS);
+    (span.raw() as f64 * rate_pps / cost.freq.as_hz() as f64).floor() as usize + 1
+}
+
 /// What the online detector observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObsEventKind {
@@ -90,7 +100,7 @@ pub enum ObsEventKind {
     /// [`STARVE_WINDOWS`] consecutive windows (fires once per flow).
     FlowStarved {
         /// The starved flow's RSS hash
-        /// ([`flow_hash`](crate::flows::flow_hash)).
+        /// ([`rss_hash`](livelock_machine::nic::rss_hash)).
         flow_hash: u64,
         /// Consecutive served-nothing windows at the moment of firing.
         windows: u32,
@@ -942,7 +952,7 @@ mod tests {
             })
             .collect();
         assert_eq!(starved.len(), 1, "one event per starved flow");
-        assert_eq!(starved[0].0, crate::flows::flow_hash(key(2)));
+        assert_eq!(starved[0].0, livelock_machine::nic::rss_hash(&key(2)));
         assert_eq!(starved[0].1, STARVE_WINDOWS);
     }
 

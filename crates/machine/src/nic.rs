@@ -9,7 +9,7 @@
 //! reclaimed by the driver (`tx_done` work) before the slots can be reused —
 //! the resource whose exhaustion causes transmit starvation (§4.4, §6.6).
 
-use livelock_net::packet::Packet;
+use livelock_net::packet::{FlowKey, Packet};
 use livelock_net::queue::{DropTailQueue, Enqueued};
 use std::collections::VecDeque;
 
@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 /// src port, dst port). Deterministic — no per-boot secret key — so the
 /// same flow always lands on the same receive queue, which is exactly the
 /// cache-affinity property hardware RSS provides.
-pub fn rss_hash(src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u16) -> u64 {
+pub fn rss_hash(key: &FlowKey) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
@@ -25,26 +25,26 @@ pub fn rss_hash(src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u1
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     };
-    for b in src_ip.to_be_bytes() {
+    for b in key.src_ip.to_be_bytes() {
         eat(b);
     }
-    for b in dst_ip.to_be_bytes() {
+    for b in key.dst_ip.to_be_bytes() {
         eat(b);
     }
-    eat(proto);
-    for b in src_port.to_be_bytes() {
+    eat(key.proto);
+    for b in key.src_port.to_be_bytes() {
         eat(b);
     }
-    for b in dst_port.to_be_bytes() {
+    for b in key.dst_port.to_be_bytes() {
         eat(b);
     }
     h
 }
 
 /// The receive queue a 5-tuple hashes to, out of `nqueues`.
-pub fn rss_queue(src_ip: u32, dst_ip: u32, proto: u8, src_port: u16, dst_port: u16, nqueues: usize) -> usize {
+pub fn rss_queue(key: &FlowKey, nqueues: usize) -> usize {
     assert!(nqueues > 0, "a NIC has at least one receive queue");
-    (rss_hash(src_ip, dst_ip, proto, src_port, dst_port) % nqueues as u64) as usize
+    (rss_hash(key) % nqueues as u64) as usize
 }
 
 /// Static configuration for one NIC.
@@ -423,7 +423,7 @@ mod tests {
     fn stamped(n: u64, class: Option<TrafficClass>) -> Packet {
         let mut p = pkt(n);
         if let Some(c) = class {
-            Classifier::new(Vec::new(), c).stamp(&mut p, None);
+            Classifier::new(Vec::new(), c).stamp(&mut p);
         }
         p
     }
@@ -518,15 +518,25 @@ mod tests {
         assert_eq!(n.rx_ring_drops(), 2 + 2, "Bulk's two and Control's two");
     }
 
+    fn udp_key(src_port: u16) -> FlowKey {
+        FlowKey {
+            src_ip: 0x0a00_0002,
+            dst_ip: 0x0a01_0063,
+            proto: 17,
+            src_port,
+            dst_port: 9,
+        }
+    }
+
     #[test]
     fn rss_hash_is_deterministic_and_flow_stable() {
-        let h = rss_hash(0x0a00_0002, 0x0a01_0063, 17, 5001, 9);
-        assert_eq!(h, rss_hash(0x0a00_0002, 0x0a01_0063, 17, 5001, 9));
+        let h = rss_hash(&udp_key(5001));
+        assert_eq!(h, rss_hash(&udp_key(5001)));
         // Different flows (almost surely) hash differently.
-        assert_ne!(h, rss_hash(0x0a00_0002, 0x0a01_0063, 17, 5002, 9));
+        assert_ne!(h, rss_hash(&udp_key(5002)));
         // Queue choice is hash mod nqueues, stable per flow.
         for nq in [1usize, 2, 4] {
-            let q = rss_queue(0x0a00_0002, 0x0a01_0063, 17, 5001, 9, nq);
+            let q = rss_queue(&udp_key(5001), nq);
             assert!(q < nq);
             assert_eq!(q, (h % nq as u64) as usize);
         }
@@ -537,7 +547,7 @@ mod tests {
         // A modest port range must not degenerate onto one queue.
         let mut hits = [0usize; 4];
         for port in 5000u16..5064 {
-            hits[rss_queue(0x0a00_0002, 0x0a01_0063, 17, port, 9, 4)] += 1;
+            hits[rss_queue(&udp_key(port), 4)] += 1;
         }
         assert!(hits.iter().all(|&h| h > 0), "some queue starved: {hits:?}");
     }

@@ -9,11 +9,14 @@
 //! (per-priority NIC rings, strict-priority drain, the shed controller)
 //! to the kernel crate.
 //!
-//! Determinism contract: classification is a function of the flow key and
-//! the rule *set*, never of rule *order*. A rule set is matched by
-//! specificity (most constrained rule wins) with class priority as the
-//! tie-break, so shuffling the rules cannot change any packet's class.
+//! The rules are screend's 5-tuple predicate ([`FlowMatch`]) with a
+//! different reduction. Determinism contract: classification is a
+//! function of the flow key and the rule *set*, never of rule *order*. A
+//! rule set is matched by specificity (most constrained rule wins) with
+//! class priority as the tie-break, so shuffling the rules cannot change
+//! any packet's class.
 
+use crate::filter::{FlowMatch, PortMatch};
 use crate::packet::{FlowKey, Packet};
 
 /// The three service classes, in strict priority order.
@@ -59,16 +62,12 @@ impl TrafficClass {
     }
 }
 
-/// One match rule: every populated field must equal the flow key's for
-/// the rule to match. An empty rule (all `None`) matches everything.
+/// One classification rule: flows its predicate matches are assigned
+/// its class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatchRule {
-    /// IP protocol number to match (`ipv4::proto::*`), or any.
-    pub proto: Option<u8>,
-    /// Transport source port to match, or any.
-    pub src_port: Option<u16>,
-    /// Transport destination port to match, or any.
-    pub dst_port: Option<u16>,
+    /// The flows the rule matches.
+    pub flow: FlowMatch,
     /// The class a matching flow is assigned.
     pub class: TrafficClass,
 }
@@ -77,9 +76,7 @@ impl MatchRule {
     /// A rule matching any flow of `class` (specificity 0).
     pub const fn any(class: TrafficClass) -> MatchRule {
         MatchRule {
-            proto: None,
-            src_port: None,
-            dst_port: None,
+            flow: FlowMatch::ANY,
             class,
         }
     }
@@ -87,9 +84,10 @@ impl MatchRule {
     /// A rule matching one transport source port.
     pub const fn src_port(port: u16, class: TrafficClass) -> MatchRule {
         MatchRule {
-            proto: None,
-            src_port: Some(port),
-            dst_port: None,
+            flow: FlowMatch {
+                src_port: PortMatch::exactly(port),
+                ..FlowMatch::ANY
+            },
             class,
         }
     }
@@ -97,35 +95,21 @@ impl MatchRule {
     /// A rule matching one transport destination port.
     pub const fn dst_port(port: u16, class: TrafficClass) -> MatchRule {
         MatchRule {
-            proto: None,
-            src_port: None,
-            dst_port: Some(port),
+            flow: FlowMatch {
+                dst_port: PortMatch::exactly(port),
+                ..FlowMatch::ANY
+            },
             class,
         }
-    }
-
-    /// Whether the rule matches `key`.
-    pub fn matches(&self, key: &FlowKey) -> bool {
-        self.proto.is_none_or(|p| p == key.proto)
-            && self.src_port.is_none_or(|p| p == key.src_port)
-            && self.dst_port.is_none_or(|p| p == key.dst_port)
-    }
-
-    /// How constrained the rule is: the number of populated fields.
-    /// More-specific rules beat less-specific ones.
-    pub fn specificity(&self) -> u32 {
-        self.proto.is_some() as u32
-            + self.src_port.is_some() as u32
-            + self.dst_port.is_some() as u32
     }
 }
 
 /// The deterministic flow classifier: a rule set plus a default class
-/// for flows (and portless/unparseable frames) no rule matches.
+/// for flows no rule matches and for frames that carry no flow key.
 ///
 /// Match semantics are order-independent by construction: among the
-/// matching rules, the highest specificity wins, and ties go to the
-/// highest-priority class (lowest [`TrafficClass::index`]). Both
+/// matching rules, the highest [`FlowMatch::specificity`] wins, and ties
+/// go to the highest-priority class (lowest [`TrafficClass::index`]). Both
 /// reductions are commutative and associative, so any permutation of
 /// the same rule set classifies every key identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,38 +140,19 @@ impl Classifier {
     /// Classifies one flow key: most-specific matching rule, class
     /// priority as tie-break, default class when nothing matches.
     pub fn classify(&self, key: &FlowKey) -> TrafficClass {
-        let mut best: Option<(u32, TrafficClass)> = None;
-        for r in &self.rules {
-            if !r.matches(key) {
-                continue;
-            }
-            let cand = (r.specificity(), r.class);
-            best = Some(match best {
-                None => cand,
-                Some((s, c)) => {
-                    if cand.0 > s || (cand.0 == s && cand.1.index() < c.index()) {
-                        cand
-                    } else {
-                        (s, c)
-                    }
-                }
-            });
-        }
-        best.map_or(self.default_class, |(_, c)| c)
+        self.rules
+            .iter()
+            .filter(|r| r.flow.matches(key))
+            .max_by_key(|r| (r.flow.specificity(), std::cmp::Reverse(r.class.index())))
+            .map_or(self.default_class, |r| r.class)
     }
 
-    /// Classifies an optional flow key: frames that never parsed to a
-    /// 5-tuple fall into the default class.
-    pub fn classify_opt(&self, key: Option<&FlowKey>) -> TrafficClass {
-        key.map_or(self.default_class, |k| self.classify(k))
-    }
-
-    /// Classifies `pkt` by its flow `key` (as
-    /// [`classify_opt`](Self::classify_opt)) and stamps the class on the
-    /// packet — the only write to [`Packet::class`] there is — returning
-    /// it for the caller's per-class books.
-    pub fn stamp(&self, pkt: &mut Packet, key: Option<&FlowKey>) -> TrafficClass {
-        let class = self.classify_opt(key);
+    /// Classifies `pkt` by the flow key it carries — a frame with none
+    /// falls into the default class — and stamps the class on the
+    /// packet: the only write to [`Packet::class`] there is. Returns the
+    /// class for the caller's per-class books.
+    pub fn stamp(&self, pkt: &mut Packet) -> TrafficClass {
+        let class = pkt.flow.map_or(self.default_class, |k| self.classify(&k));
         pkt.class = Some(class);
         class
     }
@@ -245,21 +210,24 @@ mod tests {
             TrafficClass::Bulk,
         );
         assert_eq!(c.classify(&key(1, 2)), TrafficClass::Bulk);
-        assert_eq!(c.classify_opt(None), TrafficClass::Bulk);
-        assert_eq!(c.classify_opt(Some(&key(7000, 2))), TrafficClass::Control);
-        // Stamping writes the class it computed, and only then.
+        // Stamping writes the class it computed from the packet's key,
+        // and only then; a packet with no key takes the default.
         let mut pkt = Packet::from_frame(crate::packet::PacketId(0), vec![0u8; 60]);
         assert_eq!(pkt.class(), None);
-        assert_eq!(c.stamp(&mut pkt, Some(&key(7000, 2))), TrafficClass::Control);
+        assert_eq!(c.stamp(&mut pkt), TrafficClass::Bulk);
+        assert_eq!(pkt.class(), Some(TrafficClass::Bulk));
+        pkt.flow = Some(key(7000, 2));
+        assert_eq!(c.stamp(&mut pkt), TrafficClass::Control);
         assert_eq!(pkt.class(), Some(TrafficClass::Control));
     }
 
     #[test]
     fn proto_constraint_participates_in_matching() {
         let r = MatchRule {
-            proto: Some(6),
-            src_port: None,
-            dst_port: None,
+            flow: FlowMatch {
+                protocol: crate::filter::ProtoMatch::Tcp,
+                ..FlowMatch::ANY
+            },
             class: TrafficClass::Realtime,
         };
         let c = Classifier::new(vec![r], TrafficClass::Bulk);
@@ -267,11 +235,12 @@ mod tests {
         assert_eq!(c.classify(&k), TrafficClass::Bulk); // proto 17
         k.proto = 6;
         assert_eq!(c.classify(&k), TrafficClass::Realtime);
-        assert_eq!(r.specificity(), 1);
+        assert_eq!(r.flow.specificity(), 1);
     }
 
     mod properties {
         use super::*;
+        use crate::filter::ProtoMatch;
         use proptest::prelude::*;
 
         /// Decodes a drawn tuple into a rule over a deliberately tiny
@@ -280,10 +249,20 @@ mod tests {
         /// would almost never exercise the overlapping-rule tie-breaks.
         fn rule(raw: (u8, u8, u8, usize)) -> MatchRule {
             let (proto, src, dst, class) = raw;
+            let port = |n: u16, base: u16| {
+                if n == 0 {
+                    PortMatch::ANY
+                } else {
+                    PortMatch::exactly(base + n)
+                }
+            };
             MatchRule {
-                proto: [None, Some(6), Some(17)][proto as usize],
-                src_port: if src == 0 { None } else { Some(6_999 + u16::from(src)) },
-                dst_port: if dst == 0 { None } else { Some(8 + u16::from(dst)) },
+                flow: FlowMatch {
+                    protocol: [ProtoMatch::Any, ProtoMatch::Tcp, ProtoMatch::Udp][proto as usize],
+                    src_port: port(u16::from(src), 6_999),
+                    dst_port: port(u16::from(dst), 8),
+                    ..FlowMatch::ANY
+                },
                 class: TrafficClass::ALL[class],
             }
         }

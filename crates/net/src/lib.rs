@@ -22,10 +22,11 @@
 //! - [`route`] — a longest-prefix-match routing table (binary trie).
 //! - [`arp::ArpCache`] — next-hop resolution, including the paper's
 //!   "phantom" ARP entry trick.
-//! - [`filter`] — a screend-style first-match packet filter rule engine.
+//! - [`filter`] — the 5-tuple rule predicate and screend's first-match
+//!   packet filter over it.
 //! - [`classify`] — deterministic, order-independent 5-tuple →
-//!   priority-class mapping (control / realtime / bulk) for the
-//!   priority-aware receive path.
+//!   priority-class mapping (control / realtime / bulk) over the same
+//!   predicate, for the priority-aware receive path.
 //! - [`gen`] — the deterministic traffic source (the paper's constant
 //!   rate with ±20 % jitter) and trace replay.
 //! - [`mutate`] — deterministic in-flight frame damage (bit flips, DMA
@@ -54,7 +55,7 @@ pub mod udp;
 pub use arp::ArpCache;
 pub use classify::{Classifier, MatchRule, TrafficClass};
 pub use ethernet::{EtherType, EthernetHeader, MacAddr};
-pub use filter::{Action, Filter, Rule};
+pub use filter::{Action, Filter, FlowMatch, Rule};
 pub use ipv4::Ipv4Header;
 pub use mutate::Mutation;
 pub use packet::{FlowKey, Packet, PacketId, StageStamps};

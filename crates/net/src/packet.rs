@@ -163,12 +163,15 @@ pub struct PacketBody {
     pub dequeued_at: Cycles,
     /// Lifecycle stage-boundary timestamps for latency accounting.
     pub stamps: StageStamps,
-    /// The transport 5-tuple the frame carries, so drop and delivery
-    /// sites never re-parse it. A [`PacketFactory`](crate::gen::PacketFactory)
-    /// stamps it from its template; otherwise the kernel parses it at RX
-    /// arrival when per-flow observability is on (`None` until then, and
-    /// for non-IP frames). Whoever edits the frame's addresses or ports
-    /// after the stamp re-parses it ([`Packet::flow_key`]).
+    /// The transport 5-tuple the frame carries: the one key screend's
+    /// filter, the classifier, the RSS hash and the per-flow books read,
+    /// so none of them parses a header. A
+    /// [`PacketFactory`](crate::gen::PacketFactory) stamps it from its
+    /// template; the kernel keys any other frame once, at RX arrival
+    /// (`None` until then, and for frames with no 5-tuple: non-IPv4,
+    /// malformed, or a UDP/TCP header cut short). Whoever edits the
+    /// frame's addresses or ports after the stamp re-parses it
+    /// ([`Packet::flow_key`]).
     pub flow: Option<FlowKey>,
     /// The priority class the admission path assigned (`None` until the
     /// kernel's classifier runs, and always `None` when classification
@@ -795,7 +798,7 @@ mod robustness {
             let _ = crate::udp::UdpHeader::parse(&data);
             let _ = crate::arp::ArpPacket::parse(&data);
             let _ = crate::icmp::IcmpMessage::parse(&data);
-            let _ = crate::filter::PacketMeta::from_ip_datagram(&data);
+            let _ = FlowKey::parse(&data);
         }
     }
 }

@@ -280,7 +280,7 @@ fi
 # queues the default flow set loads unevenly.
 for bad_spec in "trial --packets 0" "mlfrr --loss-free nan" "chaos --intensity inf" \
     "chaos --packets 5" "trial --rate 1e-6 --packets 2" "mlfrr --jobs 65" \
-    "mlfrr --packets 2 --jobs 1" "mlfrr --packets 55 --jobs 1" "observe --packets 100" \
+    "mlfrr --packets 2 --jobs 1" "mlfrr --packets 55 --jobs 1" "observe --packets 384" \
     "trial --ncpus 5"; do
     timeout 60 "$repo/target/release/livelock" $bad_spec > /dev/null 2>&1
     rc=$?
@@ -461,13 +461,13 @@ else
     echo "ci: FAIL — livelock observe exited $rc (see invariant list above)" >&2
     exit 11
 fi
-# Just past the shortest spec it accepts (289 packets at 12 000 pkts/s),
-# observe runs and its claims hold.
-if "$repo/target/release/livelock" observe --packets 300 > /dev/null; then
-    echo "ci: observe --packets 300 runs and every claim holds"
+# At the shortest spec it accepts (385 packets at 12 000 pkts/s: four
+# whole detector windows), observe runs and its claims hold.
+if "$repo/target/release/livelock" observe --packets 385 > /dev/null; then
+    echo "ci: observe --packets 385 runs and every claim holds"
 else
     rc=$?
-    echo "ci: FAIL — livelock observe --packets 300 exited $rc, want 0" >&2
+    echo "ci: FAIL — livelock observe --packets 385 exited $rc, want 0" >&2
     exit 11
 fi
 "$repo/target/release/livelock" observe --rate -5 > /dev/null 2>&1
