@@ -314,6 +314,7 @@ fn cmd_trial(args: &Args) -> Result<(), String> {
     let trace_path = args.get("chrome-trace");
     let events_path = args.get("events");
     let flamegraph_path = args.get("flamegraph");
+    cfg.latency_tracking = args.has("latency");
     cfg.telemetry = timeline_path.is_some();
     cfg.observe = events_path.is_some() || flamegraph_path.is_some();
     let freq = cfg.cost.freq;
@@ -430,7 +431,9 @@ fn print_latency_breakdown(r: &TrialResult) {
     };
     row("total", &r.latency.total);
     for s in Stage::ALL {
-        row(s.label(), r.latency.stage(s));
+        if let Some(h) = r.latency.stage(s) {
+            row(s.label(), h);
+        }
     }
     println!();
     println!("drops by reason");

@@ -203,8 +203,12 @@ pub struct TrialResult {
     /// Standard deviation of forwarding latency — the jitter the paper's
     /// §3 requires scheduling to keep low.
     pub latency_jitter: Nanos,
-    /// Full latency distributions: total sojourn plus per-stage residency
-    /// histograms (empty when `config.latency_tracking` is off).
+    /// The latency distributions, merged over CPUs. The total sojourn's
+    /// histogram and moments are always kept (the three fields above read
+    /// them). The six per-stage residency histograms — ~90 KiB and six
+    /// more samples per delivered packet — are kept only when
+    /// `config.latency_tracking` asks for them: [`LatencyStats::stage`]
+    /// is `None` otherwise.
     pub latency: LatencyStats,
     /// Every drop in the trial, attributed to a [`DropReason`].
     pub drops: DropStats,
@@ -788,7 +792,11 @@ fn run_pipeline(spec: &TrialSpec, trace_capacity: Option<usize>, drain: Cycles) 
     // trial) is made before any engine: made in the space the freed
     // engines leave, it splits the hole the next trial's engines would
     // reuse, and the heap creeps (+1–2 % peak RSS on 1-CPU workloads).
-    let latency = LatencyStats::new();
+    let latency = if spec.config.latency_tracking {
+        LatencyStats::new()
+    } else {
+        LatencyStats::total_only()
+    };
     let cpus = if coupled {
         run_sliced(&run, jobs)
     } else {
@@ -1518,6 +1526,86 @@ mod tests {
     }
 
     #[test]
+    fn polled_idle_entry_finds_the_intr_invariant_in_place() {
+        // Idle entry does not resync the interrupt-enable state; debug
+        // builds check there that it is already what a resync would set.
+        // Each trial here runs that check on a path that moves the
+        // invariant: the §7 limiter inhibiting input and idle entry
+        // re-enabling it, screend feedback at overload, a fault storm, and
+        // four CPUs stealing a saturated sibling's overflow. (With a user
+        // process the CPU never idles, so neither the check nor the old
+        // resync runs there.)
+        use crate::router::idle_witness;
+        use livelock_machine::fault::FaultPlan;
+        let freq = unmodified().cost.freq;
+        let storm = FaultPlan::storm(
+            49_157,
+            2.0,
+            freq.cycles_from_millis(25),
+            freq.cycles_from_millis(225),
+        );
+        let f = PacketFactory::paper_testbed();
+        let to_cpu0: Vec<u16> = (f.src_port..)
+            .filter(|&p| rss_queue(&udp_key(&f, p), 4) == 0)
+            .take(8)
+            .collect();
+        let screend = || {
+            KernelConfig::builder()
+                .polled(Quota::Limited(10))
+                .screend(Default::default())
+                .feedback(Default::default())
+        };
+        // (name, kernel, rate, flows, the sign the path was taken)
+        type Took = fn(&TrialResult) -> bool;
+        let cases: [(&str, _, f64, _, Took); 4] = [
+            (
+                "cycle limit",
+                KernelConfig::builder()
+                    .polled(Quota::Limited(5))
+                    .cycle_limit(0.25),
+                12_000.0,
+                None,
+                |r| r.drops.get(DropReason::FeedbackInhibit) > 0,
+            ),
+            (
+                "screend + feedback at overload",
+                screend(),
+                12_000.0,
+                None,
+                |r| r.drops.get(DropReason::FeedbackInhibit) > 0,
+            ),
+            (
+                "fault storm",
+                screend().faults(storm),
+                12_000.0,
+                None,
+                |r| r.fault.injected > 0,
+            ),
+            (
+                "4 CPUs stealing",
+                KernelConfig::builder()
+                    .polled(Quota::Limited(10))
+                    .ncpus(4)
+                    .steal(true),
+                13_000.0,
+                Some(to_cpu0),
+                |r| r.aggregate().steals_taken > 0,
+            ),
+        ];
+        for (name, b, rate_pps, flows, took) in cases {
+            let spec = TrialSpec {
+                rate_pps,
+                n_packets: 3_000,
+                flows,
+                ..TrialSpec::new(b.build())
+            };
+            let (r, checks) = idle_witness::counting(|| run_trial(&spec));
+            assert!(checks > 0, "{name}: no idle-entry check ran");
+            assert!(r.transmitted > 0 && took(&r), "{name}: path not taken");
+        }
+    }
+
+    #[test]
     fn imbalanced_flows_are_rescued_by_stealing() {
         // Steer every flow at CPU 0's queue on a 2-CPU stealing cluster:
         // CPU 0's ring overflows, CPU 1 is idle, and the steal path (not
@@ -2136,7 +2224,9 @@ mod tests {
     #[test]
     fn observe_is_zero_perturbation() {
         use crate::config::ScreendConfig;
+        use crate::stats::Stage;
         use crate::telemetry::{ObserveConfig, TelemetryConfig};
+        use livelock_sim::HdrHistogram;
         // Every observer is a pure observer: a watched trial measures
         // bit-identically to an unwatched one, on both kernels, at an
         // overloaded rate where every code path (drops, feedback,
@@ -2170,13 +2260,17 @@ mod tests {
                 let mut watched = mk(on);
                 // Each observer produced its output; clear exactly that.
                 let (latency, telemetry, observe) = on;
+                assert_eq!(watched.latency.count(), watched.transmitted, "one sample each");
                 if latency {
-                    // (The livelocked unmodified kernel delivers nothing.)
-                    assert_eq!(watched.latency.count(), watched.transmitted, "one sample each");
+                    // Only the stage book differs: the total and the
+                    // three numbers read from it are left to the
+                    // comparison below. (The livelocked unmodified kernel
+                    // delivers nothing.)
+                    assert_eq!(watched.latency.total, base.latency.total);
+                    assert!(base.latency.stage(Stage::Ring).is_none());
+                    let ring = watched.latency.stage(Stage::Ring).map(HdrHistogram::count);
+                    assert_eq!(ring, Some(watched.transmitted), "breakdown kept");
                     watched.latency = base.latency.clone();
-                    watched.latency_mean = base.latency_mean;
-                    watched.latency_p99 = base.latency_p99;
-                    watched.latency_jitter = base.latency_jitter;
                 }
                 if telemetry {
                     assert!(watched.timeline.take().is_some_and(|t| !t.is_empty()));

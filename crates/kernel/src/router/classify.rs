@@ -175,14 +175,15 @@ impl RouterKernel {
         if self.classes.is_none() {
             return true;
         }
-        let polled = self.is_polled();
-        let fill = self.bottleneck_fill();
+        // Only a polled kernel's shed controller reads the fill.
+        let fill = self.is_polled().then(|| self.bottleneck_fill());
         let Some(ce) = &mut self.classes else {
             return true;
         };
-        if polled {
+        if let Some(fill) = fill {
             ce.shed.note_pressure(fill);
         }
+        let polled = fill.is_some();
         let class = ce.classifier.stamp(pkt);
         let shed = polled && ce.shed.sheds(class);
         self.stats.class_arrival(Some(class));

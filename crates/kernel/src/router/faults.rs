@@ -219,6 +219,17 @@ impl RouterKernel {
             .is_some_and(|f| f.screend_stalled_until.is_some())
     }
 
+    /// Idle-entry recovery, in fault mode only: a lost interrupt edge
+    /// leaves work latched behind an enabled interrupt that was never
+    /// posted, and resyncing the interrupt state posts it, ahead of the
+    /// per-tick driver watchdog. Fault-free, nothing is lost and there is
+    /// nothing to repair.
+    pub(super) fn fault_idle(&mut self, env: &mut Env<'_, Event>) {
+        if self.fault.is_some() {
+            self.sync_intrs(env);
+        }
+    }
+
     /// Per-tick recovery work, run from the clock handler only in fault
     /// mode: screend restart after a stall/crash backoff, the gate
     /// watchdog that force-clears a stuck inhibit mask, and the driver

@@ -38,23 +38,39 @@ impl RouterKernel {
         }
     }
 
-    /// Re-establishes the interrupt-enable invariant for every interface:
+    /// The interrupt-enable invariant for interface `i`, as `(rx, tx)`:
     /// receive interrupts on iff the gate is open and the device has no
-    /// pending poll work; transmit interrupts on iff no pending transmit
-    /// work. Posts the interrupt when enabling with work already latched in
-    /// the device, so no wakeup is lost.
+    /// pending receive poll; transmit interrupts on iff no pending
+    /// transmit poll.
+    fn wanted_intrs(&self, i: usize) -> (bool, bool) {
+        let sid = self.ifaces[i].poll_sid;
+        (
+            self.gate.is_open() && !self.poller.is_pending(sid, PollDirection::Receive),
+            !self.poller.is_pending(sid, PollDirection::Transmit),
+        )
+    }
+
+    /// Whether every interface's device enable flags already hold the
+    /// invariant [`Self::sync_intrs`] establishes (every writer sets the
+    /// interrupt controller's mask in step with them). A ring holding
+    /// frames behind a masked receive interrupt with no poll pending is a
+    /// wakeup lost for good; this is how it shows.
+    pub(super) fn intrs_in_sync(&self) -> bool {
+        (0..self.ifaces.len()).all(|i| {
+            let nic = &self.ifaces[i].nic;
+            self.wanted_intrs(i) == (nic.rx_intr_enabled(), nic.tx_intr_enabled())
+        })
+    }
+
+    /// Re-establishes the interrupt-enable invariant
+    /// ([`Self::wanted_intrs`]) for every interface. Posts the interrupt
+    /// when enabling with work already latched in the device, so no
+    /// wakeup is lost.
     pub(super) fn sync_intrs(&mut self, env: &mut Env<'_, Event>) {
         for i in 0..self.ifaces.len() {
-            let gate_open = self.gate.is_open();
-            let rx_pending = self
-                .poller
-                .is_pending(self.ifaces[i].poll_sid, PollDirection::Receive);
-            let tx_pending = self
-                .poller
-                .is_pending(self.ifaces[i].poll_sid, PollDirection::Transmit);
+            let (want_rx, want_tx) = self.wanted_intrs(i);
             let iface = &mut self.ifaces[i];
 
-            let want_rx = gate_open && !rx_pending;
             iface.nic.set_rx_intr_enabled(want_rx);
             env.set_intr_enabled(iface.rx_src, want_rx);
             if want_rx {
@@ -65,7 +81,6 @@ impl RouterKernel {
                 }
             }
 
-            let want_tx = !tx_pending;
             iface.nic.set_tx_intr_enabled(want_tx);
             env.set_intr_enabled(iface.tx_src, want_tx);
             if want_tx {

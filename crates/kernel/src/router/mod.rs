@@ -70,7 +70,7 @@ pub(crate) use smp::{CpuLink, STEAL_BUF_CAP};
 
 use crate::config::{KernelConfig, Mode};
 use crate::flows::{FlowRegistry, FLOW_SLOTS};
-use crate::stats::{DropReason, KernelStats};
+use crate::stats::{DropReason, KernelStats, LatencyStats};
 use crate::telemetry::{LivelockDetector, ObsEvent, QueueDepths, Timeline, Totals};
 
 use livelock_machine::ledger::CycleLedger;
@@ -483,6 +483,9 @@ impl RouterKernel {
         let classes = cfg.classes.as_ref().map(ClassEngine::new);
 
         let mut stats = KernelStats::new();
+        if cfg.latency_tracking {
+            stats.latency = LatencyStats::new();
+        }
         stats.class = classes.is_some().then(crate::stats::ClassStats::new);
         stats.timeline = cfg.telemetry.then(|| Timeline::new(cpu));
         // The observability layer: per-flow registry and online livelock
@@ -1040,12 +1043,7 @@ impl Workload for RouterKernel {
                 };
                 self.stats.record_tx(now);
                 if let Some(pkt) = latency_src {
-                    self.stats.record_delivery(
-                        &pkt,
-                        now,
-                        self.cost.freq,
-                        self.cfg.latency_tracking,
-                    );
+                    self.stats.record_delivery(&pkt, now, self.cost.freq);
                 }
                 if post_tx && !self.consume_lost_tx_intr(i) {
                     env.post_intr(self.ifaces[i].tx_src);
@@ -1085,19 +1083,54 @@ impl Workload for RouterKernel {
         if !self.is_polled() {
             return;
         }
-        // "Execution of the system's idle thread also re-enables input
+        // §7: "Execution of the system's idle thread also re-enables input
         // interrupts and clears the running total."
         if let Some(lim) = &mut self.limiter {
             if lim.on_idle() {
                 self.resume_input(env, InhibitReason::CycleLimit);
             }
         }
-        if self.poll.action.is_none()
+        // No resync of the interrupt-enable state. §6.4: the polling
+        // thread "invokes the driver's interrupt-enable callback"
+        // (`sync_intrs`) once its pending packets are handled, before it
+        // sleeps, and every later gate or poll change keeps the invariant,
+        // so a resync here would find it in place. Debug builds check that
+        // it is. Only injected faults lose interrupts; their repair is
+        // `fault_idle`.
+        let poll_asleep = self.poll.action.is_none()
             && self.poll_tid.map(|t| env.thread_state(t))
-                != Some(livelock_machine::thread::ThreadState::Running)
-        {
-            self.sync_intrs(env);
+                != Some(livelock_machine::thread::ThreadState::Running);
+        if poll_asleep {
+            #[cfg(test)]
+            idle_witness::count();
+            debug_assert!(
+                self.intrs_in_sync(),
+                "interrupt-enable invariant broken at idle entry"
+            );
+            self.fault_idle(env);
         }
+    }
+}
+
+/// Counts the idle-entry invariant checks made on this thread, so a test
+/// can show the check ran.
+#[cfg(test)]
+pub(crate) mod idle_witness {
+    use std::cell::Cell;
+
+    thread_local! {
+        static CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count() {
+        CHECKS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Runs `f`, returning its output and the idle-entry checks it made.
+    pub(crate) fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = CHECKS.with(Cell::get);
+        let out = f();
+        (out, CHECKS.with(Cell::get) - before)
     }
 }
 
@@ -1141,6 +1174,43 @@ mod tests {
         assert_eq!(s.drops.wasted_drops(), 0);
         assert_eq!(e.workload().opkts(1), 1, "went out interface 1");
         assert_eq!(e.workload().opkts(0), 0);
+    }
+
+    /// A lost wakeup, seeded: frames in the ring behind a masked receive
+    /// interrupt, no poll pending. Nothing would ever drain that ring.
+    fn seed_lost_wakeup(e: &mut Engine<RouterKernel>) {
+        let k = e.workload_mut();
+        let mut factory = PacketFactory::paper_testbed();
+        for _ in 0..3 {
+            assert!(k.ifaces[0].nic.rx_arrive(factory.next_packet()).is_ok());
+        }
+        k.ifaces[0].nic.set_rx_intr_enabled(false);
+    }
+
+    fn settled_polled_engine() -> Engine<RouterKernel> {
+        let mut e = engine_for(KernelConfig::builder().polled(Quota::Limited(5)).build());
+        inject(&mut e, 100, 4, 200);
+        e.run_until(Cycles::new(10_000_000));
+        assert_eq!(e.workload().stats().transmitted, 4);
+        e
+    }
+
+    #[test]
+    fn a_masked_ring_with_no_poll_pending_breaks_the_intr_invariant() {
+        let mut e = settled_polled_engine();
+        assert!(e.workload().intrs_in_sync());
+        seed_lost_wakeup(&mut e);
+        assert!(!e.workload().intrs_in_sync());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "interrupt-enable invariant broken at idle entry")]
+    fn idle_entry_catches_a_lost_wakeup() {
+        let mut e = settled_polled_engine();
+        seed_lost_wakeup(&mut e);
+        // The next clock tick's handler returns to an idle CPU.
+        e.run_until(Cycles::new(100_000_000));
     }
 
     #[test]

@@ -61,8 +61,7 @@ impl RouterKernel {
         pkt.stamps.sq_deq = env.now();
         self.stats.record_app_delivery(env.now());
         // The application consuming the datagram ends its sojourn.
-        self.stats
-            .record_delivery(&pkt, env.now(), self.cost.freq, self.cfg.latency_tracking);
+        self.stats.record_delivery(&pkt, env.now(), self.cost.freq);
         let depth = self.socket_q.len();
         if let Some(fb) = &mut self.socket_feedback {
             match fb.on_depth(depth) {

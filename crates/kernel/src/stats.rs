@@ -342,40 +342,57 @@ pub fn stage_residencies(arrived: Cycles, stamps: &StageStamps, end: Cycles) -> 
 }
 
 /// Latency distributions for delivered packets: the total wire-to-wire
-/// sojourn plus a per-[`Stage`] residency breakdown, all as HDR-style
-/// histograms (p50/p90/p99/p99.9 within ~3%), and the total's running
-/// moments for [`LatencyStats::mean`] and [`LatencyStats::jitter`].
+/// sojourn as an HDR-style histogram (p50/p90/p99/p99.9 within ~3%) with
+/// its running moments for [`LatencyStats::mean`] and
+/// [`LatencyStats::jitter`], and — on request — a per-[`Stage`]
+/// residency breakdown in six more histograms.
 ///
-/// All storage preallocates in [`LatencyStats::new`]; recording a packet
-/// never allocates.
+/// The total and its moments are always kept: every trial's p99, mean and
+/// jitter read them. The stage book is the 6 × ~15 KiB a trial pays only
+/// when something reads it ([`LatencyStats::new`]; the kernel asks for it
+/// with `KernelConfig::latency_tracking`). All storage preallocates at
+/// construction; recording a packet never allocates.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LatencyStats {
     /// Total sojourn (arrival on the input wire to delivery).
     pub total: HdrHistogram,
     /// The total sojourn's moments, fed the same samples as `total`.
     moments: MeanVar,
-    stages: [HdrHistogram; 6],
+    /// The per-stage residencies, when kept.
+    stages: Option<[HdrHistogram; 6]>,
 }
 
 impl LatencyStats {
-    /// Creates empty, fully preallocated latency statistics.
+    /// Creates the full book: total, moments and the six stage
+    /// histograms, empty and preallocated.
     pub fn new() -> Self {
         LatencyStats {
-            total: HdrHistogram::new(),
-            moments: MeanVar::new(),
-            stages: std::array::from_fn(|_| HdrHistogram::new()),
+            stages: Some(std::array::from_fn(|_| HdrHistogram::new())),
+            ..LatencyStats::total_only()
         }
     }
 
-    /// The residency distribution for one stage.
-    pub fn stage(&self, s: Stage) -> &HdrHistogram {
-        &self.stages[s.index()]
+    /// Creates the book every trial keeps: total and moments, no stage
+    /// breakdown.
+    pub fn total_only() -> Self {
+        LatencyStats {
+            total: HdrHistogram::new(),
+            moments: MeanVar::new(),
+            stages: None,
+        }
     }
 
-    /// Records one delivered packet: total sojourn `[arrived, end)` plus
-    /// its per-stage decomposition (works for both forwarded packets,
-    /// where `end` is wire-TX completion, and locally delivered ones,
-    /// where `end` is the application consuming the datagram).
+    /// The residency distribution for one stage (`None` on a total-only
+    /// book).
+    pub fn stage(&self, s: Stage) -> Option<&HdrHistogram> {
+        self.stages.as_ref().map(|h| &h[s.index()])
+    }
+
+    /// Records one delivered packet: total sojourn `[arrived, end)` plus,
+    /// on a full book, its per-stage decomposition (works for both
+    /// forwarded packets, where `end` is wire-TX completion, and locally
+    /// delivered ones, where `end` is the application consuming the
+    /// datagram).
     pub fn record_delivery(
         &mut self,
         arrived: Cycles,
@@ -384,25 +401,27 @@ impl LatencyStats {
         freq: Freq,
     ) {
         let total = end.saturating_sub(arrived);
-        let res = stage_residencies(arrived, stamps, end);
-        debug_assert_eq!(
-            res.iter().copied().sum::<Cycles>(),
-            total,
-            "stage residencies must telescope to the total sojourn"
-        );
-        // Seven conversions per delivery share one divisor; hoist the
-        // exact multiplier (identical results) instead of dividing seven
-        // times.
+        // Up to seven conversions per delivery share one divisor; hoist
+        // the exact multiplier (identical results) instead of dividing
+        // each time.
         let exact = freq.exact_nanos_per_cycle().map(|k| (k, u64::MAX / k));
         let ns = |c: Cycles| match exact {
             Some((k, lim)) if c.raw() <= lim => Nanos::new(c.raw() * k),
             _ => freq.nanos_from_cycles(c),
         };
-        let total = ns(total);
-        self.total.record(total);
-        self.moments.record(total.raw() as f64);
-        for (h, c) in self.stages.iter_mut().zip(res) {
-            h.record(ns(c));
+        let total_ns = ns(total);
+        self.total.record(total_ns);
+        self.moments.record(total_ns.raw() as f64);
+        if let Some(stages) = &mut self.stages {
+            let res = stage_residencies(arrived, stamps, end);
+            debug_assert_eq!(
+                res.iter().copied().sum::<Cycles>(),
+                total,
+                "stage residencies must telescope to the total sojourn"
+            );
+            for (h, c) in stages.iter_mut().zip(res) {
+                h.record(ns(c));
+            }
         }
     }
 
@@ -443,19 +462,27 @@ impl LatencyStats {
         self.total.quantile(q)
     }
 
-    /// Folds another `LatencyStats` into this one.
+    /// Folds another `LatencyStats` into this one. The stage breakdown
+    /// survives when either side kept one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.total.merge(&other.total);
         self.moments.merge(&other.moments);
-        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
-            a.merge(b);
+        match (&mut self.stages, &other.stages) {
+            (Some(a), Some(b)) => {
+                for (a, b) in a.iter_mut().zip(b) {
+                    a.merge(b);
+                }
+            }
+            (None, Some(b)) => self.stages = Some(b.clone()),
+            _ => {}
         }
     }
 }
 
 impl Default for LatencyStats {
+    /// The total-only book ([`LatencyStats::total_only`]).
     fn default() -> Self {
-        LatencyStats::new()
+        LatencyStats::total_only()
     }
 }
 
@@ -706,8 +733,10 @@ pub struct KernelStats {
     /// Frames fully transmitted on output wires (the `Opkts` the paper
     /// counts).
     pub transmitted: u64,
-    /// Latency distributions (total sojourn + per-stage residencies) of
-    /// delivered packets.
+    /// Latency distributions of delivered packets: the total sojourn
+    /// always, the per-stage residencies when
+    /// [`KernelConfig::latency_tracking`](crate::config::KernelConfig::latency_tracking)
+    /// asks for them.
     pub latency: LatencyStats,
     /// Every drop, by cause: the one store the per-queue views are sums
     /// over.
@@ -775,27 +804,18 @@ impl KernelStats {
     }
 
     /// Records the end of `pkt`'s sojourn at time `end` (wire transmit or
-    /// local consumption) in every book that is on: the latency
-    /// histograms when `latency_tracking`, the per-flow registry and the
+    /// local consumption) in every book that is on: the latency book
+    /// (with its stage breakdown when kept), the per-flow registry and the
     /// per-class books. Kernel-originated packets (ARP/ICMP/replies)
     /// never arrived on a wire and are not samples. The caller counts the
     /// delivery itself ([`KernelStats::record_tx`] /
     /// [`KernelStats::record_app_delivery`]).
-    pub(crate) fn record_delivery(
-        &mut self,
-        pkt: &Packet,
-        end: Cycles,
-        freq: Freq,
-        latency_tracking: bool,
-    ) {
+    pub(crate) fn record_delivery(&mut self, pkt: &Packet, end: Cycles, freq: Freq) {
         let arrived = pkt.arrived_at;
         if arrived == Cycles::MAX {
             return;
         }
-        if latency_tracking {
-            self.latency
-                .record_delivery(arrived, &pkt.stamps, end, freq);
-        }
+        self.latency.record_delivery(arrived, &pkt.stamps, end, freq);
         if let Some(reg) = &mut self.flows {
             reg.record_delivery(pkt.flow, arrived, end, freq);
         }
@@ -954,23 +974,97 @@ mod tests {
     #[test]
     fn latency_histogram_integrates() {
         let freq = Freq::mhz(1_000); // 1 cycle == 1 ns
-        let mut s = KernelStats::new();
+        let mut l = LatencyStats::new();
         let mut stamps = StageStamps::UNSET;
         stamps.ring_deq = Cycles::new(100);
         stamps.fwd_start = Cycles::new(150);
         stamps.fwd_done = Cycles::new(250);
         stamps.out_enq = Cycles::new(250);
         stamps.tx_start = Cycles::new(300);
-        s.latency
-            .record_delivery(Cycles::new(0), &stamps, Cycles::new(400), freq);
-        assert_eq!(s.latency.count(), 1);
-        assert_eq!(s.latency.mean(), Nanos::new(400));
-        assert_eq!(s.latency.stage(Stage::Ring).sum(), Nanos::new(100));
-        assert_eq!(s.latency.stage(Stage::Ipq).sum(), Nanos::new(50));
-        assert_eq!(s.latency.stage(Stage::Fwd).sum(), Nanos::new(100));
-        assert_eq!(s.latency.stage(Stage::Sq).sum(), Nanos::new(0));
-        assert_eq!(s.latency.stage(Stage::Outq).sum(), Nanos::new(50));
-        assert_eq!(s.latency.stage(Stage::Wire).sum(), Nanos::new(100));
+        l.record_delivery(Cycles::new(0), &stamps, Cycles::new(400), freq);
+        assert_eq!(l.count(), 1);
+        assert_eq!(l.mean(), Nanos::new(400));
+        let sum = |s| l.stage(s).map(HdrHistogram::sum);
+        assert_eq!(sum(Stage::Ring), Some(Nanos::new(100)));
+        assert_eq!(sum(Stage::Ipq), Some(Nanos::new(50)));
+        assert_eq!(sum(Stage::Fwd), Some(Nanos::new(100)));
+        assert_eq!(sum(Stage::Sq), Some(Nanos::new(0)));
+        assert_eq!(sum(Stage::Outq), Some(Nanos::new(50)));
+        assert_eq!(sum(Stage::Wire), Some(Nanos::new(100)));
+    }
+
+    #[test]
+    fn a_total_only_book_keeps_the_full_books_totals() {
+        // The same deliveries into both books: total histogram and
+        // moments agree bit for bit, through a merge of each kind too;
+        // only the full book has stages, and they still telescope to the
+        // total.
+        let freq = Freq::mhz(40); // 25 ns per cycle, exact
+        let (mut full, mut lean) = (LatencyStats::new(), LatencyStats::total_only());
+        for k in 0..400u64 {
+            let arrived = Cycles::new(k * 1_009);
+            let mut stamps = StageStamps::UNSET;
+            stamps.ring_deq = arrived + Cycles::new(k % 37);
+            stamps.fwd_start = stamps.ring_deq + Cycles::new(k % 11);
+            stamps.fwd_done = stamps.fwd_start + Cycles::new(90);
+            stamps.tx_start = stamps.fwd_done + Cycles::new(k % 53);
+            let end = stamps.tx_start + Cycles::new(1_200);
+            full.record_delivery(arrived, &stamps, end, freq);
+            lean.record_delivery(arrived, &stamps, end, freq);
+        }
+        let mut merged = LatencyStats::total_only();
+        merged.merge(&lean);
+        merged.merge(&full);
+        let mut doubled = full.clone();
+        doubled.merge(&full);
+        for (a, b) in [(&full, &lean), (&doubled, &merged)] {
+            assert_eq!(a.total, b.total);
+            assert_eq!(a.moments, b.moments);
+            assert_eq!((a.mean(), a.jitter()), (b.mean(), b.jitter()));
+        }
+        assert!(Stage::ALL.iter().all(|&s| lean.stage(s).is_none()));
+        // A total-only book merging a full one takes its stages.
+        assert_eq!(merged.stage(Stage::Ring), full.stage(Stage::Ring));
+        let staged: u64 = Stage::ALL
+            .iter()
+            .map(|&s| full.stage(s).expect("full book").sum().raw())
+            .sum();
+        assert_eq!(staged, full.total.sum().raw());
+        for s in Stage::ALL {
+            assert_eq!(full.stage(s).map(HdrHistogram::count), Some(400));
+        }
+    }
+
+    #[test]
+    fn a_default_config_trial_keeps_no_stage_book() {
+        use crate::config::{KernelConfig, KernelConfigBuilder};
+        use crate::experiment::{run_trial, TrialSpec};
+        use livelock_core::poller::Quota;
+        let trial = |b: KernelConfigBuilder| {
+            run_trial(&TrialSpec {
+                rate_pps: 3_000.0,
+                n_packets: 600,
+                ..TrialSpec::new(b.build())
+            })
+        };
+        let polled2 = || KernelConfig::builder().polled(Quota::Limited(10)).ncpus(2);
+        for (plain, tracked) in [
+            (KernelConfig::builder(), KernelConfig::builder().latency_tracking(true)),
+            (polled2(), polled2().latency_tracking(true)),
+        ] {
+            let (plain, tracked) = (trial(plain), trial(tracked));
+            assert!(plain.latency.count() > 0, "the total is always kept");
+            assert!(Stage::ALL.iter().all(|&s| plain.latency.stage(s).is_none()));
+            for s in Stage::ALL {
+                let h = tracked.latency.stage(s).expect("requested");
+                assert_eq!(h.count(), tracked.transmitted, "{}", s.label());
+            }
+            assert_eq!(plain.latency.total, tracked.latency.total);
+            assert_eq!(
+                (plain.latency_mean, plain.latency_p99, plain.latency_jitter),
+                (tracked.latency_mean, tracked.latency_p99, tracked.latency_jitter)
+            );
+        }
     }
 
     #[test]

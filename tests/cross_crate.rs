@@ -393,7 +393,8 @@ fn trace_reveals_the_interleaving() {
 /// `ipintrq`; thread-dominated polled kernel → packets age in the ring).
 #[test]
 fn latency_layer_agrees_with_trace_and_counters() {
-    use livelock_kernel::stats::{DropReason, Stage};
+    use livelock_kernel::stats::{DropReason, KernelStats, Stage};
+    use livelock_sim::HdrHistogram;
 
     let freq = Freq::mhz(100);
     let load = |e: &mut Engine<RouterKernel>| {
@@ -419,13 +420,24 @@ fn latency_layer_agrees_with_trace_and_counters() {
         e
     };
 
-    let unmod = run(KernelConfig::builder().build());
-    let polled = run(KernelConfig::builder().polled(Quota::Limited(5)).build());
+    // The stage breakdown is kept only on request.
+    let unmod = run(KernelConfig::builder().latency_tracking(true).build());
+    let polled = run(
+        KernelConfig::builder()
+            .latency_tracking(true)
+            .polled(Quota::Limited(5))
+            .build(),
+    );
 
     for e in [&unmod, &polled] {
         let s = e.workload().stats();
-        // One sojourn per completed transmission, no more, no less.
+        // One sojourn per completed transmission, no more, no less, in
+        // the total and in every stage.
         assert_eq!(s.latency.count(), s.transmitted, "{s:?}");
+        for stage in Stage::ALL {
+            let h = s.latency.stage(stage).expect("breakdown requested");
+            assert_eq!(h.count(), s.transmitted, "{}", stage.label());
+        }
         // Double bookkeeping: taxonomy and legacy counters agree. (RED
         // drops land in `ifq_drops` too, and feedback inhibits in
         // `rx_ring_drops`, per the `record_drop` contract.)
@@ -456,17 +468,20 @@ fn latency_layer_agrees_with_trace_and_counters() {
     // packets wait in the ring for the polling thread instead.
     let su = unmod.workload().stats();
     let sp = polled.workload().stats();
+    fn stage(s: &KernelStats, st: Stage) -> &HdrHistogram {
+        s.latency.stage(st).expect("breakdown requested")
+    }
     let tu = unmod.trace().expect("tracing enabled");
     let tp = polled.trace().expect("tracing enabled");
     let intr_u = tu.count_matching(|ev| matches!(ev, TraceEvent::IntrEnter(_)));
     let intr_p = tp.count_matching(|ev| matches!(ev, TraceEvent::IntrEnter(_)));
     assert!(intr_p < intr_u / 2, "polled takes fewer interrupts");
     assert!(
-        su.latency.stage(Stage::Ipq).quantile(0.5) > sp.latency.stage(Stage::Ipq).quantile(0.99),
+        stage(su, Stage::Ipq).quantile(0.5) > stage(sp, Stage::Ipq).quantile(0.99),
         "unmodified sojourns are ipintrq-dominated"
     );
     assert!(
-        sp.latency.stage(Stage::Ring).quantile(0.5) > su.latency.stage(Stage::Ring).quantile(0.5),
+        stage(sp, Stage::Ring).quantile(0.5) > stage(su, Stage::Ring).quantile(0.5),
         "polled sojourns age in the RX ring instead"
     );
 }
