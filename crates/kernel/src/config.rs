@@ -192,12 +192,6 @@ pub struct KernelConfig {
     pub ipintrq_cap: usize,
     /// Per-interface output queue length limit.
     pub ifq_cap: usize,
-    /// Apply RED early-drop admission on output queues instead of pure
-    /// drop-tail (the §8-cited alternative policy)?
-    pub ifq_red: bool,
-    /// Originate ICMP errors (Time Exceeded, Destination Unreachable) for
-    /// undeliverable packets, rate-paced as real routers do?
-    pub icmp_errors: bool,
     /// Forward packets between interfaces (a router)? When `false` the
     /// host is a pure end-system: traffic not addressed to it is discarded
     /// after input processing — the cost the paper's "innocent-bystander
@@ -260,8 +254,6 @@ impl KernelConfig {
             nic: NicConfig::default(),
             ipintrq_cap: 50,
             ifq_cap: 50,
-            ifq_red: false,
-            icmp_errors: false,
             ip_forwarding: true,
             num_ifaces: 2,
             topology: Topology::default(),
@@ -402,12 +394,6 @@ impl KernelConfigBuilder {
     /// Forward packets between interfaces (`false` = pure end-system).
     pub fn ip_forwarding(mut self, on: bool) -> Self {
         self.cfg.ip_forwarding = on;
-        self
-    }
-
-    /// Applies RED early-drop admission on output queues.
-    pub fn ifq_red(mut self, on: bool) -> Self {
-        self.cfg.ifq_red = on;
         self
     }
 

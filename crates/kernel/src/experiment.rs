@@ -1008,12 +1008,12 @@ pub fn run_chaos_trial(spec: &TrialSpec) -> ChaosReport {
 }
 
 /// Per-buffer capacity of a trial's frame pools. The paper's test frames
-/// are minimum-size (60 bytes); ICMP errors quoting them and ARP replies
-/// also fit well under this, so pooled buffers never grow.
+/// are minimum-size (60 bytes); ARP and application replies also fit
+/// well under this, so pooled buffers never grow.
 const POOL_BUF_CAPACITY: usize = 128;
 
 /// Extra pool buffers per CPU beyond the rings and queues: frames in a
-/// handler's hands and kernel-originated replies (ARP, ICMP, application
+/// handler's hands and kernel-originated replies (ARP, application
 /// echoes) in flight at once.
 const POOL_HEADROOM: usize = 64;
 

@@ -16,7 +16,7 @@ use livelock_net::packet::PacketId;
 use super::*;
 
 /// Synthesized overrun-storm frames draw ids from this reserved range
-/// (distinct from the reply, ICMP, and ARP ranges).
+/// (distinct from the reply and ARP ranges).
 const STORM_ID_BASE: u64 = u64::MAX / 3;
 
 /// Ticks a nonzero gate bitmask may persist unchanged before the
@@ -275,15 +275,17 @@ impl RouterKernel {
             }
         }
         for i in 0..self.ifaces.len() {
-            let nic = &self.ifaces[i].nic;
-            if nic.rx_intr_enabled() && nic.rx_pending() > 0 && !self.rx_intr_deferred[i] {
+            let iface = &self.ifaces[i];
+            if env.intr_enabled(iface.rx_src)
+                && iface.nic.rx_pending() > 0
+                && !self.rx_intr_deferred[i]
+            {
                 self.stats.fault.intr_reposts += 1;
-                env.post_intr(self.ifaces[i].rx_src);
+                env.post_intr(iface.rx_src);
             }
-            let nic = &self.ifaces[i].nic;
-            if nic.tx_intr_enabled() && nic.tx_unreclaimed() > 0 {
+            if env.intr_enabled(iface.tx_src) && iface.nic.tx_unreclaimed() > 0 {
                 self.stats.fault.intr_reposts += 1;
-                env.post_intr(self.ifaces[i].tx_src);
+                env.post_intr(iface.tx_src);
             }
         }
     }

@@ -1,5 +1,5 @@
-//! The forwarding plane: routing, ARP, ICMP errors, local delivery,
-//! output queues and the wire.
+//! The forwarding plane: routing, ARP, local delivery, output queues and
+//! the wire.
 
 use super::*;
 
@@ -26,7 +26,7 @@ impl RouterKernel {
         self.route_inner(pkt, now, false)
     }
 
-    /// Routes a packet the host itself originated (replies, ICMP errors):
+    /// Routes a packet the host itself originated (application replies):
     /// the end-system no-forwarding guard does not apply to its own output.
     pub(super) fn route_output(&mut self, pkt: Packet, now: Cycles) -> Option<Routed> {
         self.route_inner(pkt, now, true)
@@ -61,13 +61,11 @@ impl RouterKernel {
             _ => {
                 let Some(hop) = self.routes.lookup(ip.dst) else {
                     self.stats.record_drop_for(DropReason::NoRoute, flow);
-                    self.queue_icmp_error(&pkt, IcmpErrorKind::NetUnreachable, now);
                     return None;
                 };
                 let arp_target = hop.gateway.unwrap_or(ip.dst);
                 let Some((mac, expires)) = self.arp.lookup(arp_target, now) else {
                     self.stats.record_drop_for(DropReason::NoArp, flow);
-                    self.queue_icmp_error(&pkt, IcmpErrorKind::HostUnreachable, now);
                     return None;
                 };
                 self.fwd_cache = Some(FwdCache {
@@ -88,7 +86,6 @@ impl RouterKernel {
         };
         if decrement_ttl(hdr).is_err() {
             self.stats.record_drop_for(DropReason::TtlExpired, flow);
-            self.queue_icmp_error(&pkt, IcmpErrorKind::TimeExceeded, now);
             return None;
         }
         let src_mac = self.ifaces[hop.iface].mac;
@@ -155,65 +152,6 @@ impl RouterKernel {
             self.output_enqueue(env, in_iface, out);
         }
         true
-    }
-
-    /// Builds a paced ICMP error quoting the undeliverable packet and
-    /// stashes it for [`RouterKernel::flush_icmp`].
-    pub(super) fn queue_icmp_error(&mut self, orig: &Packet, kind: IcmpErrorKind, now: Cycles) {
-        if !self.cfg.icmp_errors {
-            return;
-        }
-        let Ok(ip) = orig.ipv4() else {
-            return;
-        };
-        // Never generate errors about ICMP (RFC 1122 anti-storm rule).
-        if ip.protocol == proto::ICMP {
-            return;
-        }
-        if !self.icmp_pace.allow(now.raw()) {
-            self.stats.icmp_suppressed += 1;
-            return;
-        }
-        let Ok(dgram) = orig.ip_datagram() else {
-            return;
-        };
-        let msg = match kind {
-            IcmpErrorKind::TimeExceeded => IcmpMessage::time_exceeded(dgram),
-            IcmpErrorKind::NetUnreachable => IcmpMessage::dest_unreachable(0, dgram),
-            IcmpErrorKind::HostUnreachable => IcmpMessage::dest_unreachable(1, dgram),
-        };
-        // Source the error from our interface facing the offender.
-        let src_ip = self
-            .routes
-            .lookup(ip.src)
-            .map_or(self.ifaces[0].ip, |hop| self.ifaces[hop.iface].ip);
-        self.reply_seq += 1;
-        let id = livelock_net::packet::PacketId(u64::MAX / 4 + self.reply_seq);
-        // MACs are zero here; route_packet rewrites them.
-        let err = Packet::icmp_ipv4_in(
-            &self.pool,
-            id,
-            MacAddr::ZERO,
-            MacAddr::ZERO,
-            src_ip,
-            ip.src,
-            32,
-            &msg,
-        );
-        self.pending_icmp.push(err);
-    }
-
-    /// Routes and transmits any queued ICMP errors. Called right after
-    /// every `route_packet` batch, in packet-processing context, so the
-    /// errors are charged to the same CPU budget as the packets that
-    /// caused them.
-    pub(super) fn flush_icmp(&mut self, env: &mut Env<'_, Event>) {
-        while let Some(err) = self.pending_icmp.pop() {
-            self.stats.icmp_errors_sent += 1;
-            if let Some(Routed::Forward(out_iface, pkt)) = self.route_output(err, env.now()) {
-                self.output_enqueue(env, out_iface, pkt);
-            }
-        }
     }
 
     /// Sends a routed packet on its way: toward an output interface (via
@@ -286,15 +224,8 @@ impl RouterKernel {
         mut pkt: Packet,
     ) {
         let flow = pkt.flow;
-        let iface = &mut self.ifaces[out_iface];
-        if let Some(red) = &mut iface.out_red {
-            if red.admit(iface.out_q.len()) == Admission::EarlyDrop {
-                self.stats.record_drop_for(DropReason::RedEarlyDrop, flow);
-                return;
-            }
-        }
         pkt.stamps.out_enq = env.now();
-        if iface.out_q.enqueue(pkt).is_ok() {
+        if self.ifaces[out_iface].out_q.enqueue(pkt).is_ok() {
             self.try_tx_start(env, out_iface);
         } else {
             self.stats.record_drop_for(DropReason::OutputQueueFull, flow);

@@ -19,9 +19,7 @@ impl RouterKernel {
         if self.gate.inhibit(reason) == GateChange::Closed {
             self.poller.set_rx_inhibited(true);
             for i in 0..self.ifaces.len() {
-                let iface = &mut self.ifaces[i];
-                iface.nic.set_rx_intr_enabled(false);
-                env.set_intr_enabled(iface.rx_src, false);
+                self.sync_intr(env, i, PollDirection::Receive);
             }
         }
     }
@@ -38,60 +36,67 @@ impl RouterKernel {
         }
     }
 
-    /// The interrupt-enable invariant for interface `i`, as `(rx, tx)`:
-    /// receive interrupts on iff the gate is open and the device has no
-    /// pending receive poll; transmit interrupts on iff no pending
-    /// transmit poll.
-    fn wanted_intrs(&self, i: usize) -> (bool, bool) {
-        let sid = self.ifaces[i].poll_sid;
-        (
-            self.gate.is_open() && !self.poller.is_pending(sid, PollDirection::Receive),
-            !self.poller.is_pending(sid, PollDirection::Transmit),
-        )
+    /// Interface `i`'s interrupt source in `dir`.
+    fn intr_src(&self, i: usize, dir: PollDirection) -> IntrSrc {
+        match dir {
+            PollDirection::Receive => self.ifaces[i].rx_src,
+            PollDirection::Transmit => self.ifaces[i].tx_src,
+        }
     }
 
-    /// Whether every interface's device enable flags already hold the
-    /// invariant [`Self::sync_intrs`] establishes (every writer sets the
-    /// interrupt controller's mask in step with them). A ring holding
-    /// frames behind a masked receive interrupt with no poll pending is a
-    /// wakeup lost for good; this is how it shows.
-    pub(super) fn intrs_in_sync(&self) -> bool {
+    /// The interrupt-enable invariant: interface `i`'s interrupt in `dir`
+    /// is unmasked iff the device has no pending poll in `dir` and, for
+    /// receive, the gate is open.
+    fn wanted_intr(&self, i: usize, dir: PollDirection) -> bool {
+        let open = dir == PollDirection::Transmit || self.gate.is_open();
+        open && !self.poller.is_pending(self.ifaces[i].poll_sid, dir)
+    }
+
+    /// Whether interface `i`'s device has work in `dir`: frames in a
+    /// receive ring; descriptors to reclaim, or a queued frame and a free
+    /// descriptor to start it in.
+    pub(super) fn has_work(&self, i: usize, dir: PollDirection) -> bool {
+        let iface = &self.ifaces[i];
+        match dir {
+            PollDirection::Receive => iface.nic.rx_pending() > 0,
+            PollDirection::Transmit => iface.nic.tx_unreclaimed() > 0 || iface.tx_startable(),
+        }
+    }
+
+    /// Whether every interface's interrupt mask (`enabled`, the
+    /// controller's) holds the invariant [`Self::sync_intr`] writes. A
+    /// ring holding frames behind a masked receive interrupt with no poll
+    /// pending is a wakeup lost for good; this is how it shows.
+    pub(super) fn intrs_in_sync(&self, enabled: impl Fn(IntrSrc) -> bool) -> bool {
         (0..self.ifaces.len()).all(|i| {
-            let nic = &self.ifaces[i].nic;
-            self.wanted_intrs(i) == (nic.rx_intr_enabled(), nic.tx_intr_enabled())
+            [PollDirection::Receive, PollDirection::Transmit]
+                .into_iter()
+                .all(|dir| enabled(self.intr_src(i, dir)) == self.wanted_intr(i, dir))
         })
     }
 
-    /// Re-establishes the interrupt-enable invariant
-    /// ([`Self::wanted_intrs`]) for every interface. Posts the interrupt
-    /// when enabling with work already latched in the device, so no
-    /// wakeup is lost.
+    /// The one writer of the interrupt mask: sets interface `i`'s
+    /// interrupt in `dir` to [`Self::wanted_intr`]. Enabling posts the
+    /// interrupt when the device already has work, so no wakeup is lost
+    /// (drivers re-check device status after enabling), and clears a
+    /// stale latch otherwise.
+    pub(super) fn sync_intr(&mut self, env: &mut Env<'_, Event>, i: usize, dir: PollDirection) {
+        let (want, src) = (self.wanted_intr(i, dir), self.intr_src(i, dir));
+        env.set_intr_enabled(src, want);
+        if want {
+            if self.has_work(i, dir) {
+                env.post_intr(src);
+            } else {
+                env.intr_ack(src);
+            }
+        }
+    }
+
+    /// [`Self::sync_intr`] for every interface and direction.
     pub(super) fn sync_intrs(&mut self, env: &mut Env<'_, Event>) {
         for i in 0..self.ifaces.len() {
-            let (want_rx, want_tx) = self.wanted_intrs(i);
-            let iface = &mut self.ifaces[i];
-
-            iface.nic.set_rx_intr_enabled(want_rx);
-            env.set_intr_enabled(iface.rx_src, want_rx);
-            if want_rx {
-                if iface.nic.rx_pending() > 0 {
-                    env.post_intr(iface.rx_src);
-                } else {
-                    env.intr_ack(iface.rx_src);
-                }
-            }
-
-            iface.nic.set_tx_intr_enabled(want_tx);
-            env.set_intr_enabled(iface.tx_src, want_tx);
-            if want_tx {
-                let tx_work = iface.nic.tx_unreclaimed() > 0
-                    || (!iface.out_q.is_empty() && iface.nic.tx_slots_free() > 0);
-                if tx_work {
-                    env.post_intr(iface.tx_src);
-                } else {
-                    env.intr_ack(iface.tx_src);
-                }
-            }
+            self.sync_intr(env, i, PollDirection::Receive);
+            self.sync_intr(env, i, PollDirection::Transmit);
         }
     }
 

@@ -43,13 +43,10 @@ use livelock_machine::wire::Wire;
 use livelock_net::arp::{ArpCache, ArpOp, ArpPacket, ARP_PACKET_LEN};
 use livelock_net::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
 use livelock_net::filter::{Action, Filter};
-use livelock_net::icmp::IcmpMessage;
 use livelock_net::ipv4::decrement_ttl;
-use livelock_net::ipv4::proto;
 use livelock_net::packet::Packet;
 use livelock_net::pool::{FrameBuf, FramePool};
 use livelock_net::queue::DropTailQueue;
-use livelock_net::red::{Admission, Red};
 use livelock_net::route::{NextHop, RouteTable};
 use livelock_sim::Cycles;
 
@@ -215,17 +212,51 @@ struct Iface {
     nic: Nic,
     ip: Ipv4Addr,
     out_q: DropTailQueue<Packet>,
-    out_red: Option<Red>,
     wire: Wire,
     inflight: Option<Packet>,
     rx_src: IntrSrc,
     tx_src: IntrSrc,
     mac: MacAddr,
     poll_sid: SourceId,
-    /// Handler state: the dispatch chunk has run for the current
-    /// activation.
-    rx_in_handler: bool,
-    tx_in_handler: bool,
+}
+
+impl Iface {
+    /// Whether a queued frame can start: the output queue holds one and
+    /// the transmit ring has a free descriptor for it.
+    fn tx_startable(&self) -> bool {
+        !self.out_q.is_empty() && self.nic.tx_slots_free() > 0
+    }
+}
+
+/// One bit per interrupt source (the controller caps them at 64), set
+/// while the source's handler is active: its first chunk has been issued
+/// and it has not yet returned.
+#[derive(Clone, Copy, Debug, Default)]
+struct InHandler(u64);
+
+impl InHandler {
+    /// Starts `src`'s handler; `false` when it is already active.
+    fn enter(&mut self, src: IntrSrc) -> bool {
+        let bit = 1 << src.0;
+        let entered = self.0 & bit == 0;
+        self.0 |= bit;
+        entered
+    }
+
+    /// Ends `src`'s handler.
+    fn leave(&mut self, src: IntrSrc) {
+        self.0 &= !(1 << src.0);
+    }
+
+    /// A one-chunk handler: `chunk` on entry, then `None` as it returns.
+    fn once(&mut self, src: IntrSrc, chunk: Chunk) -> Option<Chunk> {
+        if self.enter(src) {
+            Some(chunk)
+        } else {
+            self.leave(src);
+            None
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -233,14 +264,6 @@ struct PollState {
     action: Option<PollAction>,
     done_in_cb: u32,
     cb_started_at: Cycles,
-}
-
-/// Which ICMP error an undeliverable packet triggers.
-#[derive(Clone, Copy, Debug)]
-enum IcmpErrorKind {
-    TimeExceeded,
-    NetUnreachable,
-    HostUnreachable,
 }
 
 /// Where a routed packet goes next.
@@ -260,9 +283,7 @@ pub struct RouterKernel {
     softnet_src: IntrSrc,
     clock_src: IntrSrc,
     softclock_src: IntrSrc,
-    softnet_in_handler: bool,
-    clock_in_handler: bool,
-    softclock_in_handler: bool,
+    in_handler: InHandler,
     /// Queue to the user-mode screend process: already-routed packets with
     /// their output interface.
     screend_q: DropTailQueue<(usize, Packet)>,
@@ -273,9 +294,6 @@ pub struct RouterKernel {
     rx_rate_limiter: Option<IntrRateLimiter>,
     /// Per-interface flag: a deferred receive interrupt is scheduled.
     rx_intr_deferred: Vec<bool>,
-    /// ICMP errors awaiting transmission (drained right after routing).
-    pending_icmp: Vec<Packet>,
-    icmp_pace: IntrRateLimiter,
     routes: RouteTable,
     arp: ArpCache,
     /// Cleared by every change to `routes` or `arp`.
@@ -290,7 +308,7 @@ pub struct RouterKernel {
     screend_tid: Option<ThreadId>,
     app_tid: Option<ThreadId>,
     user_tid: Option<ThreadId>,
-    /// Frame pool for kernel-originated packets (ARP/ICMP/UDP replies).
+    /// Frame pool for kernel-originated packets (ARP/UDP replies).
     pool: FramePool,
     /// Live fault-injection state; `None` when no fault plan is
     /// configured, in which case every fault hook is dead code.
@@ -302,7 +320,6 @@ pub struct RouterKernel {
     /// The per-CPU IPI interrupt source; on a lone CPU it exists and is
     /// never posted.
     ipi_src: IntrSrc,
-    ipi_in_handler: bool,
     /// The online livelock detector; `None` unless
     /// [`KernelConfig::observe`] is set, in which case the clock tick
     /// pays nothing for it.
@@ -327,8 +344,8 @@ impl RouterKernel {
     }
 
     /// Builds the kernel of CPU `link.cpu()` of a cluster. Every
-    /// kernel-originated packet (ARP replies, ICMP errors, application
-    /// replies) draws its frame buffer from `pool`.
+    /// kernel-originated packet (ARP and application replies) draws its
+    /// frame buffer from `pool`.
     pub(crate) fn build_linked(
         cfg: KernelConfig,
         link: CpuLink,
@@ -373,17 +390,12 @@ impl RouterKernel {
                 nic: Nic::new("ln", cfg.nic).with_rx_rings(cfg.rx_rings()),
                 ip: Ipv4Addr::new(10, i as u8, 0, 1),
                 out_q: DropTailQueue::new("ifqueue", cfg.ifq_cap),
-                out_red: cfg
-                    .ifq_red
-                    .then(|| Red::for_capacity(cfg.ifq_cap, 0x5EED + i as u64)),
                 wire: Wire::ethernet_10m(cost.freq),
                 inflight: None,
                 rx_src,
                 tx_src,
                 mac: MacAddr::local(i as u32 + 1),
                 poll_sid,
-                rx_in_handler: false,
-                tx_in_handler: false,
             });
         }
 
@@ -503,9 +515,6 @@ impl RouterKernel {
             reply_seq: 0,
             rx_rate_limiter,
             rx_intr_deferred,
-            pending_icmp: Vec::new(),
-            // Standard ICMP-error pacing: ~1000/s with small bursts.
-            icmp_pace: IntrRateLimiter::new(cost.clock_tick_interval.raw(), 8),
             cfg,
             cost,
             ifaces,
@@ -513,9 +522,7 @@ impl RouterKernel {
             softnet_src,
             clock_src,
             softclock_src,
-            softnet_in_handler: false,
-            clock_in_handler: false,
-            softclock_in_handler: false,
+            in_handler: InHandler::default(),
             routes,
             arp,
             fwd_cache: None,
@@ -533,7 +540,6 @@ impl RouterKernel {
             fault,
             link,
             ipi_src,
-            ipi_in_handler: false,
             detector,
             classes,
             stats,
@@ -782,7 +788,7 @@ impl RouterKernel {
         // The NIC files the frame by its class stamp.
         let accepted = iface.nic.rx_arrive(pkt).is_ok();
         if accepted {
-            if iface.nic.rx_intr_enabled() {
+            if env.intr_enabled(iface.rx_src) {
                 self.post_rx_intr(env, i);
             }
         } else if inhibited {
@@ -892,50 +898,25 @@ impl Workload for RouterKernel {
         match ctx {
             CtxKind::Intr(src) => match self.src_roles[src.0] {
                 SrcRole::Clock => {
-                    if self.clock_in_handler {
-                        self.clock_in_handler = false;
-                        return None;
-                    }
-                    self.clock_in_handler = true;
-                    Some(Chunk::new(self.cost.clock_tick_handler, tag::CLOCK))
+                    let chunk = Chunk::new(self.cost.clock_tick_handler, tag::CLOCK);
+                    self.in_handler.once(src, chunk)
                 }
                 SrcRole::Softclock => {
-                    if self.softclock_in_handler {
-                        self.softclock_in_handler = false;
-                        return None;
-                    }
-                    self.softclock_in_handler = true;
-                    Some(Chunk::new(
-                        self.cost.housekeeping_per_tick,
-                        tag::HOUSEKEEPING,
-                    ))
+                    let chunk = Chunk::new(self.cost.housekeeping_per_tick, tag::HOUSEKEEPING);
+                    self.in_handler.once(src, chunk)
                 }
                 SrcRole::Softnet => self.softnet_next(env),
-                SrcRole::Rx(i) => {
-                    if self.is_polled() {
-                        self.stub_next(i, true)
-                    } else {
-                        self.unmod_rx_next(env, i)
-                    }
-                }
-                SrcRole::Tx(i) => {
-                    if self.is_polled() {
-                        self.stub_next(i, false)
-                    } else {
-                        self.unmod_tx_next(env, i)
-                    }
-                }
+                SrcRole::Rx(_) if self.is_polled() => self.stub_next(src, tag::RX_STUB),
+                SrcRole::Rx(i) => self.unmod_rx_next(env, i),
+                SrcRole::Tx(_) if self.is_polled() => self.stub_next(src, tag::TX_STUB),
+                SrcRole::Tx(i) => self.unmod_tx_next(env, i),
                 SrcRole::Ipi => {
-                    if self.ipi_in_handler {
-                        self.ipi_in_handler = false;
-                        env.intr_ack(self.ipi_src);
-                        return None;
+                    let chunk = Chunk::new(self.cost.intr_dispatch + self.cost.ipi, tag::IPI);
+                    let chunk = self.in_handler.once(src, chunk);
+                    if chunk.is_none() {
+                        env.intr_ack(src);
                     }
-                    self.ipi_in_handler = true;
-                    Some(Chunk::new(
-                        self.cost.intr_dispatch + self.cost.ipi,
-                        tag::IPI,
-                    ))
+                    chunk
                 }
             },
             CtxKind::Thread(tid) => {
@@ -994,12 +975,12 @@ impl Workload for RouterKernel {
             }
             (CtxKind::Intr(src), tag::RX_STUB) => {
                 if let SrcRole::Rx(i) = self.src_roles[src.0] {
-                    self.stub_done(env, i, true);
+                    self.stub_done(env, i, PollDirection::Receive);
                 }
             }
             (CtxKind::Intr(src), tag::TX_STUB) => {
                 if let SrcRole::Tx(i) = self.src_roles[src.0] {
-                    self.stub_done(env, i, false);
+                    self.stub_done(env, i, PollDirection::Transmit);
                 }
             }
             (CtxKind::Intr(_), tag::SOFTNET_PKT) => self.softnet_done(env),
@@ -1039,7 +1020,7 @@ impl Workload for RouterKernel {
                     iface.nic.tx_complete();
                     let pkt = iface.inflight.take();
                     Self::kick_wire(env, iface, i);
-                    (pkt, iface.nic.tx_intr_enabled())
+                    (pkt, env.intr_enabled(iface.tx_src))
                 };
                 self.stats.record_tx(now);
                 if let Some(pkt) = latency_src {
@@ -1070,7 +1051,7 @@ impl Workload for RouterKernel {
                 // allowed; the bucket is consulted again (and may defer
                 // again), so the receive-interrupt rate is strictly
                 // bounded.
-                if self.ifaces[i].nic.rx_intr_enabled() && self.ifaces[i].nic.rx_pending() > 0 {
+                if env.intr_enabled(self.ifaces[i].rx_src) && self.ifaces[i].nic.rx_pending() > 0 {
                     self.post_rx_intr(env, i);
                 }
             }
@@ -1104,7 +1085,7 @@ impl Workload for RouterKernel {
             #[cfg(test)]
             idle_witness::count();
             debug_assert!(
-                self.intrs_in_sync(),
+                self.intrs_in_sync(|src| env.intr_enabled(src)),
                 "interrupt-enable invariant broken at idle entry"
             );
             self.fault_idle(env);
@@ -1176,15 +1157,19 @@ mod tests {
         assert_eq!(e.workload().opkts(0), 0);
     }
 
-    /// A lost wakeup, seeded: frames in the ring behind a masked receive
-    /// interrupt, no poll pending. Nothing would ever drain that ring.
-    fn seed_lost_wakeup(e: &mut Engine<RouterKernel>) {
-        let k = e.workload_mut();
+    /// A lost wakeup, seeded into an idle engine: frames in the ring
+    /// behind a masked receive interrupt, no poll pending. Nothing would
+    /// ever drain that ring.
+    fn seed_lost_wakeup(e: Engine<RouterKernel>) -> Engine<RouterKernel> {
+        assert_eq!(e.current_ipl(), Ipl::NONE, "seeded between handlers");
+        let ctx_switch = e.workload().cost.ctx_switch;
+        let (mut st, mut k) = e.into_parts();
         let mut factory = PacketFactory::paper_testbed();
         for _ in 0..3 {
             assert!(k.ifaces[0].nic.rx_arrive(factory.next_packet()).is_ok());
         }
-        k.ifaces[0].nic.set_rx_intr_enabled(false);
+        st.intr.set_enabled(k.ifaces[0].rx_src, false);
+        Engine::new(st, k, ctx_switch)
     }
 
     fn settled_polled_engine() -> Engine<RouterKernel> {
@@ -1195,22 +1180,71 @@ mod tests {
         e
     }
 
+    /// Whether the controller's mask in `st` holds `k`'s invariant.
+    fn in_sync(st: &EnvState<Event>, k: &RouterKernel) -> bool {
+        k.intrs_in_sync(|src| st.intr.is_enabled(src))
+    }
+
     #[test]
     fn a_masked_ring_with_no_poll_pending_breaks_the_intr_invariant() {
-        let mut e = settled_polled_engine();
-        assert!(e.workload().intrs_in_sync());
-        seed_lost_wakeup(&mut e);
-        assert!(!e.workload().intrs_in_sync());
+        let e = settled_polled_engine();
+        assert!(in_sync(e.state(), e.workload()));
+        let e = seed_lost_wakeup(e);
+        assert!(!in_sync(e.state(), e.workload()));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "interrupt-enable invariant broken at idle entry")]
     fn idle_entry_catches_a_lost_wakeup() {
-        let mut e = settled_polled_engine();
-        seed_lost_wakeup(&mut e);
+        let mut e = seed_lost_wakeup(settled_polled_engine());
         // The next clock tick's handler returns to an idle CPU.
         e.run_until(Cycles::new(100_000_000));
+    }
+
+    /// A polled kernel and its machine state, outside any engine.
+    fn polled_kernel() -> (EnvState<Event>, RouterKernel) {
+        RouterKernel::build(KernelConfig::builder().polled(Quota::Limited(5)).build())
+    }
+
+    #[test]
+    fn reopening_the_gate_over_a_full_ring_latches_the_rx_intr() {
+        let (mut st, mut k) = polled_kernel();
+        let rx = k.ifaces[0].rx_src;
+        k.inhibit_input(&mut st.env(), InhibitReason::QueueFeedback);
+        assert!(!st.intr.is_enabled(rx), "a closed gate masks receive");
+        // Frames land while the gate is closed: no interrupt is posted.
+        let mut factory = PacketFactory::paper_testbed();
+        for _ in 0..2 {
+            assert!(k.ifaces[0].nic.rx_arrive(factory.next_packet()).is_ok());
+        }
+        assert!(!st.intr.is_pending(rx));
+        k.resume_input(&mut st.env(), InhibitReason::QueueFeedback);
+        assert!(st.intr.is_enabled(rx), "an open gate unmasks receive");
+        assert!(st.intr.is_pending(rx), "the frames' wakeup is latched");
+        assert!(in_sync(&st, &k));
+    }
+
+    #[test]
+    fn finishing_a_tx_callback_with_reclaimable_descriptors_latches_the_tx_intr() {
+        let (mut st, mut k) = polled_kernel();
+        let tx = k.ifaces[0].tx_src;
+        // The stub hands the device to the poll thread: a pending
+        // transmit poll masks the interrupt.
+        k.stub_done(&mut st.env(), 0, PollDirection::Transmit);
+        assert!(!st.intr.is_enabled(tx));
+        // A frame goes out; its descriptor awaits reclaim.
+        let nic = &mut k.ifaces[0].nic;
+        let pkt = PacketFactory::paper_testbed().next_packet();
+        assert!(nic.tx_submit(pkt).is_ok());
+        assert!(nic.tx_begin().is_some());
+        nic.tx_complete();
+        let action = k.poller.next_action().expect("the stub's request");
+        assert_eq!(action.dir, PollDirection::Transmit);
+        k.finish_callback(&mut st.env(), action, false);
+        assert!(st.intr.is_enabled(tx), "no poll pending unmasks transmit");
+        assert!(st.intr.is_pending(tx), "the reclaim's wakeup is latched");
+        assert!(in_sync(&st, &k));
     }
 
     #[test]

@@ -4,39 +4,19 @@
 use super::*;
 
 impl RouterKernel {
-    pub(super) fn stub_next(&mut self, i: usize, rx: bool) -> Option<Chunk> {
-        let iface = &mut self.ifaces[i];
-        let in_handler = if rx {
-            &mut iface.rx_in_handler
-        } else {
-            &mut iface.tx_in_handler
-        };
-        if *in_handler {
-            *in_handler = false;
-            return None;
-        }
-        *in_handler = true;
-        Some(Chunk::new(
-            self.cost.intr_dispatch + self.cost.intr_stub + self.cost.poll_wakeup,
-            if rx { tag::RX_STUB } else { tag::TX_STUB },
-        ))
+    /// The interrupt stub: one chunk per activation.
+    pub(super) fn stub_next(&mut self, src: IntrSrc, stub: u64) -> Option<Chunk> {
+        let cost = self.cost.intr_dispatch + self.cost.intr_stub + self.cost.poll_wakeup;
+        self.in_handler.once(src, Chunk::new(cost, stub))
     }
 
-    pub(super) fn stub_done(&mut self, env: &mut Env<'_, Event>, i: usize, rx: bool) {
+    pub(super) fn stub_done(&mut self, env: &mut Env<'_, Event>, i: usize, dir: PollDirection) {
         // "it simply schedules the polling thread ..., recording its need
         // for packet processing, and then returns from the interrupt. It
-        // does not set the device's interrupt-enable flag."
-        let sid = self.ifaces[i].poll_sid;
-        let iface = &mut self.ifaces[i];
-        if rx {
-            iface.nic.set_rx_intr_enabled(false);
-            env.set_intr_enabled(iface.rx_src, false);
-            self.poller.request(sid, PollDirection::Receive);
-        } else {
-            iface.nic.set_tx_intr_enabled(false);
-            env.set_intr_enabled(iface.tx_src, false);
-            self.poller.request(sid, PollDirection::Transmit);
-        }
+        // does not set the device's interrupt-enable flag." The pending
+        // poll masks the interrupt.
+        self.poller.request(self.ifaces[i].poll_sid, dir);
+        self.sync_intr(env, i, dir);
         if let Some(tid) = self.poll_tid {
             env.wake(tid);
         }
@@ -97,7 +77,7 @@ impl RouterKernel {
                             };
                             return Some(Chunk::new(cost, t).with_reps(reps));
                         }
-                        let more = self.ifaces[i].nic.rx_pending() > 0;
+                        let more = self.has_work(i, PollDirection::Receive);
                         self.finish_callback(env, action, more);
                     }
                     PollDirection::Transmit => {
@@ -127,16 +107,14 @@ impl RouterKernel {
                                 )
                                 .with_reps(reps));
                             }
-                            if !iface.out_q.is_empty() && iface.nic.tx_slots_free() > 0 {
+                            if iface.tx_startable() {
                                 return Some(Chunk::new(
                                     self.cost.tx_start_per_pkt,
                                     tag::POLL_TX_START,
                                 ));
                             }
                         }
-                        let iface = &self.ifaces[i];
-                        let more = iface.nic.tx_unreclaimed() > 0
-                            || (!iface.out_q.is_empty() && iface.nic.tx_slots_free() > 0);
+                        let more = self.has_work(i, PollDirection::Transmit);
                         self.finish_callback(env, action, more);
                     }
                 }
@@ -198,6 +176,9 @@ impl RouterKernel {
             stole = true;
         }
         if stole {
+            // No `sync_intr`: the receive interrupt stays unmasked while
+            // the stolen frames drain, so an own arrival still posts the
+            // stub. Masking it here changes the classed SMP steal counts.
             let sid = self.ifaces[0].poll_sid;
             self.poller.request(sid, PollDirection::Receive);
         }
@@ -219,7 +200,7 @@ impl RouterKernel {
         // subsequent packet event causes an interrupt even while the
         // polling thread is still busy with other interfaces.
         if !more {
-            self.enable_dir_intr(env, action.source.0, action.dir);
+            self.sync_intr(env, action.source.0, action.dir);
         }
         // The §7 cycle accounting: read the cycle counter at loop start and
         // end; the delta (preempting interrupts included) is charged to the
@@ -252,43 +233,6 @@ impl RouterKernel {
         }
     }
 
-    /// Re-enables one interface's interrupt in one direction, posting the
-    /// interrupt instead when the device already has latched work so no
-    /// wakeup is lost (drivers re-check device status after enabling).
-    pub(super) fn enable_dir_intr(
-        &mut self,
-        env: &mut Env<'_, Event>,
-        i: usize,
-        dir: PollDirection,
-    ) {
-        let iface = &mut self.ifaces[i];
-        match dir {
-            PollDirection::Receive => {
-                if !self.gate.is_open() {
-                    return;
-                }
-                iface.nic.set_rx_intr_enabled(true);
-                env.set_intr_enabled(iface.rx_src, true);
-                if iface.nic.rx_pending() > 0 {
-                    env.post_intr(iface.rx_src);
-                } else {
-                    env.intr_ack(iface.rx_src);
-                }
-            }
-            PollDirection::Transmit => {
-                iface.nic.set_tx_intr_enabled(true);
-                env.set_intr_enabled(iface.tx_src, true);
-                let tx_work = iface.nic.tx_unreclaimed() > 0
-                    || (!iface.out_q.is_empty() && iface.nic.tx_slots_free() > 0);
-                if tx_work {
-                    env.post_intr(iface.tx_src);
-                } else {
-                    env.intr_ack(iface.tx_src);
-                }
-            }
-        }
-    }
-
     pub(super) fn poll_rx_done(&mut self, env: &mut Env<'_, Event>, ring: usize) {
         let Some(action) = self.poll.action else {
             return;
@@ -307,7 +251,6 @@ impl RouterKernel {
         if let Some(routed) = self.route_packet(pkt, env.now()) {
             self.dispatch(env, routed);
         }
-        self.flush_icmp(env);
     }
 
     pub(super) fn poll_tx_done(&mut self, env: &mut Env<'_, Event>, reclaim: bool) {

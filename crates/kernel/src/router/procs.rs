@@ -112,7 +112,6 @@ impl RouterKernel {
             // Locally originated traffic bypasses screend.
             self.output_enqueue(env, out_iface, pkt);
         }
-        self.flush_icmp(env);
     }
 
     // --- Clock ---

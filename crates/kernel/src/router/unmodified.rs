@@ -8,8 +8,7 @@ impl RouterKernel {
         let extra = self.emulation_overhead();
         let burstable = self.burstable();
         let iface = &mut self.ifaces[i];
-        if !iface.rx_in_handler {
-            iface.rx_in_handler = true;
+        if self.in_handler.enter(iface.rx_src) {
             return Some(Chunk::new(
                 self.cost.intr_dispatch + extra,
                 tag::RX_DISPATCH,
@@ -38,7 +37,7 @@ impl RouterKernel {
             )
             .with_reps(reps));
         }
-        iface.rx_in_handler = false;
+        self.in_handler.leave(iface.rx_src);
         env.intr_ack(iface.rx_src);
         None
     }
@@ -68,8 +67,7 @@ impl RouterKernel {
 
     pub(super) fn softnet_next(&mut self, env: &mut Env<'_, Event>) -> Option<Chunk> {
         let extra = self.emulation_overhead();
-        if !self.softnet_in_handler {
-            self.softnet_in_handler = true;
+        if self.in_handler.enter(self.softnet_src) {
             return Some(Chunk::new(
                 self.cost.softnet_dispatch + extra,
                 tag::SOFTNET_DISPATCH,
@@ -77,7 +75,7 @@ impl RouterKernel {
         }
         let mut ipintrq = self.link.ipintrq();
         let Some(head) = ipintrq.peek_mut() else {
-            self.softnet_in_handler = false;
+            self.in_handler.leave(self.softnet_src);
             env.intr_ack(self.softnet_src);
             return None;
         };
@@ -118,22 +116,20 @@ impl RouterKernel {
         if let Some(routed) = self.route_packet(pkt, env.now()) {
             self.dispatch(env, routed);
         }
-        self.flush_icmp(env);
     }
 
     pub(super) fn unmod_tx_next(&mut self, env: &mut Env<'_, Event>, i: usize) -> Option<Chunk> {
-        let iface = &mut self.ifaces[i];
-        if !iface.tx_in_handler {
-            iface.tx_in_handler = true;
+        let iface = &self.ifaces[i];
+        if self.in_handler.enter(iface.tx_src) {
             return Some(Chunk::new(self.cost.intr_dispatch, tag::TX_DISPATCH));
         }
         if iface.nic.tx_unreclaimed() > 0 {
             return Some(Chunk::new(self.cost.tx_done_per_pkt, tag::TX_RECLAIM));
         }
-        if !iface.out_q.is_empty() && iface.nic.tx_slots_free() > 0 {
+        if iface.tx_startable() {
             return Some(Chunk::new(self.cost.tx_start_per_pkt, tag::TX_START));
         }
-        iface.tx_in_handler = false;
+        self.in_handler.leave(iface.tx_src);
         env.intr_ack(iface.tx_src);
         None
     }

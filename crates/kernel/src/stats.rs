@@ -15,8 +15,8 @@ use crate::telemetry::Timeline;
 /// through `KernelStats::record_drop`, giving the per-cause taxonomy the
 /// paper's loss-attribution argument (§3, §6.2) needs. It is the only
 /// store: the per-queue names ([`DropStats::ifq_drops`] and friends) are
-/// sums over it (e.g. an output-queue drop-tail drop and a RED early drop
-/// both read back through `ifq_drops`).
+/// sums over it (e.g. a receive-ring overflow and a feedback-inhibited
+/// one both read back through `rx_ring_drops`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// RX ring overflow: the host was too slow to drain the ring. The
@@ -36,14 +36,12 @@ pub enum DropReason {
     SocketQueueFull,
     /// Output interface queue drop-tail overflow.
     OutputQueueFull,
-    /// RED early drop on the output queue (§6.6).
-    RedEarlyDrop,
     /// Not a router and not locally destined — the "innocent bystander"
     /// discard of §1's broadcast storms.
     Bystander,
-    /// TTL expired while forwarding (Time Exceeded originated).
+    /// TTL expired while forwarding.
     TtlExpired,
-    /// No route to the destination (Net Unreachable originated).
+    /// No route to the destination.
     NoRoute,
     /// Route found but no ARP entry for the next hop.
     NoArp,
@@ -65,7 +63,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Every reason, in reporting order (cheapest drop first).
-    pub const ALL: [DropReason; 17] = [
+    pub const ALL: [DropReason; 16] = [
         DropReason::RxRingFull,
         DropReason::FeedbackInhibit,
         DropReason::ClassShed {
@@ -82,7 +80,6 @@ impl DropReason {
         DropReason::ScreendDenied,
         DropReason::SocketQueueFull,
         DropReason::OutputQueueFull,
-        DropReason::RedEarlyDrop,
         DropReason::Bystander,
         DropReason::TtlExpired,
         DropReason::NoRoute,
@@ -101,7 +98,6 @@ impl DropReason {
             DropReason::ScreendDenied => "screend-denied",
             DropReason::SocketQueueFull => "socket-q-full",
             DropReason::OutputQueueFull => "outq-full",
-            DropReason::RedEarlyDrop => "red-early",
             DropReason::Bystander => "bystander",
             DropReason::TtlExpired => "ttl-expired",
             DropReason::NoRoute => "no-route",
@@ -134,13 +130,12 @@ impl DropReason {
             DropReason::ScreendDenied => 7,
             DropReason::SocketQueueFull => 8,
             DropReason::OutputQueueFull => 9,
-            DropReason::RedEarlyDrop => 10,
-            DropReason::Bystander => 11,
-            DropReason::TtlExpired => 12,
-            DropReason::NoRoute => 13,
-            DropReason::NoArp => 14,
-            DropReason::BadHeader => 15,
-            DropReason::NoListener => 16,
+            DropReason::Bystander => 10,
+            DropReason::TtlExpired => 11,
+            DropReason::NoRoute => 12,
+            DropReason::NoArp => 13,
+            DropReason::BadHeader => 14,
+            DropReason::NoListener => 15,
         }
     }
 }
@@ -221,10 +216,9 @@ impl DropStats {
         self.get(DropReason::ScreendDenied)
     }
 
-    /// `OutputQueueFull + RedEarlyDrop`: packets dropped at an output
-    /// interface queue.
+    /// Packets dropped at an output interface queue.
     pub fn ifq_drops(&self) -> u64 {
-        self.get(DropReason::OutputQueueFull) + self.get(DropReason::RedEarlyDrop)
+        self.get(DropReason::OutputQueueFull)
     }
 
     /// Packets dropped at the local socket buffer (end-system mode).
@@ -722,10 +716,6 @@ pub struct KernelStats {
     pub app_delivered: u64,
     /// Reply packets originated by the local application.
     pub replies_created: u64,
-    /// ICMP error packets originated by the router.
-    pub icmp_errors_sent: u64,
-    /// ICMP error generation suppressed by pacing.
-    pub icmp_suppressed: u64,
     /// ARP frames consumed by the host (requests, gratuitous, replies).
     pub arp_handled: u64,
     /// ARP replies originated by the host.
@@ -806,9 +796,9 @@ impl KernelStats {
     /// Records the end of `pkt`'s sojourn at time `end` (wire transmit or
     /// local consumption) in every book that is on: the latency book
     /// (with its stage breakdown when kept), the per-flow registry and the
-    /// per-class books. Kernel-originated packets (ARP/ICMP/replies)
-    /// never arrived on a wire and are not samples. The caller counts the
-    /// delivery itself ([`KernelStats::record_tx`] /
+    /// per-class books. Kernel-originated packets (ARP and application
+    /// replies) never arrived on a wire and are not samples. The caller
+    /// counts the delivery itself ([`KernelStats::record_tx`] /
     /// [`KernelStats::record_app_delivery`]).
     pub(crate) fn record_delivery(&mut self, pkt: &Packet, end: Cycles, freq: Freq) {
         let arrived = pkt.arrived_at;
@@ -904,7 +894,7 @@ impl KernelStats {
     pub(crate) fn in_flight_of<'a>(kernels: impl Iterator<Item = &'a KernelStats>) -> u64 {
         let (mut entered, mut gone) = (0u64, 0u64);
         for s in kernels {
-            entered += s.arrived + s.replies_created + s.icmp_errors_sent + s.arp_replies;
+            entered += s.arrived + s.replies_created + s.arp_replies;
             gone += s.drops.total() + s.app_delivered + s.arp_handled + s.transmitted;
         }
         entered
@@ -1172,7 +1162,7 @@ mod tests {
 
     #[test]
     fn legacy_views_partition_the_taxonomy() {
-        // The nine per-queue views (RED early drops count in `ifq_drops`).
+        // The nine per-queue views.
         let views: [fn(&DropStats) -> u64; 9] = [
             DropStats::rx_ring_drops,
             DropStats::class_shed_drops,
@@ -1196,12 +1186,10 @@ mod tests {
         for r in DropReason::ALL {
             d.record(r);
         }
-        d.record(DropReason::RedEarlyDrop);
-        assert_eq!(d.total(), DropReason::ALL.len() as u64 + 1);
+        assert_eq!(d.total(), DropReason::ALL.len() as u64);
         assert_eq!(views.iter().map(|v| v(&d)).sum::<u64>(), d.total());
         assert_eq!(d.rx_ring_drops(), 2, "ring-full + feedback-inhibit");
-        assert_eq!(d.ifq_drops(), 3, "outq-full + 2x red");
-        assert_eq!(d.get(DropReason::RedEarlyDrop), 2);
+        assert_eq!(d.ifq_drops(), 1, "outq-full");
         assert_eq!(d.fwd_errors(), 5);
         assert_eq!(d.class_shed_drops(), 3, "one shed per traffic class");
         assert_eq!(d.nonzero().count(), DropReason::ALL.len());
@@ -1210,6 +1198,6 @@ mod tests {
             assert_eq!(d.get(DropReason::ClassShed { class }), 1);
         }
         // Shedding is a deliberate, free drop: not wasted work.
-        assert_eq!(d.wasted_drops(), 11);
+        assert_eq!(d.wasted_drops(), 9);
     }
 }

@@ -315,6 +315,12 @@ impl<E> EnvState<E> {
         self.cpu
     }
 
+    /// The handle a workload callback gets over this state, for driving
+    /// a workload's handlers outside an engine (unit tests).
+    pub fn env(&mut self) -> Env<'_, E> {
+        Env { st: self }
+    }
+
     /// Tags this state (its ledger, counters, and traces) as belonging to
     /// `cpu`. The SMP cluster calls this once per executor at build time.
     pub fn set_cpu(&mut self, cpu: CpuId) {
@@ -440,6 +446,11 @@ impl<'a, E> Env<'a, E> {
     /// Masks or unmasks an interrupt source.
     pub fn set_intr_enabled(&mut self, src: IntrSrc, enabled: bool) {
         self.st.intr.set_enabled(src, enabled);
+    }
+
+    /// Whether an interrupt source is unmasked.
+    pub fn intr_enabled(&self, src: IntrSrc) -> bool {
+        self.st.intr.is_enabled(src)
     }
 
     /// Clears a latched request without delivering it.
@@ -723,8 +734,7 @@ impl<W: Workload> Engine<W> {
     }
 
     fn env_call<R>(st: &mut EnvState<W::Event>, f: impl FnOnce(&mut Env<'_, W::Event>) -> R) -> R {
-        let mut env = Env { st };
-        f(&mut env)
+        f(&mut st.env())
     }
 
     /// Runs until virtual time `limit` or quiescence, whichever first.

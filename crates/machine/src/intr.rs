@@ -92,6 +92,11 @@ impl IntrController {
         }
     }
 
+    /// Returns `true` while the source is unmasked.
+    pub fn is_enabled(&self, src: IntrSrc) -> bool {
+        self.sources[src.0].enabled
+    }
+
     /// Returns `true` when a request is latched for the source.
     pub fn is_pending(&self, src: IntrSrc) -> bool {
         self.sources[src.0].pending

@@ -17,8 +17,9 @@
 //! - [`cost`] — the cycle cost model, with a preset calibrated so the
 //!   simulated router reproduces the paper's measured rates.
 //! - [`nic`] — a LANCE-style network interface: bounded receive/transmit
-//!   descriptor rings, autonomous (DMA) receive into the ring, interrupt
-//!   enable flags, interrupt batching left to the driver.
+//!   descriptor rings, autonomous (DMA) receive into the ring; its
+//!   interrupt enable flags are the controller's mask, and interrupt
+//!   batching is left to the driver.
 //! - [`wire`] — Ethernet serialization (67.2 µs per minimum frame at
 //!   10 Mbit/s, the paper's 14,880 pkts/s ceiling).
 //! - [`cpu`] — the preemptive executor: kernel code runs as *chunks* of

@@ -66,8 +66,9 @@ impl Default for NicConfig {
     }
 }
 
-/// One network interface: receive rings, transmit ring, interrupt-enable
-/// flags, and counters (`Ipkts`/`Opkts`, as `netstat` reports them).
+/// One network interface: receive rings, transmit ring and counters
+/// (`Ipkts`/`Opkts`, as `netstat` reports them). Its interrupt-enable
+/// flags are the interrupt controller's mask, which the host owns.
 #[derive(Clone, Debug)]
 pub struct Nic {
     name: &'static str,
@@ -82,8 +83,6 @@ pub struct Nic {
     /// reclaimed. They still occupy ring slots.
     tx_unreclaimed: usize,
     tx_ring_cap: usize,
-    rx_intr_enabled: bool,
-    tx_intr_enabled: bool,
     ipkts: u64,
     opkts: u64,
     tx_ring_rejects: u64,
@@ -94,8 +93,7 @@ impl Nic {
     /// highest priority first. Bounds the supported ring count.
     const PRIORITY_RING_NAMES: [&'static str; 3] = ["rx-ring-p0", "rx-ring-p1", "rx-ring-p2"];
 
-    /// Creates a NIC with one receive ring and both interrupt directions
-    /// enabled.
+    /// Creates a NIC with one receive ring.
     pub fn new(name: &'static str, config: NicConfig) -> Self {
         Nic {
             name,
@@ -104,8 +102,6 @@ impl Nic {
             tx_inflight: false,
             tx_unreclaimed: 0,
             tx_ring_cap: config.tx_ring,
-            rx_intr_enabled: true,
-            tx_intr_enabled: true,
             ipkts: 0,
             opkts: 0,
             tx_ring_rejects: 0,
@@ -146,7 +142,7 @@ impl Nic {
     /// A frame finished arriving on the wire; DMA places it in its ring
     /// ([`Nic::rx_ring_for`]). Returns whether the ring accepted it (a
     /// full ring drops the frame at zero host cost). The caller decides
-    /// whether to post an interrupt, based on [`Nic::rx_intr_enabled`].
+    /// whether to post an interrupt, by its interrupt mask.
     pub fn rx_arrive(&mut self, pkt: Packet) -> Enqueued {
         let ring = self.rx_ring_for(&pkt);
         let r = self.rx_rings[ring].enqueue(pkt);
@@ -200,17 +196,6 @@ impl Nic {
     /// Total frames accepted into the receive rings (`Ipkts`).
     pub fn ipkts(&self) -> u64 {
         self.ipkts
-    }
-
-    /// Receive interrupt enable flag.
-    pub fn rx_intr_enabled(&self) -> bool {
-        self.rx_intr_enabled
-    }
-
-    /// Sets the receive interrupt enable flag (the modified driver clears
-    /// this in its interrupt stub and restores it from the polling thread).
-    pub fn set_rx_intr_enabled(&mut self, enabled: bool) {
-        self.rx_intr_enabled = enabled;
     }
 
     // --- Transmit side ---
@@ -280,16 +265,6 @@ impl Nic {
     /// counter).
     pub fn opkts(&self) -> u64 {
         self.opkts
-    }
-
-    /// Transmit interrupt enable flag.
-    pub fn tx_intr_enabled(&self) -> bool {
-        self.tx_intr_enabled
-    }
-
-    /// Sets the transmit interrupt enable flag.
-    pub fn set_tx_intr_enabled(&mut self, enabled: bool) {
-        self.tx_intr_enabled = enabled;
     }
 }
 
@@ -379,17 +354,6 @@ mod tests {
     #[should_panic(expected = "without a frame in flight")]
     fn tx_complete_requires_inflight() {
         nic().tx_complete();
-    }
-
-    #[test]
-    fn intr_enable_flags() {
-        let mut n = nic();
-        assert!(n.rx_intr_enabled());
-        assert!(n.tx_intr_enabled());
-        n.set_rx_intr_enabled(false);
-        n.set_tx_intr_enabled(false);
-        assert!(!n.rx_intr_enabled());
-        assert!(!n.tx_intr_enabled());
     }
 
     #[test]

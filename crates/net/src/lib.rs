@@ -17,8 +17,6 @@
 //!   analogue).
 //! - [`queue`] — bounded drop-tail queues (`ipintrq`, interface output
 //!   queues, the screend queue) with drop accounting.
-//! - [`red`] — Random Early Detection admission (the §8-cited drop-policy
-//!   alternative), usable in front of any bounded queue.
 //! - [`route`] — a longest-prefix-match routing table (binary trie).
 //! - [`arp::ArpCache`] — next-hop resolution, including the paper's
 //!   "phantom" ARP entry trick.
@@ -48,7 +46,6 @@ pub mod packet;
 pub mod phy;
 pub mod pool;
 pub mod queue;
-pub mod red;
 pub mod route;
 pub mod udp;
 

@@ -13,8 +13,7 @@
 //! - queue-state feedback with screend on/off;
 //! - receive-ring size (the "let the interface buffer bursts" advice);
 //! - interrupt rate limiting alone (the paper's 5.1 caveat: it bounds
-//!   saturation but does not guarantee progress);
-//! - RED early drop on the output queue (the 8-cited drop policy).
+//!   saturation but does not guarantee progress).
 
 use livelock_core::analysis::overload_stability;
 use livelock_core::poller::Quota;
@@ -50,10 +49,6 @@ fn main() {
         (
             "intr-rate-limit + screend",
             rate_limited().screend(Default::default()).build(),
-        ),
-        (
-            "polling q=100 + RED ifq",
-            polled(Quota::Limited(100)).ifq_red(true).build(),
         ),
         ("polling quota=5", polled(Quota::Limited(5)).build()),
         ("polling quota=20", polled(Quota::Limited(20)).build()),

@@ -250,80 +250,6 @@ fn a_standalone_kernel_is_a_cluster_of_one() {
     );
 }
 
-/// ICMP error origination: a TTL-expired packet triggers a Time Exceeded
-/// message routed back to the offender's network, itself a real,
-/// checksummed ICMP/IPv4 frame.
-#[test]
-fn ttl_expiry_generates_icmp_time_exceeded() {
-    let mut cfg = KernelConfig::builder().polled(Quota::Limited(10)).build();
-    cfg.icmp_errors = true;
-    let mut e = engine_for(cfg);
-    let mut factory = PacketFactory::paper_testbed();
-    factory.ttl = 1;
-    for k in 0..3u64 {
-        e.state_schedule(
-            Cycles::new(1_000 + k * 100_000),
-            Event::RxArrive {
-                iface: 0,
-                pkt: factory.next_packet(),
-            },
-        );
-    }
-    e.run_until(Cycles::new(200_000_000));
-    let s = e.workload().stats();
-    assert_eq!(s.drops.fwd_errors(), 3);
-    assert_eq!(s.icmp_errors_sent, 3, "{s:?}");
-    // The errors leave on interface 0, back toward the source network.
-    assert_eq!(e.workload().opkts(0), 3);
-    assert_eq!(e.workload().opkts(1), 0);
-    assert_eq!(s.in_flight(), 0);
-}
-
-/// ICMP generation is paced: a flood of TTL-expired packets produces a
-/// bounded number of errors, the rest suppressed.
-#[test]
-fn icmp_errors_are_paced() {
-    let mut cfg = KernelConfig::builder().polled(Quota::Limited(10)).build();
-    cfg.icmp_errors = true;
-    let mut e = engine_for(cfg);
-    let mut factory = PacketFactory::paper_testbed();
-    factory.ttl = 1;
-    for k in 0..200u64 {
-        e.state_schedule(
-            Cycles::new(1_000 + k * 10_000), // 10k pkts/s of expired TTLs.
-            Event::RxArrive {
-                iface: 0,
-                pkt: factory.next_packet(),
-            },
-        );
-    }
-    e.run_until(Cycles::new(500_000_000));
-    let s = e.workload().stats();
-    assert!(s.icmp_errors_sent < 50, "pacing failed: {s:?}");
-    assert!(s.icmp_suppressed > 100, "suppression not counted: {s:?}");
-    assert_eq!(s.in_flight(), 0);
-}
-
-/// With ICMP errors disabled (the default, as in the paper's experiments),
-/// undeliverable packets vanish silently.
-#[test]
-fn icmp_disabled_by_default() {
-    let mut e = engine_for(KernelConfig::builder().polled(Quota::Limited(10)).build());
-    let mut factory = PacketFactory::paper_testbed();
-    factory.ttl = 1;
-    e.state_schedule(
-        Cycles::new(1_000),
-        Event::RxArrive {
-            iface: 0,
-            pkt: factory.next_packet(),
-        },
-    );
-    e.run_until(Cycles::new(100_000_000));
-    let s = e.workload().stats();
-    assert_eq!(s.icmp_errors_sent, 0);
-    assert_eq!(s.drops.fwd_errors(), 1);
-}
-
 /// The execution trace shows the livelock interleaving directly: under
 /// sustained overload the unmodified kernel's CPU alternates between
 /// interrupt handlers only — no thread ever runs — while the modified
@@ -438,9 +364,9 @@ fn latency_layer_agrees_with_trace_and_counters() {
             let h = s.latency.stage(stage).expect("breakdown requested");
             assert_eq!(h.count(), s.transmitted, "{}", stage.label());
         }
-        // Double bookkeeping: taxonomy and legacy counters agree. (RED
-        // drops land in `ifq_drops` too, and feedback inhibits in
-        // `rx_ring_drops`, per the `record_drop` contract.)
+        // Double bookkeeping: taxonomy and legacy counters agree.
+        // (Feedback inhibits land in `rx_ring_drops` too, per the
+        // `record_drop` contract.)
         assert_eq!(
             s.drops.get(DropReason::RxRingFull) + s.drops.get(DropReason::FeedbackInhibit),
             s.drops.rx_ring_drops()
@@ -450,7 +376,7 @@ fn latency_layer_agrees_with_trace_and_counters() {
             s.drops.ipintrq_drops()
         );
         assert_eq!(
-            s.drops.get(DropReason::OutputQueueFull) + s.drops.get(DropReason::RedEarlyDrop),
+            s.drops.get(DropReason::OutputQueueFull),
             s.drops.ifq_drops()
         );
         // Conservation: everything that arrived was delivered, dropped

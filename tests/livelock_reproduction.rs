@@ -380,24 +380,3 @@ fn larger_quotas_increase_jitter() {
         "batchier service should jitter more: quota64 {large} vs quota2 {small}"
     );
 }
-
-/// RED on the output queue turns the no-quota configuration's abrupt
-/// output-queue overflow into early drops, without changing the verdict
-/// for well-quota'd configurations.
-#[test]
-fn red_output_queue_counts_early_drops() {
-    let mut cfg = KernelConfig::builder().polled(Quota::Limited(100)).build();
-    cfg.ifq_red = true;
-    let r = run_trial(&TrialSpec {
-        rate_pps: 12_000.0,
-        n_packets: 3_000,
-        ..TrialSpec::new(cfg)
-    });
-    assert!(
-        r.delivered_pps > 3_000.0,
-        "still a plateau: {}",
-        r.delivered_pps
-    );
-    // RED drops are a subset of output-queue drops and both are counted.
-    assert!(r.ifq_drops > 0, "RED early-drops under overload: {r:?}");
-}
